@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench lint fuzz capacity capacity-smoke herd hetero
+.PHONY: all build test race bench lint loc fuzz capacity capacity-smoke herd hetero
 
 all: build test
 
@@ -28,6 +28,12 @@ lint:
 		| grep -v '/testdata/' | grep -v '— ' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "//lard:allow without a '— reason':" >&2; echo "$$bad" >&2; exit 1; fi
+
+# loc prints code lines per package: non-test, non-testdata Go lines,
+# blank and comment-only lines excluded (scripts/loc.sh DIR... for a
+# subset). CHANGES.md entries quote it before and after.
+loc:
+	@scripts/loc.sh
 
 # fuzz gives each fuzz target a short budget (CI runs the same smoke).
 # FUZZTIME=1m make fuzz for a longer local run; go test accepts one

@@ -10,8 +10,7 @@
 //	       -probe 1s -admin 127.0.0.1:8081
 //
 // -connpolicy selects how persistent client connections trade affinity
-// against locality (pin | perreq | costaware, see pkg/lard.ConnPolicy);
-// the deprecated -rehandoff is shorthand for -connpolicy perreq.
+// against locality (pin | perreq | costaware, see pkg/lard.ConnPolicy).
 //
 // -poolsize and -poolidle size the per-back-end pool of idle handoff
 // connections (the session-sequenced handoff protocol): a handoff to a
@@ -88,7 +87,6 @@ type options struct {
 	params     core.Params
 	cacheBytes int64
 	connpolicy string
-	rehandoff  bool
 	headerTime time.Duration
 	maxHeader  int
 	weights    string
@@ -122,7 +120,6 @@ func main() {
 		"comma-separated per-back-end capacity weights aligned with -backends (e.g. 0.5,1,2); empty = uniform")
 	flag.StringVar(&o.connpolicy, "connpolicy", "",
 		"persistent-connection dispatch policy: pin, perreq, or costaware (default pin)")
-	flag.BoolVar(&o.rehandoff, "rehandoff", false, "deprecated: shorthand for -connpolicy perreq")
 	flag.DurationVar(&o.headerTime, "headertimeout", 30*time.Second, "time limit for a client to deliver a request head")
 	flag.IntVar(&o.maxHeader, "maxheader", 64<<10, "request/response head size limit in bytes for the relay parser")
 	flag.DurationVar(&o.statsEach, "stats", 0, "print stats at this interval (0 = never)")
@@ -174,7 +171,6 @@ func run(o options) error {
 		Backends:               addrs,
 		Dispatcher:             d,
 		ConnPolicy:             o.connpolicy,
-		RehandoffPerRequest:    o.rehandoff,
 		HeaderTimeout:          o.headerTime,
 		MaxHeaderBytes:         o.maxHeader,
 		ProbeInterval:          o.probe,

@@ -9,9 +9,10 @@
 //     owns load accounting and admission control. Every consumer below
 //     dispatches through it.
 //   - internal/core — the paper's contribution: the WRR, LB, LB/GC, LARD
-//     and LARD/R request-distribution strategies behind one Strategy
-//     interface; the pure, single-threaded policy layer beneath the
-//     public Dispatcher.
+//     and LARD/R request-distribution strategies (plus POD and WLARD for
+//     mixed fleets) as three Select skeletons and the LB/GC model behind
+//     one Strategy interface; the pure, single-threaded policy layer
+//     beneath the public Dispatcher.
 //   - internal/sim, internal/cache, internal/trace, internal/cluster —
 //     the trace-driven cluster simulator of Section 3 (event engine,
 //     GDS/LRU caches, synthetic Rice/IBM/Chess workloads, cost model,

@@ -80,9 +80,9 @@ func main() {
 	}
 
 	d.Inspect(func(_ int, s lard.Strategy, _ lard.LoadReader) {
-		r := s.(*lard.LARDR)
+		r := s.(*lard.Mapped)
 		fmt.Printf("\nreplication events: %d grows, %d shrinks, max degree %d\n",
-			r.Grows(), r.Shrinks(), r.MaxReplication())
+			r.Moves(), r.Shrinks(), r.MaxReplication())
 	})
 }
 
@@ -91,7 +91,7 @@ func main() {
 func serverSet(d lard.Dispatcher) []int {
 	var set []int
 	d.Inspect(func(_ int, s lard.Strategy, _ lard.LoadReader) {
-		set = s.(*lard.LARDR).ServerSet("/hot")
+		set = s.(*lard.Mapped).ServerSet("/hot")
 	})
 	return set
 }

@@ -110,7 +110,7 @@ func replay(policy lard.ConnPolicy, workload [][]string) (moves, onOwner int) {
 // assignment reads the target's current LARD mapping.
 func assignment(d lard.Dispatcher, target string) (node int, ok bool) {
 	d.Inspect(func(_ int, st lard.Strategy, _ lard.LoadReader) {
-		node, ok = st.(*lard.LARD).Assignment(target)
+		node, ok = st.(*lard.Mapped).Assignment(target)
 	})
 	return node, ok
 }

@@ -122,9 +122,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 	if ps := cfg.coreProfiles(); len(ps) > 0 {
 		opts = append(opts, lard.WithProfiles(ps...))
 	}
-	if cfg.Choices > 0 {
-		opts = append(opts, lard.WithChoices(cfg.Choices))
-	}
 	if cfg.MaxOutstanding != 0 {
 		opts = append(opts, lard.WithMaxOutstanding(cfg.MaxOutstanding))
 	}

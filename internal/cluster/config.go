@@ -339,10 +339,6 @@ type Config struct {
 	// goodput collapses on the queued-up small nodes.
 	DelaySLO time.Duration
 
-	// Choices is the pod strategy's per-target candidate count (0 = the
-	// default 2).
-	Choices int
-
 	// Shards partitions the front end's target space over this many
 	// independent strategy instances (0 or 1 = the paper's single
 	// dispatch point). Values above 1 model a sharded front end: each
@@ -396,19 +392,13 @@ type Config struct {
 	//     the modelled locality gain beats the switch cost; the policy's
 	//     thresholds are derived from this Config's CostModel and Params.
 	//
-	// Empty selects "perreq" when the deprecated RehandoffPerRequest is
-	// set and "pin" otherwise.
+	// Empty selects "pin".
 	ConnPolicy string
 
-	// RehandoffPerRequest is the deprecated boolean form of ConnPolicy:
-	// true means "perreq", false means "pin". Ignored when ConnPolicy is
-	// set (setting both to conflicting values is a Validate error).
-	RehandoffPerRequest bool
-
 	// SessionPolicy, when non-nil, is the connection policy instance the
-	// simulation's sessions consult, overriding ConnPolicy /
-	// RehandoffPerRequest — the hook for custom lard.ConnPolicy
-	// implementations and tuned CostAware configurations.
+	// simulation's sessions consult, overriding ConnPolicy — the hook for
+	// custom lard.ConnPolicy implementations and tuned CostAware
+	// configurations.
 	SessionPolicy lard.ConnPolicy
 
 	// QuotaRate, when > 0, models the front end's per-client token-bucket
@@ -469,10 +459,10 @@ func (c Config) coreProfiles() []core.Profile {
 }
 
 // connPolicyName resolves the persistent-connection policy name through
-// the shared pkg/lard rule; Validate has already rejected unknown names
-// and conflicts, so the error path is unreachable here.
+// the shared pkg/lard rule; Validate has already rejected unknown names,
+// so the error path is unreachable here.
 func (c Config) connPolicyName() string {
-	name, err := lard.ResolveConnPolicyName(c.ConnPolicy, c.RehandoffPerRequest)
+	name, err := lard.ResolveConnPolicyName(c.ConnPolicy)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: unvalidated ConnPolicy: %v", err))
 	}
@@ -575,9 +565,6 @@ func (c Config) Validate() error {
 	if c.DelaySLO < 0 {
 		return fmt.Errorf("cluster: negative DelaySLO")
 	}
-	if c.Choices < 0 {
-		return fmt.Errorf("cluster: Choices = %d, need >= 0", c.Choices)
-	}
 	if c.ReqsPerConn < 0 {
 		return fmt.Errorf("cluster: ReqsPerConn = %d, need >= 0", c.ReqsPerConn)
 	}
@@ -590,7 +577,7 @@ func (c Config) Validate() error {
 	if c.ReqsPerConn >= 1 && c.Strategy == WRRGMS {
 		return fmt.Errorf("cluster: persistent connections are not supported with WRR/GMS")
 	}
-	if _, err := lard.ResolveConnPolicyName(c.ConnPolicy, c.RehandoffPerRequest); err != nil {
+	if _, err := lard.ResolveConnPolicyName(c.ConnPolicy); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	if c.QuotaRate < 0 {

@@ -122,7 +122,6 @@ func TestHeteroConfigValidation(t *testing.T) {
 		func(c *Config) { c.Profiles = []NodeProfile{{Speed: -2}} },
 		func(c *Config) { c.Profiles = []NodeProfile{{Profile: core.Profile{TLow: 50, THigh: 40}}} },
 		func(c *Config) { c.DelaySLO = -time.Second },
-		func(c *Config) { c.Choices = -1 },
 		func(c *Config) {
 			// A profile on a non-join churn event is meaningless.
 			p := NodeProfile{}

@@ -44,13 +44,6 @@ func TestPersistentValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("unknown ConnPolicy accepted")
 	}
-	cfg = DefaultConfig(LARD, 2)
-	cfg.ReqsPerConn = 4
-	cfg.ConnPolicy = lard.ConnPin
-	cfg.RehandoffPerRequest = true
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("conflicting ConnPolicy/RehandoffPerRequest accepted")
-	}
 	// Sessions re-dispatch when their node fails or drains, so every
 	// policy — pinned included — now composes with scripted churn (PR 3
 	// had to reject pin + churn).
@@ -70,12 +63,7 @@ func TestConnPolicyNameResolution(t *testing.T) {
 	if got := cfg.connPolicyName(); got != lard.ConnPin {
 		t.Fatalf("default policy = %q, want pin", got)
 	}
-	cfg.RehandoffPerRequest = true
-	if got := cfg.connPolicyName(); got != lard.ConnPerRequest {
-		t.Fatalf("legacy rehandoff policy = %q, want perreq", got)
-	}
 	cfg.ConnPolicy = lard.ConnCostAware
-	cfg.RehandoffPerRequest = false
 	if got := cfg.connPolicyName(); got != lard.ConnCostAware {
 		t.Fatalf("explicit policy = %q, want costaware", got)
 	}
@@ -263,25 +251,5 @@ func TestPersistentAdmissionBoundHolds(t *testing.T) {
 		if res.PeakOutstanding > s {
 			t.Fatalf("%s: peak %d exceeds S=%d", policy, res.PeakOutstanding, s)
 		}
-	}
-}
-
-func TestLegacyRehandoffBoolStillDrivesPerRequest(t *testing.T) {
-	// PR 3 callers set RehandoffPerRequest; the boolean must keep
-	// selecting the per-request policy bit for bit.
-	tr := zipfTrace(40, 8<<10, 1000, 0.8, 7)
-	old := phttpConfig(LARD, 4, 8, "")
-	old.RehandoffPerRequest = true
-	new_ := phttpConfig(LARD, 4, 8, lard.ConnPerRequest)
-	a, err := Simulate(old, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Simulate(new_, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Throughput != b.Throughput || a.Rehandoffs != b.Rehandoffs || a.MissRatio != b.MissRatio {
-		t.Fatalf("legacy bool diverged from ConnPolicy: %+v vs %+v", a, b)
 	}
 }

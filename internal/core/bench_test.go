@@ -29,14 +29,44 @@ func benchDispatch(b *testing.B, s Strategy) {
 	}
 }
 
-func BenchmarkWRRSelect(b *testing.B) { benchDispatch(b, NewWRR(&benchLoads{})) }
-func BenchmarkLBSelect(b *testing.B)  { benchDispatch(b, NewLB(&benchLoads{})) }
-func BenchmarkLARDSelect(b *testing.B) {
-	benchDispatch(b, NewLARD(&benchLoads{}, DefaultParams()))
+// benchStrategies builds every registry name over a balanced 8-node
+// cluster.
+var benchStrategies = []struct {
+	name  string
+	build func() Strategy
+}{
+	{"wrr", func() Strategy { return NewWRR(&benchLoads{}) }},
+	{"lb", func() Strategy { return NewLB(&benchLoads{}) }},
+	{"lb/gc", func() Strategy { return NewLBGC(&benchLoads{}, 32<<20) }},
+	{"lard", func() Strategy { return NewLARD(&benchLoads{}, DefaultParams()) }},
+	{"lard/r", func() Strategy { return NewLARDR(&benchLoads{}, DefaultParams()) }},
+	{"pod", func() Strategy { return NewPOD(&benchLoads{}, DefaultParams()) }},
+	{"wlard", func() Strategy { return NewWLARD(&benchLoads{}, DefaultParams()) }},
 }
-func BenchmarkLARDRSelect(b *testing.B) {
-	benchDispatch(b, NewLARDR(&benchLoads{}, DefaultParams()))
+
+func BenchmarkSelect(b *testing.B) {
+	for _, st := range benchStrategies {
+		b.Run(st.name, func(b *testing.B) { benchDispatch(b, st.build()) })
+	}
 }
-func BenchmarkLBGCSelect(b *testing.B) {
-	benchDispatch(b, NewLBGC(&benchLoads{}, 32<<20))
+
+// Once every target is placed, no strategy allocates to pick a node.
+func TestSelectDoesNotAllocate(t *testing.T) {
+	targets := make([]string, 64)
+	for i := range targets {
+		targets[i] = fmt.Sprintf("/doc%04d.html", i)
+	}
+	for _, st := range benchStrategies {
+		s := st.build()
+		for _, target := range targets {
+			s.Select(0, Request{Target: target, Size: 8 << 10})
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(1000, func() {
+			s.Select(time.Duration(i), Request{Target: targets[i%len(targets)], Size: 8 << 10})
+			i++
+		}); allocs != 0 {
+			t.Errorf("%s: %v allocs per Select", st.name, allocs)
+		}
+	}
 }

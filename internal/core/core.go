@@ -7,17 +7,25 @@
 // (internal/frontend), mirroring how the paper evaluates one policy in both
 // settings.
 //
-// Implemented strategies:
+// The paper presents its strategies as points on one locality-versus-
+// balance line, and the code follows: three Select skeletons over one
+// shared node set, plus the idealized reference model, and seven
+// constructors that configure them.
 //
-//   - WRR: weighted round-robin over back-end load, the paper's
-//     "state-of-the-art" baseline (Section 2.2).
-//   - LB: locality-based hash partitioning of the target name space
-//     (Section 2.3).
-//   - LBGC: LB with a front-end model of a global cache — on a hit route
-//     to the caching node, on a miss route to the node caching the
+//   - Balanced picks the least relative-loaded node and ignores the
+//     target. NewWRR: the paper's "state-of-the-art" baseline
+//     (Section 2.2).
+//   - Hashed hashes the target to d candidate nodes. NewLB: d = 1 and
+//     load-blind, the hash partitioning of Section 2.3. NewPOD: d = 2,
+//     the less relative-loaded candidate wins (power of d choices).
+//   - Mapped keeps a target→server-set table and moves a target when its
+//     node fails the imbalance test of Figures 2 and 3. NewLARD: raw
+//     loads, the set is replaced (Figure 2). NewLARDR: raw loads, the
+//     set grows and shrinks (Figure 3). NewWLARD: loads divided by node
+//     weight, the set is replaced.
+//   - LBGC is LB with a front-end model of a global cache — on a hit
+//     route to the caching node, on a miss route to the node caching the
 //     globally oldest target (Section 4, "LB/GC").
-//   - LARD: basic locality-aware request distribution (Figure 2).
-//   - LARDR: LARD with replication (Figure 3).
 //
 // Strategies are deterministic and not safe for concurrent use; callers
 // that dispatch from multiple goroutines (the live front end) must
@@ -231,7 +239,7 @@ func MaxOutstandingOver(profiles []Profile) int {
 }
 
 // ProfileAware is implemented by strategies that carry per-node capacity
-// profiles. All built-in strategies implement it (through the shared
+// profiles. All built-in strategies implement it (through the embedded
 // nodeSet); the dispatcher layer uses it to install initial profiles and
 // to fan out runtime profile changes.
 type ProfileAware interface {
@@ -253,7 +261,15 @@ type ProfileAware interface {
 // The set also carries each node's capacity Profile. Nodes start from the
 // default profile the strategy was built with (derived from its Params, or
 // DefaultProfile for strategies without thresholds) and may be retuned
-// per node through setProfile; nodes added later inherit the default.
+// per node through SetProfile; nodes added later inherit the default.
+//
+// Every strategy embeds a nodeSet, so FailureAware, MembershipAware and
+// ProfileAware are implemented here, once. Failure, drain and removal
+// only flip a flag: a strategy's per-target state naming an ineligible
+// node is left in place and ignored by Select, which re-assigns on the
+// target's next request — the paper's recovery story ("the front end
+// simply re-assigns targets assigned to the failed back end as if they
+// had not been assigned before") for all three.
 type nodeSet struct {
 	loads    LoadReader
 	def      Profile
@@ -290,19 +306,51 @@ func newNodeSet(loads LoadReader, def Profile) nodeSet {
 	}
 }
 
-// profile returns node's capacity profile (the default for out-of-range
-// indices, which keeps lookups on the dispatch path branch-cheap).
-func (s *nodeSet) profile(node int) Profile {
+// NodeDown implements FailureAware.
+func (s *nodeSet) NodeDown(node int) { s.setFlag(s.down, node, true) }
+
+// NodeUp implements FailureAware.
+func (s *nodeSet) NodeUp(node int) { s.setFlag(s.down, node, false) }
+
+// AddNode implements MembershipAware: one fresh, eligible node carrying
+// the default profile. Existing per-target state is untouched; the new
+// node picks up targets as first-time assignments and load-triggered
+// moves (or, for the hashed strategies, by the re-hash over the enlarged
+// alive set).
+func (s *nodeSet) AddNode() int {
+	s.profiles = append(s.profiles, s.def)
+	s.down = append(s.down, false)
+	s.drain = append(s.drain, false)
+	s.removed = append(s.removed, false)
+	return len(s.down) - 1
+}
+
+// RemoveNode implements MembershipAware; the index is never reused.
+func (s *nodeSet) RemoveNode(node int) { s.setFlag(s.removed, node, true) }
+
+// SetDraining implements MembershipAware.
+func (s *nodeSet) SetDraining(node int, draining bool) { s.setFlag(s.drain, node, draining) }
+
+// SetProfile implements ProfileAware: the node's thresholds and weight
+// take effect on the next Select that consults them. The load-blind
+// strategies (LB, LB/GC) record the profile for reporting only.
+func (s *nodeSet) SetProfile(node int, p Profile) {
+	if node >= 0 && node < len(s.profiles) {
+		s.profiles[node] = p
+	}
+}
+
+// NodeProfile implements ProfileAware (the default for unknown nodes).
+func (s *nodeSet) NodeProfile(node int) Profile {
 	if node < 0 || node >= len(s.profiles) {
 		return s.def
 	}
 	return s.profiles[node]
 }
 
-// setProfile replaces node's capacity profile. Unknown nodes are ignored.
-func (s *nodeSet) setProfile(node int, p Profile) {
-	if node >= 0 && node < len(s.profiles) {
-		s.profiles[node] = p
+func (s *nodeSet) setFlag(flags []bool, node int, v bool) {
+	if node >= 0 && node < len(flags) {
+		flags[node] = v
 	}
 }
 
@@ -311,92 +359,49 @@ func (s *nodeSet) alive(node int) bool {
 		!s.down[node] && !s.drain[node] && !s.removed[node]
 }
 
-func (s *nodeSet) setDown(node int, down bool) {
-	if node >= 0 && node < len(s.down) {
-		s.down[node] = down
-	}
-}
-
-// add extends the node set with one fresh, eligible node carrying the
-// default profile and returns its index. The caller's LoadReader must
-// already report the new node.
-func (s *nodeSet) add() int {
-	s.profiles = append(s.profiles, s.def)
-	s.down = append(s.down, false)
-	s.drain = append(s.drain, false)
-	s.removed = append(s.removed, false)
-	return len(s.down) - 1
-}
-
-// remove permanently retires a node; its index is never reused.
-func (s *nodeSet) remove(node int) {
-	if node >= 0 && node < len(s.removed) {
-		s.removed[node] = true
-	}
-}
-
-func (s *nodeSet) setDraining(node int, draining bool) {
-	if node >= 0 && node < len(s.drain) {
-		s.drain[node] = draining
-	}
-}
-
-// aliveNodes returns the alive node indices in ascending order.
-func (s *nodeSet) aliveNodes() []int {
-	out := make([]int, 0, len(s.down))
+// aliveCount returns the number of alive nodes and kthAlive the k-th of
+// them in ascending index order: the hashed strategies' allocation-free
+// view of the alive set.
+func (s *nodeSet) aliveCount() int {
+	n := 0
 	for i := range s.down {
 		if s.alive(i) {
-			out = append(out, i)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
-// leastLoaded returns the alive node with the minimum load, rotating the
-// starting point so ties are broken round-robin, or -1 if none is alive.
-func (s *nodeSet) leastLoaded() int {
-	n := len(s.down)
-	best, bestLoad := -1, 0
-	for k := 0; k < n; k++ {
-		i := (s.rr + k) % n
-		if !s.alive(i) {
-			continue
-		}
-		l := s.loads.Load(i)
-		if best == -1 || l < bestLoad {
-			best, bestLoad = i, l
-		}
-	}
-	if best >= 0 {
-		s.rr = (best + 1) % n
-	}
-	return best
-}
-
-// anyBelowTLow reports whether some alive node sits below its own
-// profile's T_low — the per-node form of the paper's "∃ node with load <
-// T_low" idle test.
-func (s *nodeSet) anyBelowTLow() bool {
+func (s *nodeSet) kthAlive(k int) int {
 	for i := range s.down {
-		if s.alive(i) && s.loads.Load(i) < s.profiles[i].TLow {
-			return true
+		if s.alive(i) {
+			if k == 0 {
+				return i
+			}
+			k--
 		}
 	}
-	return false
+	return -1
 }
 
-// / relLoad returns node's capacity-relative load: active connections
-// divided by the profile weight, so a 2× node at 40 connections compares
-// equal to a 1× node at 20.
-func (s *nodeSet) relLoad(node int) float64 {
-	return float64(s.loads.Load(node)) / s.profiles[node].Weight
+// The two load measures, as arguments to load and leastLoaded.
+const rawLoad, relativeLoad = false, true
+
+// load returns node's load as the strategies compare it: the active
+// connection count, divided by the profile weight when relative — so a
+// 2× node at 40 connections compares equal to a 1× node at 20.
+func (s *nodeSet) load(node int, relative bool) float64 {
+	l := float64(s.loads.Load(node))
+	if relative {
+		l /= s.profiles[node].Weight
+	}
+	return l
 }
 
-// leastRelLoaded returns the alive node with the minimum capacity-relative
-// load (load / weight), rotating the starting point so ties are broken
-// round-robin, or -1 if none is alive. On a uniform fleet (all weights 1)
-// it is exactly leastLoaded.
-func (s *nodeSet) leastRelLoaded() int {
+// leastLoaded returns the alive node with the minimum (raw or relative)
+// load, rotating the starting point so ties are broken round-robin, or
+// -1 if none is alive.
+func (s *nodeSet) leastLoaded(relative bool) int {
 	n := len(s.down)
 	best, bestLoad := -1, 0.0
 	for k := 0; k < n; k++ {
@@ -404,7 +409,7 @@ func (s *nodeSet) leastRelLoaded() int {
 		if !s.alive(i) {
 			continue
 		}
-		l := s.relLoad(i)
+		l := s.load(i, relative)
 		if best == -1 || l < bestLoad {
 			best, bestLoad = i, l
 		}
@@ -415,13 +420,13 @@ func (s *nodeSet) leastRelLoaded() int {
 	return best
 }
 
-// anyRelBelow reports whether some alive node has capacity-relative load
-// strictly below bound.
-func (s *nodeSet) anyRelBelow(bound float64) bool {
-	for i := range s.down {
-		if s.alive(i) && s.relLoad(i) < bound {
-			return true
-		}
-	}
-	return false
-}
+var (
+	_ FailureAware    = (*nodeSet)(nil)
+	_ MembershipAware = (*nodeSet)(nil)
+	_ ProfileAware    = (*nodeSet)(nil)
+
+	_ Strategy = (*Balanced)(nil)
+	_ Strategy = (*Hashed)(nil)
+	_ Strategy = (*Mapped)(nil)
+	_ Strategy = (*LBGC)(nil)
+)

@@ -83,12 +83,12 @@ func TestNodeSetLeastLoaded(t *testing.T) {
 	loads := &fakeLoads{loads: []int{5, 2, 9, 2}}
 	ns := newNodeSet(loads, DefaultProfile())
 	// Strict minimum.
-	if got := ns.leastLoaded(); got != 1 {
+	if got := ns.leastLoaded(rawLoad); got != 1 {
 		t.Fatalf("leastLoaded = %d, want 1", got)
 	}
 	// Tie between 1 and 3: rotation starts after the previous pick, so the
 	// next call must find node 3 first.
-	if got := ns.leastLoaded(); got != 3 {
+	if got := ns.leastLoaded(rawLoad); got != 3 {
 		t.Fatalf("leastLoaded tie-break = %d, want 3 (round-robin)", got)
 	}
 }
@@ -96,66 +96,71 @@ func TestNodeSetLeastLoaded(t *testing.T) {
 func TestNodeSetLeastLoadedSkipsDown(t *testing.T) {
 	loads := &fakeLoads{loads: []int{1, 0, 5}}
 	ns := newNodeSet(loads, DefaultProfile())
-	ns.setDown(1, true)
-	if got := ns.leastLoaded(); got != 0 {
+	ns.NodeDown(1)
+	if got := ns.leastLoaded(rawLoad); got != 0 {
 		t.Fatalf("leastLoaded = %d, want 0 (node 1 down)", got)
 	}
-	ns.setDown(0, true)
-	ns.setDown(2, true)
-	if got := ns.leastLoaded(); got != -1 {
+	ns.NodeDown(0)
+	ns.NodeDown(2)
+	if got := ns.leastLoaded(rawLoad); got != -1 {
 		t.Fatalf("leastLoaded with all down = %d, want -1", got)
 	}
-	ns.setDown(2, false)
-	if got := ns.leastLoaded(); got != 2 {
+	ns.NodeUp(2)
+	if got := ns.leastLoaded(rawLoad); got != 2 {
 		t.Fatalf("leastLoaded after NodeUp = %d, want 2", got)
 	}
 }
 
-func TestNodeSetAnyBelowTLow(t *testing.T) {
+func TestMappedAnyIdleRaw(t *testing.T) {
 	loads := &fakeLoads{loads: []int{30, 40}}
-	ns := newNodeSet(loads, Profile{TLow: 25, THigh: 65, Weight: 1})
-	if ns.anyBelowTLow() {
-		t.Fatal("anyBelowTLow = true with loads 30, 40 and T_low 25")
+	s := NewLARD(loads, DefaultParams())
+	if s.anyIdle() {
+		t.Fatal("anyIdle = true with loads 30, 40 and T_low 25")
 	}
 	// Raising node 0's own T_low above its load makes it idle.
-	ns.setProfile(0, Profile{TLow: 31, THigh: 65, Weight: 1})
-	if !ns.anyBelowTLow() {
-		t.Fatal("anyBelowTLow = false with load 30 under its T_low 31")
+	s.SetProfile(0, Profile{TLow: 31, THigh: 65, Weight: 1})
+	if !s.anyIdle() {
+		t.Fatal("anyIdle = false with load 30 under its T_low 31")
 	}
-	ns.setDown(0, true)
-	if ns.anyBelowTLow() {
-		t.Fatal("down node counted by anyBelowTLow")
+	s.NodeDown(0)
+	if s.anyIdle() {
+		t.Fatal("down node counted by anyIdle")
 	}
 }
 
 func TestNodeSetRelLoad(t *testing.T) {
 	loads := &fakeLoads{loads: []int{40, 30, 20}}
 	ns := newNodeSet(loads, DefaultProfile())
-	ns.setProfile(0, Profile{TLow: 25, THigh: 65, Weight: 4})
+	ns.SetProfile(0, Profile{TLow: 25, THigh: 65, Weight: 4})
 	// Relative loads: 10, 30, 20 — node 0 wins despite the highest raw load.
-	if got := ns.leastRelLoaded(); got != 0 {
-		t.Fatalf("leastRelLoaded = %d, want 0", got)
+	if got := ns.leastLoaded(relativeLoad); got != 0 {
+		t.Fatalf("leastLoaded(relative) = %d, want 0", got)
 	}
-	if got := ns.relLoad(0); got != 10 {
-		t.Fatalf("relLoad(0) = %v, want 10", got)
+	if got := ns.load(0, relativeLoad); got != 10 {
+		t.Fatalf("load(0, relative) = %v, want 10", got)
 	}
-	if !ns.anyRelBelow(11) || ns.anyRelBelow(10) {
-		t.Fatal("anyRelBelow bounds wrong around relative load 10")
+	// The relative idle test holds that 10 against the fleet T_low, not
+	// node 0's own.
+	for tlow, want := range map[int]bool{11: true, 10: false} {
+		s := NewWLARD(loads, Params{TLow: tlow, THigh: 65})
+		s.SetProfile(0, Profile{TLow: 25, THigh: 65, Weight: 4})
+		if got := s.anyIdle(); got != want {
+			t.Fatalf("anyIdle at fleet T_low %d = %v, want %v", tlow, got, want)
+		}
 	}
 }
 
 func TestNodeSetAliveNodes(t *testing.T) {
 	ns := newNodeSet(&fakeLoads{loads: []int{0, 0, 0}}, DefaultProfile())
-	ns.setDown(1, true)
-	alive := ns.aliveNodes()
-	if len(alive) != 2 || alive[0] != 0 || alive[1] != 2 {
-		t.Fatalf("aliveNodes = %v", alive)
+	ns.NodeDown(1)
+	if ns.aliveCount() != 2 || ns.kthAlive(0) != 0 || ns.kthAlive(1) != 2 {
+		t.Fatalf("alive nodes = %d: %d, %d", ns.aliveCount(), ns.kthAlive(0), ns.kthAlive(1))
 	}
-	// Out-of-range setDown is ignored.
-	ns.setDown(-1, true)
-	ns.setDown(99, true)
-	if len(ns.aliveNodes()) != 2 {
-		t.Fatal("out-of-range setDown changed the set")
+	// Out-of-range NodeDown is ignored.
+	ns.NodeDown(-1)
+	ns.NodeDown(99)
+	if ns.aliveCount() != 2 {
+		t.Fatal("out-of-range NodeDown changed the set")
 	}
 }
 

@@ -187,6 +187,35 @@ func TestLARDAssignmentAccessor(t *testing.T) {
 	}
 }
 
+// Reading a mapping for diagnostics must not count as a use of it: with
+// room for two targets, looking at the older one between requests may not
+// save it from being the next one discarded.
+func TestDiagnosticsLeaveLRUOrderAlone(t *testing.T) {
+	p := testParams()
+	p.MappingCapacity = 2
+	for _, s := range []*Mapped{
+		NewLARD(&fakeLoads{loads: []int{0, 0}}, p),
+		NewWLARD(&fakeLoads{loads: []int{0, 0}}, p),
+		NewLARDR(&fakeLoads{loads: []int{0, 0}}, p),
+	} {
+		s.Select(0, Request{Target: "/old"})
+		s.Select(0, Request{Target: "/new"})
+		if _, ok := s.Assignment("/old"); !ok {
+			t.Fatalf("%s: /old not mapped", s.Name())
+		}
+		if len(s.ServerSet("/old")) != 1 {
+			t.Fatalf("%s: ServerSet(/old) = %v", s.Name(), s.ServerSet("/old"))
+		}
+		s.Select(0, Request{Target: "/third"})
+		if _, ok := s.Assignment("/old"); ok {
+			t.Fatalf("%s: a diagnostic read kept /old mapped", s.Name())
+		}
+		if _, ok := s.Assignment("/new"); !ok {
+			t.Fatalf("%s: /new was discarded in /old's place", s.Name())
+		}
+	}
+}
+
 func TestLARDInvalidParamsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

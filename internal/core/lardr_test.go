@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -54,8 +55,8 @@ func TestLARDRReplicationGrowsUnderHotLoad(t *testing.T) {
 	if got := len(s.ServerSet("/hot")); got != 4 {
 		t.Fatalf("server set size = %d, want 4", got)
 	}
-	if s.Grows() != 3 {
-		t.Fatalf("Grows = %d, want 3", s.Grows())
+	if s.Moves() != 3 {
+		t.Fatalf("Moves = %d, want 3", s.Moves())
 	}
 	if s.MaxReplication() != 4 {
 		t.Fatalf("MaxReplication = %d", s.MaxReplication())
@@ -167,7 +168,7 @@ func TestLARDRGrowAndShrinkSameIteration(t *testing.T) {
 	if len(newSet) != 2 {
 		t.Fatalf("set = %v, want 2 members (grew and shrank)", newSet)
 	}
-	if containsNode(newSet, other) {
+	if slices.Contains(newSet, other) {
 		t.Fatalf("most loaded member %d not removed: %v", other, newSet)
 	}
 	if got != 2 {
@@ -185,7 +186,7 @@ func TestLARDRFailurePrunesSets(t *testing.T) {
 		t.Fatalf("selected failed node %d (got %d)", n, got)
 	}
 	set := s.ServerSet("/a")
-	if containsNode(set, n) {
+	if slices.Contains(set, n) {
 		t.Fatalf("failed node still in set %v", set)
 	}
 	s.NodeUp(n)

@@ -17,7 +17,7 @@ import (
 // bound on what cache-state tracking could buy, and finds that plain LB
 // (and therefore LARD, which tracks no cache state) comes close.
 type LBGC struct {
-	nodes    nodeSet
+	nodeSet
 	nodeCap  int64
 	global   *list.List // front = most recently used modelled cache entry
 	index    map[string]*list.Element
@@ -36,9 +36,8 @@ func NewLBGC(loads LoadReader, nodeCacheBytes int64) *LBGC {
 	if nodeCacheBytes < 0 {
 		panic("core: negative LB/GC node cache size")
 	}
-	ns := newNodeSet(loads, DefaultProfile())
 	return &LBGC{
-		nodes:    ns,
+		nodeSet:  newNodeSet(loads, DefaultProfile()),
 		nodeCap:  nodeCacheBytes,
 		global:   list.New(),
 		index:    make(map[string]*list.Element),
@@ -53,18 +52,21 @@ func (s *LBGC) Name() string { return "LB/GC" }
 func (s *LBGC) Select(_ time.Duration, r Request) int {
 	if el, ok := s.index[r.Target]; ok {
 		ent := el.Value.(*lbgcEntry)
-		if s.nodes.alive(ent.node) {
+		if s.alive(ent.node) {
 			s.global.MoveToFront(el)
 			return ent.node
 		}
-		// The caching node failed; forget the stale entry and re-place.
+		// The caching node is ineligible; forget the stale entry and
+		// re-place. For a draining node (whose entries are not dropped
+		// eagerly) this mirrors that another node now caches the target;
+		// only entries never touched during the drain survive an Undrain.
 		s.evictElement(el)
 	}
 
 	// Miss. Objects too large for the modelled cache are served by the
 	// least-loaded node and not tracked.
 	if r.Size > s.nodeCap {
-		return s.nodes.leastLoaded()
+		return s.leastLoaded(rawLoad)
 	}
 
 	node := s.placeMiss(r.Size)
@@ -84,9 +86,9 @@ func (s *LBGC) Select(_ time.Duration, r Request) int {
 // caching the globally oldest target.
 func (s *LBGC) placeMiss(size int64) int {
 	best, bestFree := -1, int64(-1)
-	for _, i := range s.nodes.aliveNodes() {
+	for i := range s.nodeUsed {
 		free := s.nodeCap - s.nodeUsed[i]
-		if free >= size && free > bestFree {
+		if s.alive(i) && free >= size && free > bestFree {
 			best, bestFree = i, free
 		}
 	}
@@ -96,11 +98,11 @@ func (s *LBGC) placeMiss(size int64) int {
 	// All full: route to the owner of the globally oldest entry.
 	for el := s.global.Back(); el != nil; el = el.Prev() {
 		ent := el.Value.(*lbgcEntry)
-		if s.nodes.alive(ent.node) {
+		if s.alive(ent.node) {
 			return ent.node
 		}
 	}
-	return s.nodes.leastLoaded()
+	return s.leastLoaded(rawLoad)
 }
 
 // makeRoom evicts node's oldest modelled entries until size fits.
@@ -131,37 +133,27 @@ func (s *LBGC) evictElement(el *list.Element) {
 	s.nodeUsed[ent.node] -= ent.size
 }
 
-// NodeDown implements FailureAware: the failed node's modelled cache
-// contents are forgotten, so its targets are re-placed on demand exactly
-// "as if they had not been assigned before".
+// NodeDown implements FailureAware: beyond the flag, the failed node's
+// modelled cache contents are forgotten, so its targets are re-placed on
+// demand exactly "as if they had not been assigned before".
 func (s *LBGC) NodeDown(node int) {
-	s.nodes.setDown(node, true)
+	s.nodeSet.NodeDown(node)
 	s.dropEntriesOf(node)
 }
-
-// NodeUp implements FailureAware.
-func (s *LBGC) NodeUp(node int) { s.nodes.setDown(node, false) }
 
 // AddNode implements MembershipAware: the new node starts with an empty
 // modelled cache, so placeMiss favors it until it fills.
 func (s *LBGC) AddNode() int {
 	s.nodeUsed = append(s.nodeUsed, 0)
-	return s.nodes.add()
+	return s.nodeSet.AddNode()
 }
 
 // RemoveNode implements MembershipAware: the removed node's modelled cache
 // contents are forgotten, like a Section 2.6 failure with no recovery.
 func (s *LBGC) RemoveNode(node int) {
-	s.nodes.remove(node)
+	s.nodeSet.RemoveNode(node)
 	s.dropEntriesOf(node)
 }
-
-// SetDraining implements MembershipAware. Modelled entries are not
-// dropped eagerly, but Select's liveness check lazily evicts and
-// re-places any entry of a draining node that is accessed — mirroring
-// that another node now caches the target. Only entries never touched
-// during the drain survive to an Undrain.
-func (s *LBGC) SetDraining(node int, draining bool) { s.nodes.setDraining(node, draining) }
 
 // dropEntriesOf forgets every modelled entry belonging to node.
 func (s *LBGC) dropEntriesOf(node int) {
@@ -174,21 +166,6 @@ func (s *LBGC) dropEntriesOf(node int) {
 	}
 }
 
-// SetProfile implements ProfileAware. LB/GC places by modelled cache state,
-// not load, so the profile is recorded for reporting but does not alter
-// placement — matching the paper's capacity-blind idealization.
-func (s *LBGC) SetProfile(node int, p Profile) { s.nodes.setProfile(node, p) }
-
-// NodeProfile implements ProfileAware.
-func (s *LBGC) NodeProfile(node int) Profile { return s.nodes.profile(node) }
-
 // ModelledEntries returns the number of targets currently tracked by the
 // front-end cache model, for tests and diagnostics.
 func (s *LBGC) ModelledEntries() int { return s.global.Len() }
-
-var (
-	_ Strategy        = (*LBGC)(nil)
-	_ FailureAware    = (*LBGC)(nil)
-	_ MembershipAware = (*LBGC)(nil)
-	_ ProfileAware    = (*LBGC)(nil)
-)

@@ -39,6 +39,17 @@ func (m *mapping[V]) get(key string) (V, bool) {
 	return zero, false
 }
 
+// peek returns the assignment for key without refreshing its recency, so
+// a diagnostic read never changes which target a bounded mapping evicts
+// next.
+func (m *mapping[V]) peek(key string) (V, bool) {
+	if el, ok := m.index[key]; ok {
+		return el.Value.(*mappingEntry[V]).value, true
+	}
+	var zero V
+	return zero, false
+}
+
 // put stores the assignment for key, evicting the least-recently-used
 // entry if the capacity bound is exceeded.
 func (m *mapping[V]) put(key string, value V) {

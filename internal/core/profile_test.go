@@ -95,38 +95,6 @@ func TestMaxOutstandingOverPaperProperty(t *testing.T) {
 	}
 }
 
-// On a uniform fleet WLARD must be behaviourally identical to LARD: same
-// assignments, same moves, for an identical request/load sequence.
-func TestWLARDUniformMatchesLARD(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	loadsA := &fakeLoads{loads: make([]int, 6)}
-	loadsB := &fakeLoads{loads: make([]int, 6)}
-	params := DefaultParams()
-	lard := NewLARD(loadsA, params)
-	wlard := NewWLARD(loadsB, params)
-	targets := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	for step := 0; step < 5000; step++ {
-		for i := range loadsA.loads {
-			l := rng.Intn(2 * params.THigh)
-			loadsA.loads[i] = l
-			loadsB.loads[i] = l
-		}
-		r := Request{Target: targets[rng.Intn(len(targets))], Size: 1}
-		now := time.Duration(step) * time.Millisecond
-		a := lard.Select(now, r)
-		b := wlard.Select(now, r)
-		if a != b {
-			t.Fatalf("step %d target %q: LARD picked %d, WLARD picked %d", step, r.Target, a, b)
-		}
-	}
-	if lard.Moves() != wlard.Moves() {
-		t.Fatalf("moves diverged: LARD %d, WLARD %d", lard.Moves(), wlard.Moves())
-	}
-	if lard.Moves() == 0 {
-		t.Fatal("test exercised no moves")
-	}
-}
-
 // A weighted node trips WLARD's move condition only at weight-scaled
 // thresholds: raw load 100 on a weight-4 node is relative load 25, well
 // under T_high.
@@ -168,7 +136,7 @@ func TestWLARDWeightScaling(t *testing.T) {
 // with stable loads land on the same node, and distinct targets spread.
 func TestPODDeterministicCandidates(t *testing.T) {
 	loads := &fakeLoads{loads: make([]int, 8)}
-	s := NewPOD(loads, DefaultParams(), 2)
+	s := NewPOD(loads, DefaultParams())
 	if s.Choices() != 2 {
 		t.Fatalf("Choices = %d, want 2", s.Choices())
 	}
@@ -190,13 +158,13 @@ func TestPODDeterministicCandidates(t *testing.T) {
 
 func TestPODSkipsPanickedCandidate(t *testing.T) {
 	loads := &fakeLoads{loads: []int{0, 0}}
-	s := NewPOD(loads, DefaultParams(), 2)
+	s := NewPOD(loads, DefaultParams())
 	// Find a target whose two candidates differ.
 	var target string
 	for i := 0; ; i++ {
 		target = "t" + string(rune('a'+i))
-		a := saltedHash(target, 0) % 2
-		b := saltedHash(target, 1) % 2
+		a := HashTarget(s.seeds[0], target) % 2
+		b := HashTarget(s.seeds[1], target) % 2
 		if a != b {
 			break
 		}
@@ -220,12 +188,12 @@ func TestPODSkipsPanickedCandidate(t *testing.T) {
 
 func TestPODWeightAwarePick(t *testing.T) {
 	loads := &fakeLoads{loads: []int{0, 0}}
-	s := NewPOD(loads, DefaultParams(), 2)
+	s := NewPOD(loads, DefaultParams())
 	s.SetProfile(0, Profile{TLow: 100, THigh: 260, Weight: 4})
 	var target string
 	for i := 0; ; i++ {
 		target = "w" + string(rune('a'+i))
-		if saltedHash(target, 0)%2 != saltedHash(target, 1)%2 {
+		if HashTarget(s.seeds[0], target)%2 != HashTarget(s.seeds[1], target)%2 {
 			break
 		}
 	}

@@ -78,16 +78,9 @@ type Config struct {
 	// "perreq" re-dispatches every request and always follows the
 	// strategy, "costaware" re-dispatches every request but pays a
 	// re-handoff only when the modelled locality gain beats the switch
-	// cost. Empty selects "perreq" when the deprecated
-	// RehandoffPerRequest is set and "pin" otherwise. Regardless of
-	// policy, a session whose back end drains, fails, or is removed
-	// moves on its next request.
+	// cost. Empty selects "pin". Regardless of policy, a session whose
+	// back end drains, fails, or is removed moves on its next request.
 	ConnPolicy string
-
-	// RehandoffPerRequest is the deprecated boolean form of ConnPolicy:
-	// true means "perreq", false means "pin". Ignored when ConnPolicy is
-	// set.
-	RehandoffPerRequest bool
 
 	// DialTimeout bounds back-end dials (default 5s).
 	DialTimeout time.Duration
@@ -310,10 +303,8 @@ func New(cfg Config) (*Server, error) {
 		cfg.DialFailuresBeforeDown = DefaultDialFailuresBeforeDown
 	}
 	// One shared resolution rule with the simulator: empty defaults to
-	// pin (or perreq under the deprecated boolean), and a leftover
-	// -rehandoff next to a conflicting explicit policy is an error, not
-	// a silent winner.
-	policyName, err := lard.ResolveConnPolicyName(cfg.ConnPolicy, cfg.RehandoffPerRequest)
+	// pin.
+	policyName, err := lard.ResolveConnPolicyName(cfg.ConnPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("frontend: %w", err)
 	}

@@ -170,7 +170,7 @@ func TestPersistentConnectionsSingleBackend(t *testing.T) {
 	}
 }
 
-func TestRehandoffPerRequestMode(t *testing.T) {
+func TestPerRequestRehandoffMode(t *testing.T) {
 	// Re-handoff mode: requests on one connection may be served by
 	// different back ends; content must survive the relay.
 	tr := smallTrace(t, 30, 100)
@@ -190,9 +190,9 @@ func TestRehandoffPerRequestMode(t *testing.T) {
 		bes = append(bes, be)
 	}
 	fe, err := New(Config{
-		Backends:            addrs,
-		Strategy:            "lb", // deterministic target→backend spread
-		RehandoffPerRequest: true,
+		Backends:   addrs,
+		Strategy:   "lb", // deterministic target→backend spread
+		ConnPolicy: lard.ConnPerRequest,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -357,20 +357,6 @@ func TestConnPolicyConfigAndSessionStats(t *testing.T) {
 	}
 	if _, err := New(Config{Backends: []string{"127.0.0.1:1"}, ConnPolicy: "bogus"}); err == nil {
 		t.Fatal("unknown ConnPolicy accepted")
-	}
-	if _, err := New(Config{
-		Backends:            []string{"127.0.0.1:1"},
-		ConnPolicy:          lard.ConnPin,
-		RehandoffPerRequest: true,
-	}); err == nil {
-		t.Fatal("conflicting ConnPolicy/RehandoffPerRequest accepted")
-	}
-	if _, err := New(Config{
-		Backends:            []string{"127.0.0.1:1"},
-		ConnPolicy:          lard.ConnPerRequest,
-		RehandoffPerRequest: true,
-	}); err != nil {
-		t.Fatalf("redundant but consistent ConnPolicy/RehandoffPerRequest rejected: %v", err)
 	}
 }
 

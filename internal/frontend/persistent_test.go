@@ -10,6 +10,7 @@ import (
 	"lard/internal/handoff"
 	"lard/internal/loadgen"
 	"lard/internal/trace"
+	"lard/pkg/lard"
 )
 
 // TestPersistentConnectionPolicy addresses the paper's open question
@@ -36,7 +37,7 @@ func TestPersistentConnectionPolicy(t *testing.T) {
 	tr := trace.MustGenerate(cfg, 123)
 	perNodeCache := int64(30 * 4096) // each node caches 1/3 of the catalog
 
-	hitRatio := func(rehandoff bool) float64 {
+	hitRatio := func(policy string) float64 {
 		store := backend.NewDocStore(tr.Targets)
 		var addrs []string
 		var nodes []*backend.Server
@@ -53,9 +54,9 @@ func TestPersistentConnectionPolicy(t *testing.T) {
 			nodes = append(nodes, be)
 		}
 		fe, err := New(Config{
-			Backends:            addrs,
-			Strategy:            "lard",
-			RehandoffPerRequest: rehandoff,
+			Backends:   addrs,
+			Strategy:   "lard",
+			ConnPolicy: policy,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -92,8 +93,8 @@ func TestPersistentConnectionPolicy(t *testing.T) {
 		return float64(hits) / float64(reqs)
 	}
 
-	whole := hitRatio(false)
-	perRequest := hitRatio(true)
+	whole := hitRatio(lard.ConnPin)
+	perRequest := hitRatio(lard.ConnPerRequest)
 	t.Logf("persistent-connection policy: whole-connection hit ratio %.3f, per-request re-handoff %.3f",
 		whole, perRequest)
 	// Re-handoff must restore a substantial share of LARD's locality.

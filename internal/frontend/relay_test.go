@@ -15,6 +15,7 @@ import (
 	"lard/internal/handoff"
 	"lard/internal/httprelay"
 	"lard/internal/loadgen"
+	"lard/pkg/lard"
 )
 
 // startRawBackend runs fn for every handed-off connection on a fresh
@@ -44,10 +45,10 @@ func startRawBackend(t *testing.T, fn func(net.Conn)) string {
 func startRelayFrontend(t *testing.T, addrs []string, mod ...func(*Config)) (*Server, string) {
 	t.Helper()
 	cfg := Config{
-		Backends:            addrs,
-		Strategy:            "wrr",
-		RehandoffPerRequest: true,
-		ProbeInterval:       -1,
+		Backends:      addrs,
+		Strategy:      "wrr",
+		ConnPolicy:    lard.ConnPerRequest,
+		ProbeInterval: -1,
 	}
 	for _, m := range mod {
 		m(&cfg)
@@ -193,9 +194,9 @@ func TestSmugglingShapedRequestsRejected(t *testing.T) {
 		"POST /x HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n",
 		"POST /x HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
 	}
-	for _, rehandoff := range []bool{false, true} {
+	for _, policy := range []string{lard.ConnPin, lard.ConnPerRequest} {
 		_, feAddr := startRelayFrontend(t, []string{addr}, func(c *Config) {
-			c.RehandoffPerRequest = rehandoff
+			c.ConnPolicy = policy
 		})
 		for _, raw := range bad {
 			conn, err := net.Dial("tcp", feAddr)
@@ -206,16 +207,16 @@ func TestSmugglingShapedRequestsRejected(t *testing.T) {
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			h, err := httprelay.ReadResponseHead(bufio.NewReader(conn), 1<<16)
 			if err != nil {
-				t.Fatalf("rehandoff=%v %q: no response: %v", rehandoff, raw, err)
+				t.Fatalf("connpolicy=%s %q: no response: %v", policy, raw, err)
 			}
 			if h.Status != 400 {
-				t.Fatalf("rehandoff=%v %q: status %d, want 400", rehandoff, raw, h.Status)
+				t.Fatalf("connpolicy=%s %q: status %d, want 400", policy, raw, h.Status)
 			}
 			conn.Close()
 		}
 		select {
 		case head := <-forwarded:
-			t.Fatalf("rehandoff=%v: smuggling-shaped head reached the back end: %q", rehandoff, head)
+			t.Fatalf("connpolicy=%s: smuggling-shaped head reached the back end: %q", policy, head)
 		default:
 		}
 	}
@@ -230,7 +231,7 @@ func TestPersistentKeepAliveE2E(t *testing.T) {
 	tr := smallTrace(t, 60, 600)
 	perNodeCache := int64(20 * 4096)
 	mc := startCluster(t, 3, "lard", tr, perNodeCache, func(c *Config) {
-		c.RehandoffPerRequest = true
+		c.ConnPolicy = lard.ConnPerRequest
 	})
 
 	st, err := loadgen.Run(context.Background(), loadgen.Config{
@@ -280,9 +281,9 @@ func TestPersistentKeepAliveE2E(t *testing.T) {
 // error.)
 func TestIdleConnectionTimeoutClosesQuietly(t *testing.T) {
 	addr := startRawBackend(t, func(conn net.Conn) { conn.Close() })
-	for _, rehandoff := range []bool{false, true} {
+	for _, policy := range []string{lard.ConnPin, lard.ConnPerRequest} {
 		fe, feAddr := startRelayFrontend(t, []string{addr}, func(c *Config) {
-			c.RehandoffPerRequest = rehandoff
+			c.ConnPolicy = policy
 			c.HeaderTimeout = 150 * time.Millisecond
 		})
 		conn, err := net.Dial("tcp", feAddr)
@@ -293,12 +294,12 @@ func TestIdleConnectionTimeoutClosesQuietly(t *testing.T) {
 		buf := make([]byte, 64)
 		n, rerr := conn.Read(buf)
 		if n != 0 || rerr != io.EOF {
-			t.Fatalf("rehandoff=%v: idle timeout produced %d bytes (%q), err %v; want silent EOF",
-				rehandoff, n, buf[:n], rerr)
+			t.Fatalf("connpolicy=%s: idle timeout produced %d bytes (%q), err %v; want silent EOF",
+				policy, n, buf[:n], rerr)
 		}
 		conn.Close()
 		if got := fe.Stats().Errors; got != 0 {
-			t.Fatalf("rehandoff=%v: idle timeout counted %d errors", rehandoff, got)
+			t.Fatalf("connpolicy=%s: idle timeout counted %d errors", policy, got)
 		}
 	}
 }

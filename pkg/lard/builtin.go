@@ -4,28 +4,26 @@ import (
 	"lard/internal/core"
 )
 
-// Concrete built-in strategy types, aliased so Inspect callbacks can
-// type-assert for per-strategy diagnostics (move counters, server sets)
-// without importing the internal policy package.
+// The concrete built-in strategy types, aliased so Inspect callbacks can
+// type-assert for diagnostics (move counters, server sets, spills)
+// without importing the internal policy package. Seven registry names
+// configure four types; see each name below.
 type (
-	// WRR is weighted round-robin, the paper's baseline.
-	WRR = core.WRR
-	// LB is hash-based locality partitioning.
-	LB = core.LB
-	// LBGC is LB with the idealized front-end global-cache model.
+	// Balanced is the least-relative-load pick: wrr.
+	Balanced = core.Balanced
+	// Hashed is d hashed candidates per target: lb (d = 1, load-blind)
+	// and pod (d = 2, less loaded wins).
+	Hashed = core.Hashed
+	// Mapped is the target→server-set table with the paper's imbalance
+	// test: lard, lard/r and wlard.
+	Mapped = core.Mapped
+	// LBGC is LB with the idealized front-end global-cache model: lb/gc.
 	LBGC = core.LBGC
-	// LARD is basic locality-aware request distribution (Figure 2).
-	LARD = core.LARD
-	// LARDR is LARD with replication (Figure 3).
-	LARDR = core.LARDR
-	// POD is power-of-d-choices with per-node capacity cost.
-	POD = core.POD
-	// WLARD is LARD with a weight-scaled imbalance test.
-	WLARD = core.WLARD
 )
 
-// The paper's five strategies register themselves under the names used in
-// its figures, plus the slash-free aliases the CLIs accept.
+// The paper's five strategies (wrr, lb, lb/gc, lard, lard/r) and the two
+// capacity-aware ones (pod, wlard) register themselves under the names
+// used in its figures, plus the slash-free aliases the CLIs accept.
 func init() {
 	wrr := func(l core.LoadReader, _ Options) (core.Strategy, error) {
 		return core.NewWRR(l), nil
@@ -43,7 +41,7 @@ func init() {
 		return core.NewLARDR(l, o.Params), nil
 	}
 	pod := func(l core.LoadReader, o Options) (core.Strategy, error) {
-		return core.NewPOD(l, o.Params, o.Choices), nil
+		return core.NewPOD(l, o.Params), nil
 	}
 	wlard := func(l core.LoadReader, o Options) (core.Strategy, error) {
 		return core.NewWLARD(l, o.Params), nil

@@ -323,23 +323,13 @@ func NewConnPolicy(name string) (ConnPolicy, error) {
 	}
 }
 
-// ResolveConnPolicyName resolves an optionally empty policy name against
-// the deprecated per-request boolean the name replaces, with one shared
-// rule for every configuration surface (simulator, front end, CLI):
-// empty defaults to "pin" — or "perreq" when the legacy flag is set —
-// and a legacy flag left next to a conflicting explicit name is an
-// error rather than a silent winner.
-func ResolveConnPolicyName(name string, legacyPerRequest bool) (string, error) {
-	if name == "" {
-		if legacyPerRequest {
-			return ConnPerRequest, nil
-		}
-		return ConnPin, nil
-	}
-	if legacyPerRequest && name != ConnPerRequest {
-		return "", fmt.Errorf("lard: deprecated per-request re-handoff flag conflicts with connection policy %q", name)
-	}
+// ResolveConnPolicyName resolves an optionally empty policy name, with
+// one shared rule for every configuration surface (simulator, front end,
+// CLI): empty defaults to "pin", anything else must be a built-in name.
+func ResolveConnPolicyName(name string) (string, error) {
 	switch name {
+	case "":
+		return ConnPin, nil
 	case ConnPin, ConnPerRequest, ConnCostAware:
 		return name, nil
 	}

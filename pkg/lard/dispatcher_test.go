@@ -161,7 +161,7 @@ func TestShardedPartitionsTargetSpace(t *testing.T) {
 	}
 	owners := make(map[string]int)
 	d.Inspect(func(shard int, s core.Strategy, _ core.LoadReader) {
-		l := s.(*core.LARD)
+		l := s.(*core.Mapped)
 		for i := 0; i < 200; i++ {
 			target := fmt.Sprintf("/t%d", i)
 			if _, ok := l.Assignment(target); ok {

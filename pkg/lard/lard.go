@@ -1,7 +1,8 @@
 // Package lard is the public, concurrency-safe dispatch layer over the
 // paper's request-distribution strategies (internal/core).
 //
-// The paper's policies — WRR, LB, LB/GC, LARD, LARD/R — are deterministic
+// The paper's policies — WRR, LB, LB/GC, LARD, LARD/R — and the two
+// capacity-aware additions, POD and WLARD, are deterministic
 // single-threaded state machines; its front end is "a single dispatch
 // point". This package keeps internal/core exactly that pure policy layer
 // and adds the machinery a live system needs around it:
@@ -17,10 +18,10 @@
 //   - the paper's admission control: at most S = (n−1)·T_high + T_low + 1
 //     connections are outstanding per strategy instance (Section 3.2);
 //     Dispatch returns ErrOverloaded beyond that;
-//   - an optional sharded variant (WithShards) that hash-partitions the
-//     target space across independent strategy instances, each behind its
-//     own lock with its own admission budget, so dispatch throughput
-//     scales with cores instead of serializing on one mutex;
+//   - optional sharding (WithShards) that hash-partitions the target
+//     space across independent strategy instances, each behind its own
+//     lock with its own admission budget, so dispatch does not serialize
+//     on one mutex;
 //   - runtime cluster membership: AddNode, RemoveNode, Drain, and Undrain
 //     change the node set while traffic flows, recomputing S on every
 //     change, with NodeStates exposing the per-node membership and health
@@ -195,7 +196,7 @@ type Dispatcher interface {
 	NodeEligible(node int) bool
 
 	// Shards returns the number of independent strategy instances the
-	// target space is partitioned over (1 for the locked dispatcher).
+	// target space is partitioned over (1 unless built WithShards).
 	Shards() int
 
 	// Name returns the registry name the dispatcher was built from.
@@ -235,23 +236,4 @@ type Dispatcher interface {
 	// call. It is intended for diagnostics and tests; f must not call back
 	// into the dispatcher.
 	Inspect(f func(shard int, s Strategy, loads LoadReader))
-}
-
-// shardOf hash-partitions the target space over nshards with an inlined,
-// allocation-free FNV-1a (this is the sharded dispatch hot path). The
-// hash is salted so it is decorrelated from the FNV hash the LB strategy
-// applies to the same target names.
-func shardOf(target string, nshards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h ^= 0x73 // salt: distinct from LB's unsalted target hash
-	h *= prime64
-	for i := 0; i < len(target); i++ {
-		h ^= uint64(target[i])
-		h *= prime64
-	}
-	return int(h % uint64(nshards))
 }

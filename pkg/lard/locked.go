@@ -18,8 +18,8 @@ type loadTable struct {
 func (t *loadTable) NodeCount() int    { return len(t.active) }
 func (t *loadTable) Load(node int) int { return t.active[node] }
 
-// lockedShard is one strategy instance behind one mutex: the unit both
-// dispatcher variants are built from. It preserves the paper's semantics
+// lockedShard is one strategy instance behind one mutex: the unit the
+// dispatcher is built from. It preserves the paper's semantics
 // exactly — Select runs serialized against a load table that already
 // reflects every admitted connection.
 type lockedShard struct {
@@ -316,63 +316,3 @@ func (sh *lockedShard) inspect(shard int, f func(int, core.Strategy, core.LoadRe
 	defer sh.mu.Unlock()
 	f(shard, sh.strategy, sh.loads)
 }
-
-// locked is the single-shard Dispatcher: one strategy instance, one lock,
-// the paper's single dispatch point made safe for concurrent callers.
-type locked struct {
-	name  string
-	mem   *membership
-	shard *lockedShard
-}
-
-func (d *locked) Dispatch(now time.Duration, r Request) (int, func(), error) {
-	return d.shard.dispatch(now, r)
-}
-
-func (d *locked) NewSession(p ConnPolicy) *Session { return newSession(d, p) }
-
-func (d *locked) dispatch(now time.Duration, r Request) (int, func(), error) {
-	return d.shard.dispatch(now, r)
-}
-
-func (d *locked) shardFor(string) *lockedShard { return d.shard }
-func (d *locked) eligibleNode(node int) bool   { return d.mem.eligibleNode(node) }
-
-func (d *locked) NodeCount() int { return d.mem.nodeCount() }
-func (d *locked) Shards() int    { return 1 }
-func (d *locked) Name() string   { return d.name }
-
-func (d *locked) Loads() []int {
-	active, _ := d.shard.snapshot()
-	return active
-}
-
-func (d *locked) InFlight() int {
-	_, n := d.shard.snapshot()
-	return n
-}
-
-func (d *locked) SetNodeDown(node int, down bool) {
-	d.mem.setNodeDown(node, down, d.shardList())
-}
-
-func (d *locked) SetNodeGate(g NodeGate) { d.mem.setGate(g, d.shardList()) }
-
-func (d *locked) AddNode() int               { return d.mem.addNode(d.shardList()) }
-func (d *locked) RemoveNode(node int)        { d.mem.removeNode(node, d.shardList()) }
-func (d *locked) Drain(node int)             { d.mem.setDraining(node, true, d.shardList()) }
-func (d *locked) Undrain(node int)           { d.mem.setDraining(node, false, d.shardList()) }
-func (d *locked) NodeStates() []NodeState    { return d.mem.snapshot() }
-func (d *locked) NodeEligible(node int) bool { return d.mem.eligibleNode(node) }
-func (d *locked) Profiles() []Profile        { return d.mem.profilesSnapshot() }
-func (d *locked) shardList() []*lockedShard  { return []*lockedShard{d.shard} }
-
-func (d *locked) SetProfile(node int, p Profile) error {
-	return d.mem.setProfile(node, p, d.shardList())
-}
-
-func (d *locked) Inspect(f func(int, core.Strategy, core.LoadReader)) {
-	d.shard.inspect(0, f)
-}
-
-var _ Dispatcher = (*locked)(nil)

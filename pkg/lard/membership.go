@@ -28,8 +28,8 @@ type NodeState struct {
 // Eligible reports whether the node may receive new assignments.
 func (s NodeState) Eligible() bool { return s.Member && !s.Draining && !s.Down }
 
-// membership is the dispatcher-level record of cluster membership, shared
-// by the locked and sharded variants. It serializes membership operations
+// membership is the dispatcher-level record of cluster membership, above
+// the shards. It serializes membership operations
 // (Add/Remove/Drain/SetNodeDown) against each other and fans each one out
 // to every shard; the dispatch hot path never touches it.
 //

@@ -78,19 +78,9 @@ func TestMembershipBasics(t *testing.T) {
 // assertBudget verifies every shard carries the expected admission budget.
 func assertBudget(t *testing.T, d Dispatcher, want int) {
 	t.Helper()
-	// The budget is not directly observable; saturate a dedicated probe of
-	// the internal shard field via Inspect-free black-box checking would
-	// be fragile, so reach into the concrete types.
-	var shards []*lockedShard
-	switch v := d.(type) {
-	case *locked:
-		shards = v.shardList()
-	case *sharded:
-		shards = v.shards
-	default:
-		t.Fatalf("unknown dispatcher type %T", d)
-	}
-	for i, sh := range shards {
+	// The budget is not directly observable, so reach into the concrete
+	// type.
+	for i, sh := range d.(*dispatcher).shards {
 		sh.mu.Lock()
 		got := sh.budget
 		sh.mu.Unlock()

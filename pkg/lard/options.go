@@ -43,10 +43,6 @@ type Options struct {
 	// weight-only profile folds capacity into both thresholds and the
 	// admission bound.
 	Profiles []core.Profile
-
-	// Choices is the number of hash candidates per target for the pod
-	// strategy (defaults to core.DefaultChoices).
-	Choices int
 }
 
 // Option configures New.
@@ -56,8 +52,8 @@ type Option func(*Options)
 func WithNodes(n int) Option { return func(o *Options) { o.Nodes = n } }
 
 // WithShards partitions the target space over s independent strategy
-// instances, each with its own lock and admission budget. s <= 1 keeps the
-// single locked dispatcher.
+// instances, each with its own lock and admission budget. The default, 1,
+// is the paper's single dispatch point.
 func WithShards(s int) Option { return func(o *Options) { o.Shards = s } }
 
 // WithParams sets the LARD tuning parameters. Zero fields fall back to
@@ -86,10 +82,6 @@ func WithProfiles(profiles ...core.Profile) Option {
 	return func(o *Options) { o.Profiles = profiles }
 }
 
-// WithChoices sets the number of hash candidates per target for the pod
-// strategy (>= 1; the default core.DefaultChoices = 2).
-func WithChoices(d int) Option { return func(o *Options) { o.Choices = d } }
-
 // defaultOptions is the state New starts from before applying options.
 func defaultOptions() Options {
 	return Options{
@@ -111,9 +103,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Params.K == 0 {
 		o.Params.K = def.K
-	}
-	if o.Choices == 0 {
-		o.Choices = core.DefaultChoices
 	}
 }
 
@@ -166,8 +155,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("lard: Shards = %d, need >= 1", o.Shards)
 	case o.CacheBytes < 0:
 		return fmt.Errorf("lard: negative CacheBytes")
-	case o.Choices < 1:
-		return fmt.Errorf("lard: Choices = %d, need >= 1", o.Choices)
 	case len(o.Profiles) > o.Nodes:
 		return fmt.Errorf("lard: %d profiles for %d nodes", len(o.Profiles), o.Nodes)
 	}

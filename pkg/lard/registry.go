@@ -101,8 +101,8 @@ func lookup(name string) (Factory, string, error) {
 // WithNodes is required; every other option has a paper-faithful default.
 // With WithShards(s > 1) the target space is hash-partitioned over s
 // independent strategy instances, each behind its own lock with its own
-// admission budget; otherwise a single locked instance preserves the
-// paper's exact single-dispatch-point semantics.
+// admission budget; the default single instance preserves the paper's
+// exact single-dispatch-point semantics.
 func New(name string, opts ...Option) (Dispatcher, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -125,11 +125,7 @@ func New(name string, opts ...Option) (Dispatcher, error) {
 		}
 		shards[i] = sh
 	}
-	mem := newMembership(o)
-	if len(shards) == 1 {
-		return &locked{name: name, mem: mem, shard: shards[0]}, nil
-	}
-	return &sharded{name: name, mem: mem, shards: shards}, nil
+	return &dispatcher{name: name, mem: newMembership(o), shards: shards}, nil
 }
 
 // MustNew is New, panicking on error; for examples and tests.

@@ -9,28 +9,12 @@ import (
 // ErrSessionClosed is returned by Session.Dispatch after Close.
 var ErrSessionClosed = errors.New("lard: session closed")
 
-// sessionHost is the dispatcher surface a Session is built over, shared
-// by the locked and sharded variants.
-type sessionHost interface {
-	// dispatch consults the strategy and claims a connection slot on the
-	// chosen node (the one-shot path).
-	dispatch(now time.Duration, r Request) (int, func(), error)
-
-	// shardFor returns the shard responsible for the target, where the
-	// slot of a request for it must be accounted.
-	shardFor(target string) *lockedShard
-
-	// eligibleNode reports whether the node may still receive new
-	// assignments (member, not draining, not down).
-	eligibleNode(node int) bool
-}
-
 // Session is one client connection's dispatch state: it remembers the
 // node currently serving the connection, consults its ConnPolicy per
 // request, and owns the connection-slot accounting across moves —
 // releasing on the node (and shard) the connection leaves and claiming
 // on the one it lands on, which keeps loads exact even when successive
-// targets hash to different shards of a sharded dispatcher.
+// targets hash to different shards of the dispatcher.
 //
 // The paper's P-HTTP section leaves the per-request-versus-per-connection
 // handoff decision open; Session is that decision made the dispatcher's,
@@ -41,7 +25,7 @@ type sessionHost interface {
 // owns one); the returned done funcs are safe to call from any
 // goroutine, and distinct Sessions of one Dispatcher are independent.
 type Session struct {
-	h      sessionHost
+	d      *dispatcher
 	policy ConnPolicy
 	hold   bool // policy.HoldBetweenRequests, resolved once
 
@@ -53,14 +37,13 @@ type Session struct {
 	closed    bool
 }
 
-// newSession builds a Session over a dispatcher variant. A nil policy
-// defaults to PerRequest, making a fresh session exactly the one-shot
-// Dispatch.
-func newSession(h sessionHost, p ConnPolicy) *Session {
+// newSession builds a Session over the dispatcher. A nil policy defaults
+// to PerRequest, making a fresh session exactly the one-shot Dispatch.
+func newSession(d *dispatcher, p ConnPolicy) *Session {
 	if p == nil {
 		p = PerRequest()
 	}
-	return &Session{h: h, policy: p, hold: p.HoldBetweenRequests(), cur: -1}
+	return &Session{d: d, policy: p, hold: p.HoldBetweenRequests(), cur: -1}
 }
 
 // Policy returns the session's connection policy.
@@ -110,7 +93,7 @@ func (s *Session) Dispatch(now time.Duration, r Request) (node int, moved bool, 
 	// Stay-without-consulting fast path: the policy pins the request and
 	// the current node can still take traffic. The strategy is neither
 	// consulted nor mutated.
-	if !first && !s.policy.Reconsider(now, s.cur, r) && s.h.eligibleNode(s.cur) {
+	if !first && !s.policy.Reconsider(now, s.cur, r) && s.d.mem.eligibleNode(s.cur) {
 		if !s.hold {
 			// Non-holding policies account slots per request on the shard
 			// that owns the request's target: retire any stale claim so
@@ -118,7 +101,7 @@ func (s *Session) Dispatch(now time.Duration, r Request) (node int, moved bool, 
 			s.releaseLocked()
 		}
 		if s.claim == nil {
-			c, cerr := s.h.shardFor(r.Target).claimNode(s.cur)
+			c, cerr := s.d.shardFor(r.Target).claimNode(s.cur)
 			if cerr != nil {
 				if errors.Is(cerr, ErrOverloaded) {
 					return -1, false, nil, cerr
@@ -141,23 +124,23 @@ func (s *Session) Dispatch(now time.Duration, r Request) (node int, moved bool, 
 	// saturated budget that would reject a request needing no new
 	// capacity).
 	s.releaseLocked()
-	n, c, err := s.h.dispatch(now, r)
+	n, c, err := s.d.Dispatch(now, r)
 	if err != nil {
 		// The session keeps its affinity (cur) so an overloaded retry can
 		// still come back as a non-move.
 		return -1, false, nil, err
 	}
 	if !first && n != s.cur &&
-		!s.policy.Accept(now, s.cur, n, s.sinceMove, r) && s.h.eligibleNode(s.cur) {
+		!s.policy.Accept(now, s.cur, n, s.sinceMove, r) && s.d.mem.eligibleNode(s.cur) {
 		// The policy declines the move: swap the freshly claimed slot for
 		// one on the current node, on this request's shard. The candidate's
 		// slot is released first — at a saturated admission budget (the
 		// closed loop's steady state) claiming before releasing would
 		// always fail and silently turn every stay into a move.
 		c()
-		if cc, cerr := s.h.shardFor(r.Target).claimNode(s.cur); cerr == nil {
+		if cc, cerr := s.d.shardFor(r.Target).claimNode(s.cur); cerr == nil {
 			n, c = s.cur, cc
-		} else if n2, c2, err2 := s.h.dispatch(now, r); err2 == nil {
+		} else if n2, c2, err2 := s.d.Dispatch(now, r); err2 == nil {
 			// A concurrent claim stole the released slot (or the node just
 			// failed): fall back to wherever the strategy now sends us.
 			n, c = n2, c2
@@ -199,7 +182,7 @@ func (s *Session) Redispatch(now time.Duration, r Request, exclude []int) (node 
 		return -1, nil, ErrSessionClosed
 	}
 	s.releaseLocked()
-	n, c, err := s.h.shardFor(r.Target).claimFallback(exclude)
+	n, c, err := s.d.shardFor(r.Target).claimFallback(exclude)
 	if err != nil {
 		return -1, nil, err
 	}

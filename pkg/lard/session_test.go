@@ -56,7 +56,7 @@ func TestSessionPinStaysAndHoldsOneSlot(t *testing.T) {
 	// would otherwise have a mapping.
 	mapped := 0
 	d.Inspect(func(_ int, st Strategy, _ LoadReader) {
-		l := st.(*LARD)
+		l := st.(*Mapped)
 		for _, target := range targets {
 			if _, ok := l.Assignment(target); ok {
 				mapped++
@@ -379,21 +379,18 @@ func TestNewConnPolicy(t *testing.T) {
 
 func TestResolveConnPolicyName(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		legacy bool
-		want   string
-		err    bool
+		name string
+		want string
+		err  bool
 	}{
-		{"", false, ConnPin, false},
-		{"", true, ConnPerRequest, false},
-		{ConnCostAware, false, ConnCostAware, false},
-		{ConnPerRequest, true, ConnPerRequest, false},
-		{ConnPin, true, "", true},   // legacy flag conflicts with explicit pin
-		{"sticky", false, "", true}, // unknown name
+		{"", ConnPin, false},
+		{ConnCostAware, ConnCostAware, false},
+		{ConnPerRequest, ConnPerRequest, false},
+		{"sticky", "", true}, // unknown name
 	} {
-		got, err := ResolveConnPolicyName(tc.name, tc.legacy)
+		got, err := ResolveConnPolicyName(tc.name)
 		if (err != nil) != tc.err || got != tc.want {
-			t.Fatalf("ResolveConnPolicyName(%q, %v) = %q, %v", tc.name, tc.legacy, got, err)
+			t.Fatalf("ResolveConnPolicyName(%q) = %q, %v", tc.name, got, err)
 		}
 	}
 }
