@@ -16,7 +16,7 @@
 // connections (the session-sequenced handoff protocol): a handoff to a
 // node with an idle pooled connection reuses it instead of dialing, so
 // the per-handoff cost is protocol processing, not TCP establishment.
-// -poolsize 0 disables pooling and reverts to one dial per handoff.
+// Every handoff rides the pool; -poolsize must be at least 1.
 //
 // Overload protection (see DESIGN.md "Overload protection"):
 //
@@ -38,9 +38,11 @@
 //	                             pool hits/misses/evictions/idle, stale
 //	                             retries, per-policy session counts, sheds,
 //	                             breaker trips/states, ...
-//	GET  /admin/metrics          Prometheus text exposition: request and
-//	                             goodput counters, sheds by reason, breaker
-//	                             transitions, latency histograms per
+//	GET  /admin/metrics          Prometheus text exposition: every counter
+//	                             /admin/stats shows, as lard_fe_* series
+//	                             (handoffs, re-handoffs, pool checkouts,
+//	                             sheds by reason, ...), plus breaker
+//	                             transitions and latency histograms per
 //	                             conn-policy and per node
 //	POST /admin/drain?node=N     stop new assignments to node N
 //	POST /admin/undrain?node=N   restore a draining node
@@ -125,7 +127,7 @@ func main() {
 	flag.DurationVar(&o.statsEach, "stats", 0, "print stats at this interval (0 = never)")
 	flag.DurationVar(&o.probe, "probe", frontend.DefaultProbeInterval, "health-probe interval for down back ends (negative = off)")
 	flag.IntVar(&o.dialFails, "dialfails", frontend.DefaultDialFailuresBeforeDown, "consecutive dial failures before a back end is marked down")
-	flag.IntVar(&o.poolSize, "poolsize", frontend.DefaultPoolSize, "idle back-end connections pooled per node for handoff reuse (0 = no pooling)")
+	flag.IntVar(&o.poolSize, "poolsize", frontend.DefaultPoolSize, "idle back-end connections pooled per node for handoff reuse (at least 1)")
 	flag.DurationVar(&o.poolIdle, "poolidle", frontend.DefaultPoolIdle, "idle TTL for pooled back-end connections")
 	flag.StringVar(&o.admin, "admin", "", "admin listen address for /admin/nodes and /admin/drain (empty = off)")
 	flag.Float64Var(&o.quotaRate, "quota", 0, "per-client request quota in requests/second (0 = no quota)")
@@ -156,9 +158,8 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	poolSize := o.poolSize
-	if poolSize == 0 {
-		poolSize = -1 // flag 0 = off; Config 0 = default
+	if o.poolSize < 1 {
+		return fmt.Errorf("-poolsize must be at least 1: every handoff rides the pool")
 	}
 	var bcfg *breaker.Config
 	if o.breakerOn {
@@ -175,7 +176,7 @@ func run(o options) error {
 		MaxHeaderBytes:         o.maxHeader,
 		ProbeInterval:          o.probe,
 		DialFailuresBeforeDown: o.dialFails,
-		PoolSize:               poolSize,
+		PoolSize:               o.poolSize,
 		PoolIdle:               o.poolIdle,
 		QuotaRate:              o.quotaRate,
 		QuotaBurst:             o.quotaBurst,

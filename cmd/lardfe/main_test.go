@@ -196,6 +196,16 @@ func TestAdminMux(t *testing.T) {
 	}
 }
 
+// TestRunRejectsPoolSizeZero: -poolsize 0 used to switch pooling (and the
+// session-framed protocol) off; that mode is gone, so the flag value must
+// fail loudly instead of silently meaning something else.
+func TestRunRejectsPoolSizeZero(t *testing.T) {
+	err := run(options{backends: "127.0.0.1:1", strategy: "lard", shards: 1, poolSize: 0})
+	if err == nil || !strings.Contains(err.Error(), "-poolsize") {
+		t.Fatalf("run with -poolsize 0: err = %v, want a -poolsize error", err)
+	}
+}
+
 func TestSplitAddrs(t *testing.T) {
 	got := splitAddrs(" a:1, b:2 ,,c:3 ")
 	if len(got) != 3 || got[0] != "a:1" || got[1] != "b:2" || got[2] != "c:3" {

@@ -1,7 +1,7 @@
 // Package donecall proves the done-func contract of the dispatch layer.
 //
 // Every dispatch-layer call — Dispatch, dispatch, Redispatch, claimNode,
-// claimFallback, claimLocked, redispatchBackend — returns a done func()
+// claimFallback, claimLocked, attachBackend — returns a done func()
 // that releases the claimed slot on a backend node. The contract is
 // exactly-once: a path that never calls done leaks the slot (the node's
 // reported load stays high forever and the LARD policy routes around a
@@ -47,13 +47,13 @@ var Analyzer = &analysis.Analyzer{
 // trackedNames are the dispatch-layer callees whose done result is
 // checked.
 var trackedNames = map[string]bool{
-	"Dispatch":          true,
-	"dispatch":          true,
-	"Redispatch":        true,
-	"claimNode":         true,
-	"claimFallback":     true,
-	"claimLocked":       true,
-	"redispatchBackend": true,
+	"Dispatch":      true,
+	"dispatch":      true,
+	"Redispatch":    true,
+	"claimNode":     true,
+	"claimFallback": true,
+	"claimLocked":   true,
+	"attachBackend": true,
 }
 
 // Path states of one obligation.

@@ -22,6 +22,25 @@ func (d *dispatcher) claimLocked(node int) func() {
 	return func() { d.load[node]-- }
 }
 
+// Redispatch mimics lard.Session.Redispatch: a claim on some node outside
+// exclude, done non-nil iff err is nil.
+func (d *dispatcher) Redispatch(now int64, key string, exclude []int) (int, func(), error) {
+	if len(exclude) >= len(d.load) {
+		return -1, nil, errors.New("no alternate")
+	}
+	node := len(exclude)
+	d.load[node]++
+	return node, func() { d.load[node]-- }, nil
+}
+
+// connect stands in for the front end's pool-checkout-or-dial.
+func connect(node int) error {
+	if node == 0 {
+		return errors.New("refused")
+	}
+	return nil
+}
+
 // good is the canonical shape: check err, call done exactly once.
 func good(d *dispatcher) error {
 	_, done, err := d.Dispatch(0, "a")
@@ -170,4 +189,96 @@ func escapeStore(d *dispatcher, h *holder) {
 func allowDirective(d *dispatcher) {
 	done := d.claimLocked(0)
 	_ = done
+}
+
+// attachBackend mimics the front end's one attach function. The first
+// attempt rides the caller's claim (done is still nil); each refused
+// alternate's claim is released before the next is taken; the claim of
+// the alternate that connected is returned to supersede the caller's.
+// No finding: every path calls or returns each claim exactly once.
+func attachBackend(d *dispatcher, node int) (int, func(), error) {
+	var (
+		tried []int
+		done  func()
+		err   error
+	)
+	for {
+		if err = connect(node); err == nil {
+			return node, done, nil
+		}
+		if done != nil {
+			done()
+		}
+		if tried = append(tried, node); len(tried) > 2 {
+			break
+		}
+		var rerr error
+		node, done, rerr = d.Redispatch(0, "a", tried)
+		if rerr != nil {
+			break
+		}
+	}
+	return -1, nil, err
+}
+
+// attachLoopLeak asks for the next alternate without releasing the one
+// that just refused, and gives up holding the last.
+func attachLoopLeak(d *dispatcher, node int) (int, func(), error) {
+	var (
+		tried []int
+		done  func()
+		err   error
+	)
+	for {
+		if err = connect(node); err == nil {
+			return node, done, nil
+		}
+		if tried = append(tried, node); len(tried) > 2 {
+			break
+		}
+		var rerr error
+		node, done, rerr = d.Redispatch(0, "a", tried) // want `done func from Redispatch \(line \d+\) is overwritten before being called`
+		if rerr != nil {
+			break
+		}
+	}
+	return -1, nil, err // want `done func from Redispatch \(line \d+\) is not called on this path`
+}
+
+// supersede is the relay loop's side of attachBackend: a non-nil done
+// replaces the request's claim, and whichever is current is released
+// when the request completes.
+func supersede(d *dispatcher) error {
+	_, done, err := d.Dispatch(0, "a")
+	if err != nil {
+		return err
+	}
+	requestDone := done
+	_, ndone, err := attachBackend(d, 0)
+	if err != nil {
+		requestDone()
+		return err
+	}
+	if ndone != nil {
+		requestDone = ndone
+	}
+	requestDone()
+	return nil
+}
+
+// supersedeDropped releases the original claim and forgets the one
+// attachBackend re-dispatched onto.
+func supersedeDropped(d *dispatcher) error {
+	_, done, err := d.Dispatch(0, "a")
+	if err != nil {
+		return err
+	}
+	_, ndone, err := attachBackend(d, 0)
+	if err != nil {
+		done()
+		return err
+	}
+	_ = ndone == nil
+	done()
+	return nil // want `done func from attachBackend \(line \d+\) is not called on this path`
 }

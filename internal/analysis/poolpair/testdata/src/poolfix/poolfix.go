@@ -192,3 +192,71 @@ func wrapperReleased(c net.Conn) {
 	br := fresh(c)
 	httprelay.PutReader(br)
 }
+
+// --- the attach shape: checkout or dial, adopted together with a writer ---
+
+// writer retains its conn, as handoff.SessionWriter does.
+type writer struct{ c net.Conn }
+
+func newWriter(c net.Conn) *writer { return &writer{c: c} }
+
+// framed is the rehandoff.go backendConn: transport, reader, and the
+// framing writer built over the same transport.
+type framed struct {
+	c  net.Conn
+	br *bufio.Reader
+	w  *writer
+}
+
+// discard releases an adopted transport's parts.
+func discard(f *framed) {
+	f.c.Close()
+	httprelay.PutReader(f.br)
+}
+
+// attach mirrors connectBackend: a pool checkout unless fresh, else a
+// dial; either way the parts are adopted at birth by one owner, which
+// discard (or the caller) releases. No finding.
+func attach(p *backendPool, fresh bool) (*framed, error) {
+	if !fresh {
+		if c, br, ok := p.get(0); ok {
+			f := &framed{c: c, br: br, w: newWriter(c)}
+			if err := ping(c); err == nil {
+				return f, nil
+			}
+			discard(f)
+		}
+	}
+	c, err := dialBackend(0)
+	if err != nil {
+		return nil, err
+	}
+	f := &framed{c: c, br: httprelay.GetReader(c), w: newWriter(c)}
+	if err := ping(c); err != nil {
+		discard(f)
+		return nil, err
+	}
+	return f, nil
+}
+
+// attachDropsReader adopts the checked-out conn but not its reader.
+func attachDropsReader(p *backendPool) *framed {
+	if c, br, ok := p.get(0); ok {
+		_ = br.Buffered()
+		return &framed{c: c, w: newWriter(c)} // want `pooled transport br \(line \d+\) is not released on this path`
+	}
+	return nil
+}
+
+// attachDialLeak builds the writer but returns before any owner holds
+// the dialed conn's close.
+func attachDialLeak() (*writer, error) {
+	c, err := dialBackend(0)
+	if err != nil {
+		return nil, err
+	}
+	if err := ping(c); err != nil {
+		return nil, err // want `dialed conn c \(line \d+\) is not released`
+	}
+	return newWriter(c), nil
+}

@@ -26,7 +26,6 @@ import (
 
 	"lard/internal/breaker"
 	"lard/internal/core"
-	"lard/internal/handoff"
 	"lard/internal/httprelay"
 	"lard/internal/metrics"
 	"lard/pkg/lard"
@@ -86,9 +85,8 @@ type Config struct {
 	DialTimeout time.Duration
 
 	// PoolSize bounds the idle back-end connections kept per node for
-	// handoff reuse (0 = DefaultPoolSize; negative disables pooling, and
-	// with it the session-framed handoff protocol — every handoff then
-	// pays a fresh dial, the pre-pool behavior).
+	// handoff reuse (0 or negative = DefaultPoolSize). Every handoff is
+	// session-framed and rides the pool; there is no unpooled mode.
 	PoolSize int
 
 	// PoolIdle is how long an idle pooled connection may wait for its
@@ -224,27 +222,16 @@ type Server struct {
 	dialEpochs []uint64
 	probing    []bool
 
-	// pool holds idle session-framed transports per node; nil when
-	// pooling is disabled (Config.PoolSize < 0).
+	// pool holds idle session-framed transports per node.
 	pool *backendPool
 
-	accepted       atomic.Uint64
-	dispatches     atomic.Uint64
-	sessions       atomic.Uint64
-	activeSess     atomic.Int64
-	handoffs       atomic.Uint64
-	rehandoffs     atomic.Uint64
-	rehandoffFails atomic.Uint64
-	redispatches   atomic.Uint64
-	staleRetries   atomic.Uint64
-	errors         atomic.Uint64
-	rejected       atomic.Uint64
-	markdowns      atomic.Uint64
-	probes         atomic.Uint64
-	recoveries     atomic.Uint64
-	forward        handoff.ForwardStats
+	// reg is the metrics registry and m the event collectors created in
+	// it (metrics.go): every event the front end counts is counted there
+	// once, and Stats is a read-only view over them.
+	reg *metrics.Registry
+	m   feMetrics
 
-	// ov is the overload-protection state: breakers, quota, metrics
+	// ov is the overload-protection state: breakers and quota
 	// (overload.go).
 	ov overload
 
@@ -312,22 +299,24 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("frontend: %w", err)
 	}
-	if cfg.PoolSize == 0 {
+	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = DefaultPoolSize
 	}
 	if cfg.PoolIdle == 0 {
 		cfg.PoolIdle = DefaultPoolIdle
 	}
-	var pool *backendPool
-	if cfg.PoolSize > 0 {
-		pool = newBackendPool(cfg.PoolSize, cfg.PoolIdle)
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
 	srv := &Server{
 		cfg:      cfg,
 		start:    time.Now(),
 		d:        d,
 		policy:   policy,
-		pool:     pool,
+		pool:     newBackendPool(cfg.PoolSize, cfg.PoolIdle, reg),
+		reg:      reg,
+		m:        newFEMetrics(reg, policyName),
 		backends: append([]string(nil), cfg.Backends...),
 		// All three health slices are sized up front: relying on lazy
 		// growth inside the health lock left a node added via AddBackend
@@ -337,7 +326,7 @@ func New(cfg Config) (*Server, error) {
 		probing:    make([]bool, len(cfg.Backends)),
 		stop:       make(chan struct{}),
 	}
-	srv.initOverload(policyName)
+	srv.initOverload()
 	return srv, nil
 }
 
@@ -348,44 +337,46 @@ func (s *Server) Dispatcher() lard.Dispatcher { return s.d }
 // ConnPolicy returns the connection policy client sessions run under.
 func (s *Server) ConnPolicy() lard.ConnPolicy { return s.policy }
 
-// Stats returns a snapshot of the front end's counters.
+// Stats returns a snapshot of the front end's activity. Every event count
+// is read from its collector in the metrics registry — the same number
+// GET /admin/metrics serves — and the state fields (per-node load, idle
+// pool, quota table, breaker states) from the component that owns them.
 func (s *Server) Stats() Stats {
+	m := &s.m
 	st := Stats{
-		Accepted:   s.accepted.Load(),
-		Dispatches: s.dispatches.Load(),
-		SessionsByPolicy: map[string]uint64{
-			s.policy.Name(): s.sessions.Load(),
-		},
-		ActiveSessions:  s.activeSess.Load(),
-		Handoffs:        s.handoffs.Load(),
-		Rehandoffs:      s.rehandoffs.Load(),
-		RehandoffFails:  s.rehandoffFails.Load(),
-		Redispatches:    s.redispatches.Load(),
-		StaleRetries:    s.staleRetries.Load(),
-		Errors:          s.errors.Load(),
-		Rejected:        s.rejected.Load(),
-		MarkedDown:      s.markdowns.Load(),
-		Probes:          s.probes.Load(),
-		ProbeRecoveries: s.recoveries.Load(),
-		ClientToBackend: s.forward.ClientToBackend.Load(),
-		BackendToClient: s.forward.BackendToClient.Load(),
-		ActivePerNode:   s.d.Loads(),
+		Accepted:         m.accepted.Value(),
+		Dispatches:       m.dispatches.Value(),
+		SessionsByPolicy: map[string]uint64{s.policy.Name(): m.sessions.Value()},
+		ActiveSessions:   m.activeSessions.Value(),
+		Handoffs:         m.handoffs.Value(),
+		Rehandoffs:       m.rehandoffs.Value(),
+		RehandoffFails:   m.rehandoffFails.Value(),
+		Redispatches:     m.redispatches.Value(),
+		StaleRetries:     m.staleRetries.Value(),
+		Errors:           m.errors.Value(),
+		Rejected:         m.shedOverload.Value(),
+		MarkedDown:       m.markdowns.Value(),
+		Probes:           m.probes.Value(),
+		ProbeRecoveries:  m.probeRecoveries.Value(),
+		ClientToBackend:  int64(m.bytesToBackend.Value()),
+		BackendToClient:  int64(m.bytesToClient.Value()),
+		ActivePerNode:    s.d.Loads(),
+		PoolHits:         s.pool.hits.Value(),
+		PoolMisses:       s.pool.misses.Value(),
+		PoolEvictions:    s.pool.evictions.Value(),
+		Served:           m.served.Value(),
+		QuotaSheds:       m.shedQuota.Value(),
+		BreakerDenials:   m.breakerDenials.Value(),
+		BreakerSheds:     m.shedBreaker.Value(),
 	}
-	if s.pool != nil {
-		st.PoolHits, st.PoolMisses, st.PoolEvictions = s.pool.counters()
-		st.PoolIdle, _ = s.pool.idleCount(-1)
-	}
-	st.Served = s.ov.m.served.Value()
-	st.QuotaSheds = s.ov.m.shedQuota.Value()
+	st.PoolIdle, _ = s.pool.idleCount(-1)
 	if s.ov.quota.Enabled() {
 		st.QuotaClients = s.ov.quota.Len()
 	}
-	st.BreakerTrips = s.ov.breakerTrips.Load()
-	st.BreakerDenials = s.ov.m.breakerDenials.Value()
-	st.BreakerSheds = s.ov.m.shedBreaker.Value()
 	if s.ov.breakers != nil {
 		for _, b := range s.ov.breakers.Snapshot(s.now()) {
 			st.BreakerStates = append(st.BreakerStates, b.State.String())
+			st.BreakerTrips += s.breakerTransitions(b.Node, breaker.Open).Value()
 		}
 	}
 	return st
@@ -405,7 +396,7 @@ func (s *Server) SetProfile(node int, p core.Profile) error {
 func (s *Server) SetBackendDown(node int, down bool) {
 	s.d.SetNodeDown(node, down)
 	if down {
-		s.evictPooled(node)
+		s.pool.evictNode(node)
 	}
 }
 
@@ -424,16 +415,12 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.lnMu.Lock()
 	s.ln = ln
 	s.lnMu.Unlock()
-	if s.cfg.ProbeInterval > 0 || s.pool != nil {
-		s.probeGo.Do(func() {
-			if s.cfg.ProbeInterval > 0 {
-				go s.probeLoop(s.cfg.ProbeInterval)
-			}
-			if s.pool != nil {
-				go s.pool.janitor(s.stop)
-			}
-		})
-	}
+	s.probeGo.Do(func() {
+		if s.cfg.ProbeInterval > 0 {
+			go s.probeLoop(s.cfg.ProbeInterval)
+		}
+		go s.pool.janitor(s.stop)
+	})
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -442,7 +429,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		s.accepted.Add(1)
+		s.m.accepted.Inc()
 		go s.handleConn(conn)
 	}
 }
@@ -462,9 +449,7 @@ func (s *Server) Addr() net.Addr {
 func (s *Server) Close() error {
 	s.closed.Store(true)
 	s.stopOnce.Do(func() { close(s.stop) })
-	if s.pool != nil {
-		s.pool.closeAll()
-	}
+	s.pool.closeAll()
 	s.lnMu.Lock()
 	defer s.lnMu.Unlock()
 	if s.ln != nil {
@@ -488,7 +473,7 @@ func (s *Server) headReadFailed(client net.Conn, err error, doing string) {
 	if err == io.EOF || errors.Is(err, os.ErrDeadlineExceeded) {
 		return
 	}
-	s.errors.Add(1)
+	s.m.errors.Inc()
 	s.logf("frontend: %s from %v: %v", doing, client.RemoteAddr(), err)
 	var malformed *httprelay.MalformedError
 	if errors.As(err, &malformed) {

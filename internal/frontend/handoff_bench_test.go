@@ -15,13 +15,15 @@ import (
 
 // BenchmarkHandoffDial measures the front end's cost of establishing one
 // handed-off session and relaying its response — the hot path the
-// paper's Section 5 budget (~300µs per handoff) is about — with and
-// without the connection pool:
+// paper's Section 5 budget (~300µs per handoff) is about — on the two
+// sides of the connection pool:
 //
-//	fresh:  every handoff dials a new back-end TCP connection (protocol
-//	        v1, the pre-pool behavior);
-//	pooled: the handoff reuses an idle session-framed transport from the
-//	        per-node pool; the dial was paid once, at pool fill.
+//	fresh:  a pool miss — every handoff dials a new back-end TCP
+//	        connection and sends the session-framed header on it;
+//	        nothing is checked back in, so the next checkout misses too;
+//	pooled: a pool hit — the handoff reuses the idle session-framed
+//	        transport the previous iteration checked in; the dial was
+//	        paid once, at pool fill.
 //
 // The back end serves a cached document with no emulated disk delay, so
 // the difference between the variants is the dial + listener-handshake
@@ -52,13 +54,13 @@ func BenchmarkHandoffDial(b *testing.B) {
 	defer clientSide.Close()
 	defer farSide.Close()
 
-	run := func(b *testing.B, poolSize int) {
+	run := func(b *testing.B, checkIn bool) {
 		s, err := New(Config{
 			Backends:      []string{ln.Addr().String()},
 			Strategy:      "wrr",
 			ConnPolicy:    "perreq",
 			ProbeInterval: -1,
-			PoolSize:      poolSize,
+			PoolSize:      1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -67,18 +69,26 @@ func BenchmarkHandoffDial(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bc, err := s.connectBackend(0, clientSide, head, true)
+			bc, err := s.connectBackend(0, clientSide, head, false)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if _, _, err := httprelay.RelayResponse(io.Discard, bc.br, "GET", 64<<10, nil); err != nil {
 				b.Fatal(err)
 			}
-			bc.clean = true
+			bc.clean = checkIn
 			s.releaseBackend(bc)
+		}
+		// Every fresh iteration dialed; pooled dialed once, at pool fill.
+		wantMisses := uint64(b.N)
+		if checkIn {
+			wantMisses = 1
+		}
+		if st := s.Stats(); st.PoolMisses != wantMisses {
+			b.Fatalf("pool misses = %d over %d handoffs, want %d", st.PoolMisses, b.N, wantMisses)
 		}
 	}
 
-	b.Run("fresh", func(b *testing.B) { run(b, -1) })
-	b.Run("pooled", func(b *testing.B) { run(b, 1) })
+	b.Run("fresh", func(b *testing.B) { run(b, false) })
+	b.Run("pooled", func(b *testing.B) { run(b, true) })
 }

@@ -82,9 +82,9 @@ func (s *Server) dialBackend(node int) (net.Conn, error) {
 		if s.noteDialFailure(node, epoch) && !s.backendDown(node) {
 			// The Down check keeps in-flight dials racing the mark-down
 			// from re-counting and re-logging the same outage.
-			s.markdowns.Add(1)
+			s.m.markdowns.Inc()
 			s.d.SetNodeDown(node, true)
-			s.evictPooled(node)
+			s.pool.evictNode(node)
 			s.logf("frontend: backend %d (%q) marked down after %d consecutive dial failures",
 				node, addr, s.cfg.DialFailuresBeforeDown)
 		}
@@ -194,7 +194,7 @@ func (s *Server) probeOnce() {
 		if addr == "" || !s.beginProbe(node) {
 			continue
 		}
-		s.probes.Add(1)
+		s.m.probes.Inc()
 		go func(node int, addr string) {
 			defer s.endProbe(node)
 			conn, err := net.DialTimeout("tcp", addr, s.cfg.DialTimeout)
@@ -207,7 +207,7 @@ func (s *Server) probeOnce() {
 			// breaker is Open starts its half-open probe round, so the
 			// graduated ramp can begin even before live traffic returns.
 			s.breakerSuccess(node)
-			s.recoveries.Add(1)
+			s.m.probeRecoveries.Inc()
 			s.d.SetNodeDown(node, false)
 			s.logf("frontend: probe restored backend %d (%s)", node, addr)
 			// The probe dial already paid for connection establishment:
@@ -217,7 +217,7 @@ func (s *Server) probeOnce() {
 			// its handshake timeout reaps it if traffic never comes).
 			// The eligibility re-check mirrors releaseBackend: an admin
 			// drain racing the recovery must not get a warm transport.
-			if s.pool != nil && s.nodePoolable(node) {
+			if s.nodePoolable(node) {
 				s.pool.put(node, conn, httprelay.GetReader(conn))
 			} else {
 				conn.Close()
@@ -272,7 +272,7 @@ func (s *Server) AddBackend(addr string) int {
 // are discarded.
 func (s *Server) RemoveBackend(node int) {
 	s.d.RemoveNode(node)
-	s.evictPooled(node)
+	s.pool.evictNode(node)
 }
 
 // DrainBackend stops new assignments to a back end; watch
@@ -281,19 +281,11 @@ func (s *Server) RemoveBackend(node int) {
 // through the pool.
 func (s *Server) DrainBackend(node int) {
 	s.d.Drain(node)
-	s.evictPooled(node)
+	s.pool.evictNode(node)
 }
 
 // UndrainBackend restores a draining back end.
 func (s *Server) UndrainBackend(node int) { s.d.Undrain(node) }
-
-// evictPooled discards node's idle pooled connections; a no-op when
-// pooling is off.
-func (s *Server) evictPooled(node int) {
-	if s.pool != nil {
-		s.pool.evictNode(node)
-	}
-}
 
 // Nodes returns the administrative snapshot of every back end.
 func (s *Server) Nodes() []NodeInfo {

@@ -45,32 +45,19 @@ import (
 // relay loop. Shed responses are 429s carrying Retry-After computed
 // from the client's token deficit, on a closing connection.
 //
-// Everything observable lands in a metrics.Registry (Prometheus text
-// format via cmd/lardfe's GET /admin/metrics): request/goodput/shed
-// counters, breaker transitions and denials, and log-bucketed latency
-// histograms per connection policy and per node.
+// Everything observable lands in the server's metrics.Registry
+// (metrics.go; Prometheus text format via cmd/lardfe's GET
+// /admin/metrics): request/goodput/shed counters, breaker transitions and
+// denials, and log-bucketed latency histograms per connection policy and
+// per node.
 
 // errBreakerDenied is the establishment failure when the chosen node's
 // breaker refused the admission (and no alternate worked out); it is
 // surfaced to the client as a 503 + Retry-After, not a 502.
 var errBreakerDenied = errors.New("frontend: back-end admission denied by circuit breaker")
 
-// feMetrics holds the hot-path collectors, created once in New so the
-// relay loop only ever touches pre-allocated atomics.
-type feMetrics struct {
-	requests       *metrics.Counter // dispatch attempts (one per parsed request head)
-	served         *metrics.Counter // complete responses relayed: goodput
-	shedQuota      *metrics.Counter // 429s from the per-client quota
-	shedOverload   *metrics.Counter // 503s from admission/availability (ErrOverloaded, ErrUnavailable)
-	shedBreaker    *metrics.Counter // 503s because breakers denied every candidate node
-	breakerDenials *metrics.Counter // individual breaker Allow() refusals (often recovered by redispatch)
-	latency        *metrics.Histogram
-}
-
 // overload is the Server's overload-protection state.
 type overload struct {
-	reg      *metrics.Registry
-	m        feMetrics
 	breakers *breaker.Set   // nil = breaker disabled
 	quota    *quota.Limiter // non-nil; Rate <= 0 disables
 
@@ -79,11 +66,6 @@ type overload struct {
 	// the relay loop reads it with one atomic load.
 	histMu    sync.Mutex
 	nodeHists atomic.Value
-
-	// breakerTrips counts transitions to Open; the remaining overload
-	// counters live in the metrics collectors (feMetrics), which Stats
-	// reads directly.
-	breakerTrips atomic.Uint64
 }
 
 // now is the front end's clock for the breaker and quota subsystems:
@@ -92,7 +74,7 @@ type overload struct {
 func (s *Server) now() time.Duration { return time.Since(s.start) }
 
 // Metrics returns the server's metrics registry (for GET /admin/metrics).
-func (s *Server) Metrics() *metrics.Registry { return s.ov.reg }
+func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // Breakers returns the per-back-end circuit breakers, or nil when the
 // breaker layer is disabled.
@@ -101,21 +83,7 @@ func (s *Server) Breakers() *breaker.Set { return s.ov.breakers }
 // initOverload builds the overload-protection state. Called from New
 // after the dispatcher exists; the breaker gate is installed onto it
 // here.
-func (s *Server) initOverload(policyName string) {
-	reg := s.cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	s.ov.reg = reg
-	s.ov.m = feMetrics{
-		requests:       reg.Counter("lard_fe_requests_total", "request heads parsed and offered to the dispatcher"),
-		served:         reg.Counter("lard_fe_responses_total", "complete responses relayed to clients (goodput)"),
-		shedQuota:      reg.Counter("lard_fe_sheds_total", "requests shed, by reason", "reason", "quota"),
-		shedOverload:   reg.Counter("lard_fe_sheds_total", "", "reason", "overload"),
-		shedBreaker:    reg.Counter("lard_fe_sheds_total", "", "reason", "breaker"),
-		breakerDenials: reg.Counter("lard_fe_breaker_denials_total", "breaker Allow refusals (most are detoured to another node)"),
-		latency:        reg.Histogram("lard_fe_request_seconds", "request latency from head parsed to response relayed", "policy", policyName),
-	}
+func (s *Server) initOverload() {
 	s.ov.nodeHists.Store([]*metrics.Histogram(nil))
 	s.growNodeHists(len(s.backends))
 
@@ -131,11 +99,9 @@ func (s *Server) initOverload(policyName string) {
 			// Called with the breaker Set's mutex held: the registry and
 			// the pool are both leaf locks that never call back into the
 			// breaker, so this cannot cycle.
-			reg.Counter("lard_fe_breaker_transitions_total",
-				"breaker state transitions", "node", strconv.Itoa(node), "to", to.String()).Inc()
+			s.breakerTransitions(node, to).Inc()
 			if to == breaker.Open {
-				s.ov.breakerTrips.Add(1)
-				s.evictPooled(node)
+				s.pool.evictNode(node)
 			}
 		}
 		s.ov.breakers = breaker.New(bcfg)
@@ -156,7 +122,7 @@ func (s *Server) growNodeHists(n int) {
 	}
 	grown := append([]*metrics.Histogram(nil), cur...)
 	for i := len(grown); i < n; i++ {
-		grown = append(grown, s.ov.reg.Histogram("lard_fe_node_request_seconds",
+		grown = append(grown, s.reg.Histogram("lard_fe_node_request_seconds",
 			"request latency by serving back-end node", "node", strconv.Itoa(i)))
 	}
 	s.ov.nodeHists.Store(grown)
@@ -168,8 +134,8 @@ func (s *Server) growNodeHists(n int) {
 //
 //lard:noalloc
 func (s *Server) observeRequest(node int, d time.Duration) {
-	s.ov.m.served.Inc()
-	s.ov.m.latency.Observe(d)
+	s.m.served.Inc()
+	s.m.latency.Observe(d)
 	hists, _ := s.ov.nodeHists.Load().([]*metrics.Histogram)
 	if node >= 0 && node < len(hists) {
 		hists[node].Observe(d)
@@ -185,7 +151,7 @@ func (s *Server) breakerAllow(node int) bool {
 	if s.ov.breakers.Allow(node, s.now()) {
 		return true
 	}
-	s.ov.m.breakerDenials.Inc()
+	s.m.breakerDenials.Inc()
 	return false
 }
 
@@ -222,7 +188,7 @@ func clientQuotaKey(c net.Conn) string {
 // client reads it. The drain is bounded in both bytes and time, so an
 // abusive client streaming a body cannot hold the goroutine.
 func (s *Server) shedQuota(client net.Conn, retry time.Duration) {
-	s.ov.m.shedQuota.Inc()
+	s.m.shedQuota.Inc()
 	writeTooManyRequests(client, retry)
 	client.SetReadDeadline(time.Now().Add(shedLinger))
 	io.CopyN(io.Discard, client, 8<<10)

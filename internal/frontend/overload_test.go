@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -205,10 +206,11 @@ func TestMetricsSurfaceAfterTraffic(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	st := mc.fe.Stats()
-	if st.Served != 5 {
-		t.Fatalf("Served = %d, want 5", st.Served)
-	}
+	// The client can finish reading a body before the relay loop has
+	// returned from its last write and counted the response.
+	waitFor(t, 5*time.Second, "all five responses to be counted", func() bool {
+		return mc.fe.Stats().Served == 5
+	})
 	var buf bytes.Buffer
 	if err := mc.fe.Metrics().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -224,5 +226,115 @@ func TestMetricsSurfaceAfterTraffic(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStatsIsRegistryView: Stats holds no counters of its own. After a
+// mixed run — a keep-alive connection re-handed-off per request, one dial
+// failure recovered by re-dispatch (and the mark-down it causes), one
+// quota shed — every monotonic Stats field equals its lard_fe_* series in
+// the Prometheus exposition, and the pool's checkouts balance.
+func TestStatsIsRegistryView(t *testing.T) {
+	tr := smallTrace(t, 12, 12)
+	store := backend.NewDocStore(tr.Targets)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		_, _, addr := startBackendAt(t, "127.0.0.1:0", store, 1<<20)
+		addrs = append(addrs, addr)
+	}
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close() // refuses instantly
+	const burst = 9
+	fe, feAddr := startRelayFrontend(t, append(addrs, dead.Addr().String()), func(c *Config) {
+		c.Strategy = "lb" // spreads targets over all three nodes
+		c.DialFailuresBeforeDown = 1
+		c.QuotaRate = 0.001
+		c.QuotaBurst = burst
+	})
+
+	conn, err := net.Dial("tcp", feAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for i := 0; i < burst; i++ {
+		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: t\r\n\r\n", tr.Targets[i].Name)
+		if h, _ := readOneResponse(t, br, "GET"); h.Status != 200 {
+			t.Fatalf("request %d: status %d", i, h.Status)
+		}
+	}
+	conn.Close()
+	if resp := rawGet(t, feAddr, tr.Targets[0].Name); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request past the burst: status %d, want 429", resp.StatusCode)
+	}
+	waitFor(t, 5*time.Second, "sessions to retire", func() bool {
+		return fe.Stats().ActiveSessions == 0
+	})
+
+	st := fe.Stats()
+	if st.Rehandoffs == 0 || st.Redispatches != 1 || st.MarkedDown != 1 || st.QuotaSheds != 1 || st.StaleRetries != 0 {
+		t.Fatalf("run did not exercise the mix it is meant to: %+v", st)
+	}
+	// Every handoff and the one refused dial went through the pool.
+	if got, want := st.PoolHits+st.PoolMisses, st.Handoffs+st.Redispatches; got != want {
+		t.Fatalf("pool hits %d + misses %d = %d, want %d checkouts", st.PoolHits, st.PoolMisses, got, want)
+	}
+
+	var buf bytes.Buffer
+	if err := fe.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]uint64{}
+	var trips uint64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if v, err := strconv.ParseUint(val, 10, 64); err == nil {
+			series[name] = v
+			if strings.HasPrefix(name, "lard_fe_breaker_transitions_total{") && strings.HasSuffix(name, `to="open"}`) {
+				trips += v
+			}
+		}
+	}
+	for name, want := range map[string]uint64{
+		"lard_fe_accepted_total":                      st.Accepted,
+		`lard_fe_sessions_total{policy="perreq"}`:     st.SessionsByPolicy["perreq"],
+		"lard_fe_active_sessions":                     uint64(st.ActiveSessions),
+		"lard_fe_dispatches_total":                    st.Dispatches,
+		"lard_fe_responses_total":                     st.Served,
+		"lard_fe_handoffs_total":                      st.Handoffs,
+		"lard_fe_rehandoffs_total":                    st.Rehandoffs,
+		"lard_fe_rehandoff_fails_total":               st.RehandoffFails,
+		"lard_fe_redispatches_total":                  st.Redispatches,
+		"lard_fe_stale_retries_total":                 st.StaleRetries,
+		"lard_fe_errors_total":                        st.Errors,
+		`lard_fe_sheds_total{reason="quota"}`:         st.QuotaSheds,
+		`lard_fe_sheds_total{reason="overload"}`:      st.Rejected,
+		`lard_fe_sheds_total{reason="breaker"}`:       st.BreakerSheds,
+		"lard_fe_breaker_denials_total":               st.BreakerDenials,
+		"lard_fe_markdowns_total":                     st.MarkedDown,
+		"lard_fe_probes_total":                        st.Probes,
+		"lard_fe_probe_recoveries_total":              st.ProbeRecoveries,
+		`lard_fe_relay_bytes_total{dir="to_backend"}`: uint64(st.ClientToBackend),
+		`lard_fe_relay_bytes_total{dir="to_client"}`:  uint64(st.BackendToClient),
+		`lard_fe_pool_checkouts_total{result="hit"}`:  st.PoolHits,
+		`lard_fe_pool_checkouts_total{result="miss"}`: st.PoolMisses,
+		"lard_fe_pool_evictions_total":                st.PoolEvictions,
+	} {
+		got, ok := series[name]
+		if !ok {
+			t.Errorf("series %s missing from /admin/metrics", name)
+		} else if got != want {
+			t.Errorf("%s = %d, Stats says %d", name, got, want)
+		}
+	}
+	if trips != st.BreakerTrips {
+		t.Errorf(`lard_fe_breaker_transitions_total{to="open"} sums to %d, Stats.BreakerTrips = %d`, trips, st.BreakerTrips)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lard/internal/httprelay"
+	"lard/internal/metrics"
 )
 
 // This file is the front end's per-back-end connection pool. The paper's
@@ -51,14 +52,20 @@ type backendPool struct {
 	idle   map[int][]pooledConn
 	closed bool
 
-	// Counters, guarded by mu; surfaced through Stats.
-	hits      uint64 // checkouts served from the pool
-	misses    uint64 // checkouts that found no live idle conn
-	evictions uint64 // conns discarded: capacity, TTL, death, or node eviction
+	// Collectors in the front end's registry (atomic, not under mu);
+	// Stats reads them as PoolHits/PoolMisses/PoolEvictions.
+	hits      *metrics.Counter // checkouts served from the pool
+	misses    *metrics.Counter // checkouts that found no live idle conn
+	evictions *metrics.Counter // conns discarded: capacity, TTL, death, or node eviction
 }
 
-func newBackendPool(size int, ttl time.Duration) *backendPool {
-	return &backendPool{size: size, ttl: ttl, idle: make(map[int][]pooledConn)}
+func newBackendPool(size int, ttl time.Duration, reg *metrics.Registry) *backendPool {
+	return &backendPool{
+		size: size, ttl: ttl, idle: make(map[int][]pooledConn),
+		hits:      reg.Counter("lard_fe_pool_checkouts_total", "back-end connection pool checkouts, by result", "result", "hit"),
+		misses:    reg.Counter("lard_fe_pool_checkouts_total", "", "result", "miss"),
+		evictions: reg.Counter("lard_fe_pool_evictions_total", "pooled connections discarded: capacity, TTL, death, or node eviction"),
+	}
 }
 
 // get checks out an idle connection for node, discarding expired or dead
@@ -75,7 +82,7 @@ func (p *backendPool) get(node int) (net.Conn, *bufio.Reader, bool) {
 	for {
 		pc, ok := p.pop(node)
 		if !ok {
-			p.countMiss()
+			p.misses.Inc()
 			return nil, nil, false
 		}
 		if p.ttl > 0 && time.Since(pc.since) > p.ttl {
@@ -96,9 +103,7 @@ func (p *backendPool) get(node int) (net.Conn, *bufio.Reader, bool) {
 			p.discard(pc)
 			continue
 		}
-		p.mu.Lock()
-		p.hits++
-		p.mu.Unlock()
+		p.hits.Inc()
 		return pc.c, pc.br, true
 	}
 }
@@ -124,15 +129,7 @@ func (p *backendPool) pop(node int) (pooledConn, bool) {
 func (p *backendPool) discard(pc pooledConn) {
 	pc.c.Close()
 	httprelay.PutReader(pc.br)
-	p.mu.Lock()
-	p.evictions++
-	p.mu.Unlock()
-}
-
-func (p *backendPool) countMiss() {
-	p.mu.Lock()
-	p.misses++
-	p.mu.Unlock()
+	p.evictions.Inc()
 }
 
 // put checks a clean (end-of-session sent, response fully read) transport
@@ -140,7 +137,7 @@ func (p *backendPool) countMiss() {
 // LIFO reuse means the oldest is the most likely to die next anyway.
 func (p *backendPool) put(node int, c net.Conn, br *bufio.Reader) {
 	p.mu.Lock()
-	if p.closed || p.size <= 0 {
+	if p.closed {
 		p.mu.Unlock()
 		c.Close()
 		httprelay.PutReader(br)
@@ -155,7 +152,7 @@ func (p *backendPool) put(node int, c net.Conn, br *bufio.Reader) {
 		// slot; zero it so the reslice does not retain it.
 		conns[n] = pooledConn{}
 		conns = conns[:n]
-		p.evictions++
+		p.evictions.Inc()
 	}
 	p.idle[node] = append(conns, pooledConn{c: c, br: br, since: time.Now()})
 	p.mu.Unlock()
@@ -172,8 +169,8 @@ func (p *backendPool) evictNode(node int) {
 	p.mu.Lock()
 	conns := p.idle[node]
 	delete(p.idle, node)
-	p.evictions += uint64(len(conns))
 	p.mu.Unlock()
+	p.evictions.Add(uint64(len(conns)))
 	for _, pc := range conns {
 		pc.c.Close()
 		httprelay.PutReader(pc.br)
@@ -194,7 +191,7 @@ func (p *backendPool) sweep() {
 		for _, pc := range conns {
 			if pc.since.Before(cutoff) {
 				dead = append(dead, pc)
-				p.evictions++
+				p.evictions.Inc()
 			} else {
 				kept = append(kept, pc)
 			}
@@ -242,13 +239,6 @@ func (p *backendPool) idleCount(node int) (total, forNode int) {
 		}
 	}
 	return total, forNode
-}
-
-// counters snapshots the pool's counters.
-func (p *backendPool) counters() (hits, misses, evictions uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses, p.evictions
 }
 
 // janitor sweeps expired idle connections until stop closes.

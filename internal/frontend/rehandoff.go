@@ -26,11 +26,13 @@ import (
 // drains, fails, or is removed moves on its next request under every
 // policy.
 //
-// Back-end connections come from the per-node pool (pool.go): a handoff
-// is a session-framed header on a pooled transport when one is idle, and
-// a fresh dial only on a pool miss, so the paper's ~300µs handoff budget
-// is not spent on TCP establishment per handoff. Three error paths keep
-// back-end trouble away from the client:
+// Back-end connections come from the per-node pool (pool.go): every
+// handoff is a session-framed header (handoff.FlagSessionFramed) on a
+// pooled transport when one is idle and on a fresh dial only on a pool
+// miss, so the paper's ~300µs handoff budget is not spent on TCP
+// establishment per handoff. attachBackend is the one way a request
+// reaches a back end; four error paths in and around it keep back-end
+// trouble away from the client:
 //
 //   - a failed dial re-dispatches the session to another eligible node
 //     (bounded attempts, failed nodes excluded) before any 502 — a
@@ -41,6 +43,8 @@ import (
 //     transparently, on a freshly dialed connection — but never when
 //     part of the request body has already been relayed and cannot be
 //     replayed;
+//   - a back end that fails before any response byte reached the client,
+//     with no retry left, costs the client a 502, never a bare close;
 //   - the re-handoff counter moves only after the replacement handoff
 //     succeeds, so failed moves show up as RehandoffFails, not as
 //     re-handoffs the phttp figures would credit.
@@ -56,15 +60,19 @@ import (
 // after a failed back-end dial before giving up with a 502.
 const dialRedispatchLimit = 2
 
+// handoffFlags go on every handoff header the front end sends: the
+// session may be handed off again, and the transport is session-framed so
+// it survives the session for reuse.
+const handoffFlags = handoff.FlagRehandoff | handoff.FlagSessionFramed
+
 // backendConn is the relay loop's handle on one handed-off back-end
 // connection: the transport, its buffered response reader, and the
-// session-framing writer when the pooled (v2) protocol is in use.
+// session-framing writer every request-direction byte goes through.
 type backendConn struct {
 	node int
 	c    net.Conn
 	br   *bufio.Reader
-	w    io.Writer              // request-direction writer: sw when framed, else c
-	sw   *handoff.SessionWriter // non-nil iff the handoff was session-framed
+	sw   *handoff.SessionWriter
 
 	fromPool bool // checked out of the idle pool (stale-retry eligible)
 	served   int  // complete responses relayed on this checkout
@@ -86,9 +94,9 @@ func (s *Server) handleConn(client net.Conn) {
 
 	sess := s.d.NewSession(s.policy)
 	defer sess.Close()
-	s.sessions.Add(1)
-	s.activeSess.Add(1)
-	defer s.activeSess.Add(-1)
+	s.m.sessions.Inc()
+	s.m.activeSessions.Add(1)
+	defer s.m.activeSessions.Add(-1)
 
 	br := httprelay.GetReader(client)
 	var (
@@ -122,7 +130,7 @@ func (s *Server) handleConn(client net.Conn) {
 			s.shedQuota(client, retry)
 			return
 		}
-		s.ov.m.requests.Inc()
+		s.m.requests.Inc()
 
 		// The session owns the pin/re-handoff decision and the
 		// connection-slot accounting across moves; both a saturated
@@ -131,89 +139,38 @@ func (s *Server) handleConn(client net.Conn) {
 		node, moved, done, err := sess.Dispatch(reqStart,
 			lard.Request{Target: head.Target, Size: head.Size()})
 		if err != nil {
-			s.rejected.Add(1)
-			s.ov.m.shedOverload.Inc()
+			s.m.shedOverload.Inc()
 			writeServiceUnavailable(client)
 			return
 		}
-		s.dispatches.Add(1)
+		s.m.dispatches.Inc()
 		requestDone = done
 
-		if backend == nil || moved {
-			// Re-handoff (or first handoff): the old transport is at a
-			// message boundary — the loop only continues past a complete
-			// reusable response — so it goes back to the pool for the next
-			// session needing its node.
-			prev := backend
-			if prev != nil {
-				s.releaseBackend(prev)
-				backend = nil
-			}
-			nb, ndone, err := s.establishBackend(sess, node, client, head)
+		// stale is why a kept-alive back-end connection must be replaced
+		// mid-session, nil while it is healthy.
+		var stale error
+		if backend != nil && !moved {
+			// Same back end: the next request rides the same handed-off
+			// session under the fresh slot. A failed first write means the
+			// back end silently dropped its keep-alive. Safe to retry for
+			// any method — an errored write cannot have delivered a
+			// complete, parseable request (a partial frame or truncated
+			// head never executes) — so retry once on a fresh connection,
+			// re-dispatching if the node itself is what died, instead of
+			// killing the session.
+			backend.clean = false
+			_, stale = backend.sw.Write(head.Raw)
+		}
+		if backend == nil || moved || stale != nil {
+			// First handoff, re-handoff, or stale retry. requestDone follows
+			// a superseding claim (attachBackend).
+			var ndone func()
+			backend, ndone, err = s.attachBackend(sess, node, backend, stale, client, head)
 			if err != nil {
-				if prev != nil {
-					s.rehandoffFails.Add(1)
-				}
-				if errors.Is(err, errBreakerDenied) {
-					// No candidate node's breaker would admit the handoff:
-					// the cluster is recovering, not broken — shed with a
-					// retry hint rather than a 502.
-					s.ov.m.shedBreaker.Inc()
-					writeServiceUnavailable(client)
-					return
-				}
-				s.errors.Add(1)
-				s.logf("frontend: handoff dial backend %d: %v", node, err)
-				writeBadGateway(client)
 				return
 			}
 			if ndone != nil {
-				// The dial failed and the session re-dispatched: the
-				// replacement claim's done supersedes the original.
 				requestDone = ndone
-			}
-			backend = nb
-			s.handoffs.Add(1)
-			if prev != nil && nb.node != prev.node {
-				// Counted only now, after the replacement handoff
-				// succeeded — and only if the back end actually changed: a
-				// failed move, or a dial-failure redispatch that landed
-				// back on the previous node, must not inflate the
-				// re-handoff stats the phttp figures report.
-				s.rehandoffs.Add(1)
-			}
-		} else {
-			// Same back end: the next request rides the same handed-off
-			// session under the fresh slot.
-			backend.clean = false
-			if _, err := backend.w.Write(head.Raw); err != nil {
-				// First write of a new request onto a reused connection
-				// failed: the back end silently dropped its keep-alive.
-				// Safe to retry for any method — an errored write cannot
-				// have delivered a complete, parseable request (a partial
-				// frame or truncated head never executes) — so retry once
-				// on a fresh connection, re-dispatching if the node
-				// itself is what died, instead of killing the session.
-				prev := backend.node
-				s.logf("frontend: stale back-end conn to %d (write: %v), retrying fresh", prev, err)
-				s.discardBackend(backend)
-				backend = nil
-				s.staleRetries.Add(1)
-				nb, ndone, err2 := s.recoverBackend(sess, prev, client, head)
-				if err2 != nil {
-					s.errors.Add(1)
-					s.logf("frontend: stale-retry dial backend %d: %v", prev, err2)
-					writeBadGateway(client)
-					return
-				}
-				if ndone != nil {
-					requestDone = ndone
-				}
-				backend = nb
-				s.handoffs.Add(1)
-				if nb.node != prev {
-					s.rehandoffs.Add(1)
-				}
 			}
 		}
 
@@ -231,28 +188,29 @@ func (s *Server) handleConn(client net.Conn) {
 			}
 			bodySent = true
 			bodyWritten = true
-			n, err := httprelay.RelayRequestBody(backend.w, br, head)
-			s.forward.ClientToBackend.Add(n)
+			n, err := httprelay.RelayRequestBody(backend.sw, br, head)
+			s.m.bytesToBackend.Add(uint64(n))
 			return err
 		}
 		var on100 func() error
 		if head.ExpectContinue && !bodySent {
 			on100 = sendBody
 		} else if err := sendBody(); err != nil {
-			s.errors.Add(1)
+			s.m.errors.Inc()
 			s.logf("frontend: relay request body: %v", err)
 			return
 		}
 
 		// Relay the response(s); the head travels to the client verbatim,
 		// so the connection semantics the client sees are the back end's.
-		// The write tracker tells a dead pooled transport (no client
-		// write was ever attempted: the failure was reading the back
-		// end's head) from a client-side write failure — retrying the
-		// latter would re-execute a request the back end already served.
+		// The write tracker tells a back end that never answered (no
+		// client write was ever attempted: the failure was reading the
+		// back end's head) from a client-side write failure — retrying
+		// the latter would re-execute a request the back end already
+		// served.
 		cw := &writeTracker{w: client}
 		n, reusable, err := httprelay.RelayResponseFrom(cw, backend.br, backend.c, head.Method, s.cfg.MaxHeaderBytes, on100)
-		s.forward.BackendToClient.Add(n)
+		s.m.bytesToClient.Add(uint64(n))
 		if err != nil && !cw.wrote && backend.fromPool && backend.served == 0 &&
 			!bodyWritten && idempotentMethod(head.Method) {
 			// The pooled transport accepted the handoff but produced no
@@ -262,27 +220,27 @@ func (s *Server) handleConn(client net.Conn) {
 			// fresh connection. Idempotent methods only: the header write
 			// succeeded, so the back end may have executed the request
 			// before dying — net/http's transport draws the same line.
-			prev := backend.node
-			s.logf("frontend: stale back-end conn to %d (read: %v), retrying fresh", prev, err)
-			s.discardBackend(backend)
-			backend = nil
-			s.staleRetries.Add(1)
-			if nb, ndone, err2 := s.recoverBackend(sess, prev, client, head); err2 == nil {
-				if ndone != nil {
-					requestDone = ndone
-				}
-				backend = nb
-				s.handoffs.Add(1)
-				if nb.node != prev {
-					s.rehandoffs.Add(1)
-				}
-				n, reusable, err = httprelay.RelayResponseFrom(cw, backend.br, backend.c, head.Method, s.cfg.MaxHeaderBytes, on100)
-				s.forward.BackendToClient.Add(n)
+			var ndone func()
+			backend, ndone, err = s.attachBackend(sess, backend.node, backend, err, client, head)
+			if err != nil {
+				return
 			}
+			if ndone != nil {
+				requestDone = ndone
+			}
+			n, reusable, err = httprelay.RelayResponseFrom(cw, backend.br, backend.c, head.Method, s.cfg.MaxHeaderBytes, on100)
+			s.m.bytesToClient.Add(uint64(n))
 		}
 		if err != nil {
-			s.errors.Add(1)
+			s.m.errors.Inc()
 			s.logf("frontend: relay response: %v", err)
+			if !cw.wrote {
+				// The back end hung up or sent a malformed head before any
+				// byte reached the client (a fresh dial, a non-idempotent
+				// method, or the second failure after a stale retry): a
+				// clean 502, never a bare close.
+				writeBadGateway(client)
+			}
 			return
 		}
 		// The request is complete: under a non-pinning policy this
@@ -308,139 +266,133 @@ func (s *Server) handleConn(client net.Conn) {
 	}
 }
 
-// establishBackend obtains a handed-off back-end connection for the
-// session's chosen node, re-dispatching to alternate nodes on dial
-// failure: a single refused dial must not become a client-visible 502
-// while healthy back ends exist. When the session was re-dispatched, the
-// returned done func supersedes the one from the original Dispatch.
-func (s *Server) establishBackend(sess *lard.Session, node int, client net.Conn, head httprelay.RequestHead) (*backendConn, func(), error) {
-	// The breaker admission runs before any connection work: a HalfOpen
-	// node's probe budget and a Recovering node's admission fraction
-	// meter new handoffs here. A denial is handled exactly like a dial
-	// failure — try the alternates.
-	if !s.breakerAllow(node) {
-		return s.redispatchBackend(sess, client, head, []int{node}, errBreakerDenied)
+// attachBackend is the one way a request reaches a back end: it retires
+// old, delivers the request's handoff header to node — or, when node
+// cannot take it, to an alternate the session re-dispatches to — and
+// keeps the handoff accounting. On failure the client has been answered
+// (502, or 503 + Retry-After when only breakers stood in the way) and
+// the caller just returns.
+//
+// old is the connection the session is leaving, nil on its first handoff.
+// With stale nil it sits at a message boundary — the loop only continues
+// past a complete reusable response — and goes back to the pool for the
+// next session needing its node. A non-nil stale is the error that showed
+// old dead mid-session (dropped keep-alive, stale pooled transport): old
+// is discarded and node — old's own — is dialed fresh rather than trusted
+// to another idle transport that may have died with it.
+//
+// A refused dial or a breaker denial (a HalfOpen node's probe budget and
+// a Recovering node's admission fraction meter new handoffs here) is not
+// yet a client-visible error: the session is asked for the least-loaded
+// eligible node outside tried, up to dialRedispatchLimit times. The
+// returned done func is non-nil when that happened — the alternate's
+// claim, which supersedes the one from the original Dispatch.
+func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, stale error, client net.Conn, head httprelay.RequestHead) (*backendConn, func(), error) {
+	if stale != nil {
+		s.logf("frontend: stale back-end conn to %d (%v), retrying fresh", old.node, stale)
+		s.discardBackend(old)
+		s.m.staleRetries.Inc()
+	} else {
+		s.releaseBackend(old)
 	}
-	b, err := s.connectBackend(node, client, head, true)
-	if err == nil {
-		return b, nil, nil
-	}
-	return s.redispatchBackend(sess, client, head, []int{node}, err)
-}
-
-// recoverBackend replaces a back-end connection that died mid-session
-// (stale pooled transport, dropped keep-alive) for a fully replayable
-// request: a fresh dial to the same node first, the re-dispatch loop if
-// that node refuses too — its process may be what killed the connection.
-func (s *Server) recoverBackend(sess *lard.Session, node int, client net.Conn, head httprelay.RequestHead) (*backendConn, func(), error) {
-	if !s.breakerAllow(node) {
-		return s.redispatchBackend(sess, client, head, []int{node}, errBreakerDenied)
-	}
-	b, err := s.connectBackend(node, client, head, false)
-	if err == nil {
-		return b, nil, nil
-	}
-	return s.redispatchBackend(sess, client, head, []int{node}, err)
-}
-
-// redispatchBackend is the bounded dial-failure recovery loop: ask the
-// session for the least-loaded eligible node outside tried, connect,
-// repeat. dialErr (the failure that brought us here) is surfaced when no
-// alternate works out.
-func (s *Server) redispatchBackend(sess *lard.Session, client net.Conn, head httprelay.RequestHead, tried []int, dialErr error) (*backendConn, func(), error) {
-	req := lard.Request{Target: head.Target, Size: head.Size()}
-	for i := 0; i < dialRedispatchLimit; i++ {
-		alt, done, rerr := sess.Redispatch(time.Since(s.start), req, tried)
-		if rerr != nil {
-			// No alternate can take the request; surface the dial error.
-			return nil, nil, dialErr
-		}
-		if !s.breakerAllow(alt) {
-			// The alternate's breaker refused (e.g. it is Recovering and
-			// this request fell outside its admission fraction): release
-			// the claim and keep looking.
-			done()
-			tried = append(tried, alt)
-			dialErr = errBreakerDenied
-			continue
-		}
-		b, aerr := s.connectBackend(alt, client, head, true)
-		if aerr == nil {
-			s.redispatches.Add(1)
+	var (
+		tried []int  // nodes that refused this request
+		done  func() // the alternate's claim, once re-dispatched
+		err   error
+	)
+	for {
+		if !s.breakerAllow(node) {
+			err = errBreakerDenied
+		} else if b, cerr := s.connectBackend(node, client, head, stale != nil && len(tried) == 0); cerr != nil {
+			err = cerr
+		} else {
+			s.m.handoffs.Inc()
+			if len(tried) > 0 {
+				s.m.redispatches.Inc()
+			}
+			if old != nil && b.node != old.node {
+				// Counted only now, after the replacement handoff
+				// succeeded — and only if the back end actually changed: a
+				// failed move, or a redispatch that landed back on the
+				// previous node, must not inflate the re-handoff stats the
+				// phttp figures report.
+				s.m.rehandoffs.Inc()
+			}
 			return b, done, nil
 		}
-		// The alternate refused too: release its slot right away instead
-		// of leaving it to the next Redispatch, so the dead claim stops
-		// consuming admission budget (lardlint: donecall).
-		done()
-		tried = append(tried, alt)
-		dialErr = aerr
+		// This node is out. An alternate's claim is released right away
+		// instead of being left to the next Redispatch, so the dead claim
+		// stops consuming admission budget (lardlint: donecall).
+		if done != nil {
+			done()
+		}
+		if tried = append(tried, node); len(tried) > dialRedispatchLimit {
+			break
+		}
+		var rerr error
+		node, done, rerr = sess.Redispatch(s.now(), lard.Request{Target: head.Target, Size: head.Size()}, tried)
+		if rerr != nil {
+			break // no alternate can take the request: surface the last failure
+		}
 	}
-	return nil, nil, dialErr
+	if old != nil && stale == nil {
+		s.m.rehandoffFails.Inc()
+	}
+	if errors.Is(err, errBreakerDenied) {
+		// No candidate node's breaker would admit the handoff: the
+		// cluster is recovering, not broken — shed with a retry hint
+		// rather than a 502.
+		s.m.shedBreaker.Inc()
+		writeServiceUnavailable(client)
+	} else {
+		s.m.errors.Inc()
+		s.logf("frontend: handoff refused by back ends %v: %v", tried, err)
+		writeBadGateway(client)
+	}
+	return nil, nil, err
 }
 
 // connectBackend obtains a connection to node carrying this session's
-// handoff header: from the idle pool when usePool is set (with one
-// transparent fall-through to a fresh dial if the pooled transport turns
-// out stale), else by dialing. The fresh-dial path keeps the mark-down
-// accounting of dialBackend.
-func (s *Server) connectBackend(node int, client net.Conn, head httprelay.RequestHead, usePool bool) (*backendConn, error) {
+// handoff header: from the idle pool (with one transparent fall-through
+// to a fresh dial if the pooled transport turns out stale), or straight
+// from a dial when fresh is set. The dial keeps the mark-down accounting
+// of dialBackend.
+func (s *Server) connectBackend(node int, client net.Conn, head httprelay.RequestHead, fresh bool) (*backendConn, error) {
 	clientAddr := client.RemoteAddr().String()
-	if usePool && s.pool != nil {
+	if !fresh {
 		if c, br, ok := s.pool.get(node); ok {
-			b := &backendConn{node: node, c: c, br: br, fromPool: true}
-			if err := s.sendHandoff(b, clientAddr, head.Raw); err == nil {
+			b := &backendConn{node: node, c: c, br: br, sw: handoff.NewSessionWriter(c), fromPool: true}
+			if err := handoff.Send(c, clientAddr, head.Raw, handoffFlags); err == nil {
 				return b, nil
 			}
 			// Stale pooled transport: the write failed before anything
 			// reached the client. Fall through to a fresh dial.
 			s.logf("frontend: stale pooled conn to %d, dialing fresh", node)
 			s.discardBackend(b)
-			s.staleRetries.Add(1)
+			s.m.staleRetries.Inc()
 		}
 	}
 	c, err := s.dialBackend(node)
 	if err != nil {
 		return nil, err
 	}
-	b := &backendConn{node: node, c: c, br: httprelay.GetReader(c)}
-	if err := s.sendHandoff(b, clientAddr, head.Raw); err != nil {
+	b := &backendConn{node: node, c: c, br: httprelay.GetReader(c), sw: handoff.NewSessionWriter(c)}
+	if err := handoff.Send(c, clientAddr, head.Raw, handoffFlags); err != nil {
 		s.discardBackend(b)
 		return nil, err
 	}
 	return b, nil
 }
 
-// sendHandoff writes the handoff header for one client session and arms
-// the connection's request-direction writer. Every handoff is flagged
-// re-handoffable; with pooling enabled it is also session-framed, so the
-// transport survives the session for reuse.
-func (s *Server) sendHandoff(b *backendConn, clientAddr string, initial []byte) error {
-	flags := handoff.FlagRehandoff
-	if s.pool != nil {
-		flags |= handoff.FlagSessionFramed
-	}
-	if err := handoff.Send(b.c, clientAddr, initial, flags); err != nil {
-		return err
-	}
-	if s.pool != nil {
-		b.sw = handoff.NewSessionWriter(b.c)
-		b.w = b.sw
-	} else {
-		b.w = b.c
-	}
-	return nil
-}
-
 // releaseBackend retires the relay loop's hold on a back-end connection:
-// a clean session-framed transport gets its end-of-session record and
-// goes back to the idle pool (unless its node can no longer take
-// traffic), anything else is closed and its reader recycled.
+// a clean transport gets its end-of-session record and goes back to the
+// idle pool (unless its node can no longer take traffic), anything else
+// is closed and its reader recycled.
 func (s *Server) releaseBackend(b *backendConn) {
 	if b == nil {
 		return
 	}
-	if b.clean && b.sw != nil && s.pool != nil && s.nodePoolable(b.node) {
+	if b.clean && s.nodePoolable(b.node) {
 		if err := b.sw.End(); err == nil {
 			// The reader travels with the pooled conn: response bytes it
 			// may buffer belong to that transport.

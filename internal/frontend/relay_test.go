@@ -363,3 +363,40 @@ func TestAddBackendProbedAfterMarkDown(t *testing.T) {
 		t.Fatalf("node %d still down after probe recovery", node)
 	}
 }
+
+// TestBackendHangupAnswers502: a back end that accepts the handoff, takes
+// the whole request, and hangs up without a response byte must cost the
+// client a clean 502, never a bare close — on a fresh dial (no stale
+// retry applies) and for a non-idempotent method (no replay allowed).
+func TestBackendHangupAnswers502(t *testing.T) {
+	addr := startRawBackend(t, func(c net.Conn) {
+		if req, err := http.ReadRequest(bufio.NewReader(c)); err == nil {
+			io.Copy(io.Discard, req.Body)
+		}
+		c.Close() // mid-session: the listener tears the transport down
+	})
+	fe, feAddr := startRelayFrontend(t, []string{addr})
+	for _, req := range []string{
+		"GET /x HTTP/1.1\r\nHost: t\r\n\r\n",
+		"POST /x HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\nhi",
+	} {
+		method := req[:strings.IndexByte(req, ' ')]
+		conn, err := net.Dial("tcp", feAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		io.WriteString(conn, req)
+		h, err := httprelay.ReadResponseHead(bufio.NewReader(conn), 1<<16)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: no response, want 502: %v", method, err)
+		}
+		if h.Status != http.StatusBadGateway {
+			t.Fatalf("%s: status %d, want 502", method, h.Status)
+		}
+	}
+	if st := fe.Stats(); st.Errors != 2 || st.StaleRetries != 0 || st.Served != 0 {
+		t.Fatalf("errors=%d staleRetries=%d served=%d, want 2/0/0", st.Errors, st.StaleRetries, st.Served)
+	}
+}

@@ -218,45 +218,6 @@ func TestConnUnparseableClientAddr(t *testing.T) {
 	}
 }
 
-func TestForwardSplicesBidirectionally(t *testing.T) {
-	// client <-> (fe splice) <-> backend, with byte accounting.
-	clientFE, feClient := net.Pipe() // client's side, fe's client-facing side
-	feBE, beFE := net.Pipe()         // fe's backend-facing side, backend's side
-
-	var stats ForwardStats
-	done := make(chan struct{})
-	go func() {
-		Forward(feClient, feBE, &stats)
-		close(done)
-	}()
-
-	// Backend echoes twice what it reads.
-	go func() {
-		buf := make([]byte, 5)
-		io.ReadFull(beFE, buf)
-		beFE.Write(append(buf, buf...))
-		beFE.Close()
-	}()
-
-	clientFE.Write([]byte("hello"))
-	out := make([]byte, 10)
-	if _, err := io.ReadFull(clientFE, out); err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "hellohello" {
-		t.Fatalf("got %q", out)
-	}
-	clientFE.Close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Forward did not terminate")
-	}
-	if stats.ClientToBackend.Load() != 5 || stats.BackendToClient.Load() != 10 {
-		t.Fatalf("stats: c2b=%d b2c=%d", stats.ClientToBackend.Load(), stats.BackendToClient.Load())
-	}
-}
-
 func TestConcurrentHandoffs(t *testing.T) {
 	addr, _ := startBackend(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "path=%s", r.URL.Path)

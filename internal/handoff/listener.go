@@ -28,7 +28,10 @@ const DefaultSessionIdleTimeout = 2 * time.Minute
 // session-sequenced transport (protocol v2): Accept yields one virtual
 // net.Conn per handed-off session, all sharing the one TCP connection,
 // so the front end can pool and reuse back-end connections across client
-// sessions. Plain (v1) headers consume the connection as before.
+// sessions. That is the only shape internal/frontend sends. An unframed
+// (v1) header is still accepted and consumes its connection: the
+// benchmark's direct load generator and stage driver (bench/gen.go,
+// bench/stages.go) speak it to time a back end without a front end.
 type Listener struct {
 	ln net.Listener
 
@@ -343,13 +346,12 @@ type Conn struct {
 	br         *bufio.Reader
 	initial    []byte
 	clientAddr net.Addr
-	flags      byte
 }
 
 // newConn wraps a raw connection using the parsed handoff header. br
 // holds any bytes the handshake read past the header.
 func newConn(raw net.Conn, br *bufio.Reader, h Header) *Conn {
-	return &Conn{Conn: raw, br: br, initial: h.InitialData, clientAddr: parseClientAddr(h.ClientAddr), flags: h.Flags}
+	return &Conn{Conn: raw, br: br, initial: h.InitialData, clientAddr: parseClientAddr(h.ClientAddr)}
 }
 
 // Read implements net.Conn, serving the handed-off initial data first.
@@ -367,9 +369,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 // RemoteAddr reports the original client's address, as the paper's
 // client-transparent handoff does.
 func (c *Conn) RemoteAddr() net.Addr { return c.clientAddr }
-
-// Flags returns the handoff flags (e.g. FlagRehandoff).
-func (c *Conn) Flags() byte { return c.flags }
 
 // clientAddr is the fallback address representation when the handed-off
 // client address is not a parseable TCP address.

@@ -17,21 +17,22 @@
 //     those connections to an unmodified net/http server — preserving the
 //     paper's claim that "server applications can run unmodified on the
 //     back-end nodes".
-//   - The front end's forwarding module becomes an opaque bidirectional
-//     splice that never re-inspects bytes after the handoff, mirroring the
-//     paper's fast path (it additionally relays back-end→client data,
-//     which the kernel implementation sent directly).
+//   - The paper's forwarding module — the fast path for bytes that follow
+//     the handoff — is the front end's relay loop (internal/frontend over
+//     internal/httprelay): it keeps HTTP framing so a connection can be
+//     handed off again at a message boundary, and it additionally relays
+//     back-end→client data, which the kernel implementation sent directly.
 //
 // The roles — dispatcher (policy), handoff (transfer), forwarding (dumb
 // fast path) — and their layering match Figure 15 of the paper.
 package handoff
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Wire format: magic "LARD", version byte, flags byte, client address
@@ -84,6 +85,17 @@ type Header struct {
 // ErrBadHandshake is returned when the peer does not speak the handoff
 // protocol.
 var ErrBadHandshake = errors.New("handoff: bad handshake")
+
+// Send transfers an accepted client connection's state to the back end
+// over backendConn: the client address and the already-consumed request
+// head.
+func Send(backendConn net.Conn, clientAddr string, initialData []byte, flags byte) error {
+	return WriteHeader(backendConn, Header{
+		Flags:       flags,
+		ClientAddr:  clientAddr,
+		InitialData: initialData,
+	})
+}
 
 // WriteHeader serializes the handoff message to w.
 func WriteHeader(w io.Writer, h Header) error {
@@ -140,10 +152,4 @@ func ReadHeader(r io.Reader) (Header, error) {
 		return h, fmt.Errorf("%w: truncated initial data: %v", ErrBadHandshake, err)
 	}
 	return h, nil
-}
-
-// ReadHeaderBuffered parses a handoff message from a bufio.Reader without
-// consuming bytes past the message.
-func ReadHeaderBuffered(br *bufio.Reader) (Header, error) {
-	return ReadHeader(br)
 }

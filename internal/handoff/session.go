@@ -114,7 +114,6 @@ type sessionConn struct {
 
 	initial    []byte
 	clientAddr net.Addr
-	flags      byte
 
 	// Frame-decoding state. Reads are serialized by the caller (net/http
 	// issues one read at a time), but a read blocked on the transport may
@@ -137,7 +136,6 @@ func newSessionConn(raw net.Conn, br *bufio.Reader, h Header) *sessionConn {
 		br:         br,
 		initial:    h.InitialData,
 		clientAddr: parseClientAddr(h.ClientAddr),
-		flags:      h.Flags,
 		closed:     make(chan struct{}),
 	}
 }
@@ -239,9 +237,6 @@ func (c *sessionConn) drained() bool {
 
 func (c *sessionConn) LocalAddr() net.Addr  { return c.raw.LocalAddr() }
 func (c *sessionConn) RemoteAddr() net.Addr { return c.clientAddr }
-
-// Flags returns the handoff flags, mirroring Conn.Flags.
-func (c *sessionConn) Flags() byte { return c.flags }
 
 func (c *sessionConn) SetDeadline(t time.Time) error      { return c.raw.SetDeadline(t) }
 func (c *sessionConn) SetReadDeadline(t time.Time) error  { return c.raw.SetReadDeadline(t) }
