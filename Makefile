@@ -40,7 +40,7 @@ loc:
 # -fuzz pattern per invocation, hence the loop.
 FUZZTIME ?= 10s
 fuzz:
-	for t in FuzzReadRequestHead FuzzChunkedRelay; do \
+	for t in FuzzReadRequestHead FuzzReadResponseHead FuzzChunkedRelay FuzzRelayResponseFragmented; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/httprelay || exit 1; done
 	for t in FuzzHeaderDecode FuzzSessionFrames; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/handoff || exit 1; done
@@ -50,8 +50,9 @@ race:
 
 # bench runs the hot-path benchmarks (dispatch -cpu 1,4 matrix, handoff,
 # relay, all with -benchmem) plus the saturation sweep and writes the
-# BENCH_PR10.json trajectory file, gating handoff/relay B/op against the
-# committed BENCH_PR9.json baseline (scripts/benchgate.go, ±15%).
+# BENCH_PR10.json trajectory file, gating handoff/relay B/op and
+# allocs/op against the committed BENCH_PR9.json baseline
+# (scripts/benchgate.go, +15%).
 # BENCHTIME=5s make bench for stabler numbers; SKIP_CAPACITY=1 make
 # bench to skip the minutes-long sweep.
 bench:

@@ -224,6 +224,38 @@ func TestContentReaderExactLengths(t *testing.T) {
 	}
 }
 
+// TestContentReaderMatchesBlockGenerator holds the reader's doubling fill
+// to the definition of the content — byte i of a document is byte i%64
+// of its block — for sizes and Read buffer lengths that straddle block
+// boundaries, read at odd offsets across successive Reads.
+func TestContentReaderMatchesBlockGenerator(t *testing.T) {
+	block := contentBlock("/t")
+	for _, size := range []int{0, 1, 63, 64, 65, 127, 128, 129, 1000, 8192, 8193, 70000} {
+		want := make([]byte, size)
+		for i := range want {
+			want[i] = block[i%len(block)]
+		}
+		for _, bufLens := range [][]int{{1}, {7}, {63}, {64}, {65}, {100, 3, 129}, {4096}, {1, 8191, 64, 33}, {1 << 17}} {
+			r := ContentReader("/t", int64(size))
+			var got []byte
+			for i := 0; ; i++ {
+				buf := make([]byte, bufLens[i%len(bufLens)])
+				n, err := r.Read(buf)
+				got = append(got, buf[:n]...)
+				if err == io.EOF {
+					break
+				}
+				if err != nil || n == 0 {
+					t.Fatalf("size %d, buffers %v: Read = %d, %v", size, bufLens, n, err)
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("size %d, buffers %v: content differs from the block generator (%d bytes read)", size, bufLens, len(got))
+			}
+		}
+	}
+}
+
 func TestNewPanicsWithoutStore(t *testing.T) {
 	defer func() {
 		if recover() == nil {

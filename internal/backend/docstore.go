@@ -112,12 +112,16 @@ func (r *contentReader) Read(p []byte) (int, error) {
 	if int64(len(p)) > r.remaining {
 		p = p[:r.remaining]
 	}
-	n := 0
+	// One period of the content from the current offset — the block,
+	// rotated — then doubling: everything after a whole period repeats
+	// what precedes it, so p fills in log2(len(p)/64) copies, not one per
+	// block.
+	n := copy(p, r.block[r.offset:])
+	n += copy(p[n:], r.block[:r.offset])
 	for n < len(p) {
-		c := copy(p[n:], r.block[r.offset:])
-		n += c
-		r.offset = (r.offset + c) % len(r.block)
+		n += copy(p[n:], p[:n])
 	}
+	r.offset = (r.offset + n) % len(r.block)
 	r.remaining -= int64(n)
 	return n, nil
 }

@@ -102,7 +102,27 @@ func (s *Server) handleConn(client net.Conn) {
 	var (
 		backend     *backendConn
 		requestDone func()
+
+		// Per-request state that lives with the connection and is reset,
+		// not reallocated, for each request: the head (its Raw is the
+		// connection's one scratch, see ReadRequestHeadInto), how far the
+		// request body got, and whether the client was written to.
+		head        httprelay.RequestHead
+		bodySent    bool // nothing (more) of the body is owed to the back end
+		bodyWritten bool // body bytes left for the back end: no replay elsewhere
+		cw          = &writeTracker{w: client}
 	)
+	// sendBody forwards the request body, once; under Expect: 100-continue
+	// it is the relay's on100 hook.
+	sendBody := func() error {
+		if bodySent {
+			return nil
+		}
+		bodySent, bodyWritten = true, true
+		n, err := httprelay.RelayRequestBody(backend.sw, br, head)
+		s.m.bytesToBackend.Add(uint64(n))
+		return err
+	}
 	defer func() {
 		if requestDone != nil {
 			requestDone()
@@ -115,7 +135,8 @@ func (s *Server) handleConn(client net.Conn) {
 
 	for {
 		client.SetReadDeadline(time.Now().Add(s.cfg.HeaderTimeout))
-		head, err := httprelay.ReadRequestHead(br, s.cfg.MaxHeaderBytes)
+		var err error
+		head, err = httprelay.ReadRequestHeadInto(br, s.cfg.MaxHeaderBytes, head.Raw)
 		if err != nil {
 			s.headReadFailed(client, err, "reading request head")
 			return
@@ -180,18 +201,7 @@ func (s *Server) handleConn(client net.Conn) {
 		// bodyWritten tracks actual body bytes leaving for the back end:
 		// once any have, the request can no longer be replayed on a
 		// different connection.
-		bodySent := !head.HasBody()
-		bodyWritten := false
-		sendBody := func() error {
-			if bodySent {
-				return nil
-			}
-			bodySent = true
-			bodyWritten = true
-			n, err := httprelay.RelayRequestBody(backend.sw, br, head)
-			s.m.bytesToBackend.Add(uint64(n))
-			return err
-		}
+		bodySent, bodyWritten, cw.wrote = !head.HasBody(), false, false
 		var on100 func() error
 		if head.ExpectContinue && !bodySent {
 			on100 = sendBody
@@ -208,7 +218,6 @@ func (s *Server) handleConn(client net.Conn) {
 		// back end's head) from a client-side write failure — retrying
 		// the latter would re-execute a request the back end already
 		// served.
-		cw := &writeTracker{w: client}
 		n, reusable, err := httprelay.RelayResponseFrom(cw, backend.br, backend.c, head.Method, s.cfg.MaxHeaderBytes, on100)
 		s.m.bytesToClient.Add(uint64(n))
 		if err != nil && !cw.wrote && backend.fromPool && backend.served == 0 &&

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -399,4 +400,89 @@ func TestBackendHangupAnswers502(t *testing.T) {
 	if st := fe.Stats(); st.Errors != 2 || st.StaleRetries != 0 || st.Served != 0 {
 		t.Fatalf("errors=%d staleRetries=%d served=%d, want 2/0/0", st.Errors, st.StaleRetries, st.Served)
 	}
+}
+
+// TestBackendDiesMidSmallBody: a back end that sends a complete head and
+// dies before a window-sized body is complete must never cost the client
+// a truncated 200. The relay holds a response that fits its window until
+// it is whole, so nothing has reached the client when the back end dies:
+// a fresh dial and a non-idempotent method get a clean 502, and an
+// idempotent request on a pooled transport takes the transparent stale
+// retry and is served whole.
+func TestBackendDiesMidSmallBody(t *testing.T) {
+	const bodyLen = 8 << 10
+	body := strings.Repeat("d", bodyLen)
+	var diedOnce atomic.Bool
+	addr := startRawBackend(t, func(c net.Conn) {
+		defer c.Close()
+		req, err := http.ReadRequest(bufio.NewReader(c))
+		if err != nil {
+			return
+		}
+		io.Copy(io.Discard, req.Body)
+		fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", bodyLen)
+		if req.URL.Path == "/die" || req.URL.Path == "/die-once" && !diedOnce.Swap(true) {
+			io.WriteString(c, body[:bodyLen/2])
+			return // mid-session close: the listener tears the transport down
+		}
+		io.WriteString(c, body)
+		io.Copy(io.Discard, c) // to the end-of-session record: the transport survives
+	})
+
+	// roundTrip sends one request on its own connection and returns the
+	// status once the whole response has arrived; a 200 must be complete.
+	roundTrip := func(t *testing.T, feAddr, req string) int {
+		t.Helper()
+		conn, err := net.Dial("tcp", feAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		io.WriteString(conn, req)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("no response: %v", err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode == http.StatusOK && string(got) != body {
+			t.Fatalf("status %d with %d body bytes (%v): a truncated response reached the client", resp.StatusCode, len(got), err)
+		}
+		return resp.StatusCode
+	}
+	const post = "POST /die HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\nhi"
+
+	t.Run("GET on a fresh dial", func(t *testing.T) {
+		fe, feAddr := startRelayFrontend(t, []string{addr})
+		if st := roundTrip(t, feAddr, "GET /die HTTP/1.1\r\nHost: t\r\n\r\n"); st != http.StatusBadGateway {
+			t.Fatalf("status %d, want 502", st)
+		}
+		if st := fe.Stats(); st.Errors != 1 || st.StaleRetries != 0 || st.Served != 0 {
+			t.Fatalf("errors=%d staleRetries=%d served=%d, want 1/0/0", st.Errors, st.StaleRetries, st.Served)
+		}
+	})
+	t.Run("GET on a pooled transport", func(t *testing.T) {
+		fe, feAddr := startRelayFrontend(t, []string{addr})
+		if st := rawKeepAliveGet(t, fe, feAddr, "/ok"); st != http.StatusOK {
+			t.Fatalf("pool fill: status %d", st)
+		}
+		if st := roundTrip(t, feAddr, "GET /die-once HTTP/1.1\r\nHost: t\r\n\r\n"); st != http.StatusOK {
+			t.Fatalf("status %d, want the stale retry's 200", st)
+		}
+		if st := fe.Stats(); st.PoolHits != 1 || st.StaleRetries != 1 || st.Errors != 0 {
+			t.Fatalf("poolHits=%d staleRetries=%d errors=%d, want 1/1/0", st.PoolHits, st.StaleRetries, st.Errors)
+		}
+	})
+	t.Run("POST", func(t *testing.T) {
+		fe, feAddr := startRelayFrontend(t, []string{addr})
+		if st := rawKeepAliveGet(t, fe, feAddr, "/ok"); st != http.StatusOK {
+			t.Fatalf("pool fill: status %d", st)
+		}
+		if st := roundTrip(t, feAddr, post); st != http.StatusBadGateway {
+			t.Fatalf("status %d, want 502: a POST is not replayed", st)
+		}
+		if st := fe.Stats(); st.PoolHits != 1 || st.StaleRetries != 0 || st.Errors != 1 {
+			t.Fatalf("poolHits=%d staleRetries=%d errors=%d, want 1/0/1", st.PoolHits, st.StaleRetries, st.Errors)
+		}
+	})
 }

@@ -2,9 +2,9 @@ package httprelay
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // relayChunked forwards one chunked message body — every chunk, the
@@ -25,7 +25,7 @@ func relayChunked(dst io.Writer, br *bufio.Reader) (int64, error) {
 		if err != nil {
 			return total, chunkErr(err, "reading chunk size")
 		}
-		size, err := parseChunkSize(trimCRLF(string(line)))
+		size, err := parseChunkSize(trimCRLF(line))
 		if err != nil {
 			return total, err
 		}
@@ -45,7 +45,7 @@ func relayChunked(dst io.Writer, br *bufio.Reader) (int64, error) {
 		if err != nil {
 			return total, chunkErr(err, "reading chunk terminator")
 		}
-		if trimCRLF(string(term)) != "" {
+		if len(trimCRLF(term)) != 0 {
 			return total, malformedf("chunk data not followed by CRLF")
 		}
 		if err := write(term); err != nil {
@@ -61,7 +61,7 @@ func relayChunked(dst io.Writer, br *bufio.Reader) (int64, error) {
 		if err := write(line); err != nil {
 			return total, err
 		}
-		if trimCRLF(string(line)) == "" {
+		if len(trimCRLF(line)) == 0 {
 			return total, nil
 		}
 	}
@@ -69,14 +69,14 @@ func relayChunked(dst io.Writer, br *bufio.Reader) (int64, error) {
 
 // parseChunkSize parses a chunk-size line: hex digits optionally followed
 // by ";ext" chunk extensions, which are ignored.
-func parseChunkSize(line string) (int64, error) {
-	if i := strings.IndexByte(line, ';'); i >= 0 {
+func parseChunkSize(line []byte) (int64, error) {
+	if i := bytes.IndexByte(line, ';'); i >= 0 {
 		line = trimOWS(line[:i])
 	}
-	if line == "" {
+	if len(line) == 0 {
 		return 0, malformedf("empty chunk size")
 	}
-	n, err := strconv.ParseUint(line, 16, 63)
+	n, err := strconv.ParseUint(string(line), 16, 63)
 	if err != nil {
 		return 0, malformedf("invalid chunk size %q", line)
 	}

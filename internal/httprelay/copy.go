@@ -6,20 +6,35 @@ import (
 	"sync"
 )
 
-// This file is the relay's copy machinery. Two costs matter on the hot
-// path:
+// This file is the relay's copy machinery: one window, one write.
 //
-//   - allocation: io.Copy/io.CopyN allocate a fresh 32 KiB buffer
-//     whenever neither end offers a kernel path, which on the relay
-//     means one buffer per response body (and per chunk run). The pools
-//     here make steady-state relaying allocation-free.
-//   - userspace copying: when both ends are TCP connections, Go's
-//     TCPConn.ReadFrom can splice bytes kernel-side — but only when the
-//     source it sees is the *raw* connection (or an io.LimitedReader
-//     around one), not a bufio.Reader. The ...Buffered helpers and the
-//     body-copy functions in response.go are arranged so that once the
-//     parse buffer is drained, the remaining body bytes are copied
-//     straight from the raw conn and the splice path can engage.
+// The unit of work is the connection reader's window — the 16 KiB
+// (readerSize) a pooled bufio.Reader holds, or whatever size the caller's
+// reader has. Heads are parsed in place in it (readHead), and a
+// length-delimited message leaves it window by window, each window in one
+// Write straight from the reader's buffer (relayLength):
+//
+//   - A message that fits the window, head and body, is awaited whole and
+//     sent in one Write. The cost that matters here is not the copy but
+//     the trips to the socket — on loopback every write also runs the
+//     receiver's TCP input path — and a head write, a buffered-prefix
+//     write and a splice for the last few KB were three trips where the
+//     window makes one. Waiting costs no latency the client could use (it
+//     cannot act on a partial small response) and buys a guarantee: if the
+//     back end dies mid-body, no byte of the response has reached the
+//     client, which can still be told 502 or retried elsewhere.
+//   - A longer message streams: head and first window in one Write, and a
+//     remainder of at most one more window the same way.
+//   - Only a remainder longer than a window leaves the reader: it is
+//     copied from the raw connection through an io.LimitedReader, the
+//     shape TCPConn.ReadFrom recognizes, so the kernel splice path can
+//     engage when both ends are TCP (a bufio.Reader in between hides it).
+//     Below a window splice loses: setting up the pipe pair costs more
+//     system calls than the one read and one write it replaces.
+//
+// Chunked and close-delimited bodies keep their own loops (chunked.go,
+// copyBody); io.Copy-style copies borrow a pooled buffer, so steady-state
+// relaying allocates nothing per message.
 
 // copyBufSize matches io.Copy's internal buffer size.
 const copyBufSize = 32 << 10
@@ -111,30 +126,60 @@ func PutReader(br *bufio.Reader) {
 	readerPool.Put(br)
 }
 
-// drainBuffered writes up to limit bytes of br's buffered data to dst
-// (limit < 0 = all buffered bytes), consuming exactly what was written.
-// It is the first half of the splice arrangement: empty the parse
-// buffer, then let the caller copy the rest from the raw connection.
+// drainBuffered writes everything br has buffered to dst in one Write,
+// consuming exactly what was written. It opens a close-delimited copy:
+// empty the window — an unconsumed head included — then let the caller
+// copy the rest from the raw connection.
 //
 //lard:noalloc
-func drainBuffered(dst io.Writer, br *bufio.Reader, limit int64) (int64, error) {
-	buffered := int64(br.Buffered())
-	if buffered == 0 {
+func drainBuffered(dst io.Writer, br *bufio.Reader) (int64, error) {
+	if br.Buffered() == 0 {
 		return 0, nil
 	}
-	if limit >= 0 && buffered > limit {
-		buffered = limit
-	}
-	if buffered == 0 {
-		return 0, nil
-	}
-	peeked, err := br.Peek(int(buffered))
-	if err != nil {
-		return 0, err
-	}
+	peeked, _ := br.Peek(br.Buffered())
 	n, err := dst.Write(peeked)
-	if _, derr := br.Discard(n); derr != nil && err == nil {
-		err = derr
-	}
+	br.Discard(n)
 	return int64(n), err
+}
+
+// relayLength forwards the next n bytes of br — a message's unconsumed
+// head, if it lies in the window, and its length-delimited body — window
+// by window, each in one Write straight from br's buffer; see the file
+// comment. A window is awaited in full before it is written: when the
+// source fails inside the first one, nothing has been written, and for a
+// message that fits the window that is the whole message. A source that
+// ends early is io.ErrUnexpectedEOF.
+//
+//lard:noalloc
+func relayLength(dst io.Writer, br *bufio.Reader, raw io.Reader, n int64) (written int64, err error) {
+	size := int64(br.Size())
+	for first := true; n > 0; first = false {
+		if !first && n > size {
+			// More than a window to go, and the last full window left br
+			// empty: copy from beneath it.
+			src := raw
+			if src == nil {
+				src = br
+			}
+			m, err := copyNBuffered(dst, src, n)
+			return written + m, err
+		}
+		w, err := br.Peek(int(min(n, size)))
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return written, err
+		}
+		m, err := dst.Write(w)
+		if m < len(w) && err == nil {
+			err = io.ErrShortWrite
+		}
+		br.Discard(m)
+		written, n = written+int64(m), n-int64(m)
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
 }

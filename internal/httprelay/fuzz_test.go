@@ -1,10 +1,11 @@
 package httprelay
 
-// Fuzz targets for the two parsers that stand between untrusted client
-// bytes and a back end: the request-head reader and the chunked-body
-// relay. Both are desync-sensitive — the relay forwards the very bytes
-// it parsed, so any disagreement between "what was consumed" and "what
-// was forwarded" is a request-smuggling primitive, which is why the
+// Fuzz targets for the parsers that stand between untrusted bytes and
+// the other side: the request-head and response-head readers, the
+// chunked-body relay, and the whole response relay under read
+// fragmentation. All are desync-sensitive — the relay forwards the very
+// bytes it parsed, so any disagreement between "what was consumed" and
+// "what was forwarded" is a request-smuggling primitive, which is why the
 // invariants below are byte-exact prefix equalities rather than mere
 // doesn't-crash checks.
 //
@@ -142,6 +143,147 @@ func FuzzChunkedRelay(f *testing.F) {
 		}
 		if !bytes.Equal(dst2.Bytes(), dst.Bytes()) {
 			t.Fatalf("re-relay disagrees:\nfirst:  %q\nsecond: %q", dst.Bytes(), dst2.Bytes())
+		}
+	})
+}
+
+// responseSeeds are back-end byte streams: heads alone, whole responses of
+// every framing, interim responses, and truncations.
+var responseSeeds = []string{
+	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhelloNEXT",
+	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhel",
+	"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: 40\r\nX-Pad: " + "pppppppppppppppppppppppppppppppppppppppp\r\n\r\n" + "0123456789012345678901234567890123456789NEXT",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\nNEXT",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;ext=1\r\nhello\r\n0\r\nX-Trailer: v\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: 10\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\nuntil close",
+	"HTTP/1.1 204 No Content\r\n\r\nNEXT",
+	"HTTP/1.1 304 Not Modified\r\nContent-Length: 1234\r\n\r\nNEXT",
+	"HTTP/1.1 102 Processing\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokNEXT",
+	"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+	"HTTP/1.1 101 Switching Protocols\r\nUpgrade: x\r\n\r\nraw bytes",
+	"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
+	"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
+	"HTTP/1.1 200 OK\r\n\r\neverything until EOF",
+	"HTTP/1.1 200 OK\nContent-Length: 3\n\nabc",
+	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length : 5\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nX-A: b\r\n folded\r\n\r\n",
+	"HTTP/1.1 20 OK\r\n\r\n",
+	"HTTP/1.1\r\n\r\n",
+	"\r\nHTTP/1.1 200 OK\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-",
+	"",
+}
+
+// FuzzReadResponseHead checks the response-head reader's error contract
+// (every failure is malformed: a back end owes a response) and
+// consumed-prefix identity on arbitrary input.
+func FuzzReadResponseHead(f *testing.F) {
+	for _, s := range responseSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		under := bytes.NewReader(data)
+		br := bufio.NewReaderSize(under, 64) // small window: both ways to a head's bytes run
+		h, err := ReadResponseHead(br, 1<<14)
+		if err != nil {
+			var malformed *MalformedError
+			if !errors.As(err, &malformed) {
+				t.Fatalf("non-malformed error: %v", err)
+			}
+			return
+		}
+		raw := bytes.Clone(h.Raw) // Raw is a view of br's window
+		consumed := len(data) - br.Buffered() - under.Len()
+		if !bytes.Equal(raw, data[:consumed]) {
+			t.Fatalf("Raw != consumed prefix:\nraw:      %q\nconsumed: %q", raw, data[:consumed])
+		}
+		if h.Status < 100 || h.Status > 999 || h.ContentLength < -1 || h.Chunked && h.ContentLength != -1 {
+			t.Fatalf("impossible head: %+v", h)
+		}
+		// Re-parsing the forwarded bytes, whole, yields the identical
+		// head: the client cannot disagree with the relay.
+		h2, err2 := ReadResponseHead(bufio.NewReaderSize(bytes.NewReader(raw), readerSize), 1<<14)
+		if err2 != nil {
+			t.Fatalf("re-parsing forwarded head failed: %v\nraw: %q", err2, raw)
+		}
+		if h2.Proto != h.Proto || h2.Status != h.Status || h2.ContentLength != h.ContentLength ||
+			h2.Chunked != h.Chunked || h2.KeepAlive != h.KeepAlive || !bytes.Equal(h2.Raw, raw) {
+			t.Fatalf("re-parse disagrees:\nfirst:  %+v\nsecond: %+v", h, h2)
+		}
+	})
+}
+
+// fragmentReader delivers r in reads whose sizes cycle through cuts.
+type fragmentReader struct {
+	r    io.Reader
+	cuts []byte
+	i    int
+}
+
+func (f *fragmentReader) Read(p []byte) (int, error) {
+	if len(f.cuts) > 0 {
+		n := 1 + int(f.cuts[f.i%len(f.cuts)])
+		f.i++
+		p = p[:min(n, len(p))]
+	}
+	return f.r.Read(p)
+}
+
+// FuzzRelayResponseFragmented relays one back-end byte stream twice —
+// delivered whole, and under arbitrary read fragmentation through an
+// arbitrary window — and checks that fragmentation is invisible: the
+// client gets identical bytes, reusable agrees, and the reader is left
+// exactly after the response. The relay is verbatim, so on success the
+// client's bytes and the unread rest are the input, split in two.
+func FuzzRelayResponseFragmented(f *testing.F) {
+	for i, s := range responseSeeds {
+		f.Add([]byte(s), []byte{byte(i), 0, 7}, uint8(i), i%3 == 0)
+	}
+	f.Fuzz(func(t *testing.T, data, cuts []byte, window uint8, head bool) {
+		method := "GET"
+		if head {
+			method = "HEAD"
+		}
+		relay := func(src io.Reader, size int, withRaw bool) (out string, reusable bool, rest string, err error) {
+			br := bufio.NewReaderSize(src, size)
+			var raw io.Reader
+			if withRaw {
+				raw = src
+			}
+			var client bytes.Buffer
+			n, reusable, err := RelayResponseFrom(&client, br, raw, method, 1<<12, nil)
+			if n != int64(client.Len()) {
+				t.Fatalf("reported %d bytes written, wrote %d", n, client.Len())
+			}
+			if !bytes.HasPrefix(data, client.Bytes()) {
+				t.Fatalf("client bytes are not a prefix of the back end's:\nclient:  %q\nbackend: %q", client.Bytes(), data)
+			}
+			if err != nil {
+				if reusable {
+					t.Fatalf("reusable after %v", err)
+				}
+				return client.String(), false, "", err
+			}
+			left, _ := io.ReadAll(br)
+			return client.String(), reusable, string(left), nil
+		}
+		size := []int{16, 64, 256, readerSize}[window%4]
+		out, reusable, rest, err := relay(bytes.NewReader(data), readerSize, false)
+		fout, freusable, frest, ferr := relay(&fragmentReader{r: bytes.NewReader(data), cuts: cuts}, size, window&4 != 0)
+		if (err == nil) != (ferr == nil) {
+			t.Fatalf("whole: %v, fragmented: %v", err, ferr)
+		}
+		if err != nil {
+			return
+		}
+		if out+rest != string(data) {
+			t.Fatalf("relayed %q and left %q of %q", out, rest, data)
+		}
+		if fout != out || freusable != reusable || frest != rest {
+			t.Fatalf("fragmentation showed:\nwhole:      %q reusable=%v rest=%q\nfragmented: %q reusable=%v rest=%q", out, reusable, rest, fout, freusable, frest)
 		}
 	})
 }

@@ -3,10 +3,12 @@ package httprelay
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func reqReader(s string) *bufio.Reader { return bufio.NewReader(strings.NewReader(s)) }
@@ -382,9 +384,9 @@ func TestParseRequestLineTable(t *testing.T) {
 		{"", "", "", "", false},
 	}
 	for _, tc := range cases {
-		m, tg, p, ok := ParseRequestLine(tc.in)
-		if ok != tc.ok || m != tc.method || tg != tc.target || p != tc.proto {
-			t.Fatalf("ParseRequestLine(%q) = (%q,%q,%q,%v)", tc.in, m, tg, p, ok)
+		m, tg, p, ok := parseRequestLine([]byte(tc.in))
+		if ok != tc.ok || string(m) != tc.method || string(tg) != tc.target || string(p) != tc.proto {
+			t.Fatalf("parseRequestLine(%q) = (%q,%q,%q,%v)", tc.in, m, tg, p, ok)
 		}
 	}
 }
@@ -398,5 +400,109 @@ func TestRequestHeadHelpers(t *testing.T) {
 	}
 	if !(RequestHead{Chunked: true}).HasBody() || !(RequestHead{ContentLength: 1}).HasBody() || (RequestHead{}).HasBody() {
 		t.Fatal("HasBody")
+	}
+}
+
+// countingWriter records how many Write calls delivered its bytes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+func lengthResponse(bodyLen int) string {
+	return fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\nContent-Type: text/plain\r\n\r\n%s", bodyLen, strings.Repeat("b", bodyLen))
+}
+
+// TestWindowRelayWrites pins "one window, one write": a length-delimited
+// response that fits the reader's window reaches the client in exactly
+// one Write however the back end fragments it; a longer one leaves in
+// head + first window, then a remainder of up to a window in one Write,
+// and only a longer remainder is copied from beneath the reader.
+func TestWindowRelayWrites(t *testing.T) {
+	headLen := len(lengthResponse(0)) + 4 // the lengths below have five digits
+	cases := []struct {
+		name    string
+		bodyLen int
+		writes  int // 0 = not pinned (the tail goes through io.Copy)
+	}{
+		{"empty body", 0, 1},
+		{"8k", 8 << 10, 1},
+		{"fills the window exactly", readerSize - headLen, 1},
+		{"one byte over", readerSize - headLen + 1, 2},
+		{"24k", 24 << 10, 2},
+		{"two windows exactly", 2*readerSize - headLen, 2},
+		{"64k", 64 << 10, 0},
+	}
+	deliveries := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"whole", func(r io.Reader) io.Reader { return r }},
+		{"byte-by-byte", iotest.OneByteReader},
+	}
+	for _, tc := range cases {
+		for _, d := range deliveries {
+			for _, withRaw := range []bool{false, true} {
+				msg := lengthResponse(tc.bodyLen)
+				src := d.wrap(strings.NewReader(msg + "NEXT"))
+				br := bufio.NewReaderSize(src, readerSize)
+				var raw io.Reader
+				if withRaw {
+					raw = src
+				}
+				var client countingWriter
+				n, reusable, err := RelayResponseFrom(&client, br, raw, "GET", 1<<16, nil)
+				if err != nil || !reusable || n != int64(len(msg)) {
+					t.Fatalf("%s/%s: n=%d reusable=%v err=%v", tc.name, d.name, n, reusable, err)
+				}
+				if client.String() != msg {
+					t.Fatalf("%s/%s: client bytes differ from the response", tc.name, d.name)
+				}
+				if tc.writes != 0 && client.writes != tc.writes {
+					t.Fatalf("%s/%s: %d writes, want %d", tc.name, d.name, client.writes, tc.writes)
+				}
+				if rest, _ := io.ReadAll(br); string(rest) != "NEXT" {
+					t.Fatalf("%s/%s: reader left at %q, want the next message", tc.name, d.name, rest)
+				}
+			}
+		}
+	}
+}
+
+// TestShortSmallBodyWritesNothing: when the back end dies inside a
+// response that fits the window, the client has seen no byte of it, so
+// the caller can still answer 502 or retry.
+func TestShortSmallBodyWritesNothing(t *testing.T) {
+	msg := lengthResponse(8 << 10)
+	for _, cut := range []int{len(msg) - 1, len(msg) - 4096, strings.Index(msg, "\r\n\r\n") + 4} {
+		var client countingWriter
+		br := bufio.NewReaderSize(iotest.OneByteReader(strings.NewReader(msg[:cut])), readerSize)
+		n, reusable, err := RelayResponse(&client, br, "GET", 1<<16, nil)
+		if err == nil || reusable || n != 0 || client.writes != 0 {
+			t.Fatalf("cut at %d: n=%d reusable=%v writes=%d err=%v, want nothing written and an error", cut, n, reusable, client.writes, err)
+		}
+	}
+}
+
+// TestCaseFoldingIsASCIIOnly: field names and tokens fold case over ASCII
+// alone, as net/http does. Unicode folding (the old strings.ToLower) read
+// "chunKed" — with a Kelvin sign — as "chunked", a framing no RFC
+// peer would agree with.
+func TestCaseFoldingIsASCIIOnly(t *testing.T) {
+	if _, err := ReadRequestHead(reqReader("POST /x HTTP/1.1\r\nTransfer-Encoding: chunKed\r\n\r\n"), 1<<16); err == nil {
+		t.Fatal("Kelvin-sign chunked accepted as a transfer coding")
+	}
+	h, err := ReadRequestHead(reqReader("GET /x HTTP/1.0\r\nConnection: Keep-alive\r\n\r\n"), 1<<16)
+	if err != nil || h.KeepAlive {
+		t.Fatalf("Kelvin-sign keep-alive honored: %+v, %v", h, err)
+	}
+	r, err := ReadResponseHead(reqReader("HTTP/1.1 200 OK\r\nConnectİon: close\r\n\r\n"), 1<<16)
+	if err != nil || !r.KeepAlive {
+		t.Fatalf("dotted-I Connection read as Connection: %+v, %v", r, err)
 	}
 }

@@ -12,7 +12,8 @@ import (
 type RequestHead struct {
 	// Raw holds the head exactly as received, terminated by the blank
 	// line. It is only populated for heads that parse cleanly — a head
-	// that fails validation must not be forwarded.
+	// that fails validation must not be forwarded. It is a copy, never a
+	// view of the reader's window; see ReadRequestHeadInto for whose.
 	Raw []byte
 
 	Method string
@@ -64,126 +65,85 @@ func (h RequestHead) Size() int64 {
 // keep-alive connection — is returned untouched, so callers can tell the
 // connection's normal end of life from a truncated or malformed message
 // (only the latter are MalformedErrors deserving a 400).
+//
+// Raw is a copy of the head: it outlives every later read from br.
 func ReadRequestHead(br *bufio.Reader, maxBytes int) (RequestHead, error) {
-	var h RequestHead
-	var raw bytes.Buffer
-	var sawCL, sawClose, sawKeepAlive bool
-	started := false
-	for {
-		line, err := readLine(br, maxBytes-raw.Len()+1)
-		raw.Write(line)
-		if err != nil {
-			if !started && raw.Len() == 0 {
-				if _, ok := err.(*MalformedError); !ok {
-					return h, err // nothing received: not a framing fault
-				}
-			}
-			if _, ok := err.(*MalformedError); ok {
-				return h, err
-			}
-			return h, malformedf("truncated request head: %v", err)
-		}
-		if raw.Len() > maxBytes {
-			return h, malformedf("request head exceeds %d bytes", maxBytes)
-		}
-		trimmed := trimCRLF(string(line))
-		if !started {
-			if trimmed == "" {
-				continue // tolerate blank lines before the request line
-			}
-			started = true
-			var ok bool
-			h.Method, h.Target, h.Proto, ok = ParseRequestLine(trimmed)
-			if !ok {
-				return h, malformedf("malformed request line %q", trimmed)
-			}
-			h.Major, h.Minor, ok = parseHTTPVersion(h.Proto)
-			if !ok {
-				return h, malformedf("malformed HTTP version %q", h.Proto)
-			}
-			h.KeepAlive = atLeast11(h.Major, h.Minor)
-			continue
-		}
-		if trimmed == "" {
-			break // end of head
-		}
-		if line[0] == ' ' || line[0] == '\t' {
-			// Obsolete line folding: a parser that ignores the
-			// continuation while forwarding it verbatim lets a header
-			// smuggle past inspection; reject instead (RFC 7230 §3.2.4).
-			return h, malformedf("obsolete line folding in request head")
-		}
-		name, value, ok := splitHeader(trimmed)
-		if !ok {
-			return h, malformedf("malformed header line %q", trimmed)
-		}
-		switch name {
-		case "content-length":
-			v, err := parseContentLength(value, h.ContentLength, sawCL)
-			if err != nil {
-				return h, err
-			}
-			h.ContentLength, sawCL = v, true
-		case "transfer-encoding":
-			tks := tokens(value)
-			if len(tks) == 0 || tks[len(tks)-1] != "chunked" {
-				// A transfer coding we cannot frame (or chunked applied
-				// non-finally) makes the body boundary unknowable.
-				return h, malformedf("unsupported Transfer-Encoding %q", value)
-			}
-			h.Chunked = true
-		case "connection":
-			for _, t := range tokens(value) {
-				switch t {
-				case "close":
-					sawClose = true
-				case "keep-alive":
-					sawKeepAlive = true
-				}
-			}
-		case "expect":
-			if hasToken(value, "100-continue") {
-				h.ExpectContinue = true
-			}
+	return ReadRequestHeadInto(br, maxBytes, nil)
+}
+
+// ReadRequestHeadInto is ReadRequestHead with Raw copied out of br's
+// window into buf's backing array (grown if too small) instead of a fresh
+// allocation. Raw must survive until the request completes — the body is
+// read through the same window, and a stale-connection retry replays the
+// head — so it cannot stay in the window the way a response head does;
+// a relay loop passes the previous request's Raw[:0] and so keeps one
+// scratch per connection.
+func ReadRequestHeadInto(br *bufio.Reader, maxBytes int, buf []byte) (RequestHead, error) {
+	raw, unread, err := readHead(br, maxBytes, true)
+	if err != nil {
+		return RequestHead{}, err
+	}
+	h, err := parseRequestHead(raw)
+	if err != nil {
+		return h, err
+	}
+	if unread > 0 {
+		raw = append(buf[:0], raw...)
+		br.Discard(unread)
+	}
+	h.Raw = raw
+	return h, nil
+}
+
+// commonMethods are interned: a request with one of them costs no string.
+var commonMethods = [...]string{"GET", "HEAD", "POST", "PUT", "DELETE", "OPTIONS", "PATCH"}
+
+// parseRequestHead parses the bytes of one request head; Raw is left to
+// the caller.
+func parseRequestHead(raw []byte) (h RequestHead, err error) {
+	line, rest := cutLine(raw)
+	for len(line) == 0 {
+		line, rest = cutLine(rest) // tolerate blank lines before the request line
+	}
+	method, target, proto, ok := parseRequestLine(line)
+	if !ok {
+		return h, malformedf("malformed request line %q", line)
+	}
+	if h.Proto, h.Major, h.Minor, ok = parseProto(proto); !ok {
+		return h, malformedf("malformed HTTP version %q", proto)
+	}
+	for _, m := range commonMethods {
+		if string(method) == m {
+			h.Method = m
 		}
 	}
-	if h.Chunked && sawCL {
+	if h.Method == "" {
+		h.Method = string(method)
+	}
+	h.Target = string(target)
+	f, err := parseFields(rest)
+	switch {
+	case err != nil:
+		return h, err
+	case f.otherTE:
+		// Unlike a response, a request has no close-delimited fallback.
+		return h, malformedf("unsupported Transfer-Encoding")
+	case f.chunked && f.hasLength:
 		// The classic request-smuggling shape: two peers disagreeing on
 		// which header frames the body (RFC 7230 §3.3.3).
 		return h, malformedf("both Content-Length and Transfer-Encoding present")
 	}
-	// "close" wins over "keep-alive" if a confused peer sends both.
-	if sawClose {
-		h.KeepAlive = false
-	} else if sawKeepAlive {
-		h.KeepAlive = true
-	}
-	h.Raw = raw.Bytes()
+	h.ContentLength, h.Chunked = f.length, f.chunked
+	h.KeepAlive, h.ExpectContinue = f.persistent(h.Major, h.Minor), f.expectContinue
 	return h, nil
 }
 
-// ParseRequestLine splits "METHOD target HTTP/x.y" on the first and last
+// parseRequestLine splits "METHOD target HTTP/x.y" on the first and last
 // space, so targets containing (technically illegal) spaces still parse.
-func ParseRequestLine(line string) (method, target, proto string, ok bool) {
-	sp1 := -1
-	for i := 0; i < len(line); i++ {
-		if line[i] == ' ' {
-			sp1 = i
-			break
-		}
-	}
-	if sp1 <= 0 {
-		return "", "", "", false
-	}
-	sp2 := -1
-	for i := len(line) - 1; i > sp1; i-- {
-		if line[i] == ' ' {
-			sp2 = i
-			break
-		}
-	}
-	if sp2 <= sp1+1 {
-		return "", "", "", false
+func parseRequestLine(line []byte) (method, target, proto []byte, ok bool) {
+	sp1, sp2 := bytes.IndexByte(line, ' '), bytes.LastIndexByte(line, ' ')
+	if sp1 <= 0 || sp2 <= sp1+1 {
+		return nil, nil, nil, false
 	}
 	return line[:sp1], line[sp1+1 : sp2], line[sp2+1:], true
 }

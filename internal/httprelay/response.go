@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"io"
-	"strconv"
 )
 
 // ResponseHead is one parsed HTTP response head.
 type ResponseHead struct {
 	// Raw holds the head exactly as received, terminated by the blank
-	// line.
+	// line. Unless the head outgrew it, Raw is a view of the reader's
+	// window, valid until the next read from that reader: the relay
+	// writes it on before reading further and never keeps it.
 	Raw []byte
 
 	Proto string
@@ -47,193 +48,132 @@ func (h ResponseHead) BodilessStatus() bool {
 func (h ResponseHead) Informational() bool { return h.Status >= 100 && h.Status < 200 }
 
 // ReadResponseHead consumes exactly one response head (through the blank
-// line) from br. Framing violations return a MalformedError; the relay
-// should treat the back-end connection as poisoned (502 + close), never
-// guess at the body boundary.
+// line) from br. Framing violations — and every transport failure, even
+// before the first byte: a back end owes a response — return a
+// MalformedError; the relay should treat the back-end connection as
+// poisoned (502 + close), never guess at the body boundary.
+//
+// Raw is a view of br's window, like the result of br.ReadSlice: valid
+// until the next read from br.
 func ReadResponseHead(br *bufio.Reader, maxBytes int) (ResponseHead, error) {
-	h := ResponseHead{ContentLength: -1}
-	var raw bytes.Buffer
-	var sawCL, sawClose, sawKeepAlive, unknownTE bool
-	started := false
-	for {
-		line, err := readLine(br, maxBytes-raw.Len()+1)
-		raw.Write(line)
-		if err != nil {
-			if _, ok := err.(*MalformedError); ok {
-				return h, err
-			}
-			return h, malformedf("truncated response head: %v", err)
-		}
-		if raw.Len() > maxBytes {
-			return h, malformedf("response head exceeds %d bytes", maxBytes)
-		}
-		trimmed := trimCRLF(string(line))
-		if !started {
-			started = true
-			var ok bool
-			h.Proto, h.Status, ok = parseStatusLine(trimmed)
-			if !ok {
-				return h, malformedf("malformed status line %q", trimmed)
-			}
-			h.Major, h.Minor, ok = parseHTTPVersion(h.Proto)
-			if !ok {
-				return h, malformedf("malformed HTTP version %q", h.Proto)
-			}
-			h.KeepAlive = atLeast11(h.Major, h.Minor)
-			continue
-		}
-		if trimmed == "" {
-			break
-		}
-		if line[0] == ' ' || line[0] == '\t' {
-			return h, malformedf("obsolete line folding in response head")
-		}
-		name, value, ok := splitHeader(trimmed)
-		if !ok {
-			return h, malformedf("malformed header line %q", trimmed)
-		}
-		switch name {
-		case "content-length":
-			prev := h.ContentLength
-			if !sawCL {
-				prev = 0
-			}
-			v, err := parseContentLength(value, prev, sawCL)
-			if err != nil {
-				return h, err
-			}
-			h.ContentLength, sawCL = v, true
-		case "transfer-encoding":
-			tks := tokens(value)
-			if len(tks) > 0 && tks[len(tks)-1] == "chunked" {
-				h.Chunked = true
-			} else {
-				// A coding this relay cannot frame. Unlike a request
-				// (rejected with 400), a response body has a fallback
-				// boundary — the connection close (RFC 7230 §3.3.3) —
-				// so degrade to copy-until-close rather than dropping
-				// the response on the floor.
-				unknownTE = true
-			}
-		case "connection":
-			for _, t := range tokens(value) {
-				switch t {
-				case "close":
-					sawClose = true
-				case "keep-alive":
-					sawKeepAlive = true
-				}
-			}
-		}
+	h, unread, err := peekResponseHead(br, maxBytes)
+	br.Discard(unread)
+	return h, err
+}
+
+// peekResponseHead is ReadResponseHead that leaves a head lying in br's
+// window unconsumed, so the relay can write it on together with the body
+// bytes that share the window: unread is len(h.Raw) for such a head, 0
+// for one that outgrew the window and was consumed (see readHead).
+func peekResponseHead(br *bufio.Reader, maxBytes int) (h ResponseHead, unread int, err error) {
+	raw, unread, err := readHead(br, maxBytes, false)
+	if err == nil {
+		h, err = parseResponseHead(raw)
 	}
-	if h.Chunked {
+	if err != nil {
+		return h, 0, err
+	}
+	h.Raw = raw
+	return h, unread, nil
+}
+
+// parseResponseHead parses the bytes of one response head; Raw is left to
+// the caller.
+//
+//lard:noalloc
+func parseResponseHead(raw []byte) (h ResponseHead, err error) {
+	h.ContentLength = -1
+	line, rest := cutLine(raw)
+	// "HTTP/1.1 200 OK": the protocol, a three-digit status, and a reason
+	// phrase that is free text and may be empty.
+	sp := bytes.IndexByte(line, ' ')
+	if sp <= 0 || len(line) < sp+4 || len(line) > sp+4 && line[sp+4] != ' ' {
+		return h, malformed("malformed status line", line)
+	}
+	for _, c := range line[sp+1 : sp+4] {
+		if c < '0' || c > '9' {
+			return h, malformed("malformed status line", line)
+		}
+		h.Status = h.Status*10 + int(c-'0')
+	}
+	var ok bool
+	if h.Proto, h.Major, h.Minor, ok = parseProto(line[:sp]); !ok || h.Status < 100 {
+		return h, malformed("malformed status line", line)
+	}
+	f, err := parseFields(rest)
+	if err != nil {
+		return h, err
+	}
+	h.KeepAlive = f.persistent(h.Major, h.Minor)
+	switch {
+	case f.otherTE:
+		// A coding this relay cannot frame. Unlike a request (rejected
+		// with 400), a response body has a fallback boundary — the
+		// connection close (RFC 7230 §3.3.3) — so degrade to
+		// copy-until-close, chunk framing and length included, rather
+		// than dropping the response on the floor.
+		h.KeepAlive = false
+	case f.chunked:
 		// In a response Transfer-Encoding wins over Content-Length
 		// (RFC 7230 §3.3.3); the length header is ignored, not fatal,
 		// because the chunk framing still tells us where the body ends.
-		h.ContentLength = -1
+		h.Chunked = true
+	case f.hasLength:
+		h.ContentLength = f.length
 	}
-	if sawClose {
-		h.KeepAlive = false
-	} else if sawKeepAlive {
-		h.KeepAlive = true
-	}
-	if unknownTE {
-		// Close-delimited fallback: the sender's close is the only body
-		// boundary we can trust, chunk framing included.
-		h.Chunked = false
-		h.ContentLength = -1
-		h.KeepAlive = false
-	}
-	h.Raw = raw.Bytes()
 	return h, nil
 }
 
-// parseStatusLine splits "HTTP/1.1 200 OK" into the protocol and status
-// code; the reason phrase is free text and may be empty.
-func parseStatusLine(line string) (proto string, status int, ok bool) {
-	sp := -1
-	for i := 0; i < len(line); i++ {
-		if line[i] == ' ' {
-			sp = i
-			break
-		}
-	}
-	if sp <= 0 || len(line) < sp+4 {
-		return "", 0, false
-	}
-	code := line[sp+1 : sp+4]
-	if len(line) > sp+4 && line[sp+4] != ' ' {
-		return "", 0, false
-	}
-	n, err := strconv.Atoi(code)
-	if err != nil || n < 100 || n > 999 {
-		return "", 0, false
-	}
-	return line[:sp], n, true
-}
-
 // CopyResponseBody forwards the body of a response whose head has already
-// been written, framed per the head and the request method: HEAD
-// responses and bodiless statuses copy nothing, chunked bodies relay
+// been read and written on, framed per the head and the request method:
+// HEAD responses and bodiless statuses copy nothing, chunked bodies relay
 // chunk by chunk, length-delimited bodies copy exactly ContentLength
 // bytes, and unframed bodies copy until the back end closes. It returns
 // the bytes forwarded and whether the source connection remains usable
 // for another message.
 func CopyResponseBody(dst io.Writer, br *bufio.Reader, h ResponseHead, reqMethod string) (int64, bool, error) {
-	return CopyResponseBodyFrom(dst, br, nil, h, reqMethod)
+	return relayBody(dst, br, nil, h, reqMethod, 0)
 }
 
-// CopyResponseBodyFrom is CopyResponseBody told what lies beneath br: raw
-// is the connection the reader wraps (nil if unknown). For length- and
-// close-delimited bodies the copy drains br's buffered bytes and then
-// reads the remainder from raw directly, so a TCP-to-TCP relay hands
-// io.Copy a raw *net.TCPConn (or an io.LimitedReader around one) and the
-// kernel splice path in TCPConn.ReadFrom can engage instead of shuttling
-// body bytes through a userspace buffer. Chunked bodies must stay on br —
-// the relay parses their framing. br is left positioned exactly after the
-// body either way.
-func CopyResponseBodyFrom(dst io.Writer, br *bufio.Reader, raw io.Reader, h ResponseHead, reqMethod string) (int64, bool, error) {
-	if reqMethod == "HEAD" || h.BodilessStatus() {
-		return 0, h.KeepAlive, nil
+// relayBody forwards what is left of a response once its head is parsed:
+// pending bytes of head still unconsumed at the front of br's window, and
+// then the body. raw is the connection br wraps (nil if unknown). br is
+// left positioned exactly after the body.
+func relayBody(dst io.Writer, br *bufio.Reader, raw io.Reader, h ResponseHead, reqMethod string, pending int) (int64, bool, error) {
+	bodiless := reqMethod == "HEAD" || h.BodilessStatus()
+	n := int64(pending)
+	switch {
+	case bodiless, h.Chunked:
+	case h.ContentLength >= 0:
+		// The head and the body bytes that share its window go out in
+		// one write.
+		n += h.ContentLength
+	default:
+		// No framing: the body ends when the sender closes (HTTP/1.0
+		// style); the connection is spent by construction. The head
+		// leaves with whatever body is already buffered behind it.
+		n, err := copyBody(dst, br, raw)
+		return n, false, err
 	}
-	if h.Chunked {
-		n, err := relayChunked(dst, br)
-		return n, err == nil && h.KeepAlive, err
+	n, err := relayLength(dst, br, raw, n)
+	if err == nil && h.Chunked && !bodiless {
+		var nb int64
+		nb, err = relayChunked(dst, br)
+		n += nb
 	}
-	if h.ContentLength >= 0 {
-		n, err := copyBodyN(dst, br, raw, h.ContentLength)
-		return n, err == nil && h.KeepAlive, err
-	}
-	// No framing: the body ends when the sender closes (HTTP/1.0 style);
-	// the connection is spent by construction.
-	n, err := copyBody(dst, br, raw)
-	return n, false, err
+	return n, err == nil && h.KeepAlive, err
 }
 
-// copyBodyN copies exactly n body bytes: br's buffered prefix first, then
-// the remainder — from raw when the caller supplied it (splice-eligible),
-// else through br with a pooled buffer.
-func copyBodyN(dst io.Writer, br *bufio.Reader, raw io.Reader, n int64) (int64, error) {
-	if raw == nil {
-		return copyNBuffered(dst, br, n)
-	}
-	written, err := drainBuffered(dst, br, n)
-	if err != nil || written == n {
-		return written, err
-	}
-	m, err := copyNBuffered(dst, raw, n-written)
-	return written + m, err
-}
-
-// copyBody copies until the source closes: br's buffered prefix first,
-// then the remainder from raw when supplied.
+// copyBody copies until the source closes: everything br has buffered
+// first (one write), then the remainder — from raw when supplied
+// (splice-eligible), else through br.
 func copyBody(dst io.Writer, br *bufio.Reader, raw io.Reader) (int64, error) {
-	if raw == nil {
-		return copyBuffered(dst, br)
-	}
-	written, err := drainBuffered(dst, br, -1)
+	written, err := drainBuffered(dst, br)
 	if err != nil {
 		return written, err
+	}
+	if raw == nil {
+		raw = br
 	}
 	m, err := copyBuffered(dst, raw)
 	return written + m, err
@@ -261,24 +201,36 @@ func RelayResponse(client io.Writer, backendBR *bufio.Reader, reqMethod string, 
 
 // RelayResponseFrom is RelayResponse told what lies beneath backendBR:
 // backendRaw is the back-end connection the reader wraps (nil if
-// unknown), which lets the body copy engage the kernel splice path — see
-// CopyResponseBodyFrom.
+// unknown), which lets a long body's tail engage the kernel splice path.
+//
+// The unit of work is backendBR's window (copy.go): a length-delimited
+// response that fits it — head and body — is awaited whole and reaches the
+// client in exactly one Write, or, if the back end dies first, not at all,
+// so the caller can still answer 502 or retry elsewhere.
 func RelayResponseFrom(client io.Writer, backendBR *bufio.Reader, backendRaw io.Reader, reqMethod string, maxHeadBytes int, on100 func() error) (int64, bool, error) {
 	var written int64
 	for {
-		h, err := ReadResponseHead(backendBR, maxHeadBytes)
+		h, pending, err := peekResponseHead(backendBR, maxHeadBytes)
 		if err != nil {
 			return written, false, err
 		}
-		n, err := client.Write(h.Raw)
-		written += int64(n)
-		if err != nil {
-			return written, false, err
+		if pending == 0 {
+			// A head that outgrew the window travels alone.
+			n, err := client.Write(h.Raw)
+			written += int64(n)
+			if err != nil {
+				return written, false, err
+			}
+		}
+		if h.Status == 101 {
+			// No longer HTTP: forward, head first, until the back end closes.
+			n, err := copyBody(client, backendBR, backendRaw)
+			return written + n, false, err
 		}
 		if h.Informational() {
-			if h.Status == 101 {
-				nc, err := copyBody(client, backendBR, backendRaw)
-				written += nc
+			n, err := relayLength(client, backendBR, backendRaw, int64(pending))
+			written += n
+			if err != nil {
 				return written, false, err
 			}
 			if h.Status == 100 && on100 != nil {
@@ -289,8 +241,7 @@ func RelayResponseFrom(client io.Writer, backendBR *bufio.Reader, backendRaw io.
 			}
 			continue
 		}
-		nb, reusable, err := CopyResponseBodyFrom(client, backendBR, backendRaw, h, reqMethod)
-		written += nb
-		return written, reusable, err
+		n, reusable, err := relayBody(client, backendBR, backendRaw, h, reqMethod, pending)
+		return written + n, reusable, err
 	}
 }

@@ -211,12 +211,14 @@ func runConn(ctx context.Context, cfg Config, host, prefix string, first int64, 
 			drop()
 			continue
 		}
+		// h.Raw is a view of br's window: read it before the body is.
+		retryAfter := h.Status == 429 && bytes.Contains(bytes.ToLower(h.Raw), []byte("retry-after:"))
 		n, reusable, err := httprelay.CopyResponseBody(io.Discard, br, h, "GET")
 		nBytes.Add(n)
 		if err == nil && h.Status == 429 {
 			// Quota shed: counted separately, neither goodput nor error.
 			counts.nShed.Add(1)
-			if bytes.Contains(bytes.ToLower(h.Raw), []byte("retry-after:")) {
+			if retryAfter {
 				counts.nShedRA.Add(1)
 			}
 			if !reusable {

@@ -9,8 +9,8 @@
 # writes the parsed results to BENCH_PR10.json next to the repo root, so
 # successive PRs can diff the hot-path numbers. When the previous PR's
 # report (BENCH_PR9.json) is present, benchgate.go compares the handoff
-# and relay B/op columns against it and fails the run on a >15%
-# allocation regression. It then invokes the saturation harness
+# and relay B/op and allocs/op columns against it and fails the run on a
+# >15% allocation regression. It then invokes the saturation harness
 # (cmd/capacity), which merges the end-to-end knee report into the same
 # file under the "capacity" key, and — with HERD=1 — follows it with the
 # thundering-herd overload experiment, recorded under "herd" with the

@@ -1,15 +1,19 @@
 //go:build ignore
 
-// Benchgate is the allocation-regression gate: it compares B/op for the
-// handoff and relay hot-path benchmarks between two bench.sh JSON
-// reports and fails when the new numbers regress past tolerance.
+// Benchgate is the allocation-regression gate: it compares B/op and
+// allocs/op for the handoff and relay hot-path benchmarks between two
+// bench.sh JSON reports and fails when the new numbers regress past
+// tolerance.
 //
 //	go run scripts/benchgate.go BENCH_PR7.json BENCH_PR8.json
 //
 // A benchmark regresses when its bytes/op exceed the baseline by more
-// than 15% and by more than 16 bytes absolute — the absolute floor
-// keeps near-zero baselines (0 or a few words) from turning measurement
-// noise into failures. Dispatcher benchmarks (ns/op-dominated, already
+// than 15% and by more than 16 bytes absolute, or its allocs/op by more
+// than 15% and more than one allocation — the absolute floors keep
+// near-zero baselines (0 or a few words) from turning measurement noise
+// into failures. Benchmarks are matched by name without go test's
+// -GOMAXPROCS suffix, so reports from hosts with different CPU counts
+// compare. Dispatcher benchmarks (ns/op-dominated, already
 // tracked by eye across PRs) are out of scope; the gate watches exactly
 // the paths the //lard:noalloc annotations guard. Exit status: 0 within
 // tolerance, 1 regression or missing benchmark, 2 operational error.
@@ -19,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"regexp"
 	"strings"
 )
 
@@ -51,10 +56,30 @@ func load(path string) (map[string]benchmark, error) {
 	m := make(map[string]benchmark)
 	for _, b := range r.Benchmarks {
 		if gated(b.Name) {
-			m[b.Name] = b
+			m[procsSuffix.ReplaceAllString(b.Name, "")] = b
 		}
 	}
 	return m, nil
+}
+
+// procsSuffix is the "-N" go test appends to a benchmark's name when
+// GOMAXPROCS is not 1.
+var procsSuffix = regexp.MustCompile(`-\d+$`)
+
+// check compares one column of one benchmark against its baseline: a
+// regression is a value past baseline+15% and past baseline+floor.
+func check(name, unit string, now, old, floor float64) (ok bool) {
+	limit := max(old*1.15, old+floor)
+	switch {
+	case now > limit:
+		fmt.Printf("FAIL %s: %.0f %s, baseline %.0f (limit %.0f)\n", name, now, unit, old, limit)
+		return false
+	case now < old:
+		fmt.Printf("ok   %s: %.0f %s, down from %.0f\n", name, now, unit, old)
+	default:
+		fmt.Printf("ok   %s: %.0f %s (baseline %.0f)\n", name, now, unit, old)
+	}
+	return true
 }
 
 func main() {
@@ -85,21 +110,11 @@ func main() {
 			bad = true
 			continue
 		}
-		limit := old.BytesPerOp * 1.15
-		if limit < old.BytesPerOp+16 {
-			limit = old.BytesPerOp + 16
-		}
-		switch {
-		case now.BytesPerOp > limit:
-			fmt.Printf("FAIL %s: %.0f B/op, baseline %.0f B/op (limit %.0f)\n",
-				name, now.BytesPerOp, old.BytesPerOp, limit)
+		if !check(name, "B/op", now.BytesPerOp, old.BytesPerOp, 16) {
 			bad = true
-		case now.BytesPerOp < old.BytesPerOp:
-			fmt.Printf("ok   %s: %.0f B/op, down from %.0f B/op\n",
-				name, now.BytesPerOp, old.BytesPerOp)
-		default:
-			fmt.Printf("ok   %s: %.0f B/op (baseline %.0f)\n",
-				name, now.BytesPerOp, old.BytesPerOp)
+		}
+		if !check(name, "allocs/op", now.AllocsOp, old.AllocsOp, 1) {
+			bad = true
 		}
 	}
 	if bad {
