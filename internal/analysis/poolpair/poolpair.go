@@ -3,7 +3,8 @@
 //
 //   - pooled readers:      httprelay.GetReader → httprelay.PutReader
 //   - pooled transports:   backendPool.get     → backendPool.put
-//     (or Close + PutReader on the parts, via discard)
+//     (or backendConn.close, which closes the conn and recycles the
+//     reader it travels with)
 //   - dialed transports:   dialBackend         → Close
 //
 // PR 7 made the hot path allocation-free by pooling these resources;
@@ -28,8 +29,8 @@
 // handoff.ReadHeader, any method on the resource except Close) leaves
 // the obligation with the caller, and a helper that stores it adopts
 // it. Ownership transfer at birth is recognized structurally: an
-// acquire nested in a composite literal or call argument (the
-// backendConn adoption in rehandoff.go) is never tracked, and a
+// acquire nested in a composite literal or call argument (the reader
+// newBackendConn gets in rehandoff.go) is never tracked, and a
 // resource captured by a closure is the closure's.
 //
 // Escape hatch: //lard:allow poolpair — reason, on or above the line.
@@ -73,8 +74,8 @@ func acquireSpec(info *types.Info, call *ast.CallExpr) *pairSpec {
 		return &pairSpec{what: "pooled reader", release: "httprelay.PutReader",
 			results: []int{0}, okIdx: -1, errIdx: -1}
 	case fn.Name() == "get" && recvNamed(fn) == "backendPool":
-		return &pairSpec{what: "pooled transport", release: "pool.put (or Close + PutReader)",
-			results: []int{0, 1}, okIdx: 2, errIdx: -1}
+		return &pairSpec{what: "pooled transport", release: "pool.put (or its close)",
+			results: []int{0}, okIdx: 1, errIdx: -1}
 	case fn.Name() == "dialBackend":
 		return &pairSpec{what: "dialed conn", release: "Close",
 			results: []int{0}, okIdx: -1, errIdx: 1}
@@ -93,8 +94,9 @@ func releaseArgs(info *types.Info, call *ast.CallExpr) []int {
 	case fn.Name() == "PutReader" && pkgSuffix(fn, "internal/httprelay"):
 		return []int{0}
 	case fn.Name() == "put" && recvNamed(fn) == "backendPool":
-		return []int{1, 2}
-	case fn.Name() == "Close" && len(call.Args) == 0 && isMethod(fn):
+		return []int{0}
+	case fn.Name() == "Close" && len(call.Args) == 0 && isMethod(fn),
+		fn.Name() == "close" && recvNamed(fn) == "backendConn":
 		return []int{-1}
 	}
 	return nil
@@ -553,19 +555,22 @@ func boolCond(info *types.Info, cond ast.Expr) (obj types.Object, negated, ok bo
 }
 
 // accountedIdents collects the occurrences of obj within n that the
-// Transfer switch already interprets (direct call operands, assignment
-// targets, `_ = obj`, nil comparisons) so any other occurrence can be
-// treated as an escape.
+// Transfer switch already interprets, or that only read through it
+// (selections from it, direct call operands, assignment targets,
+// `_ = obj`, nil comparisons) so any other occurrence can be treated as
+// an escape.
 func accountedIdents(info *types.Info, n ast.Node, obj types.Object) map[*ast.Ident]bool {
 	accounted := make(map[*ast.Ident]bool)
 	inspectSkippingFuncLit(n, func(inner ast.Node) {
 		switch x := inner.(type) {
-		case *ast.CallExpr:
-			if sel, ok := unparen(x.Fun).(*ast.SelectorExpr); ok {
-				if id, ok := unparen(sel.X).(*ast.Ident); ok && objOf(info, id) == obj {
-					accounted[id] = true
-				}
+		case *ast.SelectorExpr:
+			// A method called on the resource, or a field read through it
+			// (b.sw.Handoff(...), b.clean = true): the resource itself
+			// does not move.
+			if id, ok := unparen(x.X).(*ast.Ident); ok && objOf(info, id) == obj {
+				accounted[id] = true
 			}
+		case *ast.CallExpr:
 			for _, a := range x.Args {
 				if id, ok := unparen(a).(*ast.Ident); ok && objOf(info, id) == obj {
 					accounted[id] = true

@@ -14,11 +14,36 @@ import (
 
 // --- mocks mirroring internal/frontend's shapes ---
 
+// backendConn is the pooled unit: transport, reader, and the framing
+// writer built over the same transport, travelling together.
+type backendConn struct {
+	c  net.Conn
+	br *bufio.Reader
+	w  *writer
+}
+
+// close releases the transport's parts.
+func (b *backendConn) close() {
+	b.c.Close()
+	httprelay.PutReader(b.br)
+}
+
+func newBackendConn(c net.Conn) *backendConn {
+	return &backendConn{c: c, br: httprelay.GetReader(c), w: newWriter(c)}
+}
+
+// writer retains its conn, as handoff.SessionWriter does.
+type writer struct{ c net.Conn }
+
+func newWriter(c net.Conn) *writer { return &writer{c: c} }
+
+func (w *writer) handoff() error { return nil }
+
 type backendPool struct{}
 
-func (p *backendPool) get(node int) (net.Conn, *bufio.Reader, bool) { return nil, nil, false }
+func (p *backendPool) get(node int) (*backendConn, bool) { return nil, false }
 
-func (p *backendPool) put(node int, c net.Conn, br *bufio.Reader) {}
+func (p *backendPool) put(b *backendConn) {}
 
 func dialBackend(node int) (net.Conn, error) { return nil, nil }
 
@@ -72,22 +97,29 @@ func doubleRelease(c net.Conn) {
 	httprelay.PutReader(br) // want `pooled reader br \(line \d+\) may already have been released`
 }
 
-// releaseUnacquired returns the pool pair on the arm where get said no.
+// releaseUnacquired returns the transport on the arm where get said no.
 func releaseUnacquired(p *backendPool) {
-	c, br, ok := p.get(0)
+	b, ok := p.get(0)
 	if !ok {
-		p.put(0, c, br) // want `pooled transport c \(line \d+\) is released on a path where it was never acquired` `pooled transport br \(line \d+\) is released on a path where it was never acquired`
+		p.put(b) // want `pooled transport b \(line \d+\) is released on a path where it was never acquired`
 		return
 	}
-	p.put(0, c, br)
+	p.put(b)
 }
 
 // --- correct shapes: no findings ---
 
-// okGated releases both results exactly when the acquire succeeded.
+// okGated releases the transport exactly when the acquire succeeded.
 func okGated(p *backendPool) {
-	if c, br, ok := p.get(1); ok {
-		p.put(1, c, br)
+	if b, ok := p.get(1); ok {
+		p.put(b)
+	}
+}
+
+// closedNotPooled retires a checked-out transport through its own close.
+func closedNotPooled(p *backendPool) {
+	if b, ok := p.get(1); ok {
+		b.close()
 	}
 }
 
@@ -193,59 +225,45 @@ func wrapperReleased(c net.Conn) {
 	httprelay.PutReader(br)
 }
 
-// --- the attach shape: checkout or dial, adopted together with a writer ---
-
-// writer retains its conn, as handoff.SessionWriter does.
-type writer struct{ c net.Conn }
-
-func newWriter(c net.Conn) *writer { return &writer{c: c} }
-
-// framed is the rehandoff.go backendConn: transport, reader, and the
-// framing writer built over the same transport.
-type framed struct {
-	c  net.Conn
-	br *bufio.Reader
-	w  *writer
-}
-
-// discard releases an adopted transport's parts.
-func discard(f *framed) {
-	f.c.Close()
-	httprelay.PutReader(f.br)
-}
+// --- the attach shape: checkout or dial, one owner either way ---
 
 // attach mirrors connectBackend: a pool checkout unless fresh, else a
-// dial; either way the parts are adopted at birth by one owner, which
-// discard (or the caller) releases. No finding.
-func attach(p *backendPool, fresh bool) (*framed, error) {
+// dial adopted at birth by a new backendConn; a transport whose handoff
+// fails is closed, the other returned to the caller. No finding.
+func attach(p *backendPool, fresh bool) (*backendConn, error) {
 	if !fresh {
-		if c, br, ok := p.get(0); ok {
-			f := &framed{c: c, br: br, w: newWriter(c)}
-			if err := ping(c); err == nil {
-				return f, nil
+		if b, ok := p.get(0); ok {
+			if err := b.w.handoff(); err == nil {
+				return b, nil
 			}
-			discard(f)
+			b.close()
 		}
 	}
 	c, err := dialBackend(0)
 	if err != nil {
 		return nil, err
 	}
-	f := &framed{c: c, br: httprelay.GetReader(c), w: newWriter(c)}
-	if err := ping(c); err != nil {
-		discard(f)
+	b := newBackendConn(c)
+	if err := b.w.handoff(); err != nil {
+		b.close()
 		return nil, err
 	}
-	return f, nil
+	return b, nil
 }
 
-// attachDropsReader adopts the checked-out conn but not its reader.
-func attachDropsReader(p *backendPool) *framed {
-	if c, br, ok := p.get(0); ok {
-		_ = br.Buffered()
-		return &framed{c: c, w: newWriter(c)} // want `pooled transport br \(line \d+\) is not released on this path`
+// attachLeaksStale forgets the checked-out transport whose handoff
+// failed before it dials a fresh one.
+func attachLeaksStale(p *backendPool) (*backendConn, error) {
+	if b, ok := p.get(0); ok {
+		if err := b.w.handoff(); err == nil {
+			return b, nil
+		}
 	}
-	return nil
+	c, err := dialBackend(0)
+	if err != nil {
+		return nil, err // want `pooled transport b \(line \d+\) is not released on this path`
+	}
+	return newBackendConn(c), nil // want `pooled transport b \(line \d+\) is not released on this path`
 }
 
 // attachDialLeak builds the writer but returns before any owner holds

@@ -92,7 +92,9 @@ type Config struct {
 	// PoolIdle is how long an idle pooled connection may wait for its
 	// next session before being discarded (0 = DefaultPoolIdle; negative
 	// = no expiry). Keep it below the back end's
-	// handoff.DefaultSessionIdleTimeout.
+	// handoff.DefaultSessionIdleTimeout. The session a connection went
+	// idle with is ended after half of it (of DefaultPoolIdle when
+	// negative), see backendPool.sweep.
 	PoolIdle time.Duration
 
 	// ProbeInterval is how often the health prober re-dials back ends
@@ -171,6 +173,14 @@ type Stats struct {
 	PoolMisses    uint64
 	PoolEvictions uint64
 	PoolIdle      int
+
+	// End-of-session records by how they were paid: in the same write as
+	// the next handoff's header, or by the pool's sweep for a transport
+	// that stayed idle. CloseConsumed counts request heads whose
+	// "Connection: close" ended at the front end.
+	SessionEndsWithHeader uint64
+	SessionEndsSwept      uint64
+	CloseConsumed         uint64
 
 	// SessionsByPolicy counts sessions opened per connection-policy name
 	// (this front end runs one policy, so one key); ActiveSessions is
@@ -344,30 +354,33 @@ func (s *Server) ConnPolicy() lard.ConnPolicy { return s.policy }
 func (s *Server) Stats() Stats {
 	m := &s.m
 	st := Stats{
-		Accepted:         m.accepted.Value(),
-		Dispatches:       m.dispatches.Value(),
-		SessionsByPolicy: map[string]uint64{s.policy.Name(): m.sessions.Value()},
-		ActiveSessions:   m.activeSessions.Value(),
-		Handoffs:         m.handoffs.Value(),
-		Rehandoffs:       m.rehandoffs.Value(),
-		RehandoffFails:   m.rehandoffFails.Value(),
-		Redispatches:     m.redispatches.Value(),
-		StaleRetries:     m.staleRetries.Value(),
-		Errors:           m.errors.Value(),
-		Rejected:         m.shedOverload.Value(),
-		MarkedDown:       m.markdowns.Value(),
-		Probes:           m.probes.Value(),
-		ProbeRecoveries:  m.probeRecoveries.Value(),
-		ClientToBackend:  int64(m.bytesToBackend.Value()),
-		BackendToClient:  int64(m.bytesToClient.Value()),
-		ActivePerNode:    s.d.Loads(),
-		PoolHits:         s.pool.hits.Value(),
-		PoolMisses:       s.pool.misses.Value(),
-		PoolEvictions:    s.pool.evictions.Value(),
-		Served:           m.served.Value(),
-		QuotaSheds:       m.shedQuota.Value(),
-		BreakerDenials:   m.breakerDenials.Value(),
-		BreakerSheds:     m.shedBreaker.Value(),
+		Accepted:              m.accepted.Value(),
+		Dispatches:            m.dispatches.Value(),
+		SessionsByPolicy:      map[string]uint64{s.policy.Name(): m.sessions.Value()},
+		ActiveSessions:        m.activeSessions.Value(),
+		Handoffs:              m.handoffs.Value(),
+		Rehandoffs:            m.rehandoffs.Value(),
+		RehandoffFails:        m.rehandoffFails.Value(),
+		Redispatches:          m.redispatches.Value(),
+		StaleRetries:          m.staleRetries.Value(),
+		Errors:                m.errors.Value(),
+		Rejected:              m.shedOverload.Value(),
+		MarkedDown:            m.markdowns.Value(),
+		Probes:                m.probes.Value(),
+		ProbeRecoveries:       m.probeRecoveries.Value(),
+		ClientToBackend:       int64(m.bytesToBackend.Value()),
+		BackendToClient:       int64(m.bytesToClient.Value()),
+		ActivePerNode:         s.d.Loads(),
+		PoolHits:              s.pool.hits.Value(),
+		PoolMisses:            s.pool.misses.Value(),
+		PoolEvictions:         s.pool.evictions.Value(),
+		SessionEndsWithHeader: m.endsWithHeader.Value(),
+		SessionEndsSwept:      s.pool.swept.Value(),
+		CloseConsumed:         m.closeConsumed.Value(),
+		Served:                m.served.Value(),
+		QuotaSheds:            m.shedQuota.Value(),
+		BreakerDenials:        m.breakerDenials.Value(),
+		BreakerSheds:          m.shedBreaker.Value(),
 	}
 	st.PoolIdle, _ = s.pool.idleCount(-1)
 	if s.ov.quota.Enabled() {

@@ -3,7 +3,6 @@ package frontend
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"testing"
 
@@ -24,6 +23,9 @@ import (
 //	pooled: a pool hit — the handoff reuses the idle session-framed
 //	        transport the previous iteration checked in; the dial was
 //	        paid once, at pool fill.
+//	pooled-close: the same, for a client that sent Connection: close.
+//	        The front end consumes the option, so the back end keeps
+//	        the transport open and the handoff is still a pool hit.
 //
 // The back end serves a cached document with no emulated disk delay, so
 // the difference between the variants is the dial + listener-handshake
@@ -49,12 +51,12 @@ func BenchmarkHandoffDial(b *testing.B) {
 	go srv.Serve(ln)
 	defer func() { srv.Close(); ln.Close() }()
 
-	head := buildRequestHead(b, fmt.Sprintf("GET %s HTTP/1.1\r\nHost: bench\r\n\r\n", tr.At(0).Target))
-	clientSide, farSide := net.Pipe() // only RemoteAddr is consulted
-	defer clientSide.Close()
-	defer farSide.Close()
-
-	run := func(b *testing.B, checkIn bool) {
+	const clientAddr = "192.0.2.1:4000"
+	run := func(b *testing.B, checkIn bool, connection string) {
+		head := buildRequestHead(b, fmt.Sprintf("GET %s HTTP/1.1\r\nHost: bench\r\n%s\r\n", tr.At(0).Target, connection))
+		if head.Close {
+			httprelay.BlankConnectionClose(head.Raw) // as handleConn does
+		}
 		s, err := New(Config{
 			Backends:      []string{ln.Addr().String()},
 			Strategy:      "wrr",
@@ -69,14 +71,15 @@ func BenchmarkHandoffDial(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bc, err := s.connectBackend(0, clientSide, head, false)
+			bc, err := s.connectBackend(0, clientAddr, head, false)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := httprelay.RelayResponse(io.Discard, bc.br, "GET", 64<<10, nil); err != nil {
+			_, reusable, err := httprelay.RelayResponse(io.Discard, bc.br, "GET", 64<<10, nil)
+			if err != nil {
 				b.Fatal(err)
 			}
-			bc.clean = checkIn
+			bc.clean = checkIn && reusable
 			s.releaseBackend(bc)
 		}
 		// Every fresh iteration dialed; pooled dialed once, at pool fill.
@@ -89,6 +92,7 @@ func BenchmarkHandoffDial(b *testing.B) {
 		}
 	}
 
-	b.Run("fresh", func(b *testing.B) { run(b, false) })
-	b.Run("pooled", func(b *testing.B) { run(b, true) })
+	b.Run("fresh", func(b *testing.B) { run(b, false, "") })
+	b.Run("pooled", func(b *testing.B) { run(b, true, "") })
+	b.Run("pooled-close", func(b *testing.B) { run(b, true, "Connection: close\r\n") })
 }

@@ -5,7 +5,6 @@ import (
 	"net"
 	"time"
 
-	"lard/internal/httprelay"
 	"lard/pkg/lard"
 )
 
@@ -218,7 +217,7 @@ func (s *Server) probeOnce() {
 			// The eligibility re-check mirrors releaseBackend: an admin
 			// drain racing the recovery must not get a warm transport.
 			if s.nodePoolable(node) {
-				s.pool.put(node, conn, httprelay.GetReader(conn))
+				s.pool.put(newBackendConn(node, conn))
 			} else {
 				conn.Close()
 			}

@@ -10,10 +10,10 @@ import (
 // feMetrics holds the front end's event collectors, created once in New
 // so the hot path only ever touches pre-allocated atomics. Each event has
 // exactly one collector: Stats and GET /admin/metrics read the same
-// number. (The pool's checkout and eviction counters live with the pool,
-// in the same registry; breaker transitions are labelled per node and
-// looked up on the rare transition, see breakerTransitions.) What each
-// one counts is its help string below.
+// number. (The pool's checkout, eviction and sweep counters live with the
+// pool, in the same registry; breaker transitions are labelled per node
+// and looked up on the rare transition, see breakerTransitions.) What
+// each one counts is its help string below.
 type feMetrics struct {
 	accepted       *metrics.Counter
 	sessions       *metrics.Counter
@@ -28,6 +28,8 @@ type feMetrics struct {
 	redispatches   *metrics.Counter
 	staleRetries   *metrics.Counter
 	errors         *metrics.Counter
+	endsWithHeader *metrics.Counter
+	closeConsumed  *metrics.Counter
 
 	shedQuota      *metrics.Counter
 	shedOverload   *metrics.Counter
@@ -59,6 +61,8 @@ func newFEMetrics(reg *metrics.Registry, policyName string) feMetrics {
 		redispatches:   reg.Counter("lard_fe_redispatches_total", "failed dials or breaker denials recovered on another node"),
 		staleRetries:   reg.Counter("lard_fe_stale_retries_total", "reused back-end transports found dead and retried fresh"),
 		errors:         reg.Counter("lard_fe_errors_total", "connection-level errors"),
+		endsWithHeader: reg.Counter("lard_fe_session_ends_total", "", "how", "with_header"),
+		closeConsumed:  reg.Counter("lard_fe_close_consumed_total", "request heads whose Connection: close was honoured here and blanked for the back end"),
 
 		shedQuota:      reg.Counter("lard_fe_sheds_total", "requests shed, by reason", "reason", "quota"),
 		shedOverload:   reg.Counter("lard_fe_sheds_total", "", "reason", "overload"),

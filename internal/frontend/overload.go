@@ -170,10 +170,9 @@ func (s *Server) breakerFailure(node int) {
 }
 
 // clientQuotaKey is the per-client identity the quota buckets key on:
-// the connection's remote IP (without port, so every connection from
-// one host shares a bucket).
-func clientQuotaKey(c net.Conn) string {
-	addr := c.RemoteAddr().String()
+// the IP of the connection's remote address (without port, so every
+// connection from one host shares a bucket).
+func clientQuotaKey(addr string) string {
 	if host, _, err := net.SplitHostPort(addr); err == nil {
 		return host
 	}

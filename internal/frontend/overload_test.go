@@ -230,10 +230,11 @@ func TestMetricsSurfaceAfterTraffic(t *testing.T) {
 }
 
 // TestStatsIsRegistryView: Stats holds no counters of its own. After a
-// mixed run — a keep-alive connection re-handed-off per request, one dial
-// failure recovered by re-dispatch (and the mark-down it causes), one
-// quota shed — every monotonic Stats field equals its lard_fe_* series in
-// the Prometheus exposition, and the pool's checkouts balance.
+// mixed run — a keep-alive connection re-handed-off per request whose
+// last request says close, one dial failure recovered by re-dispatch (and
+// the mark-down it causes), one quota shed — every monotonic Stats field
+// equals its lard_fe_* series in the Prometheus exposition, and the
+// pool's checkouts balance.
 func TestStatsIsRegistryView(t *testing.T) {
 	tr := smallTrace(t, 12, 12)
 	store := backend.NewDocStore(tr.Targets)
@@ -262,7 +263,11 @@ func TestStatsIsRegistryView(t *testing.T) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	for i := 0; i < burst; i++ {
-		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: t\r\n\r\n", tr.Targets[i].Name)
+		closing := ""
+		if i == burst-1 {
+			closing = "Connection: close\r\n"
+		}
+		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: t\r\n%s\r\n", tr.Targets[i].Name, closing)
 		if h, _ := readOneResponse(t, br, "GET"); h.Status != 200 {
 			t.Fatalf("request %d: status %d", i, h.Status)
 		}
@@ -276,7 +281,8 @@ func TestStatsIsRegistryView(t *testing.T) {
 	})
 
 	st := fe.Stats()
-	if st.Rehandoffs == 0 || st.Redispatches != 1 || st.MarkedDown != 1 || st.QuotaSheds != 1 || st.StaleRetries != 0 {
+	if st.Rehandoffs == 0 || st.Redispatches != 1 || st.MarkedDown != 1 || st.QuotaSheds != 1 || st.StaleRetries != 0 ||
+		st.CloseConsumed != 1 || st.SessionEndsWithHeader == 0 {
 		t.Fatalf("run did not exercise the mix it is meant to: %+v", st)
 	}
 	// Every handoff and the one refused dial went through the pool.
@@ -303,29 +309,32 @@ func TestStatsIsRegistryView(t *testing.T) {
 		}
 	}
 	for name, want := range map[string]uint64{
-		"lard_fe_accepted_total":                      st.Accepted,
-		`lard_fe_sessions_total{policy="perreq"}`:     st.SessionsByPolicy["perreq"],
-		"lard_fe_active_sessions":                     uint64(st.ActiveSessions),
-		"lard_fe_dispatches_total":                    st.Dispatches,
-		"lard_fe_responses_total":                     st.Served,
-		"lard_fe_handoffs_total":                      st.Handoffs,
-		"lard_fe_rehandoffs_total":                    st.Rehandoffs,
-		"lard_fe_rehandoff_fails_total":               st.RehandoffFails,
-		"lard_fe_redispatches_total":                  st.Redispatches,
-		"lard_fe_stale_retries_total":                 st.StaleRetries,
-		"lard_fe_errors_total":                        st.Errors,
-		`lard_fe_sheds_total{reason="quota"}`:         st.QuotaSheds,
-		`lard_fe_sheds_total{reason="overload"}`:      st.Rejected,
-		`lard_fe_sheds_total{reason="breaker"}`:       st.BreakerSheds,
-		"lard_fe_breaker_denials_total":               st.BreakerDenials,
-		"lard_fe_markdowns_total":                     st.MarkedDown,
-		"lard_fe_probes_total":                        st.Probes,
-		"lard_fe_probe_recoveries_total":              st.ProbeRecoveries,
-		`lard_fe_relay_bytes_total{dir="to_backend"}`: uint64(st.ClientToBackend),
-		`lard_fe_relay_bytes_total{dir="to_client"}`:  uint64(st.BackendToClient),
-		`lard_fe_pool_checkouts_total{result="hit"}`:  st.PoolHits,
-		`lard_fe_pool_checkouts_total{result="miss"}`: st.PoolMisses,
-		"lard_fe_pool_evictions_total":                st.PoolEvictions,
+		"lard_fe_accepted_total":                        st.Accepted,
+		`lard_fe_sessions_total{policy="perreq"}`:       st.SessionsByPolicy["perreq"],
+		"lard_fe_active_sessions":                       uint64(st.ActiveSessions),
+		"lard_fe_dispatches_total":                      st.Dispatches,
+		"lard_fe_responses_total":                       st.Served,
+		"lard_fe_handoffs_total":                        st.Handoffs,
+		"lard_fe_rehandoffs_total":                      st.Rehandoffs,
+		"lard_fe_rehandoff_fails_total":                 st.RehandoffFails,
+		"lard_fe_redispatches_total":                    st.Redispatches,
+		"lard_fe_stale_retries_total":                   st.StaleRetries,
+		"lard_fe_errors_total":                          st.Errors,
+		`lard_fe_sheds_total{reason="quota"}`:           st.QuotaSheds,
+		`lard_fe_sheds_total{reason="overload"}`:        st.Rejected,
+		`lard_fe_sheds_total{reason="breaker"}`:         st.BreakerSheds,
+		"lard_fe_breaker_denials_total":                 st.BreakerDenials,
+		"lard_fe_markdowns_total":                       st.MarkedDown,
+		"lard_fe_probes_total":                          st.Probes,
+		"lard_fe_probe_recoveries_total":                st.ProbeRecoveries,
+		`lard_fe_relay_bytes_total{dir="to_backend"}`:   uint64(st.ClientToBackend),
+		`lard_fe_relay_bytes_total{dir="to_client"}`:    uint64(st.BackendToClient),
+		`lard_fe_pool_checkouts_total{result="hit"}`:    st.PoolHits,
+		`lard_fe_pool_checkouts_total{result="miss"}`:   st.PoolMisses,
+		"lard_fe_pool_evictions_total":                  st.PoolEvictions,
+		`lard_fe_session_ends_total{how="with_header"}`: st.SessionEndsWithHeader,
+		`lard_fe_session_ends_total{how="swept"}`:       st.SessionEndsSwept,
+		"lard_fe_close_consumed_total":                  st.CloseConsumed,
 	} {
 		got, ok := series[name]
 		if !ok {

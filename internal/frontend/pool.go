@@ -1,13 +1,11 @@
 package frontend
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"sync"
 	"time"
 
-	"lard/internal/httprelay"
 	"lard/internal/metrics"
 )
 
@@ -32,133 +30,124 @@ const DefaultPoolSize = 8
 // eviction, not the back end's safety net, ends an idle transport.
 const DefaultPoolIdle = 30 * time.Second
 
-// pooledConn is one idle back-end transport: the connection, its buffered
-// response reader (which must travel with the conn so no response bytes
-// are lost across checkouts), and when it went idle.
-type pooledConn struct {
-	c     net.Conn
-	br    *bufio.Reader
-	since time.Time
-}
-
-// backendPool is a bounded per-node idle pool with TTL expiry. Checkouts
-// are LIFO — the most recently used connection is the least likely to
-// have been idle-closed by the back end.
+// backendPool is a bounded per-node idle pool with TTL expiry. The pooled
+// unit is the *backendConn itself (rehandoff.go): transport, reader,
+// framing writer and probe state travel together, so a checkout allocates
+// nothing. Checkouts are LIFO — the most recently used connection is the
+// least likely to have been idle-closed by the back end.
 type backendPool struct {
-	size int
-	ttl  time.Duration
+	size  int
+	ttl   time.Duration
+	every time.Duration // the janitor's sweep interval
 
 	mu     sync.Mutex
-	idle   map[int][]pooledConn
+	idle   map[int][]*backendConn
 	closed bool
 
 	// Collectors in the front end's registry (atomic, not under mu);
-	// Stats reads them as PoolHits/PoolMisses/PoolEvictions.
+	// Stats reads them as PoolHits/PoolMisses/PoolEvictions and
+	// SessionEndsSwept.
 	hits      *metrics.Counter // checkouts served from the pool
 	misses    *metrics.Counter // checkouts that found no live idle conn
 	evictions *metrics.Counter // conns discarded: capacity, TTL, death, or node eviction
+	swept     *metrics.Counter // end-of-session records the sweep paid
 }
 
 func newBackendPool(size int, ttl time.Duration, reg *metrics.Registry) *backendPool {
+	// Two sweeps per TTL. Without a TTL the sweep still runs, to end the
+	// sessions idle transports owe.
+	every := DefaultPoolIdle / 2
+	if ttl > 0 {
+		every = max(ttl/2, 10*time.Millisecond)
+	}
 	return &backendPool{
-		size: size, ttl: ttl, idle: make(map[int][]pooledConn),
+		size: size, ttl: ttl, every: every, idle: make(map[int][]*backendConn),
 		hits:      reg.Counter("lard_fe_pool_checkouts_total", "back-end connection pool checkouts, by result", "result", "hit"),
 		misses:    reg.Counter("lard_fe_pool_checkouts_total", "", "result", "miss"),
 		evictions: reg.Counter("lard_fe_pool_evictions_total", "pooled connections discarded: capacity, TTL, death, or node eviction"),
+		swept:     reg.Counter("lard_fe_session_ends_total", "end-of-session records sent, by how: in the next handoff header's write, or by the idle pool's sweep", "how", "swept"),
 	}
 }
 
 // get checks out an idle connection for node, discarding expired or dead
-// ones. The liveness probe is a zero-deadline peek: an idle transport
-// should have nothing to say, so readable data or EOF both mean the
-// connection is unusable (the back end hung up, or broke protocol).
+// ones (backendConn.silent is the liveness probe).
 //
 // Counter contract: every checkout is exactly one hit or one miss. The
 // miss is recorded here, once per get that returns no conn — not in pop —
 // so a checkout that pops only expired/dead conns (each recorded as an
 // eviction) still counts as the miss it is, and hits+misses always equals
 // checkouts in Stats.
-func (p *backendPool) get(node int) (net.Conn, *bufio.Reader, bool) {
+//
+//lard:noalloc
+func (p *backendPool) get(node int) (*backendConn, bool) {
 	for {
-		pc, ok := p.pop(node)
-		if !ok {
+		b := p.pop(node)
+		if b == nil {
 			p.misses.Inc()
-			return nil, nil, false
+			return nil, false
 		}
-		if p.ttl > 0 && time.Since(pc.since) > p.ttl {
-			p.discard(pc)
-			continue
-		}
-		if pc.br.Buffered() == 0 {
-			pc.c.SetReadDeadline(time.Now())
-			_, err := pc.br.Peek(1)
-			pc.c.SetReadDeadline(time.Time{})
-			if err == nil || !isDeadlineErr(err) {
-				// Data or EOF where silence was required: dead or dirty.
-				p.discard(pc)
-				continue
-			}
-		} else {
-			// Buffered bytes between sessions are a protocol violation.
-			p.discard(pc)
+		if p.ttl > 0 && time.Since(b.idleSince) > p.ttl || !b.silent() {
+			p.discard(b)
 			continue
 		}
 		p.hits.Inc()
-		return pc.c, pc.br, true
+		b.fromPool, b.served, b.clean = true, 0, false
+		return b, true
 	}
 }
 
-func (p *backendPool) pop(node int) (pooledConn, bool) {
+func (p *backendPool) pop(node int) *backendConn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	conns := p.idle[node]
 	if len(conns) == 0 {
-		return pooledConn{}, false
+		return nil
 	}
-	pc := conns[len(conns)-1]
-	// Zero the vacated slot: the entry holds a conn and a 16 KiB reader,
-	// and a truncating reslice alone keeps both reachable through the
-	// underlying array.
-	conns[len(conns)-1] = pooledConn{}
+	b := conns[len(conns)-1]
+	// Nil the vacated slot: a truncating reslice alone keeps the conn and
+	// its 16 KiB reader reachable through the underlying array.
+	conns[len(conns)-1] = nil
 	p.idle[node] = conns[:len(conns)-1]
-	return pc, true
+	return b
 }
 
-// discard retires a dead or expired pooled entry: close the transport,
-// recycle its reader, count the eviction.
-func (p *backendPool) discard(pc pooledConn) {
-	pc.c.Close()
-	httprelay.PutReader(pc.br)
+// discard retires a dead, expired or surplus pooled entry.
+func (p *backendPool) discard(b *backendConn) {
+	b.close()
 	p.evictions.Inc()
 }
 
-// put checks a clean (end-of-session sent, response fully read) transport
-// back in. Beyond the per-node bound the oldest idle conn is evicted —
-// LIFO reuse means the oldest is the most likely to die next anyway.
-func (p *backendPool) put(node int, c net.Conn, br *bufio.Reader) {
+// put checks a clean transport (response fully read; its session possibly
+// still open, see sweep) back in, idle from now.
+func (p *backendPool) put(b *backendConn) {
+	b.idleSince = time.Now()
+	p.checkIn(b)
+}
+
+// checkIn enters b into its node's idle list. Beyond the per-node bound
+// the oldest idle conn is evicted — LIFO reuse means the oldest is the
+// most likely to die next anyway.
+func (p *backendPool) checkIn(b *backendConn) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		c.Close()
-		httprelay.PutReader(br)
+		b.close()
 		return
 	}
-	conns := p.idle[node]
-	var evict pooledConn
+	conns := p.idle[b.node]
+	var evict *backendConn
 	if len(conns) >= p.size {
 		evict = conns[0]
 		n := copy(conns, conns[1:])
 		// The shift leaves a duplicate of the newest entry in the tail
-		// slot; zero it so the reslice does not retain it.
-		conns[n] = pooledConn{}
+		// slot; nil it so the reslice does not retain it.
+		conns[n] = nil
 		conns = conns[:n]
-		p.evictions.Inc()
 	}
-	p.idle[node] = append(conns, pooledConn{c: c, br: br, since: time.Now()})
+	p.idle[b.node] = append(conns, b)
 	p.mu.Unlock()
-	if evict.c != nil {
-		evict.c.Close()
-		httprelay.PutReader(evict.br)
+	if evict != nil {
+		p.discard(evict)
 	}
 }
 
@@ -170,44 +159,52 @@ func (p *backendPool) evictNode(node int) {
 	conns := p.idle[node]
 	delete(p.idle, node)
 	p.mu.Unlock()
-	p.evictions.Add(uint64(len(conns)))
-	for _, pc := range conns {
-		pc.c.Close()
-		httprelay.PutReader(pc.br)
+	for _, b := range conns {
+		p.discard(b)
 	}
 }
 
-// sweep discards idle connections past the TTL; the janitor calls it so
-// an idle pool drains even with no traffic arriving.
+// sweep is the janitor's pass over the idle pool, so that the pool
+// settles with no traffic arriving. A transport past the TTL is
+// discarded. A transport that has sat idle for a full sweep interval with
+// its session still open is sent the end-of-session record that no next
+// handoff came to carry, and kept: the back end's handler sees EOF by the
+// first sweep that finds it a full interval idle, less than two intervals
+// after its client left — with a TTL, one sweep before the one that would
+// close the transport. The record is written outside the lock, with the
+// transport out of the pool.
 func (p *backendPool) sweep() {
-	if p.ttl <= 0 {
-		return
-	}
-	cutoff := time.Now().Add(-p.ttl)
-	var dead []pooledConn
+	now := time.Now()
+	var dead, owing []*backendConn
 	p.mu.Lock()
 	for node, conns := range p.idle {
 		kept := conns[:0]
-		for _, pc := range conns {
-			if pc.since.Before(cutoff) {
-				dead = append(dead, pc)
-				p.evictions.Inc()
-			} else {
-				kept = append(kept, pc)
+		for _, b := range conns {
+			switch idle := now.Sub(b.idleSince); {
+			case p.ttl > 0 && idle > p.ttl:
+				dead = append(dead, b)
+			case idle >= p.every && b.sw.InSession():
+				owing = append(owing, b)
+			default:
+				kept = append(kept, b)
 			}
 		}
-		// The compaction dropped len(conns)-len(kept) entries but their
-		// conns and 16 KiB readers stay reachable through the shared
-		// array until the tail is zeroed.
-		for i := len(kept); i < len(conns); i++ {
-			conns[i] = pooledConn{}
-		}
+		// The dropped entries stay reachable through the shared array
+		// until the tail is cleared.
+		clear(conns[len(kept):])
 		p.idle[node] = kept
 	}
 	p.mu.Unlock()
-	for _, pc := range dead {
-		pc.c.Close()
-		httprelay.PutReader(pc.br)
+	for _, b := range dead {
+		p.discard(b)
+	}
+	for _, b := range owing {
+		if err := b.sw.End(); err != nil {
+			p.discard(b)
+			continue
+		}
+		p.swept.Inc()
+		p.checkIn(b)
 	}
 }
 
@@ -215,15 +212,13 @@ func (p *backendPool) sweep() {
 func (p *backendPool) closeAll() {
 	p.mu.Lock()
 	p.closed = true
-	var all []pooledConn
-	for _, conns := range p.idle {
-		all = append(all, conns...)
-	}
-	p.idle = make(map[int][]pooledConn)
+	all := p.idle
+	p.idle = make(map[int][]*backendConn)
 	p.mu.Unlock()
-	for _, pc := range all {
-		pc.c.Close()
-		httprelay.PutReader(pc.br)
+	for _, conns := range all {
+		for _, b := range conns {
+			b.close()
+		}
 	}
 }
 
@@ -241,16 +236,9 @@ func (p *backendPool) idleCount(node int) (total, forNode int) {
 	return total, forNode
 }
 
-// janitor sweeps expired idle connections until stop closes.
+// janitor sweeps the idle pool until stop closes.
 func (p *backendPool) janitor(stop <-chan struct{}) {
-	if p.ttl <= 0 {
-		return
-	}
-	interval := p.ttl / 2
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(p.every)
 	defer t.Stop()
 	for {
 		select {
@@ -263,7 +251,7 @@ func (p *backendPool) janitor(stop <-chan struct{}) {
 }
 
 // isDeadlineErr reports a read-deadline expiry — the healthy outcome of
-// the liveness peek. It unwraps: an instrumented or test conn that wraps
+// the deadline peek. It unwraps: an instrumented or test conn that wraps
 // the deadline error must still read as "alive and silent", not as a
 // dead transport to evict.
 func isDeadlineErr(err error) bool {

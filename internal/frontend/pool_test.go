@@ -45,10 +45,10 @@ func TestPoolProperty(t *testing.T) {
 		switch rng.Intn(5) {
 		case 0, 1:
 			c := pipeConn(t)
-			p.put(node, c, bufio.NewReaderSize(c, 1<<10))
+			p.put(newBackendConn(node, c))
 			puts++
 		case 2, 3:
-			if _, _, ok := p.get(node); ok {
+			if _, ok := p.get(node); ok {
 				handedOut++
 			}
 			checkouts++
@@ -60,7 +60,7 @@ func TestPoolProperty(t *testing.T) {
 			if conns := p.idle[node]; len(conns) > 0 {
 				j := rng.Intn(len(conns))
 				if rng.Intn(2) == 0 {
-					conns[j].since = conns[j].since.Add(-2 * ttl)
+					conns[j].idleSince = conns[j].idleSince.Add(-2 * ttl)
 				} else {
 					conns[j].c.Close() // the liveness peek will see a dead conn
 				}
@@ -94,14 +94,14 @@ func TestPoolMissCountsExpiredFallthrough(t *testing.T) {
 	p := newBackendPool(4, time.Hour, metrics.NewRegistry())
 	for i := 0; i < 2; i++ {
 		c := pipeConn(t)
-		p.put(0, c, bufio.NewReaderSize(c, 1<<10))
+		p.put(newBackendConn(0, c))
 	}
 	p.mu.Lock()
 	for i := range p.idle[0] {
-		p.idle[0][i].since = p.idle[0][i].since.Add(-2 * time.Hour)
+		p.idle[0][i].idleSince = p.idle[0][i].idleSince.Add(-2 * time.Hour)
 	}
 	p.mu.Unlock()
-	if _, _, ok := p.get(0); ok {
+	if _, ok := p.get(0); ok {
 		t.Fatal("expired conn handed out")
 	}
 	hits, misses, ev := p.hits.Value(), p.misses.Value(), p.evictions.Value()
@@ -113,7 +113,7 @@ func TestPoolMissCountsExpiredFallthrough(t *testing.T) {
 // TestPoolZeroesVacatedSlots is the slice-tail-retention regression: the
 // capacity-eviction shift in put, the checkout pop, and the sweep
 // compaction all truncate the per-node slice, and each must zero the
-// vacated tail slots — a dropped pooledConn left in the underlying array
+// vacated tail slots — a dropped *backendConn left in the underlying array
 // keeps its conn and 16 KiB reader reachable.
 func TestPoolZeroesVacatedSlots(t *testing.T) {
 	p := newBackendPool(2, time.Hour, metrics.NewRegistry())
@@ -124,7 +124,7 @@ func TestPoolZeroesVacatedSlots(t *testing.T) {
 		conns := p.idle[0]
 		full := conns[:cap(conns)]
 		for i := len(conns); i < cap(conns); i++ {
-			if full[i] != (pooledConn{}) {
+			if full[i] != nil {
 				t.Fatalf("%s: vacated slot %d retains %+v", context, i, full[i])
 			}
 		}
@@ -132,20 +132,20 @@ func TestPoolZeroesVacatedSlots(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		c := pipeConn(t)
-		p.put(0, c, bufio.NewReaderSize(c, 1<<10))
+		p.put(newBackendConn(0, c))
 	}
 	c := pipeConn(t)
-	p.put(0, c, bufio.NewReaderSize(c, 1<<10)) // over capacity: shift-evicts the oldest
+	p.put(newBackendConn(0, c)) // over capacity: shift-evicts the oldest
 	assertTailZeroed("capacity eviction")
 
-	if _, _, ok := p.get(0); !ok {
+	if _, ok := p.get(0); !ok {
 		t.Fatal("checkout failed")
 	}
 	assertTailZeroed("checkout pop")
 
 	p.mu.Lock()
 	for i := range p.idle[0] {
-		p.idle[0][i].since = p.idle[0][i].since.Add(-2 * time.Hour)
+		p.idle[0][i].idleSince = p.idle[0][i].idleSince.Add(-2 * time.Hour)
 	}
 	p.mu.Unlock()
 	p.sweep()
@@ -187,12 +187,12 @@ func TestIsDeadlineErrUnwraps(t *testing.T) {
 func TestPoolKeepsConnWithWrappedDeadlineErr(t *testing.T) {
 	p := newBackendPool(2, time.Hour, metrics.NewRegistry())
 	c := wrapErrConn{pipeConn(t)}
-	p.put(0, c, bufio.NewReaderSize(c, 1<<10))
-	cc, _, ok := p.get(0)
+	p.put(newBackendConn(0, c))
+	b, ok := p.get(0)
 	if !ok {
 		t.Fatal("healthy conn with wrapping Read evicted as dead")
 	}
-	if cc != net.Conn(c) {
+	if b.c != net.Conn(c) {
 		t.Fatal("a different conn was handed out")
 	}
 	hits, misses, ev := p.hits.Value(), p.misses.Value(), p.evictions.Value()
@@ -207,9 +207,9 @@ func TestPoolTTLAndSweep(t *testing.T) {
 	p := newBackendPool(2, 30*time.Millisecond, metrics.NewRegistry())
 
 	c0 := pipeConn(t)
-	p.put(0, c0, bufio.NewReaderSize(c0, 1<<10))
+	p.put(newBackendConn(0, c0))
 	time.Sleep(50 * time.Millisecond)
-	if _, _, ok := p.get(0); ok {
+	if _, ok := p.get(0); ok {
 		t.Fatal("expired connection handed out")
 	}
 	if ev := p.evictions.Value(); ev != 1 {
@@ -217,7 +217,7 @@ func TestPoolTTLAndSweep(t *testing.T) {
 	}
 
 	c1 := pipeConn(t)
-	p.put(1, c1, bufio.NewReaderSize(c1, 1<<10))
+	p.put(newBackendConn(1, c1))
 	time.Sleep(50 * time.Millisecond)
 	p.sweep()
 	if idle, _ := p.idleCount(-1); idle != 0 {
@@ -232,13 +232,48 @@ func TestPoolDetectsDeadConnAtCheckout(t *testing.T) {
 	p := newBackendPool(2, time.Hour, metrics.NewRegistry())
 	a, b := net.Pipe()
 	defer a.Close()
-	p.put(0, a, bufio.NewReaderSize(a, 1<<10))
+	p.put(newBackendConn(0, a))
 	b.Close() // the "back end" hangs up while the conn is idle
-	if _, _, ok := p.get(0); ok {
+	if _, ok := p.get(0); ok {
 		t.Fatal("dead connection handed out")
 	}
 	if hits, ev := p.hits.Value(), p.evictions.Value(); hits != 0 || ev != 1 {
 		t.Fatalf("hits=%d evictions=%d, want 0/1", hits, ev)
+	}
+}
+
+// TestPoolDetectsDeadTCPConnAtCheckout is the same over real loopback
+// TCP, where a zero-deadline peek is blind: the poller reports the expired
+// deadline before it issues any read, so a transport whose peer sent FIN
+// long ago passed as alive and silent. The probe must look at the socket.
+func TestPoolDetectsDeadTCPConnAtCheckout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	near, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newBackendPool(2, time.Hour, metrics.NewRegistry())
+	p.put(newBackendConn(0, near))
+	if b, ok := p.get(0); !ok {
+		t.Fatal("a live, silent TCP transport was not handed out")
+	} else {
+		p.put(b)
+	}
+	far.Close()                       // the "back end" hangs up while the conn is idle
+	time.Sleep(50 * time.Millisecond) // for the FIN to cross the loopback
+	if _, ok := p.get(0); ok {
+		t.Fatal("dead TCP connection handed out")
+	}
+	if hits, ev := p.hits.Value(), p.evictions.Value(); hits != 1 || ev != 1 {
+		t.Fatalf("hits=%d evictions=%d, want 1/1", hits, ev)
 	}
 }
 
@@ -273,8 +308,8 @@ func startPooledFrontend(t *testing.T, addrs []string, mod ...func(*Config)) (*S
 // keep-alive connection — and then waits for the front end to retire the
 // session, so the back-end transport is back in the pool before the
 // caller's next request. (A client that *does* send Connection: close
-// gets a close-flagged back-end response, which correctly makes the
-// transport non-reusable; pooling pays off for keep-alive clients.)
+// is closingExchange, in owedend_test.go: the front end consumes the
+// option, so its transport is pooled just the same.)
 func rawKeepAliveGet(t *testing.T, fe *Server, feAddr, target string) int {
 	t.Helper()
 	conn, err := net.Dial("tcp", feAddr)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"syscall"
 	"time"
 
 	"lard/internal/handoff"
@@ -65,18 +66,75 @@ const dialRedispatchLimit = 2
 // it survives the session for reuse.
 const handoffFlags = handoff.FlagRehandoff | handoff.FlagSessionFramed
 
-// backendConn is the relay loop's handle on one handed-off back-end
-// connection: the transport, its buffered response reader, and the
-// session-framing writer every request-direction byte goes through.
+// backendConn is one session-framed transport to a back end, and the
+// unit the idle pool stores: the connection, its buffered response reader
+// (which must travel with the conn so no response bytes are lost across
+// checkouts), the framing writer every request-direction byte goes
+// through — it knows whether the last session is still open — and the
+// state of the checkout liveness probe.
 type backendConn struct {
 	node int
 	c    net.Conn
 	br   *bufio.Reader
 	sw   *handoff.SessionWriter
 
-	fromPool bool // checked out of the idle pool (stale-retry eligible)
-	served   int  // complete responses relayed on this checkout
-	clean    bool // at a message boundary: eligible for pool check-in
+	fromPool  bool      // checked out of the idle pool (stale-retry eligible)
+	served    int       // complete responses relayed on this checkout
+	clean     bool      // at a message boundary: eligible for pool check-in
+	idleSince time.Time // when the pool took it in
+
+	// The probe: rc is the conn's raw descriptor (nil if it has none),
+	// peek the callback rc.Read runs — built once, so a probe allocates
+	// nothing — and peekErr what its recv(MSG_PEEK) returned.
+	rc      syscall.RawConn
+	peek    func(fd uintptr) bool
+	peekErr error
+}
+
+// newBackendConn wraps a freshly dialed connection: no session is open.
+func newBackendConn(node int, c net.Conn) *backendConn {
+	b := &backendConn{node: node, c: c, br: httprelay.GetReader(c), sw: handoff.NewTransportWriter(c)}
+	if sc, ok := c.(syscall.Conn); ok {
+		b.rc, _ = sc.SyscallConn()
+		b.peek = func(fd uintptr) bool {
+			var one [1]byte
+			_, _, b.peekErr = syscall.Recvfrom(int(fd), one[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+			return true // never wait for readability
+		}
+	}
+	return b
+}
+
+// silent is the pool's checkout probe: whether the idle transport is
+// alive and has nothing to say. Between sessions the back end owes no
+// byte, so readable data and EOF both make the transport unusable (the
+// back end broke protocol, or hung up) and only EAGAIN passes. The probe
+// is one non-blocking recv(MSG_PEEK) on the descriptor. A zero read
+// deadline will not do on a real socket: the poller reports the expired
+// deadline before it issues any read, so a peer's FIN from seconds ago
+// would go unseen. Only a conn with no descriptor (a test's pipe or
+// wrapper) gets the deadline peek.
+//
+//lard:noalloc
+func (b *backendConn) silent() bool {
+	switch {
+	case b.br.Buffered() > 0:
+		return false
+	case b.rc != nil:
+		return b.rc.Read(b.peek) == nil && b.peekErr == syscall.EAGAIN
+	}
+	b.c.SetReadDeadline(time.Now())
+	_, err := b.br.Peek(1)
+	b.c.SetReadDeadline(time.Time{})
+	return err != nil && isDeadlineErr(err)
+}
+
+// close closes the transport and recycles its reader. The caller must
+// drop every reference to b (the relay loop nulls out `backend`).
+func (b *backendConn) close() {
+	b.c.Close()
+	httprelay.PutReader(b.br)
+	b.br = nil
 }
 
 // handleConn relays one client connection through its session.
@@ -86,7 +144,10 @@ func (s *Server) handleConn(client net.Conn) {
 	// Connection-accept quota gate: a client already over its rate is
 	// shed before the front end reads a byte or opens a session. The
 	// check is non-consuming — the per-request Allow below pays.
-	quotaKey := clientQuotaKey(client)
+	// The address is formatted once per client connection: the quota key
+	// is cut from it, and every handoff header carries it.
+	clientAddr := client.RemoteAddr().String()
+	quotaKey := clientQuotaKey(clientAddr)
 	if ok, retry := s.ov.quota.Check(quotaKey, s.now()); !ok {
 		s.shedQuota(client, retry)
 		return
@@ -142,6 +203,15 @@ func (s *Server) handleConn(client net.Conn) {
 			return
 		}
 		client.SetReadDeadline(time.Time{})
+		if head.Close {
+			// The client's close is for this hop: the loop honours it
+			// (KeepAlive is false) and the back end never sees it, so its
+			// transport survives the request. Raw is this connection's
+			// own scratch, so the stay path and a stale-retry replay send
+			// the same blanked bytes.
+			httprelay.BlankConnectionClose(head.Raw)
+			s.m.closeConsumed.Inc()
+		}
 		reqStart := s.now()
 
 		// Per-request quota: each parsed head costs one token; an empty
@@ -186,7 +256,7 @@ func (s *Server) handleConn(client net.Conn) {
 			// First handoff, re-handoff, or stale retry. requestDone follows
 			// a superseding claim (attachBackend).
 			var ndone func()
-			backend, ndone, err = s.attachBackend(sess, node, backend, stale, client, head)
+			backend, ndone, err = s.attachBackend(sess, node, backend, stale, client, clientAddr, head)
 			if err != nil {
 				return
 			}
@@ -230,7 +300,7 @@ func (s *Server) handleConn(client net.Conn) {
 			// succeeded, so the back end may have executed the request
 			// before dying — net/http's transport draws the same line.
 			var ndone func()
-			backend, ndone, err = s.attachBackend(sess, backend.node, backend, err, client, head)
+			backend, ndone, err = s.attachBackend(sess, backend.node, backend, err, client, clientAddr, head)
 			if err != nil {
 				return
 			}
@@ -296,10 +366,10 @@ func (s *Server) handleConn(client net.Conn) {
 // eligible node outside tried, up to dialRedispatchLimit times. The
 // returned done func is non-nil when that happened — the alternate's
 // claim, which supersedes the one from the original Dispatch.
-func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, stale error, client net.Conn, head httprelay.RequestHead) (*backendConn, func(), error) {
+func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, stale error, client net.Conn, clientAddr string, head httprelay.RequestHead) (*backendConn, func(), error) {
 	if stale != nil {
 		s.logf("frontend: stale back-end conn to %d (%v), retrying fresh", old.node, stale)
-		s.discardBackend(old)
+		old.close()
 		s.m.staleRetries.Inc()
 	} else {
 		s.releaseBackend(old)
@@ -312,7 +382,7 @@ func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, s
 	for {
 		if !s.breakerAllow(node) {
 			err = errBreakerDenied
-		} else if b, cerr := s.connectBackend(node, client, head, stale != nil && len(tried) == 0); cerr != nil {
+		} else if b, cerr := s.connectBackend(node, clientAddr, head, stale != nil && len(tried) == 0); cerr != nil {
 			err = cerr
 		} else {
 			s.m.handoffs.Inc()
@@ -365,19 +435,23 @@ func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, s
 // handoff header: from the idle pool (with one transparent fall-through
 // to a fresh dial if the pooled transport turns out stale), or straight
 // from a dial when fresh is set. The dial keeps the mark-down accounting
-// of dialBackend.
-func (s *Server) connectBackend(node int, client net.Conn, head httprelay.RequestHead, fresh bool) (*backendConn, error) {
-	clientAddr := client.RemoteAddr().String()
+// of dialBackend. Either way the request side of the handoff is one
+// Write: the end-of-session record a pooled transport still owes, the
+// header, and the request head.
+func (s *Server) connectBackend(node int, clientAddr string, head httprelay.RequestHead, fresh bool) (*backendConn, error) {
 	if !fresh {
-		if c, br, ok := s.pool.get(node); ok {
-			b := &backendConn{node: node, c: c, br: br, sw: handoff.NewSessionWriter(c), fromPool: true}
-			if err := handoff.Send(c, clientAddr, head.Raw, handoffFlags); err == nil {
+		if b, ok := s.pool.get(node); ok {
+			owed := b.sw.InSession()
+			if err := b.sw.Handoff(clientAddr, head.Raw, handoffFlags); err == nil {
+				if owed {
+					s.m.endsWithHeader.Inc()
+				}
 				return b, nil
 			}
 			// Stale pooled transport: the write failed before anything
 			// reached the client. Fall through to a fresh dial.
 			s.logf("frontend: stale pooled conn to %d, dialing fresh", node)
-			s.discardBackend(b)
+			b.close()
 			s.m.staleRetries.Inc()
 		}
 	}
@@ -385,40 +459,31 @@ func (s *Server) connectBackend(node int, client net.Conn, head httprelay.Reques
 	if err != nil {
 		return nil, err
 	}
-	b := &backendConn{node: node, c: c, br: httprelay.GetReader(c), sw: handoff.NewSessionWriter(c)}
-	if err := handoff.Send(c, clientAddr, head.Raw, handoffFlags); err != nil {
-		s.discardBackend(b)
+	b := newBackendConn(node, c)
+	if err := b.sw.Handoff(clientAddr, head.Raw, handoffFlags); err != nil {
+		b.close()
 		return nil, err
 	}
 	return b, nil
 }
 
-// releaseBackend retires the relay loop's hold on a back-end connection:
-// a clean transport gets its end-of-session record and goes back to the
-// idle pool (unless its node can no longer take traffic), anything else
-// is closed and its reader recycled.
+// releaseBackend retires the relay loop's hold on a back-end connection.
+// A clean transport goes back to the idle pool (unless its node can no
+// longer take traffic) with its session still open: the end-of-session
+// record is owed, and paid in the same write as the next handoff's
+// header, or by the pool's sweep if none comes, or never if the transport
+// is closed first. Anything else is closed and its reader recycled.
+//
+//lard:noalloc
 func (s *Server) releaseBackend(b *backendConn) {
 	if b == nil {
 		return
 	}
 	if b.clean && s.nodePoolable(b.node) {
-		if err := b.sw.End(); err == nil {
-			// The reader travels with the pooled conn: response bytes it
-			// may buffer belong to that transport.
-			s.pool.put(b.node, b.c, b.br)
-			return
-		}
+		s.pool.put(b)
+		return
 	}
-	s.discardBackend(b)
-}
-
-// discardBackend closes a back-end transport and recycles its reader.
-// The caller must drop every reference to b.br (callers in the relay
-// loop null out `backend` right after).
-func (s *Server) discardBackend(b *backendConn) {
-	b.c.Close()
-	httprelay.PutReader(b.br)
-	b.br = nil
+	b.close()
 }
 
 // nodePoolable reports whether idle connections for node may enter the

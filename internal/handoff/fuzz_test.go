@@ -122,9 +122,11 @@ func FuzzSessionFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, initial, stream []byte) {
 		// Part 1: arbitrary bytes as the framed stream, read through a
 		// deliberately tiny buffer to stress the resumable frame state.
-		under := bytes.NewReader(stream)
+		// The initial data lies in the transport's reader, ahead of the
+		// stream, as it does after the listener has parsed a header.
+		under := bytes.NewReader(want2(initial, stream))
 		br := bufio.NewReader(under)
-		sc := newSessionConn(&fuzzConn{}, br, Header{ClientAddr: "192.0.2.9:1", InitialData: initial})
+		sc := newSessionConn(&fuzzConn{}, br, parseClientAddr("192.0.2.9:1"), len(initial), nil)
 		var got bytes.Buffer
 		var ferr error
 		buf := make([]byte, 3)
@@ -194,8 +196,8 @@ func FuzzSessionFrames(f *testing.F) {
 			t.Fatalf("SessionWriter.End: %v", err)
 		}
 		next := "LARDnext-session"
-		br2 := bufio.NewReader(io.MultiReader(bytes.NewReader(wire.Bytes()), strings.NewReader(next)))
-		sc2 := newSessionConn(&fuzzConn{}, br2, Header{InitialData: initial})
+		br2 := bufio.NewReader(io.MultiReader(bytes.NewReader(initial), bytes.NewReader(wire.Bytes()), strings.NewReader(next)))
+		sc2 := newSessionConn(&fuzzConn{}, br2, nil, len(initial), nil)
 		echoed, err := io.ReadAll(sc2)
 		if err != nil {
 			t.Fatalf("reading back framed payload: %v", err)
@@ -212,6 +214,48 @@ func FuzzSessionFrames(f *testing.F) {
 		}
 		if string(rest) != next {
 			t.Fatalf("transport desynced after session: trailing bytes %q, want %q", rest, next)
+		}
+
+		// Part 3: the owed end-of-session record rides with the next
+		// header. One session's frames, then End + header + initial data
+		// as Handoff writes them, delivered in one segment and split in
+		// two at every byte boundary (every 7th on a long input): the
+		// first session must end cleanly, the header must parse, and the
+		// second session must read exactly its initial data.
+		if len(initial) > MaxInitialData {
+			return
+		}
+		wire.Reset()
+		if _, err := w.Write(stream); err == nil {
+			t.Fatal("SessionWriter.Write after End succeeded")
+		}
+		w = NewSessionWriter(&wire)
+		if _, err := w.Write(stream); err != nil {
+			t.Fatalf("SessionWriter.Write: %v", err)
+		}
+		const nextClient = "198.51.100.7:81"
+		if err := w.Handoff(nextClient, initial, FlagRehandoff); err != nil {
+			t.Fatalf("SessionWriter.Handoff: %v", err)
+		}
+		if err := w.End(); err != nil {
+			t.Fatalf("SessionWriter.End: %v", err)
+		}
+		segment := wire.Bytes()
+		step := 1 + len(segment)/512*7
+		for cut := 0; cut <= len(segment); cut += step {
+			br3 := bufio.NewReader(io.MultiReader(bytes.NewReader(segment[:cut]), bytes.NewReader(segment[cut:])))
+			first := newSessionConn(&fuzzConn{}, br3, nil, 0, nil)
+			if got, err := io.ReadAll(first); err != nil || !bytes.Equal(got, stream) || !first.drained() {
+				t.Fatalf("cut %d: first session read %q, %v (drained %t), want %q", cut, got, err, first.drained(), stream)
+			}
+			flags, client, n, err := readHeaderFields(br3)
+			if err != nil || flags != FlagRehandoff|FlagSessionFramed || client.String() != nextClient || n != len(initial) {
+				t.Fatalf("cut %d: next header = flags %#x, client %v, %d initial bytes, %v", cut, flags, client, n, err)
+			}
+			second := newSessionConn(&fuzzConn{}, br3, client, n, nil)
+			if got, err := io.ReadAll(second); err != nil || !bytes.Equal(got, initial) || !second.drained() {
+				t.Fatalf("cut %d: second session read %q, %v (drained %t), want %q", cut, got, err, second.drained(), initial)
+			}
 		}
 	})
 }

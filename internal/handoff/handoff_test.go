@@ -188,8 +188,11 @@ func TestConnReadsDrainInitialFirst(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	c := newConn(b, bufio.NewReader(b), Header{ClientAddr: "198.51.100.2:999", InitialData: []byte("abcdef")})
+	// The initial data is whatever follows the header in the reader the
+	// handshake parsed it from; later bytes follow on the same stream.
+	c := newConn(b, bufio.NewReader(b), parseClientAddr("198.51.100.2:999"))
 	go func() {
+		a.Write([]byte("abcdef"))
 		a.Write([]byte("ghi"))
 		a.Close()
 	}()
@@ -209,7 +212,7 @@ func TestConnUnparseableClientAddr(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	c := newConn(b, bufio.NewReader(b), Header{ClientAddr: "not-an-address"})
+	c := newConn(b, bufio.NewReader(b), parseClientAddr("not-an-address"))
 	if c.RemoteAddr().String() != "not-an-address" {
 		t.Fatalf("RemoteAddr = %v", c.RemoteAddr())
 	}

@@ -38,7 +38,9 @@ type Listener struct {
 	// HandshakeTimeout bounds how long a newly accepted connection may
 	// take to deliver its handoff header (default 5s). On a session-
 	// framed transport it also bounds each subsequent header, measured
-	// from that header's first byte.
+	// from that header's first byte. The header ends where its initial
+	// data begins: those bytes are the session's to read, under the
+	// server's own timeouts, like every frame after them.
 	HandshakeTimeout time.Duration
 
 	// SessionIdleTimeout bounds how long a session-framed transport may
@@ -174,21 +176,21 @@ func (l *Listener) handshake(raw net.Conn) {
 		httprelay.PutReader(br)
 		return
 	}
-	h, err := ReadHeader(br)
+	flags, client, initialLen, err := readHeaderFields(br)
 	if err != nil {
+		l.rejected.Add(1) // before the close the peer can observe
 		raw.Close()
 		httprelay.PutReader(br)
-		l.rejected.Add(1)
 		return
 	}
 	raw.SetReadDeadline(time.Time{})
-	if h.Flags&FlagSessionFramed != 0 {
+	if flags&FlagSessionFramed != 0 {
 		l.addTransport(raw)
-		l.serveTransport(raw, br, h)
+		l.serveTransport(raw, br, client, initialLen)
 		return
 	}
 	l.sessions.Add(1)
-	c := newConn(raw, br, h)
+	c := newConn(raw, br, client)
 	if !l.deliver(c) {
 		// Never delivered: this goroutine is still the reader's only
 		// user, so it can be recycled (unlike a delivered v1 conn, whose
@@ -210,23 +212,25 @@ func (l *Listener) deliver(c net.Conn) bool {
 }
 
 // serveTransport runs one session-framed transport: yield a virtual conn
-// for the current header, wait for the server to finish with it, then
-// read the next header — for as long as each session is drained through
+// for the current header (client's address, initialLen bytes of initial
+// data next in br), wait for the server to finish with it, then read the
+// next header — for as long as each session is drained through
 // its end-of-session record and headers keep parsing. Sessions on one
 // transport are strictly sequential, mirroring the front end's pool
 // (a pooled connection is checked out by at most one client session).
-func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, h Header) {
+func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, client net.Addr, initialLen int) {
 	defer l.dropTransport(raw)
+	closed := make(chan struct{}, 1)
 	for {
 		l.sessions.Add(1)
-		sc := newSessionConn(raw, br, h)
+		sc := newSessionConn(raw, br, client, initialLen, closed)
 		if !l.deliver(sc) {
 			// Undelivered: the loop is still the reader's only user.
 			httprelay.PutReader(br)
 			return
 		}
 		select {
-		case <-sc.closed:
+		case <-closed:
 			// The server closed the session; net/http quiesces its reads
 			// before Close returns, so from here the loop is again the
 			// reader's only user.
@@ -242,15 +246,14 @@ func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, h Header) {
 			httprelay.PutReader(br)
 			return
 		}
-		h2, err := l.readNextHeader(raw, br)
-		if err != nil {
+		var err error
+		if client, initialLen, err = l.readNextHeader(raw, br); err != nil {
 			if err != errIdleClosed {
 				l.rejected.Add(1)
 			}
 			httprelay.PutReader(br)
 			return
 		}
-		h = h2
 	}
 }
 
@@ -266,7 +269,7 @@ func (*idleClosedError) Error() string { return "handoff: transport closed while
 // readNextHeader waits (bounded by SessionIdleTimeout) for the next
 // session's header on an idle transport, then requires the complete
 // header within HandshakeTimeout of its first byte.
-func (l *Listener) readNextHeader(raw net.Conn, br *bufio.Reader) (Header, error) {
+func (l *Listener) readNextHeader(raw net.Conn, br *bufio.Reader) (client net.Addr, initialLen int, err error) {
 	idle := l.SessionIdleTimeout
 	if idle == 0 {
 		idle = DefaultSessionIdleTimeout
@@ -281,19 +284,18 @@ func (l *Listener) readNextHeader(raw net.Conn, br *bufio.Reader) (Header, error
 		// transport it no longer wants. Deadline expiry is the back end
 		// giving up on a front end that vanished. Neither is a handshake
 		// fault.
-		return Header{}, errIdleClosed
+		return nil, 0, errIdleClosed
 	}
 	if l.HandshakeTimeout > 0 {
 		raw.SetReadDeadline(time.Now().Add(l.HandshakeTimeout))
 	} else {
 		raw.SetReadDeadline(time.Time{})
 	}
-	h, err := ReadHeader(br)
-	if err != nil {
-		return Header{}, err
+	if _, client, initialLen, err = readHeaderFields(br); err != nil {
+		return nil, 0, err
 	}
 	raw.SetReadDeadline(time.Time{})
-	return h, nil
+	return client, initialLen, nil
 }
 
 func (l *Listener) addTransport(raw net.Conn) {
@@ -338,33 +340,26 @@ func (l *Listener) Rejected() uint64 { return l.rejected.Load() }
 func (l *Listener) Sessions() uint64 { return l.sessions.Load() }
 
 // Conn is a handed-off connection (plain v1 handoff: the whole TCP
-// connection carries exactly one session): reads drain the handoff
-// message's initial data before touching the network, and RemoteAddr
-// reports the original client's address.
+// connection carries exactly one session): reads go through the reader
+// the handshake parsed the header from, where the handoff message's
+// initial data comes first, and RemoteAddr reports the original client's
+// address.
 type Conn struct {
 	net.Conn
 	br         *bufio.Reader
-	initial    []byte
 	clientAddr net.Addr
 }
 
-// newConn wraps a raw connection using the parsed handoff header. br
-// holds any bytes the handshake read past the header.
-func newConn(raw net.Conn, br *bufio.Reader, h Header) *Conn {
-	return &Conn{Conn: raw, br: br, initial: h.InitialData, clientAddr: parseClientAddr(h.ClientAddr)}
+// newConn wraps a raw connection whose header the handshake consumed
+// from br; the initial data and whatever follows it are still in br.
+func newConn(raw net.Conn, br *bufio.Reader, client net.Addr) *Conn {
+	return &Conn{Conn: raw, br: br, clientAddr: client}
 }
 
-// Read implements net.Conn, serving the handed-off initial data first.
+// Read implements net.Conn.
 //
 //lard:noalloc
-func (c *Conn) Read(p []byte) (int, error) {
-	if len(c.initial) > 0 {
-		n := copy(p, c.initial)
-		c.initial = c.initial[n:]
-		return n, nil
-	}
-	return c.br.Read(p)
-}
+func (c *Conn) Read(p []byte) (int, error) { return c.br.Read(p) }
 
 // RemoteAddr reports the original client's address, as the paper's
 // client-transparent handoff does.

@@ -28,6 +28,7 @@
 package handoff
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -99,57 +100,121 @@ func Send(backendConn net.Conn, clientAddr string, initialData []byte, flags byt
 
 // WriteHeader serializes the handoff message to w.
 func WriteHeader(w io.Writer, h Header) error {
-	if len(h.ClientAddr) > MaxAddrLen {
-		return fmt.Errorf("handoff: client address length %d exceeds %d", len(h.ClientAddr), MaxAddrLen)
+	if err := checkHeader(h.ClientAddr, h.InitialData); err != nil {
+		return err
 	}
-	if len(h.InitialData) > MaxInitialData {
-		return fmt.Errorf("handoff: initial data length %d exceeds %d", len(h.InitialData), MaxInitialData)
-	}
-	buf := make([]byte, 0, len(magic)+2+2+len(h.ClientAddr)+4+len(h.InitialData))
-	buf = append(buf, magic...)
-	buf = append(buf, version, h.Flags)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(h.ClientAddr)))
-	buf = append(buf, h.ClientAddr...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(h.InitialData)))
-	buf = append(buf, h.InitialData...)
-	_, err := w.Write(buf)
+	buf := make([]byte, 0, fixedLen+len(h.ClientAddr)+4+len(h.InitialData))
+	_, err := w.Write(appendHeader(buf, h.Flags, h.ClientAddr, h.InitialData))
 	return err
 }
 
-// ReadHeader parses a handoff message from r.
-func ReadHeader(r io.Reader) (Header, error) {
-	var h Header
-	fixed := make([]byte, len(magic)+2+2)
-	if _, err := io.ReadFull(r, fixed); err != nil {
-		return h, fmt.Errorf("%w: %v", ErrBadHandshake, err)
+// fixedLen is the header's fixed part: magic, version, flags and the
+// address length.
+const fixedLen = len(magic) + 2 + 2
+
+// Static, like the frame-path errors: Handoff is //lard:noalloc.
+var (
+	errAddrTooLong    = errors.New("handoff: client address exceeds MaxAddrLen")
+	errInitialTooLong = errors.New("handoff: initial data exceeds MaxInitialData")
+)
+
+func checkHeader(clientAddr string, initialData []byte) error {
+	if len(clientAddr) > MaxAddrLen {
+		return errAddrTooLong
 	}
+	if len(initialData) > MaxInitialData {
+		return errInitialTooLong
+	}
+	return nil
+}
+
+// appendHeader appends the wire form of a handoff message to buf.
+//
+//lard:noalloc
+func appendHeader(buf []byte, flags byte, clientAddr string, initialData []byte) []byte {
+	buf = append(buf, magic...)
+	buf = append(buf, version, flags)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(clientAddr)))
+	buf = append(buf, clientAddr...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(initialData)))
+	return append(buf, initialData...)
+}
+
+// decodeFixed checks the header's fixed part and returns its flags and
+// the length of the address that follows.
+func decodeFixed(fixed []byte) (flags byte, addrLen int, err error) {
 	if string(fixed[:len(magic)]) != magic {
-		return h, fmt.Errorf("%w: bad magic %q", ErrBadHandshake, fixed[:len(magic)])
+		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrBadHandshake, fixed[:len(magic)])
 	}
 	if fixed[len(magic)] != version {
-		return h, fmt.Errorf("%w: unsupported version %d", ErrBadHandshake, fixed[len(magic)])
+		return 0, 0, fmt.Errorf("%w: unsupported version %d", ErrBadHandshake, fixed[len(magic)])
 	}
-	h.Flags = fixed[len(magic)+1]
-	addrLen := binary.BigEndian.Uint16(fixed[len(magic)+2:])
+	addrLen = int(binary.BigEndian.Uint16(fixed[len(magic)+2:]))
 	if addrLen > MaxAddrLen {
-		return h, fmt.Errorf("%w: address length %d", ErrBadHandshake, addrLen)
+		return 0, 0, fmt.Errorf("%w: address length %d", ErrBadHandshake, addrLen)
 	}
-	addr := make([]byte, addrLen)
-	if _, err := io.ReadFull(r, addr); err != nil {
+	return fixed[len(magic)+1], addrLen, nil
+}
+
+// decodeDataLen reads the initial-data length field.
+func decodeDataLen(b []byte) (int, error) {
+	dataLen := binary.BigEndian.Uint32(b)
+	if dataLen > MaxInitialData {
+		return 0, fmt.Errorf("%w: initial data length %d", ErrBadHandshake, dataLen)
+	}
+	return int(dataLen), nil
+}
+
+// ReadHeader parses a handoff message from r into buffers of its own. The
+// listener does not use it: it reads the same fields out of its reader's
+// window (readHeaderFields) and leaves the initial data where it lies.
+func ReadHeader(r io.Reader) (Header, error) {
+	var h Header
+	var fixed [fixedLen]byte
+	if _, err := io.ReadFull(r, fixed[:]); err != nil {
+		return h, fmt.Errorf("%w: %v", ErrBadHandshake, err)
+	}
+	flags, addrLen, err := decodeFixed(fixed[:])
+	if err != nil {
+		return h, err
+	}
+	h.Flags = flags
+	rest := make([]byte, addrLen+4)
+	if _, err := io.ReadFull(r, rest); err != nil {
 		return h, fmt.Errorf("%w: truncated address: %v", ErrBadHandshake, err)
 	}
-	h.ClientAddr = string(addr)
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return h, fmt.Errorf("%w: truncated length: %v", ErrBadHandshake, err)
-	}
-	dataLen := binary.BigEndian.Uint32(lenBuf[:])
-	if dataLen > MaxInitialData {
-		return h, fmt.Errorf("%w: initial data length %d", ErrBadHandshake, dataLen)
+	h.ClientAddr = string(rest[:addrLen])
+	dataLen, err := decodeDataLen(rest[addrLen:])
+	if err != nil {
+		return h, err
 	}
 	h.InitialData = make([]byte, dataLen)
 	if _, err := io.ReadFull(r, h.InitialData); err != nil {
 		return h, fmt.Errorf("%w: truncated initial data: %v", ErrBadHandshake, err)
 	}
 	return h, nil
+}
+
+// readHeaderFields parses the next handoff message's fields out of br's
+// window and consumes them, leaving br at the first of the dataLen bytes
+// of initial data: the session reads those straight from br.
+func readHeaderFields(br *bufio.Reader) (flags byte, client net.Addr, dataLen int, err error) {
+	fixed, err := br.Peek(fixedLen)
+	if err != nil {
+		return 0, nil, 0, fmt.Errorf("%w: %v", ErrBadHandshake, err)
+	}
+	flags, addrLen, err := decodeFixed(fixed)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	b, err := br.Peek(fixedLen + addrLen + 4)
+	if err != nil {
+		return 0, nil, 0, fmt.Errorf("%w: truncated address: %v", ErrBadHandshake, err)
+	}
+	if dataLen, err = decodeDataLen(b[fixedLen+addrLen:]); err != nil {
+		return 0, nil, 0, err
+	}
+	client = parseClientAddr(string(b[fixedLen : fixedLen+addrLen]))
+	br.Discard(len(b))
+	return flags, client, dataLen, nil
 }

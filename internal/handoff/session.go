@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -37,15 +38,20 @@ var (
 	errFrameTooLong  = errors.New("handoff: frame length exceeds MaxFrameLen")
 )
 
-// SessionWriter wraps the front-end→back-end direction of a session-
-// framed handoff connection: each Write becomes one or more data frames,
-// and End emits the end-of-session record that returns the transport to
-// handshake state. It is not safe for concurrent use, matching the relay
-// loop's one-writer structure.
+// SessionWriter is the front-end→back-end direction of a session-framed
+// transport, across the sessions it carries: Handoff opens the next
+// session, each Write becomes one or more data frames, and End emits the
+// end-of-session record that returns the transport to handshake state. A
+// session left open when its transport goes idle owes that record;
+// Handoff pays it in the same write as the next header. It is not safe
+// for concurrent use, matching the relay loop's one-writer structure.
 type SessionWriter struct {
 	c      net.Conn
 	prefix [4]byte
-	// iov is the backing array for the per-frame writev vector; vec is
+	// buf is the scratch a handoff message, or a frame small enough to be
+	// worth copying, is assembled in so that it leaves in one Write.
+	buf []byte
+	// iov is the backing array for a large frame's writev vector; vec is
 	// rebuilt from it each frame because net.Buffers.WriteTo consumes the
 	// slice it is called on. Keeping both in the writer makes Write
 	// allocation-free.
@@ -55,8 +61,40 @@ type SessionWriter struct {
 }
 
 // NewSessionWriter builds the framing writer for a connection on which a
-// FlagSessionFramed header has been sent.
+// FlagSessionFramed header has been sent: a session is open.
 func NewSessionWriter(c net.Conn) *SessionWriter { return &SessionWriter{c: c} }
+
+// NewTransportWriter builds the writer for a fresh connection that is to
+// carry session-framed handoffs: no session is open until Handoff.
+func NewTransportWriter(c net.Conn) *SessionWriter { return &SessionWriter{c: c, ended: true} }
+
+// InSession reports whether a session is open: End has not been sent
+// since the last header.
+func (w *SessionWriter) InSession() bool { return !w.ended }
+
+// Handoff opens the next session: the end-of-session record the previous
+// one still owes, if any, then the handoff message (as Send writes it,
+// with FlagSessionFramed set), all in one Write.
+//
+//lard:noalloc
+func (w *SessionWriter) Handoff(clientAddr string, initialData []byte, flags byte) error {
+	if err := checkHeader(clientAddr, initialData); err != nil {
+		return err
+	}
+	buf := w.buf[:0]
+	if !w.ended {
+		buf = append(buf, 0, 0, 0, 0)
+	}
+	w.buf = appendHeader(buf, flags|FlagSessionFramed, clientAddr, initialData)
+	w.ended = false
+	_, err := w.c.Write(w.buf)
+	return err
+}
+
+// copiedFrameLen is the largest payload Write copies next to its prefix
+// to send the frame with one plain Write; a request head is well inside
+// it, a body buffer is not.
+const copiedFrameLen = 4 << 10
 
 // Write frames p and sends it. It reports len(p) on success, as io.Writer
 // requires, even though the wire carries 4 extra bytes per frame.
@@ -65,6 +103,13 @@ func NewSessionWriter(c net.Conn) *SessionWriter { return &SessionWriter{c: c} }
 func (w *SessionWriter) Write(p []byte) (int, error) {
 	if w.ended {
 		return 0, errWriteAfterEnd
+	}
+	if n := len(p); 0 < n && n <= copiedFrameLen {
+		w.buf = append(binary.BigEndian.AppendUint32(w.buf[:0], uint32(n)), p...)
+		if _, err := w.c.Write(w.buf); err != nil {
+			return 0, err
+		}
+		return n, nil
 	}
 	var written int
 	for len(p) > 0 {
@@ -87,8 +132,7 @@ func (w *SessionWriter) Write(p []byte) (int, error) {
 }
 
 // End sends the end-of-session record. The transport is then ready for
-// the next handoff header (a pool check-in on the front end). End is
-// idempotent.
+// the next handoff header. End is idempotent.
 func (w *SessionWriter) End() error {
 	if w.ended {
 		return nil
@@ -100,11 +144,12 @@ func (w *SessionWriter) End() error {
 }
 
 // sessionConn is the back end's side of one handed-off session on a
-// shared transport: a virtual net.Conn whose reads drain the handoff
-// header's initial data and then unwrap data frames, returning io.EOF at
-// the end-of-session record. Writes and deadlines pass through to the
-// transport raw (one session is active per transport at a time, so the
-// response stream needs no framing). Close never closes the transport —
+// shared transport: a virtual net.Conn whose reads serve the handoff
+// message's initial data — the session's first frame, read where it lies
+// in the transport's reader — and then unwrap data frames, returning
+// io.EOF at the end-of-session record. Writes and deadlines pass through
+// to the transport raw (one session is active per transport at a time, so
+// the response stream needs no framing). Close never closes the transport —
 // it hands control back to the listener's transport loop, which either
 // reads the next session's header or tears the transport down if the
 // session was abandoned mid-stream.
@@ -112,7 +157,6 @@ type sessionConn struct {
 	raw net.Conn
 	br  *bufio.Reader
 
-	initial    []byte
 	clientAddr net.Addr
 
 	// Frame-decoding state. Reads are serialized by the caller (net/http
@@ -126,18 +170,18 @@ type sessionConn struct {
 	sawEnd    bool
 	sticky    error
 
+	// closed is the transport loop's channel, one slot shared by the
+	// transport's sessions in turn: Close leaves this session's one token
+	// there, and the loop takes it before it starts the next session.
 	closeOnce sync.Once
-	closed    chan struct{}
+	closed    chan<- struct{}
 }
 
-func newSessionConn(raw net.Conn, br *bufio.Reader, h Header) *sessionConn {
-	return &sessionConn{
-		raw:        raw,
-		br:         br,
-		initial:    h.InitialData,
-		clientAddr: parseClientAddr(h.ClientAddr),
-		closed:     make(chan struct{}),
-	}
+// newSessionConn starts a session on the transport whose reader stands at
+// the first of the handoff message's initialLen bytes of initial data.
+// closed must have room for the token Close sends.
+func newSessionConn(raw net.Conn, br *bufio.Reader, client net.Addr, initialLen int, closed chan<- struct{}) *sessionConn {
+	return &sessionConn{raw: raw, br: br, clientAddr: client, frameLeft: initialLen, closed: closed}
 }
 
 // Read implements net.Conn: initial data first, then frame payloads,
@@ -145,11 +189,6 @@ func newSessionConn(raw net.Conn, br *bufio.Reader, h Header) *sessionConn {
 //
 //lard:noalloc
 func (c *sessionConn) Read(p []byte) (int, error) {
-	if len(c.initial) > 0 {
-		n := copy(p, c.initial)
-		c.initial = c.initial[n:]
-		return n, nil
-	}
 	if c.sticky != nil {
 		return 0, c.sticky
 	}
@@ -224,7 +263,7 @@ func (c *sessionConn) Write(p []byte) (int, error) { return c.raw.Write(p) }
 // itself stays open if (and only if) the session was read through to its
 // end-of-session record; the loop checks drained().
 func (c *sessionConn) Close() error {
-	c.closeOnce.Do(func() { close(c.closed) })
+	c.closeOnce.Do(func() { c.closed <- struct{}{} })
 	return nil
 }
 
@@ -242,11 +281,11 @@ func (c *sessionConn) SetDeadline(t time.Time) error      { return c.raw.SetDead
 func (c *sessionConn) SetReadDeadline(t time.Time) error  { return c.raw.SetReadDeadline(t) }
 func (c *sessionConn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
 
-// parseClientAddr resolves the handed-off client address, falling back to
-// an opaque representation when it is not a parseable TCP address.
+// parseClientAddr parses the handed-off client address, falling back to
+// an opaque representation when it is not a literal "ip:port".
 func parseClientAddr(s string) net.Addr {
-	if tcp, err := net.ResolveTCPAddr("tcp", s); err == nil {
-		return tcp
+	if ap, err := netip.ParseAddrPort(s); err == nil {
+		return net.TCPAddrFromAddrPort(ap)
 	}
 	return clientAddr(s)
 }

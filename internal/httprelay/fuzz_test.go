@@ -44,6 +44,8 @@ func FuzzReadRequestHead(f *testing.F) {
 		"GET\r\n\r\n",
 		"GET / HTTP/one.one\r\n\r\n",
 		"\r\n\r\nGET / HTTP/1.1\r\n\r\n",
+		"\r\nGET / HTTP/1.1\r\nConnection: close\r\n\r\n",
+		"GET /close HTTP/1.1\r\nConnection: TE,close ,\tCLOSE\r\nX-Connection: close\r\nconnection:close\r\n\r\n",
 		"",
 		"GET / HTT",
 	}
@@ -91,6 +93,29 @@ func FuzzReadRequestHead(f *testing.F) {
 			h2.KeepAlive != h.KeepAlive || h2.ExpectContinue != h.ExpectContinue ||
 			!bytes.Equal(h2.Raw, h.Raw) {
 			t.Fatalf("re-parse disagrees:\nfirst:  %+v\nsecond: %+v", h, h2)
+		}
+		// Desync check 3: blanking the close option changes nothing but
+		// the option. The blanked head differs from Raw only by spaces
+		// where "close" stood, and parses to the same message with no
+		// close left in it.
+		if !h.Close {
+			return
+		}
+		blanked := bytes.Clone(h.Raw)
+		BlankConnectionClose(blanked)
+		for i, c := range blanked {
+			if c != h.Raw[i] && (c != ' ' || !strings.ContainsRune("closeCLOSE", rune(h.Raw[i]))) {
+				t.Fatalf("blanking changed byte %d of %q to %q", i, h.Raw, blanked)
+			}
+		}
+		h3, err3 := ReadRequestHead(bufio.NewReader(bytes.NewReader(blanked)), 1<<14)
+		if err3 != nil {
+			t.Fatalf("blanked head does not parse: %v\nraw: %q", err3, blanked)
+		}
+		if h3.Close || len(h3.Raw) != len(h.Raw) || h3.Method != h.Method || h3.Target != h.Target ||
+			h3.Proto != h.Proto || h3.ContentLength != h.ContentLength || h3.Chunked != h.Chunked ||
+			h3.ExpectContinue != h.ExpectContinue {
+			t.Fatalf("blanked head parses differently:\nbefore: %+v\nafter:  %+v", h, h3)
 		}
 	})
 }

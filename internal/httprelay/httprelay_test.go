@@ -38,12 +38,12 @@ func TestReadRequestHeadTable(t *testing.T) {
 		{
 			name: "connection token list",
 			in:   "GET /x HTTP/1.1\r\nConnection: TE, close\r\n\r\n",
-			want: RequestHead{Method: "GET", Target: "/x", Proto: "HTTP/1.1", Major: 1, Minor: 1},
+			want: RequestHead{Method: "GET", Target: "/x", Proto: "HTTP/1.1", Major: 1, Minor: 1, Close: true},
 		},
 		{
 			name: "close beats keep-alive",
 			in:   "GET /x HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n",
-			want: RequestHead{Method: "GET", Target: "/x", Proto: "HTTP/1.1", Major: 1, Minor: 1},
+			want: RequestHead{Method: "GET", Target: "/x", Proto: "HTTP/1.1", Major: 1, Minor: 1, Close: true},
 		},
 		{
 			name: "content length",
@@ -504,5 +504,39 @@ func TestCaseFoldingIsASCIIOnly(t *testing.T) {
 	r, err := ReadResponseHead(reqReader("HTTP/1.1 200 OK\r\nConnectİon: close\r\n\r\n"), 1<<16)
 	if err != nil || !r.KeepAlive {
 		t.Fatalf("dotted-I Connection read as Connection: %+v, %v", r, err)
+	}
+}
+
+// TestBlankConnectionClose: every "close" option of every Connection
+// field is overwritten with spaces, in place, and nothing else is.
+func TestBlankConnectionClose(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", "GET / HTTP/1.1\r\nConnection:      \r\n\r\n"},
+		{"GET / HTTP/1.1\r\nConnection: close, TE\r\n\r\n", "GET / HTTP/1.1\r\nConnection:      , TE\r\n\r\n"},
+		{"GET / HTTP/1.1\r\nconnection:keep-alive,\tCLOSE ,close\r\n\r\n", "GET / HTTP/1.1\r\nconnection:keep-alive,\t      ,     \r\n\r\n"},
+		{"GET / HTTP/1.1\r\nConnection: close\r\nHost: h\r\nCONNECTION: Close\r\n\r\n", "GET / HTTP/1.1\r\nConnection:      \r\nHost: h\r\nCONNECTION:      \r\n\r\n"},
+		// Bare-LF line endings, and blank lines ahead of the request line.
+		{"\r\n\nGET / HTTP/1.1\nConnection: close\n\n", "\r\n\nGET / HTTP/1.1\nConnection:      \n\n"},
+		// Not the option: another field's value, a longer token, the
+		// target, a request line that looks like the field.
+		{"GET /close HTTP/1.1\r\nX-Connection: close\r\nConnection: closed, close-notify\r\nVia: close\r\n\r\n", ""},
+		{"Connection: close HTTP/1.1\r\nHost: h\r\n\r\n", ""},
+	} {
+		raw := []byte(tc.in)
+		BlankConnectionClose(raw)
+		want := tc.want
+		if want == "" {
+			want = tc.in
+		}
+		if string(raw) != want {
+			t.Errorf("BlankConnectionClose(%q)\n got %q\nwant %q", tc.in, raw, want)
+		}
+	}
+	h, err := ReadRequestHead(bufio.NewReader(strings.NewReader("GET / HTTP/1.1\r\nConnection: close\r\n\r\n")), 1<<16)
+	if err != nil || !h.Close || h.KeepAlive {
+		t.Fatalf("parse: Close=%t KeepAlive=%t err=%v, want true, false, nil", h.Close, h.KeepAlive, err)
+	}
+	if h, _ = ReadRequestHead(bufio.NewReader(strings.NewReader("GET / HTTP/1.0\r\n\r\n")), 1<<16); h.Close || h.KeepAlive {
+		t.Fatalf("HTTP/1.0 without options: Close=%t KeepAlive=%t, want false, false", h.Close, h.KeepAlive)
 	}
 }

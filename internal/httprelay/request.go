@@ -34,6 +34,10 @@ type RequestHead struct {
 	// overridden by Connection header tokens.
 	KeepAlive bool
 
+	// Close reports a "close" option in a Connection field: the client's
+	// word to this hop, which BlankConnectionClose keeps from the next.
+	Close bool
+
 	// ExpectContinue reports an "Expect: 100-continue" request: the
 	// client withholds the body until a 100 Continue arrives, so the
 	// relay must interleave the back end's response with the body copy.
@@ -135,7 +139,36 @@ func parseRequestHead(raw []byte) (h RequestHead, err error) {
 	}
 	h.ContentLength, h.Chunked = f.length, f.chunked
 	h.KeepAlive, h.ExpectContinue = f.persistent(h.Major, h.Minor), f.expectContinue
+	h.Close = f.close
 	return h, nil
+}
+
+// BlankConnectionClose overwrites with spaces every "close" option of
+// every Connection field in raw, a request head that parsed cleanly, and
+// touches no other byte: the head keeps its length and its other options
+// ("Connection: close, TE" leaves TE). Connection is hop-by-hop (RFC 7230
+// §6.1): a relay that honours the client's close itself must not pass it
+// on, or the next hop closes a connection the relay wants to keep.
+//
+//lard:noalloc
+func BlankConnectionClose(raw []byte) {
+	for lines, started := raw, false; len(lines) > 0; {
+		var line []byte
+		line, lines = cutLine(lines)
+		if !started {
+			started = len(line) > 0 // blank lines, then the start line
+			continue
+		}
+		colon := bytes.IndexByte(line, ':')
+		if colon < 0 || !equalFold(line[:colon], "connection") {
+			continue
+		}
+		for tok, rest := nextToken(line[colon+1:]); len(tok) > 0; tok, rest = nextToken(rest) {
+			if equalFold(tok, "close") {
+				copy(tok, "     ")
+			}
+		}
+	}
 }
 
 // parseRequestLine splits "METHOD target HTTP/x.y" on the first and last

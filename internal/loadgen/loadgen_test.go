@@ -299,23 +299,37 @@ func TestRatePacesPHTTPMode(t *testing.T) {
 
 func TestSourceAddrsBindClientIdentities(t *testing.T) {
 	// Each simulated client must present its assigned loopback source IP,
-	// in both the net/http and raw P-HTTP modes.
+	// in both the net/http and raw P-HTTP modes. The clients share one
+	// budget of requests, so the handler answers nobody until both have
+	// shown up: otherwise one client can drain the budget before the
+	// other has connected.
 	seen := make(map[string]bool)
+	var both chan struct{}
 	var mu sync.Mutex
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		host, _, _ := net.SplitHostPort(r.RemoteAddr)
 		mu.Lock()
-		seen[host] = true
+		if seen[host] = true; len(seen) == 2 {
+			select {
+			case <-both:
+			default:
+				close(both)
+			}
+		}
+		wait := both
 		mu.Unlock()
+		select {
+		case <-wait:
+		case <-time.After(5 * time.Second): // fail below, not hang
+		}
 		w.Write([]byte("ok"))
 	}))
 	defer ts.Close()
 
 	for _, phttp := range []bool{false, true} {
 		mu.Lock()
-		for k := range seen {
-			delete(seen, k)
-		}
+		clear(seen)
+		both = make(chan struct{})
 		mu.Unlock()
 		cfg := Config{
 			BaseURL:     ts.URL,
