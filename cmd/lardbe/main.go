@@ -31,7 +31,7 @@ func main() {
 		profile   = flag.String("profile", "rice", "document catalog: rice, ibm, or chess")
 		seed      = flag.Int64("seed", 42, "catalog generation seed (must match the other back ends)")
 		cacheSize = flag.String("cache", "32m", "cache capacity (e.g. 8m, 64m)")
-		useLRU    = flag.Bool("lru", false, "use LRU replacement instead of GDS")
+		useLRU    = flag.Bool("lru", false, "use LRU replacement instead of GDS-Frequency")
 		diskScale = flag.Float64("diskscale", 0.01, "emulated disk delay scale (1.0 = full 28ms seeks, 0 = none)")
 		statsEach = flag.Duration("stats", 0, "print handoff/cache stats at this interval (0 = never)")
 	)
@@ -105,7 +105,7 @@ func policyName(lru bool) string {
 	if lru {
 		return "LRU"
 	}
-	return "GDS"
+	return "GDSF"
 }
 
 // parseBytes understands "32m", "512k", "1g", or plain byte counts.

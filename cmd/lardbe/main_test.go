@@ -35,7 +35,7 @@ func TestProfileByName(t *testing.T) {
 }
 
 func TestPolicyName(t *testing.T) {
-	if policyName(true) != "LRU" || policyName(false) != "GDS" {
+	if policyName(true) != "LRU" || policyName(false) != "GDSF" {
 		t.Fatal("policy names wrong")
 	}
 }

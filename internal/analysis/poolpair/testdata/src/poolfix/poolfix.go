@@ -17,9 +17,10 @@ import (
 // backendConn is the pooled unit: transport, reader, and the framing
 // writer built over the same transport, travelling together.
 type backendConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	w  *writer
+	c     net.Conn
+	br    *bufio.Reader
+	w     *writer
+	owner *session // set while parked for a client connection
 }
 
 // close releases the transport's parts.
@@ -39,9 +40,14 @@ func newWriter(c net.Conn) *writer { return &writer{c: c} }
 
 func (w *writer) handoff() error { return nil }
 
+func (w *writer) write() error { return nil }
+
 type backendPool struct{}
 
-func (p *backendPool) get(node int) (*backendConn, bool) { return nil, false }
+// session stands in for the client connection a checkout is made for.
+type session struct{}
+
+func (p *backendPool) get(node int, owner *session) (*backendConn, bool) { return nil, false }
 
 func (p *backendPool) put(b *backendConn) {}
 
@@ -99,7 +105,7 @@ func doubleRelease(c net.Conn) {
 
 // releaseUnacquired returns the transport on the arm where get said no.
 func releaseUnacquired(p *backendPool) {
-	b, ok := p.get(0)
+	b, ok := p.get(0, nil)
 	if !ok {
 		p.put(b) // want `pooled transport b \(line \d+\) is released on a path where it was never acquired`
 		return
@@ -111,14 +117,14 @@ func releaseUnacquired(p *backendPool) {
 
 // okGated releases the transport exactly when the acquire succeeded.
 func okGated(p *backendPool) {
-	if b, ok := p.get(1); ok {
+	if b, ok := p.get(1, nil); ok {
 		p.put(b)
 	}
 }
 
 // closedNotPooled retires a checked-out transport through its own close.
 func closedNotPooled(p *backendPool) {
-	if b, ok := p.get(1); ok {
+	if b, ok := p.get(1, nil); ok {
 		b.close()
 	}
 }
@@ -227,13 +233,21 @@ func wrapperReleased(c net.Conn) {
 
 // --- the attach shape: checkout or dial, one owner either way ---
 
-// attach mirrors connectBackend: a pool checkout unless fresh, else a
-// dial adopted at birth by a new backendConn; a transport whose handoff
-// fails is closed, the other returned to the caller. No finding.
-func attach(p *backendPool, fresh bool) (*backendConn, error) {
+// attach mirrors connectBackend: a pool checkout unless fresh — resumed
+// with a plain write when it is the owner's own parked transport, handed
+// off to through a helper otherwise — else a dial adopted at birth by a
+// new backendConn; a transport whose write fails is closed, the other
+// returned to the caller. No finding.
+func attach(p *backendPool, owner *session, fresh bool) (*backendConn, error) {
 	if !fresh {
-		if b, ok := p.get(0); ok {
-			if err := b.w.handoff(); err == nil {
+		if b, ok := p.get(0, owner); ok {
+			var err error
+			if b.owner != nil {
+				err = b.w.write()
+			} else {
+				err = handoffTo(b)
+			}
+			if err == nil {
 				return b, nil
 			}
 			b.close()
@@ -244,17 +258,20 @@ func attach(p *backendPool, fresh bool) (*backendConn, error) {
 		return nil, err
 	}
 	b := newBackendConn(c)
-	if err := b.w.handoff(); err != nil {
+	if err := handoffTo(b); err != nil {
 		b.close()
 		return nil, err
 	}
 	return b, nil
 }
 
+// handoffTo only writes through its argument (summary: borrows).
+func handoffTo(b *backendConn) error { return b.w.handoff() }
+
 // attachLeaksStale forgets the checked-out transport whose handoff
 // failed before it dials a fresh one.
 func attachLeaksStale(p *backendPool) (*backendConn, error) {
-	if b, ok := p.get(0); ok {
+	if b, ok := p.get(0, nil); ok {
 		if err := b.w.handoff(); err == nil {
 			return b, nil
 		}

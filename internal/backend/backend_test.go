@@ -2,6 +2,7 @@ package backend
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -178,6 +179,50 @@ func TestLRUPolicyOption(t *testing.T) {
 	get(t, ts.URL+"/a.html")
 	if srv.Stats().Hits != 1 {
 		t.Fatalf("stats %+v", srv.Stats())
+	}
+}
+
+// TestDefaultPolicyCountsHits: the default cache is GDS-Frequency — a
+// document with several hits survives a run of same-sized documents asked
+// for once each, which flushes an LRU — UseLRU still selects LRU, and
+// X-Cache and Stats report the same hits and misses either way.
+func TestDefaultPolicyCountsHits(t *testing.T) {
+	targets := []trace.Target{{Name: "/hot", Size: 1000}}
+	for i := 0; i < 10; i++ {
+		targets = append(targets, trace.Target{Name: fmt.Sprintf("/once%d", i), Size: 1000})
+	}
+	for _, tc := range []struct {
+		name   string
+		useLRU bool
+		last   string // X-Cache of /hot after the scan
+	}{{"default", false, "HIT"}, {"lru", true, "MISS"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{Store: NewDocStore(targets), CacheBytes: 3000, UseLRU: tc.useLRU})
+			var hits, misses uint64
+			fetch := func(name string) string {
+				resp, _ := get(t, ts.URL+name)
+				x := resp.Header.Get("X-Cache")
+				if x == "HIT" {
+					hits++
+				} else {
+					misses++
+				}
+				return x
+			}
+			for i := 0; i < 5; i++ {
+				fetch("/hot")
+			}
+			for _, tg := range targets[1:] {
+				fetch(tg.Name)
+			}
+			if got := fetch("/hot"); got != tc.last {
+				t.Fatalf("/hot after the scan: X-Cache %s, want %s", got, tc.last)
+			}
+			st := srv.Stats()
+			if st.Hits != hits || st.Misses != misses || st.Requests != hits+misses || st.CacheUsed > 3000 {
+				t.Fatalf("stats %+v; X-Cache said %d hits, %d misses", st, hits, misses)
+			}
+		})
 	}
 }
 

@@ -23,7 +23,7 @@ type Config struct {
 	// "file cache sizes between 42 and 46 MB" under FreeBSD).
 	CacheBytes int64
 
-	// UseLRU selects the LRU policy instead of GDS.
+	// UseLRU selects the LRU policy instead of GDS-Frequency.
 	UseLRU bool
 
 	// Disk is the cost model used to emulate disk reads on cache misses
@@ -79,7 +79,9 @@ func New(cfg Config) *Server {
 	if cfg.UseLRU {
 		c = cache.NewLRUWithCutoff(cfg.CacheBytes, cluster.DefaultLRUCutoff)
 	} else {
-		c = cache.NewGDS(cfg.CacheBytes)
+		// The paper's GDS, counting hits: with documents of similar size
+		// plain GDS(1) is LRU and forgets how often each was asked for.
+		c = cache.NewGDSF(cfg.CacheBytes)
 	}
 	sleep := cfg.Sleep
 	if sleep == nil {

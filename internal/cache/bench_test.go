@@ -26,17 +26,20 @@ func benchWorkload(b *testing.B, c Cache) {
 	}
 }
 
-func BenchmarkGDSLookupInsert(b *testing.B) { benchWorkload(b, NewGDS(16<<20)) }
-func BenchmarkLRULookupInsert(b *testing.B) { benchWorkload(b, NewLRU(16<<20)) }
+func BenchmarkGDSLookupInsert(b *testing.B)  { benchWorkload(b, NewGDS(16<<20)) }
+func BenchmarkGDSFLookupInsert(b *testing.B) { benchWorkload(b, NewGDSF(16<<20)) }
+func BenchmarkLRULookupInsert(b *testing.B)  { benchWorkload(b, NewLRU(16<<20)) }
 
-func BenchmarkGDSHitPath(b *testing.B) {
-	c := NewGDS(1 << 20)
+func benchHitPath(b *testing.B, c Cache) {
 	c.Insert("/hot", 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup("/hot")
 	}
 }
+
+func BenchmarkGDSHitPath(b *testing.B)  { benchHitPath(b, NewGDS(1<<20)) }
+func BenchmarkGDSFHitPath(b *testing.B) { benchHitPath(b, NewGDSF(1<<20)) }
 
 func BenchmarkLRUHitPath(b *testing.B) {
 	c := NewLRU(1 << 20)

@@ -5,7 +5,8 @@
 //
 //   - GDS: Greedy-Dual-Size (Cao & Irani), the policy the paper uses for
 //     all reported simulations because "it appears to be the best known
-//     policy for Web workloads".
+//     policy for Web workloads". NewGDSF is the same code counting hits
+//     (GDS-Frequency), which the live back end runs.
 //   - LRU: least-recently-used with an admission cutoff that never caches
 //     files above a configurable size, the paper's alternative policy
 //     (reported as up to ~30% lower absolute throughput, same relative
@@ -27,7 +28,6 @@ type Stats struct {
 	Rejected   uint64 // insertions refused (object larger than capacity)
 
 	BytesHit     uint64
-	BytesMissed  uint64
 	BytesEvicted uint64
 }
 

@@ -14,11 +14,18 @@ import "container/heap"
 // With the default uniform cost function cost(p) = 1 the policy maximizes
 // object hit ratio (the paper's figure of merit); a size-proportional cost
 // function turns it into a byte-hit-ratio policy.
+//
+// NewGDSF builds the policy's successor, GDS-Frequency (Cherkasova,
+// HPL-98-69): the credit becomes L + f(p)·cost(p)/size(p), f(p) the
+// requests p has answered since it was admitted. With documents of one size GDS(1) is
+// LRU; the count is what keeps a popular document through a run of
+// documents asked for once.
 type GDS struct {
 	capacity int64
 	used     int64
 	inflate  float64 // L
 	cost     CostFunc
+	byFreq   bool // GDS-Frequency: Lookup counts hits
 	pq       gdsHeap
 	entries  map[string]*gdsEntry
 	stats    Stats
@@ -38,6 +45,7 @@ func SizeCost(_ string, size int64) float64 { return float64(size) }
 type gdsEntry struct {
 	key   string
 	size  int64
+	freq  uint64  // f(p): 1 on admission; only a GDS-Frequency cache raises it
 	h     float64 // credit H(p)
 	seq   uint64  // tie-break: older entries evicted first
 	index int
@@ -47,6 +55,16 @@ type gdsEntry struct {
 // It panics if capacity is negative.
 func NewGDS(capacity int64) *GDS {
 	return NewGDSWithCost(capacity, UniformCost)
+}
+
+// NewGDSF returns a GDS-Frequency cache with uniform costs: GDS whose
+// credit is scaled by the entry's hit count. The count starts at 1 on
+// admission, survives a re-Insert and is lost on eviction. It panics if
+// capacity is negative.
+func NewGDSF(capacity int64) *GDS {
+	c := NewGDS(capacity)
+	c.byFreq = true
+	return c
 }
 
 // NewGDSWithCost returns a GDS cache with a custom cost function. A nil
@@ -65,18 +83,23 @@ func NewGDSWithCost(capacity int64, cost CostFunc) *GDS {
 	}
 }
 
-// priority computes a fresh H value for an object of the given size.
-func (c *GDS) priority(key string, size int64) float64 {
+// priority computes a fresh H value for ent at its current size and
+// count. The count is 1 for plain GDS, which leaves cost/size as it is.
+func (c *GDS) priority(ent *gdsEntry) float64 {
+	size := ent.size
 	if size <= 0 {
 		size = 1
 	}
-	return c.inflate + c.cost(key, size)/float64(size)
+	return c.inflate + float64(ent.freq)*c.cost(ent.key, size)/float64(size)
 }
 
 // Lookup implements Cache.
 func (c *GDS) Lookup(key string) (int64, bool) {
 	if ent, ok := c.entries[key]; ok {
-		ent.h = c.priority(key, ent.size)
+		if c.byFreq {
+			ent.freq++
+		}
+		ent.h = c.priority(ent)
 		heap.Fix(&c.pq, ent.index)
 		c.stats.Hits++
 		c.stats.BytesHit += uint64(ent.size)
@@ -109,14 +132,15 @@ func (c *GDS) Insert(key string, size int64) bool {
 		c.used -= ent.size
 		c.makeRoom(size)
 		ent.size = size
-		ent.h = c.priority(key, size)
+		ent.h = c.priority(ent)
 		ent.seq = c.pq.nextSeq()
 		heap.Push(&c.pq, ent)
 		c.used += size
 		return true
 	}
 	c.makeRoom(size)
-	ent := &gdsEntry{key: key, size: size, h: c.priority(key, size), seq: c.pq.nextSeq()}
+	ent := &gdsEntry{key: key, size: size, freq: 1, seq: c.pq.nextSeq()}
+	ent.h = c.priority(ent)
 	heap.Push(&c.pq, ent)
 	c.entries[key] = ent
 	c.used += size

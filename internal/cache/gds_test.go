@@ -194,3 +194,62 @@ func TestGDSEvictCallback(t *testing.T) {
 		t.Fatalf("evictions = %v", evictions)
 	}
 }
+
+// TestGDSFScanDoesNotEvictPopular: a run of documents asked for once each
+// (more of them than the cache holds) flushes a plain GDS cache of equal
+// sizes, which is LRU; the counting variant keeps the document with ten
+// hits throughout.
+func TestGDSFScanDoesNotEvictPopular(t *testing.T) {
+	scan := func(c *GDS) bool {
+		c.Insert("/popular", 10)
+		for i := 0; i < 10; i++ {
+			c.Lookup("/popular")
+		}
+		for i := 0; i < 50; i++ {
+			key := fmt.Sprintf("/once%02d", i)
+			if _, ok := c.Lookup(key); !ok {
+				c.Insert(key, 10)
+			}
+			if c.Used() > c.Capacity() {
+				t.Fatalf("used %d exceeds capacity %d", c.Used(), c.Capacity())
+			}
+		}
+		return c.Contains("/popular")
+	}
+	if scan(NewGDS(100)) {
+		t.Fatal("GDS(1) kept the popular document through the scan: the test does not distinguish the policies")
+	}
+	if !scan(NewGDSF(100)) {
+		t.Fatal("GDSF evicted a document with ten hits for documents with one")
+	}
+}
+
+// TestGDSFCountLifetime: the hit count survives a re-Insert and is lost
+// on eviction. Three documents fit; sizes of 8 keep every credit an exact
+// binary fraction, so ties fall to the older entry.
+func TestGDSFCountLifetime(t *testing.T) {
+	c := NewGDSF(24)
+	insert := func(keys ...string) {
+		for _, k := range keys {
+			c.Insert(k, 8)
+		}
+	}
+	insert("a")
+	c.Lookup("a")
+	c.Lookup("a")
+	insert("a", "b", "c", "d", "e") // the re-Insert keeps a's three hits
+	if !c.Contains("a") {
+		t.Fatal("a re-Insert reset the hit count: a was evicted before newer one-hit entries")
+	}
+	// Inflation catches up with a's credit and a is evicted.
+	insert("f", "g", "h")
+	if c.Contains("a") {
+		t.Fatal("a was never evicted: the test does not reach re-admission")
+	}
+	// Re-admitted, a is a one-hit entry like its neighbours and leaves in
+	// its turn; with its old count it would outlive i.
+	insert("a", "i", "j", "k")
+	if c.Contains("a") || !c.Contains("i") {
+		t.Fatalf("after re-admission: a cached %v, i cached %v; want a evicted first: its count died with its entry", c.Contains("a"), c.Contains("i"))
+	}
+}

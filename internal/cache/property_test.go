@@ -15,6 +15,7 @@ func implementations(capacity int64) map[string]Cache {
 		"LRU/cutoff": NewLRUWithCutoff(capacity, capacity/2+1),
 		"GDS":        NewGDS(capacity),
 		"GDS/size":   NewGDSWithCost(capacity, SizeCost),
+		"GDSF":       NewGDSF(capacity),
 	}
 }
 

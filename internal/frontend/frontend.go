@@ -152,8 +152,9 @@ type Config struct {
 type Stats struct {
 	Accepted        uint64
 	Dispatches      uint64 // session dispatch decisions taken (one per relayed request)
-	Handoffs        uint64
-	Rehandoffs      uint64 // completed back-end switches (counted only after the replacement handoff succeeds)
+	Handoffs        uint64 // handoff headers delivered to a back end
+	Rehandoffs      uint64 // completed back-end switches, by handoff or by resume (counted only after the replacement succeeds)
+	SessionResumes  uint64 // switches back to a node whose parked session was resumed: no handoff header sent
 	RehandoffFails  uint64 // moves the session decided on that no back end could be established for
 	Redispatches    uint64 // dial failures recovered by re-dispatching the session to another node
 	StaleRetries    uint64 // reused back-end transports (pooled checkouts or kept-alive session conns) found dead at first write/read, transparently retried fresh
@@ -166,8 +167,9 @@ type Stats struct {
 	BackendToClient int64
 	ActivePerNode   []int
 
-	// Connection-pool counters: checkouts served from the per-node idle
-	// pool versus fresh dials, discards (capacity, TTL, death, node
+	// Connection-pool counters: checkouts for a handoff served from the
+	// per-node idle pool versus fresh dials (a resume is counted as
+	// SessionResumes, not here), discards (capacity, TTL, death, node
 	// eviction), and the idle population right now.
 	PoolHits      uint64
 	PoolMisses    uint64
@@ -360,6 +362,7 @@ func (s *Server) Stats() Stats {
 		ActiveSessions:        m.activeSessions.Value(),
 		Handoffs:              m.handoffs.Value(),
 		Rehandoffs:            m.rehandoffs.Value(),
+		SessionResumes:        s.pool.resumes.Value(),
 		RehandoffFails:        m.rehandoffFails.Value(),
 		Redispatches:          m.redispatches.Value(),
 		StaleRetries:          m.staleRetries.Value(),

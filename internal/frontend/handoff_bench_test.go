@@ -10,6 +10,7 @@ import (
 	"lard/internal/handoff"
 	"lard/internal/httprelay"
 	"lard/internal/trace"
+	"lard/pkg/lard"
 )
 
 // BenchmarkHandoffDial measures the front end's cost of establishing one
@@ -26,6 +27,11 @@ import (
 //	pooled-close: the same, for a client that sent Connection: close.
 //	        The front end consumes the option, so the back end keeps
 //	        the transport open and the handoff is still a pool hit.
+//	resume: a pool hit on the transport the same client connection
+//	        parked — a move back to a node it has been on. The session
+//	        there is still open, so the request is one data frame: no
+//	        end-of-session record, no header, and no new net/http
+//	        connection at the back end.
 //
 // The back end serves a cached document with no emulated disk delay, so
 // the difference between the variants is the dial + listener-handshake
@@ -52,7 +58,7 @@ func BenchmarkHandoffDial(b *testing.B) {
 	defer func() { srv.Close(); ln.Close() }()
 
 	const clientAddr = "192.0.2.1:4000"
-	run := func(b *testing.B, checkIn bool, connection string) {
+	run := func(b *testing.B, checkIn bool, connection string, resume bool) {
 		head := buildRequestHead(b, fmt.Sprintf("GET %s HTTP/1.1\r\nHost: bench\r\n%s\r\n", tr.At(0).Target, connection))
 		if head.Close {
 			httprelay.BlankConnectionClose(head.Raw) // as handleConn does
@@ -68,10 +74,15 @@ func BenchmarkHandoffDial(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer s.Close()
+		var sess *lard.Session // the client connection, when one stays to come back
+		if resume {
+			sess = s.d.NewSession(s.policy)
+			defer sess.Close()
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bc, err := s.connectBackend(0, clientAddr, head, false)
+			bc, err := s.connectBackend(0, sess, clientAddr, head, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -80,19 +91,25 @@ func BenchmarkHandoffDial(b *testing.B) {
 				b.Fatal(err)
 			}
 			bc.clean = checkIn && reusable
-			s.releaseBackend(bc)
+			s.releaseBackend(bc, sess)
 		}
-		// Every fresh iteration dialed; pooled dialed once, at pool fill.
-		wantMisses := uint64(b.N)
+		// Every fresh iteration dialed; pooled dialed once, at pool fill,
+		// and only a resume goes without a handoff header after that.
+		wantMisses, wantResumes := uint64(b.N), uint64(0)
 		if checkIn {
 			wantMisses = 1
 		}
-		if st := s.Stats(); st.PoolMisses != wantMisses {
-			b.Fatalf("pool misses = %d over %d handoffs, want %d", st.PoolMisses, b.N, wantMisses)
+		if resume {
+			wantResumes = uint64(b.N) - 1
+		}
+		if st := s.Stats(); st.PoolMisses != wantMisses || st.SessionResumes != wantResumes || st.Handoffs != uint64(b.N)-wantResumes {
+			b.Fatalf("%d requests: %d pool misses, %d resumes, %d handoffs; want %d, %d, %d",
+				b.N, st.PoolMisses, st.SessionResumes, st.Handoffs, wantMisses, wantResumes, uint64(b.N)-wantResumes)
 		}
 	}
 
-	b.Run("fresh", func(b *testing.B) { run(b, false, "") })
-	b.Run("pooled", func(b *testing.B) { run(b, true, "") })
-	b.Run("pooled-close", func(b *testing.B) { run(b, true, "Connection: close\r\n") })
+	b.Run("fresh", func(b *testing.B) { run(b, false, "", false) })
+	b.Run("pooled", func(b *testing.B) { run(b, true, "", false) })
+	b.Run("pooled-close", func(b *testing.B) { run(b, true, "Connection: close\r\n", false) })
+	b.Run("resume", func(b *testing.B) { run(b, true, "", true) })
 }

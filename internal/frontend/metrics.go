@@ -10,10 +10,10 @@ import (
 // feMetrics holds the front end's event collectors, created once in New
 // so the hot path only ever touches pre-allocated atomics. Each event has
 // exactly one collector: Stats and GET /admin/metrics read the same
-// number. (The pool's checkout, eviction and sweep counters live with the
-// pool, in the same registry; breaker transitions are labelled per node
-// and looked up on the rare transition, see breakerTransitions.) What
-// each one counts is its help string below.
+// number. (The pool's checkout, resume, eviction and sweep counters live
+// with the pool, in the same registry; breaker transitions are labelled
+// per node and looked up on the rare transition, see breakerTransitions.)
+// What each one counts is its help string below.
 type feMetrics struct {
 	accepted       *metrics.Counter
 	sessions       *metrics.Counter
@@ -56,7 +56,7 @@ func newFEMetrics(reg *metrics.Registry, policyName string) feMetrics {
 		served:         reg.Counter("lard_fe_responses_total", "complete responses relayed to clients (goodput)"),
 
 		handoffs:       reg.Counter("lard_fe_handoffs_total", "handoff headers delivered to a back end"),
-		rehandoffs:     reg.Counter("lard_fe_rehandoffs_total", "handoffs that moved a session to a different back end"),
+		rehandoffs:     reg.Counter("lard_fe_rehandoffs_total", "requests that moved a session to a different back end, by handoff or by resume"),
 		rehandoffFails: reg.Counter("lard_fe_rehandoff_fails_total", "session moves no back end could be established for"),
 		redispatches:   reg.Counter("lard_fe_redispatches_total", "failed dials or breaker denials recovered on another node"),
 		staleRetries:   reg.Counter("lard_fe_stale_retries_total", "reused back-end transports found dead and retried fresh"),

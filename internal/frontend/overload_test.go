@@ -230,8 +230,8 @@ func TestMetricsSurfaceAfterTraffic(t *testing.T) {
 }
 
 // TestStatsIsRegistryView: Stats holds no counters of its own. After a
-// mixed run — a keep-alive connection re-handed-off per request whose
-// last request says close, one dial failure recovered by re-dispatch (and
+// mixed run — two keep-alive connections re-dispatched per request whose
+// last requests say close, one dial failure recovered by re-dispatch (and
 // the mark-down it causes), one quota shed — every monotonic Stats field
 // equals its lard_fe_* series in the Prometheus exposition, and the
 // pool's checkouts balance.
@@ -256,23 +256,35 @@ func TestStatsIsRegistryView(t *testing.T) {
 		c.QuotaBurst = burst
 	})
 
-	conn, err := net.Dial("tcp", feAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	for i := 0; i < burst; i++ {
-		closing := ""
-		if i == burst-1 {
-			closing = "Connection: close\r\n"
+	// Two keep-alive connections in turn, each ending on a request that
+	// says close. The first moves between the live nodes and back (re-
+	// handoffs, and resumes of the sessions it parked); the second finds
+	// the pool holding the first one's open sessions and pays their ends
+	// with its handoff headers.
+	next := 0
+	for _, requests := range []int{6, burst - 6} {
+		conn, err := net.Dial("tcp", feAddr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: t\r\n%s\r\n", tr.Targets[i].Name, closing)
-		if h, _ := readOneResponse(t, br, "GET"); h.Status != 200 {
-			t.Fatalf("request %d: status %d", i, h.Status)
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		for i := 0; i < requests; i++ {
+			closing := ""
+			if i == requests-1 {
+				closing = "Connection: close\r\n"
+			}
+			fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: t\r\n%s\r\n", tr.Targets[next].Name, closing)
+			if h, _ := readOneResponse(t, br, "GET"); h.Status != 200 {
+				t.Fatalf("request %d: status %d", next, h.Status)
+			}
+			next++
 		}
+		conn.Close()
+		waitFor(t, 5*time.Second, "the session to retire", func() bool {
+			return fe.Stats().ActiveSessions == 0
+		})
 	}
-	conn.Close()
 	if resp := rawGet(t, feAddr, tr.Targets[0].Name); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("request past the burst: status %d, want 429", resp.StatusCode)
 	}
@@ -282,10 +294,11 @@ func TestStatsIsRegistryView(t *testing.T) {
 
 	st := fe.Stats()
 	if st.Rehandoffs == 0 || st.Redispatches != 1 || st.MarkedDown != 1 || st.QuotaSheds != 1 || st.StaleRetries != 0 ||
-		st.CloseConsumed != 1 || st.SessionEndsWithHeader == 0 {
+		st.CloseConsumed != 2 || st.SessionEndsWithHeader == 0 || st.SessionResumes == 0 || st.PoolHits == 0 {
 		t.Fatalf("run did not exercise the mix it is meant to: %+v", st)
 	}
-	// Every handoff and the one refused dial went through the pool.
+	// Every handoff and the one refused dial went through the pool (and
+	// every resume, which is counted as neither hit nor miss).
 	if got, want := st.PoolHits+st.PoolMisses, st.Handoffs+st.Redispatches; got != want {
 		t.Fatalf("pool hits %d + misses %d = %d, want %d checkouts", st.PoolHits, st.PoolMisses, got, want)
 	}
@@ -316,6 +329,7 @@ func TestStatsIsRegistryView(t *testing.T) {
 		"lard_fe_responses_total":                       st.Served,
 		"lard_fe_handoffs_total":                        st.Handoffs,
 		"lard_fe_rehandoffs_total":                      st.Rehandoffs,
+		"lard_fe_session_resumes_total":                 st.SessionResumes,
 		"lard_fe_rehandoff_fails_total":                 st.RehandoffFails,
 		"lard_fe_redispatches_total":                    st.Redispatches,
 		"lard_fe_stale_retries_total":                   st.StaleRetries,

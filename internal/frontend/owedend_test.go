@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"lard/internal/handoff"
+	"lard/pkg/lard"
 )
 
 // closingExchange plays one client that announces the end of its
@@ -374,7 +375,9 @@ func TestBackendIdleCloseCostsAMiss(t *testing.T) {
 
 // TestPoolHitHandoffAllocs: the front end's side of a pool-hit handoff —
 // checkout with its probe, the one write, check-in — allocates at most
-// once. The transport is real loopback TCP; the far end only discards.
+// once, and a resume — the same client connection back on the transport
+// it parked — not at all. The transport is real loopback TCP; the far end
+// only discards.
 func TestPoolHitHandoffAllocs(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -396,13 +399,14 @@ func TestPoolHitHandoffAllocs(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 	head := buildRequestHead(t, "GET /x HTTP/1.1\r\nHost: t\r\n\r\n")
+	var sess *lard.Session // the client connection the transport is parked for
 	handoffOnce := func() {
-		b, err := s.connectBackend(0, "192.0.2.1:4000", head, false)
+		b, err := s.connectBackend(0, sess, "192.0.2.1:4000", head, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b.clean = true
-		s.releaseBackend(b)
+		s.releaseBackend(b, sess)
 	}
 	handoffOnce() // the dial
 	allocs := testing.AllocsPerRun(200, handoffOnce)
@@ -410,7 +414,22 @@ func TestPoolHitHandoffAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("a pool-hit handoff allocates %v times, want at most 1", allocs)
 	}
-	if st := s.Stats(); st.PoolMisses != 1 {
-		t.Fatalf("%d dials, want 1: the measured handoffs were not pool hits", st.PoolMisses)
+	before := s.Stats()
+	if before.PoolMisses != 1 || before.SessionResumes != 0 {
+		t.Fatalf("%d dials, %d resumes; want 1, 0: the measured handoffs were not pool hits", before.PoolMisses, before.SessionResumes)
+	}
+
+	sess = s.d.NewSession(s.policy)
+	defer sess.Close()
+	handoffOnce() // the last untagged checkout: parks the transport for sess
+	allocs = testing.AllocsPerRun(200, handoffOnce)
+	t.Logf("allocs per resume: %v", allocs)
+	if allocs != 0 {
+		t.Fatalf("a resume allocates %v times, want 0", allocs)
+	}
+	st := s.Stats()
+	if st.PoolMisses != 1 || st.SessionResumes != 201 || st.Handoffs != before.Handoffs+1 {
+		t.Fatalf("%d dials, %d resumes, %d handoffs beyond the first phase; want 1, 201, 1",
+			st.PoolMisses, st.SessionResumes, st.Handoffs-before.Handoffs)
 	}
 }

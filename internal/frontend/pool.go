@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lard/internal/metrics"
+	"lard/pkg/lard"
 )
 
 // This file is the front end's per-back-end connection pool. The paper's
@@ -33,8 +34,14 @@ const DefaultPoolIdle = 30 * time.Second
 // backendPool is a bounded per-node idle pool with TTL expiry. The pooled
 // unit is the *backendConn itself (rehandoff.go): transport, reader,
 // framing writer and probe state travel together, so a checkout allocates
-// nothing. Checkouts are LIFO — the most recently used connection is the
-// least likely to have been idle-closed by the back end.
+// nothing.
+//
+// A transport checked in when its client connection moved to another node
+// is parked: it stays tagged with that connection (backendConn.owner), its
+// session open, and if the connection comes back before anyone else needs
+// the transport, the session resumes where it stopped — no end-of-session
+// record, no handoff header. Parked transports live in the same bounded
+// list as the others; get's checkout order decides who gets which.
 type backendPool struct {
 	size  int
 	ttl   time.Duration
@@ -45,10 +52,11 @@ type backendPool struct {
 	closed bool
 
 	// Collectors in the front end's registry (atomic, not under mu);
-	// Stats reads them as PoolHits/PoolMisses/PoolEvictions and
-	// SessionEndsSwept.
-	hits      *metrics.Counter // checkouts served from the pool
+	// Stats reads them as PoolHits/PoolMisses/SessionResumes/
+	// PoolEvictions and SessionEndsSwept.
+	hits      *metrics.Counter // checkouts served from the pool, for a handoff
 	misses    *metrics.Counter // checkouts that found no live idle conn
+	resumes   *metrics.Counter // checkouts of the caller's own parked transport
 	evictions *metrics.Counter // conns discarded: capacity, TTL, death, or node eviction
 	swept     *metrics.Counter // end-of-session records the sweep paid
 }
@@ -64,24 +72,37 @@ func newBackendPool(size int, ttl time.Duration, reg *metrics.Registry) *backend
 		size: size, ttl: ttl, every: every, idle: make(map[int][]*backendConn),
 		hits:      reg.Counter("lard_fe_pool_checkouts_total", "back-end connection pool checkouts, by result", "result", "hit"),
 		misses:    reg.Counter("lard_fe_pool_checkouts_total", "", "result", "miss"),
+		resumes:   reg.Counter("lard_fe_session_resumes_total", "moves back to a node that found the session parked there and resumed it: no handoff header sent"),
 		evictions: reg.Counter("lard_fe_pool_evictions_total", "pooled connections discarded: capacity, TTL, death, or node eviction"),
 		swept:     reg.Counter("lard_fe_session_ends_total", "end-of-session records sent, by how: in the next handoff header's write, or by the idle pool's sweep", "how", "swept"),
 	}
 }
 
-// get checks out an idle connection for node, discarding expired or dead
-// ones (backendConn.silent is the liveness probe).
+// get checks out an idle connection for node on behalf of the client
+// connection owner, discarding expired or dead ones (backendConn.silent
+// is the liveness probe every pooled transport gets). The order:
 //
-// Counter contract: every checkout is exactly one hit or one miss. The
-// miss is recorded here, once per get that returns no conn — not in pop —
-// so a checkout that pops only expired/dead conns (each recorded as an
-// eviction) still counts as the miss it is, and hits+misses always equals
-// checkouts in Stats.
+//  1. owner's own parked transport. It comes back with b.owner == owner:
+//     the session on it is owner's, still open, and the caller resumes it.
+//  2. the most recently used untagged one (LIFO: the least likely to have
+//     been idle-closed by the back end).
+//  3. the oldest parked one. Its owner has been away longest and is the
+//     least likely to come back for it.
+//
+// From 2 and 3 the transport comes back untagged, owing the next handoff
+// header an end-of-session record if its session is open.
+//
+// Counter contract: every checkout is exactly one resume (step 1), one
+// hit (steps 2 and 3) or one miss, so hits+misses is the number of
+// checkouts a handoff header follows. The miss is recorded here, once per
+// get that returns no conn — not in pop — so a checkout that pops only
+// expired/dead conns (each recorded as an eviction) still counts as the
+// miss it is.
 //
 //lard:noalloc
-func (p *backendPool) get(node int) (*backendConn, bool) {
+func (p *backendPool) get(node int, owner *lard.Session) (*backendConn, bool) {
 	for {
-		b := p.pop(node)
+		b := p.pop(node, owner)
 		if b == nil {
 			p.misses.Inc()
 			return nil, false
@@ -90,24 +111,52 @@ func (p *backendPool) get(node int) (*backendConn, bool) {
 			p.discard(b)
 			continue
 		}
-		p.hits.Inc()
+		if b.owner != nil {
+			p.resumes.Inc()
+		} else {
+			p.hits.Inc()
+		}
 		b.fromPool, b.served, b.clean = true, 0, false
 		return b, true
 	}
 }
 
-func (p *backendPool) pop(node int) *backendConn {
+// pop takes get's pick out of node's idle list, which is in check-in
+// order, oldest first.
+func (p *backendPool) pop(node int, owner *lard.Session) *backendConn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	conns := p.idle[node]
-	if len(conns) == 0 {
+	own, untagged, parked := -1, -1, -1
+	for i, b := range conns {
+		switch {
+		case b.owner == nil:
+			untagged = i
+		case b.owner == owner:
+			own = i
+		case parked < 0:
+			parked = i
+		}
+	}
+	pick := own
+	if pick < 0 {
+		pick = untagged
+	}
+	if pick < 0 {
+		pick = parked
+	}
+	if pick < 0 {
 		return nil
 	}
-	b := conns[len(conns)-1]
+	b := conns[pick]
+	if pick != own {
+		b.owner = nil
+	}
+	n := pick + copy(conns[pick:], conns[pick+1:])
 	// Nil the vacated slot: a truncating reslice alone keeps the conn and
 	// its 16 KiB reader reachable through the underlying array.
-	conns[len(conns)-1] = nil
-	p.idle[node] = conns[:len(conns)-1]
+	conns[n] = nil
+	p.idle[node] = conns[:n]
 	return b
 }
 
@@ -125,8 +174,8 @@ func (p *backendPool) put(b *backendConn) {
 }
 
 // checkIn enters b into its node's idle list. Beyond the per-node bound
-// the oldest idle conn is evicted — LIFO reuse means the oldest is the
-// most likely to die next anyway.
+// the oldest idle conn is evicted, parked or not — LIFO reuse means the
+// oldest is the most likely to die next anyway.
 func (p *backendPool) checkIn(b *backendConn) {
 	p.mu.Lock()
 	if p.closed {
@@ -167,12 +216,12 @@ func (p *backendPool) evictNode(node int) {
 // sweep is the janitor's pass over the idle pool, so that the pool
 // settles with no traffic arriving. A transport past the TTL is
 // discarded. A transport that has sat idle for a full sweep interval with
-// its session still open is sent the end-of-session record that no next
-// handoff came to carry, and kept: the back end's handler sees EOF by the
-// first sweep that finds it a full interval idle, less than two intervals
-// after its client left — with a TTL, one sweep before the one that would
-// close the transport. The record is written outside the lock, with the
-// transport out of the pool.
+// its session still open — parked or not — is sent the end-of-session
+// record that no next handoff came to carry, and kept, untagged: the back
+// end's handler sees EOF by the first sweep that finds it a full interval
+// idle, less than two intervals after its client left — with a TTL, one
+// sweep before the one that would close the transport. The record is
+// written outside the lock, with the transport out of the pool.
 func (p *backendPool) sweep() {
 	now := time.Now()
 	var dead, owing []*backendConn
@@ -204,6 +253,7 @@ func (p *backendPool) sweep() {
 			continue
 		}
 		p.swept.Inc()
+		b.owner = nil // nothing left to resume
 		p.checkIn(b)
 	}
 }

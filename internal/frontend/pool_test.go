@@ -16,6 +16,7 @@ import (
 	"lard/internal/handoff"
 	"lard/internal/httprelay"
 	"lard/internal/metrics"
+	"lard/pkg/lard"
 )
 
 // pipeConn returns the pool-side end of a fresh in-memory connection.
@@ -28,28 +29,37 @@ func pipeConn(t *testing.T) net.Conn {
 
 // TestPoolProperty drives the pool through a seeded random schedule of
 // puts, checkouts, and sabotage (aging entries past the TTL, killing idle
-// conns) and asserts its invariants: the idle population never exceeds
-// the per-node bound, expired connections are never handed out, and the
-// counters balance — every checkout is exactly one hit or one miss (even
-// when it pops only expired/dead conns before coming up empty), and every
-// put is eventually a hit, an eviction, or still idle.
+// conns), for a handful of client connections that park transports and
+// come back and some that do neither, and asserts its invariants: the idle
+// population never exceeds the per-node bound, parked or not, expired
+// connections are never handed out, a transport comes back tagged only to
+// the connection that parked it, and the
+// counters balance — every checkout is exactly one hit, one resume or one
+// miss (even when it pops only expired/dead conns before coming up empty),
+// and every put is eventually a hit, a resume, an eviction, or still idle.
 func TestPoolProperty(t *testing.T) {
 	const size = 3
 	const ttl = time.Hour // out of reach except via deliberate aging
 	p := newBackendPool(size, ttl, metrics.NewRegistry())
 	rng := rand.New(rand.NewSource(7))
+	owners := []*lard.Session{nil, nil, new(lard.Session), new(lard.Session), new(lard.Session)}
 
 	var puts, checkouts, handedOut int
 	for i := 0; i < 800; i++ {
 		node := rng.Intn(4)
+		owner := owners[rng.Intn(len(owners))]
 		switch rng.Intn(5) {
 		case 0, 1:
-			c := pipeConn(t)
-			p.put(newBackendConn(node, c))
+			b := newBackendConn(node, pipeConn(t))
+			b.owner = owner
+			p.put(b)
 			puts++
 		case 2, 3:
-			if _, ok := p.get(node); ok {
+			if b, ok := p.get(node, owner); ok {
 				handedOut++
+				if b.owner != nil && b.owner != owner {
+					t.Fatalf("checkout %d handed a transport still tagged for another connection", checkouts)
+				}
 			}
 			checkouts++
 		case 4:
@@ -73,16 +83,80 @@ func TestPoolProperty(t *testing.T) {
 			}
 		}
 	}
-	hits, misses, evictions := p.hits.Value(), p.misses.Value(), p.evictions.Value()
-	if hits+misses != uint64(checkouts) {
-		t.Fatalf("hits %d + misses %d != checkouts %d", hits, misses, checkouts)
+	hits, misses, resumes, evictions := p.hits.Value(), p.misses.Value(), p.resumes.Value(), p.evictions.Value()
+	if resumes == 0 {
+		t.Fatal("the schedule never resumed a parked transport")
 	}
-	if hits != uint64(handedOut) {
-		t.Fatalf("hits %d != successful checkouts %d", hits, handedOut)
+	if hits+resumes+misses != uint64(checkouts) {
+		t.Fatalf("hits %d + resumes %d + misses %d != checkouts %d", hits, resumes, misses, checkouts)
+	}
+	if hits+resumes != uint64(handedOut) {
+		t.Fatalf("hits %d + resumes %d != successful checkouts %d", hits, resumes, handedOut)
 	}
 	idle, _ := p.idleCount(-1)
-	if uint64(puts) != hits+evictions+uint64(idle) {
-		t.Fatalf("puts %d != hits %d + evictions %d + idle %d", puts, hits, evictions, idle)
+	if uint64(puts) != hits+resumes+evictions+uint64(idle) {
+		t.Fatalf("puts %d != hits %d + resumes %d + evictions %d + idle %d", puts, hits, resumes, evictions, idle)
+	}
+}
+
+// TestPoolChecksOutOwnThenUntaggedThenOldest: get's order. A client
+// connection gets the transport it parked; failing that the most recently
+// checked-in untagged one; failing that the oldest one parked for someone
+// else, which comes back untagged. Another node's transports are never
+// in the running.
+func TestPoolChecksOutOwnThenUntaggedThenOldest(t *testing.T) {
+	p := newBackendPool(8, time.Hour, metrics.NewRegistry())
+	me, x, y := new(lard.Session), new(lard.Session), new(lard.Session)
+	put := func(node int, owner *lard.Session) *backendConn {
+		b := newBackendConn(node, pipeConn(t))
+		b.owner = owner
+		p.put(b)
+		return b
+	}
+	// Node 0's idle list, oldest first.
+	parkedX := put(0, x)
+	free1 := put(0, nil)
+	mine := put(0, me)
+	parkedY := put(0, y)
+	free2 := put(0, nil)
+	put(1, me) // another node's: never an answer for node 0
+
+	for i, want := range []struct {
+		b      *backendConn
+		tagged bool
+		what   string
+	}{
+		{mine, true, "the caller's own parked transport"},
+		{free2, false, "the newest untagged transport"},
+		{free1, false, "the remaining untagged transport"},
+		{parkedX, false, "the oldest transport parked for someone else"},
+		{parkedY, false, "the last parked transport"},
+	} {
+		b, ok := p.get(0, me)
+		if !ok || b != want.b {
+			t.Fatalf("checkout %d: not %s", i, want.what)
+		}
+		if (b.owner != nil) != want.tagged || want.tagged && b.owner != me {
+			t.Fatalf("checkout %d (%s): came back tagged %v, want tagged for the caller: %v", i, want.what, b.owner != nil, want.tagged)
+		}
+	}
+	if _, ok := p.get(0, me); ok {
+		t.Fatal("node 0 is empty; the checkout took node 1's transport")
+	}
+	if hits, misses, resumes := p.hits.Value(), p.misses.Value(), p.resumes.Value(); hits != 4 || misses != 1 || resumes != 1 {
+		t.Fatalf("hits %d, misses %d, resumes %d; want 4, 1, 1", hits, misses, resumes)
+	}
+
+	// A connection with nothing parked starts at the untagged step, and a
+	// checkout on no connection's behalf (the tests' nil) never takes a
+	// tagged transport as its own.
+	put(0, x)
+	free := put(0, nil)
+	if b, _ := p.get(0, me); b != free {
+		t.Fatal("with nothing parked for the caller, the checkout did not take the untagged transport")
+	}
+	if b, ok := p.get(0, nil); !ok || b.owner != nil {
+		t.Fatal("a checkout for no connection came back tagged")
 	}
 }
 
@@ -101,7 +175,7 @@ func TestPoolMissCountsExpiredFallthrough(t *testing.T) {
 		p.idle[0][i].idleSince = p.idle[0][i].idleSince.Add(-2 * time.Hour)
 	}
 	p.mu.Unlock()
-	if _, ok := p.get(0); ok {
+	if _, ok := p.get(0, nil); ok {
 		t.Fatal("expired conn handed out")
 	}
 	hits, misses, ev := p.hits.Value(), p.misses.Value(), p.evictions.Value()
@@ -138,7 +212,7 @@ func TestPoolZeroesVacatedSlots(t *testing.T) {
 	p.put(newBackendConn(0, c)) // over capacity: shift-evicts the oldest
 	assertTailZeroed("capacity eviction")
 
-	if _, ok := p.get(0); !ok {
+	if _, ok := p.get(0, nil); !ok {
 		t.Fatal("checkout failed")
 	}
 	assertTailZeroed("checkout pop")
@@ -188,7 +262,7 @@ func TestPoolKeepsConnWithWrappedDeadlineErr(t *testing.T) {
 	p := newBackendPool(2, time.Hour, metrics.NewRegistry())
 	c := wrapErrConn{pipeConn(t)}
 	p.put(newBackendConn(0, c))
-	b, ok := p.get(0)
+	b, ok := p.get(0, nil)
 	if !ok {
 		t.Fatal("healthy conn with wrapping Read evicted as dead")
 	}
@@ -209,7 +283,7 @@ func TestPoolTTLAndSweep(t *testing.T) {
 	c0 := pipeConn(t)
 	p.put(newBackendConn(0, c0))
 	time.Sleep(50 * time.Millisecond)
-	if _, ok := p.get(0); ok {
+	if _, ok := p.get(0, nil); ok {
 		t.Fatal("expired connection handed out")
 	}
 	if ev := p.evictions.Value(); ev != 1 {
@@ -234,7 +308,7 @@ func TestPoolDetectsDeadConnAtCheckout(t *testing.T) {
 	defer a.Close()
 	p.put(newBackendConn(0, a))
 	b.Close() // the "back end" hangs up while the conn is idle
-	if _, ok := p.get(0); ok {
+	if _, ok := p.get(0, nil); ok {
 		t.Fatal("dead connection handed out")
 	}
 	if hits, ev := p.hits.Value(), p.evictions.Value(); hits != 0 || ev != 1 {
@@ -262,14 +336,14 @@ func TestPoolDetectsDeadTCPConnAtCheckout(t *testing.T) {
 	}
 	p := newBackendPool(2, time.Hour, metrics.NewRegistry())
 	p.put(newBackendConn(0, near))
-	if b, ok := p.get(0); !ok {
+	if b, ok := p.get(0, nil); !ok {
 		t.Fatal("a live, silent TCP transport was not handed out")
 	} else {
 		p.put(b)
 	}
 	far.Close()                       // the "back end" hangs up while the conn is idle
 	time.Sleep(50 * time.Millisecond) // for the FIN to cross the loopback
-	if _, ok := p.get(0); ok {
+	if _, ok := p.get(0, nil); ok {
 		t.Fatal("dead TCP connection handed out")
 	}
 	if hits, ev := p.hits.Value(), p.evictions.Value(); hits != 1 || ev != 1 {

@@ -31,9 +31,12 @@ import (
 // handoff is a session-framed header (handoff.FlagSessionFramed) on a
 // pooled transport when one is idle and on a fresh dial only on a pool
 // miss, so the paper's ~300µs handoff budget is not spent on TCP
-// establishment per handoff. attachBackend is the one way a request
-// reaches a back end; four error paths in and around it keep back-end
-// trouble away from the client:
+// establishment per handoff. A session that moves leaves its transport
+// parked in the pool with the back end's half of the session open, and a
+// move back to that node resumes it: multiple handoff costs a handoff
+// message once per (connection, node), not once per move. attachBackend
+// is the one way a request reaches a back end; four error paths in and
+// around it keep back-end trouble away from the client:
 //
 //   - a failed dial re-dispatches the session to another eligible node
 //     (bounded attempts, failed nodes excluded) before any 502 — a
@@ -77,6 +80,12 @@ type backendConn struct {
 	c    net.Conn
 	br   *bufio.Reader
 	sw   *handoff.SessionWriter
+
+	// owner tags a transport parked in the pool: the client connection
+	// that moved off it with this session open, and may come back to
+	// resume it. Nil once anyone else has the transport or the session
+	// has been ended.
+	owner *lard.Session
 
 	fromPool  bool      // checked out of the idle pool (stale-retry eligible)
 	served    int       // complete responses relayed on this checkout
@@ -188,7 +197,7 @@ func (s *Server) handleConn(client net.Conn) {
 		if requestDone != nil {
 			requestDone()
 		}
-		s.releaseBackend(backend)
+		s.releaseBackend(backend, nil)
 		// The loop is the reader's only user; once it returns the reader
 		// can serve the next client connection.
 		httprelay.PutReader(br)
@@ -354,11 +363,12 @@ func (s *Server) handleConn(client net.Conn) {
 //
 // old is the connection the session is leaving, nil on its first handoff.
 // With stale nil it sits at a message boundary — the loop only continues
-// past a complete reusable response — and goes back to the pool for the
-// next session needing its node. A non-nil stale is the error that showed
-// old dead mid-session (dropped keep-alive, stale pooled transport): old
-// is discarded and node — old's own — is dialed fresh rather than trusted
-// to another idle transport that may have died with it.
+// past a complete reusable response — and goes back to the pool, parked
+// for this session's return until another needs it. A non-nil stale is
+// the error that showed old dead mid-session (dropped keep-alive, stale
+// pooled transport): old is discarded and node — old's own — is dialed
+// fresh rather than trusted to another idle transport that may have died
+// with it.
 //
 // A refused dial or a breaker denial (a HalfOpen node's probe budget and
 // a Recovering node's admission fraction meter new handoffs here) is not
@@ -372,7 +382,8 @@ func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, s
 		old.close()
 		s.m.staleRetries.Inc()
 	} else {
-		s.releaseBackend(old)
+		// The client connection lives on: old is parked for it.
+		s.releaseBackend(old, sess)
 	}
 	var (
 		tried []int  // nodes that refused this request
@@ -382,19 +393,18 @@ func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, s
 	for {
 		if !s.breakerAllow(node) {
 			err = errBreakerDenied
-		} else if b, cerr := s.connectBackend(node, clientAddr, head, stale != nil && len(tried) == 0); cerr != nil {
+		} else if b, cerr := s.connectBackend(node, sess, clientAddr, head, stale != nil && len(tried) == 0); cerr != nil {
 			err = cerr
 		} else {
-			s.m.handoffs.Inc()
 			if len(tried) > 0 {
 				s.m.redispatches.Inc()
 			}
 			if old != nil && b.node != old.node {
-				// Counted only now, after the replacement handoff
-				// succeeded — and only if the back end actually changed: a
-				// failed move, or a redispatch that landed back on the
-				// previous node, must not inflate the re-handoff stats the
-				// phttp figures report.
+				// Counted only now, after the replacement handoff or
+				// resume succeeded — and only if the back end actually
+				// changed: a failed move, or a redispatch that landed back
+				// on the previous node, must not inflate the re-handoff
+				// stats the phttp figures report.
 				s.m.rehandoffs.Inc()
 			}
 			return b, done, nil
@@ -431,21 +441,28 @@ func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, s
 	return nil, nil, err
 }
 
-// connectBackend obtains a connection to node carrying this session's
-// handoff header: from the idle pool (with one transparent fall-through
-// to a fresh dial if the pooled transport turns out stale), or straight
-// from a dial when fresh is set. The dial keeps the mark-down accounting
-// of dialBackend. Either way the request side of the handoff is one
-// Write: the end-of-session record a pooled transport still owes, the
-// header, and the request head.
-func (s *Server) connectBackend(node int, clientAddr string, head httprelay.RequestHead, fresh bool) (*backendConn, error) {
+// connectBackend obtains a connection to node with this request on it:
+// from the idle pool (with one transparent fall-through to a fresh dial
+// if the pooled transport turns out stale), or straight from a dial when
+// fresh is set. The dial keeps the mark-down accounting of dialBackend.
+// Either way the request side is one Write. On the transport sess parked
+// when it last left node, its session there still open, that is the
+// request head in a data frame, exactly what a request that stays sends:
+// the session resumes, and the back end sees the next request of a
+// keep-alive connection. On any other transport it is a handoff: the
+// end-of-session record a pooled transport still owes, the header, and
+// the request head.
+func (s *Server) connectBackend(node int, sess *lard.Session, clientAddr string, head httprelay.RequestHead, fresh bool) (*backendConn, error) {
 	if !fresh {
-		if b, ok := s.pool.get(node); ok {
-			owed := b.sw.InSession()
-			if err := b.sw.Handoff(clientAddr, head.Raw, handoffFlags); err == nil {
-				if owed {
-					s.m.endsWithHeader.Inc()
-				}
+		if b, ok := s.pool.get(node, sess); ok {
+			var err error
+			if b.owner != nil {
+				// Only sess's own parked transport comes back tagged.
+				_, err = b.sw.Write(head.Raw)
+			} else {
+				err = s.handoffTo(b, clientAddr, head)
+			}
+			if err == nil {
 				return b, nil
 			}
 			// Stale pooled transport: the write failed before anything
@@ -460,11 +477,25 @@ func (s *Server) connectBackend(node int, clientAddr string, head httprelay.Requ
 		return nil, err
 	}
 	b := newBackendConn(node, c)
-	if err := b.sw.Handoff(clientAddr, head.Raw, handoffFlags); err != nil {
+	if err := s.handoffTo(b, clientAddr, head); err != nil {
 		b.close()
 		return nil, err
 	}
 	return b, nil
+}
+
+// handoffTo sends the handoff message that opens the next session on b,
+// and counts it.
+func (s *Server) handoffTo(b *backendConn, clientAddr string, head httprelay.RequestHead) error {
+	owed := b.sw.InSession()
+	if err := b.sw.Handoff(clientAddr, head.Raw, handoffFlags); err != nil {
+		return err
+	}
+	s.m.handoffs.Inc()
+	if owed {
+		s.m.endsWithHeader.Inc()
+	}
+	return nil
 }
 
 // releaseBackend retires the relay loop's hold on a back-end connection.
@@ -472,14 +503,18 @@ func (s *Server) connectBackend(node int, clientAddr string, head httprelay.Requ
 // longer take traffic) with its session still open: the end-of-session
 // record is owed, and paid in the same write as the next handoff's
 // header, or by the pool's sweep if none comes, or never if the transport
-// is closed first. Anything else is closed and its reader recycled.
+// is closed first — or not owed after all, if owner, the client
+// connection that is moving away, returns and resumes the session (nil:
+// the client connection is over). Anything else is closed and its reader
+// recycled.
 //
 //lard:noalloc
-func (s *Server) releaseBackend(b *backendConn) {
+func (s *Server) releaseBackend(b *backendConn, owner *lard.Session) {
 	if b == nil {
 		return
 	}
 	if b.clean && s.nodePoolable(b.node) {
+		b.owner = owner
 		s.pool.put(b)
 		return
 	}
