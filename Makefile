@@ -42,7 +42,7 @@ FUZZTIME ?= 10s
 fuzz:
 	for t in FuzzReadRequestHead FuzzReadResponseHead FuzzChunkedRelay FuzzRelayResponseFragmented; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/httprelay || exit 1; done
-	for t in FuzzHeaderDecode FuzzSessionFrames; do \
+	for t in FuzzHeaderDecode FuzzSessionFrames FuzzResponseWriter; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/handoff || exit 1; done
 
 race:

@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -85,7 +84,7 @@ func run(listen, profile string, seed int64, cacheSize string, useLRU bool, disk
 	}
 	fmt.Printf("lardbe: serving %d documents on %s (cache %s, policy %s, disk scale %g)\n",
 		tr.TargetCount(), ln.Addr(), cacheSize, policyName(useLRU), diskScale)
-	return (&http.Server{Handler: be.Handler()}).Serve(ln)
+	return be.HTTPServer().Serve(ln)
 }
 
 func profileByName(name string) (trace.SyntheticConfig, error) {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 
 	"lard/internal/backend"
 	"lard/internal/frontend"
@@ -76,7 +75,7 @@ func runCluster(strategy string, tr *trace.Trace) (float64, float64) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := &http.Server{Handler: be.Handler()}
+		srv := be.HTTPServer()
 		go srv.Serve(ln)
 		cleanup = append(cleanup, func() { srv.Close(); ln.Close() })
 		addrs = append(addrs, ln.Addr().String())

@@ -1,16 +1,21 @@
 package backend
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"lard/internal/handoff"
+	"lard/internal/httprelay"
 	"lard/internal/trace"
 )
 
@@ -231,14 +236,14 @@ func TestDocStoreBasics(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if size, ok := s.Size("/a.html"); !ok || size != 1000 {
-		t.Fatalf("Size = %d, %v", size, ok)
+	if d, ok := s.lookup("/a.html"); !ok || d.size != 1000 || d.contentLength[0] != "1000" {
+		t.Fatalf("lookup = %+v, %v", d, ok)
 	}
-	if _, ok := s.Size("/zzz"); ok {
+	if _, ok := s.lookup("/zzz"); ok {
 		t.Fatal("phantom target")
 	}
 	s.Add("/new", 77)
-	if size, _ := s.Size("/new"); size != 77 {
+	if d, _ := s.lookup("/new"); d == nil || d.size != 77 || !bytes.Equal(d.block, contentBlock("/new")) {
 		t.Fatal("Add failed")
 	}
 	targets := s.Targets()
@@ -308,4 +313,170 @@ func TestNewPanicsWithoutStore(t *testing.T) {
 		}
 	}()
 	New(Config{})
+}
+
+// bareWriter is a ResponseWriter that costs nothing itself, so that what
+// AllocsPerRun counts is the handler's.
+type bareWriter struct{ h http.Header }
+
+func (w *bareWriter) Header() http.Header         { return w.h }
+func (w *bareWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *bareWriter) WriteHeader(int)             {}
+
+// TestHitAllocatesNothing pins the handler's own cost per cache hit: the
+// header values, the content block and the copy buffer are per document or
+// pooled, not per request (10 allocations before they were).
+func TestHitAllocatesNothing(t *testing.T) {
+	s := New(Config{Store: testStore()})
+	h := s.Handler()
+	req := httptest.NewRequest("GET", "/a.html", nil)
+	w := &bareWriter{h: make(http.Header)}
+	h.ServeHTTP(w, req) // the miss that fills the cache
+	if allocs := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); allocs != 0 {
+		t.Fatalf("%.0f allocations per hit, want 0", allocs)
+	}
+	if st := s.Stats(); st.Hits != 201 || st.BytesSent != 202*1000 || w.h.Get("X-Cache") != "HIT" {
+		t.Fatalf("stats %+v, X-Cache %q", st, w.h.Get("X-Cache"))
+	}
+}
+
+// countedListener counts the writes made on the conns it accepts: the
+// segments a back end sends its front end.
+type countedListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (l *countedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	return &countedConn{c, &l.writes}, err
+}
+
+func (c *countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// session is a front end's end of one pooled transport to a node served the
+// way lardbe serves it.
+type session struct {
+	ln   *countedListener
+	conn net.Conn
+	br   *bufio.Reader
+	sw   *handoff.SessionWriter
+}
+
+func startSession(tb testing.TB, srv *http.Server) *session {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := &session{ln: &countedListener{Listener: ln}}
+	hl := handoff.NewListener(s.ln)
+	go srv.Serve(hl)
+	tb.Cleanup(func() { srv.Close(); hl.Close() })
+	if s.conn, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.conn.Close() })
+	s.br, s.sw = bufio.NewReaderSize(s.conn, httprelay.ReaderSize), handoff.NewTransportWriter(s.conn)
+	return s
+}
+
+// request sends one request head (the session's first rides the handoff
+// header) and relays the response to nowhere, as the front end reads it.
+func (s *session) request(tb testing.TB, head string) int64 {
+	tb.Helper()
+	var err error
+	if s.sw.InSession() {
+		_, err = s.sw.Write([]byte(head))
+	} else {
+		err = s.sw.Handoff("192.0.2.1:4000", []byte(head), handoff.FlagRehandoff)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, _, err := httprelay.RelayResponseFrom(io.Discard, s.br, s.conn, "GET", 1<<16, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// TestHalfHeadSessionIsTimedOut: the handoff listener's handshake timeout
+// covers the handoff header only, so the session's own bytes need the
+// server's. A peer that stalls inside a request head loses its transport; a
+// session that idles between requests, as one parked in the front end's pool
+// does, keeps it.
+func TestHalfHeadSessionIsTimedOut(t *testing.T) {
+	srv := New(Config{Store: testStore()}).HTTPServer()
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v, ReadTimeout %v: want only the first set", srv.ReadHeaderTimeout, srv.IdleTimeout, srv.ReadTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond // the same clock, sooner
+	s := startSession(t, srv)
+	s.request(t, "GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n")
+	time.Sleep(3 * srv.ReadHeaderTimeout)
+	if n := s.request(t, "GET /b.html HTTP/1.1\r\nHost: t\r\n\r\n"); n < 2000 {
+		t.Fatalf("after idling, a %d-byte response", n)
+	}
+	if _, err := s.sw.Write([]byte("GET /a.html HTTP/1.1\r\nHost:")); err != nil {
+		t.Fatal(err)
+	}
+	s.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if b, err := s.br.ReadByte(); err != io.EOF {
+		t.Fatalf("half a request head: read %q, %v; want the transport closed", b, err)
+	}
+}
+
+// lengthless drops the handler's Content-Length, which makes net/http
+// chunk the body.
+type lengthless struct{ http.ResponseWriter }
+
+func (w lengthless) Write(p []byte) (int, error) {
+	w.Header().Del("Content-Length")
+	return w.ResponseWriter.Write(p)
+}
+
+// BenchmarkBackendResponse is the back end's hop whole: net/http and the
+// node's handler behind a handoff listener on loopback, one pooled session,
+// a request per iteration. writes/response is the segments per response
+// the front end has to read: one when the response fits the window.
+func BenchmarkBackendResponse(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		size    int64
+		chunked bool
+	}{{"8k", 8 << 10, false}, {"24k", 24 << 10, false}, {"chunked", 8 << 10, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			srv := New(Config{Store: NewDocStore([]trace.Target{{Name: "/doc", Size: c.size}})}).HTTPServer()
+			if handler := srv.Handler; c.chunked {
+				srv.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { handler.ServeHTTP(lengthless{w}, r) })
+			}
+			s := startSession(b, srv)
+			const head = "GET /doc HTTP/1.1\r\nHost: t\r\n\r\n"
+			s.request(b, head) // the miss
+			before := s.ln.writes.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.request(b, head)
+			}
+			b.StopTimer()
+			writes := float64(s.ln.writes.Load()-before) / float64(b.N)
+			b.ReportMetric(writes, "writes/response")
+			// One, but for the background read net/http starts beside each
+			// handler: on a second CPU it can start between a response's two
+			// halves, and the first then leaves early (a few in 50,000).
+			if c.name == "8k" && writes > 1.001 {
+				b.Fatalf("%d writes for %d 8 KB responses, want 1 each", s.ln.writes.Load()-before, b.N)
+			}
+		})
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 
 	"lard/internal/trace"
@@ -22,48 +23,58 @@ import (
 // the target name (so any node serves byte-identical documents and
 // integrity can be checked end to end).
 type DocStore struct {
-	mu    sync.RWMutex
-	sizes map[string]int64
+	mu   sync.RWMutex
+	docs map[string]*document
+}
+
+// document is what serving a target takes, worked out once per document
+// rather than once per request. The handler shares contentLength between
+// responses as a header value: it is never written to.
+type document struct {
+	size          int64
+	contentLength []string
+	block         []byte
 }
 
 // NewDocStore builds a store serving the targets of a trace catalog.
 func NewDocStore(targets []trace.Target) *DocStore {
-	s := &DocStore{sizes: make(map[string]int64, len(targets))}
+	s := &DocStore{docs: make(map[string]*document, len(targets))}
 	for _, t := range targets {
-		s.sizes[t.Name] = t.Size
+		s.Add(t.Name, t.Size)
 	}
 	return s
 }
 
-// Size returns the content length of target, if it exists.
-func (s *DocStore) Size(target string) (int64, bool) {
+// lookup returns the document at target, if it exists.
+func (s *DocStore) lookup(target string) (*document, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	size, ok := s.sizes[target]
-	return size, ok
+	d, ok := s.docs[target]
+	return d, ok
 }
 
 // Add inserts or replaces a document.
 func (s *DocStore) Add(target string, size int64) {
+	d := &document{size: size, contentLength: []string{strconv.FormatInt(size, 10)}, block: contentBlock(target)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sizes[target] = size
+	s.docs[target] = d
 }
 
 // Len returns the number of documents.
 func (s *DocStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.sizes)
+	return len(s.docs)
 }
 
 // Targets returns the catalog sorted by name, for tests and tools.
 func (s *DocStore) Targets() []trace.Target {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]trace.Target, 0, len(s.sizes))
-	for name, size := range s.sizes {
-		out = append(out, trace.Target{Name: name, Size: size})
+	out := make([]trace.Target, 0, len(s.docs))
+	for name, d := range s.docs {
+		out = append(out, trace.Target{Name: name, Size: d.size})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -97,6 +108,26 @@ func contentBlock(target string) []byte {
 		seed = seed*6364136223846793005 + 1442695040888963407
 	}
 	return block
+}
+
+// copyBufPool recycles the buffers a document's content is generated in.
+var copyBufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 32<<10)
+		return &b
+	},
+}
+
+// writeTo writes the document's content, generated a buffer at a time.
+func (d *document) writeTo(w io.Writer) (written int64, err error) {
+	bp := copyBufPool.Get().(*[]byte)
+	defer copyBufPool.Put(bp)
+	for r := (contentReader{block: d.block, remaining: d.size}); r.remaining > 0 && err == nil; {
+		n, _ := r.Read(*bp)
+		n, err = w.Write((*bp)[:n])
+		written += int64(n)
+	}
+	return written, err
 }
 
 type contentReader struct {

@@ -3,10 +3,9 @@ package backend
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lard/internal/cache"
@@ -57,8 +56,10 @@ type Server struct {
 	cache cache.Cache
 	sleep func(time.Duration)
 
+	bytesSent atomic.Int64
+
 	mu    sync.Mutex
-	stats Stats
+	stats Stats // but for BytesSent
 }
 
 // New builds a back-end server. It panics if cfg.Store is nil.
@@ -93,10 +94,25 @@ func New(cfg Config) *Server {
 // Handler returns the node's HTTP handler: documents at their target
 // paths, plus GET /_lard/stats for scraping.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/_lard/stats", s.handleStats)
-	mux.HandleFunc("/", s.handleDoc)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/_lard/stats" {
+			s.handleStats(w, r)
+			return
+		}
+		s.handleDoc(w, r)
+	})
+}
+
+// HTTPServer returns the net/http server a node is served with, over a
+// handoff.Listener. The listener's HandshakeTimeout ends where a handoff
+// header does; from there a session's bytes are under this server's
+// timeouts, and without one a peer that sends half a request head holds a
+// goroutine and a transport for ever. A head has five seconds from its
+// first byte (the front end sends heads whole, so only a broken or hostile
+// peer is ever timed). There is no IdleTimeout on purpose: the front end
+// parks open sessions in its pool and ends them itself.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
 }
 
 // Stats returns a snapshot of the node's counters.
@@ -104,6 +120,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
+	st.BytesSent = s.bytesSent.Load()
 	st.CacheUsed = s.cache.Used()
 	st.CacheLen = s.cache.Len()
 	return st
@@ -114,63 +131,58 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.Stats())
 }
 
+// Header values every response shares; like document.contentLength they are
+// never written to.
+var octetStream, cacheHit, cacheMiss = []string{"application/octet-stream"}, []string{"HIT"}, []string{"MISS"}
+
 func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	target := r.URL.Path
-	size, ok := s.cfg.Store.Size(target)
-	if !ok {
-		s.mu.Lock()
-		s.stats.Requests++
-		s.stats.NotFound++
-		s.mu.Unlock()
-		http.NotFound(w, r)
-		return
-	}
+	doc, ok := s.cfg.Store.lookup(target)
 
 	// Cache consultation mirrors the simulator's node: a hit serves from
 	// memory; a miss pays the (scaled) disk read time, then caches.
+	hit := false
 	s.mu.Lock()
 	s.stats.Requests++
-	_, hit := s.cache.Lookup(target)
-	if hit {
+	if !ok {
+		s.stats.NotFound++
+	} else if _, hit = s.cache.Lookup(target); hit {
 		s.stats.Hits++
 	} else {
 		s.stats.Misses++
 	}
 	s.mu.Unlock()
+	if !ok {
+		http.NotFound(w, r)
+		return
+	}
 
+	h := w.Header()
+	h["Content-Length"], h["Content-Type"], h["X-Cache"] = doc.contentLength, octetStream, cacheHit
 	if !hit {
 		if s.cfg.DiskTimeScale > 0 {
-			d := time.Duration(float64(s.cfg.Disk.DiskReadTime(size)) * s.cfg.DiskTimeScale)
+			d := time.Duration(float64(s.cfg.Disk.DiskReadTime(doc.size)) * s.cfg.DiskTimeScale)
 			s.sleep(d)
 		}
 		s.mu.Lock()
-		s.cache.Insert(target, size)
+		s.cache.Insert(target, doc.size)
 		s.mu.Unlock()
-	}
-
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if hit {
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		w.Header().Set("X-Cache", "MISS")
+		h["X-Cache"] = cacheMiss
 	}
 	if r.Method == http.MethodHead {
 		return
 	}
-	n, err := io.Copy(w, ContentReader(target, size))
-	s.mu.Lock()
-	s.stats.BytesSent += n
-	s.mu.Unlock()
+	n, err := doc.writeTo(w)
+	s.bytesSent.Add(n)
 	if err != nil {
 		// The client went away mid-transfer; nothing further to do.
 		return
 	}
-	if n != size {
-		panic(fmt.Sprintf("backend: wrote %d of %d bytes for %s", n, size, target))
+	if n != doc.size {
+		panic(fmt.Sprintf("backend: wrote %d of %d bytes for %s", n, doc.size, target))
 	}
 }

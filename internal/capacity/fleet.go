@@ -129,7 +129,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			f.Close()
 			return nil, fmt.Errorf("capacity: back-end listener: %w", err)
 		}
-		srv := &http.Server{Handler: be.Handler()}
+		srv := be.HTTPServer()
 		go srv.Serve(ln)
 		f.lns = append(f.lns, ln)
 		f.srvs = append(f.srvs, srv)

@@ -16,6 +16,7 @@ import (
 	"lard/internal/handoff"
 	"lard/internal/httprelay"
 	"lard/internal/metrics"
+	"lard/internal/trace"
 	"lard/pkg/lard"
 )
 
@@ -437,6 +438,49 @@ func TestPooledHandoffReuse(t *testing.T) {
 	}
 	if sessions := ln.Sessions(); sessions != reqs {
 		t.Fatalf("back end saw %d sessions, want %d", sessions, reqs)
+	}
+}
+
+// TestHeadThenGetOnPooledSession: a response to HEAD carries a
+// Content-Length and no body, which the back end's writer cannot tell from
+// its head. It must reach the front end when the server is done with it,
+// not wait for a body, and leave the session framed for the GET behind it.
+func TestHeadThenGetOnPooledSession(t *testing.T) {
+	store := backend.NewDocStore([]trace.Target{{Name: "/doc", Size: 8 << 10}})
+	be := backend.New(backend.Config{Store: store, CacheBytes: 1 << 20})
+	ln, err := handoff.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := be.HTTPServer()
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close(); ln.Close() })
+	fe, feAddr := startPooledFrontend(t, []string{ln.Addr().String()})
+
+	// One connection that comes and goes leaves its transport in the pool.
+	if code := rawKeepAliveGet(t, fe, feAddr, "/doc"); code != 200 {
+		t.Fatalf("warm-up: status %d", code)
+	}
+	conn, err := net.Dial("tcp", feAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for _, method := range []string{"HEAD", "GET", "HEAD", "GET"} {
+		fmt.Fprintf(conn, "%s /doc HTTP/1.1\r\nHost: t\r\n\r\n", method)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		h, body := readOneResponse(t, br, method)
+		want := 8 << 10
+		if method == "HEAD" {
+			want = 0
+		}
+		if h.Status != 200 || h.ContentLength != 8<<10 || len(body) != want {
+			t.Fatalf("%s: status %d, Content-Length %d, %d body bytes", method, h.Status, h.ContentLength, len(body))
+		}
+	}
+	if st := fe.Stats(); st.PoolHits != 1 || st.PoolMisses != 1 || ln.Sessions() != 2 {
+		t.Fatalf("pool hits %d, misses %d, back-end sessions %d: want one pooled transport and the four requests on one session", st.PoolHits, st.PoolMisses, ln.Sessions())
 	}
 }
 

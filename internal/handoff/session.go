@@ -8,20 +8,21 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"time"
 )
 
 // Session-sequenced handoff (protocol v2). A header sent with
 // FlagSessionFramed opens a *session* on the back-end connection instead
 // of consuming it: every byte the front end sends after the header is
 // wrapped in a length-prefixed frame, and a zero-length frame marks the
-// end of the session. The back-end→front-end direction stays raw — the
-// front end parses responses with full HTTP framing anyway, so it knows
-// exactly where the session's last response ends. After the end-of-
-// session record the same TCP connection is back in handshake state and
-// the next handoff header (for an unrelated client) may follow, which is
-// what lets the front end keep a per-node pool of warm connections and
-// pay the TCP dial once per pool fill rather than once per handoff.
+// end of the session. The back-end→front-end direction carries no framing
+// of its own — the front end parses responses with full HTTP framing
+// anyway, so it knows exactly where the session's last response ends —
+// but its writes are gathered: a response that fits the window leaves in
+// one (responseWriter). After the end-of-session record the same TCP
+// connection is back in handshake state and the next handoff header (for
+// an unrelated client) may follow, which is what lets the front end keep a
+// per-node pool of warm connections and pay the TCP dial once per pool
+// fill rather than once per handoff.
 //
 // Frame wire format: uint32 big-endian payload length, then the payload.
 // Length 0 is the end-of-session record. Frames never exceed
@@ -147,15 +148,15 @@ func (w *SessionWriter) End() error {
 // shared transport: a virtual net.Conn whose reads serve the handoff
 // message's initial data — the session's first frame, read where it lies
 // in the transport's reader — and then unwrap data frames, returning
-// io.EOF at the end-of-session record. Writes and deadlines pass through
-// to the transport raw (one session is active per transport at a time, so
-// the response stream needs no framing). Close never closes the transport —
-// it hands control back to the listener's transport loop, which either
-// reads the next session's header or tears the transport down if the
-// session was abandoned mid-stream.
+// io.EOF at the end-of-session record. Writes and deadlines go to the
+// transport through the responseWriter (one session is active per transport
+// at a time, so the response stream needs no framing). Close never closes
+// the transport — it hands control back to the listener's transport loop,
+// which either reads the next session's header or tears the transport down
+// if the session was abandoned mid-stream.
 type sessionConn struct {
-	raw net.Conn
-	br  *bufio.Reader
+	responseWriter
+	br *bufio.Reader
 
 	clientAddr net.Addr
 
@@ -181,7 +182,7 @@ type sessionConn struct {
 // the first of the handoff message's initialLen bytes of initial data.
 // closed must have room for the token Close sends.
 func newSessionConn(raw net.Conn, br *bufio.Reader, client net.Addr, initialLen int, closed chan<- struct{}) *sessionConn {
-	return &sessionConn{raw: raw, br: br, clientAddr: client, frameLeft: initialLen, closed: closed}
+	return &sessionConn{responseWriter: responseWriter{Conn: raw}, br: br, clientAddr: client, frameLeft: initialLen, closed: closed}
 }
 
 // Read implements net.Conn: initial data first, then frame payloads,
@@ -189,6 +190,7 @@ func newSessionConn(raw net.Conn, br *bufio.Reader, client net.Addr, initialLen 
 //
 //lard:noalloc
 func (c *sessionConn) Read(p []byte) (int, error) {
+	c.flush()
 	if c.sticky != nil {
 		return 0, c.sticky
 	}
@@ -257,12 +259,11 @@ func isTimeout(err error) bool {
 	return ok && ne.Timeout()
 }
 
-func (c *sessionConn) Write(p []byte) (int, error) { return c.raw.Write(p) }
-
 // Close releases the session back to the transport loop. The transport
 // itself stays open if (and only if) the session was read through to its
 // end-of-session record; the loop checks drained().
 func (c *sessionConn) Close() error {
+	c.closeFlush()
 	c.closeOnce.Do(func() { c.closed <- struct{}{} })
 	return nil
 }
@@ -274,12 +275,7 @@ func (c *sessionConn) drained() bool {
 	return c.sawEnd && c.frameLeft == 0 && c.sticky == nil
 }
 
-func (c *sessionConn) LocalAddr() net.Addr  { return c.raw.LocalAddr() }
 func (c *sessionConn) RemoteAddr() net.Addr { return c.clientAddr }
-
-func (c *sessionConn) SetDeadline(t time.Time) error      { return c.raw.SetDeadline(t) }
-func (c *sessionConn) SetReadDeadline(t time.Time) error  { return c.raw.SetReadDeadline(t) }
-func (c *sessionConn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
 
 // parseClientAddr parses the handed-off client address, falling back to
 // an opaque representation when it is not a literal "ip:port".

@@ -9,7 +9,7 @@ import (
 // This file is the relay's copy machinery: one window, one write.
 //
 // The unit of work is the connection reader's window — the 16 KiB
-// (readerSize) a pooled bufio.Reader holds, or whatever size the caller's
+// (ReaderSize) a pooled bufio.Reader holds, or whatever size the caller's
 // reader has. Heads are parsed in place in it (readHead), and a
 // length-delimited message leaves it window by window, each window in one
 // Write straight from the reader's buffer (relayLength):
@@ -88,14 +88,16 @@ func copyNBuffered(dst io.Writer, src io.Reader, n int64) (int64, error) {
 	return written, err
 }
 
-// readerSize is the relay's standard bufio.Reader capacity, shared by
-// every connection-wrapping reader the relay stack pools.
-const readerSize = 16 << 10
+// ReaderSize is the relay's standard bufio.Reader capacity, shared by
+// every connection-wrapping reader the relay stack pools: the window. The
+// back end's end of the transport (internal/handoff) holds a response that
+// fits it, so that it arrives here in one segment.
+const ReaderSize = 16 << 10
 
 // readerPool recycles connection readers across connections and
 // sessions; see GetReader.
 var readerPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, readerSize) },
+	New: func() any { return bufio.NewReaderSize(nil, ReaderSize) },
 }
 
 // GetReader returns a pooled 16 KiB bufio.Reader reset to r. The relay
@@ -118,7 +120,7 @@ func GetReader(r io.Reader) *bufio.Reader {
 //
 //lard:noalloc
 func PutReader(br *bufio.Reader) {
-	if br == nil || br.Size() != readerSize {
+	if br == nil || br.Size() != ReaderSize {
 		return
 	}
 	//lard:allow noalloc — inlined bufio.Reset cold arm (nil-buf make) never runs: the size guard above admits only full-size readers

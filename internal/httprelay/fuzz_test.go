@@ -230,7 +230,7 @@ func FuzzReadResponseHead(f *testing.F) {
 		}
 		// Re-parsing the forwarded bytes, whole, yields the identical
 		// head: the client cannot disagree with the relay.
-		h2, err2 := ReadResponseHead(bufio.NewReaderSize(bytes.NewReader(raw), readerSize), 1<<14)
+		h2, err2 := ReadResponseHead(bufio.NewReaderSize(bytes.NewReader(raw), ReaderSize), 1<<14)
 		if err2 != nil {
 			t.Fatalf("re-parsing forwarded head failed: %v\nraw: %q", err2, raw)
 		}
@@ -295,8 +295,8 @@ func FuzzRelayResponseFragmented(f *testing.F) {
 			left, _ := io.ReadAll(br)
 			return client.String(), reusable, string(left), nil
 		}
-		size := []int{16, 64, 256, readerSize}[window%4]
-		out, reusable, rest, err := relay(bytes.NewReader(data), readerSize, false)
+		size := []int{16, 64, 256, ReaderSize}[window%4]
+		out, reusable, rest, err := relay(bytes.NewReader(data), ReaderSize, false)
 		fout, freusable, frest, ferr := relay(&fragmentReader{r: bytes.NewReader(data), cuts: cuts}, size, window&4 != 0)
 		if (err == nil) != (ferr == nil) {
 			t.Fatalf("whole: %v, fragmented: %v", err, ferr)

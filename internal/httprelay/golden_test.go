@@ -30,7 +30,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_he
 
 const goldenPath = "testdata/golden_heads.txt"
 
-// goldenWindow is the relay's reader size (readerSize), spelled out so
+// goldenWindow is the relay's reader size (ReaderSize), spelled out so
 // the corpus does not move if the constant does.
 const goldenWindow = 16 << 10
 

@@ -78,21 +78,21 @@ func readLine(br *bufio.Reader, max int) ([]byte, error) {
 	}
 }
 
-// headScan finds where a message head ends in a prefix of the message
+// HeadScan finds where a message head ends in a prefix of the message
 // that grows between calls: at the first blank line after the start line.
 // A line is blank when only CRs precede its LF, so bare-LF line endings
 // frame a head like CRLF ones.
-type headScan struct {
+type HeadScan struct {
 	off     int  // the whole lines before off are scanned
 	started bool // the start line is among them
 }
 
-// end returns the length of the head at the front of b, 0 while its blank
+// End returns the length of the head at the front of b, 0 while its blank
 // line has not arrived. Blank lines ahead of the start line are skipped
 // (and counted into the head) unless the scan was made with started set.
 //
 //lard:noalloc
-func (s *headScan) end(b []byte) int {
+func (s *HeadScan) End(b []byte) int {
 	for {
 		i := bytes.IndexByte(b[s.off:], '\n')
 		if i < 0 {
@@ -123,7 +123,7 @@ func (s *headScan) end(b []byte) int {
 // returned untouched — the connection's normal end of life, not a framing
 // fault. Every other failure is a MalformedError.
 func readHead(br *bufio.Reader, maxBytes int, request bool) (head []byte, unread int, err error) {
-	s := headScan{started: !request}
+	s := HeadScan{started: !request}
 	var acc []byte // the consumed windows of a head that outgrew one
 	for {
 		w, _ := br.Peek(br.Buffered())
@@ -132,7 +132,7 @@ func readHead(br *bufio.Reader, maxBytes int, request bool) (head []byte, unread
 			acc = append(acc, w...)
 			b = acc
 		}
-		n := s.end(b)
+		n := s.End(b)
 		switch {
 		case n > maxBytes || n == 0 && len(b) > maxBytes:
 			return nil, 0, malformedf("head exceeds %d bytes", maxBytes)

@@ -432,10 +432,10 @@ func TestWindowRelayWrites(t *testing.T) {
 	}{
 		{"empty body", 0, 1},
 		{"8k", 8 << 10, 1},
-		{"fills the window exactly", readerSize - headLen, 1},
-		{"one byte over", readerSize - headLen + 1, 2},
+		{"fills the window exactly", ReaderSize - headLen, 1},
+		{"one byte over", ReaderSize - headLen + 1, 2},
 		{"24k", 24 << 10, 2},
-		{"two windows exactly", 2*readerSize - headLen, 2},
+		{"two windows exactly", 2*ReaderSize - headLen, 2},
 		{"64k", 64 << 10, 0},
 	}
 	deliveries := []struct {
@@ -450,7 +450,7 @@ func TestWindowRelayWrites(t *testing.T) {
 			for _, withRaw := range []bool{false, true} {
 				msg := lengthResponse(tc.bodyLen)
 				src := d.wrap(strings.NewReader(msg + "NEXT"))
-				br := bufio.NewReaderSize(src, readerSize)
+				br := bufio.NewReaderSize(src, ReaderSize)
 				var raw io.Reader
 				if withRaw {
 					raw = src
@@ -481,7 +481,7 @@ func TestShortSmallBodyWritesNothing(t *testing.T) {
 	msg := lengthResponse(8 << 10)
 	for _, cut := range []int{len(msg) - 1, len(msg) - 4096, strings.Index(msg, "\r\n\r\n") + 4} {
 		var client countingWriter
-		br := bufio.NewReaderSize(iotest.OneByteReader(strings.NewReader(msg[:cut])), readerSize)
+		br := bufio.NewReaderSize(iotest.OneByteReader(strings.NewReader(msg[:cut])), ReaderSize)
 		n, reusable, err := RelayResponse(&client, br, "GET", 1<<16, nil)
 		if err == nil || reusable || n != 0 || client.writes != 0 {
 			t.Fatalf("cut at %d: n=%d reusable=%v writes=%d err=%v, want nothing written and an error", cut, n, reusable, client.writes, err)
