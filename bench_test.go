@@ -468,7 +468,7 @@ func BenchmarkDispatch(b *testing.B) {
 	for i := range targets {
 		targets[i] = fmt.Sprintf("/doc%04d.html", i)
 	}
-	for _, shards := range []int{1, 8} {
+	for _, shards := range []int{1, 2, 8} {
 		variant := "locked"
 		if shards > 1 {
 			variant = fmt.Sprintf("sharded%d", shards)

@@ -20,7 +20,7 @@
 //
 // When the output file already exists and holds a JSON object, the
 // report is merged in under the "capacity" key (scripts/bench.sh writes
-// the microbenchmark sections of BENCH_PR9.json first and then invokes
+// the microbenchmark sections of BENCH_PR10.json first and then invokes
 // this command to append the end-to-end numbers).
 package main
 

@@ -7,32 +7,20 @@
 // and the zero-allocation guarantee on //lard:noalloc hot paths
 // (noalloc).
 //
-// Standalone mode (what CI and `make lint` run):
+// Usage (what CI and `make lint` run):
 //
 //	lardlint [-json] ./...
 //
 // loads the matched packages of the enclosing module (dependencies come
-// from compiler export data, so nothing is re-type-checked), runs all
-// six analyzers, prints diagnostics as file:line:col: [analyzer]
-// message — or, with -json, as a JSON array of
-// {file,line,col,analyzer,message} objects on stdout — and exits with:
+// from compiler export data, so nothing is re-type-checked; test files
+// are not loaded), runs all six analyzers, prints diagnostics as
+// file:line:col: [analyzer] message — or, with -json, as a JSON array
+// of {file,line,col,analyzer,message} objects on stdout — and exits
+// with:
 //
 //	0  no findings
 //	1  operational error (load, type-check, or analyzer failure)
 //	3  findings reported
-//
-// Vettool mode makes the suite usable as
-//
-//	go vet -vettool=$(which lardlint) ./...
-//
-// by speaking go vet's unitchecker protocol: -V=full prints the version
-// fingerprint vet uses as a cache key, and a single *.cfg argument
-// processes one compilation unit described by vet's JSON config —
-// including _test.go files, which standalone mode does not load. The
-// unit exits 1 on findings (vet's convention folds it into go vet's own
-// exit status). noalloc is standalone-only: it shells out to the
-// compiler over the package directory, which vet's file-list units do
-// not reliably carry, so the vettool suite runs the other five.
 //
 // Suppress a deliberate exception on (or one line above) the flagged
 // line with:
@@ -43,8 +31,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"lard/internal/analysis"
 	"lard/internal/analysis/donecall"
@@ -55,9 +43,7 @@ import (
 	"lard/internal/analysis/wallclock"
 )
 
-// analyzers is the full standalone suite. noalloc must stay last-listed
-// here and excluded from vetAnalyzers: it drives `go build` over
-// pass.Dir, which only standalone mode populates.
+// analyzers is the suite.
 var analyzers = []*analysis.Analyzer{
 	lockheld.Analyzer,
 	donecall.Analyzer,
@@ -67,28 +53,8 @@ var analyzers = []*analysis.Analyzer{
 	noalloc.Analyzer,
 }
 
-// vetAnalyzers is the suite for go vet compilation units: everything
-// except noalloc (no package directory in a unit's file list).
-var vetAnalyzers = analyzers[:len(analyzers)-1]
-
 func main() {
 	args := os.Args[1:]
-
-	// go vet probes the tool before use: -flags asks for the supported
-	// flags (lardlint has none vet needs to know about), -V=full for the
-	// identity line vet folds into its cache key.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Printf("lardlint version lardlint-1-%s\n", suiteFingerprint())
-		return
-	}
-
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0]))
-	}
 
 	jsonOut := false
 	if len(args) > 0 && args[0] == "-json" {
@@ -96,17 +62,7 @@ func main() {
 		args = args[1:]
 	}
 
-	os.Exit(runStandalone(args, jsonOut))
-}
-
-// suiteFingerprint folds the analyzer names into the version string so
-// vet re-runs when the suite's composition changes.
-func suiteFingerprint() string {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-	}
-	return strings.Join(names, "-")
+	os.Exit(run(args, jsonOut, os.Stdout, os.Stderr))
 }
 
 // jsonDiagnostic is the -json wire shape for one finding.
@@ -118,12 +74,12 @@ type jsonDiagnostic struct {
 	Message  string `json:"message"`
 }
 
-// runStandalone loads and checks the packages matching the patterns
-// (default ./...) in the current directory's module.
-func runStandalone(patterns []string, jsonOut bool) int {
+// run loads and checks the packages matching the patterns (default
+// ./...) in the current directory's module.
+func run(patterns []string, jsonOut bool, stdout, stderr io.Writer) int {
 	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lardlint: %v\n", err)
+		fmt.Fprintf(stderr, "lardlint: %v\n", err)
 		return 1
 	}
 	found := 0
@@ -131,7 +87,7 @@ func runStandalone(patterns []string, jsonOut bool) int {
 	for _, pkg := range pkgs {
 		diags, err := analysis.RunAnalyzers(pkg, analyzers)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lardlint: %s: %v\n", pkg.PkgPath, err)
+			fmt.Fprintf(stderr, "lardlint: %s: %v\n", pkg.PkgPath, err)
 			return 1
 		}
 		for _, d := range diags {
@@ -145,88 +101,22 @@ func runStandalone(patterns []string, jsonOut bool) int {
 					Message:  d.Message,
 				})
 			} else {
-				fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
+				fmt.Fprintf(stderr, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
 			}
 		}
 	}
 	if jsonOut {
 		// Always emit the array — [] on a clean run — so consumers can
 		// parse unconditionally.
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(all); err != nil {
-			fmt.Fprintf(os.Stderr, "lardlint: %v\n", err)
+			fmt.Fprintf(stderr, "lardlint: %v\n", err)
 			return 1
 		}
 	}
 	if found > 0 {
 		return 3
-	}
-	return 0
-}
-
-// vetConfig is the subset of go vet's unitchecker JSON config that
-// lardlint needs to type-check one compilation unit.
-type vetConfig struct {
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	Standard                  map[string]bool // std-library import paths
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit processes one go vet compilation unit. lardlint keeps no
-// cross-package facts, so the vetx output is a placeholder and
-// fact-only (VetxOnly) units are a no-op.
-func runVetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lardlint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "lardlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("lardlint has no facts\n"), 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "lardlint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly || cfg.Standard[cfg.ImportPath] || len(cfg.GoFiles) == 0 {
-		return 0
-	}
-	// ImportMap maps source import paths to canonical ones; PackageFile
-	// maps canonical paths to export data written by the build.
-	exports := make(map[string]string, len(cfg.ImportMap))
-	for src, canonical := range cfg.ImportMap {
-		if file, ok := cfg.PackageFile[canonical]; ok {
-			exports[src] = file
-		}
-	}
-	pkg, err := analysis.CheckFiles(cfg.ImportPath, cfg.GoFiles, exports)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "lardlint: %v\n", err)
-		return 1
-	}
-	diags, err := analysis.RunAnalyzers(pkg, vetAnalyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lardlint: %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 1
 	}
 	return 0
 }

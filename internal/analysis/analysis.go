@@ -1,11 +1,10 @@
 // Package analysis is a small, dependency-free analogue of
 // golang.org/x/tools/go/analysis: just enough framework to host the
 // project's own static checks (lockheld, donecall, wallclock,
-// relayclass) without pulling x/tools into the module. The shapes —
-// Analyzer, Pass, Diagnostic — deliberately mirror the upstream API so
-// the analyzers could be ported to a real multichecker by changing
-// imports, and so anyone who has written a go/analysis pass can read
-// these.
+// relayclass, poolpair, noalloc) without pulling x/tools into the
+// module. The shapes — Analyzer, Pass, Diagnostic — deliberately mirror
+// the upstream API so anyone who has written a go/analysis pass can
+// read these.
 //
 // The framework loads packages through the go command itself
 // (`go list -export`), type-checks target packages from source with the
@@ -55,15 +54,16 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// PkgPath and Dir identify the package on disk, for analyzers that
-	// shell out to the go tool over it (noalloc drives the compiler's
-	// escape analysis). Dir may be empty under go vet's unitchecker,
-	// whose units are file lists.
-	PkgPath string
-	Dir     string
+	// Dir is the package's directory, for analyzers that shell out to
+	// the go tool over it (noalloc drives the compiler's escape
+	// analysis).
+	Dir string
 
-	// report receives every non-suppressed diagnostic.
+	// report receives every non-suppressed diagnostic, once: a path
+	// analysis reaches the same finding along several paths, and seen
+	// drops the repeats.
 	report func(Diagnostic)
+	seen   map[Diagnostic]bool
 
 	// allow maps "file:line" to the set of analyzer names allowed there,
 	// built once per package from //lard:allow directives.
@@ -82,25 +82,17 @@ func (d Diagnostic) String() string {
 }
 
 // Reportf reports a finding at pos unless a //lard:allow directive
-// covers it. Findings in _test.go files are dropped wholesale: tests
-// deliberately leak done funcs, sleep on the wall clock, and poke
-// guarded state to prove the shipped code handles it — the contracts
-// these analyzers enforce bind the shipped code only. (Standalone mode
-// never loads test files; this matters under `go vet -vettool`, whose
-// compilation units include them.)
+// covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	if strings.HasSuffix(position.Filename, "_test.go") {
-		return
-	}
 	if p.allowedAt(position) {
 		return
 	}
-	p.report(Diagnostic{
-		Pos:      position,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	d := Diagnostic{Pos: position, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)}
+	if !p.seen[d] {
+		p.seen[d] = true
+		p.report(d)
+	}
 }
 
 // allowedAt consults //lard:allow directives: one on the flagged line
@@ -164,10 +156,10 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:     pkg.Syntax,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
-			PkgPath:   pkg.PkgPath,
 			Dir:       pkg.Dir,
 			allow:     allow,
 			report:    func(d Diagnostic) { diags = append(diags, d) },
+			seen:      make(map[Diagnostic]bool),
 		}
 		if err := a.Run(pass); err != nil {
 			return diags, fmt.Errorf("%s: analyzing %s: %w", a.Name, pkg.PkgPath, err)

@@ -20,11 +20,7 @@ package atest
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -97,47 +93,12 @@ func moduleExports() (map[string]string, error) {
 }
 
 func loadFixture(dir, importPath string, exports map[string]string) (*analysis.Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("fixture %s: %w", importPath, err)
-	}
-	fset := token.NewFileSet()
-	var syntax []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil,
-			parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("parsing fixture %s: %w", e.Name(), err)
-		}
-		syntax = append(syntax, f)
-	}
-	if len(syntax) == 0 {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
 		return nil, fmt.Errorf("fixture %s: no Go files in %s", importPath, dir)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: analysis.ExportImporter(fset, exports)}
-	tpkg, err := conf.Check(importPath, fset, syntax, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking fixture %s: %w", importPath, err)
-	}
-	return &analysis.Package{
-		PkgPath:   importPath,
-		Dir:       dir,
-		Fset:      fset,
-		Syntax:    syntax,
-		Types:     tpkg,
-		TypesInfo: info,
-	}, nil
+	fset := token.NewFileSet()
+	return analysis.TypeCheck(fset, analysis.ExportImporter(fset, exports), importPath, dir, files)
 }
 
 // wantRx extracts the quoted regexps from a // want comment.

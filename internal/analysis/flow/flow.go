@@ -1,8 +1,9 @@
 // Package flow runs a structured abstract interpretation over one Go
-// function body. It is the control-flow engine behind the lockheld and
-// donecall analyzers: instead of building an explicit CFG (the stdlib
-// has no go/cfg), it walks the AST's structure — if/else, for, range,
-// switch, select, labeled break/continue — propagating small
+// function body. It is the control-flow engine behind the lockheld
+// analyzer and the obligation engine (obligation.go) that donecall and
+// poolpair are tables for: instead of building an explicit CFG (the
+// stdlib has no go/cfg), it walks the AST's structure — if/else, for,
+// range, switch, select, labeled break/continue — propagating small
 // caller-defined path states and merging them as sets, which keeps
 // disjunctive facts ("the mutex is held on this path but not that one")
 // exact without inventing a lattice join.
@@ -46,11 +47,6 @@ type Interp[S comparable] struct {
 	// statement (n is the *ast.ReturnStmt) or falls off the end of the
 	// body (n is the *ast.BlockStmt body itself).
 	AtExit func(s S, n ast.Node)
-
-	// Terminates reports that a leaf statement never returns (panic,
-	// os.Exit, log.Fatal): the path ends there without reaching AtExit.
-	// Nil means no statement terminates.
-	Terminates func(n ast.Stmt) bool
 }
 
 type set[S comparable] map[S]struct{}
@@ -300,19 +296,14 @@ func (r *run[S]) execStmt(stmt ast.Stmt, states set[S], labels []string) set[S] 
 		if st.Tag != nil {
 			states = r.transfer(states, st.Tag)
 		}
-		return r.execCases(st.Body, states, labels, func(cc *ast.CaseClause) {
-			for _, e := range cc.List {
-				// Case expressions evaluate, but refine nothing here.
-				_ = e
-			}
-		})
+		return r.execCases(st.Body, states, labels)
 
 	case *ast.TypeSwitchStmt:
 		if st.Init != nil {
 			states = r.execStmt(st.Init, states, nil)
 		}
 		states = r.transfer(states, st.Assign)
-		return r.execCases(st.Body, states, labels, nil)
+		return r.execCases(st.Body, states, labels)
 
 	case *ast.SelectStmt:
 		f := &frame[S]{labels: append([]string{""}, labels...),
@@ -346,7 +337,7 @@ func (r *run[S]) execStmt(stmt ast.Stmt, states set[S], labels []string) set[S] 
 		// Leaf statements: assignments, expression statements, defers,
 		// go statements, declarations, sends, inc/dec, empty.
 		states = r.transfer(states, stmt)
-		if r.in.Terminates != nil && r.in.Terminates(stmt) {
+		if terminates(stmt) {
 			return set[S]{}
 		}
 		return states
@@ -356,7 +347,7 @@ func (r *run[S]) execStmt(stmt ast.Stmt, states set[S], labels []string) set[S] 
 // execCases interprets a switch body: each clause starts from the
 // switch-entry states (plus any fallthrough states from the previous
 // clause); a missing default lets entry states flow past the switch.
-func (r *run[S]) execCases(body *ast.BlockStmt, states set[S], labels []string, onCase func(*ast.CaseClause)) set[S] {
+func (r *run[S]) execCases(body *ast.BlockStmt, states set[S], labels []string) set[S] {
 	f := &frame[S]{labels: append([]string{""}, labels...),
 		breaks: set[S]{}, continues: set[S]{}, fallth: set[S]{}}
 	r.frames = append(r.frames, f)
@@ -370,9 +361,6 @@ func (r *run[S]) execCases(body *ast.BlockStmt, states set[S], labels []string, 
 		}
 		if cc.List == nil {
 			hasDefault = true
-		}
-		if onCase != nil {
-			onCase(cc)
 		}
 		in := states.clone()
 		in.union(carry)

@@ -4,14 +4,14 @@
 // obligation carried by its N-th parameter (on all paths, some paths,
 // or never), whether it adopts the parameter outright (stores it,
 // returns it, hands it to code the analysis cannot see), and whether
-// its results carry freshly acquired obligations. Path-sensitive
-// checkers (poolpair) consult these summaries through ClassifyCall so
-// a call is an escape only when it genuinely might be, not merely
-// because it is a call.
+// its results carry freshly acquired obligations. The path checker
+// (obligation.go) consults these summaries through classifyCall so a
+// call is an escape only when it genuinely might be, not merely because
+// it is a call.
 //
 // The call graph is the package's own FuncDecls; calls that leave the
-// package are classified by the SummaryConfig callbacks (known
-// releasers, acquirers, and borrowers) and are otherwise conservative
+// package are classified by the Table's rows (known releasers,
+// acquirers, and borrowers) and are otherwise conservative
 // (EffAdopts). Strongly connected components — recursion, mutual or
 // direct — are cut conservatively: a call to a function whose summary
 // is not yet computed counts as an adoption, so cyclic functions
@@ -22,6 +22,7 @@ package flow
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -86,8 +87,8 @@ func (r RetEffect) String() string {
 // Summary is one function's interprocedural obligation summary.
 type Summary struct {
 	// Params holds the effect on each declared parameter (receivers are
-	// not summarized; a method call on a resource is a borrow unless
-	// the configuration names it a releaser, e.g. Close).
+	// not summarized; a method call on a resource is a borrow unless a
+	// Release row names it, e.g. Close).
 	Params []Effect
 
 	// Results holds, per result, whether it carries a fresh obligation.
@@ -98,36 +99,16 @@ type Summary struct {
 	Recursive bool
 }
 
-// SummaryConfig tells Summarize (and ClassifyCall) which calls that
-// leave the analyzed package acquire, release, or merely borrow
-// obligations. All callbacks may be nil.
-type SummaryConfig struct {
-	Info *types.Info
-
-	// ReleaseArgs returns the operand positions whose obligation the
-	// (externally known) callee releases: argument indices, or -1 for
-	// the method receiver.
-	ReleaseArgs func(call *ast.CallExpr) []int
-
-	// AcquireResults returns the result indices of call that carry a
-	// fresh obligation, for externally known acquirers.
-	AcquireResults func(call *ast.CallExpr) []int
-
-	// Borrows reports that the externally known callee only reads the
-	// operand at pos (same position convention as ReleaseArgs).
-	Borrows func(call *ast.CallExpr, pos int) bool
-
-	// Terminates reports a statement that never returns (panic,
-	// os.Exit); forwarded to the path interpreter.
-	Terminates func(n ast.Stmt) bool
-}
-
 // Summarize computes obligation summaries for every FuncDecl with a
 // body in files, bottom-up over the package-local call graph.
-func Summarize(files []*ast.File, cfg *SummaryConfig) map[*types.Func]*Summary {
-	sz := &summarizer{
-		cfg:   cfg,
-		info:  cfg.Info,
+func Summarize(files []*ast.File, info *types.Info, t *Table) map[*types.Func]*Summary {
+	return newEngine(files, info, t).sums
+}
+
+func newEngine(files []*ast.File, info *types.Info, t *Table) *engine {
+	e := &engine{
+		t:     t,
+		info:  info,
 		decls: make(map[*types.Func]*ast.FuncDecl),
 		sums:  make(map[*types.Func]*Summary),
 	}
@@ -138,17 +119,17 @@ func Summarize(files []*ast.File, cfg *SummaryConfig) map[*types.Func]*Summary {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, ok := sz.info.Defs[fd.Name].(*types.Func)
+			fn, ok := info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
-			sz.decls[fn] = fd
+			e.decls[fn] = fd
 			order = append(order, fn)
 		}
 	}
 	edges := make(map[*types.Func][]*types.Func, len(order))
 	for _, fn := range order {
-		edges[fn] = sz.callees(sz.decls[fn])
+		edges[fn] = e.callees(e.decls[fn])
 	}
 	// Tarjan emits SCCs callees-first, so each function (outside its own
 	// cycle) sees its callees' finished summaries; within a cycle the
@@ -156,31 +137,24 @@ func Summarize(files []*ast.File, cfg *SummaryConfig) map[*types.Func]*Summary {
 	for _, comp := range sccs(order, edges) {
 		rec := len(comp) > 1 || hasEdge(edges, comp[0], comp[0])
 		for _, fn := range comp {
-			sz.sums[fn] = sz.summarize(fn, sz.decls[fn], rec)
+			e.sums[fn] = e.summarize(fn, e.decls[fn], rec)
 		}
 	}
-	return sz.sums
-}
-
-type summarizer struct {
-	cfg   *SummaryConfig
-	info  *types.Info
-	decls map[*types.Func]*ast.FuncDecl
-	sums  map[*types.Func]*Summary
+	return e
 }
 
 // callees lists the package-local functions fd calls directly (calls
 // inside function literals excluded — a closure runs at unknown time
 // and its captures are handled as adoptions).
-func (sz *summarizer) callees(fd *ast.FuncDecl) []*types.Func {
+func (e *engine) callees(fd *ast.FuncDecl) []*types.Func {
 	var out []*types.Func
 	seen := make(map[*types.Func]bool)
-	inspectSkipLits(fd.Body, func(n ast.Node) {
+	InspectSkipLits(fd.Body, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		if fn := CalleeFunc(sz.info, call); fn != nil && sz.decls[fn] != nil && !seen[fn] {
+		if fn := CalleeFunc(e.info, call); fn != nil && e.decls[fn] != nil && !seen[fn] {
 			seen[fn] = true
 			out = append(out, fn)
 		}
@@ -197,7 +171,7 @@ func hasEdge(edges map[*types.Func][]*types.Func, from, to *types.Func) bool {
 	return false
 }
 
-func (sz *summarizer) summarize(fn *types.Func, fd *ast.FuncDecl, rec bool) *Summary {
+func (e *engine) summarize(fn *types.Func, fd *ast.FuncDecl, rec bool) *Summary {
 	sig := fn.Type().(*types.Signature)
 	s := &Summary{
 		Recursive: rec,
@@ -205,9 +179,9 @@ func (sz *summarizer) summarize(fn *types.Func, fd *ast.FuncDecl, rec bool) *Sum
 		Results:   make([]RetEffect, sig.Results().Len()),
 	}
 	for i := range s.Params {
-		s.Params[i] = sz.paramEffect(fd, sig.Params().At(i))
+		s.Params[i] = e.paramEffect(fd, sig.Params().At(i))
 	}
-	sz.resultEffects(fd, s.Results)
+	e.resultEffects(fd, s.Results)
 	return s
 }
 
@@ -221,14 +195,14 @@ const (
 
 // paramEffect runs the path interpreter over fd's body tracking one
 // parameter's obligation and folds the per-exit states into an Effect.
-func (sz *summarizer) paramEffect(fd *ast.FuncDecl, obj *types.Var) Effect {
+func (e *engine) paramEffect(fd *ast.FuncDecl, obj *types.Var) Effect {
 	if obj.Name() == "" || obj.Name() == "_" {
 		return EffNone // unreferencable: cannot be released or retained
 	}
 	if isBasic(obj.Type()) {
 		return EffNone // a basic value cannot carry an obligation
 	}
-	if CapturedByFuncLit(sz.info, fd.Body, obj) {
+	if capturedByFuncLit(e.info, fd.Body, obj) {
 		return EffAdopts
 	}
 	var (
@@ -239,10 +213,22 @@ func (sz *summarizer) paramEffect(fd *ast.FuncDecl, obj *types.Var) Effect {
 	)
 	interp := &Interp[uint8]{
 		Transfer: func(s uint8, n ast.Node) uint8 {
-			if s == pEscaped {
-				return s
-			}
-			return sz.transferParam(s, n, obj)
+			e.uses(n, obj, func(eff Effect, _ token.Pos) {
+				switch {
+				case s == pEscaped:
+				case eff == EffReleasesAlways:
+					s = pReleased
+				case eff == EffReleasesSome:
+					if s == pLive {
+						s = pMaybe
+					}
+				default:
+					// Adopted, or rebound: the incoming value's fate is
+					// no longer trackable here.
+					s = pEscaped
+				}
+			})
+			return s
 		},
 		AtExit: func(s uint8, n ast.Node) {
 			exits++
@@ -258,7 +244,6 @@ func (sz *summarizer) paramEffect(fd *ast.FuncDecl, obj *types.Var) Effect {
 				releasedAll = false
 			}
 		},
-		Terminates: sz.cfg.Terminates,
 	}
 	interp.Run(fd.Body, pLive)
 	switch {
@@ -273,72 +258,16 @@ func (sz *summarizer) paramEffect(fd *ast.FuncDecl, obj *types.Var) Effect {
 	}
 }
 
-// transferParam folds one leaf node into a parameter's obligation
-// state.
-func (sz *summarizer) transferParam(s uint8, n ast.Node, obj types.Object) uint8 {
-	if d, ok := n.(*ast.DeferStmt); ok {
-		n = d.Call
-	}
-	if g, ok := n.(*ast.GoStmt); ok {
-		// The spawned call runs at an unknown time: any involvement of
-		// the obligation is out of this function's hands.
-		if usesObject(sz.info, g.Call, obj) {
-			return pEscaped
-		}
-		return s
-	}
-	accounted := accountedObligationIdents(sz.info, n, obj)
-	inspectSkipLits(n, func(inner ast.Node) {
-		if s == pEscaped {
-			return
-		}
-		switch x := inner.(type) {
-		case *ast.CallExpr:
-			ps := CallPositions(sz.info, x, obj)
-			if len(ps) == 0 {
-				return
-			}
-			switch ClassifyCall(sz.cfg, sz.sums, x, ps) {
-			case EffReleasesAlways:
-				if s == pLive || s == pMaybe {
-					s = pReleased
-				}
-			case EffReleasesSome:
-				if s == pLive {
-					s = pMaybe
-				}
-			case EffAdopts:
-				s = pEscaped
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && objectOf(sz.info, id) == obj {
-					// The parameter is rebound: the incoming value's fate
-					// is no longer trackable here.
-					s = pEscaped
-				}
-			}
-		case *ast.Ident:
-			if objectOf(sz.info, x) == obj && !accounted[x] {
-				// Any unclassified use — returned, stored in a struct or
-				// slice, address taken — hands the obligation off.
-				s = pEscaped
-			}
-		}
-	})
-	return s
-}
-
 // resultEffects fills out[j] with whether fd's j-th result carries a
 // fresh obligation, by classifying every return statement.
-func (sz *summarizer) resultEffects(fd *ast.FuncDecl, out []RetEffect) {
+func (e *engine) resultEffects(fd *ast.FuncDecl, out []RetEffect) {
 	if len(out) == 0 {
 		return
 	}
-	acquired := sz.acquiredLocals(fd)
+	acquired := e.acquiredLocals(fd)
 	counts := make([]int, len(out))
 	total := 0
-	inspectSkipLits(fd.Body, func(n ast.Node) {
+	InspectSkipLits(fd.Body, func(n ast.Node) {
 		ret, ok := n.(*ast.ReturnStmt)
 		if !ok {
 			return
@@ -346,17 +275,17 @@ func (sz *summarizer) resultEffects(fd *ast.FuncDecl, out []RetEffect) {
 		total++
 		if len(ret.Results) == 1 && len(out) > 1 {
 			// Tuple forwarding: `return f()`.
-			if call, ok := unparenExpr(ret.Results[0]).(*ast.CallExpr); ok {
-				for _, j := range sz.acquireIndices(call) {
-					if j >= 0 && j < len(counts) {
+			if call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr); ok {
+				for _, j := range e.acquireIndices(call) {
+					if j < len(counts) {
 						counts[j]++
 					}
 				}
 			}
 			return
 		}
-		for j, e := range ret.Results {
-			if j < len(counts) && sz.exprAcquired(e, acquired) {
+		for j, r := range ret.Results {
+			if j < len(counts) && e.exprAcquired(r, acquired) {
 				counts[j]++
 			}
 		}
@@ -372,40 +301,29 @@ func (sz *summarizer) resultEffects(fd *ast.FuncDecl, out []RetEffect) {
 }
 
 // acquireIndices returns the result indices of call that carry a fresh
-// obligation: the external configuration's, plus RetAlways results of
-// summarized package-local callees. (A callee's RetSome results are
-// deliberately not propagated: the caller of the wrapper cannot be
-// obliged to release what may not exist.)
-func (sz *summarizer) acquireIndices(call *ast.CallExpr) []int {
-	var out []int
-	if sz.cfg.AcquireResults != nil {
-		out = append(out, sz.cfg.AcquireResults(call)...)
+// obligation. (A wrapper's RetSome results are deliberately not
+// propagated: its caller cannot be obliged to release what may not
+// exist.)
+func (e *engine) acquireIndices(call *ast.CallExpr) []int {
+	if a := e.acquireAt(call); a != nil {
+		return a.results
 	}
-	if fn := CalleeFunc(sz.info, call); fn != nil {
-		if sum := sz.sums[fn]; sum != nil {
-			for j, r := range sum.Results {
-				if r == RetAlways {
-					out = append(out, j)
-				}
-			}
-		}
-	}
-	return out
+	return nil
 }
 
 // exprAcquired reports whether a single-valued return operand carries a
 // fresh obligation: a direct acquiring call, or a single-assignment
 // local bound to one.
-func (sz *summarizer) exprAcquired(e ast.Expr, acquired map[types.Object]bool) bool {
-	switch x := unparenExpr(e).(type) {
+func (e *engine) exprAcquired(r ast.Expr, acquired map[types.Object]bool) bool {
+	switch x := ast.Unparen(r).(type) {
 	case *ast.CallExpr:
-		for _, j := range sz.acquireIndices(x) {
+		for _, j := range e.acquireIndices(x) {
 			if j == 0 {
 				return true
 			}
 		}
 	case *ast.Ident:
-		return acquired[objectOf(sz.info, x)]
+		return acquired[e.info.ObjectOf(x)]
 	}
 	return false
 }
@@ -413,10 +331,10 @@ func (sz *summarizer) exprAcquired(e ast.Expr, acquired map[types.Object]bool) b
 // acquiredLocals finds locals assigned exactly once, from an acquiring
 // call, so `br := GetReader(c); ...; return br` summarizes as returning
 // an acquired resource.
-func (sz *summarizer) acquiredLocals(fd *ast.FuncDecl) map[types.Object]bool {
+func (e *engine) acquiredLocals(fd *ast.FuncDecl) map[types.Object]bool {
 	cand := make(map[types.Object]bool)
 	assigns := make(map[types.Object]int)
-	inspectSkipLits(fd.Body, func(n ast.Node) {
+	InspectSkipLits(fd.Body, func(n ast.Node) {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return
@@ -426,7 +344,7 @@ func (sz *summarizer) acquiredLocals(fd *ast.FuncDecl) map[types.Object]bool {
 			if !ok || id.Name == "_" {
 				continue
 			}
-			obj := objectOf(sz.info, id)
+			obj := e.info.ObjectOf(id)
 			if obj == nil {
 				continue
 			}
@@ -434,8 +352,8 @@ func (sz *summarizer) acquiredLocals(fd *ast.FuncDecl) map[types.Object]bool {
 			if len(as.Rhs) != 1 {
 				continue
 			}
-			if call, ok := unparenExpr(as.Rhs[0]).(*ast.CallExpr); ok {
-				for _, j := range sz.acquireIndices(call) {
+			if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
+				for _, j := range e.acquireIndices(call) {
 					if j == i {
 						cand[obj] = true
 					}
@@ -451,191 +369,6 @@ func (sz *summarizer) acquiredLocals(fd *ast.FuncDecl) map[types.Object]bool {
 	}
 	return out
 }
-
-// --- call classification (shared with checkers) ---
-
-// CalleeFunc resolves a call's statically known callee, or nil for
-// calls through function values, conversions, and builtins.
-func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparenExpr(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
-// CallPositions returns the operand positions at which obj appears
-// directly in call: -1 for the method receiver, i for argument i.
-// Appearances nested deeper (inside a composite literal, an address-of,
-// a field selector) are not positions — the caller's generic ident
-// handling classifies those as adoptions.
-func CallPositions(info *types.Info, call *ast.CallExpr, obj types.Object) []int {
-	var ps []int
-	if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
-		if id, ok := unparenExpr(sel.X).(*ast.Ident); ok && objectOf(info, id) == obj {
-			ps = append(ps, -1)
-		}
-	}
-	for i, a := range call.Args {
-		if id, ok := unparenExpr(a).(*ast.Ident); ok && objectOf(info, id) == obj {
-			ps = append(ps, i)
-		}
-	}
-	return ps
-}
-
-// ClassifyCall reports the effect call has on the obligation held by
-// the value appearing at the given operand positions, consulting the
-// external configuration first and package-local summaries second. An
-// unknown callee adopts; a method call on the resource itself (pos -1)
-// borrows unless the configuration names it a releaser.
-func ClassifyCall(cfg *SummaryConfig, sums map[*types.Func]*Summary, call *ast.CallExpr, positions []int) Effect {
-	if len(positions) == 0 {
-		return EffNone
-	}
-	rel := make(map[int]bool)
-	if cfg.ReleaseArgs != nil {
-		for _, i := range cfg.ReleaseArgs(call) {
-			rel[i] = true
-		}
-	}
-	eff := EffNone
-	for _, pos := range positions {
-		var e Effect
-		switch {
-		case rel[pos]:
-			e = EffReleasesAlways
-		case cfg.Borrows != nil && cfg.Borrows(call, pos):
-			e = EffNone
-		case pos == -1:
-			// A method call on the resource reads it; ownership transfer
-			// through the receiver is expressed via ReleaseArgs (Close).
-			e = EffNone
-		default:
-			e = calleeParamEffect(cfg.Info, sums, call, pos)
-		}
-		if e > eff {
-			eff = e
-		}
-	}
-	return eff
-}
-
-// calleeParamEffect looks up the summarized effect of call's callee on
-// its argIdx-th parameter, conservatively EffAdopts for unknown
-// callees, unfinished summaries (cycles), variadic tails, and method
-// expressions (whose argument indices are shifted by the receiver).
-func calleeParamEffect(info *types.Info, sums map[*types.Func]*Summary, call *ast.CallExpr, argIdx int) Effect {
-	fn := CalleeFunc(info, call)
-	if fn == nil {
-		return EffAdopts
-	}
-	sum := sums[fn]
-	if sum == nil {
-		return EffAdopts
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return EffAdopts
-	}
-	if sig.Recv() != nil {
-		if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
-			if id, ok := unparenExpr(sel.X).(*ast.Ident); ok {
-				if _, isType := info.Uses[id].(*types.TypeName); isType {
-					return EffAdopts // method expression: indices shifted
-				}
-			}
-		}
-	}
-	if sig.Variadic() && argIdx >= sig.Params().Len()-1 {
-		return EffAdopts
-	}
-	if argIdx < 0 || argIdx >= len(sum.Params) {
-		return EffAdopts
-	}
-	return sum.Params[argIdx]
-}
-
-// CapturedByFuncLit reports whether any function literal within body
-// references obj.
-func CapturedByFuncLit(info *types.Info, body *ast.BlockStmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		fl, ok := n.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		ast.Inspect(fl.Body, func(inner ast.Node) bool {
-			if id, ok := inner.(*ast.Ident); ok && objectOf(info, id) == obj {
-				found = true
-			}
-			return !found
-		})
-		return false
-	})
-	return found
-}
-
-// accountedObligationIdents collects the occurrences of obj within n
-// that the obligation transfer functions already interpret — direct
-// call operands, assignment targets, `_ = obj`, nil comparisons — so
-// any other occurrence can be treated as an adoption.
-func accountedObligationIdents(info *types.Info, n ast.Node, obj types.Object) map[*ast.Ident]bool {
-	accounted := make(map[*ast.Ident]bool)
-	inspectSkipLits(n, func(inner ast.Node) {
-		switch x := inner.(type) {
-		case *ast.CallExpr:
-			if sel, ok := unparenExpr(x.Fun).(*ast.SelectorExpr); ok {
-				if id, ok := unparenExpr(sel.X).(*ast.Ident); ok && objectOf(info, id) == obj {
-					accounted[id] = true
-				}
-			}
-			for _, a := range x.Args {
-				if id, ok := unparenExpr(a).(*ast.Ident); ok && objectOf(info, id) == obj {
-					accounted[id] = true
-				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && objectOf(info, id) == obj {
-					accounted[id] = true
-				}
-			}
-			// `_ = obj` keeps or discards the value in place; it is not a
-			// handoff.
-			if len(x.Lhs) == len(x.Rhs) {
-				for i, lhs := range x.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
-						if rid, ok := unparenExpr(x.Rhs[i]).(*ast.Ident); ok && objectOf(info, rid) == obj {
-							accounted[rid] = true
-						}
-					}
-				}
-			}
-		case *ast.BinaryExpr:
-			// Comparing the resource against nil examines it, nothing more.
-			if isNilIdentExpr(info, x.X) || isNilIdentExpr(info, x.Y) {
-				for _, side := range []ast.Expr{x.X, x.Y} {
-					if id, ok := unparenExpr(side).(*ast.Ident); ok && objectOf(info, id) == obj {
-						accounted[id] = true
-					}
-				}
-			}
-		}
-	})
-	return accounted
-}
-
-// --- small helpers ---
 
 // sccs is Tarjan's strongly-connected-components algorithm; components
 // are emitted callees-first (reverse topological order).
@@ -683,61 +416,4 @@ func sccs(nodes []*types.Func, edges map[*types.Func][]*types.Func) [][]*types.F
 		}
 	}
 	return out
-}
-
-func objectOf(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
-}
-
-func unparenExpr(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-func isNilIdentExpr(info *types.Info, e ast.Expr) bool {
-	id, ok := unparenExpr(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := info.Uses[id].(*types.Nil)
-	return isNil || id.Name == "nil"
-}
-
-func usesObject(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(inner ast.Node) bool {
-		if id, ok := inner.(*ast.Ident); ok && objectOf(info, id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func isBasic(t types.Type) bool {
-	_, ok := t.Underlying().(*types.Basic)
-	return ok
-}
-
-// inspectSkipLits walks n in pre-order without descending into function
-// literals (other than n itself).
-func inspectSkipLits(n ast.Node, fn func(ast.Node)) {
-	ast.Inspect(n, func(inner ast.Node) bool {
-		if inner == nil {
-			return false
-		}
-		if _, ok := inner.(*ast.FuncLit); ok && inner != n {
-			return false
-		}
-		fn(inner)
-		return true
-	})
 }

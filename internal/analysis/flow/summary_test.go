@@ -12,7 +12,7 @@ import (
 
 // The synthetic package: acquire/release are bodyless stubs, so the
 // summarizer treats them as external calls classified purely by the
-// SummaryConfig, and everything else exercises the bottom-up
+// Table, and everything else exercises the bottom-up
 // computation — chains, conditional releases, borrows, adoption,
 // direct and mutual recursion, method values, and returns-acquired
 // propagation through wrappers.
@@ -137,29 +137,11 @@ func loadSummarySrc(t *testing.T) ([]*ast.File, *types.Info) {
 	return []*ast.File{f}, info
 }
 
-func summaryCfg(info *types.Info) *flow.SummaryConfig {
-	calleeName := func(call *ast.CallExpr) string {
-		if fn := flow.CalleeFunc(info, call); fn != nil {
-			return fn.Name()
-		}
-		return ""
-	}
-	return &flow.SummaryConfig{
-		Info: info,
-		ReleaseArgs: func(call *ast.CallExpr) []int {
-			if calleeName(call) == "release" {
-				return []int{0}
-			}
-			return nil
-		},
-		AcquireResults: func(call *ast.CallExpr) []int {
-			switch calleeName(call) {
-			case "acquire", "acquire2":
-				return []int{0}
-			}
-			return nil
-		},
-	}
+// summaryTable classifies the stubs: acquire and acquire2 hand out an
+// obligation, release discharges its argument's.
+var summaryTable = &flow.Table{
+	Acquires: []flow.Acquire{{Name: "acquire"}, {Name: "acquire2"}},
+	Releases: []flow.Release{{Name: "release", Arg: 0}},
 }
 
 func summaryByName(t *testing.T, sums map[*types.Func]*flow.Summary, name string) *flow.Summary {
@@ -175,7 +157,7 @@ func summaryByName(t *testing.T, sums map[*types.Func]*flow.Summary, name string
 
 func TestSummarizeParamEffects(t *testing.T) {
 	files, info := loadSummarySrc(t)
-	sums := flow.Summarize(files, summaryCfg(info))
+	sums := flow.Summarize(files, info, summaryTable)
 	cases := []struct {
 		fn    string
 		param int
@@ -213,7 +195,7 @@ func TestSummarizeParamEffects(t *testing.T) {
 
 func TestSummarizeResultEffects(t *testing.T) {
 	files, info := loadSummarySrc(t)
-	sums := flow.Summarize(files, summaryCfg(info))
+	sums := flow.Summarize(files, info, summaryTable)
 	cases := []struct {
 		fn     string
 		result int
@@ -239,7 +221,7 @@ func TestSummarizeResultEffects(t *testing.T) {
 
 func TestSummarizeRecursionFlags(t *testing.T) {
 	files, info := loadSummarySrc(t)
-	sums := flow.Summarize(files, summaryCfg(info))
+	sums := flow.Summarize(files, info, summaryTable)
 	for _, name := range []string{"countdown", "pingPong", "pongPing"} {
 		if !summaryByName(t, sums, name).Recursive {
 			t.Errorf("%s: expected Recursive", name)

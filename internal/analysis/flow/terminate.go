@@ -1,4 +1,4 @@
-package analysis
+package flow
 
 import "go/ast"
 
@@ -17,10 +17,9 @@ var terminatingNames = map[string]bool{
 	"SkipNow": true,
 }
 
-// PathTerminates reports whether stmt is a call statement that never
-// returns, ending the control-flow path. It is the Terminates hook
-// shared by the flow-based analyzers.
-func PathTerminates(stmt ast.Stmt) bool {
+// terminates reports whether stmt is a call statement that never
+// returns: the path ends there without reaching AtExit.
+func terminates(stmt ast.Stmt) bool {
 	es, ok := stmt.(*ast.ExprStmt)
 	if !ok {
 		return false

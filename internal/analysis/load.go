@@ -43,8 +43,7 @@ type listedPackage struct {
 // — the standard library included — are imported from compiler export
 // data produced by `go list -export`, so only the matched packages are
 // type-checked from source. Test files are not loaded: the checked
-// contracts live in the shipped code, and the vettool mode covers test
-// files when run under `go vet`.
+// contracts live in the shipped code.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -67,7 +66,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	imp := ExportImporter(fset, exports)
 	var pkgs []*Package
 	for _, t := range targets {
-		pkg, err := typeCheck(fset, imp, t.ImportPath, t.Dir, absFiles(t.Dir, t.GoFiles))
+		pkg, err := TypeCheck(fset, imp, t.ImportPath, t.Dir, absFiles(t.Dir, t.GoFiles))
 		if err != nil {
 			return nil, err
 		}
@@ -107,20 +106,6 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	return pkgs, nil
 }
 
-// CheckFiles parses and type-checks one compilation unit given its
-// source files and an import-path → export-data-file map, as provided
-// by go vet's unitchecker config. The returned package is ready for
-// RunAnalyzers.
-func CheckFiles(pkgPath string, files []string, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports)
-	dir := ""
-	if len(files) > 0 {
-		dir = filepath.Dir(files[0])
-	}
-	return typeCheck(fset, imp, pkgPath, dir, files)
-}
-
 // ExportImporter builds a types.Importer that resolves every import from
 // the export-data files in exports (import path → file path), as
 // produced by `go list -export`.
@@ -135,8 +120,8 @@ func ExportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// typeCheck parses and type-checks one package from source.
-func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []string) (*Package, error) {
+// TypeCheck parses and type-checks one package from source.
+func TypeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []string) (*Package, error) {
 	var syntax []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -66,14 +66,12 @@ func held(s uint8) bool { return s != unheld && s != deferOnly }
 type checker struct {
 	pass    *analysis.Pass
 	guarded map[*types.Named]map[string]bool // struct type → protected fields
-	seen    map[string]bool                  // report dedup
 }
 
 func run(pass *analysis.Pass) error {
 	c := &checker{
 		pass:    pass,
 		guarded: guardedStructs(pass),
-		seen:    make(map[string]bool),
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -183,7 +181,7 @@ func (c *checker) checkFunc(body *ast.BlockStmt, recvObj types.Object, isLocked 
 	var queries []*query
 	fresh := freshLocals(info, body)
 
-	inspectSkippingFuncLit(body, func(n ast.Node) {
+	flow.InspectSkipLits(body, func(n ast.Node) {
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			if op, ok := c.mutexOp(x); ok {
@@ -233,7 +231,7 @@ func (c *checker) checkFunc(body *ast.BlockStmt, recvObj types.Object, isLocked 
 					deferred = true
 					n = d.Call
 				}
-				inspectSkippingFuncLit(n, func(inner ast.Node) {
+				flow.InspectSkipLits(n, func(inner ast.Node) {
 					switch x := inner.(type) {
 					case *ast.CallExpr:
 						if op, ok := ops[x]; ok && op.key == key {
@@ -258,10 +256,9 @@ func (c *checker) checkFunc(body *ast.BlockStmt, recvObj types.Object, isLocked 
 			},
 			AtExit: func(s uint8, n ast.Node) {
 				if s == excl || s == rdheld {
-					c.reportf(n.Pos(), "returns with %s still locked (no unlock on this path)", keyDisplay[key])
+					c.pass.Reportf(n.Pos(), "returns with %s still locked (no unlock on this path)", keyDisplay[key])
 				}
 			},
-			Terminates: analysis.PathTerminates,
 		}
 		interp.Run(body, initial)
 	}
@@ -291,7 +288,7 @@ func (c *checker) checkFunc(body *ast.BlockStmt, recvObj types.Object, isLocked 
 			}
 		}
 		if visited && !ok {
-			c.reportf(q.pos, "%s without holding %s", q.display, q.lockstr)
+			c.pass.Reportf(q.pos, "%s without holding %s", q.display, q.lockstr)
 		}
 	}
 }
@@ -302,7 +299,7 @@ func (c *checker) applyOp(s uint8, op lockOp, deferred bool, hasLock bool, pos t
 	switch op.method {
 	case "Lock":
 		if held(s) {
-			c.reportf(pos, "%s.Lock on a path where it may already be held (self-deadlock)", op.display)
+			c.pass.Reportf(pos, "%s.Lock on a path where it may already be held (self-deadlock)", op.display)
 			return s
 		}
 		if s == deferOnly {
@@ -311,7 +308,7 @@ func (c *checker) applyOp(s uint8, op lockOp, deferred bool, hasLock bool, pos t
 		return excl
 	case "RLock":
 		if s == excl || s == exclDefer || s == caller {
-			c.reportf(pos, "%s.RLock on a path where it may already be exclusively held", op.display)
+			c.pass.Reportf(pos, "%s.RLock on a path where it may already be exclusively held", op.display)
 			return s
 		}
 		if s == deferOnly {
@@ -328,7 +325,7 @@ func (c *checker) applyOp(s uint8, op lockOp, deferred bool, hasLock bool, pos t
 			case unheld:
 				return deferOnly
 			case exclDefer, rdDefer:
-				c.reportf(pos, "second deferred unlock of %s on this path", op.display)
+				c.pass.Reportf(pos, "second deferred unlock of %s on this path", op.display)
 				return s
 			}
 			return s
@@ -337,14 +334,14 @@ func (c *checker) applyOp(s uint8, op lockOp, deferred bool, hasLock bool, pos t
 		case excl, rdheld:
 			return unheld
 		case exclDefer, rdDefer:
-			c.reportf(pos, "%s unlocked while a deferred unlock is pending (double unlock)", op.display)
+			c.pass.Reportf(pos, "%s unlocked while a deferred unlock is pending (double unlock)", op.display)
 			return unheld
 		case caller:
-			c.reportf(pos, "%s.%s inside a *Locked function: the caller owns this critical section", op.display, op.method)
+			c.pass.Reportf(pos, "%s.%s inside a *Locked function: the caller owns this critical section", op.display, op.method)
 			return s
 		default:
 			if hasLock {
-				c.reportf(pos, "%s.%s without holding it on this path", op.display, op.method)
+				c.pass.Reportf(pos, "%s.%s without holding it on this path", op.display, op.method)
 			}
 			return s
 		}
@@ -480,16 +477,6 @@ func (c *checker) fieldAccessQuery(sel *ast.SelectorExpr, recvObj types.Object, 
 	}
 }
 
-func (c *checker) reportf(pos token.Pos, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	key := fmt.Sprintf("%v:%s", pos, msg)
-	if c.seen[key] {
-		return
-	}
-	c.seen[key] = true
-	c.pass.Reportf(pos, "%s", msg)
-}
-
 // --- helpers ---
 
 func keyHasLock(ops map[*ast.CallExpr]lockOp, key string) bool {
@@ -506,10 +493,7 @@ func keyHasLock(ops map[*ast.CallExpr]lockOp, key string) bool {
 func canonPath(info *types.Info, e ast.Expr) (key, display string, ok bool) {
 	switch x := e.(type) {
 	case *ast.Ident:
-		obj := info.Uses[x]
-		if obj == nil {
-			obj = info.Defs[x]
-		}
+		obj := info.ObjectOf(x)
 		if obj == nil {
 			return "", "", false
 		}
@@ -532,10 +516,7 @@ func rootObjectOfExpr(info *types.Info, e ast.Expr) types.Object {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
-			if obj := info.Uses[x]; obj != nil {
-				return obj
-			}
-			return info.Defs[x]
+			return info.ObjectOf(x)
 		case *ast.SelectorExpr:
 			e = x.X
 		case *ast.ParenExpr:
@@ -561,7 +542,7 @@ func rootObject(info *types.Info, call *ast.CallExpr) types.Object {
 // init-time state no lock protects yet.
 func freshLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	fresh := make(map[types.Object]bool)
-	inspectSkippingFuncLit(body, func(n ast.Node) {
+	flow.InspectSkipLits(body, func(n ast.Node) {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			if st.Tok != token.DEFINE || len(st.Lhs) != len(st.Rhs) {
@@ -657,20 +638,4 @@ func recvObject(pass *analysis.Pass, fd *ast.FuncDecl) types.Object {
 		return nil
 	}
 	return pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
-}
-
-// inspectSkippingFuncLit walks n in pre-order, not descending into
-// function literals (closures run elsewhere and are analyzed as their
-// own functions).
-func inspectSkippingFuncLit(n ast.Node, fn func(ast.Node)) {
-	ast.Inspect(n, func(inner ast.Node) bool {
-		if inner == nil {
-			return false
-		}
-		if _, ok := inner.(*ast.FuncLit); ok && inner != n {
-			return false
-		}
-		fn(inner)
-		return true
-	})
 }

@@ -22,11 +22,6 @@
 //   - The go build cache replays -m diagnostics on cache hits, so the
 //     check is cheap and reliable on warm builds.
 //
-// The analyzer needs the package's directory to invoke the compiler,
-// so it runs in standalone lardlint only — under go vet's unitchecker
-// (file lists, possibly including _test.go files) it is a no-op and is
-// not registered.
-//
 // Escape hatch: //lard:allow noalloc — reason, on (or directly above)
 // the line the compiler flags. Use it only for diagnostics that are
 // provably not runtime allocations on the hot path (e.g. an inlined
@@ -88,11 +83,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	if count == 0 {
-		return nil
-	}
-	if pass.Dir == "" {
-		// Unitchecker mode has no package directory to build; the
-		// standalone run covers the check.
 		return nil
 	}
 
@@ -179,8 +169,7 @@ func isAllocation(msg string) bool {
 }
 
 // posAt synthesizes a token.Pos for line:col in tf, so Reportf's
-// //lard:allow suppression and test-file filtering work on compiler
-// positions.
+// //lard:allow suppression works on compiler positions.
 func posAt(tf *token.File, line, col int) token.Pos {
 	if line < 1 || line > tf.LineCount() {
 		return token.NoPos

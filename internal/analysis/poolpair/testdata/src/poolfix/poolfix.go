@@ -295,3 +295,18 @@ func attachDialLeak() (*writer, error) {
 	}
 	return newWriter(c), nil
 }
+
+// attachFreshLeak forgets the transport built around the dialed conn
+// when its first handoff fails: newBackendConn adopted the conn at
+// birth, so nobody else closes it or recycles its reader.
+func attachFreshLeak() (*backendConn, error) {
+	c, err := dialBackend(0)
+	if err != nil {
+		return nil, err
+	}
+	b := newBackendConn(c)
+	if err := handoffTo(b); err != nil {
+		return nil, err // want `fresh transport b \(line \d+\) is not released on this path`
+	}
+	return b, nil
+}

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"lard/internal/analysis"
+	"lard/internal/analysis/flow"
 )
 
 // Analyzer is the relayclass pass.
@@ -38,8 +39,9 @@ const relayPkgPath = "lard/internal/httprelay"
 // readFuncs are the httprelay entry points whose error results carry
 // the classification contract.
 var readFuncs = map[string]bool{
-	"ReadRequestHead":  true,
-	"ReadResponseHead": true,
+	"ReadRequestHead":     true,
+	"ReadRequestHeadInto": true,
+	"ReadResponseHead":    true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -89,7 +91,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 			return true
 		}
 		if id, ok := st.Lhs[1].(*ast.Ident); ok && id.Name != "_" {
-			if obj := objOf(info, id); obj != nil {
+			if obj := info.ObjectOf(id); obj != nil {
 				errObjs = append(errObjs, obj)
 			}
 		}
@@ -133,12 +135,12 @@ func (c *checker) flag400Writes(block *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		if callee := calleeObj(info, call); callee != nil && c.writers400[callee] {
+		if callee := flow.CalleeFunc(info, call); callee != nil && c.writers400[callee] {
 			c.report(call)
 			return true
 		}
 		for _, arg := range call.Args {
-			if lit400(arg) {
+			if has400Literal(arg) {
 				c.report(call)
 				return false // one report per call, args already covered
 			}
@@ -165,13 +167,13 @@ func (c *checker) classifiesErr(body *ast.BlockStmt, errObj types.Object) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			if isErrorsAs(info, x) && len(x.Args) == 2 &&
-				identIs(info, x.Args[0], errObj) && isMalformedPtrPtr(info, x.Args[1]) {
+				flow.IsObject(info, x.Args[0], errObj) && isMalformedPtrPtr(info, x.Args[1]) {
 				found = true
 				return false
 			}
-			if callee := calleeObj(info, x); callee != nil && c.classifiers[callee] {
+			if callee := flow.CalleeFunc(info, x); callee != nil && c.classifiers[callee] {
 				for _, arg := range x.Args {
-					if identIs(info, arg, errObj) {
+					if flow.IsObject(info, arg, errObj) {
 						found = true
 						return false
 					}
@@ -183,7 +185,7 @@ func (c *checker) classifiesErr(body *ast.BlockStmt, errObj types.Object) bool {
 				return false
 			}
 		case *ast.TypeAssertExpr:
-			if identIs(info, x.X, errObj) && isMalformedPtr(info.TypeOf(x.Type)) {
+			if flow.IsObject(info, x.X, errObj) && isMalformedPtr(info.TypeOf(x.Type)) {
 				found = true
 				return false
 			}
@@ -212,7 +214,7 @@ func scanLocals(pass *analysis.Pass) (classifiers, writers map[types.Object]bool
 			if classifiesAnyErrorParam(info, fd) {
 				classifiers[obj] = true
 			}
-			if bodyHas400Literal(fd.Body) {
+			if has400Literal(fd.Body) {
 				writers[obj] = true
 			}
 		}
@@ -243,7 +245,7 @@ func classifiesAnyErrorParam(info *types.Info, fd *ast.FuncDecl) bool {
 		case *ast.CallExpr:
 			if isErrorsAs(info, x) && len(x.Args) == 2 && isMalformedPtrPtr(info, x.Args[1]) {
 				for _, p := range errParams {
-					if identIs(info, x.Args[0], p) {
+					if flow.IsObject(info, x.Args[0], p) {
 						found = true
 					}
 				}
@@ -256,7 +258,7 @@ func classifiesAnyErrorParam(info *types.Info, fd *ast.FuncDecl) bool {
 			}
 		case *ast.TypeAssertExpr:
 			for _, p := range errParams {
-				if identIs(info, x.X, p) && isMalformedPtr(info.TypeOf(x.Type)) {
+				if flow.IsObject(info, x.X, p) && isMalformedPtr(info.TypeOf(x.Type)) {
 					found = true
 				}
 			}
@@ -282,18 +284,8 @@ func (c *checker) isHeadRead(call *ast.CallExpr) bool {
 	if !ok || !readFuncs[sel.Sel.Name] {
 		return false
 	}
-	fn, ok := calleeObj(c.pass.TypesInfo, call).(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == relayPkgPath
-}
-
-func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return info.Uses[fun]
-	case *ast.SelectorExpr:
-		return info.Uses[fun.Sel]
-	}
-	return nil
+	fn := flow.CalleeFunc(c.pass.TypesInfo, call)
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == relayPkgPath
 }
 
 func isErrorsAs(info *types.Info, call *ast.CallExpr) bool {
@@ -338,34 +330,17 @@ func isErrorType(t types.Type) bool {
 	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }
 
-func identIs(info *types.Info, e ast.Expr, obj types.Object) bool {
-	id, ok := unparen(e).(*ast.Ident)
-	return ok && objOf(info, id) == obj
-}
-
 func condHasNilCompare(info *types.Info, cond ast.Expr, obj types.Object, op token.Token) bool {
 	found := false
 	ast.Inspect(cond, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || be.Op != op {
-			return true
-		}
-		if (identIs(info, be.X, obj) && isNil(info, be.Y)) ||
-			(identIs(info, be.Y, obj) && isNil(info, be.X)) {
-			found = true
+		if e, ok := n.(ast.Expr); ok {
+			if o, isNeq, ok := flow.NilCompare(info, e); ok && o == obj && isNeq == (op == token.NEQ) {
+				found = true
+			}
 		}
 		return true
 	})
 	return found
-}
-
-func isNil(info *types.Info, e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNilObj := info.Uses[id].(*types.Nil)
-	return isNilObj || id.Name == "nil"
 }
 
 func typeSwitchOn(info *types.Info, st *ast.TypeSwitchStmt, obj types.Object) bool {
@@ -389,7 +364,7 @@ func typeSwitchOn(info *types.Info, st *ast.TypeSwitchStmt, obj types.Object) bo
 	default:
 		return false
 	}
-	return identIs(info, x, obj)
+	return flow.IsObject(info, x, obj)
 }
 
 func switchHasMalformedCase(info *types.Info, st *ast.TypeSwitchStmt) bool {
@@ -407,41 +382,14 @@ func switchHasMalformedCase(info *types.Info, st *ast.TypeSwitchStmt) bool {
 	return false
 }
 
-func bodyHas400Literal(body *ast.BlockStmt) bool {
+// has400Literal reports a string literal mentioning 400 anywhere in n.
+func has400Literal(n ast.Node) bool {
 	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(n, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING && strings.Contains(lit.Value, "400") {
 			found = true
 		}
 		return true
 	})
 	return found
-}
-
-func lit400(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING && strings.Contains(lit.Value, "400") {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-func objOf(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

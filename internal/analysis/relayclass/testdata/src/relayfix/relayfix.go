@@ -90,3 +90,15 @@ func headReadFailed(c net.Conn, err error) {
 func writeBadRequest(c net.Conn) {
 	fmt.Fprintf(c, "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
 }
+
+// serveBadInto is the relay loop's own read, into the connection's
+// scratch: the same contract, the same bug.
+func serveBadInto(c net.Conn, br *bufio.Reader) {
+	var head httprelay.RequestHead
+	var err error
+	head, err = httprelay.ReadRequestHeadInto(br, 1<<14, head.Raw)
+	if err != nil {
+		writeBadRequest(c) // want `head-read error reaches a 400 response without being classified`
+		return
+	}
+}

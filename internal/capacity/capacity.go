@@ -9,7 +9,7 @@
 // The sweep driver (sweep.go) repeats the search across dispatcher
 // configurations (locked vs sharded, GOMAXPROCS, connection policy) and
 // emits the machine-readable report scripts/bench.sh stores as
-// BENCH_PR9.json.
+// BENCH_PR10.json.
 package capacity
 
 import (

@@ -57,7 +57,7 @@ type ConfigResult struct {
 }
 
 // Report is the sweep's machine-readable outcome, stored by
-// scripts/bench.sh as the "capacity" section of BENCH_PR9.json.
+// scripts/bench.sh as the "capacity" section of BENCH_PR10.json.
 type Report struct {
 	Date    string         `json:"date"`
 	NumCPU  int            `json:"num_cpu"` // physical parallelism available to the run

@@ -138,7 +138,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 	}
 	c.initOverload()
 
-	c.scheduleFailures()
 	c.scheduleChurn()
 	c.scheduleSampling()
 	return c, nil
@@ -225,19 +224,6 @@ func (c *Cluster) pump() {
 	// which case no completion callback remains to close the timeline.
 	if c.outstanding == 0 && c.next >= c.tr.Len() {
 		c.finishSampling()
-	}
-}
-
-// scheduleFailures translates the legacy Config.Failures events into the
-// churn machinery, so there is exactly one failure-injection code path.
-func (c *Cluster) scheduleFailures() {
-	for _, f := range c.cfg.Failures {
-		ev := ChurnEvent{At: f.DownAt, Op: ChurnFail, Node: f.Node}
-		c.eng.At(ev.At, func() { c.applyChurn(ev) })
-		if f.UpAt > 0 {
-			up := ChurnEvent{At: f.UpAt, Op: ChurnRecover, Node: f.Node}
-			c.eng.At(up.At, func() { c.applyChurn(up) })
-		}
 	}
 }
 

@@ -258,7 +258,7 @@ func TestFailureInjectionAndRecovery(t *testing.T) {
 	tr := zipfTrace(200, 8<<10, 30000, 0.9, 7)
 	cfg := DefaultConfig(LARD, 3)
 	cfg.CacheBytes = 4 << 20
-	cfg.Failures = []FailureEvent{{Node: 1, DownAt: 2 * time.Second, UpAt: 6 * time.Second}}
+	cfg.Churn = []ChurnEvent{FailAt(1, 2*time.Second), RecoverAt(1, 6*time.Second)}
 	c, err := New(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -285,17 +285,19 @@ func TestFailureInjectionAndRecovery(t *testing.T) {
 func TestFailureValidation(t *testing.T) {
 	tr := repeatTrace(10, trace.Target{Name: "/x", Size: 100})
 	cfg := DefaultConfig(LARD, 2)
-	cfg.Failures = []FailureEvent{{Node: 5, DownAt: time.Second}}
+	cfg.Churn = []ChurnEvent{FailAt(5, time.Second)}
 	if _, err := New(cfg, tr); err == nil {
 		t.Fatal("out-of-range failure node accepted")
 	}
+	// A failure and its recovery are two events ordered by At alone, so
+	// "recovers before it fails" is a schedule, not a malformed pair.
 	cfg = DefaultConfig(LARD, 2)
-	cfg.Failures = []FailureEvent{{Node: 0, DownAt: 2 * time.Second, UpAt: time.Second}}
-	if _, err := New(cfg, tr); err == nil {
-		t.Fatal("recovery before failure accepted")
+	cfg.Churn = []ChurnEvent{FailAt(0, 2*time.Second), RecoverAt(0, time.Second)}
+	if _, err := New(cfg, tr); err != nil {
+		t.Fatalf("recovery scheduled ahead of the failure rejected: %v", err)
 	}
 	cfg = DefaultConfig(WRRGMS, 2)
-	cfg.Failures = []FailureEvent{{Node: 0, DownAt: time.Second}}
+	cfg.Churn = []ChurnEvent{FailAt(0, time.Second)}
 	if _, err := New(cfg, tr); err == nil {
 		t.Fatal("failure injection with GMS accepted")
 	}

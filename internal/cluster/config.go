@@ -141,17 +141,6 @@ func (p CachePolicy) String() string {
 	}
 }
 
-// FailureEvent schedules a back-end failure and recovery for the failover
-// experiments (Section 2.6 discusses recovery; the experiment itself is an
-// extension of the paper's evaluation).
-type FailureEvent struct {
-	Node   int
-	DownAt time.Duration
-	// UpAt restores the node; zero means the node stays down. A restored
-	// node starts with a cold cache.
-	UpAt time.Duration
-}
-
 // ChurnOp enumerates the scripted membership operations a ChurnEvent can
 // apply to the running cluster.
 type ChurnOp int
@@ -346,9 +335,6 @@ type Config struct {
 	// admission budget, so results deliberately diverge from the paper's.
 	Shards int
 
-	// Failures optionally injects back-end failures.
-	Failures []FailureEvent
-
 	// Churn optionally scripts runtime membership changes: failures,
 	// recoveries, joins, drains, and leaves, applied at their virtual
 	// times. Joins extend the cluster beyond Nodes.
@@ -505,17 +491,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Params.Validate(); err != nil {
 		return err
-	}
-	for _, f := range c.Failures {
-		if f.Node < 0 || f.Node >= c.Nodes {
-			return fmt.Errorf("cluster: failure event for node %d of %d", f.Node, c.Nodes)
-		}
-		if f.UpAt != 0 && f.UpAt <= f.DownAt {
-			return fmt.Errorf("cluster: failure event recovers at %v before failing at %v", f.UpAt, f.DownAt)
-		}
-		if c.Strategy == WRRGMS {
-			return fmt.Errorf("cluster: failure injection is not supported with WRR/GMS")
-		}
 	}
 	if len(c.Churn) > 0 && c.Strategy == WRRGMS {
 		return fmt.Errorf("cluster: churn is not supported with WRR/GMS")

@@ -60,7 +60,7 @@ type CostModel struct {
 	// that assumption. BenchmarkHandoffDial on the prototype measures a
 	// fresh dial+handoff round trip at roughly twice the cost of a
 	// pooled checkout+handoff (≈87 µs vs ≈41 µs wall-clock on a 2.1 GHz
-	// Xeon over loopback, BENCH_PR5.json) — without pooling, the dial
+	// Xeon over loopback, measured at PR 5) — without pooling, the dial
 	// would dominate the modeled HandoffCost and the simulator's
 	// re-handoff economics would flatter the implementation.
 	HandoffCost time.Duration

@@ -423,11 +423,10 @@ func Failover(opt Options) ([]*Table, error) {
 	}
 	// Fail node 1 for the middle third of the baseline's duration.
 	cfg := cluster.DefaultConfig(cluster.LARD, nodes)
-	cfg.Failures = []cluster.FailureEvent{{
-		Node:   1,
-		DownAt: baseline.SimTime / 3,
-		UpAt:   baseline.SimTime * 2 / 3,
-	}}
+	cfg.Churn = []cluster.ChurnEvent{
+		cluster.FailAt(1, baseline.SimTime/3),
+		cluster.RecoverAt(1, baseline.SimTime*2/3),
+	}
 	failed, err := simulate(opt, cfg, tr)
 	if err != nil {
 		return nil, err

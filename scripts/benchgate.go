@@ -5,7 +5,7 @@
 // bench.sh JSON reports and fails when the new numbers regress past
 // tolerance.
 //
-//	go run scripts/benchgate.go BENCH_PR7.json BENCH_PR8.json
+//	go run scripts/benchgate.go BENCH_PR9.json BENCH_PR10.json
 //
 // A benchmark regresses when its bytes/op exceed the baseline by more
 // than 15% and by more than 16 bytes absolute, or its allocs/op by more
