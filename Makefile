@@ -44,6 +44,7 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/httprelay || exit 1; done
 	for t in FuzzHeaderDecode FuzzSessionFrames FuzzResponseWriter; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/handoff || exit 1; done
+	$(GO) test -run '^$$' -fuzz '^FuzzTakeoverHeadVsNetHTTP$$' -fuzztime $(FUZZTIME) ./internal/backend
 
 race:
 	$(GO) test -race -shuffle=on ./...

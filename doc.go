@@ -19,7 +19,9 @@
 //     back-end nodes, GMS).
 //   - internal/handoff, internal/frontend, internal/backend,
 //     internal/loadgen — the live prototype of Sections 5 and 6 (handoff
-//     protocol, dispatching front end, caching back end, load generator).
+//     protocol, dispatching front end, caching back end whose handler
+//     takes each handed-off connection over from net/http and answers the
+//     session's requests from a loop of its own, load generator).
 //   - internal/experiments — regeneration code for every figure and
 //     table in the paper's evaluation.
 //   - cmd/… — lardsim, lardfe, lardbe, loadgen, tracegen binaries.

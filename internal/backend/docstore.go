@@ -110,7 +110,9 @@ func contentBlock(target string) []byte {
 	return block
 }
 
-// copyBufPool recycles the buffers a document's content is generated in.
+// copyBufPool recycles the buffers a response is assembled and a document's
+// content generated in. A request holds one from its answer's first byte to
+// its last; a session waiting for its next request holds none.
 var copyBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 32<<10)
@@ -118,16 +120,19 @@ var copyBufPool = sync.Pool{
 	},
 }
 
-// writeTo writes the document's content, generated a buffer at a time.
-func (d *document) writeTo(w io.Writer) (written int64, err error) {
-	bp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bp)
-	for r := (contentReader{block: d.block, remaining: d.size}); r.remaining > 0 && err == nil; {
-		n, _ := r.Read(*bp)
-		n, err = w.Write((*bp)[:n])
-		written += int64(n)
+// send writes what b holds (a response head, or nothing) and the document's
+// content behind it, generated in the rest of b's backing array: the head
+// and all of the body that fits beside it leave in one Write, what is left
+// a buffer at a time. It returns the bytes of content written.
+//
+//lard:noalloc
+func (d *document) send(w io.Writer, b []byte) (body int64, err error) {
+	for r := (contentReader{block: d.block, remaining: d.size}); err == nil && (r.remaining > 0 || len(b) > 0); b = b[:0] {
+		n, _ := r.Read(b[len(b):cap(b)])
+		n, err = w.Write(b[:len(b)+n])
+		body += int64(max(0, n-len(b)))
 	}
-	return written, err
+	return body, err
 }
 
 type contentReader struct {

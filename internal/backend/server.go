@@ -1,15 +1,21 @@
 package backend
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lard/internal/cache"
 	"lard/internal/cluster"
+	"lard/internal/httprelay"
 )
 
 // Config describes one prototype back end.
@@ -57,6 +63,7 @@ type Server struct {
 	sleep func(time.Duration)
 
 	bytesSent atomic.Int64
+	date      atomic.Pointer[dateLine]
 
 	mu    sync.Mutex
 	stats Stats // but for BytesSent
@@ -93,24 +100,43 @@ func New(cfg Config) *Server {
 
 // Handler returns the node's HTTP handler: documents at their target
 // paths, plus GET /_lard/stats for scraping.
+//
+// It crosses net/http once per session, not once per request. A
+// connection's first request that is one the node's own loop can frame (an
+// HTTP/1.1 GET or HEAD with no body, no Expect and no Connection: close,
+// its own or one the front end consumed) is answered by taking the
+// connection over (http.Hijacker): serveSession
+// then reads and answers the session's later requests on the same
+// goroutine, with the parser the front end reads the same heads with, until
+// the peer ends the session. From the takeover on the loop owns the
+// connection's Close: http.Server.Close and Shutdown no longer reach it (to
+// them it is hijacked), the peer's close and the handoff.Listener's Close
+// (which closes the transports) do. The server's ReadHeaderTimeout still
+// times every head from its first byte. A ResponseWriter that is no
+// Hijacker (HTTP/2, a recorder) gets the same decision written through
+// net/http.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/_lard/stats" {
-			s.handleStats(w, r)
-			return
+		a, bodiless := s.decide(r.Method, r.URL.Path), r.Method == http.MethodHead
+		if hj, ok := w.(http.Hijacker); ok && loopFrames(r) {
+			if conn, rw, err := hj.Hijack(); err == nil {
+				s.serveSession(conn, rw.Reader, headTimeout(r), a, bodiless)
+				return
+			}
 		}
-		s.handleDoc(w, r)
+		s.answerHTTP(w, &a, bodiless)
 	})
 }
 
 // HTTPServer returns the net/http server a node is served with, over a
 // handoff.Listener. The listener's HandshakeTimeout ends where a handoff
 // header does; from there a session's bytes are under this server's
-// timeouts, and without one a peer that sends half a request head holds a
-// goroutine and a transport for ever. A head has five seconds from its
-// first byte (the front end sends heads whole, so only a broken or hostile
-// peer is ever timed). There is no IdleTimeout on purpose: the front end
-// parks open sessions in its pool and ends them itself.
+// timeouts (the handler's loop takes them from it), and without one a peer
+// that sends half a request head holds a goroutine and a transport for
+// ever. A head has five seconds from its first byte (the front end sends
+// heads whole, so only a broken or hostile peer is ever timed). There is no
+// IdleTimeout on purpose: the front end parks open sessions in its pool and
+// ends them itself.
 func (s *Server) HTTPServer() *http.Server {
 	return &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
 }
@@ -126,22 +152,57 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.Stats())
+// answer is the decision about one request, before either writer has put a
+// byte of it anywhere: a document, or a short body of the node's own.
+type answer struct {
+	status int
+	doc    *document // the body, generated as it is sent
+	hit    bool      // doc was in the cache
+	own    *ownBody  // without a document
 }
 
-// Header values every response shares; like document.contentLength they are
-// never written to.
+// ownBody is a body of the node's own: an error's line or the counters,
+// its type and, on a 405, the methods there are.
+type ownBody struct {
+	body         []byte
+	ctype, allow string
+}
+
+const (
+	statsPath = "/_lard/stats"
+	textPlain = "text/plain; charset=utf-8"
+)
+
+var (
+	notFound         = answer{status: http.StatusNotFound, own: &ownBody{body: []byte("404 page not found\n"), ctype: textPlain}}
+	methodNotAllowed = answer{status: http.StatusMethodNotAllowed, own: &ownBody{body: []byte("method not allowed\n"), ctype: textPlain, allow: "GET, HEAD"}}
+	badRequest       = answer{status: http.StatusBadRequest, own: &ownBody{body: []byte("400 Bad Request"), ctype: textPlain}}
+)
+
+// Header values every document's response shares; like
+// document.contentLength they are never written to.
 var octetStream, cacheHit, cacheMiss = []string{"application/octet-stream"}, []string{"HIT"}, []string{"MISS"}
 
-func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+func xCache(hit bool) []string {
+	if hit {
+		return cacheHit
 	}
-	target := r.URL.Path
-	doc, ok := s.cfg.Store.lookup(target)
+	return cacheMiss
+}
+
+// decide answers one request for path, r.URL.Path or the loop's equal of
+// it: the one place a method and a path become a status, a document and a
+// hit or a miss, for both writers.
+//
+//lard:noalloc
+func (s *Server) decide(method, path string) answer {
+	if path == statsPath {
+		return s.statsAnswer()
+	}
+	if method != http.MethodGet && method != http.MethodHead {
+		return methodNotAllowed
+	}
+	doc, ok := s.cfg.Store.lookup(path)
 
 	// Cache consultation mirrors the simulator's node: a hit serves from
 	// memory; a miss pays the (scaled) disk read time, then caches.
@@ -150,39 +211,257 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 	s.stats.Requests++
 	if !ok {
 		s.stats.NotFound++
-	} else if _, hit = s.cache.Lookup(target); hit {
+	} else if _, hit = s.cache.Lookup(path); hit {
 		s.stats.Hits++
 	} else {
 		s.stats.Misses++
 	}
 	s.mu.Unlock()
 	if !ok {
-		http.NotFound(w, r)
-		return
+		return notFound
 	}
-
-	h := w.Header()
-	h["Content-Length"], h["Content-Type"], h["X-Cache"] = doc.contentLength, octetStream, cacheHit
 	if !hit {
 		if s.cfg.DiskTimeScale > 0 {
 			d := time.Duration(float64(s.cfg.Disk.DiskReadTime(doc.size)) * s.cfg.DiskTimeScale)
 			s.sleep(d)
 		}
 		s.mu.Lock()
-		s.cache.Insert(target, doc.size)
+		s.cache.Insert(path, doc.size)
 		s.mu.Unlock()
-		h["X-Cache"] = cacheMiss
 	}
-	if r.Method == http.MethodHead {
-		return
-	}
-	n, err := doc.writeTo(w)
-	s.bytesSent.Add(n)
+	return answer{status: http.StatusOK, doc: doc, hit: hit}
+}
+
+//go:noinline
+func (s *Server) statsAnswer() answer {
+	body, err := json.Marshal(s.Stats())
 	if err != nil {
-		// The client went away mid-transfer; nothing further to do.
+		panic(fmt.Sprintf("backend: encoding stats: %v", err))
+	}
+	return answer{status: http.StatusOK, own: &ownBody{body: append(body, '\n'), ctype: "application/json"}}
+}
+
+// answerHTTP writes a through net/http.
+//
+//lard:noalloc
+func (s *Server) answerHTTP(w http.ResponseWriter, a *answer, bodiless bool) {
+	h := w.Header()
+	if a.doc != nil {
+		h["Content-Length"], h["Content-Type"], h["X-Cache"] = a.doc.contentLength, octetStream, xCache(a.hit)
+	} else {
+		setOwnFields(h, a.own)
+	}
+	w.WriteHeader(a.status)
+	if bodiless {
 		return
 	}
-	if n != doc.size {
-		panic(fmt.Sprintf("backend: wrote %d of %d bytes for %s", n, doc.size, target))
+	bp := copyBufPool.Get().(*[]byte)
+	defer copyBufPool.Put(bp)
+	s.sendBody(w, (*bp)[:0], a)
+}
+
+//go:noinline
+func setOwnFields(h http.Header, o *ownBody) {
+	h.Set("Content-Length", strconv.Itoa(len(o.body)))
+	h.Set("Content-Type", o.ctype)
+	if o.allow != "" {
+		h.Set("Allow", o.allow)
 	}
 }
+
+// answerConn writes a on a connection the loop owns: the head it assembles
+// and the body in one Write when they fit the buffer.
+//
+//lard:noalloc
+func (s *Server) answerConn(conn net.Conn, a *answer, bodiless, last bool) error {
+	bp := copyBufPool.Get().(*[]byte)
+	defer copyBufPool.Put(bp)
+	b := append((*bp)[:0], "HTTP/1.1 "...)
+	b = strconv.AppendInt(b, int64(a.status), 10)
+	b = append(append(append(b, ' '), http.StatusText(a.status)...), "\r\nContent-Length: "...)
+	if a.doc != nil {
+		b = append(append(b, a.doc.contentLength[0]...), "\r\nContent-Type: "...)
+		b = append(append(b, octetStream[0]...), "\r\nX-Cache: "...)
+		b = append(b, xCache(a.hit)[0]...)
+	} else {
+		b = append(strconv.AppendInt(b, int64(len(a.own.body)), 10), "\r\nContent-Type: "...)
+		b = append(b, a.own.ctype...)
+		if a.own.allow != "" {
+			b = append(append(b, "\r\nAllow: "...), a.own.allow...)
+		}
+	}
+	b = s.appendDate(append(b, "\r\n"...))
+	if last {
+		b = append(b, "Connection: close\r\n"...)
+	}
+	b = append(b, "\r\n"...)
+	if bodiless {
+		_, err := conn.Write(b)
+		return err
+	}
+	return s.sendBody(conn, b, a)
+}
+
+// sendBody writes what b holds and a's body behind it.
+//
+//lard:noalloc
+func (s *Server) sendBody(w io.Writer, b []byte, a *answer) error {
+	if a.doc == nil {
+		_, err := w.Write(append(b, a.own.body...))
+		return err
+	}
+	n, err := a.doc.send(w, b)
+	s.bytesSent.Add(n)
+	if err == nil && n != a.doc.size {
+		shortWrite(n, a.doc.size)
+	}
+	// On an error the peer went away mid-transfer; nothing further to do
+	// but, in the loop, to close.
+	return err
+}
+
+//go:noinline
+func shortWrite(n, size int64) {
+	panic(fmt.Sprintf("backend: wrote %d of %d bytes of a document", n, size))
+}
+
+// dateLine is a Date field as it stood in second sec.
+type dateLine struct {
+	sec  int64
+	line []byte
+}
+
+// appendDate appends the Date field, formatted at most once a second.
+//
+//lard:noalloc
+func (s *Server) appendDate(b []byte) []byte {
+	now := time.Now()
+	d := s.date.Load()
+	if d == nil || d.sec != now.Unix() {
+		d = s.newDate(now)
+	}
+	return append(b, d.line...)
+}
+
+//go:noinline
+func (s *Server) newDate(now time.Time) *dateLine {
+	d := &dateLine{sec: now.Unix(), line: now.UTC().AppendFormat([]byte("Date: "), http.TimeFormat+"\r\n")}
+	s.date.Store(d)
+	return d
+}
+
+// loopFrames reports whether r, a connection's first request as net/http
+// parsed it, is one the session loop would have kept the connection open
+// after: only then is the connection taken over. And only if more may
+// follow, since a takeover is paid once and earns from the second request
+// on: the front end consumes a client's Connection: close and forwards the
+// field blanked (httprelay.BlankConnectionClose), so an empty Connection
+// field says the client's connection ends with this request.
+func loopFrames(r *http.Request) bool {
+	c := r.Header["Connection"]
+	return r.ProtoMajor == 1 && r.ProtoMinor == 1 && (r.Method == http.MethodGet || r.Method == http.MethodHead) &&
+		r.ContentLength == 0 && !r.Close && len(r.Header["Expect"]) == 0 && !(len(c) == 1 && c[0] == "")
+}
+
+// keepsOpen is loopFrames for a head the loop parsed itself. The method is
+// not asked about: a bodiless DELETE gets its 405 and the session goes on.
+func keepsOpen(h *httprelay.RequestHead) bool {
+	return h.Proto == "HTTP/1.1" && h.KeepAlive && !h.HasBody() && !h.ExpectContinue
+}
+
+// headTimeout is how long the server r arrived through gives a request
+// head from its first byte, as net/http reads its own fields; 0 is for
+// ever.
+func headTimeout(r *http.Request) time.Duration {
+	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
+	switch {
+	case srv == nil:
+		return 0
+	case srv.ReadHeaderTimeout != 0:
+		return srv.ReadHeaderTimeout
+	}
+	return srv.ReadTimeout
+}
+
+// requestPath is the document a request target names, what net/http gives
+// a handler as r.URL.Path: the query stripped, an absolute-form target
+// reduced to its path, percent-escapes decoded. An absolute path with no
+// '%' and no '?' in it, every target the front end's clients send but a
+// freak, is its own path and does not go through net/url. A target with a
+// space or a control byte in it names nothing: net/http refuses those.
+//
+//lard:noalloc
+func requestPath(target string) (path string, ok bool) {
+	plain := len(target) > 0 && target[0] == '/'
+	for i := 0; i < len(target); i++ {
+		switch c := target[i]; {
+		case c <= ' ' || c == 0x7f:
+			return "", false
+		case c == '%' || c == '?':
+			plain = false
+		}
+	}
+	if plain {
+		return target, true
+	}
+	return parsedPath(target)
+}
+
+//go:noinline
+func parsedPath(target string) (string, bool) {
+	u, err := url.ParseRequestURI(target)
+	if err != nil {
+		return "", false
+	}
+	return u.Path, true
+}
+
+// serveSession is the node's own loop over a connection taken over from
+// net/http: it writes the answer to the request net/http read, then reads
+// heads through br (net/http's reader, with whatever it had buffered) and
+// answers them, until the peer ends the session (EOF where a head would
+// begin: the end-of-session record, on a handed-off connection), a write
+// fails, or a request arrives that the loop cannot see the end of or that
+// asks for a close. That one is answered with Connection: close and nothing
+// is read behind its head. A head that does not parse gets a 400 and a
+// close. A session may idle between requests for as long as its peer
+// likes; a head, once begun, has timeout to arrive in (0: no limit), and
+// one that runs out of it gets no answer, as net/http gives none.
+//
+//lard:noalloc
+func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Duration, a answer, bodiless bool) {
+	defer conn.Close()
+	var raw []byte // the session's scratch for a head's bytes
+	for last := false; ; {
+		if s.answerConn(conn, &a, bodiless, last) != nil || last {
+			return
+		}
+		if _, err := br.Peek(1); err != nil {
+			return
+		}
+		var deadline time.Time
+		if timeout > 0 {
+			deadline = time.Now().Add(timeout)
+			conn.SetReadDeadline(deadline)
+		}
+		h, err := httprelay.ReadRequestHeadInto(br, maxHeadBytes, raw)
+		path, ok := "", err == nil
+		if ok {
+			path, ok = requestPath(h.Target)
+		}
+		if !ok {
+			if timeout == 0 || time.Now().Before(deadline) {
+				s.answerConn(conn, &badRequest, false, true)
+			}
+			return
+		}
+		if timeout > 0 {
+			conn.SetReadDeadline(time.Time{})
+		}
+		raw = h.Raw[:0]
+		a, bodiless, last = s.decide(h.Method, path), h.Method == http.MethodHead, !keepsOpen(&h)
+	}
+}
+
+// maxHeadBytes bounds a request head in the loop; net/http's own default.
+const maxHeadBytes = http.DefaultMaxHeaderBytes

@@ -30,6 +30,13 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_he
 
 const goldenPath = "testdata/golden_heads.txt"
 
+// goldenInputsPath holds the corpus's inputs themselves, a name and a quoted
+// string per line, for the tests of other packages that seed a fuzz target
+// with this table (internal/backend's differential against net/http). It is
+// written with the table and checked against it; the few entries longer
+// than a reader's default window are left out.
+const goldenInputsPath = "testdata/golden_inputs.txt"
+
 // goldenWindow is the relay's reader size (ReaderSize), spelled out so
 // the corpus does not move if the constant does.
 const goldenWindow = 16 << 10
@@ -360,9 +367,12 @@ func TestGoldenParseTable(t *testing.T) {
 		{"byte-by-byte", func(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(iotest.OneByteReader(r), goldenWindow) }},
 		{"64-byte-window", func(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, 64) }},
 	}
-	var out strings.Builder
+	var out, inputs strings.Builder
 	seen := map[string]bool{}
 	for _, e := range goldenCorpus(t) {
+		if len(e.in) <= 4<<10 {
+			fmt.Fprintf(&inputs, "%s\t%q\n", e.name, e.in)
+		}
 		for _, kind := range []string{"req", "resp"} {
 			key := e.name + " " + kind
 			if seen[key] {
@@ -393,7 +403,13 @@ func TestGoldenParseTable(t *testing.T) {
 		if err := os.WriteFile(goldenPath, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(goldenInputsPath, []byte(inputs.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		return
+	}
+	if b, err := os.ReadFile(goldenInputsPath); err != nil || string(b) != inputs.String() {
+		t.Errorf("%s is not the corpus's inputs (%v): rewrite it with -update-golden", goldenInputsPath, err)
 	}
 	for key := range want {
 		if !seen[key] {
