@@ -40,7 +40,7 @@ loc:
 # -fuzz pattern per invocation, hence the loop.
 FUZZTIME ?= 10s
 fuzz:
-	for t in FuzzReadRequestHead FuzzReadResponseHead FuzzChunkedRelay FuzzRelayResponseFragmented; do \
+	for t in FuzzReadRequestHead FuzzReadResponseHead FuzzResponseHeadVsNetHTTP FuzzChunkedRelay FuzzRelayResponseFragmented; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/httprelay || exit 1; done
 	for t in FuzzHeaderDecode FuzzSessionFrames FuzzResponseWriter; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/handoff || exit 1; done

@@ -73,12 +73,13 @@ func run(listen, profile string, seed int64, cacheSize string, useLRU bool, disk
 	if statsEach > 0 {
 		// Sessions vs. handled requests is the pooled-handoff view: with
 		// session-framed transports many sessions (and more requests)
-		// ride each accepted TCP connection.
+		// ride each accepted TCP connection. loop_sessions vs. takeovers
+		// is how many of them the node's loop kept from net/http.
 		go func() {
 			for range time.Tick(statsEach) {
 				st := be.Stats()
-				fmt.Printf("lardbe: sessions=%d rejected=%d requests=%d hits=%d misses=%d cache=%dB/%d\n",
-					ln.Sessions(), ln.Rejected(), st.Requests, st.Hits, st.Misses, st.CacheUsed, st.CacheLen)
+				fmt.Printf("lardbe: sessions=%d rejected=%d takeovers=%d loop_sessions=%d requests=%d hits=%d misses=%d cache=%dB/%d\n",
+					ln.Sessions(), ln.Rejected(), st.Takeovers, st.LoopSessions, st.Requests, st.Hits, st.Misses, st.CacheUsed, st.CacheLen)
 			}
 		}()
 	}

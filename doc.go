@@ -20,8 +20,8 @@
 //   - internal/handoff, internal/frontend, internal/backend,
 //     internal/loadgen — the live prototype of Sections 5 and 6 (handoff
 //     protocol, dispatching front end, caching back end whose handler
-//     takes each handed-off connection over from net/http and answers the
-//     session's requests from a loop of its own, load generator).
+//     takes each pooled transport over from net/http and answers its
+//     sessions' requests from a loop of its own, load generator).
 //   - internal/experiments — regeneration code for every figure and
 //     table in the paper's evaluation.
 //   - cmd/… — lardsim, lardfe, lardbe, loadgen, tracegen binaries.

@@ -362,6 +362,32 @@ func TestHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSessionBoundaryAllocs pins what a one-request session costs on a
+// transport the loop has kept, from the bytes on the wire to the bytes on the
+// wire: the handed-off client's address (its string, and the net.TCPAddr
+// RemoteAddr reports) and the request's target. Nothing of net/http's: it
+// gave a session a conn, a goroutine, two buffers, a Request and a context.
+func TestSessionBoundaryAllocs(t *testing.T) {
+	s := startSession(t, New(Config{Store: testStore()}).HTTPServer())
+	const head = "GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n"
+	s.request(t, head)                      // net/http's one, and the takeover
+	buf := make([]byte, s.request(t, head)) // the loop's first: its scratch grows
+	initial := []byte(head)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := s.sw.Handoff("192.0.2.1:4000", initial, handoff.FlagRehandoff); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(s.br, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 4 {
+		t.Fatalf("%.0f allocations per one-request session on a kept transport, want 4 (the client's address, three, and the target)", allocs)
+	}
+	if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 OK\r\n")) || !bytes.HasSuffix(buf, ContentBytes("/a.html", 1000)) {
+		t.Fatalf("the last session's response begins %q", buf[:min(len(buf), 200)])
+	}
+}
+
 // countedListener counts the writes made on the conns it accepts: the
 // segments a back end sends its front end.
 type countedListener struct {
@@ -389,9 +415,38 @@ func (c *countedConn) Write(p []byte) (int, error) {
 type node struct {
 	ln *countedListener
 	hl *handoff.Listener
+
+	mu       sync.Mutex
+	accepted []net.Conn // what the server's Accept returned, as it returned it
 }
 
-func startNode(tb testing.TB, srv *http.Server) *node {
+// Accept is the handoff listener's, remembered: the node is the net.Listener
+// its server is given.
+func (n *node) Accept() (net.Conn, error) {
+	c, err := n.hl.Accept()
+	if err == nil {
+		n.mu.Lock()
+		n.accepted = append(n.accepted, c)
+		n.mu.Unlock()
+	}
+	return c, err
+}
+
+func (n *node) Close() error   { return n.hl.Close() }
+func (n *node) Addr() net.Addr { return n.hl.Addr() }
+
+// conns is how many conns the server has accepted, and the last of them.
+func (n *node) conns() (int, net.Conn) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.accepted) == 0 {
+		return 0, nil
+	}
+	return len(n.accepted), n.accepted[len(n.accepted)-1]
+}
+
+// startNode serves srv; a setup sets the handoff listener's timeouts first.
+func startNode(tb testing.TB, srv *http.Server, setup ...func(*handoff.Listener)) *node {
 	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -399,7 +454,10 @@ func startNode(tb testing.TB, srv *http.Server) *node {
 	}
 	n := &node{ln: &countedListener{Listener: ln}}
 	n.hl = handoff.NewListener(n.ln)
-	go srv.Serve(n.hl)
+	for _, f := range setup {
+		f(n.hl)
+	}
+	go srv.Serve(n)
 	tb.Cleanup(func() { srv.Close(); n.hl.Close() })
 	return n
 }
@@ -415,11 +473,18 @@ type session struct {
 // open dials the node a fresh transport; its first request hands off.
 func (n *node) open(tb testing.TB) *session {
 	tb.Helper()
+	s := n.dial(tb)
+	tb.Cleanup(func() { s.conn.Close() })
+	return s
+}
+
+// dial is open for a caller that closes the transport itself.
+func (n *node) dial(tb testing.TB) *session {
+	tb.Helper()
 	conn, err := net.Dial("tcp", n.ln.Addr().String())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { conn.Close() })
 	return &session{ln: n.ln, conn: conn, br: bufio.NewReaderSize(conn, httprelay.ReaderSize), sw: handoff.NewTransportWriter(conn)}
 }
 
@@ -432,13 +497,19 @@ func startSession(tb testing.TB, srv *http.Server) *session {
 // first ride the handoff header.
 func (s *session) send(tb testing.TB, data string) {
 	tb.Helper()
-	var err error
-	if s.sw.InSession() {
-		_, err = s.sw.Write([]byte(data))
-	} else {
-		err = s.sw.Handoff("192.0.2.1:4000", []byte(data), handoff.FlagRehandoff)
+	if !s.sw.InSession() {
+		s.handoff(tb, "192.0.2.1:4000", data)
+	} else if _, err := s.sw.Write([]byte(data)); err != nil {
+		tb.Fatal(err)
 	}
-	if err != nil {
+}
+
+// handoff begins the transport's next session, for client, as the front end
+// does: the end-of-session record the last one owes, the header and the
+// session's first bytes in one write.
+func (s *session) handoff(tb testing.TB, client, data string) {
+	tb.Helper()
+	if err := s.sw.Handoff(client, []byte(data), handoff.FlagRehandoff); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -448,6 +519,12 @@ func (s *session) send(tb testing.TB, data string) {
 func (s *session) request(tb testing.TB, head string) int64 {
 	tb.Helper()
 	s.send(tb, head)
+	return s.response(tb)
+}
+
+// response relays the next response to nowhere.
+func (s *session) response(tb testing.TB) int64 {
+	tb.Helper()
 	n, _, err := httprelay.RelayResponseFrom(io.Discard, s.br, s.conn, "GET", 1<<16, nil)
 	if err != nil {
 		tb.Fatal(err)
@@ -503,32 +580,52 @@ func (w lengthless) WriteHeader(status int) {
 // net/http back under every request, for comparison. writes/response is the
 // segments per response the front end has to read: one when the response
 // fits the window, and one however long it is from the node's own loop.
+//
+// The last two rows are the HTTP/1.0 shape, a session per request.
+// session-per-request is a pooled transport: every iteration hands off a new
+// session on the one transport the loop keeps, which costs a header more
+// than a request on an open session. transport-per-request is what a front
+// end pays that dials for every request (its pool missed, or holds nothing):
+// accept, net/http's connection and its Hijack each time, which keeping the
+// transport does nothing for.
 func BenchmarkBackendResponse(b *testing.B) {
+	const head = "GET /doc HTTP/1.1\r\nHost: t\r\n\r\n"
+	request := func(b *testing.B, _ *node, s *session) { s.request(b, head) }
 	for _, c := range []struct {
 		name    string
 		size    int64
 		wrap    func(http.Handler) http.Handler
 		segment float64 // writes/response; 0: not held to one number
+		each    func(*testing.B, *node, *session)
 	}{
-		{"8k", 8 << 10, onlyNetHTTP, 0}, {"24k", 24 << 10, onlyNetHTTP, 0},
+		{"8k", 8 << 10, onlyNetHTTP, 0, request}, {"24k", 24 << 10, onlyNetHTTP, 0, request},
 		{"chunked", 8 << 10, func(h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { h.ServeHTTP(lengthless{w}, r) })
-		}, 0},
-		{"8k/takeover", 8 << 10, nil, 1}, {"24k/takeover", 24 << 10, nil, 1},
+		}, 0, request},
+		{"8k/takeover", 8 << 10, nil, 1, request}, {"24k/takeover", 24 << 10, nil, 1, request},
+		{"8k/session-per-request", 8 << 10, nil, 1, func(b *testing.B, _ *node, s *session) {
+			s.handoff(b, "192.0.2.1:4000", head)
+			s.response(b)
+		}},
+		{"8k/transport-per-request", 8 << 10, nil, 1, func(b *testing.B, n *node, _ *session) {
+			s := n.dial(b)
+			s.request(b, head)
+			s.conn.Close()
+		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			srv := New(Config{Store: NewDocStore([]trace.Target{{Name: "/doc", Size: c.size}})}).HTTPServer()
 			if c.wrap != nil {
 				srv.Handler = c.wrap(srv.Handler)
 			}
-			s := startSession(b, srv)
-			const head = "GET /doc HTTP/1.1\r\nHost: t\r\n\r\n"
+			n := startNode(b, srv)
+			s := n.open(b)
 			s.request(b, head) // the miss
 			before := s.ln.writes.Load()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.request(b, head)
+				c.each(b, n, s)
 			}
 			b.StopTimer()
 			writes := float64(s.ln.writes.Load()-before) / float64(b.N)

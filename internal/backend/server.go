@@ -52,6 +52,13 @@ type Stats struct {
 	BytesSent int64  `json:"bytes_sent"`
 	CacheUsed int64  `json:"cache_used"`
 	CacheLen  int    `json:"cache_len"`
+
+	// Takeovers counts connections the node's own loop took from net/http;
+	// LoopSessions the sessions that loop began, a connection's first or one
+	// it kept the transport for. Far more sessions than takeovers says
+	// handed-off sessions are reaching the node without crossing net/http.
+	Takeovers    uint64 `json:"takeovers"`
+	LoopSessions uint64 `json:"loop_sessions"`
 }
 
 // Server is the prototype back-end node: an http.Handler serving the
@@ -62,11 +69,12 @@ type Server struct {
 	cache cache.Cache
 	sleep func(time.Duration)
 
-	bytesSent atomic.Int64
-	date      atomic.Pointer[dateLine]
+	bytesSent               atomic.Int64
+	takeovers, loopSessions atomic.Uint64
+	date                    atomic.Pointer[dateLine]
 
 	mu    sync.Mutex
-	stats Stats // but for BytesSent
+	stats Stats // but for BytesSent, Takeovers and LoopSessions
 }
 
 // New builds a back-end server. It panics if cfg.Store is nil.
@@ -101,18 +109,24 @@ func New(cfg Config) *Server {
 // Handler returns the node's HTTP handler: documents at their target
 // paths, plus GET /_lard/stats for scraping.
 //
-// It crosses net/http once per session, not once per request. A
-// connection's first request that is one the node's own loop can frame (an
-// HTTP/1.1 GET or HEAD with no body, no Expect and no Connection: close,
-// its own or one the front end consumed) is answered by taking the
-// connection over (http.Hijacker): serveSession
-// then reads and answers the session's later requests on the same
-// goroutine, with the parser the front end reads the same heads with, until
-// the peer ends the session. From the takeover on the loop owns the
-// connection's Close: http.Server.Close and Shutdown no longer reach it (to
-// them it is hijacked), the peer's close and the handoff.Listener's Close
-// (which closes the transports) do. The server's ReadHeaderTimeout still
-// times every head from its first byte. A ResponseWriter that is no
+// It crosses net/http once per transport, not once per request or per
+// session. A connection's first request that is one the node's own loop can
+// frame (an HTTP/1.1 GET or HEAD with no body, no Expect and no Connection:
+// close) is answered by taking the connection over (http.Hijacker):
+// serveSession then reads and answers the session's later requests on the
+// same goroutine, with the parser the front end reads the same heads with,
+// until the peer ends the session. Where the connection is a session of a
+// handoff.Listener's transport, the loop keeps it for the transport's next
+// session and every one after (NextSession), so none of them is accepted,
+// given a goroutine or read by net/http: the first framable request on a
+// transport is the only one that is.
+//
+// From the takeover on the loop owns the connection's Close, and with it the
+// transport's later sessions: http.Server.Close and Shutdown reach neither
+// (to them the connection is hijacked), the peer's close and the
+// handoff.Listener's Close (which closes the transports) do. The server's
+// ReadHeaderTimeout still times every head from its first byte, and the
+// listener's own timeouts every handoff header. A ResponseWriter that is no
 // Hijacker (HTTP/2, a recorder) gets the same decision written through
 // net/http.
 func (s *Server) Handler() http.Handler {
@@ -146,7 +160,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.BytesSent = s.bytesSent.Load()
+	st.BytesSent, st.Takeovers, st.LoopSessions = s.bytesSent.Load(), s.takeovers.Load(), s.loopSessions.Load()
 	st.CacheUsed = s.cache.Used()
 	st.CacheLen = s.cache.Len()
 	return st
@@ -352,15 +366,10 @@ func (s *Server) newDate(now time.Time) *dateLine {
 
 // loopFrames reports whether r, a connection's first request as net/http
 // parsed it, is one the session loop would have kept the connection open
-// after: only then is the connection taken over. And only if more may
-// follow, since a takeover is paid once and earns from the second request
-// on: the front end consumes a client's Connection: close and forwards the
-// field blanked (httprelay.BlankConnectionClose), so an empty Connection
-// field says the client's connection ends with this request.
+// after: only then is the connection taken over.
 func loopFrames(r *http.Request) bool {
-	c := r.Header["Connection"]
 	return r.ProtoMajor == 1 && r.ProtoMinor == 1 && (r.Method == http.MethodGet || r.Method == http.MethodHead) &&
-		r.ContentLength == 0 && !r.Close && len(r.Header["Expect"]) == 0 && !(len(c) == 1 && c[0] == "")
+		r.ContentLength == 0 && !r.Close && len(r.Header["Expect"]) == 0
 }
 
 // keepsOpen is loopFrames for a head the loop parsed itself. The method is
@@ -419,25 +428,36 @@ func parsedPath(target string) (string, bool) {
 // serveSession is the node's own loop over a connection taken over from
 // net/http: it writes the answer to the request net/http read, then reads
 // heads through br (net/http's reader, with whatever it had buffered) and
-// answers them, until the peer ends the session (EOF where a head would
-// begin: the end-of-session record, on a handed-off connection), a write
-// fails, or a request arrives that the loop cannot see the end of or that
-// asks for a close. That one is answered with Connection: close and nothing
-// is read behind its head. A head that does not parse gets a 400 and a
-// close. A session may idle between requests for as long as its peer
-// likes; a head, once begun, has timeout to arrive in (0: no limit), and
-// one that runs out of it gets no answer, as net/http gives none.
+// answers them, until the peer goes, a write fails, or a request arrives
+// that the loop cannot see the end of or that asks for a close. That one is
+// answered with Connection: close and nothing is read behind its head. A
+// head that does not parse gets a 400 and a close. A session may idle
+// between requests for as long as its peer likes; a head, once begun, has
+// timeout to arrive in (0: no limit), and one that runs out of it gets no
+// answer, as net/http gives none.
+//
+// EOF where a head would begin is the peer ending the session: on a
+// handed-off connection, the end-of-session record. A conn that can be its
+// transport's next session (handoff's, asked for by method so that nothing
+// here imports it) becomes that, and the loop goes on with the next client's
+// requests; it returns, and closes, when there is no next session.
 //
 //lard:noalloc
 func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Duration, a answer, bodiless bool) {
 	defer conn.Close()
-	var raw []byte // the session's scratch for a head's bytes
+	s.takeovers.Add(1)
+	s.loopSessions.Add(1)
+	next, _ := conn.(interface{ NextSession() error })
+	var raw []byte // the loop's scratch for a head's bytes
 	for last := false; ; {
 		if s.answerConn(conn, &a, bodiless, last) != nil || last {
 			return
 		}
-		if _, err := br.Peek(1); err != nil {
-			return
+		for _, err := br.Peek(1); err != nil; _, err = br.Peek(1) {
+			if err != io.EOF || next == nil || next.NextSession() != nil {
+				return
+			}
+			s.loopSessions.Add(1)
 		}
 		var deadline time.Time
 		if timeout > 0 {

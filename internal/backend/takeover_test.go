@@ -3,17 +3,21 @@ package backend
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"lard/internal/handoff"
 	"lard/internal/trace"
 )
 
@@ -54,49 +58,80 @@ func (s *session) replies(t *testing.T, methods []string) []reply {
 	return out
 }
 
+// A frame that is one of these is a session boundary: the replies to the
+// session so far are read, and the frame behind it begins the transport's
+// next session, for the next client.
+const (
+	next = "\x00next" // the end-of-session record rides the next header, as under load
+	end  = "\x00end"  // the record is sent now and alone, as the pool's sweep sends it
+)
+
 // TestTakeoverMatchesNetHTTP sends the same frames to two nodes, one that
-// takes its connection over and one whose handler is left net/http's
-// writer, and holds every response and the counters to be the same. A
-// row's first request is the one net/http reads on both nodes; end "close"
-// marks a row whose last request the loop answers with Connection: close,
-// which net/http, reading bodies and speaking 1.0, need not.
+// takes its transport over and one whose handler is left net/http's writer,
+// each behind a real handoff.Listener, and holds every response, the
+// counters and the listeners' session counts to be the same. A row's first
+// request is the one net/http reads on both nodes; on the first node it is
+// the only one, whatever sessions follow on the transport, and the conn its
+// server accepted is in turn each session's client's. methods has a "|" for
+// every boundary in frames. end "close" marks a row whose last request the
+// loop answers with Connection: close, which net/http, reading bodies and
+// speaking 1.0, need not.
 func TestTakeoverMatchesNetHTTP(t *testing.T) {
 	const get, host = "GET /a.html HTTP/1.1\r\n", "Host: t\r\n\r\n"
+	const getB, headB = "GET /b.html HTTP/1.1\r\n" + host, "HEAD /b.html HTTP/1.1\r\n" + host
+	sixteen := make([]string, 16, 20)
+	for i := range sixteen {
+		sixteen[i] = get + host
+	}
 	for _, row := range []struct {
 		name    string
 		frames  []string
 		methods string // of the requests in frames, in order
-		end     string // "": the session goes on; "close": the loop closes behind the last response; "stays": no takeover
+		end     string // "": the session goes on; "close": the loop closes behind the last response
+		before  int    // sessions that are net/http's on both nodes: no request in them the loop frames
 	}{
-		{"miss then hit", []string{get + host, get + host}, "GET GET", ""},
-		{"head first", []string{"HEAD /b.html HTTP/1.1\r\n" + host, "GET /b.html HTTP/1.1\r\n" + host}, "HEAD GET", ""},
-		{"head in the loop", []string{get + host, "HEAD /b.html HTTP/1.1\r\n" + host, "GET /b.html HTTP/1.1\r\n" + host}, "GET HEAD GET", ""},
-		{"404", []string{"GET /nope HTTP/1.1\r\n" + host, "GET /nope HTTP/1.1\r\n" + host, "HEAD /nope HTTP/1.1\r\n" + host}, "GET GET HEAD", ""},
-		{"405 and on", []string{get + host, "DELETE /a.html HTTP/1.1\r\n" + host, get + host}, "GET DELETE GET", ""},
-		{"405 with a body", []string{get + host, "POST /a.html HTTP/1.1\r\nContent-Length: 5\r\n" + host + "hello"}, "GET POST", "close"},
-		{"query string", []string{"GET /a.html?x=1 HTTP/1.1\r\n" + host, "GET /a.html?y=/b.html HTTP/1.1\r\n" + host}, "GET GET", ""},
-		{"percent-encoded", []string{get + host, "GET /%61.html HTTP/1.1\r\n" + host, "GET /a%2ehtml%3Fx HTTP/1.1\r\n" + host}, "GET GET GET", ""},
-		{"absolute form", []string{get + host, "GET http://t/b.html HTTP/1.1\r\n" + host, "GET http://t HTTP/1.1\r\n" + host}, "GET GET GET", ""},
-		{"HTTP/1.0", []string{get + host, "GET /a.html HTTP/1.0\r\n\r\n"}, "GET GET", "close"},
-		{"HTTP/1.0 keep-alive", []string{get + host, "GET /a.html HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"}, "GET GET", "close"},
-		{"Connection: close", []string{get + host, get + "Connection: close\r\n" + host}, "GET GET", "close"},
-		{"GET with a body", []string{get + host, get + "Content-Length: 5\r\n" + host + "hello"}, "GET GET", "close"},
-		{"Expect: 100-continue", []string{get + host, get + "Expect: 100-continue\r\n" + host}, "GET GET", "close"},
-		{"pipelined", []string{get + host, "GET /b.html HTTP/1.1\r\n" + host + "HEAD /a.html HTTP/1.1\r\n" + host}, "GET GET HEAD", ""},
-		{"pipelined behind the first", []string{get + host + "GET /b.html HTTP/1.1\r\n" + host}, "GET GET", ""},
-		{"split head", []string{get + host, "GET /b.ht", "ml HTTP/1.1\r\nHo", "st: t\r\n\r\n"}, "GET GET", ""},
-		{"malformed head", []string{get + host, "GET /a.html HTTP/1.1\r\nNo colon\r\n\r\n"}, "GET GET", "close"},
-		{"target with a space", []string{get + host, "GET /a b HTTP/1.1\r\n" + host}, "GET GET", "close"},
-		{"stats mid-session", []string{get + host, "GET /_lard/stats HTTP/1.1\r\n" + host, get + host}, "GET GET GET", ""},
-		{"stats first", []string{"GET /_lard/stats HTTP/1.1\r\n" + host, get + host}, "GET GET", ""},
-		{"close consumed by the front end", []string{get + "Connection:      \r\n" + host}, "GET", "stays"},
-		{"more behind a consumed close", []string{get + "Connection:      \r\n" + host, get + host, get + host}, "GET GET GET", ""},
-		{"longer than the buffer", []string{get + host, "GET /big.bin HTTP/1.1\r\n" + host, "GET /big.bin HTTP/1.1\r\n" + host}, "GET GET GET", ""},
+		{"miss then hit", []string{get + host, get + host}, "GET GET", "", 0},
+		{"head first", []string{headB, getB}, "HEAD GET", "", 0},
+		{"head in the loop", []string{get + host, headB, getB}, "GET HEAD GET", "", 0},
+		{"404", []string{"GET /nope HTTP/1.1\r\n" + host, "GET /nope HTTP/1.1\r\n" + host, "HEAD /nope HTTP/1.1\r\n" + host}, "GET GET HEAD", "", 0},
+		{"405 and on", []string{get + host, "DELETE /a.html HTTP/1.1\r\n" + host, get + host}, "GET DELETE GET", "", 0},
+		{"405 with a body", []string{get + host, "POST /a.html HTTP/1.1\r\nContent-Length: 5\r\n" + host + "hello"}, "GET POST", "close", 0},
+		{"query string", []string{"GET /a.html?x=1 HTTP/1.1\r\n" + host, "GET /a.html?y=/b.html HTTP/1.1\r\n" + host}, "GET GET", "", 0},
+		{"percent-encoded", []string{get + host, "GET /%61.html HTTP/1.1\r\n" + host, "GET /a%2ehtml%3Fx HTTP/1.1\r\n" + host}, "GET GET GET", "", 0},
+		{"absolute form", []string{get + host, "GET http://t/b.html HTTP/1.1\r\n" + host, "GET http://t HTTP/1.1\r\n" + host}, "GET GET GET", "", 0},
+		{"HTTP/1.0", []string{get + host, "GET /a.html HTTP/1.0\r\n\r\n"}, "GET GET", "close", 0},
+		{"HTTP/1.0 keep-alive", []string{get + host, "GET /a.html HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"}, "GET GET", "close", 0},
+		{"Connection: close", []string{get + host, get + "Connection: close\r\n" + host}, "GET GET", "close", 0},
+		{"GET with a body", []string{get + host, get + "Content-Length: 5\r\n" + host + "hello"}, "GET GET", "close", 0},
+		{"Expect: 100-continue", []string{get + host, get + "Expect: 100-continue\r\n" + host}, "GET GET", "close", 0},
+		{"pipelined", []string{get + host, getB + "HEAD /a.html HTTP/1.1\r\n" + host}, "GET GET HEAD", "", 0},
+		{"pipelined behind the first", []string{get + host + getB}, "GET GET", "", 0},
+		{"split head", []string{get + host, "GET /b.ht", "ml HTTP/1.1\r\nHo", "st: t\r\n\r\n"}, "GET GET", "", 0},
+		{"malformed head", []string{get + host, "GET /a.html HTTP/1.1\r\nNo colon\r\n\r\n"}, "GET GET", "close", 0},
+		{"target with a space", []string{get + host, "GET /a b HTTP/1.1\r\n" + host}, "GET GET", "close", 0},
+		{"stats mid-session", []string{get + host, "GET /_lard/stats HTTP/1.1\r\n" + host, get + host}, "GET GET GET", "", 0},
+		{"stats first", []string{"GET /_lard/stats HTTP/1.1\r\n" + host, get + host}, "GET GET", "", 0},
+		{"close consumed by the front end", []string{get + "Connection:      \r\n" + host}, "GET", "", 0},
+		{"more behind a consumed close", []string{get + "Connection:      \r\n" + host, get + host, get + host}, "GET GET GET", "", 0},
+		{"longer than the buffer", []string{get + host, "GET /big.bin HTTP/1.1\r\n" + host, "GET /big.bin HTTP/1.1\r\n" + host}, "GET GET GET", "", 0},
+
+		{"three sessions of one request", []string{get + "Connection:      \r\n" + host, next, getB, next, get + host}, "GET | GET | GET", "", 0},
+		{"sessions ended by the sweep", []string{get + host, end, getB, end, get + host}, "GET | GET | GET", "", 0},
+		{"sixteen requests, then two sessions of one", append(sixteen, next, getB, next, get+host), strings.Repeat("GET ", 16) + "| GET | GET", "", 0},
+		{"a session of HEADs", []string{get + host, next, headB, "HEAD /a.html HTTP/1.1\r\n" + host, next, getB, "GET /big.bin HTTP/1.1\r\n" + host}, "GET | HEAD HEAD | GET GET", "", 0},
+		{"a later session's request closes", []string{get + host, next, getB, get + "Connection: close\r\n" + host}, "GET | GET GET", "close", 0},
+		{"a later session begins HTTP/1.0", []string{get + host, next, "GET /a.html HTTP/1.0\r\n\r\n"}, "GET | GET", "close", 0},
+		{"stats in a later session", []string{get + host, next, "GET /_lard/stats HTTP/1.1\r\n" + host, get + host}, "GET | GET GET", "", 0},
+		{"a first session that is net/http's", []string{"POST /a.html HTTP/1.1\r\nContent-Length: 5\r\n" + host + "hello", next, get + host, next, getB}, "POST | GET | GET", "", 1},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			methods := strings.Fields(row.methods)
+			var sessions [][]string // their methods
+			for _, m := range strings.Split(row.methods, "|") {
+				sessions = append(sessions, strings.Fields(m))
+			}
 			var got [2][]reply
 			var stats [2]Stats
+			var accepted [2]uint64
 			for i, wrap := range []func(http.Handler) http.Handler{nil, onlyNetHTTP} {
 				be := New(Config{Store: testStore()})
 				srv := be.HTTPServer()
@@ -109,45 +144,100 @@ func TestTakeoverMatchesNetHTTP(t *testing.T) {
 						hijacked.Add(1)
 					}
 				}
-				s := startSession(t, srv)
-				for _, f := range row.frames {
-					s.send(t, f)
+				n := startNode(t, srv)
+				s := n.open(t)
+				// finish reads session k's replies; the conn the server was
+				// last given is then k's client's: a new one, or on the first
+				// node, from the takeover on, the one there is.
+				k, begin := 0, true
+				finish := func() {
+					t.Helper()
+					got[i] = append(got[i], s.replies(t, sessions[k])...)
+					conns, wantConns := 0, k+1
+					if i == 0 {
+						wantConns = min(k, row.before) + 1
+					}
+					var conn net.Conn
+					if conns, conn = n.conns(); conns != wantConns || conn.RemoteAddr().String() != clientOf(k) {
+						t.Errorf("node %d, session %d: %d conns accepted, the last one's RemoteAddr %v; want %d and %s", i, k, conns, conn.RemoteAddr(), wantConns, clientOf(k))
+					}
+					k, begin = k+1, true
 				}
-				got[i] = s.replies(t, methods)
+				for _, f := range row.frames {
+					switch {
+					case f == next:
+						finish()
+					case f == end:
+						finish()
+						if err := s.sw.End(); err != nil {
+							t.Fatal(err)
+						}
+					case begin:
+						s.handoff(t, clientOf(k), f)
+						begin = false
+					default:
+						s.send(t, f)
+					}
+				}
+				finish()
 				// The handler counts a body's bytes once its last write returns.
-				want := int64(0)
-				for j, r := range got[i] {
-					if r.status == http.StatusOK && r.fields[2] != "" && methods[j] != "HEAD" {
-						want += int64(len(r.body))
+				want, j := int64(0), 0
+				for _, methods := range sessions {
+					for _, m := range methods {
+						if r := got[i][j]; r.status == http.StatusOK && r.fields[2] != "" && m != "HEAD" {
+							want += int64(len(r.body))
+						}
+						j++
 					}
 				}
 				for deadline := time.Now().Add(2 * time.Second); be.Stats().BytesSent != want && time.Now().Before(deadline); {
 					time.Sleep(time.Millisecond)
 				}
-				stats[i] = be.Stats()
-				takeovers := int32(1 - i)
-				if row.end == "stays" {
-					takeovers = 0
+				stats[i], accepted[i] = be.Stats(), n.hl.Sessions()
+				// One takeover a transport, and every session from it on the
+				// loop's; the scrape says what ConnState saw.
+				takeovers, loop := uint64(1-i), uint64(1-i)*uint64(len(sessions)-row.before)
+				if h := uint64(hijacked.Load()); h != takeovers || stats[i].Takeovers != takeovers || stats[i].LoopSessions != loop {
+					t.Errorf("node %d: %d connections hijacked, Stats %+v; want %d takeovers and %d sessions begun in the loop", i, h, stats[i], takeovers, loop)
 				}
-				if n := hijacked.Load(); n != takeovers {
-					t.Errorf("node %d: %d connections taken over, want %d", i, n, takeovers)
-				}
+				stats[i].Takeovers, stats[i].LoopSessions = 0, 0
 			}
-			last := len(methods) - 1
+			last := len(got[0]) - 1
 			if got[0][last].closes != (row.end == "close") {
 				t.Errorf("the loop's last response: Connection: close is %t, want end %q", got[0][last].closes, row.end)
 			}
 			got[0][last].closes, got[1][last].closes = false, false
-			for j := range methods {
-				if got[0][j] != got[1][j] {
-					t.Errorf("response %d (%s):\n  taken over: %+v\n  net/http:   %+v", j+1, methods[j], brief(got[0][j]), brief(got[1][j]))
+			for j := range got[0] {
+				if a, b := withoutLoopCounts(t, got[0][j]), withoutLoopCounts(t, got[1][j]); a != b {
+					t.Errorf("response %d:\n  taken over: %+v\n  net/http:   %+v", j+1, brief(a), brief(b))
 				}
 			}
 			if stats[0] != stats[1] {
 				t.Errorf("stats:\n  taken over: %+v\n  net/http:   %+v", stats[0], stats[1])
 			}
+			if accepted[0] != accepted[1] || accepted[0] != uint64(len(sessions)) {
+				t.Errorf("Listener.Sessions(): %d taken over, %d under net/http, want %d on both", accepted[0], accepted[1], len(sessions))
+			}
 		})
 	}
+}
+
+// clientOf is the address session k of a transport is handed off for.
+func clientOf(k int) string { return "192.0.2.1:" + strconv.Itoa(4000+k) }
+
+// withoutLoopCounts is r with the two counters out of a /_lard/stats body
+// that the nodes compared differ by on purpose.
+func withoutLoopCounts(t *testing.T, r reply) reply {
+	t.Helper()
+	if r.fields[1] == "application/json" && r.body != "" {
+		var st Stats
+		if err := json.Unmarshal([]byte(r.body), &st); err != nil {
+			t.Fatalf("stats body %q: %v", r.body, err)
+		}
+		st.Takeovers, st.LoopSessions = 0, 0
+		r.body = fmt.Sprintf("%+v", st)
+	}
+	return r
 }
 
 // brief is a reply with its body cut to what an error message can carry.
@@ -169,31 +259,56 @@ func settle(t *testing.T, want int, what string) {
 	}
 }
 
-// TestTakenOverSessionCostsOneConnection: a session the node has taken over
+// TestTakenOverSessionCostsOneConnection: a transport the node has taken over
 // is a goroutine of net/http's that http.Server.Close no longer reaches, so
 // whatever its peer does has to end it, and only it. Among idle sessions
 // that must go on being served, a peer half-closes inside a head, resets
-// inside a long body, and stops reading; each costs its own connection, the
-// goroutines come back (and with them the buffers: a response's pooled
-// buffer is held only inside answerConn's frame), and the listener's
-// counters say what happened. Listener.Close then ends every session there
-// is.
+// inside a long body, and stops reading; then, on transports whose second
+// session the loop kept for itself, the peer goes or goes wrong where the
+// loop waits for the next handoff header, right behind one, and in a request
+// the loop cannot frame. Each costs its own connection, the goroutines come
+// back (and with them the buffers: a response's pooled buffer is held only
+// inside answerConn's frame), and the listener's counters say what happened:
+// every session begun, a header that was none rejected once, a transport
+// that closed or idled out between sessions not at all. Listener.Close then
+// ends every session there is, and the loop that waits for one.
 func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections() // other tests' clients
 	time.Sleep(10 * time.Millisecond)
 	atStart := runtime.NumGoroutine()
 
 	const head, big = "GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n", "GET /big HTTP/1.1\r\nHost: t\r\n\r\n"
+	const short = 200 * time.Millisecond // every timeout a fault below runs into
 	be := New(Config{Store: NewDocStore([]trace.Target{{Name: "/a.html", Size: 1000}, {Name: "/big", Size: 512 << 10}})})
 	srv := be.HTTPServer()
-	n := startNode(t, srv)
-	opened := uint64(0)
+	srv.ReadHeaderTimeout = short
+	n := startNode(t, srv, func(hl *handoff.Listener) { hl.HandshakeTimeout = short })
+	// A second listener, for the one fault that needs its idle transports
+	// timed: the first one's must outlast the test.
+	forgetful := startNode(t, srv, func(hl *handoff.Listener) { hl.SessionIdleTimeout = short })
+	opened, rejected := uint64(0), uint64(0)
 	open := func() *session {
 		s := n.open(t)
 		opened++
 		s.request(t, head) // net/http's, and the takeover
 		s.request(t, head) // the loop's
 		return s
+	}
+	// kept is a transport in its second session, the loop's from its header on.
+	kept := func() *session {
+		s := open()
+		s.handoff(t, clientOf(1), head)
+		opened++
+		s.response(t)
+		return s
+	}
+	// gone waits for the node to close s's transport, having sent nothing more.
+	gone := func(s *session, what string) {
+		t.Helper()
+		s.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if b, err := s.br.ReadByte(); err != io.EOF {
+			t.Fatalf("%s: read %q, %v; want the transport closed and nothing said", what, b, err)
+		}
 	}
 	var idle []*session
 	for i := 0; i < 4; i++ {
@@ -211,8 +326,8 @@ func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 		}
 		fresh.conn.Close()
 		settle(t, base, what+", and a fresh session closed")
-		if got := n.hl.Sessions(); got != opened || n.hl.Rejected() != 0 {
-			t.Fatalf("%s: %d sessions accepted and %d rejected, want %d and 0", what, got, n.hl.Rejected(), opened)
+		if got, bad := n.hl.Sessions(), n.hl.Rejected(); got != opened || bad != rejected {
+			t.Fatalf("%s: %d sessions accepted and %d rejected, want %d and %d", what, got, bad, opened, rejected)
 		}
 	}
 
@@ -260,16 +375,88 @@ func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 	s.conn.Close()
 	served("a peer that stopped reading")
 
-	// (d) The listener closes: that ends the transports, and a session ends
-	// with its transport.
+	// (d) Between sessions the loop waits where the listener's own loop
+	// would, and by its clocks. A front end that vanishes without a FIN is
+	// given SessionIdleTimeout; one that closes a transport it has no more
+	// use for (the pool's eviction) is no fault of anyone's.
+	s = forgetful.open(t)
+	s.request(t, head)
+	s.handoff(t, clientOf(1), head)
+	s.response(t)
+	if err := s.sw.End(); err != nil {
+		t.Fatal(err)
+	}
+	gone(s, "a front end silent between sessions")
+	if got, bad := forgetful.hl.Sessions(), forgetful.hl.Rejected(); got != 2 || bad != 0 {
+		t.Fatalf("a front end silent between sessions: %d sessions accepted and %d rejected, want 2 and 0", got, bad)
+	}
+	served("a front end silent between sessions")
+
+	s = kept()
+	if err := s.sw.End(); err != nil {
+		t.Fatal(err)
+	}
+	s.conn.Close()
+	served("a FIN right behind an end-of-session record")
+
+	// (e) What arrives where a handoff header should and is none: half of
+	// one (HandshakeTimeout), a request with no header before it, a header
+	// that promises more initial data than there may be. One rejection each.
+	for _, bad := range []struct{ what, bytes string }{
+		{"half a handoff header", "LARD\x01"},
+		{"bytes that are no header", head},
+		{"a header with oversize initial data", "LARD\x01\x02\x00\x01x\xff\xff\xff\xff"},
+	} {
+		s = kept()
+		if err := s.sw.End(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.conn.Write([]byte(bad.bytes)); err != nil {
+			t.Fatal(err)
+		}
+		rejected++
+		gone(s, bad.what)
+		served(bad.what)
+	}
+
+	// (f) A good header and half a request head behind it: the session is
+	// one, and the server's ReadHeaderTimeout times its head.
+	s = kept()
+	s.handoff(t, clientOf(2), "GET /a.html HTTP/1.1\r\nHo")
+	opened++
+	gone(s, "half a request head behind a header")
+	served("half a request head behind a header")
+
+	// (g) A session the loop kept begins with a request it cannot frame: it
+	// is answered with Connection: close, and the transport goes with it.
+	s = kept()
+	s.handoff(t, clientOf(2), "GET /a.html HTTP/1.0\r\n\r\n")
+	opened++
+	if got := s.replies(t, []string{"GET"}); got[0].status != http.StatusOK || !got[0].closes {
+		t.Fatalf("an HTTP/1.0 request first in a kept session: %+v, want a 200 that closes", brief(got[0]))
+	}
+	gone(s, "a request the loop cannot frame")
+	served("a request the loop cannot frame")
+
+	// (h) The listener closes: that ends the transports, a session ends with
+	// its transport, and so does the wait for the next one.
+	waiting := kept()
+	if err := waiting.sw.End(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond) // the loop reads the record and waits
 	n.hl.Close()
+	forgetful.hl.Close()
 	srv.Close()
 	settle(t, atStart, "Listener.Close")
-	for _, o := range idle {
+	for _, o := range append(idle, waiting) {
 		o.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		if _, err := o.br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("an idle session after Listener.Close: %v, want its transport closed", err)
+			t.Fatalf("a session after Listener.Close: %v, want its transport closed", err)
 		}
+	}
+	if got, bad := n.hl.Sessions(), n.hl.Rejected(); got != opened || bad != rejected {
+		t.Fatalf("after Listener.Close: %d sessions accepted and %d rejected, want %d and %d", got, bad, opened, rejected)
 	}
 }
 

@@ -35,9 +35,22 @@ const DefaultSessionIdleTimeout = 2 * time.Minute
 // session-sequenced transport (protocol v2): Accept yields one virtual
 // net.Conn per handed-off session, all sharing the one TCP connection,
 // so the front end can pool and reuse back-end connections across client
-// sessions. That is the only shape internal/frontend sends. An unframed
-// (v1) header is still accepted and consumes its connection: the
-// benchmark's direct load generator and stage driver (bench/gen.go,
+// sessions. That is the only shape internal/frontend sends.
+//
+// A server that closes each conn it is given, as any unmodified one does,
+// gets exactly that: one Accept and one conn per session. One that knows
+// it sits behind a Listener may instead keep a session's conn for the
+// transport's later sessions: read to its io.EOF, then NextSession (asked
+// for by interface assertion; internal/backend's loop does), which reads
+// the next header with the listener's own reader and timeouts and counts
+// as the listener counts. Such a server owns the transport until it closes
+// the conn, and if it came by the conn through http.Hijacker,
+// http.Server.Close and Shutdown reach neither the conn nor the sessions
+// that follow on it. Listener.Close does: it closes every transport,
+// whoever reads from it.
+//
+// An unframed (v1) header is still accepted and consumes its connection:
+// the benchmark's direct load generator and stage driver (bench/gen.go,
 // bench/stages.go) speak it to time a back end without a front end.
 type Listener struct {
 	ln net.Listener
@@ -56,8 +69,7 @@ type Listener struct {
 	SessionIdleTimeout time.Duration
 
 	// rejected counts connections dropped for bad handshakes; sessions
-	// counts handed-off sessions accepted (v1 connections count one
-	// each).
+	// counts handed-off sessions begun (v1 connections count one each).
 	rejected atomic.Uint64
 	sessions atomic.Uint64
 
@@ -231,6 +243,7 @@ func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, client net.Add
 	for {
 		l.sessions.Add(1)
 		sc := newSessionConn(raw, br, client, initialLen, closed)
+		sc.l = l
 		if !l.deliver(sc) {
 			// Undelivered: the loop is still the reader's only user.
 			httprelay.PutReader(br)
@@ -249,7 +262,9 @@ func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, client net.Add
 		if !sc.drained() {
 			// The server abandoned the session mid-stream (error response,
 			// handler close): the transport's read position is inside the
-			// dead session's frames, so it cannot be reused.
+			// dead session's frames, so it cannot be reused. Or the server
+			// kept the conn across sessions (NextSession) until a header
+			// failed it, which NextSession has counted.
 			httprelay.PutReader(br)
 			return
 		}
@@ -342,8 +357,9 @@ func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
 // handoff handshake.
 func (l *Listener) Rejected() uint64 { return l.rejected.Load() }
 
-// Sessions returns how many handed-off sessions have been accepted
-// (plain v1 connections count one each).
+// Sessions returns how many handed-off sessions have begun, accepted or
+// kept by their server with NextSession (plain v1 connections count one
+// each).
 func (l *Listener) Sessions() uint64 { return l.sessions.Load() }
 
 // Conn is a handed-off connection (plain v1 handoff: the whole TCP

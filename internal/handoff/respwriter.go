@@ -152,6 +152,13 @@ func (w *responseWriter) releaseLocked() {
 	}
 }
 
+// resetFramingLocked is for the next session on the same transport, after a
+// flush: "the rest of the session" is over, and what one session's responses
+// were says nothing of the next one's.
+func (w *responseWriter) resetFramingLocked() {
+	w.off, w.skip, w.total, w.resync, w.scan = false, 0, 0, false, httprelay.HeadScan{}
+}
+
 // flush is what every read-side call begins with.
 func (w *responseWriter) flush() {
 	w.mu.Lock()

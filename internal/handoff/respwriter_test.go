@@ -419,6 +419,80 @@ func TestLineServerAnswersBeforeItReads(t *testing.T) {
 	})
 }
 
+// TestFramingStartsAgainWithTheSession: what the writer gave up "for the rest
+// of the session" it gave up for that session. A server that keeps its conn
+// for the transport's next session (NextSession) answers the first session
+// with a response that ends the framing or leaves it mid-count, and the
+// second with 8 KB in three writes, which must leave in one; the conn is by
+// then the second client's.
+func TestFramingStartsAgainWithTheSession(t *testing.T) {
+	sized := []string{"HTTP/1.1 200 OK\r\nContent-Length: 8192\r\n\r\n", strings.Repeat("x", 4096), strings.Repeat("y", 4096)}
+	for _, row := range []struct {
+		name  string
+		first []string // the first session's response, write by write
+		want  int      // transport writes it leaves in
+	}{
+		{"chunked", []string{"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n", "5\r\nhello\r\n", "0\r\n\r\n"}, 3},
+		{"close-delimited", []string{"HTTP/1.0 200 OK\r\n\r\n", "until a close"}, 2},
+		{"no HTTP", []string{"+OK\r\n"}, 1},
+		{"half a head", []string{"HTTP/1.1 200 OK\r\nContent-Le"}, 1},
+		{"a length and no body", []string{"HTTP/1.1 200 OK\r\nContent-Length: 8192\r\n\r\n"}, 1},
+		{"a long body cut short", []string{"HTTP/1.1 200 OK\r\nContent-Length: 65536\r\n\r\n", "HTTP/"}, 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w := newWire(t, true)
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				c, err := w.above.Accept()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for i, response := range [][]string{row.first, sized} {
+					if i > 0 {
+						if err := c.(*tapConn).Conn.(interface{ NextSession() error }).NextSession(); err != nil {
+							t.Error(err)
+							return
+						}
+						if got := c.RemoteAddr().String(); got != "192.0.2.2:5000" {
+							t.Errorf("RemoteAddr in the second session: %s", got)
+						}
+					}
+					if _, err := br.ReadString('\n'); err != nil {
+						t.Errorf("session %d: reading the request: %v", i, err)
+						return
+					}
+					for _, p := range response {
+						io.WriteString(c, p)
+					}
+					if _, err := br.ReadByte(); err != io.EOF {
+						t.Errorf("session %d: %v where the session ends, want EOF", i, err)
+						return
+					}
+				}
+			}()
+			w.handoff("go\n")
+			if _, err := io.CopyN(io.Discard, w.br, int64(len(strings.Join(row.first, "")))); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.sw.Handoff("192.0.2.2:5000", []byte("go\n"), FlagRehandoff); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.CopyN(io.Discard, w.br, int64(len(strings.Join(sized, "")))); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.sw.End(); err != nil {
+				t.Fatal(err)
+			}
+			<-served
+			w.check(row.want + 1)
+		})
+	}
+}
+
 // TestResponseWriterReadSideRaces: net/http reads in the background while
 // the handler writes. Whatever the interleaving, the transport carries the
 // server's bytes in order (run under -race: the writer's state is shared).

@@ -154,11 +154,15 @@ func (w *SessionWriter) End() error {
 // the transport — it hands control back to the listener's transport loop,
 // which either reads the next session's header or tears the transport down
 // if the session was abandoned mid-stream.
+//
+// A server that knows what it sits behind need not Close between sessions:
+// NextSession makes the same conn the transport's next session.
 type sessionConn struct {
 	responseWriter
 	br *bufio.Reader
+	l  *Listener // whose transport this is: NextSession reads and counts as it does
 
-	clientAddr net.Addr
+	clientAddr net.Addr // under mu: NextSession replaces it
 
 	// Frame-decoding state. Reads are serialized by the caller (net/http
 	// issues one read at a time), but a read blocked on the transport may
@@ -275,7 +279,47 @@ func (c *sessionConn) drained() bool {
 	return c.sawEnd && c.frameLeft == 0 && c.sticky == nil
 }
 
-func (c *sessionConn) RemoteAddr() net.Addr { return c.clientAddr }
+func (c *sessionConn) RemoteAddr() net.Addr {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.clientAddr
+}
+
+var errSessionOpen = errors.New("handoff: NextSession before the end of the session")
+
+// NextSession keeps the transport for its next session: it waits for the
+// next handoff header as the transport loop would (readNextHeader:
+// SessionIdleTimeout until its first byte, HandshakeTimeout from it), counts
+// the session, and is then that session's conn, RemoteAddr the new client's,
+// with nothing of the last session's response framing left. It is valid only
+// once Read has returned io.EOF, the end-of-session record. The server keeps
+// the conn's one Close, and http.Server.Close and Shutdown reach a hijacked
+// conn no more between sessions than within one: Listener.Close, which closes
+// the transport, does. On an error the conn is spent (every Read returns it)
+// and Close has the loop tear the transport down; a bad header is counted in
+// Rejected here, once, and a transport that closed or idled out is not.
+//
+//lard:noalloc
+func (c *sessionConn) NextSession() error {
+	if !c.drained() {
+		return errSessionOpen
+	}
+	c.flush()
+	client, initialLen, err := c.l.readNextHeader(c.Conn, c.br)
+	if err != nil {
+		if c.sticky = err; err != errIdleClosed {
+			c.l.rejected.Add(1)
+		}
+		return err
+	}
+	c.l.sessions.Add(1)
+	c.mu.Lock()
+	c.resetFramingLocked()
+	c.clientAddr = client
+	c.mu.Unlock()
+	c.frameLeft, c.sawEnd = initialLen, false
+	return nil
+}
 
 // parseClientAddr parses the handed-off client address, falling back to
 // an opaque representation when it is not a literal "ip:port".

@@ -18,6 +18,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net/http"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -239,6 +242,116 @@ func FuzzReadResponseHead(f *testing.F) {
 			t.Fatalf("re-parse disagrees:\nfirst:  %+v\nsecond: %+v", h, h2)
 		}
 	})
+}
+
+// FuzzResponseHeadVsNetHTTP gives the same bytes to this package's response
+// head parser and to http.ReadResponse: the reader a client behind the front
+// end is likely to have, and the one that wrote the heads a back end under
+// net/http sends. A head both accept they must frame alike: the same status,
+// the same body (none, chunked, so many bytes, or until the close), ended at
+// the same byte, with the same word on whether the connection goes on behind
+// it. A head only one accepts has to be in the lists below, with the reason
+// that makes it safe; anything else fails with the input.
+func FuzzResponseHeadVsNetHTTP(f *testing.F) {
+	table, err := os.ReadFile(goldenInputsPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(table)), "\n") {
+		_, quoted, _ := strings.Cut(line, "\t")
+		in, err := strconv.Unquote(quoted)
+		if err != nil {
+			f.Fatalf("%q: %v", line, err)
+		}
+		f.Add([]byte(in))
+	}
+	for _, s := range append(responseSeeds,
+		"HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n",
+		"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nTransfer-Encoding: chunked\r\n\r\n",
+		"HTTP/1.1 304 Not Modified\r\nTransfer-Encoding: chunked\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nConnection: keep-alive, close\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n",
+		"HTTP/2.0 200 OK\r\nContent-Length: 5\r\n\r\n",
+		"HTTP/0.9 200 OK\r\nConnection: keep-alive\r\nContent-Length: 0\r\n\r\n",
+	) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ours, theirs := bytes.NewReader(data), bytes.NewReader(data)
+		obr, tbr := bufio.NewReaderSize(ours, ReaderSize), bufio.NewReader(theirs)
+		h, oerr := ReadResponseHead(obr, 1<<16)
+		resp, terr := http.ReadResponse(tbr, nil)
+		switch {
+		case oerr == nil && terr == nil:
+			if oused, tused := len(data)-obr.Buffered()-ours.Len(), len(data)-tbr.Buffered()-theirs.Len(); oused != tused {
+				t.Fatalf("this package's head is %d bytes, net/http's %d", oused, tused)
+			}
+			open := h.KeepAlive && (h.BodilessStatus() || h.Chunked || h.ContentLength >= 0)
+			if !resp.ProtoAtLeast(1, 1) && bytes.Contains(bytes.ToLower(h.Raw), []byte("\ntransfer-encoding:")) {
+				// The one framing the two may differ on: a coding in a
+				// message older than 1.1. net/http ignores the field; here
+				// the body runs to the close, whatever either of them made
+				// of its length (ParseResponseHead, RFC 9112 §6.1).
+				if open || h.Chunked || h.ContentLength >= 0 {
+					t.Fatalf("a Transfer-Encoding in %s: read %+v, want a body until the close", h.Proto, h)
+				}
+				return
+			}
+			chunked, length := len(resp.TransferEncoding) > 0, resp.ContentLength
+			if h.BodilessStatus() {
+				// No body whatever the fields say, which the relay asks the
+				// status and net/http answers in the fields.
+				chunked, length = h.Chunked, h.ContentLength
+			}
+			if h.Status != resp.StatusCode || h.Chunked != chunked || !h.Chunked && h.ContentLength != length || open == resp.Close {
+				t.Fatalf("this package read %+v (open after: %t), net/http %d, Content-Length %d, %v, Close %t",
+					h, open, resp.StatusCode, resp.ContentLength, resp.TransferEncoding, resp.Close)
+			}
+		case oerr == nil:
+			if !anyReason(terr.Error(), netHTTPRefuses) {
+				t.Fatalf("this package accepts %+v, net/http refuses it: %v", h, terr)
+			}
+		case terr == nil:
+			var m *MalformedError
+			if !errors.As(oerr, &m) || !anyReason(m.Reason, netHTTPTolerates) {
+				t.Fatalf("net/http accepts status %d, Content-Length %d, %v; this package refuses it: %v",
+					resp.StatusCode, resp.ContentLength, resp.TransferEncoding, oerr)
+			}
+		}
+	})
+}
+
+func anyReason(msg string, reasons []string) bool {
+	for _, r := range reasons {
+		if strings.Contains(msg, r) {
+			return true
+		}
+	}
+	return false
+}
+
+// netHTTPRefuses: what net/http says of a response head this package reads
+// and relays. Each is syntax net/http polices and this parser, which frames
+// and does not validate, passes on for the client to judge; the relay
+// forwards the head's bytes as they came, so a client that is net/http
+// refuses what net/http would have refused from the back end itself.
+var netHTTPRefuses = []string{
+	"unsupported transfer encoding", // a coding that is not chunked: read here as a body until the close, never reused behind
+	"too many transfer encodings",   // the same, in two fields
+	"bad Content-Length",            // a list of equal lengths ("5, 5"), read as proxies fold them
+	"multiple Content-Length",       // fields equal as numbers and not as text ("5" and "5,")
+	"malformed MIME header",         // a field name that is no token, a bare CR in a line
+	"malformed HTTP version",        // a part of the version in more digits than one ("HTTP/01.1"), read here as the number it is
+	"malformed HTTP status code",    // CRs before the status line's CRLF, which this package trims: it read exactly three digits
+}
+
+// netHTTPTolerates: this package's reason for refusing a head net/http
+// accepts. The front end answers 502 and drops the transport, which is
+// always safe; each is a shape that another reader could frame another way.
+var netHTTPTolerates = []string{
+	"malformed header line", // "Name : value": RFC 7230 §3.2.4 has a proxy refuse it
+	"obsolete line folding", // the same section: refuse or unfold, and this relay forwards bytes as they came
+	"malformed status line", // a status below 100 or signed ("099", "+99"), which net/http reads with Atoi
 }
 
 // fragmentReader delivers r in reads whose sizes cycle through cuts.

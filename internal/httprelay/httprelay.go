@@ -288,9 +288,10 @@ func parseFields(lines []byte) (f headFields, err error) {
 
 // persistent is the connection's fate after the message: the version's
 // default (HTTP/1.1 persistent, HTTP/1.0 close) overridden by Connection
-// tokens, "close" winning if a confused peer sends both.
+// tokens, "close" winning if a confused peer sends both. A version below
+// 1.0 has no connection to keep, whatever it asks (as net/http reads it).
 func (f headFields) persistent(major, minor int) bool {
-	return !f.close && (f.keepAlive || major > 1 || major == 1 && minor >= 1)
+	return !f.close && major >= 1 && (f.keepAlive || major > 1 || minor >= 1)
 }
 
 // parseContentLength parses one strict Content-Length value: ASCII digits

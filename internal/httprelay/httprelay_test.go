@@ -165,6 +165,7 @@ func TestReadResponseHeadTable(t *testing.T) {
 		{name: "interim", in: "HTTP/1.1 100 Continue\r\n\r\n", status: 100, cl: -1, keepAlive: true},
 		{name: "unknown coding falls back to close-delimited", in: "HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n", status: 200, cl: -1, chunked: false, keepAlive: false},
 		{name: "chunked not final falls back to close-delimited", in: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked, gzip\r\n\r\n", status: 200, cl: -1, chunked: false, keepAlive: false},
+		{name: "chunked in HTTP/1.0 falls back to close-delimited", in: "HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n", status: 200, cl: -1, chunked: false, keepAlive: false},
 		{name: "bad status", in: "HTTP/1.1 20 OK\r\n\r\n", err: true},
 		{name: "no status", in: "HTTP/1.1\r\n\r\n", err: true},
 		{name: "conflicting lengths", in: "HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n", err: true},

@@ -108,12 +108,16 @@ func ParseResponseHead(raw []byte) (h ResponseHead, err error) {
 	}
 	h.KeepAlive = f.persistent(h.Major, h.Minor)
 	switch {
-	case f.otherTE:
+	case f.otherTE, f.chunked && !(h.Major > 1 || h.Major == 1 && h.Minor >= 1):
 		// A coding this relay cannot frame. Unlike a request (rejected
 		// with 400), a response body has a fallback boundary — the
 		// connection close (RFC 7230 §3.3.3) — so degrade to
 		// copy-until-close, chunk framing and length included, rather
-		// than dropping the response on the floor.
+		// than dropping the response on the floor. Or a coding in a
+		// message older than 1.1, which has none: its framing is faulty
+		// and the connection closes behind it (RFC 9112 §6.1). net/http
+		// ignores the field there and a 1.1 reader unchunks, and the
+		// close is the one end of the body neither can read past.
 		h.KeepAlive = false
 	case f.chunked:
 		// In a response Transfer-Encoding wins over Content-Length
