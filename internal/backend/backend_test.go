@@ -328,37 +328,42 @@ func (w *bareWriter) WriteHeader(int)             {}
 // pooled, not per request (10 allocations before they were). That is
 // net/http's writer; a hit on a session the node has taken over costs, from
 // the bytes on the wire to the bytes on the wire, the one string
-// httprelay.RequestHead carries its target in.
+// httprelay.RequestHead carries its target in. A 512 KB document's hit costs
+// the same: its 1 MiB buffer is pooled too.
 func TestHitAllocatesNothing(t *testing.T) {
-	s := New(Config{Store: testStore()})
-	h := s.Handler()
-	req := httptest.NewRequest("GET", "/a.html", nil)
-	w := &bareWriter{h: make(http.Header)}
-	h.ServeHTTP(w, req) // the miss that fills the cache
-	if allocs := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); allocs != 0 {
-		t.Fatalf("%.0f allocations per hit, want 0", allocs)
-	}
-	if st := s.Stats(); st.Hits != 201 || st.BytesSent != 202*1000 || w.h.Get("X-Cache") != "HIT" {
-		t.Fatalf("stats %+v, X-Cache %q", st, w.h.Get("X-Cache"))
-	}
+	for _, doc := range []trace.Target{{Name: "/a.html", Size: 1000}, {Name: "/half.bin", Size: 512 << 10}} {
+		store := testStore()
+		store.Add(doc.Name, doc.Size)
+		s := New(Config{Store: store})
+		h := s.Handler()
+		req := httptest.NewRequest("GET", doc.Name, nil)
+		w := &bareWriter{h: make(http.Header)}
+		h.ServeHTTP(w, req) // the miss that fills the cache
+		if allocs := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); allocs != 0 {
+			t.Fatalf("%s: %.0f allocations per hit, want 0", doc.Name, allocs)
+		}
+		if st := s.Stats(); st.Hits != 201 || st.BytesSent != 202*doc.Size || w.h.Get("X-Cache") != "HIT" {
+			t.Fatalf("%s: stats %+v, X-Cache %q", doc.Name, st, w.h.Get("X-Cache"))
+		}
 
-	sess := startSession(t, s.HTTPServer())
-	const head = "GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n"
-	sess.request(t, head)                      // net/http's one, and the takeover
-	buf := make([]byte, sess.request(t, head)) // the loop's first: its scratch grows
-	frame := []byte(head)
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := sess.sw.Write(frame); err != nil {
-			t.Fatal(err)
+		sess := startSession(t, s.HTTPServer())
+		head := "GET " + doc.Name + " HTTP/1.1\r\nHost: t\r\n\r\n"
+		sess.request(t, head)                      // net/http's one, and the takeover
+		buf := make([]byte, sess.request(t, head)) // the loop's first: its scratch grows
+		frame := []byte(head)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, err := sess.sw.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(sess.br, buf); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Fatalf("%s: %.0f allocations per hit on a taken-over session, want 1 (the target)", doc.Name, allocs)
 		}
-		if _, err := io.ReadFull(sess.br, buf); err != nil {
-			t.Fatal(err)
+		if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 OK\r\n")) || !bytes.HasSuffix(buf, ContentBytes(doc.Name, doc.Size)) {
+			t.Fatalf("%s: the session's last response begins %q", doc.Name, buf[:min(len(buf), 200)])
 		}
-	}); allocs != 1 {
-		t.Fatalf("%.0f allocations per hit on a taken-over session, want 1 (the target)", allocs)
-	}
-	if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 OK\r\n")) || !bytes.HasSuffix(buf, ContentBytes("/a.html", 1000)) {
-		t.Fatalf("the session's last response begins %q", buf[:min(len(buf), 200)])
 	}
 }
 
@@ -389,10 +394,12 @@ func TestSessionBoundaryAllocs(t *testing.T) {
 }
 
 // countedListener counts the writes made on the conns it accepts: the
-// segments a back end sends its front end.
+// segments a back end sends its front end. sndbuf, if set, is their
+// SO_SNDBUF, for a test that needs a Write to block.
 type countedListener struct {
 	net.Listener
 	writes atomic.Int64
+	sndbuf int
 }
 
 type countedConn struct {
@@ -402,6 +409,9 @@ type countedConn struct {
 
 func (l *countedListener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok && l.sndbuf > 0 {
+		tc.SetWriteBuffer(l.sndbuf)
+	}
 	return &countedConn{c, &l.writes}, err
 }
 
@@ -445,8 +455,9 @@ func (n *node) conns() (int, net.Conn) {
 	return len(n.accepted), n.accepted[len(n.accepted)-1]
 }
 
-// startNode serves srv; a setup sets the handoff listener's timeouts first.
-func startNode(tb testing.TB, srv *http.Server, setup ...func(*handoff.Listener)) *node {
+// startNode serves srv; a setup sets the handoff listener's timeouts, or the
+// sockets', first.
+func startNode(tb testing.TB, srv *http.Server, setup ...func(*node)) *node {
 	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -455,7 +466,7 @@ func startNode(tb testing.TB, srv *http.Server, setup ...func(*handoff.Listener)
 	n := &node{ln: &countedListener{Listener: ln}}
 	n.hl = handoff.NewListener(n.ln)
 	for _, f := range setup {
-		f(n.hl)
+		f(n)
 	}
 	go srv.Serve(n)
 	tb.Cleanup(func() { srv.Close(); n.hl.Close() })
@@ -579,7 +590,8 @@ func (w lengthless) WriteHeader(status int) {
 // iteration. The takeover rows are the node as it is served; the others put
 // net/http back under every request, for comparison. writes/response is the
 // segments per response the front end has to read: one when the response
-// fits the window, and one however long it is from the node's own loop.
+// fits the window, and from the node's own loop one per 1 MiB of response
+// (512k: one; 3m: three).
 //
 // The last two rows are the HTTP/1.0 shape, a session per request.
 // session-per-request is a pooled transport: every iteration hands off a new
@@ -603,6 +615,8 @@ func BenchmarkBackendResponse(b *testing.B) {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { h.ServeHTTP(lengthless{w}, r) })
 		}, 0, request},
 		{"8k/takeover", 8 << 10, nil, 1, request}, {"24k/takeover", 24 << 10, nil, 1, request},
+		// Three full 1 MiB writes: 3 MiB, less room for the head.
+		{"512k/takeover", 512 << 10, nil, 1, request}, {"3m/takeover", 3<<20 - headRoom, nil, 3, request},
 		{"8k/session-per-request", 8 << 10, nil, 1, func(b *testing.B, _ *node, s *session) {
 			s.handoff(b, "192.0.2.1:4000", head)
 			s.response(b)

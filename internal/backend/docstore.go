@@ -110,29 +110,70 @@ func contentBlock(target string) []byte {
 	return block
 }
 
-// copyBufPool recycles the buffers a response is assembled and a document's
-// content generated in. A request holds one from its answer's first byte to
-// its last; a session waiting for its next request holds none.
-var copyBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 32<<10)
-		return &b
-	},
+// copyBufPool and largeBufPool recycle the buffers a response is assembled
+// and a document's content generated in (responseBuf picks one). A request
+// holds one from its answer's first byte to its last; a session waiting for
+// its next request holds none.
+var (
+	copyBufPool  = sync.Pool{New: func() any { return newBuf(copyBufLen) }}
+	largeBufPool = sync.Pool{New: func() any { return newBuf(largeBufLen) }}
+)
+
+// copyBufLen holds every 8 KB workload's response. largeBufLen is the most
+// one Write carries: the pipe the Go runtime sizes every splice to, so the
+// front end can move it in one, and handoff.MaxFrameLen. A reader that
+// stalls mid-response holds largeBufLen where it held copyBufLen, the bound
+// the front end's splice pipe already has per relay in flight.
+const copyBufLen, largeBufLen = 32 << 10, 1 << 20
+
+// headRoom is more than the longest head answerConn writes for a document
+// (a MISS, Connection: close and a 19-digit length: 167 bytes), so that a
+// document that takes the 32 KB buffer fits it with its head.
+const headRoom = 256
+
+func newBuf(n int) *[]byte {
+	b := make([]byte, n)
+	return &b
+}
+
+// responseBuf is the buffer a's response leaves from: the 32 KB one if the
+// response fits it, the large one if not, so that a document up to 1 MiB
+// goes in one Write and a longer one in 1 MiB Writes. A HEAD, or an answer
+// without a document, never takes the large one. putBuf gives it back.
+//
+//lard:noalloc
+func responseBuf(a *answer, bodiless bool) *[]byte {
+	if !bodiless && a.doc != nil && a.doc.size > copyBufLen-headRoom {
+		return largeBufPool.Get().(*[]byte)
+	}
+	return copyBufPool.Get().(*[]byte)
+}
+
+//lard:noalloc
+func putBuf(bp *[]byte) {
+	if cap(*bp) == largeBufLen {
+		largeBufPool.Put(bp)
+	} else {
+		copyBufPool.Put(bp)
+	}
 }
 
 // send writes what b holds (a response head, or nothing) and the document's
 // content behind it, generated in the rest of b's backing array: the head
 // and all of the body that fits beside it leave in one Write, what is left
-// a buffer at a time. It returns the bytes of content written.
+// a buffer at a time. Given responseBuf's buffer that is one Write for a
+// response up to its size. It returns the bytes of content written and the
+// Writes made.
 //
 //lard:noalloc
-func (d *document) send(w io.Writer, b []byte) (body int64, err error) {
+func (d *document) send(w io.Writer, b []byte) (body, writes int64, err error) {
 	for r := (contentReader{block: d.block, remaining: d.size}); err == nil && (r.remaining > 0 || len(b) > 0); b = b[:0] {
 		n, _ := r.Read(b[len(b):cap(b)])
 		n, err = w.Write(b[:len(b)+n])
 		body += int64(max(0, n-len(b)))
+		writes++
 	}
-	return body, err
+	return body, writes, err
 }
 
 type contentReader struct {

@@ -50,6 +50,7 @@ type Stats struct {
 	Misses    uint64 `json:"misses"`
 	NotFound  uint64 `json:"not_found"`
 	BytesSent int64  `json:"bytes_sent"`
+	Writes    int64  `json:"writes"` // the Writes BytesSent went out in: one per hit or miss is one response, one write
 	CacheUsed int64  `json:"cache_used"`
 	CacheLen  int    `json:"cache_len"`
 
@@ -69,12 +70,12 @@ type Server struct {
 	cache cache.Cache
 	sleep func(time.Duration)
 
-	bytesSent               atomic.Int64
+	bytesSent, writes       atomic.Int64
 	takeovers, loopSessions atomic.Uint64
 	date                    atomic.Pointer[dateLine]
 
 	mu    sync.Mutex
-	stats Stats // but for BytesSent, Takeovers and LoopSessions
+	stats Stats // but for BytesSent, Writes, Takeovers and LoopSessions
 }
 
 // New builds a back-end server. It panics if cfg.Store is nil.
@@ -160,7 +161,8 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.BytesSent, st.Takeovers, st.LoopSessions = s.bytesSent.Load(), s.takeovers.Load(), s.loopSessions.Load()
+	st.BytesSent, st.Writes = s.bytesSent.Load(), s.writes.Load()
+	st.Takeovers, st.LoopSessions = s.takeovers.Load(), s.loopSessions.Load()
 	st.CacheUsed = s.cache.Used()
 	st.CacheLen = s.cache.Len()
 	return st
@@ -269,8 +271,8 @@ func (s *Server) answerHTTP(w http.ResponseWriter, a *answer, bodiless bool) {
 	if bodiless {
 		return
 	}
-	bp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bp)
+	bp := responseBuf(a, false)
+	defer putBuf(bp)
 	s.sendBody(w, (*bp)[:0], a)
 }
 
@@ -284,12 +286,12 @@ func setOwnFields(h http.Header, o *ownBody) {
 }
 
 // answerConn writes a on a connection the loop owns: the head it assembles
-// and the body in one Write when they fit the buffer.
+// and the body in one Write up to 1 MiB (responseBuf).
 //
 //lard:noalloc
 func (s *Server) answerConn(conn net.Conn, a *answer, bodiless, last bool) error {
-	bp := copyBufPool.Get().(*[]byte)
-	defer copyBufPool.Put(bp)
+	bp := responseBuf(a, bodiless)
+	defer putBuf(bp)
 	b := append((*bp)[:0], "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(a.status), 10)
 	b = append(append(append(b, ' '), http.StatusText(a.status)...), "\r\nContent-Length: "...)
@@ -324,7 +326,8 @@ func (s *Server) sendBody(w io.Writer, b []byte, a *answer) error {
 		_, err := w.Write(append(b, a.own.body...))
 		return err
 	}
-	n, err := a.doc.send(w, b)
+	n, writes, err := a.doc.send(w, b)
+	s.writes.Add(writes) // first: Stats that sees the bytes sees their Writes
 	s.bytesSent.Add(n)
 	if err == nil && n != a.doc.size {
 		shortWrite(n, a.doc.size)

@@ -263,12 +263,13 @@ func settle(t *testing.T, want int, what string) {
 // is a goroutine of net/http's that http.Server.Close no longer reaches, so
 // whatever its peer does has to end it, and only it. Among idle sessions
 // that must go on being served, a peer half-closes inside a head, resets
-// inside a long body, and stops reading; then, on transports whose second
-// session the loop kept for itself, the peer goes or goes wrong where the
-// loop waits for the next handoff header, right behind one, and in a request
-// the loop cannot frame. Each costs its own connection, the goroutines come
-// back (and with them the buffers: a response's pooled buffer is held only
-// inside answerConn's frame), and the listener's counters say what happened:
+// inside a long body, stops reading, and resets inside one 1 MiB Write;
+// then, on transports whose second session the loop kept for itself, the
+// peer goes or goes wrong where the loop waits for the next handoff header,
+// right behind one, and in a request the loop cannot frame. Each costs its
+// own connection, the goroutines come back (and with them the buffers: a
+// response's pooled buffer, 32 KB or 1 MiB, is held only inside answerConn's
+// frame), and the listener's counters say what happened:
 // every session begun, a header that was none rejected once, a transport
 // that closed or idled out between sessions not at all. Listener.Close then
 // ends every session there is, and the loop that waits for one.
@@ -279,13 +280,17 @@ func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 
 	const head, big = "GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n", "GET /big HTTP/1.1\r\nHost: t\r\n\r\n"
 	const short = 200 * time.Millisecond // every timeout a fault below runs into
-	be := New(Config{Store: NewDocStore([]trace.Target{{Name: "/a.html", Size: 1000}, {Name: "/big", Size: 512 << 10}})})
+	const mib = 1<<20 - headRoom         // a document that leaves in one Write
+	be := New(Config{Store: NewDocStore([]trace.Target{{Name: "/a.html", Size: 1000}, {Name: "/big", Size: 512 << 10}, {Name: "/mib", Size: mib}})})
 	srv := be.HTTPServer()
 	srv.ReadHeaderTimeout = short
-	n := startNode(t, srv, func(hl *handoff.Listener) { hl.HandshakeTimeout = short })
+	n := startNode(t, srv, func(n *node) { n.hl.HandshakeTimeout = short })
 	// A second listener, for the one fault that needs its idle transports
 	// timed: the first one's must outlast the test.
-	forgetful := startNode(t, srv, func(hl *handoff.Listener) { hl.SessionIdleTimeout = short })
+	forgetful := startNode(t, srv, func(n *node) { n.hl.SessionIdleTimeout = short })
+	// A third, whose sockets hold less than one large response, for the fault
+	// that needs a Write to be in progress when it strikes.
+	tight := startNode(t, srv, func(n *node) { n.ln.sndbuf = 64 << 10 })
 	opened, rejected := uint64(0), uint64(0)
 	open := func() *session {
 		s := n.open(t)
@@ -355,8 +360,8 @@ func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 	served("a peer that reset inside a body")
 
 	// (c) A peer that stops reading: more pipelined long documents than the
-	// sockets between them hold. The loop is stuck in a Write, which costs
-	// the others nothing, until the peer goes.
+	// sockets between them hold. The loop is stuck in a Write, holding one
+	// 1 MiB buffer, which costs the others nothing, until the peer goes.
 	s = open()
 	s.send(t, strings.Repeat(big, 64))
 	sent := be.Stats().BytesSent
@@ -374,6 +379,25 @@ func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 	}
 	s.conn.Close()
 	served("a peer that stopped reading")
+
+	// A reset in the middle of one 1 MiB Write: tight's sockets hold a
+	// fraction of the response, so the Write is still going when the peer
+	// has read its first bytes and resets. The Write fails, the loop closes,
+	// and BytesSent counts less than the document: none of a failed Write.
+	s = tight.open(t)
+	s.request(t, head) // net/http's, and the takeover
+	sent = be.Stats().BytesSent
+	s.send(t, "GET /mib HTTP/1.1\r\nHost: t\r\n\r\n")
+	if _, err := io.CopyN(io.Discard, s.br, 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	s.conn.(*net.TCPConn).SetLinger(0)
+	s.conn.Close()
+	settle(t, base, "a peer that reset inside one write")
+	if got := be.Stats().BytesSent - sent; got >= mib {
+		t.Fatalf("a peer that reset inside one write: BytesSent grew by %d, want less than the %d-byte document", got, mib)
+	}
+	served("a peer that reset inside one write")
 
 	// (d) Between sessions the loop waits where the listener's own loop
 	// would, and by its clocks. A front end that vanishes without a FIN is
@@ -457,6 +481,105 @@ func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 	}
 	if got, bad := n.hl.Sessions(), n.hl.Rejected(); got != opened || bad != rejected {
 		t.Fatalf("after Listener.Close: %d sessions accepted and %d rejected, want %d and %d", got, bad, opened, rejected)
+	}
+}
+
+// TestLargeResponseWrites holds the node to one response, one write, at any
+// size, on a real handoff.Listener transport: from the loop a document's
+// response leaves in ⌈(head + size) ÷ 1 MiB⌉ writes, and Writes counts each
+// of them. Behind onlyNetHTTP the handler makes ⌈size ÷ 1 MiB⌉ Writes and
+// the transport carries one more: net/http's 4 KB buffer sends the head with
+// the body's first bytes on its own. A HEAD is one write and no Writes on
+// either. Every body is the document's, and BytesSent counts it. First, the
+// memory bound: the 32 KB buffer for what fits it, 1 MiB only for a body
+// that does not.
+func TestLargeResponseWrites(t *testing.T) {
+	const mib = 1 << 20
+	if largeBufLen != handoff.MaxFrameLen {
+		t.Fatalf("the large buffer is %d bytes, handoff.MaxFrameLen %d: want them equal", largeBufLen, handoff.MaxFrameLen)
+	}
+	for _, c := range []struct {
+		a        answer
+		bodiless bool
+		want     int
+	}{
+		{answer{doc: &document{size: 8 << 10}}, false, copyBufLen},
+		{answer{doc: &document{size: copyBufLen - headRoom}}, false, copyBufLen},
+		{answer{doc: &document{size: copyBufLen - headRoom + 1}}, false, largeBufLen},
+		{answer{doc: &document{size: 3 * mib}}, false, largeBufLen},
+		{answer{doc: &document{size: 3 * mib}}, true, copyBufLen},
+		{notFound, false, copyBufLen},
+	} {
+		bp := responseBuf(&c.a, c.bodiless)
+		if cap(*bp) != c.want {
+			t.Errorf("a %+v response (bodiless %t) took a %d-byte buffer, want %d", c.a, c.bodiless, cap(*bp), c.want)
+		}
+		putBuf(bp)
+	}
+
+	const probe = mib - 200 // as many digits as the documents at 1 MiB
+	get := func(method, target string) string { return method + " " + target + " HTTP/1.1\r\nHost: t\r\n\r\n" }
+	for _, wrap := range []func(http.Handler) http.Handler{nil, onlyNetHTTP} {
+		store := NewDocStore([]trace.Target{{Name: "/probe", Size: probe}})
+		be := New(Config{Store: store})
+		srv := be.HTTPServer()
+		if wrap != nil {
+			srv.Handler = wrap(srv.Handler)
+		}
+		s := startNode(t, srv).open(t)
+		// sent is what BytesSent is to reach: the handler counts a body once
+		// its last Write has returned, which its reader does not wait for.
+		var sent int64
+		counted := func() Stats {
+			st := be.Stats()
+			for deadline := time.Now().Add(2 * time.Second); st.BytesSent != sent && time.Now().Before(deadline); st = be.Stats() {
+				time.Sleep(time.Millisecond)
+			}
+			return st
+		}
+		s.request(t, get("GET", "/probe"))
+		head := s.request(t, get("GET", "/probe")) - probe // a hit's
+		if longest := head + 1 + int64(len("Connection: close\r\n")) + 19 - 7; longest > headRoom {
+			t.Fatalf("a document's head can be %d bytes, more than headRoom", longest)
+		}
+		sent += 2 * probe
+		rows := []struct {
+			target string
+			size   int64
+			method string
+		}{
+			{"/40k", 40 << 10, "GET"}, {"/512k", 512 << 10, "GET"}, {"/edge", mib - head, "GET"},
+			{"/over", mib + 1, "GET"}, {"/3m", 3 * mib, "GET"}, {"/3m", 3 * mib, "HEAD"},
+		}
+		for _, r := range rows {
+			store.Add(r.target, r.size)
+			s.request(t, get("GET", r.target)) // the miss
+			sent += r.size
+		}
+		for _, r := range rows {
+			calls := (head + r.size + mib - 1) / mib // the handler's Writes
+			writes := calls                          // and the transport's
+			if wrap != nil {
+				calls = (r.size + mib - 1) / mib
+				writes = calls + 1
+			}
+			bytes := r.size
+			if r.method == "HEAD" {
+				calls, writes, bytes = 0, 1, 0
+			}
+			st, before := counted(), s.ln.writes.Load()
+			s.send(t, get(r.method, r.target))
+			got := s.replies(t, []string{r.method})[0]
+			if want := ContentBytes(r.target, bytes); got.status != http.StatusOK || got.body != string(want) {
+				t.Errorf("%s %s: status %d and a %d-byte body, want 200 and the document's %d", r.method, r.target, got.status, len(got.body), len(want))
+			}
+			sent += bytes
+			now := counted()
+			if w := s.ln.writes.Load() - before; w != writes || now.BytesSent-st.BytesSent != bytes || now.Writes-st.Writes != calls {
+				t.Errorf("%s %s (net/http's writer: %t): %d transport writes, BytesSent +%d, Writes +%d; want %d, +%d, +%d",
+					r.method, r.target, wrap != nil, w, now.BytesSent-st.BytesSent, now.Writes-st.Writes, writes, bytes, calls)
+			}
+		}
 	}
 }
 
