@@ -202,7 +202,7 @@ func run(o options) error {
 		}()
 	}
 	if o.admin != "" {
-		srv := &http.Server{Addr: o.admin, Handler: adminMux(fe)}
+		srv := adminServer(o.admin, fe)
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Printf("lardfe: admin server: %v", err)
@@ -214,6 +214,16 @@ func run(o options) error {
 		d.Name(), len(addrs), o.listen, d.Shards(), fe.ConnPolicy().Name(), o.probe,
 		o.poolSize, o.poolIdle)
 	return fe.ListenAndServe(o.listen)
+}
+
+// adminHeaderTimeout is how long the admin server gives a request head
+// from its first byte, the same as a back end's HTTPServer: without one,
+// half a head holds a goroutine for ever.
+const adminHeaderTimeout = 5 * time.Second
+
+// adminServer is the -admin server on addr.
+func adminServer(addr string, fe *frontend.Server) *http.Server {
+	return &http.Server{Addr: addr, Handler: adminMux(fe), ReadHeaderTimeout: adminHeaderTimeout}
 }
 
 // adminMux serves the membership endpoints over the given front end.

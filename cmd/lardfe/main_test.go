@@ -3,10 +3,12 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"lard/internal/core"
 	"lard/internal/frontend"
@@ -193,6 +195,43 @@ func TestAdminMux(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestAdminHalfHeadIsTimedOut: a peer that sends half a request head to the
+// admin server loses its connection when the head's time runs out, instead
+// of holding a goroutine for ever.
+func TestAdminHalfHeadIsTimedOut(t *testing.T) {
+	fe, err := frontend.New(frontend.Config{
+		Backends:      []string{"127.0.0.1:1"},
+		Strategy:      "lard",
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := adminServer("127.0.0.1:0", fe)
+	if srv.ReadHeaderTimeout != adminHeaderTimeout || adminHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, want %v", srv.ReadHeaderTimeout, adminHeaderTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond // the same clock, sooner
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := io.WriteString(c, "GET /admin/stats HTTP/1.1\r\nHo"); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if reply, err := io.ReadAll(c); err != nil {
+		t.Fatalf("half a request head: %q, then %v; want the connection closed", reply, err)
 	}
 }
 

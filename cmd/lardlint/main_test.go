@@ -3,8 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/types"
 	"strings"
 	"testing"
+
+	"lard/internal/analysis"
+	"lard/internal/analysis/donecall"
+	"lard/internal/analysis/flow"
+	"lard/internal/analysis/poolpair"
+	"lard/internal/analysis/relayclass"
 )
 
 func TestCleanPackage(t *testing.T) {
@@ -55,5 +63,57 @@ func TestFindings(t *testing.T) {
 	}
 	if n := strings.Count(stderr.String(), ": [donecall] "); n != len(got) {
 		t.Fatalf("text mode printed %d findings, -json %d:\n%s", n, len(got), &stderr)
+	}
+}
+
+// TestTablesAreLive loads the real tree and holds every row of the
+// table-driven analyzers to a function that exists and is called. A rename
+// that leaves a row naming nothing, or a row whose function nothing calls
+// any more, has its analyzer check nothing with no finding to say so.
+func TestTablesAreLive(t *testing.T) {
+	pkgs, err := analysis.Load("../..", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every function the tree declares or calls, with its call sites.
+	calls := make(map[*types.Func]int)
+	for _, p := range pkgs {
+		for _, obj := range p.TypesInfo.Defs {
+			if fn, ok := obj.(*types.Func); ok {
+				calls[fn] += 0
+			}
+		}
+		for _, f := range p.Syntax {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := flow.CalleeFunc(p.TypesInfo, call); fn != nil {
+						calls[fn]++
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, table := range []struct {
+		analyzer string
+		rows     []flow.Callee
+	}{
+		{"donecall", donecall.Table.Callees()},
+		{"poolpair", poolpair.Table.Callees()},
+		{"relayclass", relayclass.HeadReads},
+	} {
+		for _, row := range table.rows {
+			declared, called := false, 0
+			for fn, n := range calls {
+				if row.Matches(fn) {
+					declared, called = true, called+n
+				}
+			}
+			if !declared {
+				t.Errorf("%s: row %+v names no function in the tree", table.analyzer, row)
+			} else if called == 0 {
+				t.Errorf("%s: row %+v names functions nothing in the tree calls", table.analyzer, row)
+			}
+		}
 	}
 }

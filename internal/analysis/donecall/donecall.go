@@ -27,10 +27,12 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "donecall",
 	Doc:  "check that the done func returned by dispatch-layer calls is called exactly once on every path",
-	Run:  table.Run,
+	Run:  Table.Run,
 }
 
-var table = &flow.Table{
+// Table is the analyzer's rows; lardlint's tests hold each to a live
+// function with call sites in the tree.
+var Table = &flow.Table{
 	Acquires: []flow.Acquire{
 		{Name: "Dispatch"},
 		{Name: "dispatch"},

@@ -88,6 +88,29 @@ type Table struct {
 	Words Wording
 }
 
+// Callee names functions as a table row does: Pkg an import-path suffix,
+// Recv a receiver type name, and an empty field matches any.
+type Callee struct{ Pkg, Recv, Name string }
+
+// Matches reports whether fn is a function c names.
+func (c Callee) Matches(fn *types.Func) bool { return matches(fn, c.Pkg, c.Recv, c.Name) }
+
+// Callees is every function the table's rows name: its acquires, releases
+// and borrows, in that order.
+func (t *Table) Callees() []Callee {
+	var out []Callee
+	for _, r := range t.Acquires {
+		out = append(out, Callee{r.Pkg, r.Recv, r.Name})
+	}
+	for _, r := range t.Releases {
+		out = append(out, Callee{r.Pkg, r.Recv, r.Name})
+	}
+	for _, r := range t.Borrows {
+		out = append(out, Callee(r))
+	}
+	return out
+}
+
 // Run is the analyzer body: it checks every function and function
 // literal of the package against the table.
 func (t *Table) Run(pass *analysis.Pass) error {

@@ -15,9 +15,9 @@
 // analyzer is a table for the obligation engine (flow.Table), which
 // says what is reported and how calls into helpers are judged: a helper
 // that always releases its parameter discharges the caller's
-// obligation, one that only reads it (httprelay's relay functions,
-// handoff.ReadHeader, any method on the resource except Close) leaves
-// the obligation with the caller, and one that stores it adopts it.
+// obligation, one that only reads it (httprelay's relay functions, any
+// method on the resource except Close) leaves the obligation with the
+// caller, and one that stores it adopts it.
 //
 // Escape hatch: //lard:allow poolpair — reason, on or above the line.
 package poolpair
@@ -31,12 +31,14 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "poolpair",
 	Doc:  "check that pooled readers, pooled transports, and dialed conns are released exactly once on every path",
-	Run:  table.Run,
+	Run:  Table.Run,
 }
 
 const transportRelease = "pool.put (or its close)"
 
-var table = &flow.Table{
+// Table is the analyzer's rows; lardlint's tests hold each to a live
+// function with call sites in the tree.
+var Table = &flow.Table{
 	Acquires: []flow.Acquire{
 		{Pkg: "internal/httprelay", Name: "GetReader", What: "pooled reader", Release: "httprelay.PutReader"},
 		{Recv: "backendPool", Name: "get", What: "pooled transport", Release: transportRelease},
@@ -56,10 +58,6 @@ var table = &flow.Table{
 		// caller-owned reader and never retain it; GetReader/PutReader,
 		// its only ownership-moving entry points, are rows above.
 		{Pkg: "internal/httprelay"},
-		// Header parsing and the send path read through their reader /
-		// write to their conn without retaining either.
-		{Pkg: "internal/handoff", Name: "ReadHeader"},
-		{Pkg: "internal/handoff", Name: "Send"},
 	},
 	Words: flow.Wording{
 		Discarded:   "{what} from {call} is discarded{how}: it is never released (release with {release})",

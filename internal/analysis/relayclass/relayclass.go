@@ -21,6 +21,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"lard/internal/analysis"
@@ -36,12 +37,12 @@ var Analyzer = &analysis.Analyzer{
 
 const relayPkgPath = "lard/internal/httprelay"
 
-// readFuncs are the httprelay entry points whose error results carry
-// the classification contract.
-var readFuncs = map[string]bool{
-	"ReadRequestHead":     true,
-	"ReadRequestHeadInto": true,
-	"ReadResponseHead":    true,
+// HeadReads are the httprelay entry points whose error results carry
+// the classification contract; lardlint's tests hold each to a live
+// function with call sites in the tree.
+var HeadReads = []flow.Callee{
+	{Pkg: relayPkgPath, Name: "ReadRequestHeadInto"},
+	{Pkg: relayPkgPath, Name: "ReadResponseHead"},
 }
 
 func run(pass *analysis.Pass) error {
@@ -280,12 +281,8 @@ func importsRelay(pkg *types.Package) bool {
 }
 
 func (c *checker) isHeadRead(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !readFuncs[sel.Sel.Name] {
-		return false
-	}
 	fn := flow.CalleeFunc(c.pass.TypesInfo, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == relayPkgPath
+	return fn != nil && slices.ContainsFunc(HeadReads, func(r flow.Callee) bool { return r.Matches(fn) })
 }
 
 func isErrorsAs(info *types.Info, call *ast.CallExpr) bool {

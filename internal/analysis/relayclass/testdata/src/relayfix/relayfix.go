@@ -16,7 +16,7 @@ import (
 // io.EOF on a cleanly closed keep-alive connection. This is the bug
 // class the analyzer exists for.
 func serveBad(c net.Conn, br *bufio.Reader) {
-	_, err := httprelay.ReadRequestHead(br, 1<<14)
+	_, err := httprelay.ReadRequestHeadInto(br, 1<<14, nil)
 	if err != nil {
 		fmt.Fprintf(c, "HTTP/1.1 400 Bad Request\r\n\r\n") // want `head-read error reaches a 400 response without being classified`
 		return
@@ -26,7 +26,7 @@ func serveBad(c net.Conn, br *bufio.Reader) {
 // serveBadViaWriter launders the 400 through a local helper; still
 // unclassified.
 func serveBadViaWriter(c net.Conn, br *bufio.Reader) {
-	_, err := httprelay.ReadRequestHead(br, 1<<14)
+	_, err := httprelay.ReadRequestHeadInto(br, 1<<14, nil)
 	if err != nil {
 		writeBadRequest(c) // want `head-read error reaches a 400 response without being classified`
 		return
@@ -35,7 +35,7 @@ func serveBadViaWriter(c net.Conn, br *bufio.Reader) {
 
 // serveGood classifies inline with errors.As before writing the 400.
 func serveGood(c net.Conn, br *bufio.Reader) {
-	_, err := httprelay.ReadRequestHead(br, 1<<14)
+	_, err := httprelay.ReadRequestHeadInto(br, 1<<14, nil)
 	if err != nil {
 		var malformed *httprelay.MalformedError
 		if errors.As(err, &malformed) {
@@ -48,7 +48,7 @@ func serveGood(c net.Conn, br *bufio.Reader) {
 // serveViaClassifier hands the error to the canonical classifier, the
 // way internal/frontend's relay loop uses headReadFailed.
 func serveViaClassifier(c net.Conn, br *bufio.Reader) {
-	_, err := httprelay.ReadRequestHead(br, 1<<14)
+	_, err := httprelay.ReadRequestHeadInto(br, 1<<14, nil)
 	if err != nil {
 		headReadFailed(c, err)
 		return
@@ -69,7 +69,7 @@ func serveSwitch(c net.Conn, br *bufio.Reader) {
 
 // serveAllowed documents a deliberate exception.
 func serveAllowed(c net.Conn, br *bufio.Reader) {
-	_, err := httprelay.ReadRequestHead(br, 1<<14)
+	_, err := httprelay.ReadRequestHeadInto(br, 1<<14, nil)
 	if err != nil {
 		writeBadRequest(c) //lard:allow relayclass — fixture: deliberate blanket 400
 		return

@@ -588,20 +588,23 @@ func (w lengthless) WriteHeader(status int) {
 // BenchmarkBackendResponse is the back end's hop whole: the node's handler
 // behind a handoff listener on loopback, one pooled session, a request per
 // iteration. The takeover rows are the node as it is served; the others put
-// net/http back under every request, for comparison. writes/response is the
-// segments per response the front end has to read: one when the response
-// fits the window, and from the node's own loop one per 1 MiB of response
-// (512k: one; 3m: three).
+// net/http back under every request and write as it writes, for comparison.
+// writes/response is the segments per response the front end has to read:
+// from the node's own loop one per 1 MiB of response (8k, 24k, 512k: one;
+// 3m: three).
 //
-// The last two rows are the HTTP/1.0 shape, a session per request.
+// The last three rows are the HTTP/1.0 shape, a session per request.
 // session-per-request is a pooled transport: every iteration hands off a new
 // session on the one transport the loop keeps, which costs a header more
 // than a request on an open session. transport-per-request is what a front
 // end pays that dials for every request (its pool missed, or holds nothing):
 // accept, net/http's connection and its Hijack each time, which keeping the
-// transport does nothing for.
+// transport does nothing for. close-per-transport is a v1 handoff of one
+// request that asks for a close, as the benchmark's direct load generator
+// sends it: taken over like any other, and answered by the loop.
 func BenchmarkBackendResponse(b *testing.B) {
 	const head = "GET /doc HTTP/1.1\r\nHost: t\r\n\r\n"
+	closing := []byte("GET /doc HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
 	request := func(b *testing.B, _ *node, s *session) { s.request(b, head) }
 	for _, c := range []struct {
 		name    string
@@ -624,6 +627,14 @@ func BenchmarkBackendResponse(b *testing.B) {
 		{"8k/transport-per-request", 8 << 10, nil, 1, func(b *testing.B, n *node, _ *session) {
 			s := n.dial(b)
 			s.request(b, head)
+			s.conn.Close()
+		}},
+		{"8k/close-per-transport", 8 << 10, nil, 1, func(b *testing.B, n *node, _ *session) {
+			s := n.dial(b)
+			if err := handoff.Send(s.conn, "192.0.2.1:4000", closing, 0); err != nil {
+				b.Fatal(err)
+			}
+			s.response(b)
 			s.conn.Close()
 		}},
 	} {

@@ -73,10 +73,11 @@ func FuzzTakeoverHeadVsNetHTTP(f *testing.F) {
 			path, ok = requestPath(h.Target)
 		}
 		req, terr := http.ReadRequest(tbr)
-		// What loopFrames asks of a first request, the method apart. An
-		// Expect is 100-continue as a token of its comma list, as both
-		// readers take it ("0100-continue" is an Expect net/http answers 417
-		// to, a difference DESIGN.md lists, and no 100-continue).
+		// What keepsOpen asks, net/http's way: takesOver, the method apart,
+		// and no close. An Expect is 100-continue as a token of its comma
+		// list, as both readers take it ("0100-continue" is an Expect
+		// net/http answers 417 to, a difference DESIGN.md lists, and no
+		// 100-continue).
 		theirsOpen := terr == nil && req.ProtoMajor == 1 && req.ProtoMinor == 1 && req.ContentLength == 0 && !req.Close
 		for i := 0; theirsOpen && i < len(req.Header["Expect"]); i++ {
 			for _, tok := range strings.Split(req.Header["Expect"][i], ",") {

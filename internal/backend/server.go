@@ -111,31 +111,32 @@ func New(cfg Config) *Server {
 // paths, plus GET /_lard/stats for scraping.
 //
 // It crosses net/http once per transport, not once per request or per
-// session. A connection's first request that is one the node's own loop can
-// frame (an HTTP/1.1 GET or HEAD with no body, no Expect and no Connection:
-// close) is answered by taking the connection over (http.Hijacker):
-// serveSession then reads and answers the session's later requests on the
-// same goroutine, with the parser the front end reads the same heads with,
-// until the peer ends the session. Where the connection is a session of a
+// session, and the node's own loop writes every response it answers. A
+// connection's first request that is an HTTP/1.1 GET or HEAD with no body
+// and no Expect is answered by taking the connection over (http.Hijacker):
+// serveSession writes the answer whole, then, unless the request asked for a
+// close, reads and answers the session's later requests on the same
+// goroutine, with the parser the front end reads the same heads with, until
+// the peer ends the session. Where the connection is a session of a
 // handoff.Listener's transport, the loop keeps it for the transport's next
 // session and every one after (NextSession), so none of them is accepted,
-// given a goroutine or read by net/http: the first framable request on a
-// transport is the only one that is.
+// given a goroutine or read by net/http: the first request on a transport
+// is the only one that is.
 //
 // From the takeover on the loop owns the connection's Close, and with it the
 // transport's later sessions: http.Server.Close and Shutdown reach neither
 // (to them the connection is hijacked), the peer's close and the
 // handoff.Listener's Close (which closes the transports) do. The server's
 // ReadHeaderTimeout still times every head from its first byte, and the
-// listener's own timeouts every handoff header. A ResponseWriter that is no
-// Hijacker (HTTP/2, a recorder) gets the same decision written through
-// net/http.
+// listener's own timeouts every handoff header. net/http writes only what
+// the loop does not take: an answer to a ResponseWriter that is no Hijacker
+// (HTTP/2, a recorder), and one to a first request that takesOver refuses.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		a, bodiless := s.decide(r.Method, r.URL.Path), r.Method == http.MethodHead
-		if hj, ok := w.(http.Hijacker); ok && loopFrames(r) {
+		if hj, ok := w.(http.Hijacker); ok && takesOver(r) {
 			if conn, rw, err := hj.Hijack(); err == nil {
-				s.serveSession(conn, rw.Reader, headTimeout(r), a, bodiless)
+				s.serveSession(conn, rw.Reader, headTimeout(r), a, bodiless, r.Close)
 				return
 			}
 		}
@@ -367,16 +368,17 @@ func (s *Server) newDate(now time.Time) *dateLine {
 	return d
 }
 
-// loopFrames reports whether r, a connection's first request as net/http
-// parsed it, is one the session loop would have kept the connection open
-// after: only then is the connection taken over.
-func loopFrames(r *http.Request) bool {
+// takesOver reports whether r, a connection's first request as net/http
+// parsed it, is one the loop answers: nothing of it is left unread behind
+// its head. The loop keeps the connection open after it unless r.Close.
+func takesOver(r *http.Request) bool {
 	return r.ProtoMajor == 1 && r.ProtoMinor == 1 && (r.Method == http.MethodGet || r.Method == http.MethodHead) &&
-		r.ContentLength == 0 && !r.Close && len(r.Header["Expect"]) == 0
+		r.ContentLength == 0 && len(r.Header["Expect"]) == 0
 }
 
-// keepsOpen is loopFrames for a head the loop parsed itself. The method is
-// not asked about: a bodiless DELETE gets its 405 and the session goes on.
+// keepsOpen is takesOver and no close, for a head the loop parsed itself.
+// The method is not asked about: a bodiless DELETE gets its 405 and the
+// session goes on.
 func keepsOpen(h *httprelay.RequestHead) bool {
 	return h.Proto == "HTTP/1.1" && h.KeepAlive && !h.HasBody() && !h.ExpectContinue
 }
@@ -429,15 +431,15 @@ func parsedPath(target string) (string, bool) {
 }
 
 // serveSession is the node's own loop over a connection taken over from
-// net/http: it writes the answer to the request net/http read, then reads
-// heads through br (net/http's reader, with whatever it had buffered) and
-// answers them, until the peer goes, a write fails, or a request arrives
-// that the loop cannot see the end of or that asks for a close. That one is
-// answered with Connection: close and nothing is read behind its head. A
-// head that does not parse gets a 400 and a close. A session may idle
-// between requests for as long as its peer likes; a head, once begun, has
-// timeout to arrive in (0: no limit), and one that runs out of it gets no
-// answer, as net/http gives none.
+// net/http: it writes a, the answer to the request net/http read (last if
+// that one asked for a close), then reads heads through br (net/http's
+// reader, with whatever it had buffered) and answers them, until the peer
+// goes, a write fails, or a request arrives that the loop cannot see the end
+// of or that asks for a close. That one is answered with Connection: close
+// and nothing is read behind its head. A head that does not parse gets a 400
+// and a close. A session may idle between requests for as long as its peer
+// likes; a head, once begun, has timeout to arrive in (0: no limit), and one
+// that runs out of it gets no answer, as net/http gives none.
 //
 // EOF where a head would begin is the peer ending the session: on a
 // handed-off connection, the end-of-session record. A conn that can be its
@@ -446,13 +448,13 @@ func parsedPath(target string) (string, bool) {
 // requests; it returns, and closes, when there is no next session.
 //
 //lard:noalloc
-func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Duration, a answer, bodiless bool) {
+func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Duration, a answer, bodiless, last bool) {
 	defer conn.Close()
 	s.takeovers.Add(1)
 	s.loopSessions.Add(1)
 	next, _ := conn.(interface{ NextSession() error })
 	var raw []byte // the loop's scratch for a head's bytes
-	for last := false; ; {
+	for {
 		if s.answerConn(conn, &a, bodiless, last) != nil || last {
 			return
 		}

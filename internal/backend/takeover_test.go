@@ -72,10 +72,11 @@ const (
 // counters and the listeners' session counts to be the same. A row's first
 // request is the one net/http reads on both nodes; on the first node it is
 // the only one, whatever sessions follow on the transport, and the conn its
-// server accepted is in turn each session's client's. methods has a "|" for
-// every boundary in frames. end "close" marks a row whose last request the
-// loop answers with Connection: close, which net/http, reading bodies and
-// speaking 1.0, need not.
+// server accepted is in turn each session's client's; a first request that
+// asks for a close is taken over too, and its answer is the transport's
+// last. methods has a "|" for every boundary in frames. end "close" marks a
+// row whose last request the loop answers with Connection: close, which
+// net/http, reading bodies and speaking 1.0, need not.
 func TestTakeoverMatchesNetHTTP(t *testing.T) {
 	const get, host = "GET /a.html HTTP/1.1\r\n", "Host: t\r\n\r\n"
 	const getB, headB = "GET /b.html HTTP/1.1\r\n" + host, "HEAD /b.html HTTP/1.1\r\n" + host
@@ -102,6 +103,8 @@ func TestTakeoverMatchesNetHTTP(t *testing.T) {
 		{"HTTP/1.0", []string{get + host, "GET /a.html HTTP/1.0\r\n\r\n"}, "GET GET", "close", 0},
 		{"HTTP/1.0 keep-alive", []string{get + host, "GET /a.html HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"}, "GET GET", "close", 0},
 		{"Connection: close", []string{get + host, get + "Connection: close\r\n" + host}, "GET GET", "close", 0},
+		{"Connection: close first", []string{get + "Connection: close\r\n" + host}, "GET", "close", 0},
+		{"HEAD with Connection: close first", []string{"HEAD /b.html HTTP/1.1\r\nConnection: close\r\n" + host}, "HEAD", "close", 0},
 		{"GET with a body", []string{get + host, get + "Content-Length: 5\r\n" + host + "hello"}, "GET GET", "close", 0},
 		{"Expect: 100-continue", []string{get + host, get + "Expect: 100-continue\r\n" + host}, "GET GET", "close", 0},
 		{"pipelined", []string{get + host, getB + "HEAD /a.html HTTP/1.1\r\n" + host}, "GET GET HEAD", "", 0},

@@ -16,26 +16,15 @@ import (
 	"errors"
 	"io"
 	"net"
-	"slices"
 	"strings"
 	"testing"
 	"time"
-
-	"lard/internal/httprelay"
 )
 
-// fuzzConn is a net.Conn stub whose write side collects bytes and counts
-// writes; sessionConn only uses the raw conn for writes, deadlines, and
+// fuzzConn is a net.Conn stub whose write side collects bytes;
+// sessionConn only uses the raw conn for writes, deadlines, and
 // addresses, so nothing else needs to work.
-type fuzzConn struct {
-	bytes.Buffer
-	writes int
-}
-
-func (c *fuzzConn) Write(p []byte) (int, error) {
-	c.writes++
-	return c.Buffer.Write(p)
-}
+type fuzzConn struct{ bytes.Buffer }
 
 func (*fuzzConn) Close() error                       { return nil }
 func (*fuzzConn) LocalAddr() net.Addr                { return &net.TCPAddr{} }
@@ -275,81 +264,4 @@ func FuzzSessionFrames(f *testing.F) {
 // stream bytes.
 func want2(initial, stream []byte) []byte {
 	return append(append([]byte{}, initial...), stream...)
-}
-
-// FuzzResponseWriter feeds the back end's writer any byte string, cut into
-// writes at fuzzed points with read-side calls between them. Whatever the
-// bytes are, the transport gets them all, in order, each Write costing at
-// most one write below; nothing is held once the server has turned to its
-// read side or closed; and what is held never exceeds the window.
-func FuzzResponseWriter(f *testing.F) {
-	small := "HTTP/1.1 200 OK\r\nContent-Length: 8192\r\n\r\n" + strings.Repeat("x", 8192)
-	large := "HTTP/1.1 200 OK\r\nContent-Length: 20000\r\n\r\n" + strings.Repeat("y", 20000)
-	f.Add([]byte(small+small), []byte{0xf5, 0xf5, 0xf5})
-	f.Add([]byte(small+large+small), []byte{0xf5, 0x00, 0xf5, 0xf5, 0xff, 0xff, 0xff, 0x04, 0xf5})
-	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n"+small), []byte{0x7d, 0x04, 0xf5})
-	f.Add([]byte("HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 204 No Content\r\n\r\n"+small), []byte{0x11, 0x21})
-	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"+small), []byte{0x31})
-	f.Add([]byte("HTTP/1.0 200 OK\r\n\r\nuntil close"), []byte{0x09, 0x08})
-	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n"), []byte{0x41})
-	f.Add([]byte("HT"), []byte{0x05, 0x00})
-	f.Add([]byte("not a response\n"), []byte{0x0d, 0x0c})
-	f.Fuzz(checkResponseWriter)
-}
-
-func checkResponseWriter(t *testing.T, data, script []byte) {
-	{
-		var under fuzzConn
-		sc := newSessionConn(&under, bufio.NewReader(strings.NewReader("")), nil, 0, make(chan struct{}, 1))
-		held := func() []byte {
-			if sc.held == nil {
-				return nil
-			}
-			return *sc.held
-		}
-		written := 0
-		write := func(n int) {
-			n = min(n, len(data)-written)
-			before := under.writes
-			if m, err := sc.Write(data[written : written+n]); m != n || err != nil {
-				t.Fatalf("Write of %d bytes = %d, %v", n, m, err)
-			}
-			if written += n; under.writes > before+1 {
-				t.Fatalf("one Write cost %d writes below", under.writes-before)
-			}
-		}
-		// A script byte whose low two bits are zero is a read-side call or
-		// Close, any other a write of up to 4222 bytes: one of net/http's
-		// 4096 fits.
-		for _, op := range script {
-			if op&3 != 0 {
-				write(int(op>>2)*67 + 1)
-			} else {
-				switch op >> 2 & 3 {
-				case 0:
-					sc.Read(make([]byte, 1))
-				case 1:
-					sc.SetReadDeadline(time.Time{})
-				case 2:
-					sc.SetDeadline(time.Time{})
-				case 3:
-					sc.Close()
-				}
-				if len(held()) != 0 {
-					t.Fatalf("%d bytes held after read-side call %#x", len(held()), op)
-				}
-			}
-			if len(held()) > httprelay.ReaderSize {
-				t.Fatalf("%d bytes held, more than the window", len(held()))
-			}
-			if !bytes.Equal(slices.Concat(under.Bytes(), held()), data[:written]) {
-				t.Fatalf("after %d bytes written the transport has %d and %d are held: not the same bytes", written, under.Len(), len(held()))
-			}
-		}
-		write(len(data))
-		sc.Close()
-		if !bytes.Equal(under.Bytes(), data) || len(held()) != 0 {
-			t.Fatalf("transport got %d of %d bytes, %d still held after Close", under.Len(), len(data), len(held()))
-		}
-	}
 }

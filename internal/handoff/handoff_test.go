@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -245,4 +246,188 @@ func TestConcurrentHandoffs(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// wire is one client connection handed off to a server over a Listener:
+// as a session-framed transport, or as a v1 conn.
+type wire struct {
+	t    *testing.T
+	ln   *Listener
+	conn net.Conn
+	br   *bufio.Reader
+	sw   *SessionWriter // nil on a v1 conn
+}
+
+// newWire sets up a listener and a connection to it; a server is to
+// accept handed-off conns from w.ln.
+func newWire(t *testing.T, framed bool) *wire {
+	t.Helper()
+	ln, err := Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	w := &wire{t: t, ln: ln, conn: conn, br: bufio.NewReader(conn)}
+	if framed {
+		w.sw = NewSessionWriter(conn)
+	}
+	return w
+}
+
+// handoff hands the connection off with initial as the bytes already read
+// from the client.
+func (w *wire) handoff(initial string) {
+	w.t.Helper()
+	var flags byte
+	if w.sw != nil {
+		flags = FlagRehandoff | FlagSessionFramed
+	}
+	if err := Send(w.conn, "192.0.2.1:4000", []byte(initial), flags); err != nil {
+		w.t.Fatal(err)
+	}
+}
+
+// startHTTPWire hands a connection carrying initial off to an unmodified
+// net/http server.
+func startHTTPWire(t *testing.T, framed bool, initial string, handler http.HandlerFunc) *wire {
+	t.Helper()
+	w := newWire(t, framed)
+	srv := &http.Server{Handler: handler}
+	go srv.Serve(w.ln)
+	t.Cleanup(func() { srv.Close() })
+	w.handoff(initial)
+	return w
+}
+
+// send is the client's next bytes on the handed-off connection.
+func (w *wire) send(p string) {
+	w.t.Helper()
+	var err error
+	if w.sw != nil {
+		_, err = w.sw.Write([]byte(p))
+	} else {
+		_, err = w.conn.Write([]byte(p))
+	}
+	if err != nil {
+		w.t.Fatal(err)
+	}
+}
+
+// response reads the next response whole; the body's error is returned,
+// not fatal, for the test whose handler aborts.
+func (w *wire) response(method string) (*http.Response, []byte, error) {
+	w.t.Helper()
+	resp, err := http.ReadResponse(w.br, &http.Request{Method: method})
+	if err != nil {
+		w.t.Fatalf("reading response: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, body, err
+}
+
+// sized answers /N with N bytes and a Content-Length.
+func sized(rw http.ResponseWriter, r *http.Request) {
+	n, _ := strconv.Atoi(r.URL.Path[1:])
+	rw.Header().Set("Content-Length", strconv.Itoa(n))
+	rw.Write(bytes.Repeat([]byte("x"), n))
+}
+
+func get(n int) string { return fmt.Sprintf("GET /%d HTTP/1.1\r\nHost: t\r\n\r\n", n) }
+
+// bothWires runs a test over a session-framed transport and over a v1 conn.
+func bothWires(t *testing.T, test func(t *testing.T, framed bool)) {
+	t.Run("session", func(t *testing.T) { test(t, true) })
+	t.Run("v1", func(t *testing.T) { test(t, false) })
+}
+
+// TestExpectContinueAndPipelining: an interim 100 reaches the client
+// before it sends the body it waits with, and two requests that arrive
+// together get their responses in order.
+func TestExpectContinueAndPipelining(t *testing.T) {
+	t.Run("100-continue", func(t *testing.T) {
+		bothWires(t, func(t *testing.T, framed bool) {
+			w := startHTTPWire(t, framed, "POST /8192 HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\nExpect: 100-continue\r\n\r\n", func(rw http.ResponseWriter, r *http.Request) {
+				if body, _ := io.ReadAll(r.Body); string(body) != "hello" {
+					t.Errorf("request body %q", body)
+				}
+				sized(rw, r)
+			})
+			if resp, _, _ := w.response("POST"); resp.StatusCode != 100 {
+				t.Fatalf("status %d before the body was sent, want 100", resp.StatusCode)
+			}
+			w.send("hello")
+			if resp, body, err := w.response("POST"); err != nil || resp.StatusCode != 200 || len(body) != 8192 {
+				t.Fatalf("status %d, %d body bytes, %v", resp.StatusCode, len(body), err)
+			}
+		})
+	})
+	t.Run("pipelined", func(t *testing.T) {
+		bothWires(t, func(t *testing.T, framed bool) {
+			w := startHTTPWire(t, framed, get(8192)+get(6000), sized)
+			for _, size := range []int{8192, 6000} {
+				if _, body, err := w.response("GET"); err != nil || len(body) != size {
+					t.Fatalf("%d body bytes, %v, want %d", len(body), err, size)
+				}
+			}
+		})
+	})
+}
+
+// TestAbortedResponseReachesThePeer: a handler that gives up inside a body
+// it declared leaves the peer the bytes written, then the close.
+func TestAbortedResponseReachesThePeer(t *testing.T) {
+	bothWires(t, func(t *testing.T, framed bool) {
+		w := startHTTPWire(t, framed, get(0), func(rw http.ResponseWriter, r *http.Request) {
+			rw.Header().Set("Content-Length", "8192")
+			rw.Write(bytes.Repeat([]byte("z"), 5000))
+			panic(http.ErrAbortHandler)
+		})
+		if _, body, err := w.response("GET"); err != io.ErrUnexpectedEOF || len(body) != 5000 {
+			t.Fatalf("%d body bytes, %v: want 5000 and an unexpected EOF", len(body), err)
+		}
+	})
+}
+
+// TestLineServerAnswersBeforeItReads: the listener promises any TCP server,
+// not only an HTTP one. A server that answers a line and reads the next is
+// never waited for, even when its answer begins like a response head.
+func TestLineServerAnswersBeforeItReads(t *testing.T) {
+	bothWires(t, func(t *testing.T, framed bool) {
+		w := newWire(t, framed)
+		go func() {
+			for {
+				c, err := w.ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer c.Close()
+					for br := bufio.NewReader(c); ; {
+						line, err := br.ReadString('\n')
+						if err != nil {
+							return
+						}
+						io.WriteString(c, line)
+					}
+				}()
+			}
+		}()
+		lines := []string{"HTTP/1.1 200 OK\n", "plain line\n", "HT\n", "HTTP/1.1 204 No Content\n"}
+		w.handoff(lines[0])
+		for i, line := range lines {
+			if i > 0 {
+				w.send(line)
+			}
+			if got, err := w.br.ReadString('\n'); err != nil || got != line {
+				t.Fatalf("line %d: %q, %v, want %q", i, got, err, line)
+			}
+		}
+	})
 }

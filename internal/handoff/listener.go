@@ -24,12 +24,10 @@ const DefaultSessionIdleTimeout = 2 * time.Minute
 // handed-off connections directly, mirroring the paper's transparency
 // property.
 //
-// What the server writes reaches the peer unchanged and in order. A
-// length-delimited HTTP response that fits the relay's 16 KiB window is
-// gathered and leaves in one write (responseWriter); a server that does
-// not speak HTTP gets a pass-through from its first bytes that do not
-// begin "HTTP/", and whatever it speaks, nothing it wrote is held once it
-// reads, sets a read deadline or closes.
+// What the server writes reaches the peer unchanged, in order and as it
+// wrote it: each Write is one write to the transport, and nothing is held.
+// How many segments a response costs the front end is the server's to
+// decide (internal/backend's loop writes each response whole).
 //
 // A connection whose handoff header carries FlagSessionFramed is a
 // session-sequenced transport (protocol v2): Accept yields one virtual
@@ -368,7 +366,7 @@ func (l *Listener) Sessions() uint64 { return l.sessions.Load() }
 // initial data comes first, and RemoteAddr reports the original client's
 // address.
 type Conn struct {
-	responseWriter
+	net.Conn
 	br         *bufio.Reader
 	clientAddr net.Addr
 }
@@ -376,22 +374,13 @@ type Conn struct {
 // newConn wraps a raw connection whose header the handshake consumed
 // from br; the initial data and whatever follows it are still in br.
 func newConn(raw net.Conn, br *bufio.Reader, client net.Addr) *Conn {
-	return &Conn{responseWriter: responseWriter{Conn: raw}, br: br, clientAddr: client}
+	return &Conn{Conn: raw, br: br, clientAddr: client}
 }
 
 // Read implements net.Conn.
 //
 //lard:noalloc
-func (c *Conn) Read(p []byte) (int, error) {
-	c.flush()
-	return c.br.Read(p)
-}
-
-// Close implements net.Conn.
-func (c *Conn) Close() error {
-	c.closeFlush()
-	return c.Conn.Close()
-}
+func (c *Conn) Read(p []byte) (int, error) { return c.br.Read(p) }
 
 // RemoteAddr reports the original client's address, as the paper's
 // client-transparent handoff does.

@@ -16,9 +16,9 @@ import (
 // wrapped in a length-prefixed frame, and a zero-length frame marks the
 // end of the session. The back-end→front-end direction carries no framing
 // of its own — the front end parses responses with full HTTP framing
-// anyway, so it knows exactly where the session's last response ends —
-// but its writes are gathered: a response that fits the window leaves in
-// one (responseWriter). After the end-of-session record the same TCP
+// anyway, so it knows exactly where the session's last response ends — and
+// the server's writes go to the transport as it makes them. After the
+// end-of-session record the same TCP
 // connection is back in handshake state and the next handoff header (for
 // an unrelated client) may follow, which is what lets the front end keep a
 // per-node pool of warm connections and pay the TCP dial once per pool
@@ -148,9 +148,9 @@ func (w *SessionWriter) End() error {
 // shared transport: a virtual net.Conn whose reads serve the handoff
 // message's initial data — the session's first frame, read where it lies
 // in the transport's reader — and then unwrap data frames, returning
-// io.EOF at the end-of-session record. Writes and deadlines go to the
-// transport through the responseWriter (one session is active per transport
-// at a time, so the response stream needs no framing). Close never closes
+// io.EOF at the end-of-session record. Writes and deadlines go straight to
+// the transport (one session is active per transport at a time, so the
+// response stream needs no framing). Close never closes
 // the transport — it hands control back to the listener's transport loop,
 // which either reads the next session's header or tears the transport down
 // if the session was abandoned mid-stream.
@@ -158,10 +158,11 @@ func (w *SessionWriter) End() error {
 // A server that knows what it sits behind need not Close between sessions:
 // NextSession makes the same conn the transport's next session.
 type sessionConn struct {
-	responseWriter
+	net.Conn
 	br *bufio.Reader
 	l  *Listener // whose transport this is: NextSession reads and counts as it does
 
+	mu         sync.Mutex
 	clientAddr net.Addr // under mu: NextSession replaces it
 
 	// Frame-decoding state. Reads are serialized by the caller (net/http
@@ -186,7 +187,7 @@ type sessionConn struct {
 // the first of the handoff message's initialLen bytes of initial data.
 // closed must have room for the token Close sends.
 func newSessionConn(raw net.Conn, br *bufio.Reader, client net.Addr, initialLen int, closed chan<- struct{}) *sessionConn {
-	return &sessionConn{responseWriter: responseWriter{Conn: raw}, br: br, clientAddr: client, frameLeft: initialLen, closed: closed}
+	return &sessionConn{Conn: raw, br: br, clientAddr: client, frameLeft: initialLen, closed: closed}
 }
 
 // Read implements net.Conn: initial data first, then frame payloads,
@@ -194,7 +195,6 @@ func newSessionConn(raw net.Conn, br *bufio.Reader, client net.Addr, initialLen 
 //
 //lard:noalloc
 func (c *sessionConn) Read(p []byte) (int, error) {
-	c.flush()
 	if c.sticky != nil {
 		return 0, c.sticky
 	}
@@ -267,7 +267,6 @@ func isTimeout(err error) bool {
 // itself stays open if (and only if) the session was read through to its
 // end-of-session record; the loop checks drained().
 func (c *sessionConn) Close() error {
-	c.closeFlush()
 	c.closeOnce.Do(func() { c.closed <- struct{}{} })
 	return nil
 }
@@ -290,9 +289,9 @@ var errSessionOpen = errors.New("handoff: NextSession before the end of the sess
 // NextSession keeps the transport for its next session: it waits for the
 // next handoff header as the transport loop would (readNextHeader:
 // SessionIdleTimeout until its first byte, HandshakeTimeout from it), counts
-// the session, and is then that session's conn, RemoteAddr the new client's,
-// with nothing of the last session's response framing left. It is valid only
-// once Read has returned io.EOF, the end-of-session record. The server keeps
+// the session, and is then that session's conn, RemoteAddr the new client's.
+// It is valid only once Read has returned io.EOF, the end-of-session record.
+// The server keeps
 // the conn's one Close, and http.Server.Close and Shutdown reach a hijacked
 // conn no more between sessions than within one: Listener.Close, which closes
 // the transport, does. On an error the conn is spent (every Read returns it)
@@ -304,7 +303,6 @@ func (c *sessionConn) NextSession() error {
 	if !c.drained() {
 		return errSessionOpen
 	}
-	c.flush()
 	client, initialLen, err := c.l.readNextHeader(c.Conn, c.br)
 	if err != nil {
 		if c.sticky = err; err != errIdleClosed {
@@ -314,7 +312,6 @@ func (c *sessionConn) NextSession() error {
 	}
 	c.l.sessions.Add(1)
 	c.mu.Lock()
-	c.resetFramingLocked()
 	c.clientAddr = client
 	c.mu.Unlock()
 	c.frameLeft, c.sawEnd = initialLen, false

@@ -291,7 +291,7 @@ func FuzzResponseHeadVsNetHTTP(f *testing.F) {
 				// The one framing the two may differ on: a coding in a
 				// message older than 1.1. net/http ignores the field; here
 				// the body runs to the close, whatever either of them made
-				// of its length (ParseResponseHead, RFC 9112 §6.1).
+				// of its length (parseResponseHead, RFC 9112 §6.1).
 				if open || h.Chunked || h.ContentLength >= 0 {
 					t.Fatalf("a Transfer-Encoding in %s: read %+v, want a body until the close", h.Proto, h)
 				}

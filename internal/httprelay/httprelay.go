@@ -78,11 +78,11 @@ func readLine(br *bufio.Reader, max int) ([]byte, error) {
 	}
 }
 
-// HeadScan finds where a message head ends in a prefix of the message
+// headScan finds where a message head ends in a prefix of the message
 // that grows between calls: at the first blank line after the start line.
 // A line is blank when only CRs precede its LF, so bare-LF line endings
 // frame a head like CRLF ones.
-type HeadScan struct {
+type headScan struct {
 	off     int  // the whole lines before off are scanned
 	started bool // the start line is among them
 }
@@ -92,7 +92,7 @@ type HeadScan struct {
 // (and counted into the head) unless the scan was made with started set.
 //
 //lard:noalloc
-func (s *HeadScan) End(b []byte) int {
+func (s *headScan) End(b []byte) int {
 	for {
 		i := bytes.IndexByte(b[s.off:], '\n')
 		if i < 0 {
@@ -123,7 +123,7 @@ func (s *HeadScan) End(b []byte) int {
 // returned untouched — the connection's normal end of life, not a framing
 // fault. Every other failure is a MalformedError.
 func readHead(br *bufio.Reader, maxBytes int, request bool) (head []byte, unread int, err error) {
-	s := HeadScan{started: !request}
+	s := headScan{started: !request}
 	var acc []byte // the consumed windows of a head that outgrew one
 	for {
 		w, _ := br.Peek(br.Buffered())

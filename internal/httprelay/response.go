@@ -68,7 +68,7 @@ func ReadResponseHead(br *bufio.Reader, maxBytes int) (ResponseHead, error) {
 func peekResponseHead(br *bufio.Reader, maxBytes int) (h ResponseHead, unread int, err error) {
 	raw, unread, err := readHead(br, maxBytes, false)
 	if err == nil {
-		h, err = ParseResponseHead(raw)
+		h, err = parseResponseHead(raw)
 	}
 	if err != nil {
 		return h, 0, err
@@ -77,13 +77,11 @@ func peekResponseHead(br *bufio.Reader, maxBytes int) (h ResponseHead, unread in
 	return h, unread, nil
 }
 
-// ParseResponseHead parses the bytes of one response head, through its
-// blank line (HeadScan finds it); Raw is left to the caller. It is the one
-// response-head parser: the back end's end of the transport frames the
-// server's writes with it, the front end the same bytes when they arrive.
+// parseResponseHead parses the bytes of one response head, through its
+// blank line (headScan finds it); Raw is left to the caller.
 //
 //lard:noalloc
-func ParseResponseHead(raw []byte) (h ResponseHead, err error) {
+func parseResponseHead(raw []byte) (h ResponseHead, err error) {
 	h.ContentLength = -1
 	line, rest := cutLine(raw)
 	// "HTTP/1.1 200 OK": the protocol, a three-digit status, and a reason
