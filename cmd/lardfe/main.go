@@ -191,8 +191,8 @@ func run(o options) error {
 		go func() {
 			for range time.Tick(o.statsEach) {
 				st := fe.Stats()
-				log.Printf("stats: accepted=%d handoffs=%d rehandoffs=%d resumes=%d rhfail=%d redispatch=%d stale=%d pool=%d/%d/%d/%d errors=%d rejected=%d down=%d probes=%d recovered=%d c2b=%dB b2c=%dB active=%v",
-					st.Accepted, st.Handoffs, st.Rehandoffs, st.SessionResumes, st.RehandoffFails,
+				log.Printf("stats: accepted=%d handoffs=%d passed=%d rehandoffs=%d resumes=%d rhfail=%d redispatch=%d stale=%d pool=%d/%d/%d/%d errors=%d rejected=%d down=%d probes=%d recovered=%d c2b=%dB b2c=%dB active=%v",
+					st.Accepted, st.Handoffs, st.Passed, st.Rehandoffs, st.SessionResumes, st.RehandoffFails,
 					st.Redispatches, st.StaleRetries,
 					st.PoolHits, st.PoolMisses, st.PoolEvictions, st.PoolIdle,
 					st.Errors, st.Rejected,

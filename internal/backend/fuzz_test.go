@@ -30,9 +30,9 @@ var netHTTPStricter = []string{
 }
 
 // FuzzTakeoverHeadVsNetHTTP gives the same bytes to the session loop's
-// reader (httprelay's parser, requestPath and keepsOpen: what the loop
-// decides with) and to http.ReadRequest, which read the same requests until
-// this package took connections over. They must never frame a head they
+// reader (httprelay's parser, requestPath and RequestHead.KeepsOpen: what
+// the loop decides with) and to http.ReadRequest, which read the same
+// requests until this package took connections over. They must never frame a head they
 // both accept differently (its length, its method, whether the connection
 // goes on behind it, the document it names); the loop may keep
 // a session open after a head net/http refuses only for one of
@@ -73,7 +73,7 @@ func FuzzTakeoverHeadVsNetHTTP(f *testing.F) {
 			path, ok = requestPath(h.Target)
 		}
 		req, terr := http.ReadRequest(tbr)
-		// What keepsOpen asks, net/http's way: takesOver, the method apart,
+		// What KeepsOpen asks, net/http's way: takesOver, the method apart,
 		// and no close. An Expect is 100-continue as a token of its comma
 		// list, as both readers take it ("0100-continue" is an Expect
 		// net/http answers 417 to, a difference DESIGN.md lists, and no
@@ -90,14 +90,14 @@ func FuzzTakeoverHeadVsNetHTTP(f *testing.F) {
 			if oused != tused {
 				t.Fatalf("the loop's head is %d bytes, net/http's %d", oused, tused)
 			}
-			if h.Method != req.Method || keepsOpen(&h) != theirsOpen {
+			if h.Method != req.Method || h.KeepsOpen() != theirsOpen {
 				t.Fatalf("the loop read %+v (open after: %t), net/http %s, Content-Length %d, Close %t, %s (open after: %t)",
-					h, keepsOpen(&h), req.Method, req.ContentLength, req.Close, req.Proto, theirsOpen)
+					h, h.KeepsOpen(), req.Method, req.ContentLength, req.Close, req.Proto, theirsOpen)
 			}
 			if req.Method != http.MethodConnect && path != req.URL.Path {
 				t.Fatalf("target %q: the loop's path %q, net/http's %q", h.Target, path, req.URL.Path)
 			}
-		case ok && keepsOpen(&h):
+		case ok && h.KeepsOpen():
 			for _, reason := range netHTTPStricter {
 				if strings.Contains(terr.Error(), reason) {
 					return

@@ -370,17 +370,13 @@ func (s *Server) newDate(now time.Time) *dateLine {
 
 // takesOver reports whether r, a connection's first request as net/http
 // parsed it, is one the loop answers: nothing of it is left unread behind
-// its head. The loop keeps the connection open after it unless r.Close.
+// its head. The loop keeps the connection open after it unless r.Close;
+// for a head the loop parsed itself the rule is RequestHead.KeepsOpen,
+// which does not ask about the method: a bodiless DELETE gets its 405 and
+// the session goes on.
 func takesOver(r *http.Request) bool {
 	return r.ProtoMajor == 1 && r.ProtoMinor == 1 && (r.Method == http.MethodGet || r.Method == http.MethodHead) &&
 		r.ContentLength == 0 && len(r.Header["Expect"]) == 0
-}
-
-// keepsOpen is takesOver and no close, for a head the loop parsed itself.
-// The method is not asked about: a bodiless DELETE gets its 405 and the
-// session goes on.
-func keepsOpen(h *httprelay.RequestHead) bool {
-	return h.Proto == "HTTP/1.1" && h.KeepAlive && !h.HasBody() && !h.ExpectContinue
 }
 
 // headTimeout is how long the server r arrived through gives a request
@@ -437,9 +433,14 @@ func parsedPath(target string) (string, bool) {
 // goes, a write fails, or a request arrives that the loop cannot see the end
 // of or that asks for a close. That one is answered with Connection: close
 // and nothing is read behind its head. A head that does not parse gets a 400
-// and a close. A session may idle between requests for as long as its peer
-// likes; a head, once begun, has timeout to arrive in (0: no limit), and one
-// that runs out of it gets no answer, as net/http gives none.
+// and a close. A head, once begun, has timeout to arrive in (0: no limit),
+// and one that runs out of it gets no answer, as net/http gives none.
+//
+// Between requests a session may idle for as long as its peer likes, unless
+// the conn bounds that itself (IdleTimeout, asked for by method like
+// NextSession below): a connection a front end passed by descriptor has no
+// front end left to end it, so its listener's SessionIdleTimeout does, and
+// the loop closes it when that runs out before a next request's first byte.
 //
 // EOF where a head would begin is the peer ending the session: on a
 // handed-off connection, the end-of-session record. A conn that can be its
@@ -453,10 +454,17 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Dura
 	s.takeovers.Add(1)
 	s.loopSessions.Add(1)
 	next, _ := conn.(interface{ NextSession() error })
+	var idle time.Duration
+	if c, ok := conn.(interface{ IdleTimeout() time.Duration }); ok {
+		idle = c.IdleTimeout()
+	}
 	var raw []byte // the loop's scratch for a head's bytes
 	for {
 		if s.answerConn(conn, &a, bodiless, last) != nil || last {
 			return
+		}
+		if idle > 0 {
+			conn.SetReadDeadline(time.Now().Add(idle))
 		}
 		for _, err := br.Peek(1); err != nil; _, err = br.Peek(1) {
 			if err != io.EOF || next == nil || next.NextSession() != nil {
@@ -468,6 +476,8 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Dura
 		if timeout > 0 {
 			deadline = time.Now().Add(timeout)
 			conn.SetReadDeadline(deadline)
+		} else if idle > 0 {
+			conn.SetReadDeadline(time.Time{})
 		}
 		h, err := httprelay.ReadRequestHeadInto(br, maxHeadBytes, raw)
 		path, ok := "", err == nil
@@ -484,7 +494,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Dura
 			conn.SetReadDeadline(time.Time{})
 		}
 		raw = h.Raw[:0]
-		a, bodiless, last = s.decide(h.Method, path), h.Method == http.MethodHead, !keepsOpen(&h)
+		a, bodiless, last = s.decide(h.Method, path), h.Method == http.MethodHead, !h.KeepsOpen()
 	}
 }
 

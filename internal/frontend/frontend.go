@@ -78,7 +78,11 @@ type Config struct {
 	// strategy, "costaware" re-dispatches every request but pays a
 	// re-handoff only when the modelled locality gain beats the switch
 	// cost. Empty selects "pin". Regardless of policy, a session whose
-	// back end drains, fails, or is removed moves on its next request.
+	// back end drains, fails, or is removed moves on its next request —
+	// unless its connection was passed to that back end by descriptor
+	// (pass.go: under "pin", same host): a passed connection is its back
+	// end's until it closes, so a drain stops new passes and moves none,
+	// and a back end that goes takes its passed clients with it.
 	ConnPolicy string
 
 	// DialTimeout bounds back-end dials (default 5s).
@@ -153,6 +157,7 @@ type Stats struct {
 	Accepted        uint64
 	Dispatches      uint64 // session dispatch decisions taken (one per relayed request)
 	Handoffs        uint64 // handoff headers delivered to a back end
+	Passed          uint64 // of Handoffs, client connections passed by descriptor: the back end answers them directly
 	Rehandoffs      uint64 // completed back-end switches, by handoff or by resume (counted only after the replacement succeeds)
 	SessionResumes  uint64 // switches back to a node whose parked session was resumed: no handoff header sent
 	RehandoffFails  uint64 // moves the session decided on that no back end could be established for
@@ -217,6 +222,11 @@ type Server struct {
 	// e.g. CostAware's recency table, lives inside it).
 	d      lard.Dispatcher
 	policy lard.ConnPolicy
+
+	// passes is whether a connection may be passed to its back end by
+	// descriptor at all: its policy pins and no per-client quota needs to
+	// see its requests (pass.go).
+	passes bool
 
 	// backends holds the per-node handoff addresses; indices line up with
 	// dispatcher node ids, including removed nodes (their slots stay).
@@ -339,6 +349,7 @@ func New(cfg Config) (*Server, error) {
 		stop:       make(chan struct{}),
 	}
 	srv.initOverload()
+	srv.passes = pins(policy) && !srv.ov.quota.Enabled()
 	return srv, nil
 }
 
@@ -361,6 +372,7 @@ func (s *Server) Stats() Stats {
 		SessionsByPolicy:      map[string]uint64{s.policy.Name(): m.sessions.Value()},
 		ActiveSessions:        m.activeSessions.Value(),
 		Handoffs:              m.handoffs.Value(),
+		Passed:                m.passed.Value(),
 		Rehandoffs:            m.rehandoffs.Value(),
 		SessionResumes:        s.pool.resumes.Value(),
 		RehandoffFails:        m.rehandoffFails.Value(),

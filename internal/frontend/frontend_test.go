@@ -69,6 +69,25 @@ func startCluster(t *testing.T, n int, strategy string, tr *trace.Trace, cacheBy
 	return mc
 }
 
+// respelled is addr, an IPv4 "host:port", spelled as the IPv4-mapped IPv6
+// address it also is: the same socket, dialed the same way, but a name no
+// pass address answers to, so a front end configured with it relays.
+func respelled(addr string) string {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		panic(err)
+	}
+	return net.JoinHostPort("::ffff:"+host, port)
+}
+
+// relayOnly is a Config mod that keeps every connection on the relay path
+// (pass.go): the back ends addressed as respelled.
+func relayOnly(c *Config) {
+	for i, addr := range c.Backends {
+		c.Backends[i] = respelled(addr)
+	}
+}
+
 func smallTrace(t *testing.T, files, requests int) *trace.Trace {
 	t.Helper()
 	cfg := trace.SyntheticConfig{
@@ -330,10 +349,11 @@ func TestDialFailureMarksNodeDown(t *testing.T) {
 
 func TestConnPolicyConfigAndSessionStats(t *testing.T) {
 	// Every policy name must build; the session counters must reflect the
-	// traffic.
+	// traffic. On the relay path: a passed connection's requests after its
+	// first never reach the front end to be counted.
 	tr := smallTrace(t, 10, 30)
 	for _, policy := range []string{lard.ConnPin, lard.ConnPerRequest, lard.ConnCostAware} {
-		mc := startCluster(t, 2, "lard", tr, 1<<20, func(c *Config) { c.ConnPolicy = policy })
+		mc := startCluster(t, 2, "lard", tr, 1<<20, relayOnly, func(c *Config) { c.ConnPolicy = policy })
 		if got := mc.fe.ConnPolicy().Name(); got != policy {
 			t.Fatalf("ConnPolicy() = %q, want %q", got, policy)
 		}
@@ -363,9 +383,11 @@ func TestConnPolicyConfigAndSessionStats(t *testing.T) {
 func TestPinnedSessionMovesWhenBackendDrains(t *testing.T) {
 	// The membership semantics the unified session loop buys: a
 	// keep-alive connection pinned to a draining back end moves on its
-	// next request instead of sticking forever.
+	// next request instead of sticking forever. That is the relay path's:
+	// a connection passed to its back end stays there
+	// (TestPassedConnectionStaysThroughDrain).
 	tr := smallTrace(t, 12, 40)
-	mc := startCluster(t, 2, "lard", tr, 1<<20,
+	mc := startCluster(t, 2, "lard", tr, 1<<20, relayOnly,
 		func(c *Config) { c.ConnPolicy = lard.ConnPin; c.ProbeInterval = -1 })
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
 	get := func(i int) {
@@ -462,7 +484,9 @@ func TestConfigProfilesAndSetProfile(t *testing.T) {
 
 func TestStatsSnapshot(t *testing.T) {
 	tr := smallTrace(t, 5, 5)
-	mc := startCluster(t, 2, "wrr", tr, 1<<20)
+	// Relayed: a passed connection's bytes are counted when it closes, and
+	// the default client keeps it open.
+	mc := startCluster(t, 2, "wrr", tr, 1<<20, relayOnly)
 	resp, err := http.Get("http://" + mc.feAddr + tr.At(0).Target)
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ type feMetrics struct {
 	activeSessions *metrics.Gauge
 
 	handoffs       *metrics.Counter
+	passed         *metrics.Counter
 	rehandoffs     *metrics.Counter
 	rehandoffFails *metrics.Counter
 	redispatches   *metrics.Counter
@@ -56,6 +57,7 @@ func newFEMetrics(reg *metrics.Registry, policyName string) feMetrics {
 		served:         reg.Counter("lard_fe_responses_total", "complete responses relayed to clients (goodput)"),
 
 		handoffs:       reg.Counter("lard_fe_handoffs_total", "handoff headers delivered to a back end"),
+		passed:         reg.Counter("lard_fe_passed_total", "client connections passed to their back end by descriptor (each also a handoff): their later requests never reach the front end"),
 		rehandoffs:     reg.Counter("lard_fe_rehandoffs_total", "requests that moved a session to a different back end, by handoff or by resume"),
 		rehandoffFails: reg.Counter("lard_fe_rehandoff_fails_total", "session moves no back end could be established for"),
 		redispatches:   reg.Counter("lard_fe_redispatches_total", "failed dials or breaker denials recovered on another node"),

@@ -234,7 +234,9 @@ func TestMetricsSurfaceAfterTraffic(t *testing.T) {
 // last requests say close, one dial failure recovered by re-dispatch (and
 // the mark-down it causes), one quota shed — every monotonic Stats field
 // equals its lard_fe_* series in the Prometheus exposition, and the
-// pool's checkouts balance.
+// pool's checkouts balance. (Passed is 0 here, as the quota keeps every
+// connection on the relay; TestPinnedConnectionIsPassed reads its series
+// where it is not.)
 func TestStatsIsRegistryView(t *testing.T) {
 	tr := smallTrace(t, 12, 12)
 	store := backend.NewDocStore(tr.Targets)
@@ -303,22 +305,11 @@ func TestStatsIsRegistryView(t *testing.T) {
 		t.Fatalf("pool hits %d + misses %d = %d, want %d checkouts", st.PoolHits, st.PoolMisses, got, want)
 	}
 
-	var buf bytes.Buffer
-	if err := fe.Metrics().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	series := map[string]uint64{}
+	series := scrape(t, fe)
 	var trips uint64
-	for _, line := range strings.Split(buf.String(), "\n") {
-		name, val, ok := strings.Cut(line, " ")
-		if !ok || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if v, err := strconv.ParseUint(val, 10, 64); err == nil {
-			series[name] = v
-			if strings.HasPrefix(name, "lard_fe_breaker_transitions_total{") && strings.HasSuffix(name, `to="open"}`) {
-				trips += v
-			}
+	for name, v := range series {
+		if strings.HasPrefix(name, "lard_fe_breaker_transitions_total{") && strings.HasSuffix(name, `to="open"}`) {
+			trips += v
 		}
 	}
 	for name, want := range map[string]uint64{
@@ -328,6 +319,7 @@ func TestStatsIsRegistryView(t *testing.T) {
 		"lard_fe_dispatches_total":                      st.Dispatches,
 		"lard_fe_responses_total":                       st.Served,
 		"lard_fe_handoffs_total":                        st.Handoffs,
+		"lard_fe_passed_total":                          st.Passed,
 		"lard_fe_rehandoffs_total":                      st.Rehandoffs,
 		"lard_fe_session_resumes_total":                 st.SessionResumes,
 		"lard_fe_rehandoff_fails_total":                 st.RehandoffFails,
@@ -360,4 +352,25 @@ func TestStatsIsRegistryView(t *testing.T) {
 	if trips != st.BreakerTrips {
 		t.Errorf(`lard_fe_breaker_transitions_total{to="open"} sums to %d, Stats.BreakerTrips = %d`, trips, st.BreakerTrips)
 	}
+}
+
+// scrape reads the front end's Prometheus exposition into a map from
+// series (name and labels) to its integer value.
+func scrape(t *testing.T, fe *Server) map[string]uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fe.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]uint64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if v, err := strconv.ParseUint(val, 10, 64); err == nil {
+			series[name] = v
+		}
+	}
+	return series
 }

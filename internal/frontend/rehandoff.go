@@ -25,7 +25,9 @@ import (
 // the session moves only when the locality regained is worth the switch.
 // Because the decision is re-taken per request, a session whose back end
 // drains, fails, or is removed moves on its next request under every
-// policy.
+// policy — unless its first request sent the connection to a back end on
+// this host by descriptor (pass.go), after which the loop only waits for
+// the back end to be done with it.
 //
 // Back-end connections come from the per-node pool (pool.go): every
 // handoff is a session-framed header (handoff.FlagSessionFramed) on a
@@ -92,9 +94,10 @@ type backendConn struct {
 	clean     bool      // at a message boundary: eligible for pool check-in
 	idleSince time.Time // when the pool took it in
 
-	// The probe: rc is the conn's raw descriptor (nil if it has none),
-	// peek the callback rc.Read runs — built once, so a probe allocates
-	// nothing — and peekErr what its recv(MSG_PEEK) returned.
+	// The probe: rc is the conn's raw descriptor (nil if it has none, or
+	// the system no peek for it: probe_unix.go), peek the callback rc.Read
+	// runs — built once, so a probe allocates nothing — and peekErr what
+	// its recv(MSG_PEEK) returned.
 	rc      syscall.RawConn
 	peek    func(fd uintptr) bool
 	peekErr error
@@ -104,11 +107,8 @@ type backendConn struct {
 func newBackendConn(node int, c net.Conn) *backendConn {
 	b := &backendConn{node: node, c: c, br: httprelay.GetReader(c), sw: handoff.NewTransportWriter(c)}
 	if sc, ok := c.(syscall.Conn); ok {
-		b.rc, _ = sc.SyscallConn()
-		b.peek = func(fd uintptr) bool {
-			var one [1]byte
-			_, _, b.peekErr = syscall.Recvfrom(int(fd), one[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
-			return true // never wait for readability
+		if b.peek = peekFunc(b); b.peek != nil {
+			b.rc, _ = sc.SyscallConn()
 		}
 	}
 	return b
@@ -122,7 +122,8 @@ func newBackendConn(node int, c net.Conn) *backendConn {
 // deadline will not do on a real socket: the poller reports the expired
 // deadline before it issues any read, so a peer's FIN from seconds ago
 // would go unseen. Only a conn with no descriptor (a test's pipe or
-// wrapper) gets the deadline peek.
+// wrapper), or one on a system that is no Unix (probe_other.go), gets the
+// deadline peek.
 //
 //lard:noalloc
 func (b *backendConn) silent() bool {
@@ -245,6 +246,16 @@ func (s *Server) handleConn(client net.Conn) {
 		}
 		s.m.dispatches.Inc()
 		requestDone = done
+
+		// A session whose first request lets it go for good, to a back end
+		// on this host, leaves by descriptor (pass.go) and holds its slot
+		// until the back end is done with it.
+		if backend == nil && s.passes && passable(&head) {
+			if ch := s.pass(node, client, br, &head, clientAddr); ch != nil {
+				s.awaitPassed(node, ch)
+				return
+			}
+		}
 
 		// stale is why a kept-alive back-end connection must be replaced
 		// mid-session, nil while it is healthy.

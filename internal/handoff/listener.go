@@ -3,6 +3,7 @@ package handoff
 import (
 	"bufio"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,8 +51,20 @@ const DefaultSessionIdleTimeout = 2 * time.Minute
 // An unframed (v1) header is still accepted and consumes its connection:
 // the benchmark's direct load generator and stage driver (bench/gen.go,
 // bench/stages.go) speak it to time a back end without a front end.
+//
+// On Linux a Listener on a TCP address also answers on its pass address
+// (pass.go): a front end on the same host may pass a client's socket
+// itself, and Accept yields it as a Conn the server answers the client on
+// directly. Such a connection is the server's until it closes it; its
+// Close sends the front end the done record. Nothing needs asking for: a
+// server that serves conns from Accept serves passed ones.
 type Listener struct {
 	ln net.Listener
+
+	// passLn is the pass address, nil where there is none; only a peer of
+	// passUID, this process's user, may open a channel on it.
+	passLn  net.Listener
+	passUID int
 
 	// HandshakeTimeout bounds how long a newly accepted connection may
 	// take to deliver its handoff header (default 5s). On a session-
@@ -66,10 +79,13 @@ type Listener struct {
 	// DefaultSessionIdleTimeout; negative = no limit).
 	SessionIdleTimeout time.Duration
 
-	// rejected counts connections dropped for bad handshakes; sessions
-	// counts handed-off sessions begun (v1 connections count one each).
+	// rejected counts connections dropped for bad handshakes, and pass
+	// channels and messages refused; sessions counts handed-off sessions
+	// begun (v1 and passed connections count one each); passed counts the
+	// connections passed by descriptor.
 	rejected atomic.Uint64
 	sessions atomic.Uint64
+	passed   atomic.Uint64
 
 	acceptCh  chan net.Conn
 	tempErrCh chan error
@@ -82,9 +98,10 @@ type Listener struct {
 	err     error
 	errDone chan struct{}
 
-	// transports tracks live session-framed transports so Close can tear
-	// them down (their lifetime is the listener's between sessions, not
-	// any accepted conn's).
+	// transports tracks live session-framed transports, pass channels and
+	// passed connections so Close can tear them down (their lifetime is
+	// the listener's between sessions, not any accepted conn's; a passed
+	// connection is tracked so that Close ends it like the rest).
 	transMu    sync.Mutex
 	transports map[net.Conn]struct{}
 }
@@ -99,10 +116,13 @@ func Listen(network, addr string) (*Listener, error) {
 	return NewListener(ln), nil
 }
 
-// NewListener wraps an existing listener.
+// NewListener wraps an existing listener, and opens its pass address
+// where it has one.
 func NewListener(ln net.Listener) *Listener {
 	return &Listener{
 		ln:                 ln,
+		passLn:             listenPasses(ln.Addr()),
+		passUID:            os.Getuid(),
 		HandshakeTimeout:   5 * time.Second,
 		SessionIdleTimeout: DefaultSessionIdleTimeout,
 		acceptCh:           make(chan net.Conn),
@@ -118,7 +138,12 @@ func NewListener(ln net.Listener) *Listener {
 // counted, not surfaced as an Accept error, so one malformed client
 // cannot stop an http.Server loop.
 func (l *Listener) Accept() (net.Conn, error) {
-	l.startOnce.Do(func() { go l.acceptLoop() })
+	l.startOnce.Do(func() {
+		go l.acceptLoop()
+		if l.passLn != nil {
+			go l.acceptPasses()
+		}
+	})
 	select {
 	case c := <-l.acceptCh:
 		return c, nil
@@ -318,10 +343,17 @@ func (l *Listener) readNextHeader(raw net.Conn, br *bufio.Reader) (client net.Ad
 	return client, initialLen, nil
 }
 
+// addTransport puts raw among what Close ends, or ends it now if Close
+// already ran.
 func (l *Listener) addTransport(raw net.Conn) {
 	l.transMu.Lock()
-	l.transports[raw] = struct{}{}
-	l.transMu.Unlock()
+	defer l.transMu.Unlock()
+	select {
+	case <-l.done:
+		raw.Close()
+	default:
+		l.transports[raw] = struct{}{}
+	}
 }
 
 func (l *Listener) dropTransport(raw net.Conn) {
@@ -331,14 +363,18 @@ func (l *Listener) dropTransport(raw net.Conn) {
 	raw.Close()
 }
 
-// Close closes the underlying listener and every session-framed
-// transport (virtual conns handed to the server see read errors and
-// close in turn).
+// Close closes the underlying listener, the pass address, every
+// session-framed transport and pass channel, and every passed connection
+// (virtual conns handed to the server see read errors and close in turn;
+// a passed client sees its connection end).
 func (l *Listener) Close() error {
 	var err error
 	l.closeOnce.Do(func() {
 		close(l.done)
 		err = l.ln.Close()
+		if l.passLn != nil {
+			l.passLn.Close()
+		}
 		l.transMu.Lock()
 		for raw := range l.transports {
 			raw.Close()
@@ -356,19 +392,36 @@ func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
 func (l *Listener) Rejected() uint64 { return l.rejected.Load() }
 
 // Sessions returns how many handed-off sessions have begun, accepted or
-// kept by their server with NextSession (plain v1 connections count one
-// each).
+// kept by their server with NextSession (plain v1 connections and passed
+// ones count one each).
 func (l *Listener) Sessions() uint64 { return l.sessions.Load() }
 
-// Conn is a handed-off connection (plain v1 handoff: the whole TCP
-// connection carries exactly one session): reads go through the reader
-// the handshake parsed the header from, where the handoff message's
-// initial data comes first, and RemoteAddr reports the original client's
-// address.
+// Passed returns how many connections front ends have passed by
+// descriptor (pass.go); each is also one of Sessions.
+func (l *Listener) Passed() uint64 { return l.passed.Load() }
+
+// Conn is a handed-off connection that is the client's whole connection:
+// a plain v1 handoff, whose TCP connection carries exactly one session, or
+// a connection a front end passed by descriptor, which is the client's own
+// socket. Reads serve the handoff message's initial data first and then
+// the connection (a v1 Conn reads both through the reader the handshake
+// parsed the header from), and RemoteAddr reports the original client's
+// address: for a passed connection, its socket's peer.
+//
+// A passed Conn also counts the bytes written to it, and its Close sends
+// them back to the front end in the channel's done record. Its IdleTimeout
+// is the Listener's SessionIdleTimeout: nothing else is left to end a
+// kept connection that goes quiet.
 type Conn struct {
 	net.Conn
-	br         *bufio.Reader
+	br         *bufio.Reader // v1 only
+	initial    []byte        // passed only: initial data not yet read
 	clientAddr net.Addr
+
+	written   atomic.Int64
+	idle      time.Duration
+	closeOnce sync.Once
+	closed    chan<- struct{} // passed only: the channel loop's, sent once on Close
 }
 
 // newConn wraps a raw connection whose header the handshake consumed
@@ -380,7 +433,42 @@ func newConn(raw net.Conn, br *bufio.Reader, client net.Addr) *Conn {
 // Read implements net.Conn.
 //
 //lard:noalloc
-func (c *Conn) Read(p []byte) (int, error) { return c.br.Read(p) }
+func (c *Conn) Read(p []byte) (int, error) {
+	switch {
+	case c.br != nil:
+		return c.br.Read(p)
+	case len(c.initial) > 0:
+		n := copy(p, c.initial)
+		c.initial = c.initial[n:]
+		return n, nil
+	}
+	return c.Conn.Read(p)
+}
+
+// Write implements net.Conn, counting what it wrote.
+//
+//lard:noalloc
+func (c *Conn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.written.Add(int64(n))
+	return n, err
+}
+
+// Close closes the connection; a passed one's channel then sends its done
+// record.
+func (c *Conn) Close() error {
+	err := c.Conn.Close()
+	if c.closed != nil {
+		c.closeOnce.Do(func() { c.closed <- struct{}{} })
+	}
+	return err
+}
+
+// IdleTimeout is how long a server that keeps the connection open between
+// requests should wait for the next one: the Listener's SessionIdleTimeout
+// for a passed connection, 0 (no bound of the Listener's) for a v1 one.
+// internal/backend's loop asks for it.
+func (c *Conn) IdleTimeout() time.Duration { return c.idle }
 
 // RemoteAddr reports the original client's address, as the paper's
 // client-transparent handoff does.

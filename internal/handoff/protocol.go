@@ -22,6 +22,10 @@
 //     internal/httprelay): it keeps HTTP framing so a connection can be
 //     handed off again at a message boundary, and it additionally relays
 //     back-end→client data, which the kernel implementation sent directly.
+//   - Where front end and back end share a Linux host and the connection
+//     will not be handed off again, the handoff is the paper's own: the
+//     client's socket itself is passed to the back end (pass.go), which
+//     answers the client directly, and nothing is relayed.
 //
 // The roles — dispatcher (policy), handoff (transfer), forwarding (dumb
 // fast path) — and their layering match Figure 15 of the paper.

@@ -47,6 +47,16 @@ type RequestHead struct {
 // HasBody reports whether the request carries a message body.
 func (h RequestHead) HasBody() bool { return h.Chunked || h.ContentLength > 0 }
 
+// KeepsOpen reports whether the connection stays open behind this request
+// with nothing of the request left to read behind its head: HTTP/1.1, no
+// close, no body and no Expect. It is the one rule for both ends of a
+// kept connection: the back end's loop reads on behind such a request and
+// stops behind any other, and the front end hands a connection over for
+// good only when its first request is one.
+func (h *RequestHead) KeepsOpen() bool {
+	return h.Proto == "HTTP/1.1" && h.KeepAlive && !h.HasBody() && !h.ExpectContinue
+}
+
 // Size is the body size the dispatcher should account for (0 when
 // unknown, e.g. chunked).
 func (h RequestHead) Size() int64 {
