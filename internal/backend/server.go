@@ -439,8 +439,9 @@ func parsedPath(target string) (string, bool) {
 // Between requests a session may idle for as long as its peer likes, unless
 // the conn bounds that itself (IdleTimeout, asked for by method like
 // NextSession below): a connection a front end passed by descriptor has no
-// front end left to end it, so its listener's SessionIdleTimeout does, and
-// the loop closes it when that runs out before a next request's first byte.
+// front end left to end it, so the bound the front end sent with it does,
+// and the loop closes it when that runs out before a next request's first
+// byte.
 //
 // EOF where a head would begin is the peer ending the session: on a
 // handed-off connection, the end-of-session record. A conn that can be its

@@ -142,7 +142,9 @@ type Config struct {
 	Metrics *metrics.Registry
 
 	// HeaderTimeout bounds how long a client may take to deliver a
-	// request head (default 30s).
+	// request head (default 30s). A connection passed to its back end by
+	// descriptor (pass.go) takes it along: the back end closes it when no
+	// next request begins within HeaderTimeout.
 	HeaderTimeout time.Duration
 
 	// MaxHeaderBytes bounds the request head (default 64 KB).

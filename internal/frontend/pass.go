@@ -33,14 +33,17 @@ import (
 // connection: a pass costs the back end a net.FileConn, a net/http
 // connection and a Hijack, which one request does not earn back.
 //
-// A passed connection keeps its session, and so its node's slot, until the
-// back end closes it and the channel's done record arrives, or the channel
-// dies with the back end; the record's byte count is BackendToClient's. The
-// channel then goes back to the pool. A pass counts as one Handoffs and one
-// pool hit or miss, as a relayed session's first handoff does. Drain,
-// mark-down and removal stop new passes to a node and move none it has:
-// the connection is its back end's until it ends, and the back end's loop
-// bounds its idle time (the listener's SessionIdleTimeout).
+// Each pass dials its own channel and closes it once the connection ends:
+// a dial is paid once per passed connection, not per request. A passed
+// connection keeps its session, and so its node's slot, until the back end
+// closes it and the channel's done record arrives, or the channel dies
+// with the back end; the record's byte count is BackendToClient's. A pass
+// counts as one Handoffs and one pool miss, as a relayed session's first
+// handoff on a fresh transport does. Drain, mark-down and removal stop new
+// passes to a node and move none it has: the connection is its back end's
+// until it ends. The pass message carries HeaderTimeout, and the back end's
+// loop bounds the connection's idle time between requests with it, as the
+// relay loop would have.
 
 // pins reports whether p never re-dispatches a session whose node can
 // still take traffic: it holds the connection's slot between requests and
@@ -68,51 +71,27 @@ func (s *Server) pass(node int, client net.Conn, br *bufio.Reader, head *httprel
 	if len(head.Raw)+len(pipelined) > handoff.MaxPassData {
 		return nil
 	}
-	ch, pooled := s.pool.getPass(node), true
-	if ch == nil {
-		var err error
-		if ch, err = handoff.DialPass(s.backendAddr(node)); err != nil {
-			return nil // no pass address: a back end elsewhere, or spelled otherwise
-		}
-		pooled = false
-	}
-	if !s.breakerAllow(node) {
-		s.pool.putPass(node, ch)
-		return nil
+	ch, err := handoff.DialPass(s.backendAddr(node))
+	if err != nil {
+		return nil // no pass address: a back end elsewhere, or spelled otherwise
 	}
 	// head.Raw is the connection's own scratch and the connection is
 	// leaving: the pipelined bytes can join the head there.
-	if err := ch.Pass(tc, clientAddr, append(head.Raw, pipelined...)); err != nil {
+	if !s.breakerAllow(node) || ch.Pass(tc, clientAddr, append(head.Raw, pipelined...), s.cfg.HeaderTimeout) != nil {
 		ch.Close()
-		if pooled {
-			// A stale channel: its back end went while it was idle. The
-			// client is still ours and the relay serves it.
-			s.logf("frontend: stale pass channel to %d (%v), relaying", node, err)
-			s.pool.evictions.Inc()
-			s.m.staleRetries.Inc()
-		}
 		return nil
 	}
 	client.Close()
 	s.m.handoffs.Inc()
 	s.m.passed.Inc()
-	if pooled {
-		s.pool.hits.Inc()
-	} else {
-		s.pool.misses.Inc()
-	}
+	s.pool.misses.Inc()
 	return ch
 }
 
 // awaitPassed waits for the connection passed on ch to end, credits the
-// bytes the back end wrote to it, and keeps the channel for node's next
-// pass if it is whole and the node still takes traffic.
-func (s *Server) awaitPassed(node int, ch *handoff.PassChannel) {
-	n, err := ch.Done()
+// bytes the back end wrote to it, and closes the channel.
+func (s *Server) awaitPassed(ch *handoff.PassChannel) {
+	n, _ := ch.Done()
 	s.m.bytesToClient.Add(uint64(n))
-	if err != nil || !s.nodePoolable(node) {
-		ch.Close()
-		return
-	}
-	s.pool.putPass(node, ch)
+	ch.Close()
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"lard/internal/handoff"
 	"lard/internal/metrics"
 	"lard/pkg/lard"
 )
@@ -43,20 +42,14 @@ const DefaultPoolIdle = 30 * time.Second
 // the transport, the session resumes where it stopped — no end-of-session
 // record, no handoff header. Parked transports live in the same bounded
 // list as the others; get's checkout order decides who gets which.
-//
-// The pool also keeps each node's idle pass channels (pass.go), under the
-// same bound, in a list of their own: a channel is free between one passed
-// connection's done record and the next pass, and has nothing to expire
-// or end.
 type backendPool struct {
 	size  int
 	ttl   time.Duration
 	every time.Duration // the janitor's sweep interval
 
-	mu       sync.Mutex
-	idle     map[int][]*backendConn
-	passIdle map[int][]*handoff.PassChannel
-	closed   bool
+	mu     sync.Mutex
+	idle   map[int][]*backendConn
+	closed bool
 
 	// Collectors in the front end's registry (atomic, not under mu);
 	// Stats reads them as PoolHits/PoolMisses/SessionResumes/
@@ -76,8 +69,7 @@ func newBackendPool(size int, ttl time.Duration, reg *metrics.Registry) *backend
 		every = max(ttl/2, 10*time.Millisecond)
 	}
 	return &backendPool{
-		size: size, ttl: ttl, every: every,
-		idle: make(map[int][]*backendConn), passIdle: make(map[int][]*handoff.PassChannel),
+		size: size, ttl: ttl, every: every, idle: make(map[int][]*backendConn),
 		hits:      reg.Counter("lard_fe_pool_checkouts_total", "back-end connection pool checkouts, by result", "result", "hit"),
 		misses:    reg.Counter("lard_fe_pool_checkouts_total", "", "result", "miss"),
 		resumes:   reg.Counter("lard_fe_session_resumes_total", "moves back to a node that found the session parked there and resumed it: no handoff header sent"),
@@ -208,49 +200,16 @@ func (p *backendPool) checkIn(b *backendConn) {
 	}
 }
 
-// getPass takes node's most recently used idle pass channel, if any. It
-// counts nothing: a pass counts its hit or miss once it has gone through.
-func (p *backendPool) getPass(node int) *handoff.PassChannel {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	chans := p.passIdle[node]
-	if len(chans) == 0 {
-		return nil
-	}
-	ch := chans[len(chans)-1]
-	chans[len(chans)-1] = nil
-	p.passIdle[node] = chans[:len(chans)-1]
-	return ch
-}
-
-// putPass keeps a free pass channel for node's next pass, or closes it
-// when the node already keeps its bound or the pool is closed.
-func (p *backendPool) putPass(node int, ch *handoff.PassChannel) {
-	p.mu.Lock()
-	if !p.closed && len(p.passIdle[node]) < p.size {
-		p.passIdle[node] = append(p.passIdle[node], ch)
-		ch = nil
-	}
-	p.mu.Unlock()
-	if ch != nil {
-		ch.Close()
-	}
-}
-
-// evictNode discards every idle connection and pass channel to node —
-// called on drain, removal, and mark-down, so no session can be handed to
-// a gone node through the pool.
+// evictNode discards every idle connection to node — called on drain,
+// removal, and mark-down, so no session can be handed to a gone node
+// through the pool.
 func (p *backendPool) evictNode(node int) {
 	p.mu.Lock()
-	conns, chans := p.idle[node], p.passIdle[node]
+	conns := p.idle[node]
 	delete(p.idle, node)
-	delete(p.passIdle, node)
 	p.mu.Unlock()
 	for _, b := range conns {
 		p.discard(b)
-	}
-	for _, ch := range chans {
-		ch.Close()
 	}
 }
 
@@ -303,17 +262,12 @@ func (p *backendPool) sweep() {
 func (p *backendPool) closeAll() {
 	p.mu.Lock()
 	p.closed = true
-	all, allChans := p.idle, p.passIdle
-	p.idle, p.passIdle = make(map[int][]*backendConn), make(map[int][]*handoff.PassChannel)
+	all := p.idle
+	p.idle = make(map[int][]*backendConn)
 	p.mu.Unlock()
 	for _, conns := range all {
 		for _, b := range conns {
 			b.close()
-		}
-	}
-	for _, chans := range allChans {
-		for _, ch := range chans {
-			ch.Close()
 		}
 	}
 }

@@ -252,7 +252,7 @@ func (s *Server) handleConn(client net.Conn) {
 		// until the back end is done with it.
 		if backend == nil && s.passes && passable(&head) {
 			if ch := s.pass(node, client, br, &head, clientAddr); ch != nil {
-				s.awaitPassed(node, ch)
+				s.awaitPassed(ch)
 				return
 			}
 		}

@@ -410,8 +410,8 @@ func (l *Listener) Passed() uint64 { return l.passed.Load() }
 //
 // A passed Conn also counts the bytes written to it, and its Close sends
 // them back to the front end in the channel's done record. Its IdleTimeout
-// is the Listener's SessionIdleTimeout: nothing else is left to end a
-// kept connection that goes quiet.
+// is the bound its pass message carried, the front end's own for a kept
+// connection: nothing else is left to end one that goes quiet.
 type Conn struct {
 	net.Conn
 	br         *bufio.Reader // v1 only
@@ -465,8 +465,9 @@ func (c *Conn) Close() error {
 }
 
 // IdleTimeout is how long a server that keeps the connection open between
-// requests should wait for the next one: the Listener's SessionIdleTimeout
-// for a passed connection, 0 (no bound of the Listener's) for a v1 one.
+// requests should wait for the next one: the bound the pass message
+// carried for a passed connection, 0 (no bound of the Listener's) for a v1
+// one.
 // internal/backend's loop asks for it.
 func (c *Conn) IdleTimeout() time.Duration { return c.idle }
 

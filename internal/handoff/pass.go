@@ -17,6 +17,10 @@ import (
 //   - the handoff header (protocol.go's wire format) whose initial data is
 //     everything the front end has read from the client: the first
 //     request's head and any pipelined bytes behind it;
+//   - the idle bound (int64 nanoseconds, big-endian, positive): how long
+//     the server may wait for each next request, the front end's own bound
+//     on a kept connection, which it can no longer enforce
+//     (Conn.IdleTimeout);
 //   - the client's socket, attached as the message's one SCM_RIGHTS
 //     descriptor.
 //
@@ -24,7 +28,10 @@ import (
 // server has closed it, answers with one done record: magic, then the
 // bytes the server wrote to the client (uint64 big-endian). The channel is
 // then free for the next pass. A channel whose message is rejected, or
-// whose Listener closes, is closed instead.
+// whose Listener closes, is closed instead. A rejected message's socket is
+// closed with it (a full descriptor table, which makes the kernel drop the
+// descriptor and set MSG_CTRUNC, is one such rejection): the sender has
+// closed its copy already, so the client's connection ends unanswered.
 //
 // Only a process of the Listener's own user may open a channel (the peer's
 // SO_PEERCRED), and DialPass holds the Listener to the same, so a name
@@ -41,6 +48,9 @@ const passPrefix = "@lard-handoff/"
 
 // doneLen is the done record's length: magic and a uint64.
 const doneLen = len(magic) + 8
+
+// idleLen is the length of a pass message's idle bound.
+const idleLen = 8
 
 var (
 	errPassUnsupported = errors.New("handoff: no descriptor passing on this system")

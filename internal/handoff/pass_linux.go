@@ -2,6 +2,7 @@ package handoff
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"os"
@@ -84,7 +85,7 @@ func (l *Listener) servePasses(ch *net.UnixConn) {
 // passBufs holds the buffers pass messages are read into: one per channel
 // waiting for a message, given back once the message is copied out.
 var passBufs = sync.Pool{New: func() any {
-	b := make([]byte, fixedLen+MaxAddrLen+4+MaxPassData)
+	b := make([]byte, fixedLen+MaxAddrLen+4+MaxPassData+idleLen)
 	return &b
 }}
 
@@ -93,11 +94,12 @@ var (
 	errPassFDs       = errors.New("handoff: pass message without exactly one descriptor")
 	errPassTrailing  = errors.New("handoff: bytes behind a pass message's initial data")
 	errPassNotTCP    = errors.New("handoff: passed descriptor is no TCP socket")
+	errPassIdle      = errors.New("handoff: pass message's idle bound is not positive")
 )
 
 // readPass reads the channel's next message and makes the connection it
-// passes. A message that is not exactly one well-formed header with one
-// TCP socket attached is rejected: every descriptor it carried is closed,
+// passes. A message that is not exactly one well-formed header and idle
+// bound with one TCP socket attached is rejected: every descriptor it carried is closed,
 // the rejection is counted once, and the error ends the channel. An error
 // with no message (the front end closed the channel) is returned as is.
 func (l *Listener) readPass(ch *net.UnixConn, closed chan<- struct{}) (*Conn, error) {
@@ -135,6 +137,10 @@ func receivedFDs(oob []byte) []int {
 func (l *Listener) passedConn(msg []byte, flags int, fds []int, closed chan<- struct{}) (*Conn, error) {
 	r := bytes.NewReader(msg)
 	h, err := ReadHeader(r)
+	var bound int64
+	if err == nil {
+		err = binary.Read(r, binary.BigEndian, &bound)
+	}
 	switch {
 	case flags&(syscall.MSG_TRUNC|syscall.MSG_CTRUNC) != 0:
 		err = errPassTruncated
@@ -142,6 +148,8 @@ func (l *Listener) passedConn(msg []byte, flags int, fds []int, closed chan<- st
 		err = errPassFDs
 	case err == nil && r.Len() != 0:
 		err = errPassTrailing
+	case err == nil && bound <= 0:
+		err = errPassIdle
 	}
 	if err != nil {
 		for _, fd := range fds {
@@ -160,11 +168,7 @@ func (l *Listener) passedConn(msg []byte, flags int, fds []int, closed chan<- st
 		nc.Close()
 		return nil, errPassNotTCP
 	}
-	idle := l.SessionIdleTimeout
-	if idle == 0 {
-		idle = DefaultSessionIdleTimeout
-	}
-	return &Conn{Conn: tc, initial: h.InitialData, clientAddr: tc.RemoteAddr(), idle: max(idle, 0), closed: closed}, nil
+	return &Conn{Conn: tc, initial: h.InitialData, clientAddr: tc.RemoteAddr(), idle: time.Duration(bound), closed: closed}, nil
 }
 
 // peerUID returns the user of the process at the far end of a unix socket.
@@ -205,15 +209,20 @@ func DialPass(addr string) (*PassChannel, error) {
 }
 
 // Pass sends client to the back end in one message, with initial, every
-// byte already read from it, and clientAddr, its address as the front end
-// formatted it. On success the back end has its own descriptor for the
-// client's socket and the caller closes its copy; on an error nothing was
-// sent, the caller still owns the connection, and the channel is spent.
-func (p *PassChannel) Pass(client *net.TCPConn, clientAddr string, initial []byte) error {
+// byte already read from it, clientAddr, its address as the front end
+// formatted it, and idle, how long the back end may wait for each next
+// request, which must be positive. On success
+// the back end has its own descriptor for the client's socket and the
+// caller closes its copy; on an error nothing was sent, the caller still
+// owns the connection, and the channel is spent.
+func (p *PassChannel) Pass(client *net.TCPConn, clientAddr string, initial []byte, idle time.Duration) error {
 	if len(initial) > MaxPassData || len(clientAddr) > MaxAddrLen {
 		return errPassTooLong
 	}
-	p.buf = appendHeader(p.buf[:0], 0, clientAddr, initial)
+	if idle <= 0 {
+		return errPassIdle
+	}
+	p.buf = binary.BigEndian.AppendUint64(appendHeader(p.buf[:0], 0, clientAddr, initial), uint64(idle))
 	rc, err := client.SyscallConn()
 	if err != nil {
 		return err

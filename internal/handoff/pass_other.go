@@ -2,7 +2,10 @@
 
 package handoff
 
-import "net"
+import (
+	"net"
+	"time"
+)
 
 // Without Linux's abstract unix sockets and SO_PEERCRED a Listener has no
 // pass address, and a front end relays every connection.
@@ -15,6 +18,6 @@ func (l *Listener) acceptPasses() {}
 func DialPass(addr string) (*PassChannel, error) { return nil, errPassUnsupported }
 
 // Pass always fails here; no channel exists to call it on.
-func (p *PassChannel) Pass(client *net.TCPConn, clientAddr string, initial []byte) error {
+func (p *PassChannel) Pass(client *net.TCPConn, clientAddr string, initial []byte, idle time.Duration) error {
 	return errPassUnsupported
 }

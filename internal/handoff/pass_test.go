@@ -5,6 +5,7 @@ package handoff
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -112,7 +113,7 @@ func TestPassRoundTrip(t *testing.T) {
 		c := newPassedClient(t)
 		io.WriteString(c.conn, "GET /a HTTP/1.1\r\nHost: t\r\n\r\nGET /b HTTP/1.1\r\nHost: t\r\n\r\n")
 		initial := c.readAhead(t, 2)
-		if err := ch.Pass(c.fe, c.fe.RemoteAddr().String(), initial); err != nil {
+		if err := ch.Pass(c.fe, c.fe.RemoteAddr().String(), initial, time.Minute); err != nil {
 			t.Fatalf("round %d: pass: %v", round, err)
 		}
 		c.fe.Close() // the front end's copy: the connection is the back end's now
@@ -160,7 +161,7 @@ func TestPassedConnEndsWithListener(t *testing.T) {
 	defer ch.Close()
 	c := newPassedClient(t)
 	io.WriteString(c.conn, "GET /a HTTP/1.1\r\nHost: t\r\n\r\n")
-	if err := ch.Pass(c.fe, "", c.readAhead(t, 1)); err != nil {
+	if err := ch.Pass(c.fe, "", c.readAhead(t, 1), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	c.fe.Close()
@@ -176,25 +177,33 @@ func TestPassedConnEndsWithListener(t *testing.T) {
 }
 
 // TestPassChannelRejections: a channel from another user is refused, and
-// so is any message that is not one well-formed header with one TCP
-// socket attached. Each is counted once in Rejected, every descriptor the
-// message carried is closed (the pipes' read ends see EOF), and the
-// channel is closed.
+// so is any message that is not one well-formed header and idle bound with
+// one TCP socket attached. Each is counted once in Rejected, every
+// descriptor the message carried is closed (the pipes' read ends see EOF),
+// and the channel is closed. A client whose socket went in a rejected
+// message sees its connection end with no byte of an answer: the front end
+// closed its copy when the message went.
 func TestPassChannelRejections(t *testing.T) {
-	good := appendHeader(nil, 0, "192.0.2.1:4000", []byte("GET / HTTP/1.1\r\n\r\n"))
+	header := appendHeader(nil, 0, "192.0.2.1:4000", []byte("GET / HTTP/1.1\r\n\r\n"))
+	good := binary.BigEndian.AppendUint64(append([]byte(nil), header...), uint64(time.Minute))
 	for _, tc := range []struct {
 		name     string
 		msg      []byte
-		fds      int
+		fds      int  // pipes attached
+		client   bool // a client's socket attached ahead of the pipes
 		stranger bool // the listener expects another user
 	}{
 		{name: "another user's channel", msg: good, fds: 1, stranger: true},
 		{name: "no descriptor", msg: good},
 		{name: "two descriptors", msg: good, fds: 2},
-		{name: "descriptors truncated", msg: good, fds: 3},
+		// What a back end out of descriptors does too: the kernel drops
+		// what it cannot install and sets MSG_CTRUNC.
+		{name: "descriptors truncated", msg: good, fds: 2, client: true},
 		{name: "message truncated", msg: appendHeader(nil, 0, "", make([]byte, MaxPassData+1024)), fds: 1},
 		{name: "no header", msg: []byte("GARBAGE, NOT A HEADER"), fds: 1},
-		{name: "bytes behind the initial data", msg: append(append([]byte(nil), good...), "x"...), fds: 1},
+		{name: "no idle bound", msg: header, fds: 1},
+		{name: "a zero idle bound", msg: append(append([]byte(nil), header...), make([]byte, idleLen)...), fds: 1},
+		{name: "bytes behind the idle bound", msg: append(append([]byte(nil), good...), "x"...), fds: 1},
 		{name: "no socket", msg: good, fds: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -215,6 +224,18 @@ func TestPassChannelRejections(t *testing.T) {
 			defer ch.Close()
 			var readEnds, writeEnds []*os.File
 			var fds []int
+			var c *passedClient
+			if tc.client {
+				c = newPassedClient(t)
+				io.WriteString(c.conn, "GET / HTTP/1.1\r\nHost: t\r\n\r\n")
+				c.readAhead(t, 1)
+				f, err := c.fe.File()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.fe.Close()
+				writeEnds, fds = append(writeEnds, f), append(fds, int(f.Fd()))
+			}
 			for i := 0; i < tc.fds; i++ {
 				r, w, err := os.Pipe()
 				if err != nil {
@@ -251,7 +272,45 @@ func TestPassChannelRejections(t *testing.T) {
 					t.Fatalf("descriptor %d: %v, want every copy closed", i, err)
 				}
 			}
+			if c != nil {
+				c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if n, err := c.conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+					t.Fatalf("the client whose socket was rejected read %d bytes, %v; want its connection closed unanswered", n, err)
+				}
+			}
 		})
+	}
+}
+
+// TestPassedConnIdleBound: a passed Conn's IdleTimeout is the bound its
+// message carried, not the Listener's SessionIdleTimeout; Pass sends no
+// bound that is not positive.
+func TestPassedConnIdleBound(t *testing.T) {
+	ln, err := Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ch, err := DialPass(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	c := newPassedClient(t)
+	if err := ch.Pass(c.fe, "", nil, 0); err == nil {
+		t.Fatal("Pass sent a zero idle bound")
+	}
+	if err := ch.Pass(c.fe, "", nil, 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.fe.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if got := conn.(*Conn).IdleTimeout(); got != 3*time.Second {
+		t.Fatalf("IdleTimeout() = %v, want the 3s the message carried", got)
 	}
 }
 
