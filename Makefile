@@ -42,7 +42,7 @@ FUZZTIME ?= 10s
 fuzz:
 	for t in FuzzReadRequestHead FuzzReadResponseHead FuzzResponseHeadVsNetHTTP FuzzChunkedRelay FuzzRelayResponseFragmented; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/httprelay || exit 1; done
-	for t in FuzzHeaderDecode FuzzSessionFrames; do \
+	for t in FuzzHeaderDecode FuzzSessionFrames FuzzDoneRecord FuzzDescriptorStream; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/handoff || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzTakeoverHeadVsNetHTTP$$' -fuzztime $(FUZZTIME) ./internal/backend
 

@@ -76,13 +76,15 @@ func run(listen, profile string, seed int64, cacheSize string, useLRU bool, disk
 		// ride each accepted TCP connection. loop_sessions vs. takeovers
 		// is how many of them the node's loop kept from net/http; passed
 		// is how many were client connections a front end on this host
-		// handed over by descriptor; writes vs. hits+misses is one
-		// response, one write.
+		// handed over by descriptor; direct is how many responses went
+		// to a client's own socket (split sessions and passed
+		// connections), not through the front end; writes vs.
+		// hits+misses is one response, one write.
 		go func() {
 			for range time.Tick(statsEach) {
 				st := be.Stats()
-				fmt.Printf("lardbe: sessions=%d passed=%d rejected=%d takeovers=%d loop_sessions=%d requests=%d hits=%d misses=%d writes=%d cache=%dB/%d\n",
-					ln.Sessions(), ln.Passed(), ln.Rejected(), st.Takeovers, st.LoopSessions, st.Requests, st.Hits, st.Misses, st.Writes, st.CacheUsed, st.CacheLen)
+				fmt.Printf("lardbe: sessions=%d passed=%d direct=%d rejected=%d takeovers=%d loop_sessions=%d requests=%d hits=%d misses=%d writes=%d cache=%dB/%d\n",
+					ln.Sessions(), ln.Passed(), ln.Direct(), ln.Rejected(), st.Takeovers, st.LoopSessions, st.Requests, st.Hits, st.Misses, st.Writes, st.CacheUsed, st.CacheLen)
 			}
 		}()
 	}

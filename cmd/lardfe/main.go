@@ -69,6 +69,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
@@ -191,8 +192,8 @@ func run(o options) error {
 		go func() {
 			for range time.Tick(o.statsEach) {
 				st := fe.Stats()
-				log.Printf("stats: accepted=%d handoffs=%d passed=%d rehandoffs=%d resumes=%d rhfail=%d redispatch=%d stale=%d pool=%d/%d/%d/%d errors=%d rejected=%d down=%d probes=%d recovered=%d c2b=%dB b2c=%dB active=%v",
-					st.Accepted, st.Handoffs, st.Passed, st.Rehandoffs, st.SessionResumes, st.RehandoffFails,
+				log.Printf("stats: accepted=%d handoffs=%d passed=%d direct=%d rehandoffs=%d resumes=%d rhfail=%d redispatch=%d stale=%d pool=%d/%d/%d/%d errors=%d rejected=%d down=%d probes=%d recovered=%d c2b=%dB b2c=%dB active=%v",
+					st.Accepted, st.Handoffs, st.Passed, st.Direct, st.Rehandoffs, st.SessionResumes, st.RehandoffFails,
 					st.Redispatches, st.StaleRetries,
 					st.PoolHits, st.PoolMisses, st.PoolEvictions, st.PoolIdle,
 					st.Errors, st.Rejected,
@@ -226,9 +227,16 @@ func adminServer(addr string, fe *frontend.Server) *http.Server {
 	return &http.Server{Addr: addr, Handler: adminMux(fe), ReadHeaderTimeout: adminHeaderTimeout}
 }
 
-// adminMux serves the membership endpoints over the given front end.
+// adminMux serves the membership endpoints over the given front end, and
+// net/http/pprof's under /debug/pprof/: a heap or CPU profile of the live
+// front end, registered here rather than on http.DefaultServeMux.
 func adminMux(fe *frontend.Server) http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/admin/nodes", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(fe.Nodes())

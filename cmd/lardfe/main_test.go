@@ -235,6 +235,36 @@ func TestAdminHalfHeadIsTimedOut(t *testing.T) {
 	}
 }
 
+// TestAdminServesHeapProfile: the admin server answers a heap profile of
+// the live front end, through the mux it builds and not through
+// http.DefaultServeMux, which it never serves.
+func TestAdminServesHeapProfile(t *testing.T) {
+	fe, err := frontend.New(frontend.Config{
+		Backends:      []string{"127.0.0.1:1"},
+		Strategy:      "lard",
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := adminServer("127.0.0.1:0", fe)
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/debug/pprof/heap?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "heap profile:") {
+		t.Fatalf("GET /debug/pprof/heap?debug=1: %d, %.80q, %v", resp.StatusCode, body, err)
+	}
+}
+
 // TestRunRejectsPoolSizeZero: -poolsize 0 used to switch pooling (and the
 // session-framed protocol) off; that mode is gone, so the flag value must
 // fail loudly instead of silently meaning something else.

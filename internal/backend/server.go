@@ -443,6 +443,11 @@ func parsedPath(target string) (string, bool) {
 // and the loop closes it when that runs out before a next request's first
 // byte.
 //
+// A conn that can answer its client directly (direct: handoff's split
+// sessions and passed connections) is told so before the first answer and
+// given each answer's end after it: a split session's response then goes to
+// the client's own socket, and a done record to the front end in its place.
+//
 // EOF where a head would begin is the peer ending the session: on a
 // handed-off connection, the end-of-session record. A conn that can be its
 // transport's next session (handoff's, asked for by method so that nothing
@@ -459,9 +464,13 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Dura
 	if c, ok := conn.(interface{ IdleTimeout() time.Duration }); ok {
 		idle = c.IdleTimeout()
 	}
+	d, _ := conn.(direct)
+	if d != nil {
+		d.Direct()
+	}
 	var raw []byte // the loop's scratch for a head's bytes
 	for {
-		if s.answerConn(conn, &a, bodiless, last) != nil || last {
+		if !s.respond(conn, d, &a, bodiless, last) {
 			return
 		}
 		if idle > 0 {
@@ -487,7 +496,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Dura
 		}
 		if !ok {
 			if timeout == 0 || time.Now().Before(deadline) {
-				s.answerConn(conn, &badRequest, false, true)
+				s.respond(conn, d, &badRequest, false, true)
 			}
 			return
 		}
@@ -497,6 +506,26 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Dura
 		raw = h.Raw[:0]
 		a, bodiless, last = s.decide(h.Method, path), h.Method == http.MethodHead, !h.KeepsOpen()
 	}
+}
+
+// direct is a conn on which the loop answers a client directly where it
+// can (handoff's split sessions and passed connections, asked for by
+// method): Direct before the first answer, Answered after each.
+type direct interface {
+	Direct()
+	Answered(open bool) error
+}
+
+// respond writes a, reports it where conn answers its client directly, and
+// says whether the session goes on behind it.
+//
+//lard:noalloc
+func (s *Server) respond(conn net.Conn, d direct, a *answer, bodiless, last bool) bool {
+	err := s.answerConn(conn, a, bodiless, last)
+	if d != nil && d.Answered(err == nil && !last) != nil {
+		return false
+	}
+	return err == nil && !last
 }
 
 // maxHeadBytes bounds a request head in the loop; net/http's own default.

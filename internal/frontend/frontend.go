@@ -160,6 +160,7 @@ type Stats struct {
 	Dispatches      uint64 // session dispatch decisions taken (one per relayed request)
 	Handoffs        uint64 // handoff headers delivered to a back end
 	Passed          uint64 // of Handoffs, client connections passed by descriptor: the back end answers them directly
+	Direct          uint64 // responses a back end wrote to the client's own socket (split sessions and passed connections)
 	Rehandoffs      uint64 // completed back-end switches, by handoff or by resume (counted only after the replacement succeeds)
 	SessionResumes  uint64 // switches back to a node whose parked session was resumed: no handoff header sent
 	RehandoffFails  uint64 // moves the session decided on that no back end could be established for
@@ -375,6 +376,7 @@ func (s *Server) Stats() Stats {
 		ActiveSessions:        m.activeSessions.Value(),
 		Handoffs:              m.handoffs.Value(),
 		Passed:                m.passed.Value(),
+		Direct:                m.direct.Value(),
 		Rehandoffs:            m.rehandoffs.Value(),
 		SessionResumes:        s.pool.resumes.Value(),
 		RehandoffFails:        m.rehandoffFails.Value(),

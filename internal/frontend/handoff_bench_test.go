@@ -82,7 +82,7 @@ func BenchmarkHandoffDial(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bc, err := s.connectBackend(0, sess, clientAddr, head, false)
+			bc, err := s.connectBackend(&clientConn{addr: clientAddr, sess: sess}, 0, &head, false, false)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"lard/internal/handoff"
 	"lard/pkg/lard"
 )
 
@@ -62,7 +63,9 @@ func (s *Server) backendAddr(node int) string {
 // dialBackend dials the chosen back end and keeps the consecutive-failure
 // accounting: the threshold crossing marks the node down for the policy
 // layer, so its targets are re-assigned "as if they had not been assigned
-// before".
+// before". A back end on this host whose listener answers on the pass
+// address its TCP address names (pass.go) is dialed there, for a
+// transport that can carry a client's socket; any other over TCP.
 func (s *Server) dialBackend(node int) (net.Conn, error) {
 	addr := s.backendAddr(node)
 	epoch := s.dialEpoch(node)
@@ -73,7 +76,7 @@ func (s *Server) dialBackend(node int) (net.Conn, error) {
 		// directly rather than AddBackend) must still fail through the
 		// mark-down accounting, or it would attract traffic forever.
 		err = fmt.Errorf("no address for backend %d", node)
-	} else {
+	} else if conn, err = handoff.DialPass(addr); err != nil {
 		conn, err = net.DialTimeout("tcp", addr, s.cfg.DialTimeout)
 	}
 	if err != nil {

@@ -24,6 +24,7 @@ type feMetrics struct {
 
 	handoffs       *metrics.Counter
 	passed         *metrics.Counter
+	direct         *metrics.Counter
 	rehandoffs     *metrics.Counter
 	rehandoffFails *metrics.Counter
 	redispatches   *metrics.Counter
@@ -58,6 +59,7 @@ func newFEMetrics(reg *metrics.Registry, policyName string) feMetrics {
 
 		handoffs:       reg.Counter("lard_fe_handoffs_total", "handoff headers delivered to a back end"),
 		passed:         reg.Counter("lard_fe_passed_total", "client connections passed to their back end by descriptor (each also a handoff): their later requests never reach the front end"),
+		direct:         reg.Counter("lard_fe_direct_total", "responses a back end wrote to the client's own socket, on split sessions and passed connections: none of their bytes crossed the front end"),
 		rehandoffs:     reg.Counter("lard_fe_rehandoffs_total", "requests that moved a session to a different back end, by handoff or by resume"),
 		rehandoffFails: reg.Counter("lard_fe_rehandoff_fails_total", "session moves no back end could be established for"),
 		redispatches:   reg.Counter("lard_fe_redispatches_total", "failed dials or breaker denials recovered on another node"),

@@ -296,7 +296,7 @@ func TestStatsIsRegistryView(t *testing.T) {
 
 	st := fe.Stats()
 	if st.Rehandoffs == 0 || st.Redispatches != 1 || st.MarkedDown != 1 || st.QuotaSheds != 1 || st.StaleRetries != 0 ||
-		st.CloseConsumed != 2 || st.SessionEndsWithHeader == 0 || st.SessionResumes == 0 || st.PoolHits == 0 {
+		st.CloseConsumed != 2 || st.SessionEndsWithHeader == 0 || st.SessionResumes == 0 || st.PoolHits == 0 || st.Direct != st.Served {
 		t.Fatalf("run did not exercise the mix it is meant to: %+v", st)
 	}
 	// Every handoff and the one refused dial went through the pool (and
@@ -320,6 +320,7 @@ func TestStatsIsRegistryView(t *testing.T) {
 		"lard_fe_responses_total":                       st.Served,
 		"lard_fe_handoffs_total":                        st.Handoffs,
 		"lard_fe_passed_total":                          st.Passed,
+		"lard_fe_direct_total":                          st.Direct,
 		"lard_fe_rehandoffs_total":                      st.Rehandoffs,
 		"lard_fe_session_resumes_total":                 st.SessionResumes,
 		"lard_fe_rehandoff_fails_total":                 st.RehandoffFails,

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"lard/internal/handoff"
-	"lard/pkg/lard"
 )
 
 // closingExchange plays one client that announces the end of its
@@ -399,14 +398,14 @@ func TestPoolHitHandoffAllocs(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 	head := buildRequestHead(t, "GET /x HTTP/1.1\r\nHost: t\r\n\r\n")
-	var sess *lard.Session // the client connection the transport is parked for
+	cc := &clientConn{addr: "192.0.2.1:4000"} // cc.sess: the client connection the transport is parked for
 	handoffOnce := func() {
-		b, err := s.connectBackend(0, sess, "192.0.2.1:4000", head, false)
+		b, err := s.connectBackend(cc, 0, &head, false, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b.clean = true
-		s.releaseBackend(b, sess)
+		s.releaseBackend(b, cc.sess)
 	}
 	handoffOnce() // the dial
 	allocs := testing.AllocsPerRun(200, handoffOnce)
@@ -419,9 +418,9 @@ func TestPoolHitHandoffAllocs(t *testing.T) {
 		t.Fatalf("%d dials, %d resumes; want 1, 0: the measured handoffs were not pool hits", before.PoolMisses, before.SessionResumes)
 	}
 
-	sess = s.d.NewSession(s.policy)
-	defer sess.Close()
-	handoffOnce() // the last untagged checkout: parks the transport for sess
+	cc.sess = s.d.NewSession(s.policy)
+	defer cc.sess.Close()
+	handoffOnce() // the last untagged checkout: parks the transport for cc.sess
 	allocs = testing.AllocsPerRun(200, handoffOnce)
 	t.Logf("allocs per resume: %v", allocs)
 	if allocs != 0 {

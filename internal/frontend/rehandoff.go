@@ -25,9 +25,11 @@ import (
 // the session moves only when the locality regained is worth the switch.
 // Because the decision is re-taken per request, a session whose back end
 // drains, fails, or is removed moves on its next request under every
-// policy — unless its first request sent the connection to a back end on
-// this host by descriptor (pass.go), after which the loop only waits for
-// the back end to be done with it.
+// policy — unless its first request passed the whole connection to a back
+// end on this host (pass.go), after which the loop only waits for the back
+// end to be done with it. A session on a back end on this host is split
+// instead (pass.go): the loop reads, dispatches and moves every request as
+// here, and the back end writes the responses to the client's socket.
 //
 // Back-end connections come from the per-node pool (pool.go): every
 // handoff is a session-framed header (handoff.FlagSessionFramed) on a
@@ -94,6 +96,11 @@ type backendConn struct {
 	clean     bool      // at a message boundary: eligible for pool check-in
 	idleSince time.Time // when the pool took it in
 
+	// split: the open session's header carried the client's socket, so
+	// its responses may come as done records (pass.go). passed: the last
+	// header passed the whole connection, whose done record is still due.
+	split, passed bool
+
 	// The probe: rc is the conn's raw descriptor (nil if it has none, or
 	// the system no peek for it: probe_unix.go), peek the callback rc.Read
 	// runs — built once, so a probe allocates nothing — and peekErr what
@@ -149,27 +156,29 @@ func (b *backendConn) close() {
 
 // handleConn relays one client connection through its session.
 func (s *Server) handleConn(client net.Conn) {
-	defer client.Close()
+	cc := &clientConn{Conn: client, addr: client.RemoteAddr().String()}
+	cc.tc, _ = client.(*net.TCPConn)
+	defer cc.close()
 
 	// Connection-accept quota gate: a client already over its rate is
 	// shed before the front end reads a byte or opens a session. The
 	// check is non-consuming — the per-request Allow below pays.
 	// The address is formatted once per client connection: the quota key
 	// is cut from it, and every handoff header carries it.
-	clientAddr := client.RemoteAddr().String()
-	quotaKey := clientQuotaKey(clientAddr)
+	quotaKey := clientQuotaKey(cc.addr)
 	if ok, retry := s.ov.quota.Check(quotaKey, s.now()); !ok {
 		s.shedQuota(client, retry)
 		return
 	}
 
-	sess := s.d.NewSession(s.policy)
-	defer sess.Close()
+	cc.sess = s.d.NewSession(s.policy)
+	defer cc.sess.Close()
 	s.m.sessions.Inc()
 	s.m.activeSessions.Add(1)
 	defer s.m.activeSessions.Add(-1)
 
 	br := httprelay.GetReader(client)
+	cc.br = br
 	var (
 		backend     *backendConn
 		requestDone func()
@@ -193,6 +202,14 @@ func (s *Server) handleConn(client net.Conn) {
 		n, err := httprelay.RelayRequestBody(backend.sw, br, head)
 		s.m.bytesToBackend.Add(uint64(n))
 		return err
+	}
+	// respond waits for the response to the request on backend, relayed
+	// or written by the back end itself, and counts what the client got.
+	respond := func(on100 func() error) (bool, error) {
+		n, reusable, err := s.response(cw, backend, head.Method, on100)
+		cc.sent += n
+		s.m.bytesToClient.Add(uint64(n))
+		return reusable, err
 	}
 	defer func() {
 		if requestDone != nil {
@@ -237,7 +254,7 @@ func (s *Server) handleConn(client net.Conn) {
 		// connection-slot accounting across moves; both a saturated
 		// cluster (lard.ErrOverloaded) and a total outage
 		// (lard.ErrUnavailable) surface to the client as 503.
-		node, moved, done, err := sess.Dispatch(reqStart,
+		node, moved, done, err := cc.sess.Dispatch(reqStart,
 			lard.Request{Target: head.Target, Size: head.Size()})
 		if err != nil {
 			s.m.shedOverload.Inc()
@@ -246,16 +263,6 @@ func (s *Server) handleConn(client net.Conn) {
 		}
 		s.m.dispatches.Inc()
 		requestDone = done
-
-		// A session whose first request lets it go for good, to a back end
-		// on this host, leaves by descriptor (pass.go) and holds its slot
-		// until the back end is done with it.
-		if backend == nil && s.passes && passable(&head) {
-			if ch := s.pass(node, client, br, &head, clientAddr); ch != nil {
-				s.awaitPassed(ch)
-				return
-			}
-		}
 
 		// stale is why a kept-alive back-end connection must be replaced
 		// mid-session, nil while it is healthy.
@@ -274,14 +281,22 @@ func (s *Server) handleConn(client net.Conn) {
 		}
 		if backend == nil || moved || stale != nil {
 			// First handoff, re-handoff, or stale retry. requestDone follows
-			// a superseding claim (attachBackend).
+			// a superseding claim (attachBackend). A session whose first
+			// request lets its connection go for good, to a back end on this
+			// host, is passed whole (pass.go) and holds its slot until the
+			// back end is done with it.
 			var ndone func()
-			backend, ndone, err = s.attachBackend(sess, node, backend, stale, client, clientAddr, head)
+			pass := backend == nil && s.passes && passable(&head)
+			backend, ndone, err = s.attachBackend(cc, node, backend, stale, &head, pass)
 			if err != nil {
 				return
 			}
 			if ndone != nil {
 				requestDone = ndone
+			}
+			if backend.passed {
+				s.awaitPassed(backend)
+				return
 			}
 		}
 
@@ -301,16 +316,16 @@ func (s *Server) handleConn(client net.Conn) {
 			return
 		}
 
-		// Relay the response(s); the head travels to the client verbatim,
-		// so the connection semantics the client sees are the back end's.
-		// The write tracker tells a back end that never answered (no
-		// client write was ever attempted: the failure was reading the
-		// back end's head) from a client-side write failure — retrying
-		// the latter would re-execute a request the back end already
-		// served.
-		n, reusable, err := httprelay.RelayResponseFrom(cw, backend.br, backend.c, head.Method, s.cfg.MaxHeaderBytes, on100)
-		s.m.bytesToClient.Add(uint64(n))
-		if err != nil && !cw.wrote && backend.fromPool && backend.served == 0 &&
+		// Relay the response(s), or, on a split session, learn that the
+		// back end wrote them to the client itself. A relayed head travels
+		// to the client verbatim, so the connection semantics the client
+		// sees are the back end's. Whether anything reached the client
+		// tells a back end that never answered (the failure was reading its
+		// head or its done record) from a failure part way through a
+		// response — retrying the latter would re-execute a request the
+		// client has already been sent some of.
+		reusable, err := respond(on100)
+		if err != nil && !s.reached(cc, cw, backend) && backend.fromPool && backend.served == 0 &&
 			!bodyWritten && idempotentMethod(head.Method) {
 			// The pooled transport accepted the handoff but produced no
 			// response — the keep-alive race: the back end closed while
@@ -320,20 +335,19 @@ func (s *Server) handleConn(client net.Conn) {
 			// succeeded, so the back end may have executed the request
 			// before dying — net/http's transport draws the same line.
 			var ndone func()
-			backend, ndone, err = s.attachBackend(sess, backend.node, backend, err, client, clientAddr, head)
+			backend, ndone, err = s.attachBackend(cc, backend.node, backend, err, &head, false)
 			if err != nil {
 				return
 			}
 			if ndone != nil {
 				requestDone = ndone
 			}
-			n, reusable, err = httprelay.RelayResponseFrom(cw, backend.br, backend.c, head.Method, s.cfg.MaxHeaderBytes, on100)
-			s.m.bytesToClient.Add(uint64(n))
+			reusable, err = respond(on100)
 		}
 		if err != nil {
 			s.m.errors.Inc()
 			s.logf("frontend: relay response: %v", err)
-			if !cw.wrote {
+			if !s.reached(cc, cw, backend) {
 				// The back end hung up or sent a malformed head before any
 				// byte reached the client (a fresh dial, a non-idempotent
 				// method, or the second failure after a stale retry): a
@@ -370,7 +384,8 @@ func (s *Server) handleConn(client net.Conn) {
 // cannot take it, to an alternate the session re-dispatches to — and
 // keeps the handoff accounting. On failure the client has been answered
 // (502, or 503 + Retry-After when only breakers stood in the way) and
-// the caller just returns.
+// the caller just returns. With pass set the connection goes to the node
+// whole where it can (pass.go), and the transport comes back passed.
 //
 // old is the connection the session is leaving, nil on its first handoff.
 // With stale nil it sits at a message boundary — the loop only continues
@@ -384,17 +399,20 @@ func (s *Server) handleConn(client net.Conn) {
 // A refused dial or a breaker denial (a HalfOpen node's probe budget and
 // a Recovering node's admission fraction meter new handoffs here) is not
 // yet a client-visible error: the session is asked for the least-loaded
-// eligible node outside tried, up to dialRedispatchLimit times. The
-// returned done func is non-nil when that happened — the alternate's
-// claim, which supersedes the one from the original Dispatch.
-func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, stale error, client net.Conn, clientAddr string, head httprelay.RequestHead) (*backendConn, func(), error) {
+// eligible node outside tried, up to dialRedispatchLimit times. Each node
+// tried costs one breaker admission, whichever way the handoff to it goes:
+// a pass that cannot be made, or a pooled transport found stale, falls
+// through to the next way under the admission already taken. The returned
+// done func is non-nil when a redispatch happened — the alternate's claim,
+// which supersedes the one from the original Dispatch.
+func (s *Server) attachBackend(cc *clientConn, node int, old *backendConn, stale error, head *httprelay.RequestHead, pass bool) (*backendConn, func(), error) {
 	if stale != nil {
 		s.logf("frontend: stale back-end conn to %d (%v), retrying fresh", old.node, stale)
 		old.close()
 		s.m.staleRetries.Inc()
 	} else {
 		// The client connection lives on: old is parked for it.
-		s.releaseBackend(old, sess)
+		s.releaseBackend(old, cc.sess)
 	}
 	var (
 		tried []int  // nodes that refused this request
@@ -404,7 +422,7 @@ func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, s
 	for {
 		if !s.breakerAllow(node) {
 			err = errBreakerDenied
-		} else if b, cerr := s.connectBackend(node, sess, clientAddr, head, stale != nil && len(tried) == 0); cerr != nil {
+		} else if b, cerr := s.connectBackend(cc, node, head, stale != nil && len(tried) == 0, pass); cerr != nil {
 			err = cerr
 		} else {
 			if len(tried) > 0 {
@@ -430,7 +448,7 @@ func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, s
 			break
 		}
 		var rerr error
-		node, done, rerr = sess.Redispatch(s.now(), lard.Request{Target: head.Target, Size: head.Size()}, tried)
+		node, done, rerr = cc.sess.Redispatch(s.now(), lard.Request{Target: head.Target, Size: head.Size()}, tried)
 		if rerr != nil {
 			break // no alternate can take the request: surface the last failure
 		}
@@ -443,11 +461,11 @@ func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, s
 		// cluster is recovering, not broken — shed with a retry hint
 		// rather than a 502.
 		s.m.shedBreaker.Inc()
-		writeServiceUnavailable(client)
+		writeServiceUnavailable(cc)
 	} else {
 		s.m.errors.Inc()
 		s.logf("frontend: handoff refused by back ends %v: %v", tried, err)
-		writeBadGateway(client)
+		writeBadGateway(cc)
 	}
 	return nil, nil, err
 }
@@ -456,22 +474,22 @@ func (s *Server) attachBackend(sess *lard.Session, node int, old *backendConn, s
 // from the idle pool (with one transparent fall-through to a fresh dial
 // if the pooled transport turns out stale), or straight from a dial when
 // fresh is set. The dial keeps the mark-down accounting of dialBackend.
-// Either way the request side is one Write. On the transport sess parked
-// when it last left node, its session there still open, that is the
+// Either way the request side is one Write. On the transport the session
+// parked when it last left node, its session there still open, that is the
 // request head in a data frame, exactly what a request that stays sends:
 // the session resumes, and the back end sees the next request of a
-// keep-alive connection. On any other transport it is a handoff: the
-// end-of-session record a pooled transport still owes, the header, and
-// the request head.
-func (s *Server) connectBackend(node int, sess *lard.Session, clientAddr string, head httprelay.RequestHead, fresh bool) (*backendConn, error) {
+// keep-alive connection. On any other transport it is a handoff
+// (handoffTo): the end-of-session record a pooled transport still owes,
+// the header, and the request head.
+func (s *Server) connectBackend(cc *clientConn, node int, head *httprelay.RequestHead, fresh, pass bool) (*backendConn, error) {
 	if !fresh {
-		if b, ok := s.pool.get(node, sess); ok {
+		if b, ok := s.pool.get(node, cc.sess); ok {
 			var err error
 			if b.owner != nil {
-				// Only sess's own parked transport comes back tagged.
+				// Only the session's own parked transport comes back tagged.
 				_, err = b.sw.Write(head.Raw)
 			} else {
-				err = s.handoffTo(b, clientAddr, head)
+				err = s.handoffTo(b, cc, head, pass)
 			}
 			if err == nil {
 				return b, nil
@@ -488,25 +506,11 @@ func (s *Server) connectBackend(node int, sess *lard.Session, clientAddr string,
 		return nil, err
 	}
 	b := newBackendConn(node, c)
-	if err := s.handoffTo(b, clientAddr, head); err != nil {
+	if err := s.handoffTo(b, cc, head, pass); err != nil {
 		b.close()
 		return nil, err
 	}
 	return b, nil
-}
-
-// handoffTo sends the handoff message that opens the next session on b,
-// and counts it.
-func (s *Server) handoffTo(b *backendConn, clientAddr string, head httprelay.RequestHead) error {
-	owed := b.sw.InSession()
-	if err := b.sw.Handoff(clientAddr, head.Raw, handoffFlags); err != nil {
-		return err
-	}
-	s.m.handoffs.Inc()
-	if owed {
-		s.m.endsWithHeader.Inc()
-	}
-	return nil
 }
 
 // releaseBackend retires the relay loop's hold on a back-end connection.

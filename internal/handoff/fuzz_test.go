@@ -1,7 +1,8 @@
 package handoff
 
-// Fuzz targets for the handoff wire format: the handshake header parser
-// and the session-framed stream decoder. Both sit on a pooled transport
+// Fuzz targets for the handoff wire format: the handshake header parser,
+// the session-framed stream decoder and the done record (fuzz_linux_test.go
+// adds the descriptors a pass transport carries). All sit on a pooled transport
 // that carries many sessions back to back, so the invariants are about
 // exact consumption — a parser that reads one byte too many or too few
 // desyncs every later session on the connection — and about error
@@ -18,6 +19,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -255,6 +257,45 @@ func FuzzSessionFrames(f *testing.F) {
 			second := newSessionConn(&fuzzConn{}, br3, client, n, nil)
 			if got, err := io.ReadAll(second); err != nil || !bytes.Equal(got, initial) || !second.drained() {
 				t.Fatalf("cut %d: second session read %q, %v (drained %t), want %q", cut, got, err, second.drained(), initial)
+			}
+		}
+	})
+}
+
+// FuzzDoneRecord checks the front end's read of what a split session's
+// transport carries in a response's place: a done record is consumed
+// exactly and re-encodes to the bytes it was read from, anything else that
+// does not start with the magic is left unconsumed for the relay, and a
+// record that does not parse is an error that consumes nothing.
+func FuzzDoneRecord(f *testing.F) {
+	f.Add(appendDone(nil, Done{Written: 8192, Responses: 1, Open: true}))
+	f.Add(appendDone(nil, Done{Written: 1 << 40, Responses: 7}))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"))
+	f.Add([]byte("LARD\x00\x00"))
+	f.Add(append(appendDone(nil, Done{}), "HTTP/1.1 "...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(data)))
+		d, ok, err := ReadDone(br)
+		rest, _ := io.ReadAll(br)
+		consumed := len(data) - len(rest)
+		switch {
+		case ok:
+			if err != nil || consumed != doneLen || d.Written < 0 {
+				t.Fatalf("a done record %+v: consumed %d, %v", d, consumed, err)
+			}
+			if !bytes.Equal(appendDone(nil, d), data[:doneLen]) {
+				t.Fatalf("%+v re-encodes to %q, read from %q", d, appendDone(nil, d), data[:doneLen])
+			}
+		case err == nil:
+			if bytes.HasPrefix(data, []byte(magic)) || consumed != 0 {
+				t.Fatalf("no done record in %q, yet %d bytes consumed", data, consumed)
+			}
+		default:
+			if consumed != 0 {
+				t.Fatalf("%v, yet %d bytes consumed", err, consumed)
+			}
+			if err != errBadDone && len(data) >= doneLen {
+				t.Fatalf("%v from a whole record's bytes %q", err, data)
 			}
 		}
 	})

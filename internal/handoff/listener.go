@@ -2,6 +2,8 @@ package handoff
 
 import (
 	"bufio"
+	"encoding/binary"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -53,16 +55,19 @@ const DefaultSessionIdleTimeout = 2 * time.Minute
 // bench/stages.go) speak it to time a back end without a front end.
 //
 // On Linux a Listener on a TCP address also answers on its pass address
-// (pass.go): a front end on the same host may pass a client's socket
-// itself, and Accept yields it as a Conn the server answers the client on
-// directly. Such a connection is the server's until it closes it; its
+// (pass.go), where a front end on the same host opens transports that can
+// carry a client's socket. A split session's conn writes to the client's
+// socket once the server asks it to (Direct) and reports each response
+// (Answered); a server that does not ask is relayed as on any transport. A
+// passed connection comes from Accept as a Conn the server answers the
+// client on directly; it is the server's until it closes it, and its
 // Close sends the front end the done record. Nothing needs asking for: a
 // server that serves conns from Accept serves passed ones.
 type Listener struct {
 	ln net.Listener
 
 	// passLn is the pass address, nil where there is none; only a peer of
-	// passUID, this process's user, may open a channel on it.
+	// passUID, this process's user, may open a transport on it.
 	passLn  net.Listener
 	passUID int
 
@@ -80,12 +85,14 @@ type Listener struct {
 	SessionIdleTimeout time.Duration
 
 	// rejected counts connections dropped for bad handshakes, and pass
-	// channels and messages refused; sessions counts handed-off sessions
+	// transports and headers refused; sessions counts handed-off sessions
 	// begun (v1 and passed connections count one each); passed counts the
-	// connections passed by descriptor.
+	// connections passed by descriptor; direct counts the responses servers
+	// wrote to a client's own socket.
 	rejected atomic.Uint64
 	sessions atomic.Uint64
 	passed   atomic.Uint64
+	direct   atomic.Uint64
 
 	acceptCh  chan net.Conn
 	tempErrCh chan error
@@ -98,12 +105,18 @@ type Listener struct {
 	err     error
 	errDone chan struct{}
 
-	// transports tracks live session-framed transports, pass channels and
-	// passed connections so Close can tear them down (their lifetime is
+	// transports tracks live session-framed transports, TCP and pass ones,
+	// and passed connections so Close can tear them down (their lifetime is
 	// the listener's between sessions, not any accepted conn's; a passed
 	// connection is tracked so that Close ends it like the rest).
 	transMu    sync.Mutex
 	transports map[net.Conn]struct{}
+
+	// clients are the split sessions' copies of their clients' sockets,
+	// under transMu: Close closes them before the transports, so that no
+	// server can still be writing a response to one when its front end
+	// learns that the transport is gone.
+	clients map[*clientSocket]struct{}
 }
 
 // Listen announces on the local network address and returns a handoff
@@ -130,6 +143,7 @@ func NewListener(ln net.Listener) *Listener {
 		done:               make(chan struct{}),
 		errDone:            make(chan struct{}),
 		transports:         make(map[net.Conn]struct{}),
+		clients:            make(map[*clientSocket]struct{}),
 	}
 }
 
@@ -202,9 +216,18 @@ func (l *Listener) acceptLoop() {
 	}
 }
 
+// sessionHead is one handoff header as the listener reads it: the session
+// it opens, and the client's socket where the header carried one.
+type sessionHead struct {
+	flags      byte
+	client     net.Addr
+	initialLen int
+	fd         int // the client's socket (FlagSplit, FlagPass), -1 for none
+}
+
 // handshake reads the first handoff header and routes the connection: a
-// v1 header yields the connection itself, a session-framed header starts
-// the transport loop that yields one virtual conn per session.
+// v1 header yields the connection itself, any other starts the transport
+// loop that yields one virtual conn per session.
 func (l *Listener) handshake(raw net.Conn) {
 	br := httprelay.GetReader(raw)
 	if l.HandshakeTimeout > 0 {
@@ -218,27 +241,65 @@ func (l *Listener) handshake(raw net.Conn) {
 		httprelay.PutReader(br)
 		return
 	}
-	flags, client, initialLen, err := readHeaderFields(br)
+	h, err := l.readHead(raw, br)
 	if err != nil {
-		l.rejected.Add(1) // before the close the peer can observe
+		l.reject(raw, err) // before the close the peer can observe
 		raw.Close()
 		httprelay.PutReader(br)
 		return
 	}
 	raw.SetReadDeadline(time.Time{})
-	if flags&FlagSessionFramed != 0 {
+	if h.flags&(FlagSessionFramed|FlagSplit|FlagPass) != 0 {
 		l.addTransport(raw)
-		l.serveTransport(raw, br, client, initialLen)
+		l.serveTransport(raw, br, h)
 		return
 	}
 	l.sessions.Add(1)
-	c := newConn(raw, br, client)
+	c := newConn(raw, br, h.client)
 	if !l.deliver(c) {
 		// Never delivered: this goroutine is still the reader's only
 		// user, so it can be recycled (unlike a delivered v1 conn, whose
 		// reader lives as long as the server keeps the conn).
 		raw.Close()
 		httprelay.PutReader(br)
+	}
+}
+
+// readHead reads a handoff header out of br and takes the descriptor its
+// flags call for: one for FlagSplit and FlagPass, none otherwise. A header
+// that does not parse, that arrives with any other count of descriptors,
+// or a pass whose initial data exceeds MaxPassData is an error, and every
+// descriptor that came with it is closed.
+func (l *Listener) readHead(raw net.Conn, br *bufio.Reader) (sessionHead, error) {
+	flags, client, n, err := readHeaderFields(br)
+	fds := takeFDs(raw) // the header's first byte brought its descriptor
+	want := 0
+	if flags&(FlagSplit|FlagPass) != 0 {
+		want = 1
+	}
+	switch {
+	case err != nil:
+	case len(fds) != want:
+		err = errHeaderFDs
+	case flags&FlagPass != 0 && n > MaxPassData:
+		err = errPassTooLong
+	}
+	if err != nil {
+		closeFDs(fds)
+		return sessionHead{}, err
+	}
+	h := sessionHead{flags: flags, client: client, initialLen: n, fd: -1}
+	if want == 1 {
+		h.fd = fds[0]
+	}
+	return h, nil
+}
+
+// reject counts a transport's failed header in Rejected, unless it is a
+// clean end between sessions or a truncation the read already counted.
+func (l *Listener) reject(raw net.Conn, err error) {
+	if err != errIdleClosed && !truncatedTransport(raw) {
+		l.rejected.Add(1)
 	}
 }
 
@@ -253,49 +314,60 @@ func (l *Listener) deliver(c net.Conn) bool {
 	}
 }
 
-// serveTransport runs one session-framed transport: yield a virtual conn
-// for the current header (client's address, initialLen bytes of initial
-// data next in br), wait for the server to finish with it, then read the
-// next header — for as long as each session is drained through
-// its end-of-session record and headers keep parsing. Sessions on one
-// transport are strictly sequential, mirroring the front end's pool
-// (a pooled connection is checked out by at most one client session).
-func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, client net.Addr, initialLen int) {
+// serveTransport runs one session-framed transport: serve the session h
+// opens — yield a virtual conn for it (client's address, initialLen bytes
+// of initial data next in br) and wait for the server to finish with it,
+// or serve a pass (servePass) — then read the next header, for as long as
+// each session is drained through its end-of-session record and headers
+// keep parsing. Sessions on one transport are strictly sequential,
+// mirroring the front end's pool (a pooled connection is checked out by at
+// most one client session).
+func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, h sessionHead) {
 	defer l.dropTransport(raw)
 	closed := make(chan struct{}, 1)
 	for {
-		l.sessions.Add(1)
-		sc := newSessionConn(raw, br, client, initialLen, closed)
-		sc.l = l
-		if !l.deliver(sc) {
-			// Undelivered: the loop is still the reader's only user.
-			httprelay.PutReader(br)
-			return
-		}
-		select {
-		case <-closed:
-			// The server closed the session; net/http quiesces its reads
-			// before Close returns, so from here the loop is again the
-			// reader's only user.
-		case <-l.done:
-			// Listener shutdown with the session possibly live: the server
-			// may still be reading through br, so it must NOT be recycled.
-			return
-		}
-		if !sc.drained() {
-			// The server abandoned the session mid-stream (error response,
-			// handler close): the transport's read position is inside the
-			// dead session's frames, so it cannot be reused. Or the server
-			// kept the conn across sessions (NextSession) until a header
-			// failed it, which NextSession has counted.
-			httprelay.PutReader(br)
-			return
+		if h.flags&FlagPass != 0 {
+			if !l.servePass(raw, br, h) {
+				httprelay.PutReader(br)
+				return
+			}
+		} else {
+			l.sessions.Add(1)
+			sc := newSessionConn(raw, br, h.client, h.initialLen, closed)
+			sc.l = l
+			sc.client.reset(h.fd)
+			l.trackClient(&sc.client, true)
+			if !l.deliver(sc) {
+				// Undelivered: the loop is still the reader's only user.
+				sc.client.close()
+				l.trackClient(&sc.client, false)
+				httprelay.PutReader(br)
+				return
+			}
+			select {
+			case <-closed:
+				// The server closed the session; net/http quiesces its reads
+				// before Close returns, so from here the loop is again the
+				// reader's only user.
+				l.trackClient(&sc.client, false)
+			case <-l.done:
+				// Listener shutdown with the session possibly live: the server
+				// may still be reading through br, so it must NOT be recycled.
+				return
+			}
+			if !sc.drained() {
+				// The server abandoned the session mid-stream (error response,
+				// handler close): the transport's read position is inside the
+				// dead session's frames, so it cannot be reused. Or the server
+				// kept the conn across sessions (NextSession) until a header
+				// failed it, which NextSession has counted.
+				httprelay.PutReader(br)
+				return
+			}
 		}
 		var err error
-		if client, initialLen, err = l.readNextHeader(raw, br); err != nil {
-			if err != errIdleClosed {
-				l.rejected.Add(1)
-			}
+		if h, err = l.readNextHeader(raw, br); err != nil {
+			l.reject(raw, err)
 			httprelay.PutReader(br)
 			return
 		}
@@ -314,7 +386,7 @@ func (*idleClosedError) Error() string { return "handoff: transport closed while
 // readNextHeader waits (bounded by SessionIdleTimeout) for the next
 // session's header on an idle transport, then requires the complete
 // header within HandshakeTimeout of its first byte.
-func (l *Listener) readNextHeader(raw net.Conn, br *bufio.Reader) (client net.Addr, initialLen int, err error) {
+func (l *Listener) readNextHeader(raw net.Conn, br *bufio.Reader) (sessionHead, error) {
 	idle := l.SessionIdleTimeout
 	if idle == 0 {
 		idle = DefaultSessionIdleTimeout
@@ -329,18 +401,83 @@ func (l *Listener) readNextHeader(raw net.Conn, br *bufio.Reader) (client net.Ad
 		// transport it no longer wants. Deadline expiry is the back end
 		// giving up on a front end that vanished. Neither is a handshake
 		// fault.
-		return nil, 0, errIdleClosed
+		return sessionHead{}, errIdleClosed
 	}
 	if l.HandshakeTimeout > 0 {
 		raw.SetReadDeadline(time.Now().Add(l.HandshakeTimeout))
 	} else {
 		raw.SetReadDeadline(time.Time{})
 	}
-	if _, client, initialLen, err = readHeaderFields(br); err != nil {
-		return nil, 0, err
+	h, err := l.readHead(raw, br)
+	if err != nil {
+		return h, err
 	}
 	raw.SetReadDeadline(time.Time{})
-	return client, initialLen, nil
+	return h, nil
+}
+
+// servePass serves a pass header (pass.go): it reads the initial data and
+// the idle bound, yields the client's socket from Accept as a Conn, waits
+// for the server to close it, and sends the done record. It reports
+// whether the transport is good for its next header. A message it refuses
+// is counted in Rejected and its socket closed; the transport ends.
+func (l *Listener) servePass(raw net.Conn, br *bufio.Reader, h sessionHead) bool {
+	c, err := l.passedConn(raw, br, h)
+	if err != nil {
+		l.reject(raw, err)
+		return false
+	}
+	closed := make(chan struct{}, 1)
+	c.closed = closed
+	l.sessions.Add(1)
+	l.passed.Add(1)
+	l.addTransport(c.Conn)
+	if !l.deliver(c) {
+		l.dropTransport(c.Conn)
+		return false
+	}
+	select {
+	case <-closed:
+	case <-l.done:
+		return false
+	}
+	l.dropTransport(c.Conn) // closed by the server already: this forgets it
+	var rec [doneLen]byte
+	_, err = raw.Write(appendDone(rec[:0], Done{Written: c.written.Load(), Responses: c.responses.Load()}))
+	return err == nil
+}
+
+// passedConn reads the rest of a pass message, what follows the header,
+// and makes its Conn. On an error h's socket is closed.
+func (l *Listener) passedConn(raw net.Conn, br *bufio.Reader, h sessionHead) (*Conn, error) {
+	if l.HandshakeTimeout > 0 {
+		raw.SetReadDeadline(time.Now().Add(l.HandshakeTimeout))
+	}
+	msg := make([]byte, h.initialLen+idleLen)
+	_, err := io.ReadFull(br, msg)
+	raw.SetReadDeadline(time.Time{})
+	var bound int64
+	if err == nil {
+		bound = int64(binary.BigEndian.Uint64(msg[h.initialLen:]))
+	}
+	switch {
+	case err != nil:
+	case bound <= 0:
+		err = errPassIdle
+	case br.Buffered() > 0:
+		// Nothing may follow a pass until its done record; what came in
+		// the same message is no next header.
+		err = errPassTrailing
+	}
+	if err != nil {
+		closeFDs([]int{h.fd})
+		return nil, err
+	}
+	tc, err := fileTCPConn(h.fd)
+	if err != nil {
+		return nil, err
+	}
+	return &Conn{Conn: tc, initial: msg[:h.initialLen], clientAddr: tc.RemoteAddr(), idle: time.Duration(bound), l: l}, nil
 }
 
 // addTransport puts raw among what Close ends, or ends it now if Close
@@ -356,6 +493,23 @@ func (l *Listener) addTransport(raw net.Conn) {
 	}
 }
 
+// trackClient adds a session's client socket to, or drops it from, what
+// Close closes first. One added after Close ran is closed at once.
+func (l *Listener) trackClient(c *clientSocket, add bool) {
+	l.transMu.Lock()
+	defer l.transMu.Unlock()
+	select {
+	case <-l.done:
+		c.close()
+	default:
+		if add {
+			l.clients[c] = struct{}{}
+		} else {
+			delete(l.clients, c)
+		}
+	}
+}
+
 func (l *Listener) dropTransport(raw net.Conn) {
 	l.transMu.Lock()
 	delete(l.transports, raw)
@@ -364,9 +518,10 @@ func (l *Listener) dropTransport(raw net.Conn) {
 }
 
 // Close closes the underlying listener, the pass address, every
-// session-framed transport and pass channel, and every passed connection
-// (virtual conns handed to the server see read errors and close in turn;
-// a passed client sees its connection end).
+// session-framed transport, and every passed connection (virtual conns
+// handed to the server see read errors and close in turn, and with them
+// the split sessions' copies of their clients' sockets; a passed client
+// sees its connection end).
 func (l *Listener) Close() error {
 	var err error
 	l.closeOnce.Do(func() {
@@ -376,6 +531,9 @@ func (l *Listener) Close() error {
 			l.passLn.Close()
 		}
 		l.transMu.Lock()
+		for c := range l.clients {
+			c.close()
+		}
 		for raw := range l.transports {
 			raw.Close()
 		}
@@ -388,7 +546,8 @@ func (l *Listener) Close() error {
 func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
 
 // Rejected returns how many connections were dropped for failing the
-// handoff handshake.
+// handoff handshake, and how many pass transports and headers were
+// refused.
 func (l *Listener) Rejected() uint64 { return l.rejected.Load() }
 
 // Sessions returns how many handed-off sessions have begun, accepted or
@@ -400,6 +559,11 @@ func (l *Listener) Sessions() uint64 { return l.sessions.Load() }
 // descriptor (pass.go); each is also one of Sessions.
 func (l *Listener) Passed() uint64 { return l.passed.Load() }
 
+// Direct returns how many responses servers wrote straight to a client's
+// own socket, on split sessions and passed connections: each one a
+// response that did not cross the front end.
+func (l *Listener) Direct() uint64 { return l.direct.Load() }
+
 // Conn is a handed-off connection that is the client's whole connection:
 // a plain v1 handoff, whose TCP connection carries exactly one session, or
 // a connection a front end passed by descriptor, which is the client's own
@@ -408,20 +572,23 @@ func (l *Listener) Passed() uint64 { return l.passed.Load() }
 // parsed the header from), and RemoteAddr reports the original client's
 // address: for a passed connection, its socket's peer.
 //
-// A passed Conn also counts the bytes written to it, and its Close sends
-// them back to the front end in the channel's done record. Its IdleTimeout
-// is the bound its pass message carried, the front end's own for a kept
-// connection: nothing else is left to end one that goes quiet.
+// A passed Conn also counts the bytes written to it and the responses
+// (Answered), and its Close sends both back to the front end in the
+// transport's done record. Its IdleTimeout is the bound its pass message
+// carried, the front end's own for a kept connection: nothing else is left
+// to end one that goes quiet.
 type Conn struct {
 	net.Conn
 	br         *bufio.Reader // v1 only
 	initial    []byte        // passed only: initial data not yet read
 	clientAddr net.Addr
+	l          *Listener // passed only: whose Direct its responses count in
 
 	written   atomic.Int64
+	responses atomic.Uint32
 	idle      time.Duration
 	closeOnce sync.Once
-	closed    chan<- struct{} // passed only: the channel loop's, sent once on Close
+	closed    chan<- struct{} // passed only: servePass's, sent once on Close
 }
 
 // newConn wraps a raw connection whose header the handshake consumed
@@ -454,8 +621,25 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Close closes the connection; a passed one's channel then sends its done
-// record.
+// Direct is what a server that answers split sessions directly asks of
+// every conn (sessionConn.Direct). A Conn's writes go to the client
+// anyway.
+func (c *Conn) Direct() {}
+
+// Answered counts a response written to a passed connection, for its done
+// record and the Listener's Direct.
+//
+//lard:noalloc
+func (c *Conn) Answered(open bool) error {
+	if c.l != nil {
+		c.responses.Add(1)
+		c.l.direct.Add(1)
+	}
+	return nil
+}
+
+// Close closes the connection; a passed one's transport then sends its
+// done record.
 func (c *Conn) Close() error {
 	err := c.Conn.Close()
 	if c.closed != nil {

@@ -1,53 +1,75 @@
 package handoff
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
-	"net"
+	"math"
 )
 
-// Passing a connection by descriptor. Where a front end and a back end
-// share a host, the handoff can be the paper's own: the client's socket
-// goes to the back end, which answers the client directly, and no byte of
-// the connection crosses the front end again. A Listener on Linux also
-// answers on an abstract unixpacket address named after its TCP address
-// (passPrefix + Addr().String(), e.g. "@lard-handoff/127.0.0.1:41234").
-// A channel to it carries, one at a time, pass messages:
+// Handing the client's socket over. Where a front end and a back end share
+// a host, the handoff can be the paper's own: the back end writes its
+// responses to the client's socket, and no response byte crosses the front
+// end. A Listener on Linux also answers on an abstract unix stream address
+// named after its TCP address (passPrefix + Addr().String(), e.g.
+// "@lard-handoff/127.0.0.1:41234"). A connection to it (DialPass) is a
+// session-framed transport like any other (session.go), pooled and reused
+// by the front end: the same headers, data frames and end-of-session
+// records. Two header flags add the client's socket, attached to the write
+// that carries the header as its one SCM_RIGHTS descriptor:
 //
-//   - the handoff header (protocol.go's wire format) whose initial data is
-//     everything the front end has read from the client: the first
-//     request's head and any pipelined bytes behind it;
-//   - the idle bound (int64 nanoseconds, big-endian, positive): how long
-//     the server may wait for each next request, the front end's own bound
-//     on a kept connection, which it can no longer enforce
-//     (Conn.IdleTimeout);
-//   - the client's socket, attached as the message's one SCM_RIGHTS
-//     descriptor.
+//   - FlagSplit opens a split session. The front end keeps reading the
+//     client's requests and sends them as data frames, as on any session.
+//     A server that answers the client directly (Direct, asked for by
+//     interface assertion; internal/backend's loop does) writes each
+//     response to the client's socket and then calls Answered, which sends
+//     a done record on the transport in the response's place. The
+//     Listener's copy of the socket is closed at the session's
+//     end-of-session record, or when the session or its transport ends.
+//     Writes a server makes before Direct, such as net/http's own answer to
+//     a request it does not hand over, go to the transport as on any
+//     session, and the front end relays them: a split session degrades to
+//     a relayed one, never breaks.
+//   - FlagPass passes the whole connection. Its initial data is everything
+//     the front end has read from the client, and it is followed by the
+//     idle bound (int64 nanoseconds, big-endian, positive): how long the
+//     server may wait for each next request, the front end's own bound,
+//     which it can no longer enforce (Conn.IdleTimeout). No frames follow.
+//     Accept yields the socket as a Conn; once the server has closed it the
+//     Listener sends the done record, and the transport is between
+//     sessions again. Nothing may follow a pass message on the transport
+//     until then.
 //
-// The Listener yields the connection from Accept as a Conn and, once the
-// server has closed it, answers with one done record: magic, then the
-// bytes the server wrote to the client (uint64 big-endian). The channel is
-// then free for the next pass. A channel whose message is rejected, or
-// whose Listener closes, is closed instead. A rejected message's socket is
-// closed with it (a full descriptor table, which makes the kernel drop the
-// descriptor and set MSG_CTRUNC, is one such rejection): the sender has
-// closed its copy already, so the client's connection ends unanswered.
+// The done record is magic, the bytes the server wrote to the client
+// (uint64), the responses it wrote (uint32) and one flags byte (doneOpen:
+// the connection stays open behind the response), big-endian. A front end
+// tells it from a relayed response by its magic, which starts no HTTP
+// response.
 //
-// Only a process of the Listener's own user may open a channel (the peer's
+// Every read of a pass transport is a recvmsg with room for two
+// descriptors, so none that arrives is lost: a header takes exactly the one
+// its flags call for, and any other is a rejection that ends the transport
+// (so is MSG_CTRUNC, a descriptor the kernel had to drop). A rejected
+// header's socket is closed with it; the front end, which still holds the
+// client's connection after a split but not after a pass, answers or ends
+// it. Only a process of the Listener's own user may connect (the peer's
 // SO_PEERCRED), and DialPass holds the Listener to the same, so a name
 // taken by another user leads nowhere. The abstract namespace belongs to
 // the network namespace, so a name can only lead to the listener that owns
 // that TCP address where the front end dials it.
 
-// MaxPassData bounds the initial data a pass message carries; a client
-// that has sent more than this ahead of its first response is relayed.
+// MaxPassData bounds the initial data of a pass message; a client that has
+// sent more than this ahead of its first response is not passed.
 const MaxPassData = 64 << 10
 
 // passPrefix begins every pass address.
 const passPrefix = "@lard-handoff/"
 
-// doneLen is the done record's length: magic and a uint64.
-const doneLen = len(magic) + 8
+// doneLen is the done record's length: magic, bytes, responses, flags.
+const doneLen = len(magic) + 8 + 4 + 1
+
+// doneOpen marks a done record whose connection stays open.
+const doneOpen = 1 << 0
 
 // idleLen is the length of a pass message's idle bound.
 const idleLen = 8
@@ -55,39 +77,60 @@ const idleLen = 8
 var (
 	errPassUnsupported = errors.New("handoff: no descriptor passing on this system")
 	errPassTooLong     = errors.New("handoff: pass message exceeds MaxPassData")
+	errPassIdle        = errors.New("handoff: pass message's idle bound is not positive")
 	errBadDone         = errors.New("handoff: malformed done record")
+	errHeaderFDs       = errors.New("handoff: header without exactly the descriptor its flags call for")
+	errPassTrailing    = errors.New("handoff: bytes behind a pass message's idle bound")
+	errPassNotTCP      = errors.New("handoff: passed descriptor is no TCP socket")
 )
 
-// PassChannel is a front end's end of a channel to a Listener's pass
-// address (DialPass). It carries one passed connection at a time: Pass
-// sends it, and Done waits until the back end has closed it. It is not safe
-// for concurrent use.
-type PassChannel struct {
-	uc  *net.UnixConn
-	buf []byte // the pass message's scratch
+// Done is a done record: a server wrote Written bytes in Responses
+// responses straight to a client's socket, and the connection stays open
+// behind them if Open.
+type Done struct {
+	Written   int64
+	Responses uint32
+	Open      bool
 }
 
-// Done waits for the done record of the connection passed last: the back
-// end has closed it, and written that many bytes to the client. An error
-// means the channel is gone, with its Listener or by its rejection of the
-// message; close it.
-func (p *PassChannel) Done() (written int64, err error) {
-	var rec [doneLen + 1]byte // a byte more: a longer record is no record
-	n, err := p.uc.Read(rec[:])
+// appendDone appends d's wire form.
+//
+//lard:noalloc
+func appendDone(b []byte, d Done) []byte {
+	b = binary.BigEndian.AppendUint64(append(b, magic...), uint64(d.Written))
+	b = binary.BigEndian.AppendUint32(b, d.Responses)
+	var flags byte
+	if d.Open {
+		flags = doneOpen
+	}
+	return append(b, flags)
+}
+
+// ReadDone reads the done record that begins br, if one does: on a split
+// session or a pass, where a back end answers in place of a response. When
+// ok is false nothing was consumed and what begins br is something else,
+// such as a response the server wrote to the transport for the caller to
+// relay. An error means the transport is unusable: it ended, or sent a
+// record that does not parse.
+//
+//lard:noalloc
+func ReadDone(br *bufio.Reader) (d Done, ok bool, err error) {
+	b, err := br.Peek(len(magic))
 	switch {
 	case err != nil:
-		return 0, err
-	case n != doneLen || string(rec[:len(magic)]) != magic:
-		return 0, errBadDone
+		return d, false, err
+	case string(b) != magic:
+		return d, false, nil
 	}
-	return int64(binary.BigEndian.Uint64(rec[len(magic):doneLen])), nil
-}
-
-// Close closes the channel.
-func (p *PassChannel) Close() error { return p.uc.Close() }
-
-// appendDone appends the done record for a connection the server wrote
-// written bytes to.
-func appendDone(b []byte, written int64) []byte {
-	return binary.BigEndian.AppendUint64(append(b, magic...), uint64(written))
+	if b, err = br.Peek(doneLen); err != nil {
+		return d, false, err
+	}
+	written := binary.BigEndian.Uint64(b[len(magic):])
+	flags := b[doneLen-1]
+	if written > math.MaxInt64 || flags&^doneOpen != 0 {
+		return d, false, errBadDone
+	}
+	d = Done{Written: int64(written), Responses: binary.BigEndian.Uint32(b[len(magic)+8:]), Open: flags&doneOpen != 0}
+	br.Discard(doneLen)
+	return d, true, nil
 }

@@ -1,14 +1,16 @@
 package handoff
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 )
 
 // listenPasses opens a Listener's pass address, or returns nil where it
@@ -17,15 +19,16 @@ func listenPasses(addr net.Addr) net.Listener {
 	if _, ok := addr.(*net.TCPAddr); !ok {
 		return nil
 	}
-	ln, err := net.Listen("unixpacket", passPrefix+addr.String())
+	ln, err := net.Listen("unix", passPrefix+addr.String())
 	if err != nil {
 		return nil
 	}
 	return ln
 }
 
-// acceptPasses accepts channels on the pass address until Close. A peer
-// of another user is closed and counted in Rejected.
+// acceptPasses accepts transports on the pass address until Close and
+// serves each as the TCP ones are served (handshake). A peer of another
+// user is closed and counted in Rejected.
 func (l *Listener) acceptPasses() {
 	for {
 		c, err := l.passLn.Accept()
@@ -37,127 +40,347 @@ func (l *Listener) acceptPasses() {
 			}
 			return
 		}
-		ch := c.(*net.UnixConn)
-		if uid, err := peerUID(ch); err != nil || uid != l.passUID {
+		uc := c.(*net.UnixConn)
+		if uid, err := peerUID(uc); err != nil || uid != l.passUID {
 			l.rejected.Add(1)
-			ch.Close()
+			uc.Close()
 			continue
 		}
-		l.addTransport(ch)
-		go l.servePasses(ch)
+		go l.handshake(newRightsConn(uc, &l.rejected))
 	}
 }
 
-// servePasses runs one channel: read a pass message, yield its connection
-// from Accept, wait for the server to close it, send the done record, and
-// read the next one, for as long as the channel lives and its messages are
-// good. The channel and a connection it carries are both in the transports
-// Close ends.
-func (l *Listener) servePasses(ch *net.UnixConn) {
-	defer l.dropTransport(ch)
-	closed := make(chan struct{}, 1)
-	var rec []byte
-	for {
-		c, err := l.readPass(ch, closed)
-		if err != nil {
-			return
-		}
-		l.sessions.Add(1)
-		l.passed.Add(1)
-		l.addTransport(c.Conn)
-		if !l.deliver(c) {
-			l.dropTransport(c.Conn)
-			return
-		}
-		select {
-		case <-closed:
-		case <-l.done:
-			return
-		}
-		l.dropTransport(c.Conn) // closed by the server already: this forgets it
-		rec = appendDone(rec[:0], c.written.Load())
-		if _, err := ch.Write(rec); err != nil {
-			return
-		}
-	}
-}
-
-// passBufs holds the buffers pass messages are read into: one per channel
-// waiting for a message, given back once the message is copied out.
-var passBufs = sync.Pool{New: func() any {
-	b := make([]byte, fixedLen+MaxAddrLen+4+MaxPassData+idleLen)
-	return &b
-}}
+// oobRoom is the control buffer of every read of a pass transport: room
+// for two descriptors, so that a second is seen, not cut off.
+var oobRoom = syscall.CmsgSpace(2 * 4)
 
 var (
-	errPassTruncated = errors.New("handoff: pass message or its descriptors truncated")
-	errPassFDs       = errors.New("handoff: pass message without exactly one descriptor")
-	errPassTrailing  = errors.New("handoff: bytes behind a pass message's initial data")
-	errPassNotTCP    = errors.New("handoff: passed descriptor is no TCP socket")
-	errPassIdle      = errors.New("handoff: pass message's idle bound is not positive")
+	errTruncated = errors.New("handoff: descriptors truncated (MSG_CTRUNC)")
+	errStrayFDs  = errors.New("handoff: descriptors where none belong")
 )
 
-// readPass reads the channel's next message and makes the connection it
-// passes. A message that is not exactly one well-formed header and idle
-// bound with one TCP socket attached is rejected: every descriptor it carried is closed,
-// the rejection is counted once, and the error ends the channel. An error
-// with no message (the front end closed the channel) is returned as is.
-func (l *Listener) readPass(ch *net.UnixConn, closed chan<- struct{}) (*Conn, error) {
-	bp := passBufs.Get().(*[]byte)
-	defer passBufs.Put(bp)
-	// Room for two descriptors, so that a second is seen, not cut off.
-	oob := make([]byte, syscall.CmsgSpace(2*4))
-	n, oobn, flags, _, err := ch.ReadMsgUnix(*bp, oob)
-	fds := receivedFDs(oob[:oobn])
-	if err != nil && len(fds) == 0 {
-		return nil, err
-	}
-	c, err := l.passedConn((*bp)[:n], flags, fds, closed)
-	if err != nil {
-		l.rejected.Add(1)
-		return nil, err
-	}
-	return c, nil
+// rightsConn is a pass transport: a unix stream connection that is read
+// only with recvmsg, so that no descriptor arriving on it is silently
+// dropped. Descriptors queue until a header takes them (takeFDs). On a
+// front end's transport, where none is ever due, one is an error. A read
+// that finds MSG_CTRUNC ends the transport: the error is sticky, and it is
+// counted once in rejected, where there is a counter. Its sendmsg and
+// recvmsg calls run in callbacks built once, with their arguments and
+// results in the struct, so that neither allocates.
+type rightsConn struct {
+	*net.UnixConn
+	rc    syscall.RawConn
+	queue bool // descriptors are due: the Listener's end
+
+	// recv's argument and results.
+	recv        func(fd uintptr) bool
+	p           []byte
+	n, oobn     int
+	flags       int
+	errno       syscall.Errno
+	oob         []byte
+	sticky      error
+	rejected    *atomic.Uint64
+	fdMu        sync.Mutex // fds: Close may run while a read is in progress
+	fds         []int
+	closedQueue bool
+
+	// attach runs under the client socket's Control and sends out with
+	// its descriptor in rights (sendWithSocket): send's argument and
+	// results.
+	attach func(clientFD uintptr)
+	send   func(fd uintptr) bool
+	out    []byte
+	outN   int
+	outErr error
+	rights []byte
 }
 
-// receivedFDs returns the descriptors a message's control data carried.
-func receivedFDs(oob []byte) []int {
-	msgs, _ := syscall.ParseSocketControlMessage(oob)
-	var fds []int
-	for i := range msgs {
-		if got, err := syscall.ParseUnixRights(&msgs[i]); err == nil {
-			fds = append(fds, got...)
+func newRightsConn(uc *net.UnixConn, rejected *atomic.Uint64) *rightsConn {
+	c := &rightsConn{UnixConn: uc, oob: make([]byte, oobRoom), queue: rejected != nil, rejected: rejected}
+	c.rc, _ = uc.SyscallConn()
+	c.recv = func(fd uintptr) bool {
+		iov := syscall.Iovec{Base: &c.p[0]}
+		iov.SetLen(len(c.p))
+		msg := syscall.Msghdr{Iov: &iov, Iovlen: 1, Control: &c.oob[0]}
+		msg.SetControllen(len(c.oob))
+		for {
+			n, _, e := syscall.Syscall(syscall.SYS_RECVMSG, fd, uintptr(unsafe.Pointer(&msg)), syscall.MSG_CMSG_CLOEXEC)
+			switch e {
+			case syscall.EINTR:
+				continue
+			case syscall.EAGAIN:
+				return false
+			}
+			c.n, c.oobn, c.flags, c.errno = int(n), int(msg.Controllen), int(msg.Flags), e
+			return true
 		}
+	}
+	c.rights = syscall.UnixRights(0)
+	c.attach = func(clientFD uintptr) {
+		binary.NativeEndian.PutUint32(c.rights[syscall.CmsgLen(0):], uint32(clientFD))
+		if err := c.rc.Write(c.send); err != nil {
+			c.outErr = err
+		}
+	}
+	c.send = func(fd uintptr) bool {
+		iov := syscall.Iovec{Base: &c.out[0]}
+		iov.SetLen(len(c.out))
+		msg := syscall.Msghdr{Iov: &iov, Iovlen: 1, Control: &c.rights[0]}
+		msg.SetControllen(len(c.rights))
+		for {
+			n, _, e := syscall.Syscall(syscall.SYS_SENDMSG, fd, uintptr(unsafe.Pointer(&msg)), syscall.MSG_NOSIGNAL)
+			switch e {
+			case syscall.EINTR:
+				continue
+			case syscall.EAGAIN:
+				return false
+			case 0:
+				c.outN = int(n)
+			default:
+				c.outErr = e
+			}
+			return true
+		}
+	}
+	return c
+}
+
+// Read implements net.Conn with one recvmsg.
+func (c *rightsConn) Read(p []byte) (int, error) {
+	if c.sticky != nil {
+		return 0, c.sticky
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	c.p = p
+	err := c.rc.Read(c.recv)
+	c.p = nil
+	if err != nil {
+		return 0, err
+	}
+	if c.errno != 0 {
+		return 0, c.errno
+	}
+	if c.oobn > 0 {
+		c.received()
+	}
+	if c.sticky != nil {
+		return 0, c.sticky
+	}
+	if c.n == 0 {
+		return 0, io.EOF
+	}
+	return c.n, nil
+}
+
+// received takes the descriptors the last read carried: into the queue,
+// or closed with an error where none are due or the kernel cut some off.
+func (c *rightsConn) received() {
+	c.fdMu.Lock()
+	defer c.fdMu.Unlock()
+	queued := len(c.fds)
+	c.fds = appendRights(c.fds, c.oob[:c.oobn])
+	switch {
+	case c.flags&syscall.MSG_CTRUNC != 0:
+		c.sticky = errTruncated
+		if c.rejected != nil {
+			c.rejected.Add(1)
+		}
+	case !c.queue && len(c.fds) > queued:
+		c.sticky = errStrayFDs
+	}
+	if c.sticky != nil || c.closedQueue {
+		closeFDs(c.fds[queued:])
+		c.fds = c.fds[:queued]
+	}
+}
+
+// appendRights appends the descriptors the SCM_RIGHTS messages in oob
+// carry, as syscall.ParseUnixRights reads them, without its allocations.
+func appendRights(fds []int, oob []byte) []int {
+	const align = int(unsafe.Sizeof(uintptr(0)))
+	hdr := syscall.CmsgLen(0)
+	for len(oob) >= hdr {
+		h := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[0]))
+		n := int(h.Len)
+		if n < hdr || n > len(oob) {
+			break
+		}
+		if h.Level == syscall.SOL_SOCKET && h.Type == syscall.SCM_RIGHTS {
+			for data := oob[hdr:n]; len(data) >= 4; data = data[4:] {
+				fds = append(fds, int(int32(binary.NativeEndian.Uint32(data))))
+			}
+		}
+		oob = oob[min((n+align-1)&^(align-1), len(oob)):]
 	}
 	return fds
 }
 
-// passedConn checks one pass message and makes its Conn. On an error every
-// descriptor in fds has been closed.
-func (l *Listener) passedConn(msg []byte, flags int, fds []int, closed chan<- struct{}) (*Conn, error) {
-	r := bytes.NewReader(msg)
-	h, err := ReadHeader(r)
-	var bound int64
+// truncated reports whether the transport ended on MSG_CTRUNC, which the
+// read already counted.
+func (c *rightsConn) truncated() bool { return c.sticky == errTruncated }
+
+// takeFDs empties the queue and returns what it held: the caller's now,
+// in an array the queue reuses from the transport's next read on.
+func (c *rightsConn) takeFDs() []int {
+	c.fdMu.Lock()
+	defer c.fdMu.Unlock()
+	fds := c.fds
+	c.fds = c.fds[:0]
+	return fds
+}
+
+// Close closes the transport and every descriptor still queued on it.
+func (c *rightsConn) Close() error {
+	c.fdMu.Lock()
+	fds := c.fds
+	c.fds, c.closedQueue = nil, true
+	c.fdMu.Unlock()
+	closeFDs(fds)
+	return c.UnixConn.Close()
+}
+
+func closeFDs(fds []int) {
+	for _, fd := range fds {
+		syscall.Close(fd)
+	}
+}
+
+// takeFDs returns the descriptors queued on a transport, none on one that
+// carries none.
+func takeFDs(raw net.Conn) []int {
+	if rc, ok := raw.(*rightsConn); ok {
+		return rc.takeFDs()
+	}
+	return nil
+}
+
+// truncatedTransport reports whether raw ended on MSG_CTRUNC, counted when
+// it was read: what fails on it then is not counted again.
+func truncatedTransport(raw net.Conn) bool {
+	rc, ok := raw.(*rightsConn)
+	return ok && rc.truncated()
+}
+
+// carriesSockets reports whether c is a pass transport (DialPass), the
+// only kind a client's socket can go over.
+func carriesSockets(c net.Conn) bool {
+	_, ok := c.(*rightsConn)
+	return ok
+}
+
+// sendWithSocket writes b, which is not empty, to the pass transport c
+// with the client's socket attached. On an error the socket may or may not
+// have gone. It is not safe for concurrent use on one transport.
+func sendWithSocket(c net.Conn, b []byte, client syscall.RawConn) error {
+	uc, ok := c.(*rightsConn)
+	if !ok {
+		return errPassUnsupported
+	}
+	uc.out, uc.outN, uc.outErr = b, 0, nil
+	err := client.Control(uc.attach)
 	if err == nil {
-		err = binary.Read(r, binary.BigEndian, &bound)
+		err = uc.outErr
 	}
-	switch {
-	case flags&(syscall.MSG_TRUNC|syscall.MSG_CTRUNC) != 0:
-		err = errPassTruncated
-	case len(fds) != 1:
-		err = errPassFDs
-	case err == nil && r.Len() != 0:
-		err = errPassTrailing
-	case err == nil && bound <= 0:
-		err = errPassIdle
+	if err == nil && uc.outN < len(b) {
+		// A stream may take part of a message; the socket went with it.
+		_, err = uc.Write(b[uc.outN:])
 	}
-	if err != nil {
-		for _, fd := range fds {
-			syscall.Close(fd)
+	uc.out = nil
+	return err
+}
+
+// clientSocket is a split session's copy of the client's socket, none
+// while it is closed. A response is written to its descriptor with
+// write(2); only when the socket cannot take it all at once does the
+// descriptor become a net.TCPConn, so that the rest waits in the runtime's
+// poller rather than in a blocked thread. A socket that always has room,
+// as it has for the small responses most sessions carry, costs no more
+// than its close. Close may come from any goroutine (http.Server.Close
+// does), so the descriptor is only used and closed under mu: no write can
+// reach a descriptor number the process has since reused.
+type clientSocket struct {
+	mu   sync.Mutex
+	fd   int
+	open bool
+	conn *net.TCPConn
+}
+
+// reset makes fd, -1 for none, the socket.
+func (s *clientSocket) reset(fd int) {
+	s.mu.Lock()
+	s.fd, s.open, s.conn = fd, fd >= 0, nil
+	s.mu.Unlock()
+}
+
+// isOpen reports whether there is a socket.
+func (s *clientSocket) isOpen() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.open
+}
+
+var errClientClosed = errors.New("handoff: the client's socket is closed")
+
+// Write writes p whole, or fails.
+func (s *clientSocket) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	written, conn, err := s.writeRaw(p)
+	s.mu.Unlock()
+	if conn == nil || err != nil {
+		return written, err
+	}
+	n, err := conn.Write(p[written:])
+	return written + n, err
+}
+
+// writeRaw writes p with write(2) until it is written or the socket is
+// full; then it returns the net.TCPConn the rest is to be written through.
+// It is called with mu held.
+func (s *clientSocket) writeRaw(p []byte) (int, *net.TCPConn, error) {
+	if !s.open {
+		return 0, nil, errClientClosed
+	}
+	if s.conn != nil {
+		return 0, s.conn, nil
+	}
+	written := 0
+	for written < len(p) {
+		n, err := syscall.Write(s.fd, p[written:])
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err == syscall.EAGAIN:
+			conn, err := fileTCPConn(s.fd)
+			s.fd, s.open, s.conn = -1, err == nil, conn
+			return written, conn, err
+		case err != nil:
+			return written, nil, err
 		}
-		return nil, err
+		written += n
 	}
-	f := os.NewFile(uintptr(fds[0]), "passed")
+	return written, nil, nil
+}
+
+// close closes the socket copy, once.
+func (s *clientSocket) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case !s.open:
+	case s.conn != nil:
+		s.conn.Close()
+	default:
+		syscall.Close(s.fd)
+	}
+	s.fd, s.open, s.conn = -1, false, nil
+}
+
+// fileTCPConn makes fd, which it takes over, a net.TCPConn.
+func fileTCPConn(fd int) (*net.TCPConn, error) {
+	f := os.NewFile(uintptr(fd), "passed")
 	nc, err := net.FileConn(f)
 	f.Close()
 	if err != nil {
@@ -168,7 +391,7 @@ func (l *Listener) passedConn(msg []byte, flags int, fds []int, closed chan<- st
 		nc.Close()
 		return nil, errPassNotTCP
 	}
-	return &Conn{Conn: tc, initial: h.InitialData, clientAddr: tc.RemoteAddr(), idle: time.Duration(bound), closed: closed}, nil
+	return tc, nil
 }
 
 // peerUID returns the user of the process at the far end of a unix socket.
@@ -192,12 +415,14 @@ func peerUID(c *net.UnixConn) (int, error) {
 
 var errPassPeer = errors.New("handoff: pass address owned by another user")
 
-// DialPass opens a channel to the pass address of the Listener whose TCP
+// DialPass opens a transport to the pass address of the Listener whose TCP
 // address reads addr, spelled exactly as its Addr().String() spells it. It
-// fails, and the caller relays, where no such Listener answers on this
-// host, or where the one that does is another user's.
-func DialPass(addr string) (*PassChannel, error) {
-	c, err := net.DialUnix("unixpacket", nil, &net.UnixAddr{Name: passPrefix + addr, Net: "unixpacket"})
+// fails, and the caller dials the TCP address, where no such Listener
+// answers on this host, or where the one that does is another user's. The
+// transport carries sessions as a TCP one does, and a client's socket
+// besides (SessionWriter.Split, SessionWriter.Pass).
+func DialPass(addr string) (net.Conn, error) {
+	c, err := net.DialUnix("unix", nil, &net.UnixAddr{Name: passPrefix + addr, Net: "unix"})
 	if err != nil {
 		return nil, err
 	}
@@ -205,33 +430,5 @@ func DialPass(addr string) (*PassChannel, error) {
 		c.Close()
 		return nil, errPassPeer
 	}
-	return &PassChannel{uc: c}, nil
-}
-
-// Pass sends client to the back end in one message, with initial, every
-// byte already read from it, clientAddr, its address as the front end
-// formatted it, and idle, how long the back end may wait for each next
-// request, which must be positive. On success
-// the back end has its own descriptor for the client's socket and the
-// caller closes its copy; on an error nothing was sent, the caller still
-// owns the connection, and the channel is spent.
-func (p *PassChannel) Pass(client *net.TCPConn, clientAddr string, initial []byte, idle time.Duration) error {
-	if len(initial) > MaxPassData || len(clientAddr) > MaxAddrLen {
-		return errPassTooLong
-	}
-	if idle <= 0 {
-		return errPassIdle
-	}
-	p.buf = binary.BigEndian.AppendUint64(appendHeader(p.buf[:0], 0, clientAddr, initial), uint64(idle))
-	rc, err := client.SyscallConn()
-	if err != nil {
-		return err
-	}
-	var werr error
-	if err := rc.Control(func(fd uintptr) {
-		_, _, werr = p.uc.WriteMsgUnix(p.buf, syscall.UnixRights(int(fd)), nil)
-	}); err != nil {
-		return err
-	}
-	return werr
+	return newRightsConn(c, nil), nil
 }

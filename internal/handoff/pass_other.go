@@ -4,20 +4,39 @@ package handoff
 
 import (
 	"net"
-	"time"
+	"syscall"
 )
 
 // Without Linux's abstract unix sockets and SO_PEERCRED a Listener has no
-// pass address, and a front end relays every connection.
+// pass address, no transport carries a client's socket, and a front end
+// relays every response.
 
 func listenPasses(net.Addr) net.Listener { return nil }
 
 func (l *Listener) acceptPasses() {}
 
-// DialPass always fails here: there is no pass address to dial.
-func DialPass(addr string) (*PassChannel, error) { return nil, errPassUnsupported }
+func takeFDs(net.Conn) []int { return nil }
 
-// Pass always fails here; no channel exists to call it on.
-func (p *PassChannel) Pass(client *net.TCPConn, clientAddr string, initial []byte, idle time.Duration) error {
-	return errPassUnsupported
-}
+func truncatedTransport(net.Conn) bool { return false }
+
+func carriesSockets(net.Conn) bool { return false }
+
+func sendWithSocket(net.Conn, []byte, syscall.RawConn) error { return errPassUnsupported }
+
+func closeFDs([]int) {}
+
+// clientSocket is never open here: no header can carry one.
+type clientSocket struct{}
+
+func (*clientSocket) reset(int) {}
+
+func (*clientSocket) isOpen() bool { return false }
+
+func (*clientSocket) Write([]byte) (int, error) { return 0, errPassUnsupported }
+
+func (*clientSocket) close() {}
+
+func fileTCPConn(int) (*net.TCPConn, error) { return nil, errPassUnsupported }
+
+// DialPass always fails here: there is no pass address to dial.
+func DialPass(addr string) (net.Conn, error) { return nil, errPassUnsupported }

@@ -60,6 +60,17 @@ func newPassedClient(t *testing.T) *passedClient {
 	return &passedClient{conn: conn, in: in, br: bufio.NewReader(in), fe: fe.(*net.TCPConn)}
 }
 
+// socket is the front end's copy of the connection as Pass and Split take
+// it.
+func (c *passedClient) socket(t *testing.T) syscall.RawConn {
+	t.Helper()
+	rc, err := c.fe.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rc
+}
+
 // readAhead is the front end's part before a pass: it reads from its copy
 // until it holds heads request heads, and returns all it read.
 func (c *passedClient) readAhead(t *testing.T, heads int) []byte {
@@ -93,27 +104,52 @@ func (c *passedClient) response(t *testing.T) string {
 	return string(body)
 }
 
+// passTransport is a front end's end of a pass transport: its framing
+// writer and its reader.
+type passTransport struct {
+	c  net.Conn
+	sw *SessionWriter
+	br *bufio.Reader
+}
+
+func dialPassTransport(t *testing.T, addr string) *passTransport {
+	t.Helper()
+	c, err := DialPass(addr)
+	if err != nil {
+		t.Fatalf("no pass address for %s: %v", addr, err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return &passTransport{c: c, sw: NewTransportWriter(c), br: bufio.NewReader(c)}
+}
+
+// done reads the next done record.
+func (p *passTransport) done(t *testing.T) Done {
+	t.Helper()
+	p.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	d, ok, err := ReadDone(p.br)
+	if err != nil || !ok {
+		t.Fatalf("a done record: ok %t, %v", ok, err)
+	}
+	return d
+}
+
 // TestPassRoundTrip: a front end passes a client's connection, with the
 // head it read and a request pipelined behind it, over a real Listener's
 // pass address. The server answers both from the initial data and a third
 // from the socket, sees the client's own address, and once the client has
-// gone the done record counts every byte the client read. A second
-// connection then goes over the same channel.
+// gone the done record counts every byte and response the client read. A
+// second connection then goes over the same transport.
 func TestPassRoundTrip(t *testing.T) {
 	addr, ln := startBackend(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "%s from %s", r.URL.Path, r.RemoteAddr)
 	}))
-	ch, err := DialPass(addr)
-	if err != nil {
-		t.Fatalf("no pass address for %s: %v", addr, err)
-	}
-	defer ch.Close()
+	tr := dialPassTransport(t, addr)
 
 	for round := 1; round <= 2; round++ {
 		c := newPassedClient(t)
 		io.WriteString(c.conn, "GET /a HTTP/1.1\r\nHost: t\r\n\r\nGET /b HTTP/1.1\r\nHost: t\r\n\r\n")
 		initial := c.readAhead(t, 2)
-		if err := ch.Pass(c.fe, c.fe.RemoteAddr().String(), initial, time.Minute); err != nil {
+		if err := tr.sw.Pass(c.socket(t), c.fe.RemoteAddr().String(), initial, time.Minute); err != nil {
 			t.Fatalf("round %d: pass: %v", round, err)
 		}
 		c.fe.Close() // the front end's copy: the connection is the back end's now
@@ -129,39 +165,33 @@ func TestPassRoundTrip(t *testing.T) {
 			t.Fatalf("round %d: from the socket: %q, want %q", round, got, want)
 		}
 		c.conn.Close()
-		written, err := ch.Done()
-		if err != nil {
-			t.Fatalf("round %d: done record: %v", round, err)
-		}
-		if written != c.in.n {
-			t.Fatalf("round %d: done record says %d bytes written, the client read %d", round, written, c.in.n)
+		// net/http is no server that reports its responses (Answered), so
+		// the record counts bytes only.
+		if d := tr.done(t); d.Written != c.in.n || d.Open {
+			t.Fatalf("round %d: done record %+v, the client read %d bytes", round, d, c.in.n)
 		}
 		if ln.Passed() != uint64(round) || ln.Sessions() != uint64(round) || ln.Rejected() != 0 {
 			t.Fatalf("round %d: passed %d, sessions %d, rejected %d", round, ln.Passed(), ln.Sessions(), ln.Rejected())
 		}
 	}
 
-	// The channel now waits for its next pass; Listener.Close ends it.
+	// The transport now waits for its next header; Listener.Close ends it.
 	ln.Close()
-	if _, err := ch.Done(); err == nil {
+	if _, _, err := ReadDone(tr.br); err == nil {
 		t.Fatal("a done record from a closed Listener")
 	}
 }
 
 // TestPassedConnEndsWithListener: Listener.Close ends a connection it was
-// passed, and the front end's channel with it.
+// passed, and the front end's transport with it.
 func TestPassedConnEndsWithListener(t *testing.T) {
 	addr, ln := startBackend(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok")
 	}))
-	ch, err := DialPass(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ch.Close()
+	tr := dialPassTransport(t, addr)
 	c := newPassedClient(t)
 	io.WriteString(c.conn, "GET /a HTTP/1.1\r\nHost: t\r\n\r\n")
-	if err := ch.Pass(c.fe, "", c.readAhead(t, 1), time.Minute); err != nil {
+	if err := tr.sw.Pass(c.socket(t), "", c.readAhead(t, 1), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	c.fe.Close()
@@ -171,21 +201,25 @@ func TestPassedConnEndsWithListener(t *testing.T) {
 	if _, err := c.br.ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("the client after Listener.Close: %v, want its connection ended", err)
 	}
-	if _, err := ch.Done(); err == nil {
+	if _, _, err := ReadDone(tr.br); err == nil {
 		t.Fatal("a done record from a closed Listener")
 	}
 }
 
-// TestPassChannelRejections: a channel from another user is refused, and
-// so is any message that is not one well-formed header and idle bound with
-// one TCP socket attached. Each is counted once in Rejected, every
-// descriptor the message carried is closed (the pipes' read ends see EOF),
-// and the channel is closed. A client whose socket went in a rejected
-// message sees its connection end with no byte of an answer: the front end
-// closed its copy when the message went.
+// TestPassChannelRejections: a transport from another user is refused, and
+// so is any header that comes without exactly the descriptor its flags
+// call for, and any pass that is not one well-formed header and idle bound
+// with one TCP socket attached and nothing behind it. Each is counted once
+// in Rejected — a truncation too, which the read that saw it counts —
+// every descriptor the message carried is closed (the pipes' read ends see
+// EOF), and the transport is closed. A client whose socket went in a
+// rejected pass sees its connection end with no byte of an answer: the
+// front end closed its copy when the message went.
 func TestPassChannelRejections(t *testing.T) {
-	header := appendHeader(nil, 0, "192.0.2.1:4000", []byte("GET / HTTP/1.1\r\n\r\n"))
+	const passFlags = FlagPass | FlagSessionFramed
+	header := appendHeader(nil, passFlags, "192.0.2.1:4000", []byte("GET / HTTP/1.1\r\n\r\n"))
 	good := binary.BigEndian.AppendUint64(append([]byte(nil), header...), uint64(time.Minute))
+	split := appendHeader(nil, FlagSplit|FlagSessionFramed, "192.0.2.1:4000", []byte("GET / HTTP/1.1\r\n\r\n"))
 	for _, tc := range []struct {
 		name     string
 		msg      []byte
@@ -199,12 +233,15 @@ func TestPassChannelRejections(t *testing.T) {
 		// What a back end out of descriptors does too: the kernel drops
 		// what it cannot install and sets MSG_CTRUNC.
 		{name: "descriptors truncated", msg: good, fds: 2, client: true},
-		{name: "message truncated", msg: appendHeader(nil, 0, "", make([]byte, MaxPassData+1024)), fds: 1},
+		{name: "message truncated", msg: appendHeader(nil, passFlags, "", make([]byte, MaxPassData+1024)), fds: 1},
 		{name: "no header", msg: []byte("GARBAGE, NOT A HEADER"), fds: 1},
 		{name: "no idle bound", msg: header, fds: 1},
 		{name: "a zero idle bound", msg: append(append([]byte(nil), header...), make([]byte, idleLen)...), fds: 1},
 		{name: "bytes behind the idle bound", msg: append(append([]byte(nil), good...), "x"...), fds: 1},
 		{name: "no socket", msg: good, fds: 1},
+		{name: "a split header without a descriptor", msg: split},
+		{name: "a split header with two descriptors", msg: split, fds: 2},
+		{name: "a descriptor on a plain header", msg: appendHeader(nil, FlagSessionFramed, "192.0.2.1:4000", nil), fds: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, err := Listen("tcp", "127.0.0.1:0")
@@ -217,7 +254,7 @@ func TestPassChannelRejections(t *testing.T) {
 			srv := &http.Server{Handler: http.NotFoundHandler()}
 			go srv.Serve(ln)
 			defer func() { srv.Close(); ln.Close() }()
-			ch, err := net.DialUnix("unixpacket", nil, &net.UnixAddr{Name: passPrefix + ln.Addr().String(), Net: "unixpacket"})
+			ch, err := net.DialUnix("unix", nil, &net.UnixAddr{Name: passPrefix + ln.Addr().String(), Net: "unix"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,13 +289,14 @@ func TestPassChannelRejections(t *testing.T) {
 			if _, _, err := ch.WriteMsgUnix(tc.msg, rights, nil); err != nil && !tc.stranger {
 				t.Fatal(err)
 			}
+			ch.CloseWrite() // all there is: a read for more ends
 			for _, w := range writeEnds {
 				w.Close() // the sender's copies: what is left open is the listener's
 			}
 			ch.SetReadDeadline(time.Now().Add(5 * time.Second))
 			// EOF, or a reset where the message was never read.
 			if _, err := ch.Read(make([]byte, 64)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-				t.Fatalf("the channel after a refusal: %v, want it closed", err)
+				t.Fatalf("the transport after a refusal: %v, want it closed", err)
 			}
 			if got := ln.Rejected(); got != 1 {
 				t.Fatalf("Rejected() = %d, want 1", got)
@@ -291,16 +329,12 @@ func TestPassedConnIdleBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	ch, err := DialPass(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ch.Close()
+	tr := dialPassTransport(t, ln.Addr().String())
 	c := newPassedClient(t)
-	if err := ch.Pass(c.fe, "", nil, 0); err == nil {
+	if err := tr.sw.Pass(c.socket(t), "", nil, 0); err == nil {
 		t.Fatal("Pass sent a zero idle bound")
 	}
-	if err := ch.Pass(c.fe, "", nil, 3*time.Second); err != nil {
+	if err := tr.sw.Pass(c.socket(t), "", nil, 3*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	c.fe.Close()
@@ -331,5 +365,239 @@ func TestDialPassNeedsTheExactAddress(t *testing.T) {
 	defer l.Close()
 	if l.passLn != nil {
 		t.Fatal("a pass address for a unix listener")
+	}
+}
+
+// directServer serves every conn a Listener yields the way a server that
+// answers split sessions directly does: it says so (Direct), answers each
+// request head with "<path> from <RemoteAddr>" and reports each answer
+// (Answered), and keeps the transport for its next session (NextSession).
+func directServer(ln *Listener) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer conn.Close()
+			d := conn.(interface {
+				Direct()
+				Answered(bool) error
+			})
+			d.Direct()
+			br := bufio.NewReader(conn)
+			for {
+				r, err := http.ReadRequest(br)
+				if err == io.EOF {
+					if conn.(interface{ NextSession() error }).NextSession() != nil {
+						return
+					}
+					br.Reset(conn)
+					continue
+				}
+				if err != nil {
+					return
+				}
+				body := r.URL.Path + " from " + conn.RemoteAddr().String()
+				fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+				if d.Answered(true) != nil {
+					return
+				}
+			}
+		}()
+	}
+}
+
+// openFDs counts this process's open descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ents)
+}
+
+// TestSplitSessionAnswersDirectly: over one pass transport, two clients'
+// split sessions in turn, one with a request that rides in a data frame
+// behind the first. A server that answers directly writes every response
+// to its client's own socket, and the front end's side of the transport
+// sees only done records, each counting the bytes its client read. The
+// back end's copy of a socket goes at its session's end-of-session record,
+// so once the transport and the clients are closed no descriptor is left.
+func TestSplitSessionAnswersDirectly(t *testing.T) {
+	before := openFDs(t)
+	ln, err := Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go directServer(ln)
+	tr := dialPassTransport(t, ln.Addr().String())
+
+	var clients []*passedClient
+	for round, paths := range [][]string{{"/a", "/b"}, {"/c"}} {
+		c := newPassedClient(t)
+		clients = append(clients, c)
+		for i, path := range paths {
+			head := []byte("GET " + path + " HTTP/1.1\r\nHost: t\r\n\r\n")
+			var err error
+			if i == 0 {
+				err = tr.sw.Split(c.socket(t), "192.0.2.1:4000", head, FlagRehandoff)
+			} else {
+				_, err = tr.sw.Write(head)
+			}
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			read := c.in.n
+			if got, want := c.response(t), path+" from 192.0.2.1:4000"; got != want {
+				t.Fatalf("round %d: %q, want %q", round, got, want)
+			}
+			if d := tr.done(t); d != (Done{Written: c.in.n - read, Responses: 1, Open: true}) {
+				t.Fatalf("round %d: done record %+v for the %d bytes the client read", round, d, c.in.n-read)
+			}
+		}
+	}
+	if ln.Direct() != 3 || ln.Sessions() != 2 || ln.Rejected() != 0 {
+		t.Fatalf("direct %d, sessions %d, rejected %d; want 3, 2, 0", ln.Direct(), ln.Sessions(), ln.Rejected())
+	}
+	if err := tr.sw.End(); err != nil {
+		t.Fatal(err)
+	}
+	// Every copy of the first client's socket but the test's own is gone:
+	// the front end's, here, and the back end's, at the first session's end.
+	clients[0].fe.Close()
+	clients[0].conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := clients[0].br.ReadByte(); err != io.EOF {
+		t.Fatalf("the first client after its session ended: %v, want EOF", err)
+	}
+	tr.c.Close()
+	ln.Close()
+	for _, c := range clients {
+		c.conn.Close()
+		c.fe.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for openFDs(t) > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := openFDs(t); after > before {
+		t.Fatalf("%d descriptors open before, %d after", before, after)
+	}
+}
+
+// TestSplitSessionRelaysAServerThatDoesNotAsk: a server that never asks to
+// answer directly, net/http's own, writes to the transport as on any
+// session, and the front end relays: no done record, nothing on the
+// client's socket.
+func TestSplitSessionRelaysAServerThatDoesNotAsk(t *testing.T) {
+	addr, ln := startBackend(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, r.URL.Path)
+	}))
+	tr := dialPassTransport(t, addr)
+	c := newPassedClient(t)
+	if err := tr.sw.Split(c.socket(t), "192.0.2.1:4000", []byte("GET /a HTTP/1.1\r\nHost: t\r\n\r\n"), FlagRehandoff); err != nil {
+		t.Fatal(err)
+	}
+	tr.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, ok, err := ReadDone(tr.br); ok || err != nil {
+		t.Fatalf("a done record from a server that writes its own responses: %t, %v", ok, err)
+	}
+	resp, err := http.ReadResponse(tr.br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, _ := io.ReadAll(resp.Body); string(body) != "/a" {
+		t.Fatalf("relayed body %q", body)
+	}
+	if ln.Direct() != 0 {
+		t.Fatalf("Direct() = %d for a relayed response", ln.Direct())
+	}
+	c.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, err := c.conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the client read %d bytes, %v; want nothing", n, err)
+	}
+}
+
+// TestListenerCloseEndsClientCopiesFirst: Listener.Close closes the split
+// sessions' copies of their clients' sockets before their transports, so
+// a server still about to answer when its front end sees the transport end
+// can no longer reach the client: what the front end then reads off the
+// socket's count is final.
+func TestListenerCloseEndsClientCopiesFirst(t *testing.T) {
+	ln, err := Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	got, release, wrote := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.(interface{ Direct() }).Direct()
+		if _, err := http.ReadRequest(bufio.NewReader(conn)); err != nil {
+			return
+		}
+		close(got)
+		<-release
+		_, err = io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+		wrote <- err
+	}()
+	tr := dialPassTransport(t, ln.Addr().String())
+	c := newPassedClient(t)
+	if err := tr.sw.Split(c.socket(t), "192.0.2.1:4000", []byte("GET /a HTTP/1.1\r\nHost: t\r\n\r\n"), FlagRehandoff); err != nil {
+		t.Fatal(err)
+	}
+	<-got
+	ln.Close()
+	tr.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, _, err := ReadDone(tr.br); err == nil {
+		t.Fatal("a done record from a closed Listener")
+	}
+	close(release)
+	if err := <-wrote; err == nil {
+		t.Fatal("the server answered the client after its Listener closed")
+	}
+	c.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, err := c.conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the client read %d bytes, %v; want nothing", n, err)
+	}
+}
+
+// TestFrontEndTransportRefusesDescriptors: a descriptor arriving on a front
+// end's end of a pass transport, where none is ever due, is closed and
+// ends the transport; it is not silently kept.
+func TestFrontEndTransportRefusesDescriptors(t *testing.T) {
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := os.NewFile(uintptr(fds[0]), "front")
+	fc, err := net.FileConn(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := newRightsConn(fc.(*net.UnixConn), nil)
+	defer fe.Close()
+	defer syscall.Close(fds[1])
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := syscall.Sendmsg(fds[1], []byte("LARD"), syscall.UnixRights(int(w.Fd())), nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if _, err := fe.Read(make([]byte, 16)); err != errStrayFDs {
+		t.Fatalf("Read = %v, want %v", err, errStrayFDs)
+	}
+	r.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := r.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("the stray descriptor: %v, want it closed", err)
 	}
 }

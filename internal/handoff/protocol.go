@@ -22,10 +22,11 @@
 //     internal/httprelay): it keeps HTTP framing so a connection can be
 //     handed off again at a message boundary, and it additionally relays
 //     back-end→client data, which the kernel implementation sent directly.
-//   - Where front end and back end share a Linux host and the connection
-//     will not be handed off again, the handoff is the paper's own: the
-//     client's socket itself is passed to the back end (pass.go), which
-//     answers the client directly, and nothing is relayed.
+//   - Where front end and back end share a Linux host, the handoff carries
+//     the client's socket itself (pass.go): the back end writes its
+//     responses to the client directly, as the paper's does, and the front
+//     end forwards only the requests. A connection that will not be handed
+//     off again is passed whole, and nothing of it crosses the front end.
 //
 // The roles — dispatcher (policy), handoff (transfer), forwarding (dumb
 // fast path) — and their layering match Figure 15 of the paper.
@@ -68,6 +69,15 @@ const (
 	// serve a sequence of handed-off client sessions, amortizing the TCP
 	// dial the paper's ~300µs handoff budget cannot afford per request.
 	FlagSessionFramed byte = 1 << 1
+
+	// FlagSplit marks a session whose header carries the client's socket
+	// (pass.go): the server may answer the client on it directly, and the
+	// front end goes on sending the requests as frames.
+	FlagSplit byte = 1 << 2
+
+	// FlagPass marks a header that passes the client's whole connection
+	// (pass.go): no frames follow, only the idle bound.
+	FlagPass byte = 1 << 3
 )
 
 // Header is the handoff message exchanged from front end to back end when

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"syscall"
+	"time"
 )
 
 // Session-sequenced handoff (protocol v2). A header sent with
@@ -17,7 +19,8 @@ import (
 // end of the session. The back-end→front-end direction carries no framing
 // of its own — the front end parses responses with full HTTP framing
 // anyway, so it knows exactly where the session's last response ends — and
-// the server's writes go to the transport as it makes them. After the
+// the server's writes go to the transport as it makes them; only a split
+// session's done records (pass.go) stand in for responses there. After the
 // end-of-session record the same TCP
 // connection is back in handshake state and the next handoff header (for
 // an unrelated client) may follow, which is what lets the front end keep a
@@ -82,14 +85,61 @@ func (w *SessionWriter) Handoff(clientAddr string, initialData []byte, flags byt
 	if err := checkHeader(clientAddr, initialData); err != nil {
 		return err
 	}
-	buf := w.buf[:0]
-	if !w.ended {
-		buf = append(buf, 0, 0, 0, 0)
-	}
-	w.buf = appendHeader(buf, flags|FlagSessionFramed, clientAddr, initialData)
+	w.buf = appendHeader(w.owedEnd(), flags|FlagSessionFramed, clientAddr, initialData)
 	w.ended = false
 	_, err := w.c.Write(w.buf)
 	return err
+}
+
+// Split opens the next session as Handoff does, with the client's socket
+// (its SyscallConn) attached to the write (FlagSplit, pass.go): the back
+// end may answer the client on it directly. The writer's conn must be a
+// pass transport (CarriesSockets). On an error the back end may hold a
+// copy of the socket.
+func (w *SessionWriter) Split(client syscall.RawConn, clientAddr string, initialData []byte, flags byte) error {
+	if err := checkHeader(clientAddr, initialData); err != nil {
+		return err
+	}
+	w.buf = appendHeader(w.owedEnd(), flags|FlagSplit|FlagSessionFramed, clientAddr, initialData)
+	w.ended = false
+	return sendWithSocket(w.c, w.buf, client)
+}
+
+// Pass hands the client's whole connection over (FlagPass, pass.go): a
+// header whose initial data is everything read from the client, the idle
+// bound, which must be positive, and the socket, after the end-of-session
+// record the last session owes. No session is open behind it: the
+// transport's next use is a header, once the back end's done record for
+// the connection has arrived. The writer's conn must be a pass transport,
+// and client is the socket's SyscallConn. On success the back end has its
+// own copy of the socket, and the caller closes its copy; on an error the
+// caller still owns the connection.
+func (w *SessionWriter) Pass(client syscall.RawConn, clientAddr string, initialData []byte, idle time.Duration) error {
+	switch {
+	case len(initialData) > MaxPassData || len(clientAddr) > MaxAddrLen:
+		return errPassTooLong
+	case idle <= 0:
+		return errPassIdle
+	}
+	w.buf = appendHeader(w.owedEnd(), FlagPass|FlagSessionFramed, clientAddr, initialData)
+	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(idle))
+	w.ended = true
+	return sendWithSocket(w.c, w.buf, client)
+}
+
+// CarriesSockets reports whether the writer's conn is a pass transport
+// (DialPass), over which Split and Pass can send a client's socket.
+func (w *SessionWriter) CarriesSockets() bool { return carriesSockets(w.c) }
+
+// owedEnd starts the scratch with the end-of-session record the open
+// session owes, if one is open.
+//
+//lard:noalloc
+func (w *SessionWriter) owedEnd() []byte {
+	if w.ended {
+		return w.buf[:0]
+	}
+	return append(w.buf[:0], 0, 0, 0, 0)
 }
 
 // copiedFrameLen is the largest payload Write copies next to its prefix
@@ -181,6 +231,16 @@ type sessionConn struct {
 	// there, and the loop takes it before it starts the next session.
 	closeOnce sync.Once
 	closed    chan<- struct{}
+
+	// A split session's copy of its client's socket (pass.go), closed at
+	// the end-of-session record; direct is set once the server answers
+	// clients itself (Direct), and from then on a split session's writes go
+	// to the socket, written bytes at a time, each response reported in a
+	// done record built in rec.
+	client  clientSocket
+	direct  bool
+	written int64
+	rec     [doneLen]byte
 }
 
 // newSessionConn starts a session on the transport whose reader stands at
@@ -235,6 +295,7 @@ func (c *sessionConn) Read(p []byte) (int, error) {
 		size := binary.BigEndian.Uint32(c.lenBuf[:])
 		if size == 0 {
 			c.sawEnd = true
+			c.client.close()
 			return 0, io.EOF
 		}
 		if size > MaxFrameLen {
@@ -263,10 +324,51 @@ func isTimeout(err error) bool {
 	return ok && ne.Timeout()
 }
 
+// Write implements net.Conn: to the transport, or, once the server has
+// asked for it (Direct), to a split session's client.
+//
+//lard:noalloc
+func (c *sessionConn) Write(p []byte) (int, error) {
+	if c.direct && c.client.isOpen() {
+		n, err := c.client.Write(p)
+		c.written += int64(n)
+		return n, err
+	}
+	return c.Conn.Write(p)
+}
+
+// Direct is how a server says it answers a split session's client itself,
+// one response at a time, each reported with Answered: from now on, on
+// this session and every later one it keeps with NextSession, a split
+// session's writes go to the client's socket. A server that never asks is
+// relayed: its writes go to the transport, as on any session.
+func (c *sessionConn) Direct() { c.direct = true }
+
+// Answered reports that the server has written a whole response, and
+// whether the connection stays open behind it. On a split session whose
+// writes go to the client (Direct) it sends the front end the done record
+// in the response's place; elsewhere it does nothing.
+//
+//lard:noalloc
+func (c *sessionConn) Answered(open bool) error {
+	if !c.direct || !c.client.isOpen() {
+		return nil
+	}
+	d := Done{Written: c.written, Responses: 1, Open: open}
+	c.written = 0
+	if c.l != nil {
+		c.l.direct.Add(1)
+	}
+	_, err := c.Conn.Write(appendDone(c.rec[:0], d))
+	return err
+}
+
 // Close releases the session back to the transport loop. The transport
 // itself stays open if (and only if) the session was read through to its
-// end-of-session record; the loop checks drained().
+// end-of-session record; the loop checks drained(). A split session's
+// socket copy is closed.
 func (c *sessionConn) Close() error {
+	c.client.close()
 	c.closeOnce.Do(func() { c.closed <- struct{}{} })
 	return nil
 }
@@ -288,8 +390,10 @@ var errSessionOpen = errors.New("handoff: NextSession before the end of the sess
 
 // NextSession keeps the transport for its next session: it waits for the
 // next handoff header as the transport loop would (readNextHeader:
-// SessionIdleTimeout until its first byte, HandshakeTimeout from it), counts
-// the session, and is then that session's conn, RemoteAddr the new client's.
+// SessionIdleTimeout until its first byte, HandshakeTimeout from it), serves
+// a pass that comes first as the loop would (servePass), counts the session,
+// and is then that session's conn, RemoteAddr the new client's, with the
+// client's socket if the header carried one.
 // It is valid only once Read has returned io.EOF, the end-of-session record.
 // The server keeps
 // the conn's one Close, and http.Server.Close and Shutdown reach a hijacked
@@ -303,20 +407,31 @@ func (c *sessionConn) NextSession() error {
 	if !c.drained() {
 		return errSessionOpen
 	}
-	client, initialLen, err := c.l.readNextHeader(c.Conn, c.br)
-	if err != nil {
-		if c.sticky = err; err != errIdleClosed {
-			c.l.rejected.Add(1)
+	h, err := c.l.readNextHeader(c.Conn, c.br)
+	for err == nil && h.flags&FlagPass != 0 {
+		if !c.l.servePass(c.Conn, c.br, h) {
+			c.sticky = errPassServed
+			return c.sticky
 		}
+		h, err = c.l.readNextHeader(c.Conn, c.br)
+	}
+	if err != nil {
+		c.sticky = err
+		c.l.reject(c.Conn, err)
 		return err
 	}
 	c.l.sessions.Add(1)
 	c.mu.Lock()
-	c.clientAddr = client
+	c.clientAddr = h.client
 	c.mu.Unlock()
-	c.frameLeft, c.sawEnd = initialLen, false
+	c.frameLeft, c.sawEnd = h.initialLen, false
+	c.client.reset(h.fd)
 	return nil
 }
+
+// errPassServed ends a kept transport whose pass went wrong: servePass has
+// counted what there was to count.
+var errPassServed = errors.New("handoff: transport ended by a pass")
 
 // parseClientAddr parses the handed-off client address, falling back to
 // an opaque representation when it is not a literal "ip:port".
