@@ -461,11 +461,11 @@ func (s *Server) attachBackend(cc *clientConn, node int, old *backendConn, stale
 		// cluster is recovering, not broken — shed with a retry hint
 		// rather than a 502.
 		s.m.shedBreaker.Inc()
-		writeServiceUnavailable(cc)
+		writeServiceUnavailable(cc.Conn)
 	} else {
 		s.m.errors.Inc()
 		s.logf("frontend: handoff refused by back ends %v: %v", tried, err)
-		writeBadGateway(cc)
+		writeBadGateway(cc.Conn)
 	}
 	return nil, nil, err
 }

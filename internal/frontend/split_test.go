@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"regexp"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -120,6 +121,89 @@ func TestSplitMatchesRelay(t *testing.T) {
 	if splitFE.Direct == 0 || relayedFE.Direct != 0 || splitFE.Rehandoffs == 0 || splitFE.SessionResumes == 0 {
 		t.Errorf("direct %d (relayed %d), rehandoffs %d, resumes %d: the runs did not take the paths compared",
 			splitFE.Direct, relayedFE.Direct, splitFE.Rehandoffs, splitFE.SessionResumes)
+	}
+}
+
+// TestSplitLargeResponsesToASlowClient: responses of 1 MiB and more, to a
+// client that reads them a few KB at a time through a small receive buffer,
+// so that the back end's writes to the client's socket wait for room, reach
+// the client as the same bytes as through the relay, leave the back ends
+// with the same counters, and are credited whole from the done records. The
+// split run leaves no descriptor open.
+func TestSplitLargeResponsesToASlowClient(t *testing.T) {
+	targets := []trace.Target{{Name: "/big/a", Size: 3 << 19}, {Name: "/big/b", Size: 1<<20 + 4321}}
+	requests := getHead(targets[0].Name) + getHead(targets[1].Name) +
+		fmt.Sprintf("GET %s HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n", targets[0].Name)
+	smallWindow := net.Dialer{Control: func(_, _ string, rc syscall.RawConn) error {
+		var err error
+		rc.Control(func(fd uintptr) { err = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4096) })
+		return err
+	}}
+	run := func(mod ...func(*Config)) (string, Stats, func() []backend.Stats) {
+		store := backend.NewDocStore(targets)
+		nodes := []*passNode{startPassNode(t, store), startPassNode(t, store)}
+		fe, feAddr := startRelayFrontend(t, []string{nodes[0].addr, nodes[1].addr}, mod...)
+		conn, err := smallWindow.Dial("tcp", feAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		io.WriteString(conn, requests)
+		var got []byte
+		buf := make([]byte, 16<<10)
+		conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+		for {
+			n, err := conn.Read(buf)
+			got = append(got, buf[:n]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("after %d bytes: %v", len(got), err)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		waitFor(t, 5*time.Second, "the session to retire", retired(fe))
+		st := fe.Stats()
+		fe.Close()
+		for _, n := range nodes {
+			n.stop()
+		}
+		return string(got), st, func() []backend.Stats {
+			return []backend.Stats{nodes[0].be.Stats(), nodes[1].be.Stats()}
+		}
+	}
+	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
+		ln.Close() // the runtime's poller is open before the count
+	}
+	before := openFDs(t)
+	split, splitFE, splitBE := run()
+	deadline := time.Now().Add(5 * time.Second)
+	for openFDs(t) > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := openFDs(t); after > before {
+		t.Errorf("%d descriptors open before the split run, %d after", before, after)
+	}
+	relayed, _, relayedBE := run(relayOnly)
+
+	undated := func(s string) string { return dateField.ReplaceAllString(s, "Date: -\r\n") }
+	if undated(split) != undated(relayed) {
+		t.Errorf("split and relayed streams differ: %d and %d bytes", len(split), len(relayed))
+	}
+	if want := 2*targets[0].Size + targets[1].Size; int64(len(split)) < want {
+		t.Fatalf("the client read %d bytes, less than the %d of the documents", len(split), want)
+	}
+	if splitFE.Direct != 3 || splitFE.BackendToClient != int64(len(split)) {
+		t.Errorf("direct %d, back end to client %d; want 3, the %d bytes the client read",
+			splitFE.Direct, splitFE.BackendToClient, len(split))
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	for !reflect.DeepEqual(splitBE(), relayedBE()) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !reflect.DeepEqual(splitBE(), relayedBE()) {
+		t.Errorf("back ends after the split run %+v, after the relayed run %+v", splitBE(), relayedBE())
 	}
 }
 

@@ -19,6 +19,7 @@ func fuzzListener(t *testing.T) *Listener {
 		acceptCh:           make(chan net.Conn),
 		done:               make(chan struct{}),
 		transports:         make(map[net.Conn]struct{}),
+		clients:            make(map[*clientSocket]struct{}),
 	}
 	go func() {
 		for {
@@ -146,7 +147,9 @@ func FuzzDescriptorStream(f *testing.F) {
 				} else {
 					sc := newSessionConn(raw, br, h.client, h.initialLen, make(chan struct{}, 1))
 					sc.l = l
-					sc.client.reset(h.fd)
+					if l.holdClient(sc, h.fd) != nil {
+						return
+					}
 					io.Copy(io.Discard, sc)
 					sc.Close()
 					if !sc.drained() {

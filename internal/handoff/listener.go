@@ -332,15 +332,16 @@ func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, h sessionHead)
 				return
 			}
 		} else {
-			l.sessions.Add(1)
 			sc := newSessionConn(raw, br, h.client, h.initialLen, closed)
 			sc.l = l
-			sc.client.reset(h.fd)
-			l.trackClient(&sc.client, true)
+			if l.holdClient(sc, h.fd) != nil {
+				httprelay.PutReader(br)
+				return
+			}
+			l.sessions.Add(1)
 			if !l.deliver(sc) {
 				// Undelivered: the loop is still the reader's only user.
-				sc.client.close()
-				l.trackClient(&sc.client, false)
+				l.releaseClient(&sc.client)
 				httprelay.PutReader(br)
 				return
 			}
@@ -349,7 +350,7 @@ func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, h sessionHead)
 				// The server closed the session; net/http quiesces its reads
 				// before Close returns, so from here the loop is again the
 				// reader's only user.
-				l.trackClient(&sc.client, false)
+				l.releaseClient(&sc.client)
 			case <-l.done:
 				// Listener shutdown with the session possibly live: the server
 				// may still be reading through br, so it must NOT be recycled.
@@ -493,21 +494,36 @@ func (l *Listener) addTransport(raw net.Conn) {
 	}
 }
 
-// trackClient adds a session's client socket to, or drops it from, what
-// Close closes first. One added after Close ran is closed at once.
-func (l *Listener) trackClient(c *clientSocket, add bool) {
+// holdClient starts c's session with fd, the client's socket its header
+// carried (-1 for none): c is split, and its copy is among what Close
+// closes first. Once Close has run, fd is closed instead and the session
+// must not start: its server could otherwise answer the client after the
+// front end saw the transport end.
+func (l *Listener) holdClient(c *sessionConn, fd int) error {
+	c.split = fd >= 0
+	if !c.split {
+		return nil
+	}
 	l.transMu.Lock()
 	defer l.transMu.Unlock()
 	select {
 	case <-l.done:
-		c.close()
+		closeFDs([]int{fd})
+		return net.ErrClosed
 	default:
-		if add {
-			l.clients[c] = struct{}{}
-		} else {
-			delete(l.clients, c)
-		}
 	}
+	c.client.reset(fd)
+	l.clients[&c.client] = struct{}{}
+	return nil
+}
+
+// releaseClient closes a session's copy of its client's socket, if it
+// holds one, and forgets it.
+func (l *Listener) releaseClient(c *clientSocket) {
+	c.close()
+	l.transMu.Lock()
+	delete(l.clients, c)
+	l.transMu.Unlock()
 }
 
 func (l *Listener) dropTransport(raw net.Conn) {

@@ -292,59 +292,57 @@ func sendWithSocket(c net.Conn, b []byte, client syscall.RawConn) error {
 	return err
 }
 
-// clientSocket is a split session's copy of the client's socket, none
-// while it is closed. A response is written to its descriptor with
-// write(2); only when the socket cannot take it all at once does the
-// descriptor become a net.TCPConn, so that the rest waits in the runtime's
-// poller rather than in a blocked thread. A socket that always has room,
-// as it has for the small responses most sessions carry, costs no more
-// than its close. Close may come from any goroutine (http.Server.Close
-// does), so the descriptor is only used and closed under mu: no write can
-// reach a descriptor number the process has since reused.
+// clientSocket is a split session's copy of its client's socket. It is
+// written with write(2) on the bare descriptor, outside the runtime's
+// poller: registered there when its header arrives, as an os.File or a
+// net.TCPConn, the copy measured slower on both benchmark workloads that
+// open a split session per connection or per request (DESIGN.md, "Answering
+// directly, reading still"). Only a response that finds the socket full
+// hands the descriptor to the poller, as an os.File, for the rest of the
+// session, so that the rest waits there and not in a blocked thread. Close
+// may come from any goroutine (Listener.Close), so the bare descriptor is
+// used and closed only under mu, and no write can reach a descriptor number
+// the process has since reused; the os.File's Close waits for a write in
+// progress on it to return.
 type clientSocket struct {
 	mu   sync.Mutex
-	fd   int
-	open bool
-	conn *net.TCPConn
+	open bool     // there is a socket: the zero value has none
+	fd   int      // its descriptor
+	file *os.File // the descriptor once a write found the socket full
 }
 
-// reset makes fd, -1 for none, the socket.
+// reset makes fd the socket.
 func (s *clientSocket) reset(fd int) {
 	s.mu.Lock()
-	s.fd, s.open, s.conn = fd, fd >= 0, nil
+	s.open, s.fd, s.file = true, fd, nil
 	s.mu.Unlock()
-}
-
-// isOpen reports whether there is a socket.
-func (s *clientSocket) isOpen() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.open
 }
 
 var errClientClosed = errors.New("handoff: the client's socket is closed")
 
-// Write writes p whole, or fails.
+// Write writes p whole, or fails; errClientClosed once the socket is
+// closed.
 func (s *clientSocket) Write(p []byte) (int, error) {
 	s.mu.Lock()
-	written, conn, err := s.writeRaw(p)
+	n, err := s.writeBare(p)
+	f := s.file
 	s.mu.Unlock()
-	if conn == nil || err != nil {
-		return written, err
+	if err != nil || n == len(p) {
+		return n, err
 	}
-	n, err := conn.Write(p[written:])
-	return written + n, err
+	m, err := f.Write(p[n:])
+	return n + m, err
 }
 
-// writeRaw writes p with write(2) until it is written or the socket is
-// full; then it returns the net.TCPConn the rest is to be written through.
-// It is called with mu held.
-func (s *clientSocket) writeRaw(p []byte) (int, *net.TCPConn, error) {
-	if !s.open {
-		return 0, nil, errClientClosed
-	}
-	if s.conn != nil {
-		return 0, s.conn, nil
+// writeBare writes p to the bare descriptor until it is written or the
+// socket is full, when it hands the descriptor to file for the rest. It is
+// called with mu held.
+func (s *clientSocket) writeBare(p []byte) (int, error) {
+	switch {
+	case !s.open:
+		return 0, errClientClosed
+	case s.file != nil:
+		return 0, nil
 	}
 	written := 0
 	for written < len(p) {
@@ -353,15 +351,14 @@ func (s *clientSocket) writeRaw(p []byte) (int, *net.TCPConn, error) {
 		case err == syscall.EINTR:
 			continue
 		case err == syscall.EAGAIN:
-			conn, err := fileTCPConn(s.fd)
-			s.fd, s.open, s.conn = -1, err == nil, conn
-			return written, conn, err
+			s.file = os.NewFile(uintptr(s.fd), "client")
+			return written, nil
 		case err != nil:
-			return written, nil, err
+			return written, err
 		}
 		written += n
 	}
-	return written, nil, nil
+	return written, nil
 }
 
 // close closes the socket copy, once.
@@ -370,12 +367,12 @@ func (s *clientSocket) close() {
 	defer s.mu.Unlock()
 	switch {
 	case !s.open:
-	case s.conn != nil:
-		s.conn.Close()
+	case s.file != nil:
+		s.file.Close()
 	default:
 		syscall.Close(s.fd)
 	}
-	s.fd, s.open, s.conn = -1, false, nil
+	s.open, s.file = false, nil
 }
 
 // fileTCPConn makes fd, which it takes over, a net.TCPConn.

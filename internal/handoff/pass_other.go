@@ -30,8 +30,6 @@ type clientSocket struct{}
 
 func (*clientSocket) reset(int) {}
 
-func (*clientSocket) isOpen() bool { return false }
-
 func (*clientSocket) Write([]byte) (int, error) { return 0, errPassUnsupported }
 
 func (*clientSocket) close() {}

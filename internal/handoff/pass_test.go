@@ -567,6 +567,60 @@ func TestListenerCloseEndsClientCopiesFirst(t *testing.T) {
 	}
 }
 
+// TestNextSessionAfterListenerClose: a kept loop that reads its next split
+// header only after Listener.Close has closed every socket copy it knew of
+// (the header already buffered, so that the read does not see the
+// transport close) does not start that session. The socket the header
+// brought is closed, the server's answer fails without reaching the client
+// or the transport, and once the front end closes its copy the client sees
+// its connection end with nothing sent.
+func TestNextSessionAfterListenerClose(t *testing.T) {
+	ln, err := Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, raw := transportPair(t, ln)
+	defer syscall.Close(sender)
+	defer raw.Close()
+	c := newPassedClient(t)
+	f, err := c.fe.File()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := appendHeader(nil, FlagSplit|FlagSessionFramed, "192.0.2.1:4000", []byte("GET /a HTTP/1.1\r\nHost: t\r\n\r\n"))
+	err = syscall.Sendmsg(sender, header, syscall.UnixRights(int(f.Fd())), nil, 0)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A loop at its session's end-of-session record, as serveSession is
+	// when it calls NextSession.
+	sc := newSessionConn(raw, bufio.NewReader(raw), nil, 0, make(chan struct{}, 1))
+	sc.l, sc.sawEnd = ln, true
+	sc.Direct()
+	ln.Close()
+	if err := sc.NextSession(); err == nil {
+		t.Fatal("NextSession started a split session on a closed Listener")
+	}
+	if _, err := io.WriteString(sc, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"); err == nil {
+		t.Fatal("the server's answer was written")
+	}
+	sc.Close()
+	raw.Close()
+	if n, _ := syscall.Read(sender, make([]byte, 64)); n != 0 {
+		t.Fatalf("%d bytes reached the transport", n)
+	}
+	c.fe.Close()
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := c.conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("the client read %d bytes, %v; want its connection ended unanswered", n, err)
+	}
+	if ln.Sessions() != 0 {
+		t.Fatalf("Sessions() = %d, want 0", ln.Sessions())
+	}
+}
+
 // TestFrontEndTransportRefusesDescriptors: a descriptor arriving on a front
 // end's end of a pass transport, where none is ever due, is closed and
 // ends the transport; it is not silently kept.

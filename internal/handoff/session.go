@@ -232,11 +232,12 @@ type sessionConn struct {
 	closeOnce sync.Once
 	closed    chan<- struct{}
 
-	// A split session's copy of its client's socket (pass.go), closed at
-	// the end-of-session record; direct is set once the server answers
-	// clients itself (Direct), and from then on a split session's writes go
-	// to the socket, written bytes at a time, each response reported in a
-	// done record built in rec.
+	// split: the session's header carried its client's socket (pass.go),
+	// and client holds the Listener's copy until the end-of-session record.
+	// direct is set once the server answers clients itself (Direct), and
+	// from then on a split session's writes go to the socket, written bytes
+	// at a time, each response reported in a done record built in rec.
+	split   bool
 	client  clientSocket
 	direct  bool
 	written int64
@@ -325,16 +326,17 @@ func isTimeout(err error) bool {
 }
 
 // Write implements net.Conn: to the transport, or, once the server has
-// asked for it (Direct), to a split session's client.
+// asked for it (Direct), to a split session's client, and never to the
+// transport once that socket is closed.
 //
 //lard:noalloc
 func (c *sessionConn) Write(p []byte) (int, error) {
-	if c.direct && c.client.isOpen() {
-		n, err := c.client.Write(p)
-		c.written += int64(n)
-		return n, err
+	if !c.direct || !c.split {
+		return c.Conn.Write(p)
 	}
-	return c.Conn.Write(p)
+	n, err := c.client.Write(p)
+	c.written += int64(n)
+	return n, err
 }
 
 // Direct is how a server says it answers a split session's client itself,
@@ -351,7 +353,7 @@ func (c *sessionConn) Direct() { c.direct = true }
 //
 //lard:noalloc
 func (c *sessionConn) Answered(open bool) error {
-	if !c.direct || !c.client.isOpen() {
+	if !c.direct || !c.split {
 		return nil
 	}
 	d := Done{Written: c.written, Responses: 1, Open: open}
@@ -393,7 +395,8 @@ var errSessionOpen = errors.New("handoff: NextSession before the end of the sess
 // SessionIdleTimeout until its first byte, HandshakeTimeout from it), serves
 // a pass that comes first as the loop would (servePass), counts the session,
 // and is then that session's conn, RemoteAddr the new client's, with the
-// client's socket if the header carried one.
+// client's socket if the header carried one (holdClient: not once the
+// Listener has closed).
 // It is valid only once Read has returned io.EOF, the end-of-session record.
 // The server keeps
 // the conn's one Close, and http.Server.Close and Shutdown reach a hijacked
@@ -420,12 +423,15 @@ func (c *sessionConn) NextSession() error {
 		c.l.reject(c.Conn, err)
 		return err
 	}
+	if err := c.l.holdClient(c, h.fd); err != nil {
+		c.sticky = err
+		return err
+	}
 	c.l.sessions.Add(1)
 	c.mu.Lock()
 	c.clientAddr = h.client
 	c.mu.Unlock()
 	c.frameLeft, c.sawEnd = h.initialLen, false
-	c.client.reset(h.fd)
 	return nil
 }
 
