@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net"
 	"sort"
 	"strconv"
 	"sync"
@@ -110,70 +111,93 @@ func contentBlock(target string) []byte {
 	return block
 }
 
-// copyBufPool and largeBufPool recycle the buffers a response is assembled
-// and a document's content generated in (responseBuf picks one). A request
-// holds one from its answer's first byte to its last; a session waiting for
-// its next request holds none.
-var (
-	copyBufPool  = sync.Pool{New: func() any { return newBuf(copyBufLen) }}
-	largeBufPool = sync.Pool{New: func() any { return newBuf(largeBufLen) }}
-)
+// responsePool recycles what a response is written from. A request holds
+// one from its answer's first byte to its last; a session waiting for its
+// next request holds none. A new one has room for the iovecs of a response
+// up to 1 MiB, so that one the pool dropped costs two allocations to
+// replace, not a slice grown an iovec at a time.
+var responsePool = sync.Pool{New: func() any { return &response{iov: make([][]byte, 0, 1<<20/copyBufLen+1)} }}
 
-// copyBufLen holds every 8 KB workload's response. largeBufLen is the most
-// one Write carries: the pipe the Go runtime sizes every splice to, so the
-// front end can move it in one, and handoff.MaxFrameLen. A reader that
-// stalls mid-response holds largeBufLen where it held copyBufLen, the bound
-// the front end's splice pipe already has per relay in flight.
-const copyBufLen, largeBufLen = 32 << 10, 1 << 20
+// copyBufLen holds every 8 KB workload's response whole, and a longer one's
+// head and the first period of its body (layout). A reader that stalls
+// mid-response holds one.
+const copyBufLen = 32 << 10
 
 // headRoom is more than the longest head answerConn writes for a document
 // (a MISS, Connection: close and a 19-digit length: 167 bytes), so that a
-// document that takes the 32 KB buffer fits it with its head.
+// document up to copyBufLen - headRoom fits the buffer with its head.
 const headRoom = 256
 
-func newBuf(n int) *[]byte {
-	b := make([]byte, n)
-	return &b
+// response is the scratch one response is written from: buf, where its head
+// and as much of its body as send puts there are assembled, and the iovecs
+// a longer body leaves in, every one of them in buf.
+type response struct {
+	buf [copyBufLen]byte
+	iov [][]byte    // the iovecs' backing array, as long as the longest response has needed
+	vec net.Buffers // iov, as WriteBuffers consumes it
 }
 
-// responseBuf is the buffer a's response leaves from: the 32 KB one if the
-// response fits it, the large one if not, so that a document up to 1 MiB
-// goes in one Write and a longer one in 1 MiB Writes. A HEAD, or an answer
-// without a document, never takes the large one. putBuf gives it back.
+// vectored is a conn that writes a response's iovecs in one writev
+// (handoff's passed connections and sessions, asked for by method).
+type vectored interface {
+	WriteBuffers(v *net.Buffers) (int64, error)
+}
+
+// send writes what b holds (a response head, or nothing; b is r.buf's) and
+// the document's content behind it. A response that fits the buffer leaves
+// in one Write. A longer one's iovecs (layout) leave in one WriteBuffers
+// where w is vectored, else a Write each, as net/http's writer takes them.
+// It returns the bytes of content written and the writes made.
 //
 //lard:noalloc
-func responseBuf(a *answer, bodiless bool) *[]byte {
-	if !bodiless && a.doc != nil && a.doc.size > copyBufLen-headRoom {
-		return largeBufPool.Get().(*[]byte)
+func (d *document) send(w io.Writer, r *response, b []byte) (body, writes int64, err error) {
+	head := len(b)
+	if d.size <= int64(cap(b)-head) {
+		n, err := w.Write(d.fill(b, int(d.size)))
+		return int64(max(0, n-head)), 1, err
 	}
-	return copyBufPool.Get().(*[]byte)
-}
-
-//lard:noalloc
-func putBuf(bp *[]byte) {
-	if cap(*bp) == largeBufLen {
-		largeBufPool.Put(bp)
+	r.iov = d.layout(r.iov[:0], b)
+	var n int64
+	if vw, ok := w.(vectored); ok {
+		r.vec = r.iov
+		n, err = vw.WriteBuffers(&r.vec)
+		writes = 1
 	} else {
-		copyBufPool.Put(bp)
+		for i := 0; err == nil && i < len(r.iov); i++ {
+			m, werr := w.Write(r.iov[i])
+			n, writes, err = n+int64(m), writes+1, werr
+		}
 	}
+	return max(0, n-int64(head)), writes, err
 }
 
-// send writes what b holds (a response head, or nothing) and the document's
-// content behind it, generated in the rest of b's backing array: the head
-// and all of the body that fits beside it leave in one Write, what is left
-// a buffer at a time. Given responseBuf's buffer that is one Write for a
-// response up to its size. It returns the bytes of content written and the
-// Writes made.
+// layout appends to iov the response whose head b holds: b's buffer filled
+// behind the head with the body's first period, the room left in whole
+// content blocks so that every repeat of it starts where the content's
+// period does, and then that period again as often as the body needs, the
+// last cut short. The first iovec is the head and the first period. There
+// are ⌈size ÷ period⌉, none empty, every one in b's buffer, which the CPU
+// keeps in its cache however long the body.
 //
 //lard:noalloc
-func (d *document) send(w io.Writer, b []byte) (body, writes int64, err error) {
-	for r := (contentReader{block: d.block, remaining: d.size}); err == nil && (r.remaining > 0 || len(b) > 0); b = b[:0] {
-		n, _ := r.Read(b[len(b):cap(b)])
-		n, err = w.Write(b[:len(b)+n])
-		body += int64(max(0, n-len(b)))
-		writes++
+func (d *document) layout(iov [][]byte, b []byte) [][]byte {
+	head, period := len(b), cap(b)-len(b)
+	period -= period % len(d.block)
+	b = d.fill(b, int(min(int64(period), d.size)))
+	iov = append(iov, b)
+	for rest := d.size - int64(len(b)-head); rest > 0; rest -= int64(period) {
+		iov = append(iov, b[head:head+int(min(int64(period), rest))])
 	}
-	return body, writes, err
+	return iov
+}
+
+// fill appends the document's first n bytes to b, which has room for them.
+//
+//lard:noalloc
+func (d *document) fill(b []byte, n int) []byte {
+	r := contentReader{block: d.block, remaining: int64(n)}
+	m, _ := r.Read(b[len(b) : len(b)+n])
+	return b[:len(b)+m]
 }
 
 type contentReader struct {

@@ -272,9 +272,9 @@ func (s *Server) answerHTTP(w http.ResponseWriter, a *answer, bodiless bool) {
 	if bodiless {
 		return
 	}
-	bp := responseBuf(a, false)
-	defer putBuf(bp)
-	s.sendBody(w, (*bp)[:0], a)
+	r := responsePool.Get().(*response)
+	defer responsePool.Put(r)
+	s.sendBody(w, r, r.buf[:0], a)
 }
 
 //go:noinline
@@ -287,13 +287,13 @@ func setOwnFields(h http.Header, o *ownBody) {
 }
 
 // answerConn writes a on a connection the loop owns: the head it assembles
-// and the body in one Write up to 1 MiB (responseBuf).
+// and the body in one write at any size (document.send).
 //
 //lard:noalloc
 func (s *Server) answerConn(conn net.Conn, a *answer, bodiless, last bool) error {
-	bp := responseBuf(a, bodiless)
-	defer putBuf(bp)
-	b := append((*bp)[:0], "HTTP/1.1 "...)
+	r := responsePool.Get().(*response)
+	defer responsePool.Put(r)
+	b := append(r.buf[:0], "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(a.status), 10)
 	b = append(append(append(b, ' '), http.StatusText(a.status)...), "\r\nContent-Length: "...)
 	if a.doc != nil {
@@ -316,18 +316,18 @@ func (s *Server) answerConn(conn net.Conn, a *answer, bodiless, last bool) error
 		_, err := conn.Write(b)
 		return err
 	}
-	return s.sendBody(conn, b, a)
+	return s.sendBody(conn, r, b, a)
 }
 
-// sendBody writes what b holds and a's body behind it.
+// sendBody writes what b, r's buffer, holds and a's body behind it.
 //
 //lard:noalloc
-func (s *Server) sendBody(w io.Writer, b []byte, a *answer) error {
+func (s *Server) sendBody(w io.Writer, r *response, b []byte, a *answer) error {
 	if a.doc == nil {
 		_, err := w.Write(append(b, a.own.body...))
 		return err
 	}
-	n, writes, err := a.doc.send(w, b)
+	n, writes, err := a.doc.send(w, r, b)
 	s.writes.Add(writes) // first: Stats that sees the bytes sees their Writes
 	s.bytesSent.Add(n)
 	if err == nil && n != a.doc.size {

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"lard/internal/handoff"
 	"lard/internal/trace"
@@ -69,7 +70,9 @@ const (
 // TestTakeoverMatchesNetHTTP sends the same frames to two nodes, one that
 // takes its transport over and one whose handler is left net/http's writer,
 // each behind a real handoff.Listener, and holds every response, the
-// counters and the listeners' session counts to be the same. A row's first
+// counters and the listeners' session counts to be the same, but for Writes:
+// the loop writes a document's response in one write, net/http's writer in
+// one Write per 32 KB period of its body. A row's first
 // request is the one net/http reads on both nodes; on the first node it is
 // the only one, whatever sessions follow on the transport, and the conn its
 // server accepted is in turn each session's client's; a first request that
@@ -184,11 +187,16 @@ func TestTakeoverMatchesNetHTTP(t *testing.T) {
 				}
 				finish()
 				// The handler counts a body's bytes once its last write returns.
-				want, j := int64(0), 0
-				for _, methods := range sessions {
+				want, writes, j := int64(0), int64(0), 0
+				for k, methods := range sessions {
 					for _, m := range methods {
 						if r := got[i][j]; r.status == http.StatusOK && r.fields[2] != "" && m != "HEAD" {
 							want += int64(len(r.body))
+							if i == 0 && k >= row.before {
+								writes++
+							} else {
+								writes += (int64(len(r.body)) + copyBufLen - 1) / copyBufLen
+							}
 						}
 						j++
 					}
@@ -203,7 +211,10 @@ func TestTakeoverMatchesNetHTTP(t *testing.T) {
 				if h := uint64(hijacked.Load()); h != takeovers || stats[i].Takeovers != takeovers || stats[i].LoopSessions != loop {
 					t.Errorf("node %d: %d connections hijacked, Stats %+v; want %d takeovers and %d sessions begun in the loop", i, h, stats[i], takeovers, loop)
 				}
-				stats[i].Takeovers, stats[i].LoopSessions = 0, 0
+				if stats[i].Writes != writes {
+					t.Errorf("node %d: Writes %d, want %d", i, stats[i].Writes, writes)
+				}
+				stats[i].Takeovers, stats[i].LoopSessions, stats[i].Writes = 0, 0, 0
 			}
 			last := len(got[0]) - 1
 			if got[0][last].closes != (row.end == "close") {
@@ -266,13 +277,13 @@ func settle(t *testing.T, want int, what string) {
 // is a goroutine of net/http's that http.Server.Close no longer reaches, so
 // whatever its peer does has to end it, and only it. Among idle sessions
 // that must go on being served, a peer half-closes inside a head, resets
-// inside a long body, stops reading, and resets inside one 1 MiB Write;
+// inside a long body, stops reading, and resets inside one 1 MiB writev;
 // then, on transports whose second session the loop kept for itself, the
 // peer goes or goes wrong where the loop waits for the next handoff header,
 // right behind one, and in a request the loop cannot frame. Each costs its
 // own connection, the goroutines come back (and with them the buffers: a
-// response's pooled buffer, 32 KB or 1 MiB, is held only inside answerConn's
-// frame), and the listener's counters say what happened:
+// response's pooled 32 KB buffer, whatever its length, is held only inside
+// answerConn's frame), and the listener's counters say what happened:
 // every session begun, a header that was none rejected once, a transport
 // that closed or idled out between sessions not at all. Listener.Close then
 // ends every session there is, and the loop that waits for one.
@@ -283,7 +294,7 @@ func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 
 	const head, big = "GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n", "GET /big HTTP/1.1\r\nHost: t\r\n\r\n"
 	const short = 200 * time.Millisecond // every timeout a fault below runs into
-	const mib = 1<<20 - headRoom         // a document that leaves in one Write
+	const mib = 1<<20 - headRoom         // a document that leaves in one writev
 	be := New(Config{Store: NewDocStore([]trace.Target{{Name: "/a.html", Size: 1000}, {Name: "/big", Size: 512 << 10}, {Name: "/mib", Size: mib}})})
 	srv := be.HTTPServer()
 	srv.ReadHeaderTimeout = short
@@ -363,8 +374,8 @@ func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 	served("a peer that reset inside a body")
 
 	// (c) A peer that stops reading: more pipelined long documents than the
-	// sockets between them hold. The loop is stuck in a Write, holding one
-	// 1 MiB buffer, which costs the others nothing, until the peer goes.
+	// sockets between them hold. The loop is stuck in a writev, holding its
+	// one 32 KB buffer, which costs the others nothing, until the peer goes.
 	s = open()
 	s.send(t, strings.Repeat(big, 64))
 	sent := be.Stats().BytesSent
@@ -383,10 +394,10 @@ func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 	s.conn.Close()
 	served("a peer that stopped reading")
 
-	// A reset in the middle of one 1 MiB Write: tight's sockets hold a
-	// fraction of the response, so the Write is still going when the peer
-	// has read its first bytes and resets. The Write fails, the loop closes,
-	// and BytesSent counts less than the document: none of a failed Write.
+	// A reset in the middle of one 1 MiB writev: tight's sockets hold a
+	// fraction of the response, so the writev is still going when the peer
+	// has read its first bytes and resets. The writev fails, the loop closes,
+	// and BytesSent counts less than the document.
 	s = tight.open(t)
 	s.request(t, head) // net/http's, and the takeover
 	sent = be.Stats().BytesSent
@@ -487,102 +498,291 @@ func TestTakenOverSessionCostsOneConnection(t *testing.T) {
 	}
 }
 
+// TestResponseLayout: a response longer than the buffer is its head and the
+// body's first period, the room left in whole 64-byte blocks, and then that
+// period again and again. For heads up to headRoom and bodies about one and
+// two periods, past 1 MiB and past IOV_MAX periods, the iovecs concatenate
+// to the head and the document's content, none is empty, there are
+// ⌈size ÷ period⌉ of them, and every one lies in the buffer.
+func TestResponseLayout(t *testing.T) {
+	const iovMax = 1024
+	want := make([]byte, copyBufLen)
+	for _, head := range []int{0, 1, 63, 64, 65, 167, headRoom - 1, headRoom} {
+		period := int64(copyBufLen-head) / 64 * 64
+		for _, size := range []int64{period - 64, period, period + 64, 2*period - 1, 2*period + 1, 1<<20 + 1, 3 << 20, iovMax*period + 4321} {
+			buf := make([]byte, copyBufLen)
+			b := buf[:head]
+			for i := range b {
+				b[i] = byte('A' + i%26)
+			}
+			iov := (&document{size: size, block: contentBlock("/t")}).layout(nil, b)
+			if n := (size + period - 1) / period; int64(len(iov)) != n {
+				t.Fatalf("head %d, size %d: %d iovecs, want %d", head, size, len(iov), n)
+			}
+			content := ContentReader("/t", size)
+			for i, p := range iov {
+				if len(p) == 0 || !within(p, buf) {
+					t.Fatalf("head %d, size %d: iovec %d is %d bytes, in the buffer %t", head, size, i, len(p), within(p, buf))
+				}
+				if i == 0 {
+					if string(p[:head]) != string(b) {
+						t.Fatalf("head %d, size %d: the first iovec begins %q", head, size, p[:head])
+					}
+					p = p[head:]
+				}
+				if _, err := io.ReadFull(content, want[:len(p)]); err != nil || !bytes.Equal(p, want[:len(p)]) {
+					t.Fatalf("head %d, size %d: iovec %d is not the content it stands for (%v)", head, size, i, err)
+				}
+			}
+			if n, _ := content.Read(want); n != 0 {
+				t.Fatalf("head %d, size %d: the iovecs end short of the document", head, size)
+			}
+		}
+	}
+}
+
+// within reports whether p lies in buf's backing array.
+func within(p, buf []byte) bool {
+	lo, at := uintptr(unsafe.Pointer(unsafe.SliceData(buf))), uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+	return at >= lo && at+uintptr(len(p)) <= lo+uintptr(cap(buf))
+}
+
+// recorder is a vectored writer that keeps what it is given.
+type recorder struct {
+	calls int
+	iov   [][]byte
+}
+
+func (r *recorder) Write(p []byte) (int, error) {
+	r.calls++
+	r.iov = append(r.iov, p)
+	return len(p), nil
+}
+
+func (r *recorder) WriteBuffers(v *net.Buffers) (int64, error) {
+	r.calls++
+	var n int64
+	for _, p := range *v {
+		r.iov, n = append(r.iov, p), n+int64(len(p))
+	}
+	*v = nil
+	return n, nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// client is one client connection to a node as the client sees it: send
+// sends request bytes, and the responses are read from conn through br, in
+// counting them. Where the node answers on the client's own socket, tr is
+// the pass transport it reports there on, read through done.
+type client struct {
+	session
+	in   *countingReader
+	send func(tb testing.TB, data string)
+	tr   net.Conn
+	done *bufio.Reader
+}
+
+// transportClient is the client of s's sessions.
+func transportClient(s *session) *client {
+	c := &client{session: *s, in: &countingReader{r: s.conn}, send: s.send}
+	c.br = bufio.NewReader(c.in)
+	return c
+}
+
+// directClient opens a client connection that n answers on the client's own
+// socket, handed over as a front end on its host hands it: its first request
+// rides the header of a split session and its later ones go as frames, or,
+// with pass, the connection is passed whole and its later requests are its
+// own. It skips where n has no pass address.
+func directClient(t *testing.T, n *node, pass bool) *client {
+	t.Helper()
+	tr, err := handoff.DialPass(n.Addr().String())
+	if err != nil {
+		t.Skipf("no pass address: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := ln.Accept() // the front end's copy of the client's socket
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close(); fe.Close(); tr.Close() })
+	rc, err := fe.(*net.TCPConn).SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &client{session: session{conn: conn}, in: &countingReader{r: conn}, tr: tr, done: bufio.NewReader(tr)}
+	c.br = bufio.NewReader(c.in)
+	sw, first := handoff.NewTransportWriter(tr), true
+	c.send = func(tb testing.TB, data string) {
+		tb.Helper()
+		var err error
+		switch {
+		case first && pass:
+			if err = sw.Pass(rc, conn.LocalAddr().String(), []byte(data), time.Minute); err == nil {
+				err = fe.Close()
+			}
+		case first:
+			err = sw.Split(rc, conn.LocalAddr().String(), []byte(data), 0)
+		case pass:
+			_, err = io.WriteString(conn, data)
+		default:
+			_, err = sw.Write([]byte(data))
+		}
+		if first = false; err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
+}
+
+// reported reads the next done record and requires it to report bytes
+// written to the client in responses.
+func (c *client) reported(t *testing.T, bytes int64, responses uint32) {
+	t.Helper()
+	c.tr.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if d, ok, err := handoff.ReadDone(c.done); err != nil || !ok || d.Written != bytes || d.Responses != responses {
+		t.Errorf("done record %+v (%t, %v), want %d bytes in %d responses", d, ok, err, bytes, responses)
+	}
+}
+
 // TestLargeResponseWrites holds the node to one response, one write, at any
-// size, on a real handoff.Listener transport: from the loop a document's
-// response leaves in ⌈(head + size) ÷ 1 MiB⌉ writes, and Writes counts each
-// of them. Behind onlyNetHTTP the handler makes ⌈size ÷ 1 MiB⌉ Writes and
-// the transport carries one more: net/http's 4 KB buffer sends the head with
-// the body's first bytes on its own. A HEAD is one write and no Writes on
-// either. Every body is the document's, and BytesSent counts it. First, the
-// memory bound: the 32 KB buffer for what fits it, 1 MiB only for a body
-// that does not.
+// size, on every way a response leaves it: a real handoff.Listener's TCP
+// transport, and where there is a pass address a split session and a
+// connection passed whole, both answered on the client's own socket. From
+// the loop a document's response leaves in one write whatever its size, a
+// writev of the body's period for one longer than the buffer, and Writes
+// counts it: one write on the transport, and on the client's socket every
+// byte of it in the done record, a split session's for each response, a
+// passed connection's for all of them when it closes. Behind onlyNetHTTP the
+// handler makes a Write per 32 KB period, ⌈size ÷ 32 KB⌉, and the transport
+// carries one more: net/http's 4 KB buffer sends the head with the body's
+// first bytes on its own. A HEAD is one write and no Writes on either. Every
+// body is the document's, and BytesSent counts it. First, the memory bound:
+// however long, a response leaves from the one 32 KB buffer.
 func TestLargeResponseWrites(t *testing.T) {
 	const mib = 1 << 20
-	if largeBufLen != handoff.MaxFrameLen {
-		t.Fatalf("the large buffer is %d bytes, handoff.MaxFrameLen %d: want them equal", largeBufLen, handoff.MaxFrameLen)
+	r, rec := responsePool.Get().(*response), &recorder{}
+	if _, writes, err := (&document{size: 3 * mib, block: contentBlock("/3m")}).send(rec, r, append(r.buf[:0], "head"...)); err != nil || writes != 1 || rec.calls != 1 {
+		t.Fatalf("a 3 MiB response: %d writes counted, %d made (%v), want 1", writes, rec.calls, err)
 	}
-	for _, c := range []struct {
-		a        answer
-		bodiless bool
-		want     int
-	}{
-		{answer{doc: &document{size: 8 << 10}}, false, copyBufLen},
-		{answer{doc: &document{size: copyBufLen - headRoom}}, false, copyBufLen},
-		{answer{doc: &document{size: copyBufLen - headRoom + 1}}, false, largeBufLen},
-		{answer{doc: &document{size: 3 * mib}}, false, largeBufLen},
-		{answer{doc: &document{size: 3 * mib}}, true, copyBufLen},
-		{notFound, false, copyBufLen},
-	} {
-		bp := responseBuf(&c.a, c.bodiless)
-		if cap(*bp) != c.want {
-			t.Errorf("a %+v response (bodiless %t) took a %d-byte buffer, want %d", c.a, c.bodiless, cap(*bp), c.want)
+	for i, p := range rec.iov {
+		if !within(p, r.buf[:]) {
+			t.Fatalf("a 3 MiB response's iovec %d of %d is outside its 32 KB buffer", i, len(rec.iov))
 		}
-		putBuf(bp)
 	}
+	responsePool.Put(r)
 
 	const probe = mib - 200 // as many digits as the documents at 1 MiB
 	get := func(method, target string) string { return method + " " + target + " HTTP/1.1\r\nHost: t\r\n\r\n" }
-	for _, wrap := range []func(http.Handler) http.Handler{nil, onlyNetHTTP} {
-		store := NewDocStore([]trace.Target{{Name: "/probe", Size: probe}})
-		be := New(Config{Store: store})
-		srv := be.HTTPServer()
-		if wrap != nil {
-			srv.Handler = wrap(srv.Handler)
-		}
-		s := startNode(t, srv).open(t)
-		// sent is what BytesSent is to reach: the handler counts a body once
-		// its last Write has returned, which its reader does not wait for.
-		var sent int64
-		counted := func() Stats {
-			st := be.Stats()
-			for deadline := time.Now().Add(2 * time.Second); st.BytesSent != sent && time.Now().Before(deadline); st = be.Stats() {
-				time.Sleep(time.Millisecond)
+	for _, way := range []string{"transport", "net/http", "split", "passed"} {
+		t.Run(way, func(t *testing.T) {
+			store := NewDocStore([]trace.Target{{Name: "/probe", Size: probe}})
+			be := New(Config{Store: store})
+			srv := be.HTTPServer()
+			if way == "net/http" {
+				srv.Handler = onlyNetHTTP(srv.Handler)
 			}
-			return st
-		}
-		s.request(t, get("GET", "/probe"))
-		head := s.request(t, get("GET", "/probe")) - probe // a hit's
-		if longest := head + 1 + int64(len("Connection: close\r\n")) + 19 - 7; longest > headRoom {
-			t.Fatalf("a document's head can be %d bytes, more than headRoom", longest)
-		}
-		sent += 2 * probe
-		rows := []struct {
-			target string
-			size   int64
-			method string
-		}{
-			{"/40k", 40 << 10, "GET"}, {"/512k", 512 << 10, "GET"}, {"/edge", mib - head, "GET"},
-			{"/over", mib + 1, "GET"}, {"/3m", 3 * mib, "GET"}, {"/3m", 3 * mib, "HEAD"},
-		}
-		for _, r := range rows {
-			store.Add(r.target, r.size)
-			s.request(t, get("GET", r.target)) // the miss
-			sent += r.size
-		}
-		for _, r := range rows {
-			calls := (head + r.size + mib - 1) / mib // the handler's Writes
-			writes := calls                          // and the transport's
-			if wrap != nil {
-				calls = (r.size + mib - 1) / mib
-				writes = calls + 1
+			n := startNode(t, srv)
+			c := transportClient(n.open(t))
+			if way == "split" || way == "passed" {
+				c = directClient(t, n, way == "passed")
 			}
-			bytes := r.size
-			if r.method == "HEAD" {
-				calls, writes, bytes = 0, 1, 0
+			// sent is what BytesSent is to reach: the handler counts a body once
+			// its last write has returned, which its reader does not wait for.
+			var sent int64
+			counted := func() Stats {
+				st := be.Stats()
+				for deadline := time.Now().Add(2 * time.Second); st.BytesSent != sent && time.Now().Before(deadline); st = be.Stats() {
+					time.Sleep(time.Millisecond)
+				}
+				return st
 			}
-			st, before := counted(), s.ln.writes.Load()
-			s.send(t, get(r.method, r.target))
-			got := s.replies(t, []string{r.method})[0]
-			if want := ContentBytes(r.target, bytes); got.status != http.StatusOK || got.body != string(want) {
-				t.Errorf("%s %s: status %d and a %d-byte body, want 200 and the document's %d", r.method, r.target, got.status, len(got.body), len(want))
+			// exchange sends a request and reads its response as the client
+			// does, and the done record a split session sends behind it.
+			var total int64
+			var responses uint32
+			exchange := func(method, target string) (reply, int64) {
+				t.Helper()
+				before := c.in.n
+				c.send(t, get(method, target))
+				got := c.replies(t, []string{method})[0]
+				read := c.in.n - before
+				if total, responses = total+read, responses+1; way == "split" {
+					c.reported(t, read, 1)
+				}
+				return got, read
 			}
-			sent += bytes
-			now := counted()
-			if w := s.ln.writes.Load() - before; w != writes || now.BytesSent-st.BytesSent != bytes || now.Writes-st.Writes != calls {
-				t.Errorf("%s %s (net/http's writer: %t): %d transport writes, BytesSent +%d, Writes +%d; want %d, +%d, +%d",
-					r.method, r.target, wrap != nil, w, now.BytesSent-st.BytesSent, now.Writes-st.Writes, writes, bytes, calls)
+			exchange("GET", "/probe")
+			_, n2 := exchange("GET", "/probe")
+			head := n2 - probe // a hit's
+			if longest := head + 1 + int64(len("Connection: close\r\n")) + 19 - 7; longest > headRoom {
+				t.Fatalf("a document's head can be %d bytes, more than headRoom", longest)
 			}
-		}
+			sent += 2 * probe
+			edge := copyBufLen - (head - 7 + 5) // with its 5-digit length's head, fills the buffer
+			rows := []struct {
+				target string
+				size   int64
+				method string
+			}{
+				{"/edge", edge, "GET"}, {"/over", edge + 1, "GET"}, {"/40k", 40 << 10, "GET"}, {"/512k", 512 << 10, "GET"},
+				{"/over1m", mib + 1, "GET"}, {"/3m", 3 * mib, "GET"}, {"/3m", 3 * mib, "HEAD"},
+			}
+			for _, r := range rows {
+				store.Add(r.target, r.size)
+				exchange("GET", r.target) // the miss
+				sent += r.size
+			}
+			for _, r := range rows {
+				calls, writes := int64(1), int64(1) // the handler's Writes, and the transport's
+				if way == "net/http" {
+					calls = (r.size + copyBufLen - 1) / copyBufLen
+					writes = calls + 1
+				}
+				bytes := r.size
+				if r.method == "HEAD" {
+					calls, writes, bytes = 0, 1, 0
+				}
+				st, before := counted(), n.ln.writes.Load()
+				got, _ := exchange(r.method, r.target)
+				if want := ContentBytes(r.target, bytes); got.status != http.StatusOK || got.body != string(want) {
+					t.Errorf("%s %s: status %d and a %d-byte body, want 200 and the document's %d", r.method, r.target, got.status, len(got.body), len(want))
+				}
+				sent += bytes
+				now := counted()
+				w := n.ln.writes.Load() - before
+				if c.tr != nil {
+					w = writes // on the client's socket: the done records count
+				}
+				if w != writes || now.BytesSent-st.BytesSent != bytes || now.Writes-st.Writes != calls {
+					t.Errorf("%s %s: %d transport writes, BytesSent +%d, Writes +%d; want %d, +%d, +%d",
+						r.method, r.target, w, now.BytesSent-st.BytesSent, now.Writes-st.Writes, writes, bytes, calls)
+				}
+			}
+			if way == "passed" {
+				c.conn.Close()
+				c.reported(t, total, responses)
+			}
+		})
 	}
 }
 

@@ -45,6 +45,16 @@ func startRawBackend(t *testing.T, fn func(net.Conn)) string {
 // back-end addresses.
 func startRelayFrontend(t *testing.T, addrs []string, mod ...func(*Config)) (*Server, string) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startRelayFrontendOn(t, ln, addrs, mod...), ln.Addr().String()
+}
+
+// startRelayFrontendOn is startRelayFrontend serving ln.
+func startRelayFrontendOn(t *testing.T, ln net.Listener, addrs []string, mod ...func(*Config)) *Server {
+	t.Helper()
 	cfg := Config{
 		Backends:      addrs,
 		Strategy:      "wrr",
@@ -56,15 +66,12 @@ func startRelayFrontend(t *testing.T, addrs []string, mod ...func(*Config)) (*Se
 	}
 	fe, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+		ln.Close()
 		t.Fatal(err)
 	}
 	go fe.Serve(ln)
 	t.Cleanup(func() { fe.Close() })
-	return fe, ln.Addr().String()
+	return fe
 }
 
 // readOneResponse reads one full response off a raw client connection.

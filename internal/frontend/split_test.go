@@ -124,12 +124,38 @@ func TestSplitMatchesRelay(t *testing.T) {
 	}
 }
 
+// sndbufListener sets SO_SNDBUF, where sndbuf is set, on the client
+// connections it accepts, and keeps the last of them.
+type sndbufListener struct {
+	net.Listener
+	sndbuf int
+	last   atomic.Pointer[net.TCPConn]
+}
+
+func (l *sndbufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		if l.sndbuf > 0 {
+			tc.SetWriteBuffer(l.sndbuf)
+		}
+		l.last.Store(tc)
+	}
+	return c, err
+}
+
 // TestSplitLargeResponsesToASlowClient: responses of 1 MiB and more, to a
 // client that reads them a few KB at a time through a small receive buffer,
 // so that the back end's writes to the client's socket wait for room, reach
 // the client as the same bytes as through the relay, leave the back ends
 // with the same counters, and are credited whole from the done records. The
-// split run leaves no descriptor open.
+// split run leaves no descriptor open. The back end sends each response in
+// one writev, its first iovec the head and a 32 KB period of the body, the
+// rest that period repeated, until the socket is full, and the rest through
+// the socket's os.File. How much the socket takes first is the front end's
+// send buffer's to say, so a row sets it: as the kernel sizes it, small
+// enough that the socket fills inside the first iovec, and large enough that
+// it fills inside a repeat. Before the client reads, the socket's own count
+// of the bytes written to it says where it filled.
 func TestSplitLargeResponsesToASlowClient(t *testing.T) {
 	targets := []trace.Target{{Name: "/big/a", Size: 3 << 19}, {Name: "/big/b", Size: 1<<20 + 4321}}
 	requests := getHead(targets[0].Name) + getHead(targets[1].Name) +
@@ -139,71 +165,104 @@ func TestSplitLargeResponsesToASlowClient(t *testing.T) {
 		rc.Control(func(fd uintptr) { err = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4096) })
 		return err
 	}}
-	run := func(mod ...func(*Config)) (string, Stats, func() []backend.Stats) {
-		store := backend.NewDocStore(targets)
-		nodes := []*passNode{startPassNode(t, store), startPassNode(t, store)}
-		fe, feAddr := startRelayFrontend(t, []string{nodes[0].addr, nodes[1].addr}, mod...)
-		conn, err := smallWindow.Dial("tcp", feAddr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		io.WriteString(conn, requests)
-		var got []byte
-		buf := make([]byte, 16<<10)
-		conn.SetReadDeadline(time.Now().Add(20 * time.Second))
-		for {
-			n, err := conn.Read(buf)
-			got = append(got, buf[:n]...)
-			if err == io.EOF {
-				break
+	// The first iovec is the head and the period behind it, in whole 64-byte
+	// blocks: 32 KB less at most 63 bytes.
+	const firstIovec = 32<<10 - 63
+	for _, row := range []struct {
+		name   string
+		sndbuf int
+		full   func(at int64) bool // where the first response finds the socket full
+	}{
+		{"the kernel's send buffer", 0, nil},
+		{"full inside the first iovec", 4 << 10, func(at int64) bool { return at < firstIovec }},
+		{"full inside a repeat", 128 << 10, func(at int64) bool { return at > 32<<10 && at < targets[0].Size }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			// run returns what the client read, and where the socket was full.
+			run := func(mod ...func(*Config)) (string, int64, Stats, func() []backend.Stats) {
+				store := backend.NewDocStore(targets)
+				nodes := []*passNode{startPassNode(t, store), startPassNode(t, store)}
+				raw, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ln := &sndbufListener{Listener: raw, sndbuf: row.sndbuf}
+				fe := startRelayFrontendOn(t, ln, []string{nodes[0].addr, nodes[1].addr}, mod...)
+				conn, err := smallWindow.Dial("tcp", raw.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				io.WriteString(conn, requests)
+				// The socket is full once what was written to it stops growing.
+				full, still := int64(-1), 0
+				for deadline := time.Now().Add(5 * time.Second); still < 10 && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+					if at, ok := socketWritten(ln.last.Load()); ok && at > 0 && at == full {
+						still++
+					} else {
+						full, still = at, 0
+					}
+				}
+				var got []byte
+				buf := make([]byte, 16<<10)
+				conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+				for {
+					n, err := conn.Read(buf)
+					got = append(got, buf[:n]...)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatalf("after %d bytes: %v", len(got), err)
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+				waitFor(t, 5*time.Second, "the session to retire", retired(fe))
+				st := fe.Stats()
+				fe.Close()
+				for _, n := range nodes {
+					n.stop()
+				}
+				return string(got), full, st, func() []backend.Stats {
+					return []backend.Stats{nodes[0].be.Stats(), nodes[1].be.Stats()}
+				}
 			}
-			if err != nil {
-				t.Fatalf("after %d bytes: %v", len(got), err)
+			if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
+				ln.Close() // the runtime's poller is open before the count
 			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		waitFor(t, 5*time.Second, "the session to retire", retired(fe))
-		st := fe.Stats()
-		fe.Close()
-		for _, n := range nodes {
-			n.stop()
-		}
-		return string(got), st, func() []backend.Stats {
-			return []backend.Stats{nodes[0].be.Stats(), nodes[1].be.Stats()}
-		}
-	}
-	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
-		ln.Close() // the runtime's poller is open before the count
-	}
-	before := openFDs(t)
-	split, splitFE, splitBE := run()
-	deadline := time.Now().Add(5 * time.Second)
-	for openFDs(t) > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := openFDs(t); after > before {
-		t.Errorf("%d descriptors open before the split run, %d after", before, after)
-	}
-	relayed, _, relayedBE := run(relayOnly)
+			before := openFDs(t)
+			split, full, splitFE, splitBE := run()
+			deadline := time.Now().Add(5 * time.Second)
+			for openFDs(t) > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := openFDs(t); after > before {
+				t.Errorf("%d descriptors open before the split run, %d after", before, after)
+			}
+			if row.full != nil && !row.full(full) {
+				t.Errorf("the socket was full %d bytes into the first response: not where the row needs it", full)
+			}
+			relayed, _, _, relayedBE := run(relayOnly)
 
-	undated := func(s string) string { return dateField.ReplaceAllString(s, "Date: -\r\n") }
-	if undated(split) != undated(relayed) {
-		t.Errorf("split and relayed streams differ: %d and %d bytes", len(split), len(relayed))
-	}
-	if want := 2*targets[0].Size + targets[1].Size; int64(len(split)) < want {
-		t.Fatalf("the client read %d bytes, less than the %d of the documents", len(split), want)
-	}
-	if splitFE.Direct != 3 || splitFE.BackendToClient != int64(len(split)) {
-		t.Errorf("direct %d, back end to client %d; want 3, the %d bytes the client read",
-			splitFE.Direct, splitFE.BackendToClient, len(split))
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	for !reflect.DeepEqual(splitBE(), relayedBE()) && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !reflect.DeepEqual(splitBE(), relayedBE()) {
-		t.Errorf("back ends after the split run %+v, after the relayed run %+v", splitBE(), relayedBE())
+			undated := func(s string) string { return dateField.ReplaceAllString(s, "Date: -\r\n") }
+			if undated(split) != undated(relayed) {
+				t.Errorf("split and relayed streams differ: %d and %d bytes", len(split), len(relayed))
+			}
+			if want := 2*targets[0].Size + targets[1].Size; int64(len(split)) < want {
+				t.Fatalf("the client read %d bytes, less than the %d of the documents", len(split), want)
+			}
+			if splitFE.Direct != 3 || splitFE.BackendToClient != int64(len(split)) {
+				t.Errorf("direct %d, back end to client %d; want 3, the %d bytes the client read",
+					splitFE.Direct, splitFE.BackendToClient, len(split))
+			}
+			deadline = time.Now().Add(5 * time.Second)
+			for !reflect.DeepEqual(splitBE(), relayedBE()) && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if !reflect.DeepEqual(splitBE(), relayedBE()) {
+				t.Errorf("back ends after the split run %+v, after the relayed run %+v", splitBE(), relayedBE())
+			}
+		})
 	}
 }
 

@@ -28,7 +28,8 @@ const DefaultSessionIdleTimeout = 2 * time.Minute
 // property.
 //
 // What the server writes reaches the peer unchanged, in order and as it
-// wrote it: each Write is one write to the transport, and nothing is held.
+// wrote it: each Write is one write to the transport, each WriteBuffers one
+// writev, and nothing is held.
 // How many segments a response costs the front end is the server's to
 // decide (internal/backend's loop writes each response whole).
 //
@@ -634,6 +635,16 @@ func (c *Conn) Read(p []byte) (int, error) {
 func (c *Conn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	c.written.Add(int64(n))
+	return n, err
+}
+
+// WriteBuffers writes v in one writev, consuming it as net.Buffers.WriteTo
+// does, and counts what it wrote as Write does.
+//
+//lard:noalloc
+func (c *Conn) WriteBuffers(v *net.Buffers) (int64, error) {
+	n, err := writeBuffers(c.Conn, v)
+	c.written.Add(n)
 	return n, err
 }
 

@@ -293,7 +293,7 @@ func sendWithSocket(c net.Conn, b []byte, client syscall.RawConn) error {
 }
 
 // clientSocket is a split session's copy of its client's socket. It is
-// written with write(2) on the bare descriptor, outside the runtime's
+// written with writev(2) on the bare descriptor, outside the runtime's
 // poller: registered there when its header arrives, as an os.File or a
 // net.TCPConn, the copy measured slower on both benchmark workloads that
 // open a split session per connection or per request (DESIGN.md, "Answering
@@ -309,7 +309,11 @@ type clientSocket struct {
 	open bool     // there is a socket: the zero value has none
 	fd   int      // its descriptor
 	file *os.File // the descriptor once a write found the socket full
+	iov  []syscall.Iovec
 }
+
+// iovMax is IOV_MAX, the most iovecs one writev takes.
+const iovMax = 1024
 
 // reset makes fd the socket.
 func (s *clientSocket) reset(fd int) {
@@ -323,42 +327,80 @@ var errClientClosed = errors.New("handoff: the client's socket is closed")
 // Write writes p whole, or fails; errClientClosed once the socket is
 // closed.
 func (s *clientSocket) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	n, err := s.writeBare(p)
-	f := s.file
-	s.mu.Unlock()
-	if err != nil || n == len(p) {
-		return n, err
-	}
-	m, err := f.Write(p[n:])
-	return n + m, err
+	v := net.Buffers{p}
+	n, err := s.WriteBuffers(&v)
+	return int(n), err
 }
 
-// writeBare writes p to the bare descriptor until it is written or the
-// socket is full, when it hands the descriptor to file for the rest. It is
-// called with mu held.
-func (s *clientSocket) writeBare(p []byte) (int, error) {
+// WriteBuffers writes v whole, or fails, consuming it: what the bare
+// descriptor takes, then, once the socket is full, the rest through the
+// os.File, in order.
+func (s *clientSocket) WriteBuffers(v *net.Buffers) (int64, error) {
+	s.mu.Lock()
+	n, err := s.writeBare(v)
+	f := s.file
+	s.mu.Unlock()
+	for ; err == nil && len(*v) > 0; *v = (*v)[1:] {
+		m, werr := f.Write((*v)[0])
+		n, err = n+int64(m), werr
+	}
+	return n, err
+}
+
+// writeBare writes v to the bare descriptor, IOV_MAX iovecs a writev, until
+// it is written or the socket is full, when it hands the descriptor to file
+// for the rest. It is called with mu held.
+func (s *clientSocket) writeBare(v *net.Buffers) (int64, error) {
 	switch {
 	case !s.open:
 		return 0, errClientClosed
 	case s.file != nil:
 		return 0, nil
 	}
-	written := 0
-	for written < len(p) {
-		n, err := syscall.Write(s.fd, p[written:])
-		switch {
-		case err == syscall.EINTR:
+	var written int64
+	for len(*v) > 0 {
+		iov := s.iov[:0]
+		for _, b := range *v {
+			if len(iov) == iovMax {
+				break
+			}
+			if len(b) > 0 {
+				iov = append(iov, syscall.Iovec{Base: &b[0]})
+				iov[len(iov)-1].SetLen(len(b))
+			}
+		}
+		if s.iov = iov; len(iov) == 0 {
+			*v = (*v)[len(*v):]
+			break
+		}
+		n, _, e := syscall.Syscall(syscall.SYS_WRITEV, uintptr(s.fd), uintptr(unsafe.Pointer(&iov[0])), uintptr(len(iov)))
+		clear(iov)
+		switch e {
+		case 0:
+		case syscall.EINTR:
 			continue
-		case err == syscall.EAGAIN:
+		case syscall.EAGAIN:
 			s.file = os.NewFile(uintptr(s.fd), "client")
 			return written, nil
-		case err != nil:
-			return written, err
+		default:
+			return written, e
 		}
-		written += n
+		written += int64(n)
+		consume(v, int64(n))
 	}
 	return written, nil
+}
+
+// consume drops v's first n bytes, as net.Buffers.WriteTo does with what it
+// wrote.
+func consume(v *net.Buffers, n int64) {
+	for len(*v) > 0 && n >= int64(len((*v)[0])) {
+		n -= int64(len((*v)[0]))
+		*v = (*v)[1:]
+	}
+	if n > 0 {
+		(*v)[0] = (*v)[0][n:]
+	}
 }
 
 // close closes the socket copy, once.

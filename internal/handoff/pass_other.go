@@ -32,6 +32,8 @@ func (*clientSocket) reset(int) {}
 
 func (*clientSocket) Write([]byte) (int, error) { return 0, errPassUnsupported }
 
+func (*clientSocket) WriteBuffers(*net.Buffers) (int64, error) { return 0, errPassUnsupported }
+
 func (*clientSocket) close() {}
 
 func fileTCPConn(int) (*net.TCPConn, error) { return nil, errPassUnsupported }

@@ -339,6 +339,42 @@ func (c *sessionConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// WriteBuffers writes v whole, or fails, consuming it as net.Buffers.WriteTo
+// does, and goes where Write goes: to the transport in one writev, or to a
+// split session's client in one writev on the bare descriptor, which the
+// client's os.File finishes if the socket fills (clientSocket).
+//
+//lard:noalloc
+func (c *sessionConn) WriteBuffers(v *net.Buffers) (int64, error) {
+	if !c.direct || !c.split {
+		return writeBuffers(c.Conn, v)
+	}
+	n, err := c.client.WriteBuffers(v)
+	c.written += n
+	return n, err
+}
+
+// buffersWriter is a conn that writes a net.Buffers in one writev: this
+// package's Conn and sessionConn, which a server asks for it by this method
+// (internal/backend's loop does). net.Buffers.WriteTo finds the writev of the
+// net package's own conns only, so a conn that wraps one keeps it by
+// offering the method, as these two do, and as a wrapped conn the Listener
+// was given may (internal/backend's tests count writes through one).
+type buffersWriter interface {
+	WriteBuffers(v *net.Buffers) (int64, error)
+}
+
+// writeBuffers writes v to c, consuming it: in one writev where c is a
+// socket, or a wrapper of one that says so (buffersWriter).
+//
+//lard:noalloc
+func writeBuffers(c net.Conn, v *net.Buffers) (int64, error) {
+	if bw, ok := c.(buffersWriter); ok {
+		return bw.WriteBuffers(v)
+	}
+	return v.WriteTo(c)
+}
+
 // Direct is how a server says it answers a split session's client itself,
 // one response at a time, each reported with Answered: from now on, on
 // this session and every later one it keeps with NextSession, a split
