@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench lint loc fuzz capacity capacity-smoke herd hetero
+.PHONY: all build test race lint loc fuzz hetero
 
 all: build test
 
@@ -48,37 +48,6 @@ fuzz:
 
 race:
 	$(GO) test -race -shuffle=on ./...
-
-# bench runs the hot-path benchmarks (dispatch -cpu 1,4 matrix, handoff,
-# relay, all with -benchmem) plus the saturation sweep and writes the
-# BENCH_PR10.json trajectory file, gating handoff/relay B/op and
-# allocs/op against the committed BENCH_PR9.json baseline
-# (scripts/benchgate.go, +15%).
-# BENCHTIME=5s make bench for stabler numbers; SKIP_CAPACITY=1 make
-# bench to skip the minutes-long sweep.
-bench:
-	scripts/bench.sh $(BENCHTIME)
-
-# capacity runs only the saturation harness: ramp offered load per
-# configuration (locked vs sharded dispatcher x GOMAXPROCS x connection
-# policy), binary-search each SLO knee, merge the report into
-# BENCH_PR10.json under "capacity".
-capacity:
-	$(GO) run ./cmd/capacity
-
-# capacity-smoke is the seconds-long CI variant: one policy, current
-# GOMAXPROCS, short probes; exercises the whole harness end to end,
-# herd experiment included.
-capacity-smoke:
-	$(GO) run ./cmd/capacity -smoke -herd -nodes 2 -clients 8 -o /tmp/capacity-smoke.json
-
-# herd runs the full thundering-herd overload experiment: measure the
-# saturation knee, then offer 10x it with one abusive client identity;
-# exits nonzero unless the well-behaved cohort keeps >=90% goodput and
-# every abuser shed carries Retry-After. The result merges into
-# BENCH_PR10.json under "herd".
-herd:
-	$(GO) run ./cmd/capacity -herd
 
 # hetero runs the heterogeneous-fleet experiment at smoke scale: the
 # 4-small+2-big goodput sweep (uniform vs per-node capacity thresholds,

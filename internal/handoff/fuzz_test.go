@@ -15,12 +15,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"lard/internal/httprelay"
 )
 
 // fuzzConn is a net.Conn stub whose write side collects bytes;
@@ -35,13 +39,19 @@ func (*fuzzConn) SetDeadline(t time.Time) error      { return nil }
 func (*fuzzConn) SetReadDeadline(t time.Time) error  { return nil }
 func (*fuzzConn) SetWriteDeadline(t time.Time) error { return nil }
 
-// FuzzHeaderDecode checks ReadHeader's error contract and the
-// decode/encode identity that keeps a pooled transport in sync.
+// FuzzHeaderDecode checks ReadHeader's error contract, the
+// decode/encode identity that keeps a pooled transport in sync, and that
+// ReadHeader agrees with the parser the Listener runs: readHeaderFields
+// over a bufio.Reader fed in short reads (what Listener.readHead calls),
+// followed by the initial data the session reads out of the same reader.
+// Both must reject with ErrBadHandshake, or both accept with the same
+// flags, client address, initial-data length and bytes consumed.
 func FuzzHeaderDecode(f *testing.F) {
 	for _, h := range []Header{
 		{},
 		{Flags: FlagRehandoff, ClientAddr: "192.0.2.7:4242"},
 		{Flags: FlagSessionFramed, ClientAddr: "[2001:db8::1]:80", InitialData: []byte("GET / HTTP/1.1\r\nHost: a\r\n\r\n")},
+		{ClientAddr: "not an address"},
 	} {
 		var b bytes.Buffer
 		if err := WriteHeader(&b, h); err != nil {
@@ -49,20 +59,43 @@ func FuzzHeaderDecode(f *testing.F) {
 		}
 		f.Add(b.Bytes())
 	}
-	f.Add([]byte("DRAL\x01\x00\x00\x00\x00\x00\x00\x00")) // bad magic
-	f.Add([]byte("LARD\x09\x00\x00\x00\x00\x00\x00\x00")) // bad version
-	f.Add([]byte("LARD\x01\x00\xff\xff"))                 // oversized addr
-	f.Add([]byte("LARD\x01\x00\x00\x00\xff\xff\xff\xff")) // oversized data
-	f.Add([]byte("LARD\x01\x00\x00\x04ab"))               // truncated addr
-	f.Add([]byte{})                                       //
+	f.Add([]byte("DRAL\x01\x00\x00\x00\x00\x00\x00\x00"))   // bad magic
+	f.Add([]byte("LARD\x09\x00\x00\x00\x00\x00\x00\x00"))   // bad version
+	f.Add([]byte("LARD\x01\x00\xff\xff"))                   // oversized addr
+	f.Add([]byte("LARD\x01\x00\x00\x00\xff\xff\xff\xff"))   // oversized data
+	f.Add([]byte("LARD\x01\x00\x00\x04ab"))                 // truncated addr
+	f.Add([]byte("LARD\x01\x00\x00\x00\x00\x00\x00\x05ab")) // truncated initial data
+	f.Add([]byte{})                                         //
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		h, err := ReadHeader(r)
+		consumed := len(data) - r.Len()
+
+		lr := bytes.NewReader(data)
+		br := bufio.NewReaderSize(iotest.OneByteReader(lr), httprelay.ReaderSize)
+		flags, client, dataLen, lerr := readHeaderFields(br)
+		if lerr == nil {
+			if _, derr := br.Discard(dataLen); derr != nil {
+				// The session's read of the initial data fails: this
+				// transport ends as surely as on a bad header.
+				lerr = fmt.Errorf("%w: truncated initial data: %v", ErrBadHandshake, derr)
+			}
+		}
+		lconsumed := len(data) - lr.Len() - br.Buffered()
+
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("ReadHeader err = %v, Listener's parse err = %v", err, lerr)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrBadHandshake) {
-				t.Fatalf("ReadHeader error does not wrap ErrBadHandshake: %v", err)
+			if !errors.Is(err, ErrBadHandshake) || !errors.Is(lerr, ErrBadHandshake) {
+				t.Fatalf("errors do not wrap ErrBadHandshake: ReadHeader %v, Listener's parse %v", err, lerr)
 			}
 			return
+		}
+		if flags != h.Flags || dataLen != len(h.InitialData) || lconsumed != consumed ||
+			!reflect.DeepEqual(client, parseClientAddr(h.ClientAddr)) {
+			t.Fatalf("parsers disagree: ReadHeader flags=%#x addr=%q data=%d consumed=%d; Listener's flags=%#x addr=%v data=%d consumed=%d",
+				h.Flags, h.ClientAddr, len(h.InitialData), consumed, flags, client, dataLen, lconsumed)
 		}
 		if len(h.ClientAddr) > MaxAddrLen || len(h.InitialData) > MaxInitialData {
 			t.Fatalf("decoded header exceeds bounds: addr=%d data=%d", len(h.ClientAddr), len(h.InitialData))
@@ -70,7 +103,6 @@ func FuzzHeaderDecode(f *testing.F) {
 		// The encoding has no redundancy, so re-encoding the decoded
 		// header must reproduce the consumed prefix exactly: the reader
 		// is positioned on the first byte of the session stream.
-		consumed := len(data) - r.Len()
 		var reenc bytes.Buffer
 		if err := WriteHeader(&reenc, h); err != nil {
 			t.Fatalf("re-encoding decoded header: %v", err)

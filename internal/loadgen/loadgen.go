@@ -2,19 +2,30 @@
 // event-driven program that simulates multiple HTTP clients", where "each
 // simulated HTTP client makes HTTP requests as fast as the server cluster
 // can handle them" — a closed-loop load generator.
+//
+// Every simulated client speaks raw HTTP/1.1 over its own TCP connection
+// and frames every response through internal/httprelay, the same code the
+// front end's relay uses. How many requests ride on one connection is the
+// workload: one (the paper's HTTP/1.0 case), all of them, or a number drawn
+// per connection (the paper's Section 5 persistent-connection workload).
 package loadgen
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
-	"net/http"
+	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"lard/internal/httprelay"
 	"lard/internal/trace"
 )
 
@@ -35,17 +46,19 @@ type Config struct {
 	// the trace).
 	Requests int
 
-	// KeepAlive reuses connections (HTTP/1.1 persistent connections);
-	// without it every request opens a fresh connection, exercising one
-	// handoff per request as in the paper's HTTP/1.0 measurements.
+	// KeepAlive reuses connections (HTTP/1.1 persistent connections):
+	// each client keeps one connection for the whole run, or, with
+	// ReqsPerConn, for a drawn number of requests. Without it every
+	// request opens a fresh connection and announces Connection: close,
+	// exercising one handoff per request as in the paper's HTTP/1.0
+	// measurements.
 	KeepAlive bool
 
-	// ReqsPerConn, when > 0 together with KeepAlive, selects the raw
-	// P-HTTP client mode (phttp.go): each simulated client issues a
-	// bounded number of requests per connection — drawn from ConnDist
-	// with this mean — then closes and reconnects, the paper's
-	// Section 5 persistent-connection workload. 0 keeps the net/http
-	// transport with unbounded connection reuse.
+	// ReqsPerConn, when > 0 together with KeepAlive, bounds how many
+	// requests each connection carries — drawn from ConnDist with this
+	// mean — before the client closes it and reconnects, the paper's
+	// Section 5 persistent-connection workload. 0 keeps each client's
+	// connection for the whole run.
 	ReqsPerConn int
 
 	// ConnDist is the requests-per-connection distribution:
@@ -64,8 +77,7 @@ type Config struct {
 	// claims it). 0 keeps the paper's closed loop — every client requests
 	// as fast as the cluster answers. Note the generator still has only
 	// Clients requests in flight: when the cluster falls behind the
-	// schedule the backlog shows up as latency, which is exactly the
-	// signal the saturation harness ramps against.
+	// schedule the backlog shows up as latency (see pacer.due).
 	Rate float64
 
 	// Duration, when > 0, ends the run after this much wall time (the
@@ -78,10 +90,16 @@ type Config struct {
 	// source IP from this list (round-robin by client index) and binds
 	// its connections to it. On loopback this gives the front end's
 	// per-client-IP quota distinct identities to meter: 127.0.0.2,
-	// 127.0.0.3, ... are bindable without privileges on Linux. Applies
-	// to both the net/http and the raw P-HTTP client modes.
+	// 127.0.0.3, ... are bindable without privileges on Linux.
 	SourceAddrs []string
 }
+
+// ConnDist names for Config.ConnDist, shared with the simulator so the
+// phttp experiment's modelled workload matches the live one.
+const (
+	ConnDistFixed     = trace.ConnDistFixed
+	ConnDistGeometric = trace.ConnDistGeometric
+)
 
 // Stats summarizes a run.
 type Stats struct {
@@ -116,6 +134,25 @@ func (s Stats) String() string {
 		s.LatencyP99.Round(time.Microsecond), s.LatencyMax.Round(time.Microsecond))
 }
 
+// run is the state every client of one Run shares.
+type run struct {
+	cfg     Config
+	host    string // the front end's host:port
+	prefix  string // BaseURL's path, prepended to every target
+	timeout time.Duration
+	pace    *pacer
+
+	cursor  atomic.Int64 // next trace index to claim
+	ok      atomic.Uint64
+	errs    atomic.Uint64
+	sheds   atomic.Uint64
+	shedsRA atomic.Uint64
+	bytes   atomic.Int64
+
+	latMu sync.Mutex
+	lats  []time.Duration
+}
+
 // Run drives the configured load until the request budget is exhausted or
 // the context is cancelled, and returns aggregate statistics.
 func Run(ctx context.Context, cfg Config) (Stats, error) {
@@ -125,23 +162,27 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 	if cfg.Trace == nil || cfg.Trace.Len() == 0 {
 		return Stats{}, fmt.Errorf("loadgen: empty trace")
 	}
-	clients := cfg.Clients
-	if clients <= 0 {
-		clients = 8
+	u, err := url.Parse(cfg.BaseURL)
+	if err != nil {
+		return Stats{}, fmt.Errorf("loadgen: bad BaseURL: %w", err)
 	}
-	total := cfg.Requests
-	if total <= 0 {
-		total = cfg.Trace.Len()
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
+	if u.Scheme != "http" || u.Host == "" {
+		return Stats{}, fmt.Errorf("loadgen: need an http://host:port BaseURL, got %q", cfg.BaseURL)
 	}
 	if _, err := connLenDraw(cfg.ConnDist, cfg.ReqsPerConn, nil); err != nil {
 		return Stats{}, err
 	}
-	if _, err := sourceIPs(cfg.SourceAddrs); err != nil {
+	sources, err := sourceIPs(cfg.SourceAddrs)
+	if err != nil {
 		return Stats{}, err
+	}
+	clients := cfg.Clients
+	if clients <= 0 {
+		clients = 8
+	}
+	total := int64(cfg.Requests)
+	if total <= 0 {
+		total = int64(cfg.Trace.Len())
 	}
 	if cfg.Duration > 0 {
 		var cancel context.CancelFunc
@@ -149,129 +190,221 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 		defer cancel()
 		if cfg.Requests <= 0 {
 			// Timed run: loop over the trace until the clock expires.
-			total = int(int64(1) << 52)
+			total = 1 << 52
 		}
 	}
-	pace := newPacer(cfg.Rate)
-	if cfg.KeepAlive && cfg.ReqsPerConn > 0 {
-		return runPHTTP(ctx, cfg, clients, total, timeout, pace)
+	r := &run{
+		cfg:     cfg,
+		host:    u.Host,
+		prefix:  strings.TrimSuffix(u.Path, "/"),
+		timeout: cfg.Timeout,
+		pace:    newPacer(cfg.Rate),
+	}
+	if r.timeout <= 0 {
+		r.timeout = 30 * time.Second
 	}
 
-	sources, _ := sourceIPs(cfg.SourceAddrs)
-	sharedTransport := newTransport(cfg, clients, nil)
-	defer sharedTransport.CloseIdleConnections()
-
-	var (
-		cursor  atomic.Int64
-		nOK     atomic.Uint64
-		nErr    atomic.Uint64
-		nShed   atomic.Uint64
-		nShedRA atomic.Uint64
-		nBytes  atomic.Int64
-		latMu   sync.Mutex
-		latAll  []time.Duration
-		wg      sync.WaitGroup
-		started = time.Now()
-	)
-
-	worker := func(id int) {
-		defer wg.Done()
-		transport := sharedTransport
+	started := time.Now()
+	var wg sync.WaitGroup
+	for id := 0; id < clients; id++ {
+		c := &client{r: r}
 		if len(sources) > 0 {
-			// Per-worker transport so this client's connections all carry
-			// its own source identity.
-			transport = newTransport(cfg, clients, sources[id%len(sources)])
-			defer transport.CloseIdleConnections()
+			c.local = &net.TCPAddr{IP: sources[id%len(sources)]}
 		}
-		client := &http.Client{Transport: transport, Timeout: timeout}
-		lats := make([]time.Duration, 0, 1024)
-		for {
-			if ctx.Err() != nil {
-				break
-			}
-			i := cursor.Add(1) - 1
-			if i >= int64(total) {
-				break
-			}
-			pace.wait(ctx, i)
-			if ctx.Err() != nil {
-				break
-			}
-			r := cfg.Trace.At(int(i % int64(cfg.Trace.Len())))
-			t0 := time.Now()
-			if sched, ok := pace.due(i); ok && sched.Before(t0) {
-				t0 = sched
-			}
-			n, shed, retryAfter, err := fetch(ctx, client, cfg.BaseURL+r.Target)
-			if err != nil {
-				if ctx.Err() != nil {
-					// Cut off by the run deadline, not failed.
-					break
-				}
-				nErr.Add(1)
-				continue
-			}
-			if shed {
-				nShed.Add(1)
-				if retryAfter {
-					nShedRA.Add(1)
-				}
-				continue
-			}
-			lats = append(lats, time.Since(t0))
-			nOK.Add(1)
-			nBytes.Add(n)
-		}
-		latMu.Lock()
-		latAll = append(latAll, lats...)
-		latMu.Unlock()
-	}
-
-	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go worker(c)
+		go func() {
+			defer wg.Done()
+			c.loop(ctx, id, total)
+		}()
 	}
 	wg.Wait()
 
 	st := Stats{
-		Requests:        nOK.Load(),
-		Errors:          nErr.Load(),
-		Sheds:           nShed.Load(),
-		RetryAfterSheds: nShedRA.Load(),
-		BytesRead:       nBytes.Load(),
+		Requests:        r.ok.Load(),
+		Errors:          r.errs.Load(),
+		Sheds:           r.sheds.Load(),
+		RetryAfterSheds: r.shedsRA.Load(),
+		BytesRead:       r.bytes.Load(),
 		Elapsed:         time.Since(started),
 	}
 	if st.Elapsed > 0 {
 		st.Throughput = float64(st.Requests) / st.Elapsed.Seconds()
 	}
-	summarizeLatencies(&st, latAll)
+	summarizeLatencies(&st, r.lats)
 	return st, nil
 }
 
-// fetch issues one GET and fully drains the body. It returns the body
-// length, whether the request was quota-shed (429), and whether the shed
-// carried a Retry-After header.
-func fetch(ctx context.Context, client *http.Client, url string) (int64, bool, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// client is one simulated client: its source address, its connection
+// (nil between connections) and the latencies it has measured.
+type client struct {
+	r     *run
+	local *net.TCPAddr // nil: the OS picks the source address
+	conn  net.Conn
+	br    *bufio.Reader
+	stop  func() bool // unhooks the conn from the run's cancellation
+	lats  []time.Duration
+}
+
+// loop claims requests from the shared cursor until the budget or the
+// context runs out. A connection that ends after a drawn number of
+// requests claims them together; otherwise requests are claimed one at a
+// time, so a failed dial costs one request, not the rest of the run.
+func (c *client) loop(ctx context.Context, id int, total int64) {
+	cfg := c.r.cfg
+	draw := func() int { return 1 }
+	bounded := cfg.KeepAlive && cfg.ReqsPerConn > 0
+	if bounded {
+		seed := cfg.Seed
+		if seed == 0 {
+			seed = 1
+		}
+		draw, _ = connLenDraw(cfg.ConnDist, cfg.ReqsPerConn, rand.New(rand.NewSource(seed+int64(id))))
+	}
+	// The connection closes after each claim unless it is kept for the run.
+	closeAfter := !cfg.KeepAlive || bounded
+	for ctx.Err() == nil {
+		k := int64(draw())
+		first := c.r.cursor.Add(k) - k
+		if first >= total {
+			break
+		}
+		k = min(k, total-first)
+		c.claim(ctx, first, int(k), closeAfter)
+	}
+	if c.conn != nil {
+		c.drop()
+	}
+	c.r.latMu.Lock()
+	c.r.lats = append(c.r.lats, c.lats...)
+	c.r.latMu.Unlock()
+}
+
+// claim issues requests [first, first+k) of the trace on the client's
+// connection, dialing when it has none and reconnecting if the server
+// closes early. With closeAfter the last of them announces the close, as
+// a polite client does, and the connection ends with it.
+func (c *client) claim(ctx context.Context, first int64, k int, closeAfter bool) {
+	for j := 0; j < k; j++ {
+		c.r.pace.wait(ctx, first+int64(j))
+		if ctx.Err() != nil {
+			return
+		}
+		if c.conn == nil {
+			if err := c.dial(ctx); err != nil {
+				if !cutOff(ctx) {
+					c.r.errs.Add(uint64(k - j)) // the rest of this claim is lost
+				}
+				return
+			}
+		}
+		c.request(ctx, first+int64(j), closeAfter && j == k-1)
+	}
+	if closeAfter && c.conn != nil {
+		c.drop()
+	}
+}
+
+func (c *client) dial(ctx context.Context) error {
+	d := net.Dialer{Timeout: c.r.timeout, LocalAddr: c.local}
+	conn, err := d.DialContext(ctx, "tcp", c.r.host)
 	if err != nil {
-		return 0, false, false, err
+		return err
 	}
-	resp, err := client.Do(req)
+	c.conn = conn
+	c.br = httprelay.GetReader(conn)
+	// Cancelling the run unblocks a request in flight on this conn.
+	c.stop = context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
+	return nil
+}
+
+// drop ends the current connection; its reader goes back to the pool
+// (this goroutine is its only user).
+func (c *client) drop() {
+	c.stop()
+	c.conn.Close()
+	c.conn = nil
+	httprelay.PutReader(c.br)
+	c.br = nil
+}
+
+// request issues trace request i on the open connection and reads the
+// whole response. A failure ends the connection; the next request dials.
+func (c *client) request(ctx context.Context, i int64, last bool) {
+	r := c.r
+	target := r.cfg.Trace.At(int(i % int64(r.cfg.Trace.Len()))).Target
+	t0 := time.Now()
+	if sched, paced := r.pace.due(i); paced && sched.Before(t0) {
+		t0 = sched
+	}
+	c.conn.SetDeadline(time.Now().Add(r.timeout))
+	if ctx.Err() != nil {
+		// Cancelled before the deadline above was set, which would
+		// otherwise have replaced the cancellation's.
+		return
+	}
+	connHdr := ""
+	if last {
+		connHdr = "Connection: close\r\n"
+	}
+	if _, err := fmt.Fprintf(c.conn, "GET %s HTTP/1.1\r\nHost: %s\r\n%s\r\n", r.prefix+target, r.host, connHdr); err != nil {
+		c.fail(ctx)
+		return
+	}
+	h, err := httprelay.ReadResponseHead(c.br, 64<<10)
 	if err != nil {
-		return 0, false, false, err
+		c.fail(ctx)
+		return
 	}
-	defer resp.Body.Close()
-	n, err := io.Copy(io.Discard, resp.Body)
+	// h.Raw is a view of br's window: read it before the body is.
+	retryAfter := h.Status == 429 && bytes.Contains(bytes.ToLower(h.Raw), []byte("retry-after:"))
+	n, reusable, err := httprelay.CopyResponseBody(io.Discard, c.br, h, "GET")
+	r.bytes.Add(n)
+	switch {
+	case err == nil && h.Status == 429:
+		// Quota shed: counted separately, neither goodput nor error.
+		r.sheds.Add(1)
+		if retryAfter {
+			r.shedsRA.Add(1)
+		}
+	case err != nil || h.Status != 200:
+		c.fail(ctx)
+		return
+	default:
+		r.ok.Add(1)
+		c.lats = append(c.lats, time.Since(t0))
+	}
+	if !reusable {
+		c.drop()
+	}
+}
+
+// fail counts a failed request, unless the run's end cut it off, and
+// ends the connection.
+func (c *client) fail(ctx context.Context) {
+	if !cutOff(ctx) {
+		c.r.errs.Add(1)
+	}
+	c.drop()
+}
+
+// cutOff reports whether the run has ended: its context is done, or its
+// deadline has passed. A dial bounded by that deadline fails as soon as
+// the clock passes it, which can be before the context says so.
+func cutOff(ctx context.Context) bool {
+	if ctx.Err() != nil {
+		return true
+	}
+	d, ok := ctx.Deadline()
+	return ok && !time.Now().Before(d)
+}
+
+// connLenDraw is trace.ConnLenDraw with loadgen-flavoured errors.
+func connLenDraw(dist string, mean int, rng *rand.Rand) (func() int, error) {
+	draw, err := trace.ConnLenDraw(dist, mean, rng)
 	if err != nil {
-		return n, false, false, err
+		return nil, fmt.Errorf("loadgen: %w", err)
 	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		return n, true, resp.Header.Get("Retry-After") != "", nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return n, false, false, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return n, false, false, nil
+	return draw, nil
 }
 
 // sourceIPs parses Config.SourceAddrs; every entry must be a bare IP.
@@ -288,21 +421,6 @@ func sourceIPs(addrs []string) ([]net.IP, error) {
 		ips[i] = ip
 	}
 	return ips, nil
-}
-
-// newTransport builds the net/http transport for one client identity;
-// src nil keeps the OS-chosen source address.
-func newTransport(cfg Config, clients int, src net.IP) *http.Transport {
-	t := &http.Transport{
-		DisableKeepAlives:   !cfg.KeepAlive,
-		MaxIdleConnsPerHost: clients,
-		MaxConnsPerHost:     0,
-	}
-	if src != nil {
-		d := &net.Dialer{LocalAddr: &net.TCPAddr{IP: src}}
-		t.DialContext = d.DialContext
-	}
-	return t
 }
 
 // summarizeLatencies fills the latency fields from raw samples.
@@ -339,11 +457,11 @@ func newPacer(rate float64) *pacer {
 }
 
 // due returns request i's scheduled send time, or false for the
-// closed loop (no schedule). Open-loop latency is measured from this
+// closed loop (no schedule). Paced latency is measured from this
 // instant, not from the actual send: when the server falls behind the
 // schedule, the backlog a real client would experience as queueing
 // delay must show up in the percentiles, or saturation is invisible
-// (the coordinated-omission trap).
+// (the coordinated-omission trap; DESIGN.md "Paced load").
 func (p *pacer) due(i int64) (time.Time, bool) {
 	if p.interval <= 0 {
 		return time.Time{}, false

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -147,34 +148,93 @@ func TestSummarizeLatenciesEmpty(t *testing.T) {
 	}
 }
 
-func TestKeepAliveMode(t *testing.T) {
-	var conns atomic.Int64
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok"))
+// modes are the client's three connection lifetimes: one request, the
+// whole run, and a bounded number of requests.
+var modes = []struct {
+	name        string
+	keepAlive   bool
+	reqsPerConn int
+}{
+	{"close", false, 0},
+	{"keepalive", true, 0},
+	{"reqsperconn", true, 5},
+}
+
+// countingServer is a test server that counts the connections it accepts
+// and records each request's Connection header.
+type countingServer struct {
+	*httptest.Server
+	conns atomic.Int64
+	mu    sync.Mutex
+	heads []string
+}
+
+func newCountingServer(t *testing.T, h http.HandlerFunc) *countingServer {
+	cs := &countingServer{}
+	cs.Server = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cs.mu.Lock()
+		cs.heads = append(cs.heads, r.Header.Get("Connection"))
+		cs.mu.Unlock()
+		h(w, r)
 	}))
-	ts.Config.ConnState = func(c net.Conn, s http.ConnState) {
+	cs.Config.ConnState = func(c net.Conn, s http.ConnState) {
 		if s == http.StateNew {
-			conns.Add(1)
+			cs.conns.Add(1)
 		}
 	}
-	ts.Start()
-	defer ts.Close()
-	st, err := Run(context.Background(), Config{
-		BaseURL:   ts.URL,
-		Trace:     genTrace(),
-		Clients:   1,
-		KeepAlive: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests != 10 {
-		t.Fatalf("Requests = %d", st.Requests)
-	}
-	// One client with keep-alive: a single connection carries all ten
-	// requests.
-	if conns.Load() != 1 {
-		t.Fatalf("connections = %d, want 1", conns.Load())
+	cs.Start()
+	t.Cleanup(cs.Close)
+	return cs
+}
+
+func TestKeepAliveMode(t *testing.T) {
+	ok := func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok")) }
+	for _, tc := range []struct {
+		name      string
+		keepAlive bool
+		clients   int
+		requests  int
+	}{
+		{"one client keeps one connection", true, 1, 10},
+		{"every client keeps one connection", true, 3, 30},
+		{"every request closes its connection", false, 3, 10},
+	} {
+		cs := newCountingServer(t, ok)
+		st, err := Run(context.Background(), Config{
+			BaseURL:   cs.URL,
+			Trace:     genTrace(),
+			Clients:   tc.clients,
+			Requests:  tc.requests,
+			KeepAlive: tc.keepAlive,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Requests != uint64(tc.requests) || st.Errors != 0 {
+			t.Fatalf("%s: stats %+v", tc.name, st)
+		}
+		conns := cs.conns.Load()
+		cs.mu.Lock()
+		heads := append([]string(nil), cs.heads...)
+		cs.mu.Unlock()
+		if len(heads) != tc.requests {
+			t.Fatalf("%s: server saw %d requests, want %d", tc.name, len(heads), tc.requests)
+		}
+		want := "close"
+		if tc.keepAlive {
+			want = ""
+		}
+		for i, h := range heads {
+			if h != want {
+				t.Fatalf("%s: request %d carries Connection: %q, want %q", tc.name, i, h, want)
+			}
+		}
+		if tc.keepAlive && (conns < 1 || conns > int64(tc.clients)) {
+			t.Fatalf("%s: connections = %d, want 1..%d (one per client at most)", tc.name, conns, tc.clients)
+		}
+		if !tc.keepAlive && conns != int64(tc.requests) {
+			t.Fatalf("%s: connections = %d, want one per request (%d)", tc.name, conns, tc.requests)
+		}
 	}
 }
 
@@ -299,7 +359,7 @@ func TestRatePacesPHTTPMode(t *testing.T) {
 
 func TestSourceAddrsBindClientIdentities(t *testing.T) {
 	// Each simulated client must present its assigned loopback source IP,
-	// in both the net/http and raw P-HTTP modes. The clients share one
+	// whether it closes every connection or keeps each for a few requests. The clients share one
 	// budget of requests, so the handler answers nobody until both have
 	// shown up: otherwise one client can drain the budget before the
 	// other has connected.
@@ -384,26 +444,56 @@ func TestShedsCountedSeparately(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	for _, phttp := range []bool{false, true} {
-		cfg := Config{
-			BaseURL:  ts.URL,
-			Trace:    genTrace(),
-			Clients:  1,
-			Requests: 10,
+	// A server that sheds at accept, as the front end's quota does: it
+	// writes a closing 429 before reading a byte, so the response races
+	// the connection's first request, then drains what the client sent
+	// so its close does not reset the 429 away.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				io.WriteString(c, "HTTP/1.1 429 Too Many Requests\r\nContent-Length: 5\r\nRetry-After: 1\r\nConnection: close\r\n\r\nshed\n")
+				c.SetReadDeadline(time.Now().Add(time.Second))
+				io.CopyN(io.Discard, c, 8<<10)
+			}()
 		}
-		if phttp {
-			cfg.KeepAlive = true
-			cfg.ReqsPerConn = 5
+	}()
+
+	for _, m := range modes {
+		cfg := Config{
+			BaseURL:     ts.URL,
+			Trace:       genTrace(),
+			Clients:     1,
+			Requests:    10,
+			KeepAlive:   m.keepAlive,
+			ReqsPerConn: m.reqsPerConn,
 		}
 		st, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Requests != 5 || st.Sheds != 5 || st.Errors != 0 {
-			t.Fatalf("phttp=%v stats %+v, want 5 served / 5 shed / 0 errors", phttp, st)
+			t.Fatalf("%s: stats %+v, want 5 served / 5 shed / 0 errors", m.name, st)
 		}
 		if st.RetryAfterSheds != 5 {
-			t.Fatalf("phttp=%v RetryAfterSheds = %d, want 5", phttp, st.RetryAfterSheds)
+			t.Fatalf("%s: RetryAfterSheds = %d, want 5", m.name, st.RetryAfterSheds)
+		}
+
+		cfg.BaseURL = "http://" + ln.Addr().String()
+		if st, err = Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if st.Sheds != 10 || st.RetryAfterSheds != 10 || st.Errors != 0 || st.Requests != 0 {
+			t.Fatalf("%s: accept-time sheds: stats %+v, want 10 shed with Retry-After / 0 errors", m.name, st)
 		}
 	}
 }

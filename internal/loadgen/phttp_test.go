@@ -129,6 +129,6 @@ func TestPHTTPModeRejectsBadConfig(t *testing.T) {
 		BaseURL: "ftp://x", Trace: genTrace(),
 		KeepAlive: true, ReqsPerConn: 2,
 	}); err == nil {
-		t.Fatal("non-http BaseURL accepted in P-HTTP mode")
+		t.Fatal("non-http BaseURL accepted")
 	}
 }
