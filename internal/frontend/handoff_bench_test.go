@@ -3,7 +3,9 @@ package frontend
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"syscall"
 	"testing"
 
 	"lard/internal/backend"
@@ -32,10 +34,18 @@ import (
 //	        there is still open, so the request is one data frame: no
 //	        end-of-session record, no header, and no new net/http
 //	        connection at the back end.
+//	split:  pooled, for a client on a TCP socket: on this host the
+//	        transport is a pass transport and every handoff a split
+//	        session, as every same-host one is in a live front end.
+//	        The header carries the socket, the back end writes the
+//	        response to it, and the front end reads a done record.
 //
-// The back end serves a cached document with no emulated disk delay, so
-// the difference between the variants is the dial + listener-handshake
-// cost the pool amortizes.
+// The other rows' client is no socket, so their headers, on the same pass
+// transport, carry none. The back end serves a cached document with no
+// emulated disk delay, so the difference between the variants is the dial
+// + listener-handshake cost the pool amortizes. cpu-ns/op is the process's
+// CPU per handoff, user and system, from getrusage: the front end's, the
+// back end's and, on the split row, the client's reading.
 func BenchmarkHandoffDial(b *testing.B) {
 	cfg := trace.SyntheticConfig{
 		Name:         "bench",
@@ -58,7 +68,7 @@ func BenchmarkHandoffDial(b *testing.B) {
 	defer func() { srv.Close(); ln.Close() }()
 
 	const clientAddr = "192.0.2.1:4000"
-	run := func(b *testing.B, checkIn bool, connection string, resume bool) {
+	run := func(b *testing.B, checkIn bool, connection string, resume, split bool) {
 		head := buildRequestHead(b, fmt.Sprintf("GET %s HTTP/1.1\r\nHost: bench\r\n%s\r\n", tr.At(0).Target, connection))
 		if head.Close {
 			httprelay.BlankConnectionClose(head.Raw) // as handleConn does
@@ -79,19 +89,36 @@ func BenchmarkHandoffDial(b *testing.B) {
 			sess = s.d.NewSession(s.policy)
 			defer sess.Close()
 		}
+		cc := &clientConn{addr: clientAddr, sess: sess}
+		if split {
+			var client net.Conn
+			client, cc.tc = loopbackPair(b)
+			go io.Copy(io.Discard, client)
+		}
 		b.ReportAllocs()
+		cpu0 := processCPU(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bc, err := s.connectBackend(&clientConn{addr: clientAddr, sess: sess}, 0, &head, false, false)
+			bc, err := s.connectBackend(cc, 0, &head, false, false)
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, reusable, err := httprelay.RelayResponse(io.Discard, bc.br, "GET", 64<<10, nil)
+			var reusable bool
+			if split {
+				_, reusable, err = s.response(&writeTracker{w: io.Discard}, bc, "GET", nil)
+			} else {
+				_, reusable, err = httprelay.RelayResponse(io.Discard, bc.br, "GET", 64<<10, nil)
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
 			bc.clean = checkIn && reusable
 			s.releaseBackend(bc, sess)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(processCPU(b)-cpu0)/float64(b.N), "cpu-ns/op")
+		if split && s.Stats().Direct != uint64(b.N) {
+			b.Fatalf("%d requests, %d answered directly", b.N, s.Stats().Direct)
 		}
 		// Every fresh iteration dialed; pooled dialed once, at pool fill,
 		// and only a resume goes without a handoff header after that.
@@ -108,8 +135,37 @@ func BenchmarkHandoffDial(b *testing.B) {
 		}
 	}
 
-	b.Run("fresh", func(b *testing.B) { run(b, false, "", false) })
-	b.Run("pooled", func(b *testing.B) { run(b, true, "", false) })
-	b.Run("pooled-close", func(b *testing.B) { run(b, true, "Connection: close\r\n", false) })
-	b.Run("resume", func(b *testing.B) { run(b, true, "", true) })
+	b.Run("fresh", func(b *testing.B) { run(b, false, "", false, false) })
+	b.Run("pooled", func(b *testing.B) { run(b, true, "", false, false) })
+	b.Run("pooled-close", func(b *testing.B) { run(b, true, "Connection: close\r\n", false, false) })
+	b.Run("resume", func(b *testing.B) { run(b, true, "", true, false) })
+	b.Run("split", func(b *testing.B) { run(b, true, "", false, true) })
+}
+
+// processCPU is the process's CPU time so far, user and system, in ns.
+func processCPU(b *testing.B) int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return ru.Utime.Nano() + ru.Stime.Nano()
+}
+
+// loopbackPair is the two ends of a loopback TCP connection.
+func loopbackPair(b *testing.B) (dialed net.Conn, accepted *net.TCPConn) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	d, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := ln.Accept()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { d.Close(); a.Close() })
+	return d, a.(*net.TCPConn)
 }

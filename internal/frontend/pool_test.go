@@ -320,36 +320,103 @@ func TestPoolDetectsDeadConnAtCheckout(t *testing.T) {
 // TestPoolDetectsDeadTCPConnAtCheckout is the same over real loopback
 // TCP, where a zero-deadline peek is blind: the poller reports the expired
 // deadline before it issues any read, so a transport whose peer sent FIN
-// long ago passed as alive and silent. The probe must look at the socket.
+// long ago passed as alive and silent. The probe must look at the
+// descriptor. And over a pass transport, whose answers come on a pipe,
+// where a socket's peek fails: a back end that closed it, or that wrote a
+// stray byte between sessions, costs the transport; a silent one is a hit.
 func TestPoolDetectsDeadTCPConnAtCheckout(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for _, tc := range []struct {
+		name string
+		// dial opens a transport and returns what makes its back end
+		// go wrong.
+		dial func(t *testing.T) (net.Conn, func())
+	}{
+		{"tcp", func(t *testing.T) (net.Conn, func()) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ln.Close() })
+			near, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			far, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return near, func() {
+				far.Close()                       // the "back end" hangs up while the conn is idle
+				time.Sleep(50 * time.Millisecond) // for the FIN to cross the loopback
+			}
+		}},
+		{"pass transport, back end closed", func(t *testing.T) (net.Conn, func()) {
+			c, ln, _ := passSession(t)
+			return c, func() {
+				ln.Close()
+				// Close may leave the transport to its own goroutine to
+				// close: wait for the EOF, which a read does not consume.
+				c.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+					t.Fatalf("the transport after its Listener closed: %v, want EOF", err)
+				}
+				c.SetReadDeadline(time.Time{})
+			}
+		}},
+		{"pass transport, stray byte", func(t *testing.T) (net.Conn, func()) {
+			c, _, session := passSession(t)
+			return c, func() { session.Write([]byte("x")) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, spoil := tc.dial(t)
+			p := newBackendPool(2, time.Hour, metrics.NewRegistry())
+			p.put(newBackendConn(0, c))
+			if b, ok := p.get(0, nil); !ok {
+				t.Fatal("a live, silent transport was not handed out")
+			} else {
+				p.put(b)
+			}
+			spoil()
+			if _, ok := p.get(0, nil); ok {
+				t.Fatal("a dead or talking transport handed out")
+			}
+			if hits, ev := p.hits.Value(), p.evictions.Value(); hits != 1 || ev != 1 {
+				t.Fatalf("hits=%d evictions=%d, want 1/1", hits, ev)
+			}
+		})
+	}
+}
+
+// passSession opens a pass transport to a Listener of its own and one
+// plain session on it, ended, so that the Listener holds the transport: the
+// transport, the Listener, and the session's conn at the back end. It
+// skips where there are no pass transports.
+func passSession(t *testing.T) (net.Conn, *handoff.Listener, net.Conn) {
+	t.Helper()
+	ln, err := handoff.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	near, err := net.Dial("tcp", ln.Addr().String())
+	t.Cleanup(func() { ln.Close() })
+	c, err := handoff.DialPass(ln.Addr().String())
+	if err != nil {
+		t.Skipf("no pass transport: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	sw := handoff.NewTransportWriter(c)
+	if err := sw.Handoff("192.0.2.1:4000", nil, handoffFlags); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.End(); err != nil {
+		t.Fatal(err)
+	}
+	session, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	far, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newBackendPool(2, time.Hour, metrics.NewRegistry())
-	p.put(newBackendConn(0, near))
-	if b, ok := p.get(0, nil); !ok {
-		t.Fatal("a live, silent TCP transport was not handed out")
-	} else {
-		p.put(b)
-	}
-	far.Close()                       // the "back end" hangs up while the conn is idle
-	time.Sleep(50 * time.Millisecond) // for the FIN to cross the loopback
-	if _, ok := p.get(0, nil); ok {
-		t.Fatal("dead TCP connection handed out")
-	}
-	if hits, ev := p.hits.Value(), p.evictions.Value(); hits != 1 || ev != 1 {
-		t.Fatalf("hits=%d evictions=%d, want 1/1", hits, ev)
-	}
+	t.Cleanup(func() { session.Close() })
+	return c, ln, session
 }
 
 // startPooledFrontend builds a pooled front end over the given back ends.

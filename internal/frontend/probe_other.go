@@ -2,6 +2,6 @@
 
 package frontend
 
-// peekFunc has no socket-level peek to offer here: the checkout probe
-// falls back to the deadline peek.
-func peekFunc(*backendConn) func(fd uintptr) bool { return nil }
+// probeFunc has no descriptor-level probe to offer here: the checkout
+// probe falls back to the deadline peek.
+func probeFunc(*backendConn) func(fd uintptr) bool { return nil }

@@ -102,19 +102,19 @@ type backendConn struct {
 	split, passed bool
 
 	// The probe: rc is the conn's raw descriptor (nil if it has none, or
-	// the system no peek for it: probe_unix.go), peek the callback rc.Read
-	// runs — built once, so a probe allocates nothing — and peekErr what
-	// its recv(MSG_PEEK) returned.
-	rc      syscall.RawConn
-	peek    func(fd uintptr) bool
-	peekErr error
+	// the system no probe for it: probe_linux.go), probe the callback
+	// rc.Read runs — built once, so a probe allocates nothing — and quiet
+	// what it found.
+	rc    syscall.RawConn
+	probe func(fd uintptr) bool
+	quiet bool
 }
 
 // newBackendConn wraps a freshly dialed connection: no session is open.
 func newBackendConn(node int, c net.Conn) *backendConn {
 	b := &backendConn{node: node, c: c, br: httprelay.GetReader(c), sw: handoff.NewTransportWriter(c)}
 	if sc, ok := c.(syscall.Conn); ok {
-		if b.peek = peekFunc(b); b.peek != nil {
+		if b.probe = probeFunc(b); b.probe != nil {
 			b.rc, _ = sc.SyscallConn()
 		}
 	}
@@ -123,14 +123,16 @@ func newBackendConn(node int, c net.Conn) *backendConn {
 
 // silent is the pool's checkout probe: whether the idle transport is
 // alive and has nothing to say. Between sessions the back end owes no
-// byte, so readable data and EOF both make the transport unusable (the
-// back end broke protocol, or hung up) and only EAGAIN passes. The probe
-// is one non-blocking recv(MSG_PEEK) on the descriptor. A zero read
-// deadline will not do on a real socket: the poller reports the expired
-// deadline before it issues any read, so a peer's FIN from seconds ago
-// would go unseen. Only a conn with no descriptor (a test's pipe or
-// wrapper), or one on a system that is no Unix (probe_other.go), gets the
-// deadline peek.
+// byte, so readable data, EOF and an error all make the transport
+// unusable (the back end broke protocol, or hung up). The probe is one
+// zero-timeout poll(2) on the descriptor the transport reads: a TCP
+// socket, or a pass transport's answer pipe (on another Unix, where every
+// transport is a socket, a recv(MSG_PEEK): probe_unix.go). A zero read
+// deadline will not do on a real descriptor: the poller reports the
+// expired deadline before it issues any read, so a peer's FIN from
+// seconds ago would go unseen.
+// Only a conn with no descriptor (a test's pipe or wrapper), or one on a
+// system that is no Unix (probe_other.go), gets the deadline peek.
 //
 //lard:noalloc
 func (b *backendConn) silent() bool {
@@ -138,7 +140,7 @@ func (b *backendConn) silent() bool {
 	case b.br.Buffered() > 0:
 		return false
 	case b.rc != nil:
-		return b.rc.Read(b.peek) == nil && b.peekErr == syscall.EAGAIN
+		return b.rc.Read(b.probe) == nil && b.quiet
 	}
 	b.c.SetReadDeadline(time.Now())
 	_, err := b.br.Peek(1)

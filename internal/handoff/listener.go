@@ -244,7 +244,7 @@ func (l *Listener) handshake(raw net.Conn) {
 	}
 	h, err := l.readHead(raw, br)
 	if err != nil {
-		l.reject(raw, err) // before the close the peer can observe
+		l.reject(err) // before the close the peer can observe
 		raw.Close()
 		httprelay.PutReader(br)
 		return
@@ -266,40 +266,32 @@ func (l *Listener) handshake(raw net.Conn) {
 	}
 }
 
-// readHead reads a handoff header out of br and takes the descriptor its
-// flags call for: one for FlagSplit and FlagPass, none otherwise. A header
-// that does not parse, that arrives with any other count of descriptors,
-// or a pass whose initial data exceeds MaxPassData is an error, and every
-// descriptor that came with it is closed.
+// readHead reads a handoff header out of br and takes the client's socket
+// its flags call for: one for FlagSplit and FlagPass, none otherwise
+// (headerSocket). A header that does not parse, that comes without
+// exactly the socket its flags call for, or a pass whose initial data
+// exceeds MaxPassData is an error, and the socket it brought is closed.
 func (l *Listener) readHead(raw net.Conn, br *bufio.Reader) (sessionHead, error) {
+	at := headerOffset(raw, br)
 	flags, client, n, err := readHeaderFields(br)
-	fds := takeFDs(raw) // the header's first byte brought its descriptor
-	want := 0
-	if flags&(FlagSplit|FlagPass) != 0 {
-		want = 1
+	if err != nil {
+		return sessionHead{}, err
 	}
-	switch {
-	case err != nil:
-	case len(fds) != want:
-		err = errHeaderFDs
-	case flags&FlagPass != 0 && n > MaxPassData:
+	fd, err := headerSocket(raw, at, flags&(FlagSplit|FlagPass) != 0)
+	if err == nil && flags&FlagPass != 0 && n > MaxPassData {
+		closeFD(fd)
 		err = errPassTooLong
 	}
 	if err != nil {
-		closeFDs(fds)
 		return sessionHead{}, err
 	}
-	h := sessionHead{flags: flags, client: client, initialLen: n, fd: -1}
-	if want == 1 {
-		h.fd = fds[0]
-	}
-	return h, nil
+	return sessionHead{flags: flags, client: client, initialLen: n, fd: fd}, nil
 }
 
 // reject counts a transport's failed header in Rejected, unless it is a
-// clean end between sessions or a truncation the read already counted.
-func (l *Listener) reject(raw net.Conn, err error) {
-	if err != errIdleClosed && !truncatedTransport(raw) {
+// clean end between sessions.
+func (l *Listener) reject(err error) {
+	if err != errIdleClosed {
 		l.rejected.Add(1)
 	}
 }
@@ -369,7 +361,7 @@ func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, h sessionHead)
 		}
 		var err error
 		if h, err = l.readNextHeader(raw, br); err != nil {
-			l.reject(raw, err)
+			l.reject(err)
 			httprelay.PutReader(br)
 			return
 		}
@@ -426,7 +418,7 @@ func (l *Listener) readNextHeader(raw net.Conn, br *bufio.Reader) (sessionHead, 
 func (l *Listener) servePass(raw net.Conn, br *bufio.Reader, h sessionHead) bool {
 	c, err := l.passedConn(raw, br, h)
 	if err != nil {
-		l.reject(raw, err)
+		l.reject(err)
 		return false
 	}
 	closed := make(chan struct{}, 1)
@@ -472,7 +464,7 @@ func (l *Listener) passedConn(raw net.Conn, br *bufio.Reader, h sessionHead) (*C
 		err = errPassTrailing
 	}
 	if err != nil {
-		closeFDs([]int{h.fd})
+		closeFD(h.fd)
 		return nil, err
 	}
 	tc, err := fileTCPConn(h.fd)
@@ -509,7 +501,7 @@ func (l *Listener) holdClient(c *sessionConn, fd int) error {
 	defer l.transMu.Unlock()
 	select {
 	case <-l.done:
-		closeFDs([]int{fd})
+		closeFD(fd)
 		return net.ErrClosed
 	default:
 	}

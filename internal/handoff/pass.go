@@ -15,8 +15,8 @@ import (
 // "@lard-handoff/127.0.0.1:41234"). A connection to it (DialPass) is a
 // session-framed transport like any other (session.go), pooled and reused
 // by the front end: the same headers, data frames and end-of-session
-// records. Two header flags add the client's socket, attached to the write
-// that carries the header as its one SCM_RIGHTS descriptor:
+// records. Two header flags add the client's socket, sent as the one
+// SCM_RIGHTS descriptor of a message of its own ahead of the header:
 //
 //   - FlagSplit opens a split session. The front end keeps reading the
 //     client's requests and sends them as data frames, as on any session.
@@ -46,13 +46,31 @@ import (
 // tells it from a relayed response by its magic, which starts no HTTP
 // response.
 //
-// Every read of a pass transport is a recvmsg with room for two
-// descriptors, so none that arrives is lost: a header takes exactly the one
-// its flags call for, and any other is a rejection that ends the transport
-// (so is MSG_CTRUNC, a descriptor the kernel had to drop). A rejected
-// header's socket is closed with it; the front end, which still holds the
-// client's connection after a split but not after a pass, answers or ends
-// it. Only a process of the Listener's own user may connect (the peer's
+// The transport's byte stream does not ride its unix socket. The dialer
+// makes two pipes, one each way, and its first message on the socket
+// carries the Listener's ends: the read end of the front end's request
+// pipe and the write end of its answer pipe, exactly these two FIFOs, or
+// the Listener refuses the transport. The stream's bytes, headers, frames,
+// end-of-session records, done records and relayed responses, are those of
+// a TCP transport, and a pipe wakes its writer only when it was full,
+// where a unix stream's every read wakes the writer's poller (DESIGN.md,
+// "The stream rides a pipe pair"). The socket carries descriptors only:
+// each header that carries a client's socket is preceded there by one
+// message of eight bytes, the header's offset in the front end's stream
+// (big-endian), with the socket attached. The Listener takes that message
+// without waiting when it has read the header (it was sent first), and
+// anything else — none, another offset, a count other than one, a
+// descriptor the kernel had to drop (MSG_CTRUNC), or a message waiting for
+// a header that calls for no socket — is a rejection that ends the
+// transport, and with it every descriptor still on its socket. The front
+// end never reads its socket, and once the pipes have gone neither end's
+// socket is in the runtime's poller (detach), so a message on it wakes
+// neither. A rejected header's socket is closed with
+// it; the front end, which still holds the client's connection after a
+// split but not after a pass, answers or ends it. Each end of a transport
+// holds three descriptors: the socket and two pipe ends.
+//
+// Only a process of the Listener's own user may connect (the peer's
 // SO_PEERCRED), and DialPass holds the Listener to the same, so a name
 // taken by another user leads nowhere. The abstract namespace belongs to
 // the network namespace, so a name can only lead to the listener that owns

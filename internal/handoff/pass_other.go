@@ -3,6 +3,7 @@
 package handoff
 
 import (
+	"bufio"
 	"net"
 	"syscall"
 )
@@ -15,15 +16,21 @@ func listenPasses(net.Addr) net.Listener { return nil }
 
 func (l *Listener) acceptPasses() {}
 
-func takeFDs(net.Conn) []int { return nil }
+func headerOffset(net.Conn, *bufio.Reader) int64 { return 0 }
 
-func truncatedTransport(net.Conn) bool { return false }
+// headerSocket refuses every header that calls for a socket.
+func headerSocket(_ net.Conn, _ int64, want bool) (int, error) {
+	if want {
+		return -1, errHeaderFDs
+	}
+	return -1, nil
+}
 
 func carriesSockets(net.Conn) bool { return false }
 
-func sendWithSocket(net.Conn, []byte, syscall.RawConn) error { return errPassUnsupported }
+func sendWithSocket(net.Conn, []byte, int, syscall.RawConn) error { return errPassUnsupported }
 
-func closeFDs([]int) {}
+func closeFD(int) {}
 
 // clientSocket is never open here: no header can carry one.
 type clientSocket struct{}

@@ -206,14 +206,17 @@ func TestPassedConnEndsWithListener(t *testing.T) {
 	}
 }
 
-// TestPassChannelRejections: a transport from another user is refused, and
-// so is any header that comes without exactly the descriptor its flags
-// call for, and any pass that is not one well-formed header and idle bound
-// with one TCP socket attached and nothing behind it. Each is counted once
-// in Rejected — a truncation too, which the read that saw it counts —
-// every descriptor the message carried is closed (the pipes' read ends see
-// EOF), and the transport is closed. A client whose socket went in a
-// rejected pass sees its connection end with no byte of an answer: the
+// TestPassChannelRejections: a pass transport is refused at its first
+// message unless it comes from the Listener's own user and carries exactly
+// a pipe's read end and another's write end (setup rows). Behind a good
+// first message, a header is refused unless the socket message before its
+// bytes is exactly one, tagged with the header's offset, carrying the one
+// descriptor its flags call for, and a pass unless it is one well-formed
+// header and idle bound with a TCP socket and nothing behind it (header
+// rows). Each is counted once in Rejected, the transport is closed, and
+// every descriptor that went to the Listener is closed with it: the
+// process has as many open as before. A client whose socket went with a
+// refused header sees its connection end with no byte of an answer: the
 // front end closed its copy when the message went.
 func TestPassChannelRejections(t *testing.T) {
 	const passFlags = FlagPass | FlagSessionFramed
@@ -222,26 +225,34 @@ func TestPassChannelRejections(t *testing.T) {
 	split := appendHeader(nil, FlagSplit|FlagSessionFramed, "192.0.2.1:4000", []byte("GET / HTTP/1.1\r\n\r\n"))
 	for _, tc := range []struct {
 		name     string
-		msg      []byte
-		fds      int  // pipes attached
-		client   bool // a client's socket attached ahead of the pipes
-		stranger bool // the listener expects another user
+		stranger bool   // the listener expects another user
+		pipes    string // the first message's descriptors: r, w a pipe's read or write end, s a socket
+		msg      []byte // the stream
+		sock     string // the socket message before it: c the client's socket, p a pipe's write end; none if empty
+		tag      int64  // that message's tag
 	}{
-		{name: "another user's channel", msg: good, fds: 1, stranger: true},
-		{name: "no descriptor", msg: good},
-		{name: "two descriptors", msg: good, fds: 2},
+		// Setup rows.
+		{name: "another user's channel", stranger: true, pipes: "rw"},
+		{name: "no pipes"},
+		{name: "one pipe end", pipes: "r"},
+		{name: "a non-FIFO", pipes: "rs"},
+		{name: "a pipe end of the wrong direction", pipes: "rr"},
+		// Header rows.
+		{name: "no descriptor", pipes: "rw", msg: good},
+		{name: "two descriptors", pipes: "rw", msg: good, sock: "cp"},
 		// What a back end out of descriptors does too: the kernel drops
 		// what it cannot install and sets MSG_CTRUNC.
-		{name: "descriptors truncated", msg: good, fds: 2, client: true},
-		{name: "message truncated", msg: appendHeader(nil, passFlags, "", make([]byte, MaxPassData+1024)), fds: 1},
-		{name: "no header", msg: []byte("GARBAGE, NOT A HEADER"), fds: 1},
-		{name: "no idle bound", msg: header, fds: 1},
-		{name: "a zero idle bound", msg: append(append([]byte(nil), header...), make([]byte, idleLen)...), fds: 1},
-		{name: "bytes behind the idle bound", msg: append(append([]byte(nil), good...), "x"...), fds: 1},
-		{name: "no socket", msg: good, fds: 1},
-		{name: "a split header without a descriptor", msg: split},
-		{name: "a split header with two descriptors", msg: split, fds: 2},
-		{name: "a descriptor on a plain header", msg: appendHeader(nil, FlagSessionFramed, "192.0.2.1:4000", nil), fds: 1},
+		{name: "descriptors truncated", pipes: "rw", msg: good, sock: "cpp"},
+		{name: "a descriptor tagged with another offset", pipes: "rw", msg: good, sock: "c", tag: 1},
+		{name: "message truncated", pipes: "rw", msg: appendHeader(nil, passFlags, "", make([]byte, MaxPassData+1024)), sock: "c"},
+		{name: "no header", pipes: "rw", msg: []byte("GARBAGE, NOT A HEADER"), sock: "c"},
+		{name: "no idle bound", pipes: "rw", msg: header, sock: "c"},
+		{name: "a zero idle bound", pipes: "rw", msg: append(append([]byte(nil), header...), make([]byte, idleLen)...), sock: "c"},
+		{name: "bytes behind the idle bound", pipes: "rw", msg: append(append([]byte(nil), good...), "x"...), sock: "c"},
+		{name: "no socket", pipes: "rw", msg: good, sock: "p"},
+		{name: "a split header without a descriptor", pipes: "rw", msg: split},
+		{name: "a split header with two descriptors", pipes: "rw", msg: split, sock: "cp"},
+		{name: "a descriptor on a plain header", pipes: "rw", msg: appendHeader(nil, FlagSessionFramed, "192.0.2.1:4000", nil), sock: "c"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, err := Listen("tcp", "127.0.0.1:0")
@@ -254,47 +265,96 @@ func TestPassChannelRejections(t *testing.T) {
 			srv := &http.Server{Handler: http.NotFoundHandler()}
 			go srv.Serve(ln)
 			defer func() { srv.Close(); ln.Close() }()
+			var c *passedClient
+			if strings.Contains(tc.sock, "c") {
+				c = newPassedClient(t)
+				io.WriteString(c.conn, "GET / HTTP/1.1\r\nHost: t\r\n\r\n")
+				c.readAhead(t, 1)
+			}
+			before := openFDs(t)
+
+			// What the test keeps and what it sends, each closed once
+			// sent: what is left open of the latter is the listener's.
+			var kept, sent []*os.File
+			defer func() {
+				for _, f := range kept {
+					f.Close()
+				}
+			}()
+			pipe := func() (r, w *os.File) {
+				r, w, err := os.Pipe()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r, w
+			}
 			ch, err := net.DialUnix("unix", nil, &net.UnixAddr{Name: passPrefix + ln.Addr().String(), Net: "unix"})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ch.Close()
-			var readEnds, writeEnds []*os.File
-			var fds []int
-			var c *passedClient
-			if tc.client {
-				c = newPassedClient(t)
-				io.WriteString(c.conn, "GET / HTTP/1.1\r\nHost: t\r\n\r\n")
-				c.readAhead(t, 1)
-				f, err := c.fe.File()
-				if err != nil {
+			var req *os.File // the stream's write end, where the first message carried its read end
+			for _, p := range tc.pipes {
+				switch p {
+				case 'r':
+					r, w := pipe()
+					kept, sent = append(kept, w), append(sent, r)
+					req = w
+				case 'w':
+					r, w := pipe()
+					kept, sent = append(kept, r), append(sent, w)
+				case 's':
+					f, err := ch.File()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sent = append(sent, f)
+				}
+			}
+			sendMsg := func(tag int64, files []*os.File) {
+				var oob []byte
+				if len(files) > 0 {
+					fds := make([]int, len(files))
+					for i, f := range files {
+						fds[i] = int(f.Fd())
+					}
+					oob = syscall.UnixRights(fds...)
+				}
+				// The stranger's may find the socket closed.
+				if _, _, err := ch.WriteMsgUnix(binary.BigEndian.AppendUint64(nil, uint64(tag)), oob, nil); err != nil && !tc.stranger {
 					t.Fatal(err)
 				}
-				c.fe.Close()
-				writeEnds, fds = append(writeEnds, f), append(fds, int(f.Fd()))
-			}
-			for i := 0; i < tc.fds; i++ {
-				r, w, err := os.Pipe()
-				if err != nil {
-					t.Fatal(err)
+				for _, f := range files {
+					f.Close()
 				}
-				defer r.Close()
-				readEnds, writeEnds = append(readEnds, r), append(writeEnds, w)
-				fds = append(fds, int(w.Fd()))
 			}
-			var rights []byte
-			if len(fds) > 0 {
-				rights = syscall.UnixRights(fds...)
+			sendMsg(0, sent)
+			if tc.sock != "" {
+				var files []*os.File
+				for _, d := range tc.sock {
+					if d == 'c' {
+						f, err := c.fe.File()
+						if err != nil {
+							t.Fatal(err)
+						}
+						c.fe.Close() // the front end's copy: the client's connection is in the message
+						files = append(files, f)
+					} else {
+						r, w := pipe()
+						kept, files = append(kept, r), append(files, w)
+					}
+				}
+				sendMsg(tc.tag, files)
 			}
-			if _, _, err := ch.WriteMsgUnix(tc.msg, rights, nil); err != nil && !tc.stranger {
-				t.Fatal(err)
+			if req != nil {
+				// All there is: a read for more ends. The listener may
+				// have refused the transport before the last of it.
+				req.Write(tc.msg)
+				req.Close()
 			}
-			ch.CloseWrite() // all there is: a read for more ends
-			for _, w := range writeEnds {
-				w.Close() // the sender's copies: what is left open is the listener's
-			}
+
 			ch.SetReadDeadline(time.Now().Add(5 * time.Second))
-			// EOF, or a reset where the message was never read.
+			// EOF, or a reset where a message was never read.
 			if _, err := ch.Read(make([]byte, 64)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Fatalf("the transport after a refusal: %v, want it closed", err)
 			}
@@ -304,11 +364,17 @@ func TestPassChannelRejections(t *testing.T) {
 			if ln.Passed() != 0 || ln.Sessions() != 0 {
 				t.Fatalf("passed %d, sessions %d after a refusal", ln.Passed(), ln.Sessions())
 			}
-			for i, r := range readEnds {
-				r.SetReadDeadline(time.Now().Add(5 * time.Second))
-				if _, err := r.Read(make([]byte, 1)); err != io.EOF {
-					t.Fatalf("descriptor %d: %v, want every copy closed", i, err)
-				}
+			for _, f := range kept {
+				f.Close()
+			}
+			kept = nil
+			ch.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for openFDs(t) > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := openFDs(t); after > before {
+				t.Fatalf("%d descriptors open before, %d after", before, after)
 			}
 			if c != nil {
 				c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -579,18 +645,20 @@ func TestNextSessionAfterListenerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender, raw := transportPair(t, ln)
-	defer syscall.Close(sender)
+	tr, raw := transportPair(t)
+	defer tr.close()
 	defer raw.Close()
 	c := newPassedClient(t)
 	f, err := c.fe.File()
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := appendHeader(nil, FlagSplit|FlagSessionFramed, "192.0.2.1:4000", []byte("GET /a HTTP/1.1\r\nHost: t\r\n\r\n"))
-	err = syscall.Sendmsg(sender, header, syscall.UnixRights(int(f.Fd())), nil, 0)
+	err = tr.message(0, int(f.Fd()))
 	f.Close()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.req.Write(appendHeader(nil, FlagSplit|FlagSessionFramed, "192.0.2.1:4000", []byte("GET /a HTTP/1.1\r\nHost: t\r\n\r\n"))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -608,7 +676,7 @@ func TestNextSessionAfterListenerClose(t *testing.T) {
 	}
 	sc.Close()
 	raw.Close()
-	if n, _ := syscall.Read(sender, make([]byte, 64)); n != 0 {
+	if n, _ := tr.ans.Read(make([]byte, 64)); n != 0 {
 		t.Fatalf("%d bytes reached the transport", n)
 	}
 	c.fe.Close()
@@ -621,37 +689,189 @@ func TestNextSessionAfterListenerClose(t *testing.T) {
 	}
 }
 
-// TestFrontEndTransportRefusesDescriptors: a descriptor arriving on a front
-// end's end of a pass transport, where none is ever due, is closed and
-// ends the transport; it is not silently kept.
+// TestFrontEndTransportRefusesDescriptors: the front end never reads its
+// end of a pass transport's socket, so a descriptor a back end sends there
+// is never received, and the transport's stream goes on past it. The
+// descriptor closes with the transport.
 func TestFrontEndTransportRefusesDescriptors(t *testing.T) {
-	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := os.NewFile(uintptr(fds[0]), "front")
-	fc, err := net.FileConn(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe := newRightsConn(fc.(*net.UnixConn), nil)
-	defer fe.Close()
 	defer syscall.Close(fds[1])
+	ansR, ansW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ansW.Close()
+	reqR, reqW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reqR.Close()
+	fe := newPassConn(os.NewFile(uintptr(fds[0]), "front"), nil, nil, ansR, reqW)
+	defer fe.Close()
+
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := syscall.Sendmsg(fds[1], []byte("LARD"), syscall.UnixRights(int(w.Fd())), nil, 0); err != nil {
+	if err := syscall.Sendmsg(fds[1], make([]byte, tagLen), syscall.UnixRights(int(w.Fd())), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	if _, err := fe.Read(make([]byte, 16)); err != errStrayFDs {
-		t.Fatalf("Read = %v, want %v", err, errStrayFDs)
+	if _, err := ansW.Write([]byte("x")); err != nil {
+		t.Fatal(err)
 	}
+	fe.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := fe.Read(make([]byte, 16)); n != 1 || err != nil {
+		t.Fatalf("Read = %d, %v; want the stream's one byte", n, err)
+	}
+	if got := pipeFDs(t, r); got != 1 {
+		t.Fatalf("%d descriptors of the stray's pipe open, want 1, its read end: the stray received", got)
+	}
+	fe.Close()
 	r.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := r.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("the stray descriptor: %v, want it closed", err)
+		t.Fatalf("the stray descriptor after the transport closed: %v, want it closed", err)
+	}
+}
+
+// pipeFDs counts this process's open descriptors of f's pipe, either end,
+// among /proc/self/fd's links.
+func pipeFDs(t *testing.T, f *os.File) int {
+	t.Helper()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("pipe:[%d]", st.Sys().(*syscall.Stat_t).Ino)
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range ents {
+		if link, _ := os.Readlink("/proc/self/fd/" + e.Name()); link == want {
+			n++
+		}
+	}
+	return n
+}
+
+// edgeCounter counts the EPOLLOUT edges a private epoll sees on the
+// descriptors it watches, as the runtime's own poller registers them
+// (EPOLLOUT|EPOLLET): each a wake-up of a writer with nothing to wait for.
+type edgeCounter struct {
+	epfd  int
+	names map[int32]string
+	count map[string]int
+}
+
+func newEdgeCounter(t *testing.T) *edgeCounter {
+	t.Helper()
+	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Close(epfd) })
+	return &edgeCounter{epfd: epfd, names: map[int32]string{}, count: map[string]int{}}
+}
+
+// watch registers c's descriptor under name, and takes the edge the
+// registration itself reports for a descriptor already writable.
+func (e *edgeCounter) watch(t *testing.T, name string, c syscall.Conn) {
+	t.Helper()
+	rc, err := c.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cerr error
+	rc.Control(func(fd uintptr) {
+		e.names[int32(fd)] = name
+		cerr = syscall.EpollCtl(e.epfd, syscall.EPOLL_CTL_ADD, int(fd), &syscall.EpollEvent{Events: syscall.EPOLLOUT | -syscall.EPOLLET, Fd: int32(fd)})
+	})
+	if cerr != nil {
+		t.Fatal(cerr)
+	}
+	e.take(t)
+	e.count[name] = 0
+}
+
+// take counts the edges since the last take: at most one a descriptor,
+// since an edge-triggered epoll reports each once however often it fired.
+func (e *edgeCounter) take(t *testing.T) {
+	t.Helper()
+	events := make([]syscall.EpollEvent, 8)
+	n, err := syscall.EpollWait(e.epfd, events, 0)
+	if err != nil && err != syscall.EINTR {
+		t.Fatal(err)
+	}
+	for _, ev := range events[:max(n, 0)] {
+		if ev.Events&syscall.EPOLLOUT != 0 {
+			e.count[e.names[ev.Fd]]++
+		}
+	}
+}
+
+// TestPassTransportWakesNoWriter: a split session of 100 requests, each
+// one data frame to the back end and one done record back, wakes no
+// writer of either pipe: a pipe wakes its writer only when it was full.
+// The front end's socket, read by the back end once, for the session's
+// header, sees at most one edge (and its own poller does not watch it); a
+// unix stream carrying the frames and records would wake each writer at
+// every read. The edges are taken after
+// every exchange, so each counts the exchanges that saw one.
+func TestPassTransportWakesNoWriter(t *testing.T) {
+	ln, err := Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go directServer(ln)
+	tr := dialPassTransport(t, ln.Addr().String())
+	fe := tr.c.(*passConn)
+	c := newPassedClient(t)
+
+	edges := newEdgeCounter(t)
+	edges.watch(t, "the front end's request pipe", fe.out)
+	edges.watch(t, "the front end's socket", fe.sock)
+	for i := 0; i < 100; i++ {
+		head := []byte(fmt.Sprintf("GET /%d HTTP/1.1\r\nHost: t\r\n\r\n", i))
+		if i == 0 {
+			err = tr.sw.Split(c.socket(t), "192.0.2.1:4000", head, FlagRehandoff)
+		} else {
+			_, err = tr.sw.Write(head)
+		}
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if got, want := c.response(t), fmt.Sprintf("/%d from 192.0.2.1:4000", i); got != want {
+			t.Fatalf("request %d: %q, want %q", i, got, want)
+		}
+		if d := tr.done(t); d.Responses != 1 || !d.Open {
+			t.Fatalf("request %d: done record %+v", i, d)
+		}
+		edges.take(t)
+		if i == 0 {
+			ln.transMu.Lock()
+			for raw := range ln.transports {
+				if be, ok := raw.(*passConn); ok {
+					edges.watch(t, "the back end's answer pipe", be.out)
+				}
+			}
+			ln.transMu.Unlock()
+		}
+	}
+	want := map[string]int{"the front end's request pipe": 0, "the back end's answer pipe": 0, "the front end's socket": 1}
+	for name, most := range want {
+		got, ok := edges.count[name]
+		if !ok {
+			t.Fatalf("%s never watched", name)
+		}
+		if got > most {
+			t.Errorf("%s: EPOLLOUT edges in %d exchanges of 100, want at most %d", name, got, most)
+		}
 	}
 }

@@ -92,17 +92,18 @@ func (w *SessionWriter) Handoff(clientAddr string, initialData []byte, flags byt
 }
 
 // Split opens the next session as Handoff does, with the client's socket
-// (its SyscallConn) attached to the write (FlagSplit, pass.go): the back
-// end may answer the client on it directly. The writer's conn must be a
+// (its SyscallConn) sent just ahead of the header (FlagSplit, pass.go): the
+// back end may answer the client on it directly. The writer's conn must be a
 // pass transport (CarriesSockets). On an error the back end may hold a
 // copy of the socket.
 func (w *SessionWriter) Split(client syscall.RawConn, clientAddr string, initialData []byte, flags byte) error {
 	if err := checkHeader(clientAddr, initialData); err != nil {
 		return err
 	}
-	w.buf = appendHeader(w.owedEnd(), flags|FlagSplit|FlagSessionFramed, clientAddr, initialData)
+	end := w.owedEnd()
+	w.buf = appendHeader(end, flags|FlagSplit|FlagSessionFramed, clientAddr, initialData)
 	w.ended = false
-	return sendWithSocket(w.c, w.buf, client)
+	return sendWithSocket(w.c, w.buf, len(end), client)
 }
 
 // Pass hands the client's whole connection over (FlagPass, pass.go): a
@@ -121,10 +122,11 @@ func (w *SessionWriter) Pass(client syscall.RawConn, clientAddr string, initialD
 	case idle <= 0:
 		return errPassIdle
 	}
-	w.buf = appendHeader(w.owedEnd(), FlagPass|FlagSessionFramed, clientAddr, initialData)
+	end := w.owedEnd()
+	w.buf = appendHeader(end, FlagPass|FlagSessionFramed, clientAddr, initialData)
 	w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(idle))
 	w.ended = true
-	return sendWithSocket(w.c, w.buf, client)
+	return sendWithSocket(w.c, w.buf, len(end), client)
 }
 
 // CarriesSockets reports whether the writer's conn is a pass transport
@@ -456,7 +458,7 @@ func (c *sessionConn) NextSession() error {
 	}
 	if err != nil {
 		c.sticky = err
-		c.l.reject(c.Conn, err)
+		c.l.reject(err)
 		return err
 	}
 	if err := c.l.holdClient(c, h.fd); err != nil {
