@@ -183,7 +183,7 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	tr := trace.MustGenerate(cfg, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Simulate(cluster.DefaultConfig(cluster.LARDR, 8), tr); err != nil {
+		if _, err := cluster.Simulate(cluster.DefaultConfig("lard/r", 8), tr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,6 +54,8 @@
 //	                             profile-aware strategies re-weight their
 //	                             placement (omitted thresholds scale from
 //	                             -tlow/-thigh by the weight)
+//	GET  /debug/pprof/...        net/http/pprof; mutex contention is
+//	                             sampled while the admin server is on
 //
 // Heterogeneous fleets: -weights 0.5,1,2 advertises per-back-end
 // capacity, scaling each node's T_low/T_high and steering
@@ -71,6 +73,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -147,44 +150,7 @@ func main() {
 }
 
 func run(o options) error {
-	addrs := splitAddrs(o.backends)
-	if len(addrs) == 0 {
-		return fmt.Errorf("no back ends configured (use -backends)")
-	}
-	profiles, err := parseWeights(o.weights, len(addrs))
-	if err != nil {
-		return err
-	}
-	d, err := newDispatcher(o.strategy, o.shards, len(addrs), o.params, o.cacheBytes, profiles)
-	if err != nil {
-		return err
-	}
-	if o.poolSize < 1 {
-		return fmt.Errorf("-poolsize must be at least 1: every handoff rides the pool")
-	}
-	var bcfg *breaker.Config
-	if o.breakerOn {
-		bcfg = &breaker.Config{
-			FailureThreshold: o.breakerFails,
-			OpenBase:         o.breakerOpen,
-		}
-	}
-	fe, err := frontend.New(frontend.Config{
-		Backends:               addrs,
-		Dispatcher:             d,
-		ConnPolicy:             o.connpolicy,
-		HeaderTimeout:          o.headerTime,
-		MaxHeaderBytes:         o.maxHeader,
-		ProbeInterval:          o.probe,
-		DialFailuresBeforeDown: o.dialFails,
-		PoolSize:               o.poolSize,
-		PoolIdle:               o.poolIdle,
-		QuotaRate:              o.quotaRate,
-		QuotaBurst:             o.quotaBurst,
-		QuotaMaxClients:        o.quotaClients,
-		Breaker:                bcfg,
-		ErrorLog:               log.New(os.Stderr, "", log.LstdFlags),
-	})
+	fe, err := newFrontEnd(o)
 	if err != nil {
 		return err
 	}
@@ -211,10 +177,57 @@ func run(o options) error {
 		}()
 		fmt.Printf("lardfe: admin endpoints on %s\n", o.admin)
 	}
+	d := fe.Dispatcher()
 	fmt.Printf("lardfe: %s over %d back ends on %s (shards=%d connpolicy=%s probe=%v pool=%d/%v)\n",
-		d.Name(), len(addrs), o.listen, d.Shards(), fe.ConnPolicy().Name(), o.probe,
+		d.Name(), d.NodeCount(), o.listen, d.Shards(), fe.ConnPolicy().Name(), o.probe,
 		o.poolSize, o.poolIdle)
 	return fe.ListenAndServe(o.listen)
+}
+
+// newFrontEnd checks the command line and builds the front end it
+// describes, without serving.
+func newFrontEnd(o options) (*frontend.Server, error) {
+	addrs := splitAddrs(o.backends)
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("no back ends configured (use -backends)")
+	}
+	profiles, err := parseWeights(o.weights, len(addrs))
+	if err != nil {
+		return nil, err
+	}
+	if o.shards < 1 {
+		return nil, fmt.Errorf("-shards must be at least 1")
+	}
+	if o.poolSize < 1 {
+		return nil, fmt.Errorf("-poolsize must be at least 1: every handoff rides the pool")
+	}
+	var bcfg *breaker.Config
+	if o.breakerOn {
+		bcfg = &breaker.Config{
+			FailureThreshold: o.breakerFails,
+			OpenBase:         o.breakerOpen,
+		}
+	}
+	return frontend.New(frontend.Config{
+		Backends:               addrs,
+		Strategy:               o.strategy,
+		Shards:                 o.shards,
+		Params:                 o.params,
+		CacheBytes:             o.cacheBytes,
+		Profiles:               profiles,
+		ConnPolicy:             o.connpolicy,
+		HeaderTimeout:          o.headerTime,
+		MaxHeaderBytes:         o.maxHeader,
+		ProbeInterval:          o.probe,
+		DialFailuresBeforeDown: o.dialFails,
+		PoolSize:               o.poolSize,
+		PoolIdle:               o.poolIdle,
+		QuotaRate:              o.quotaRate,
+		QuotaBurst:             o.quotaBurst,
+		QuotaMaxClients:        o.quotaClients,
+		Breaker:                bcfg,
+		ErrorLog:               log.New(os.Stderr, "", log.LstdFlags),
+	})
 }
 
 // adminHeaderTimeout is how long the admin server gives a request head
@@ -222,8 +235,14 @@ func run(o options) error {
 // half a head holds a goroutine for ever.
 const adminHeaderTimeout = 5 * time.Second
 
-// adminServer is the -admin server on addr.
+// mutexProfileRate is the runtime's mutex profile fraction while the admin
+// server is on: on average one contention event in this many is sampled
+// for /debug/pprof/mutex, which is empty at the runtime's default of 0.
+const mutexProfileRate = 10
+
+// adminServer is the -admin server on addr. It turns mutex profiling on.
 func adminServer(addr string, fe *frontend.Server) *http.Server {
+	runtime.SetMutexProfileFraction(mutexProfileRate)
 	return &http.Server{Addr: addr, Handler: adminMux(fe), ReadHeaderTimeout: adminHeaderTimeout}
 }
 
@@ -333,20 +352,6 @@ func adminMux(fe *frontend.Server) http.Handler {
 		fmt.Fprintf(w, "added node %d at %s\n", node, addr)
 	})
 	return mux
-}
-
-// newDispatcher builds the dispatch layer by registry name.
-func newDispatcher(strategy string, shards, nodes int, params core.Params, cacheBytes int64, profiles []core.Profile) (lard.Dispatcher, error) {
-	opts := []lard.Option{
-		lard.WithNodes(nodes),
-		lard.WithShards(shards),
-		lard.WithParams(params),
-		lard.WithCacheBytes(cacheBytes),
-	}
-	if len(profiles) > 0 {
-		opts = append(opts, lard.WithProfiles(profiles...))
-	}
-	return lard.New(strategy, opts...)
 }
 
 // parseWeights parses the -weights flag into capacity profiles: one

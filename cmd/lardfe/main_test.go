@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,26 +16,55 @@ import (
 	"lard/pkg/lard"
 )
 
-func TestNewDispatcherByName(t *testing.T) {
-	p := core.DefaultParams()
-	for _, name := range []string{"wrr", "lb", "lb/gc", "lard", "lard/r", "lardr", "LARD/R"} {
-		d, err := newDispatcher(name, 1, 2, p, lard.DefaultCacheBytes, nil)
+// frontEndOptions is a command line over two back ends that nothing dials.
+func frontEndOptions(strategy string, shards int) options {
+	return options{
+		backends:   "127.0.0.1:1,127.0.0.1:2",
+		strategy:   strategy,
+		shards:     shards,
+		params:     core.DefaultParams(),
+		cacheBytes: lard.DefaultCacheBytes,
+		probe:      -1,
+		poolSize:   frontend.DefaultPoolSize,
+	}
+}
+
+// TestStrategyByName: every registry name and alias, in any case, builds
+// the front end's dispatcher over the back ends, and -shards reaches it.
+func TestStrategyByName(t *testing.T) {
+	for _, name := range append(lard.Strategies(), "lardr", "LARD/R") {
+		fe, err := newFrontEnd(frontEndOptions(name, 1))
 		if err != nil {
-			t.Fatalf("newDispatcher(%q): %v", name, err)
+			t.Fatalf("-strategy %s: %v", name, err)
 		}
-		if d.NodeCount() != 2 {
-			t.Fatalf("dispatcher %q has %d nodes", name, d.NodeCount())
+		if d := fe.Dispatcher(); d.NodeCount() != 2 || d.Shards() != 1 {
+			t.Fatalf("-strategy %s: %d nodes, %d shards", name, d.NodeCount(), d.Shards())
 		}
 	}
-	if _, err := newDispatcher("nope", 1, 2, p, lard.DefaultCacheBytes, nil); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	d, err := newDispatcher("lard/r", 4, 8, p, lard.DefaultCacheBytes, nil)
+	fe, err := newFrontEnd(frontEndOptions("lard/r", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", d.Shards())
+	if got := fe.Dispatcher().Shards(); got != 4 {
+		t.Fatalf("-shards 4: Shards() = %d", got)
+	}
+}
+
+// TestRunRejectsBadDispatch: an unknown strategy and a shard count below
+// one fail before the front end listens.
+func TestRunRejectsBadDispatch(t *testing.T) {
+	for _, tc := range []struct {
+		o    options
+		want string
+	}{
+		{frontEndOptions("nope", 1), `unknown strategy "nope"`},
+		{frontEndOptions("lard/r", 0), "-shards"},
+		{frontEndOptions("lard/r", -1), "-shards"},
+	} {
+		err := run(tc.o)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("run(-strategy %s -shards %d): err = %v, want %q", tc.o.strategy, tc.o.shards, err, tc.want)
+		}
 	}
 }
 
@@ -55,13 +85,14 @@ func TestParseWeights(t *testing.T) {
 		}
 	}
 
-	// The weights feed WithProfiles: a half node's thresholds scale.
-	d, err := newDispatcher("wlard", 1, 2, core.DefaultParams(), lard.DefaultCacheBytes,
-		[]core.Profile{{Weight: 0.5}, {Weight: 2}})
+	// The weights reach the dispatcher: a half node's thresholds scale.
+	o := frontEndOptions("wlard", 1)
+	o.weights = "0.5,2"
+	fe, err := newFrontEnd(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := d.Profiles()
+	got := fe.Dispatcher().Profiles()
 	if got[0].THigh != 33 || got[1].THigh != 130 {
 		t.Fatalf("profiles = %+v, want T_high 33 and 130", got)
 	}
@@ -262,6 +293,20 @@ func TestAdminServesHeapProfile(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "heap profile:") {
 		t.Fatalf("GET /debug/pprof/heap?debug=1: %d, %.80q, %v", resp.StatusCode, body, err)
+	}
+}
+
+// TestAdminTurnsOnMutexProfile: with the admin server on, the runtime
+// samples mutex contention, so /debug/pprof/mutex has something to show.
+func TestAdminTurnsOnMutexProfile(t *testing.T) {
+	defer runtime.SetMutexProfileFraction(runtime.SetMutexProfileFraction(0))
+	fe, err := newFrontEnd(frontEndOptions("lard", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adminServer("127.0.0.1:0", fe)
+	if got := runtime.SetMutexProfileFraction(-1); got != mutexProfileRate || got <= 0 {
+		t.Fatalf("mutex profile fraction %d, want %d", got, mutexProfileRate)
 	}
 }
 

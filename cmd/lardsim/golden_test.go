@@ -1,0 +1,53 @@
+package main
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
+	"strings"
+	"testing"
+
+	"lard/internal/experiments"
+)
+
+// goldenArch is the GOARCH the digest below was captured on. Other
+// architectures may fuse multiply-adds differently and move last digits.
+const goldenArch = "amd64"
+
+// goldenDigest is the sha256 of emit's output for goldenExperiments at
+// goldenOptions. A change that moves any figure in these tables changes it.
+const goldenDigest = "cb7fd104c6e60a66aefef829b3195e7b7cf19f847f86c4080f710ef831397920"
+
+// goldenExperiments cover every strategy the paper's figures sweep
+// (figure7), the heterogeneous-fleet strategies (hetero), persistent
+// connections (phttp), membership churn (churn, failover), and the CPU,
+// cache and disk sweeps of one strategy each (figure11, figure13).
+var goldenExperiments = []string{"figure7", "hetero", "phttp", "churn", "failover", "figure11", "figure13"}
+
+var goldenOptions = experiments.Options{Seed: 42, Scale: 0.01, Nodes: []int{1, 2, 4}}
+
+// TestGoldenTables pins the simulator's tables: the shape tests check
+// inequalities between strategies, this one fails if any printed number
+// moves.
+func TestGoldenTables(t *testing.T) {
+	if raceEnabled {
+		t.Skip("too slow under the race detector")
+	}
+	if runtime.GOARCH != goldenArch {
+		t.Skipf("digest captured on %s", goldenArch)
+	}
+	var sb strings.Builder
+	for _, id := range goldenExperiments {
+		e, ok := experiments.Lookup(id)
+		if !ok {
+			t.Fatalf("no experiment %q", id)
+		}
+		if err := emit(&sb, goldenOptions, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := sha256.Sum256([]byte(sb.String()))
+	if got := hex.EncodeToString(sum[:]); got != goldenDigest {
+		t.Fatalf("tables digest = %s, want %s; output:\n%s", got, goldenDigest, sb.String())
+	}
+}

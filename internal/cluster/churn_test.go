@@ -8,7 +8,7 @@ import (
 // churnConfig is the shared setup of the churn tests: a cache-pressure
 // workload (working set ≈ 3 node caches over 4 nodes) with timeline
 // sampling on.
-func churnConfig(k StrategyKind) Config {
+func churnConfig(k string) Config {
 	cfg := DefaultConfig(k, 4)
 	cfg.CacheBytes = 64 << 10
 	return cfg
@@ -24,7 +24,7 @@ func churnConfig(k StrategyKind) Config {
 func TestChurnFailRecoverRewarmsCache(t *testing.T) {
 	tr := zipfTrace(48, 4<<10, 60000, 0.8, 7)
 
-	run := func(k StrategyKind) Result {
+	run := func(k string) Result {
 		t.Helper()
 		base, err := Simulate(churnConfig(k), tr)
 		if err != nil {
@@ -45,8 +45,8 @@ func TestChurnFailRecoverRewarmsCache(t *testing.T) {
 		return res
 	}
 
-	lard := run(LARD)
-	wrr := run(WRR)
+	lard := run("lard")
+	wrr := run("wrr")
 
 	// Locate the recovery point in LARD's timeline: AliveNodes goes
 	// 4 → 3 → 4.
@@ -119,12 +119,12 @@ func avgMiss(ss []TimelineSample) float64 {
 // stops receiving new work, and a removed node never serves again.
 func TestChurnJoinDrainLeave(t *testing.T) {
 	tr := zipfTrace(32, 4<<10, 30000, 0.8, 11)
-	base, err := Simulate(churnConfig(LARDR), tr)
+	base, err := Simulate(churnConfig("lard/r"), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := churnConfig(LARDR)
+	cfg := churnConfig("lard/r")
 	cfg.Churn = []ChurnEvent{
 		JoinAt(base.SimTime / 4),     // node 4 appears
 		DrainAt(1, base.SimTime/2),   // node 1 drains...
@@ -177,11 +177,11 @@ func TestChurnJoinDrainLeave(t *testing.T) {
 // exactly (the engine is deterministic).
 func TestSamplingDoesNotAlterMetrics(t *testing.T) {
 	tr := zipfTrace(16, 4<<10, 5000, 0.8, 3)
-	plain, err := Simulate(DefaultConfig(LARD, 2), tr)
+	plain, err := Simulate(DefaultConfig("lard", 2), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(LARD, 2)
+	cfg := DefaultConfig("lard", 2)
 	// A coarse window: without cancellation the trailing tick would
 	// inflate SimTime by up to half the run.
 	cfg.SampleEvery = plain.SimTime / 2
@@ -209,7 +209,7 @@ func TestSamplingDoesNotAlterMetrics(t *testing.T) {
 
 // TestChurnValidation covers the new Config.Validate paths.
 func TestChurnValidation(t *testing.T) {
-	cfg := DefaultConfig(LARD, 2)
+	cfg := DefaultConfig("lard", 2)
 	cfg.Churn = []ChurnEvent{FailAt(5, time.Second)}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("out-of-range churn node accepted")

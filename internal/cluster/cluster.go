@@ -89,7 +89,7 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: empty trace")
 	}
 	eng := sim.NewEngine()
-	underBound := int(cfg.UnderutilizationFraction * float64(cfg.Params.TLow))
+	underBound := int(underutilizationFraction * float64(cfg.Params.TLow))
 
 	c := &Cluster{
 		cfg:          cfg,
@@ -109,9 +109,11 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 		c.nodes = append(c.nodes, n)
 	}
 
-	name, err := cfg.Strategy.registryName()
-	if err != nil {
-		return nil, err
+	// WRR/GMS dispatches as plain wrr; the global memory system is wired
+	// into the simulated nodes below.
+	name := cfg.Strategy
+	if name == WRRGMS {
+		name = "wrr"
 	}
 	opts := []lard.Option{
 		lard.WithNodes(cfg.Nodes),
@@ -125,6 +127,7 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 	if cfg.MaxOutstanding != 0 {
 		opts = append(opts, lard.WithMaxOutstanding(cfg.MaxOutstanding))
 	}
+	var err error
 	c.d, err = lard.New(name, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -383,7 +386,7 @@ func (c *Cluster) sampleTick() {
 func (c *Cluster) collect() Result {
 	end := c.eng.Now()
 	res := Result{
-		Strategy:     c.cfg.Strategy.String(),
+		Strategy:     Label(c.cfg.Strategy),
 		Nodes:        len(c.nodes), // configured nodes plus any runtime joins
 		Requests:     c.tr.Len() - c.dropped - c.ov.sheds,
 		Dropped:      c.dropped,

@@ -3,10 +3,12 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
 	"lard/internal/trace"
+	"lard/pkg/lard"
 )
 
 // repeatTrace builds a trace of n requests cycling over the given targets.
@@ -37,7 +39,7 @@ func TestSingleNodeCachedThroughputMatchesCostModel(t *testing.T) {
 	// One 8 KB target requested repeatedly: after the first (cold) miss
 	// everything is a CPU-bound cache hit, so throughput must approach the
 	// paper's ≈1075 req/s calibration point.
-	cfg := DefaultConfig(WRR, 1)
+	cfg := DefaultConfig("wrr", 1)
 	tr := repeatTrace(5000, trace.Target{Name: "/doc.html", Size: 8 << 10})
 	res, err := Simulate(cfg, tr)
 	if err != nil {
@@ -62,7 +64,7 @@ func TestSingleNodeCachedThroughputMatchesCostModel(t *testing.T) {
 }
 
 func TestAdmissionBoundRespected(t *testing.T) {
-	cfg := DefaultConfig(WRR, 4)
+	cfg := DefaultConfig("wrr", 4)
 	tr := repeatTrace(20000, trace.Target{Name: "/x", Size: 4 << 10})
 	res, err := Simulate(cfg, tr)
 	if err != nil {
@@ -82,7 +84,7 @@ func TestMissCoalescing(t *testing.T) {
 	// Many concurrent requests for the same cold file must trigger exactly
 	// one disk read ("multiple requests waiting on the same file from disk
 	// can be satisfied with only one disk read").
-	cfg := DefaultConfig(WRR, 1)
+	cfg := DefaultConfig("wrr", 1)
 	tr := repeatTrace(50, trace.Target{Name: "/cold.bin", Size: 4 << 10})
 	c, err := New(cfg, tr)
 	if err != nil {
@@ -102,7 +104,7 @@ func TestMissCoalescing(t *testing.T) {
 }
 
 func TestUncacheableFileAlwaysMisses(t *testing.T) {
-	cfg := DefaultConfig(WRR, 1)
+	cfg := DefaultConfig("wrr", 1)
 	cfg.CacheBytes = 1 << 20
 	tr := repeatTrace(10, trace.Target{Name: "/huge.bin", Size: 2 << 20})
 	res, err := Simulate(cfg, tr)
@@ -115,7 +117,7 @@ func TestUncacheableFileAlwaysMisses(t *testing.T) {
 }
 
 func TestWRRBalancesLoadAcrossNodes(t *testing.T) {
-	cfg := DefaultConfig(WRR, 4)
+	cfg := DefaultConfig("wrr", 4)
 	tr := zipfTrace(200, 8<<10, 20000, 0.9, 1)
 	res, err := Simulate(cfg, tr)
 	if err != nil {
@@ -144,7 +146,7 @@ func TestLARDBeatsWRRWhenWorkingSetExceedsNodeCache(t *testing.T) {
 	const nodes = 4
 	tr := zipfTrace(2000, 16<<10, 60000, 0.7, 2) // ~32 MB working set
 
-	mk := func(k StrategyKind) Result {
+	mk := func(k string) Result {
 		cfg := DefaultConfig(k, nodes)
 		cfg.CacheBytes = 8 << 20 // 8 MB per node, 32 MB aggregate
 		res, err := Simulate(cfg, tr)
@@ -153,7 +155,7 @@ func TestLARDBeatsWRRWhenWorkingSetExceedsNodeCache(t *testing.T) {
 		}
 		return res
 	}
-	wrr, lard := mk(WRR), mk(LARD)
+	wrr, lard := mk("wrr"), mk("lard")
 	if lard.MissRatio >= wrr.MissRatio/2 {
 		t.Fatalf("LARD miss %.3f not well below WRR miss %.3f", lard.MissRatio, wrr.MissRatio)
 	}
@@ -164,7 +166,7 @@ func TestLARDBeatsWRRWhenWorkingSetExceedsNodeCache(t *testing.T) {
 
 func TestAllStrategiesServeEveryRequest(t *testing.T) {
 	tr := zipfTrace(300, 8<<10, 5000, 0.9, 3)
-	for _, k := range AllStrategies() {
+	for _, k := range PaperStrategies() {
 		cfg := DefaultConfig(k, 3)
 		cfg.CacheBytes = 2 << 20
 		res, err := Simulate(cfg, tr)
@@ -205,7 +207,7 @@ func TestGMSAggregatesCacheAndCountsRemoteHits(t *testing.T) {
 	}
 	// Plain WRR with the same node cache must miss far more often: the
 	// global memory turns most of its disk reads into remote-memory hits.
-	cfgW := DefaultConfig(WRR, 4)
+	cfgW := DefaultConfig("wrr", 4)
 	cfgW.CacheBytes = 3 << 20
 	wrr, err := Simulate(cfgW, tr)
 	if err != nil {
@@ -218,7 +220,7 @@ func TestGMSAggregatesCacheAndCountsRemoteHits(t *testing.T) {
 
 func TestGMSSlowerThanLARDFasterThanWRR(t *testing.T) {
 	tr := zipfTrace(1500, 16<<10, 40000, 0.7, 5)
-	run := func(k StrategyKind) Result {
+	run := func(k string) Result {
 		cfg := DefaultConfig(k, 4)
 		cfg.CacheBytes = 6 << 20
 		res, err := Simulate(cfg, tr)
@@ -227,7 +229,7 @@ func TestGMSSlowerThanLARDFasterThanWRR(t *testing.T) {
 		}
 		return res
 	}
-	wrr, gms, lard := run(WRR), run(WRRGMS), run(LARDR)
+	wrr, gms, lard := run("wrr"), run(WRRGMS), run("lard/r")
 	if gms.Throughput <= wrr.Throughput {
 		t.Fatalf("GMS %.0f not above WRR %.0f", gms.Throughput, wrr.Throughput)
 	}
@@ -238,7 +240,7 @@ func TestGMSSlowerThanLARDFasterThanWRR(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	tr := zipfTrace(300, 8<<10, 8000, 0.9, 6)
-	cfg := DefaultConfig(LARDR, 3)
+	cfg := DefaultConfig("lard/r", 3)
 	cfg.CacheBytes = 2 << 20
 	a, err := Simulate(cfg, tr)
 	if err != nil {
@@ -256,7 +258,7 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestFailureInjectionAndRecovery(t *testing.T) {
 	tr := zipfTrace(200, 8<<10, 30000, 0.9, 7)
-	cfg := DefaultConfig(LARD, 3)
+	cfg := DefaultConfig("lard", 3)
 	cfg.CacheBytes = 4 << 20
 	cfg.Churn = []ChurnEvent{FailAt(1, 2*time.Second), RecoverAt(1, 6*time.Second)}
 	c, err := New(cfg, tr)
@@ -284,14 +286,14 @@ func TestFailureInjectionAndRecovery(t *testing.T) {
 
 func TestFailureValidation(t *testing.T) {
 	tr := repeatTrace(10, trace.Target{Name: "/x", Size: 100})
-	cfg := DefaultConfig(LARD, 2)
+	cfg := DefaultConfig("lard", 2)
 	cfg.Churn = []ChurnEvent{FailAt(5, time.Second)}
 	if _, err := New(cfg, tr); err == nil {
 		t.Fatal("out-of-range failure node accepted")
 	}
 	// A failure and its recovery are two events ordered by At alone, so
 	// "recovers before it fails" is a schedule, not a malformed pair.
-	cfg = DefaultConfig(LARD, 2)
+	cfg = DefaultConfig("lard", 2)
 	cfg.Churn = []ChurnEvent{FailAt(0, 2*time.Second), RecoverAt(0, time.Second)}
 	if _, err := New(cfg, tr); err != nil {
 		t.Fatalf("recovery scheduled ahead of the failure rejected: %v", err)
@@ -309,27 +311,26 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Nodes = 0 },
 		func(c *Config) { c.CacheBytes = -1 },
 		func(c *Config) { c.Disks = 0 },
-		func(c *Config) { c.UnderutilizationFraction = 2 },
 		func(c *Config) { c.Cost.CPUSpeed = 0 },
 		func(c *Config) { c.Params.TLow = 0 },
 	}
 	for i, mutate := range bad {
-		cfg := DefaultConfig(WRR, 2)
+		cfg := DefaultConfig("wrr", 2)
 		mutate(&cfg)
 		if _, err := New(cfg, tr); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, err := New(DefaultConfig(WRR, 2), nil); err == nil {
+	if _, err := New(DefaultConfig("wrr", 2), nil); err == nil {
 		t.Fatal("nil trace accepted")
 	}
-	if _, err := New(DefaultConfig(WRR, 2), &trace.Trace{Name: "empty"}); err == nil {
+	if _, err := New(DefaultConfig("wrr", 2), &trace.Trace{Name: "empty"}); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
 
 func TestLRUPolicyRuns(t *testing.T) {
-	cfg := DefaultConfig(LARD, 2)
+	cfg := DefaultConfig("lard", 2)
 	cfg.CachePolicy = LRU
 	cfg.CacheBytes = 2 << 20
 	tr := zipfTrace(200, 8<<10, 5000, 0.9, 8)
@@ -348,7 +349,7 @@ func TestMultipleDisksIncreaseDiskBoundThroughput(t *testing.T) {
 	files := 400
 	tr := zipfTrace(files, 32<<10, 8000, 0.05, 9) // near-uniform: no locality
 	run := func(disks int) Result {
-		cfg := DefaultConfig(WRR, 2)
+		cfg := DefaultConfig("wrr", 2)
 		cfg.CacheBytes = 1 << 20 // tiny: almost everything misses
 		cfg.Disks = disks
 		res, err := Simulate(cfg, tr)
@@ -369,7 +370,7 @@ func TestCPUSpeedHelpsOnlyCacheBoundStrategies(t *testing.T) {
 	// Working set (128 MB) far exceeds even the scaled node cache, as in
 	// the paper's Rice trace.
 	tr := zipfTrace(8000, 16<<10, 60000, 1.1, 10)
-	run := func(k StrategyKind, speed float64, cacheMul float64) Result {
+	run := func(k string, speed float64, cacheMul float64) Result {
 		cfg := DefaultConfig(k, 4)
 		cfg.CacheBytes = int64(4 * cacheMul * (1 << 20))
 		cfg.Cost = cfg.Cost.WithCPUSpeed(speed)
@@ -379,8 +380,8 @@ func TestCPUSpeedHelpsOnlyCacheBoundStrategies(t *testing.T) {
 		}
 		return res
 	}
-	wrr1, wrr4 := run(WRR, 1, 1), run(WRR, 4, 3)
-	lard1, lard4 := run(LARDR, 1, 1), run(LARDR, 4, 3)
+	wrr1, wrr4 := run("wrr", 1, 1), run("wrr", 4, 3)
+	lard1, lard4 := run("lard/r", 1, 1), run("lard/r", 4, 3)
 	wrrGain := wrr4.Throughput / wrr1.Throughput
 	lardGain := lard4.Throughput / lard1.Throughput
 	if lardGain < wrrGain*1.2 {
@@ -395,7 +396,7 @@ func TestCPUSpeedHelpsOnlyCacheBoundStrategies(t *testing.T) {
 func TestIdleFractionOrdering(t *testing.T) {
 	// WRR has the best load balancing (lowest idle time); LB the worst.
 	tr := zipfTrace(800, 8<<10, 30000, 1.1, 11)
-	run := func(k StrategyKind) Result {
+	run := func(k string) Result {
 		cfg := DefaultConfig(k, 4)
 		cfg.CacheBytes = 4 << 20
 		res, err := Simulate(cfg, tr)
@@ -404,7 +405,7 @@ func TestIdleFractionOrdering(t *testing.T) {
 		}
 		return res
 	}
-	wrr, lb := run(WRR), run(LB)
+	wrr, lb := run("wrr"), run("lb")
 	if wrr.IdleFraction >= lb.IdleFraction {
 		t.Fatalf("WRR idle %.3f not below LB idle %.3f", wrr.IdleFraction, lb.IdleFraction)
 	}
@@ -436,23 +437,44 @@ func TestDiskAssignmentStripesByFrequency(t *testing.T) {
 	}
 }
 
-func TestStrategyParsing(t *testing.T) {
-	for _, k := range AllStrategies() {
-		got, err := ParseStrategy(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", k.String(), got, err)
+func TestStrategyNames(t *testing.T) {
+	tr := repeatTrace(10, trace.Target{Name: "/x", Size: 100})
+	_, want := lard.New("bogus", lard.WithNodes(2))
+	if _, err := New(DefaultConfig("bogus", 2), tr); err == nil || err.Error() != "cluster: "+want.Error() {
+		t.Fatalf("unknown strategy: err = %v, want the registry's %v", err, want)
+	}
+	for _, name := range []string{"lard/gms", "lb/gms", "WRR/GMS", "gms/gms"} {
+		if _, err := New(DefaultConfig(name, 2), tr); err == nil {
+			t.Fatalf("%q accepted; the one GMS configuration is %q", name, WRRGMS)
 		}
 	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Fatal("bogus strategy accepted")
+	for _, name := range append(lard.Strategies(), WRRGMS) {
+		if _, err := New(DefaultConfig(name, 2), tr); err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
 	}
-	if got, _ := ParseStrategy("lardr"); got != LARDR {
-		t.Fatalf("lardr alias = %v", got)
+	// The paper's figure sweep must not pick up the extensions.
+	for _, name := range PaperStrategies() {
+		if name == "pod" || name == "wlard" {
+			t.Fatalf("PaperStrategies includes the extension %q", name)
+		}
+	}
+}
+
+func TestLabel(t *testing.T) {
+	var got []string
+	for _, name := range append(lard.Strategies(), WRRGMS) {
+		got = append(got, Label(name))
+	}
+	sort.Strings(got)
+	want := []string{"LARD", "LARD/R", "LB", "LB/GC", "POD", "WLARD", "WRR", "WRR/GMS"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("labels = %v, want %v", got, want)
 	}
 }
 
 func TestDelayAccounting(t *testing.T) {
-	cfg := DefaultConfig(WRR, 1)
+	cfg := DefaultConfig("wrr", 1)
 	tr := repeatTrace(100, trace.Target{Name: "/x", Size: 8 << 10})
 	res, err := Simulate(cfg, tr)
 	if err != nil {
@@ -469,7 +491,7 @@ func TestDelayAccounting(t *testing.T) {
 }
 
 func TestPerNodeCacheStatsExposed(t *testing.T) {
-	cfg := DefaultConfig(LARD, 2)
+	cfg := DefaultConfig("lard", 2)
 	tr := zipfTrace(100, 8<<10, 2000, 0.9, 12)
 	res, err := Simulate(cfg, tr)
 	if err != nil {
@@ -489,7 +511,7 @@ func TestPerNodeCacheStatsExposed(t *testing.T) {
 
 func ExampleSimulate() {
 	tr := repeatTrace(1000, trace.Target{Name: "/index.html", Size: 8 << 10})
-	res, err := Simulate(DefaultConfig(LARD, 2), tr)
+	res, err := Simulate(DefaultConfig("lard", 2), tr)
 	if err != nil {
 		panic(err)
 	}

@@ -13,111 +13,23 @@ import (
 	"lard/pkg/lard"
 )
 
-// StrategyKind names the request-distribution configurations evaluated in
-// the paper's simulations (Section 4).
-type StrategyKind int
+// WRRGMS is the one configuration the simulator runs that pkg/lard does
+// not register: wrr at the front end over back ends sharing a global
+// memory system.
+const WRRGMS = "wrr/gms"
 
-const (
-	// WRR is weighted round-robin (load-only, the baseline).
-	WRR StrategyKind = iota
-	// LB is hash-based locality partitioning.
-	LB
-	// LBGC is LB with the idealized front-end global-cache model.
-	LBGC
-	// LARD is basic locality-aware request distribution.
-	LARD
-	// LARDR is LARD with replication.
-	LARDR
-	// WRRGMS is WRR over back ends sharing a global memory system.
-	WRRGMS
-	// POD is power-of-d-choices with per-node capacity cost (an
-	// extension beyond the paper, for heterogeneous fleets).
-	POD
-	// WLARD is LARD with a weight-scaled imbalance test (likewise an
-	// extension for heterogeneous fleets).
-	WLARD
-)
-
-// AllStrategies returns every configuration simulated by the paper, in
-// its presentation order. The heterogeneous-fleet extensions (POD, WLARD)
-// are deliberately excluded so figure reproductions stay faithful; the
-// hetero experiment sweeps them explicitly.
-func AllStrategies() []StrategyKind {
-	return []StrategyKind{WRR, LB, LBGC, LARD, LARDR, WRRGMS}
+// PaperStrategies returns the pkg/lard registry names of every
+// configuration the paper's figures sweep, in its presentation order. The
+// heterogeneous-fleet extensions (pod, wlard) are deliberately excluded so
+// figure reproductions stay faithful; the hetero experiment sweeps them
+// explicitly.
+func PaperStrategies() []string {
+	return []string{"wrr", "lb", "lb/gc", "lard", "lard/r", WRRGMS}
 }
 
-// String returns the paper's name for the configuration.
-func (k StrategyKind) String() string {
-	switch k {
-	case WRR:
-		return "WRR"
-	case LB:
-		return "LB"
-	case LBGC:
-		return "LB/GC"
-	case LARD:
-		return "LARD"
-	case LARDR:
-		return "LARD/R"
-	case WRRGMS:
-		return "WRR/GMS"
-	case POD:
-		return "POD"
-	case WLARD:
-		return "WLARD"
-	default:
-		return fmt.Sprintf("StrategyKind(%d)", int(k))
-	}
-}
-
-// registryName maps a StrategyKind to the pkg/lard registry name that
-// builds its dispatch policy. WRR/GMS runs plain WRR at the front end; the
-// global memory system is wired into the simulated nodes separately.
-func (k StrategyKind) registryName() (string, error) {
-	switch k {
-	case WRR, WRRGMS:
-		return "wrr", nil
-	case LB:
-		return "lb", nil
-	case LBGC:
-		return "lb/gc", nil
-	case LARD:
-		return "lard", nil
-	case LARDR:
-		return "lard/r", nil
-	case POD:
-		return "pod", nil
-	case WLARD:
-		return "wlard", nil
-	default:
-		return "", fmt.Errorf("cluster: unknown strategy %v", k)
-	}
-}
-
-// ParseStrategy converts a user-supplied name ("wrr", "lard/r", "lardr",
-// "wrr/gms", …) to a StrategyKind.
-func ParseStrategy(s string) (StrategyKind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "wrr":
-		return WRR, nil
-	case "lb":
-		return LB, nil
-	case "lb/gc", "lbgc":
-		return LBGC, nil
-	case "lard":
-		return LARD, nil
-	case "lard/r", "lardr":
-		return LARDR, nil
-	case "wrr/gms", "wrrgms", "gms":
-		return WRRGMS, nil
-	case "pod":
-		return POD, nil
-	case "wlard":
-		return WLARD, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown strategy %q (want wrr, lb, lb/gc, lard, lard/r, wrr/gms, pod, or wlard)", s)
-	}
-}
+// Label returns the paper's figure label for a strategy name: "lb/gc"
+// becomes "LB/GC".
+func Label(strategy string) string { return strings.ToUpper(strategy) }
 
 // CachePolicy selects the back-end cache replacement policy.
 type CachePolicy int
@@ -270,10 +182,15 @@ const DefaultCacheBytes = 32 << 20
 // policy ("files with a size of more than 500 KB are never cached").
 const DefaultLRUCutoff = 500 << 10
 
+// underutilizationFraction defines node underutilization as load below
+// this fraction of T_low (the paper uses 40%).
+const underutilizationFraction = 0.4
+
 // Config describes one simulation run.
 type Config struct {
-	// Strategy is the request-distribution configuration under test.
-	Strategy StrategyKind
+	// Strategy is the request-distribution configuration under test: a
+	// pkg/lard registry name, or WRRGMS.
+	Strategy string
 
 	// Nodes is the number of back-end nodes.
 	Nodes int
@@ -283,9 +200,6 @@ type Config struct {
 
 	// CachePolicy is the replacement policy (GDS by default).
 	CachePolicy CachePolicy
-
-	// LRUCutoff is the LRU large-file admission cutoff (0 = none).
-	LRUCutoff int64
 
 	// Disks is the number of disks per node (Figure 13/14 sweeps). Files
 	// are striped across disks "in round-robin fashion based on
@@ -300,10 +214,6 @@ type Config struct {
 	// number of outstanding requests at the back ends" under all
 	// strategies considered).
 	Params core.Params
-
-	// UnderutilizationFraction defines node underutilization as load
-	// below this fraction of T_low (the paper uses 40%).
-	UnderutilizationFraction float64
 
 	// Profiles optionally describes a heterogeneous fleet: Profiles[i]
 	// is node i's capacity profile. It may be shorter than Nodes;
@@ -381,12 +291,6 @@ type Config struct {
 	// Empty selects "pin".
 	ConnPolicy string
 
-	// SessionPolicy, when non-nil, is the connection policy instance the
-	// simulation's sessions consult, overriding ConnPolicy — the hook for
-	// custom lard.ConnPolicy implementations and tuned CostAware
-	// configurations.
-	SessionPolicy lard.ConnPolicy
-
 	// QuotaRate, when > 0, models the front end's per-client token-bucket
 	// quota (internal/quota) in the simulation: each trace request is
 	// attributed to a client identity and over-quota requests are shed at
@@ -406,9 +310,6 @@ type Config struct {
 	// should shed the abuser's excess while the well-behaved clients'
 	// requests pass.
 	AbuseShare float64
-
-	// QuotaSeed seeds the request→client attribution draws (default 1).
-	QuotaSeed int64
 
 	// Breaker, when non-nil, replaces the simulator's failure oracle with
 	// detection: a scripted ChurnFail stops the node answering instead of
@@ -458,17 +359,15 @@ func (c Config) connPolicyName() string {
 // DefaultConfig returns the paper's default simulation setup for the given
 // strategy and cluster size: 32 MB GDS caches, one disk per node, the
 // Pentium II cost model, T_low = 25 / T_high = 65 / K = 20 s.
-func DefaultConfig(strategy StrategyKind, nodes int) Config {
+func DefaultConfig(strategy string, nodes int) Config {
 	return Config{
-		Strategy:                 strategy,
-		Nodes:                    nodes,
-		CacheBytes:               DefaultCacheBytes,
-		CachePolicy:              GDS,
-		LRUCutoff:                DefaultLRUCutoff,
-		Disks:                    1,
-		Cost:                     DefaultCostModel(),
-		Params:                   core.DefaultParams(),
-		UnderutilizationFraction: 0.4,
+		Strategy:    strategy,
+		Nodes:       nodes,
+		CacheBytes:  DefaultCacheBytes,
+		CachePolicy: GDS,
+		Disks:       1,
+		Cost:        DefaultCostModel(),
+		Params:      core.DefaultParams(),
 	}
 }
 
@@ -481,8 +380,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: negative CacheBytes")
 	case c.Disks < 1:
 		return fmt.Errorf("cluster: Disks = %d, need >= 1", c.Disks)
-	case c.UnderutilizationFraction < 0 || c.UnderutilizationFraction > 1:
-		return fmt.Errorf("cluster: UnderutilizationFraction %v outside [0,1]", c.UnderutilizationFraction)
+	case strings.HasSuffix(strings.ToLower(c.Strategy), "/gms") && c.Strategy != WRRGMS:
+		return fmt.Errorf("cluster: unknown strategy %q (the one GMS configuration is %q)", c.Strategy, WRRGMS)
 	case c.Shards < 0:
 		return fmt.Errorf("cluster: Shards = %d, need >= 0", c.Shards)
 	}
@@ -597,7 +496,7 @@ func validateNodeProfile(p NodeProfile) error {
 func (c Config) newCache() cache.Cache {
 	switch c.CachePolicy {
 	case LRU:
-		return cache.NewLRUWithCutoff(c.CacheBytes, c.LRUCutoff)
+		return cache.NewLRUWithCutoff(c.CacheBytes, DefaultLRUCutoff)
 	default:
 		return cache.NewGDS(c.CacheBytes)
 	}

@@ -13,12 +13,12 @@ import (
 // fleet default 65 — and still pick up traffic.
 func TestJoinWithProfileHalfCapacity(t *testing.T) {
 	tr := zipfTrace(32, 4<<10, 30000, 0.8, 11)
-	base, err := Simulate(churnConfig(LARD), tr)
+	base, err := Simulate(churnConfig("lard"), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := churnConfig(LARD)
+	cfg := churnConfig("lard")
 	half := NodeProfile{Profile: core.Profile{Weight: 0.5}, Speed: 0.5}
 	cfg.Churn = []ChurnEvent{JoinWithProfileAt(half, base.SimTime/4)}
 	c, err := New(cfg, tr)
@@ -69,7 +69,7 @@ func TestJoinWithProfileHalfCapacity(t *testing.T) {
 // time.
 func TestProfileSpeedServesProportionally(t *testing.T) {
 	tr := zipfTrace(64, 4<<10, 40000, 0.6, 3)
-	cfg := DefaultConfig(WRR, 2)
+	cfg := DefaultConfig("wrr", 2)
 	cfg.CacheBytes = 1 << 20
 	cfg.Profiles = []NodeProfile{{Profile: core.Profile{Weight: 2}}, {}}
 	res, err := Simulate(cfg, tr)
@@ -91,7 +91,7 @@ func TestProfileSpeedServesProportionally(t *testing.T) {
 // stay zero.
 func TestGoodputAccounting(t *testing.T) {
 	tr := zipfTrace(16, 4<<10, 5000, 0.6, 5)
-	cfg := DefaultConfig(LARD, 4)
+	cfg := DefaultConfig("lard", 4)
 	cfg.DelaySLO = 10 * time.Second
 	res, err := Simulate(cfg, tr)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestHeteroConfigValidation(t *testing.T) {
 		},
 	}
 	for i, mutate := range bad {
-		cfg := DefaultConfig(LARD, 4)
+		cfg := DefaultConfig("lard", 4)
 		mutate(&cfg)
 		if _, err := New(cfg, tr); err == nil {
 			t.Fatalf("case %d: invalid hetero config accepted", i)
@@ -137,29 +137,10 @@ func TestHeteroConfigValidation(t *testing.T) {
 	}
 }
 
-// ParseStrategy and registryName round-trip the new capacity-aware kinds.
-func TestParseStrategyHetero(t *testing.T) {
-	for _, k := range []StrategyKind{POD, WLARD} {
-		got, err := ParseStrategy(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", k.String(), got, err)
-		}
-		if _, err := k.registryName(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The paper's figure sweep must not pick up the extensions.
-	for _, k := range AllStrategies() {
-		if k == POD || k == WLARD {
-			t.Fatal("AllStrategies includes a heterogeneous extension")
-		}
-	}
-}
-
 // POD and WLARD run end-to-end through the simulator.
 func TestHeteroStrategiesSimulate(t *testing.T) {
 	tr := zipfTrace(32, 4<<10, 10000, 0.8, 9)
-	for _, k := range []StrategyKind{POD, WLARD} {
+	for _, k := range []string{"pod", "wlard"} {
 		cfg := DefaultConfig(k, 4)
 		cfg.CacheBytes = 64 << 10
 		res, err := Simulate(cfg, tr)
@@ -169,8 +150,8 @@ func TestHeteroStrategiesSimulate(t *testing.T) {
 		if res.Requests != tr.Len() {
 			t.Fatalf("%v served %d of %d", k, res.Requests, tr.Len())
 		}
-		if res.Strategy != k.String() {
-			t.Fatalf("Strategy = %q, want %q", res.Strategy, k.String())
+		if res.Strategy != Label(k) {
+			t.Fatalf("Strategy = %q, want %q", res.Strategy, Label(k))
 		}
 	}
 }

@@ -52,11 +52,7 @@ type overloadSim struct {
 func (c *Cluster) initOverload() {
 	c.ov.cfg = c.cfg
 	if c.cfg.QuotaRate > 0 {
-		seed := c.cfg.QuotaSeed
-		if seed == 0 {
-			seed = 1
-		}
-		c.ov.rng = rand.New(rand.NewSource(seed))
+		c.ov.rng = rand.New(rand.NewSource(1))
 		c.ov.quota = quota.New(quota.Config{
 			Rate:  c.cfg.QuotaRate,
 			Burst: c.cfg.QuotaBurst,

@@ -12,7 +12,7 @@ import (
 // quota sized between the two offered rates: the abuser must be shed
 // heavily while the well-behaved clients lose nothing.
 func TestQuotaShedsAbuserInSim(t *testing.T) {
-	cfg := DefaultConfig(LARD, 2)
+	cfg := DefaultConfig("lard", 2)
 	cfg.QuotaRate = 500 // req/s per client: well clients offer ~150, the abuser >1000
 	cfg.QuotaClients = 8
 	cfg.AbuseShare = 0.5
@@ -47,7 +47,7 @@ func TestQuotaShedsAbuserInSim(t *testing.T) {
 // TestQuotaOffShedsNothing: without QuotaRate the sim behaves exactly as
 // before the subsystem existed.
 func TestQuotaOffShedsNothing(t *testing.T) {
-	cfg := DefaultConfig(LARD, 2)
+	cfg := DefaultConfig("lard", 2)
 	tr := repeatTrace(2000, trace.Target{Name: "/x", Size: 4 << 10})
 	res, err := Simulate(cfg, tr)
 	if err != nil {
@@ -71,11 +71,11 @@ func TestBreakerDetectsFailureWithoutOracle(t *testing.T) {
 
 	run := func(recover bool) (Result, *Cluster) {
 		t.Helper()
-		base, err := Simulate(churnConfig(LARD), tr)
+		base, err := Simulate(churnConfig("lard"), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := churnConfig(LARD)
+		cfg := churnConfig("lard")
 		cfg.Breaker = &breaker.Config{}
 		cfg.Churn = []ChurnEvent{FailAt(1, base.SimTime/3)}
 		if recover {
@@ -122,26 +122,26 @@ func TestBreakerDetectsFailureWithoutOracle(t *testing.T) {
 func TestOverloadConfigValidation(t *testing.T) {
 	tr := repeatTrace(10, trace.Target{Name: "/x", Size: 1 << 10})
 
-	cfg := DefaultConfig(LARD, 2)
+	cfg := DefaultConfig("lard", 2)
 	cfg.QuotaRate = -1
 	if _, err := New(cfg, tr); err == nil {
 		t.Fatal("negative QuotaRate accepted")
 	}
 
-	cfg = DefaultConfig(LARD, 2)
+	cfg = DefaultConfig("lard", 2)
 	cfg.AbuseShare = 0.5 // without QuotaRate
 	if _, err := New(cfg, tr); err == nil {
 		t.Fatal("AbuseShare without QuotaRate accepted")
 	}
 
-	cfg = DefaultConfig(LARD, 2)
+	cfg = DefaultConfig("lard", 2)
 	cfg.QuotaRate = 10
 	cfg.AbuseShare = 1.5
 	if _, err := New(cfg, tr); err == nil {
 		t.Fatal("AbuseShare outside [0,1) accepted")
 	}
 
-	cfg = DefaultConfig(LARD, 2)
+	cfg = DefaultConfig("lard", 2)
 	cfg.QuotaRate = 10
 	cfg.ReqsPerConn = 4
 	if _, err := New(cfg, tr); err == nil {

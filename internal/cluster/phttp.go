@@ -56,9 +56,6 @@ func newConnLen(cfg Config) func() int {
 // One instance serves every connection of the run (its recency table is
 // shared state, like a front end's).
 func newConnPolicy(cfg Config) lard.ConnPolicy {
-	if cfg.SessionPolicy != nil {
-		return cfg.SessionPolicy
-	}
 	switch cfg.connPolicyName() {
 	case lard.ConnPerRequest:
 		return lard.PerRequest()

@@ -9,7 +9,7 @@ import (
 
 // phttpConfig builds a persistent-connection config over a cache-pressure
 // trace, dispatching connections under the named lard.ConnPolicy.
-func phttpConfig(kind StrategyKind, nodes, reqsPerConn int, policy string) Config {
+func phttpConfig(kind string, nodes, reqsPerConn int, policy string) Config {
 	cfg := DefaultConfig(kind, nodes)
 	cfg.CacheBytes = 64 << 10 // force real cache pressure at test scale
 	cfg.ReqsPerConn = reqsPerConn
@@ -18,12 +18,12 @@ func phttpConfig(kind StrategyKind, nodes, reqsPerConn int, policy string) Confi
 }
 
 func TestPersistentValidation(t *testing.T) {
-	cfg := DefaultConfig(LARD, 2)
+	cfg := DefaultConfig("lard", 2)
 	cfg.ReqsPerConn = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative ReqsPerConn accepted")
 	}
-	cfg = DefaultConfig(LARD, 2)
+	cfg = DefaultConfig("lard", 2)
 	cfg.ConnDist = "weibull"
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("unknown ConnDist accepted")
@@ -33,12 +33,12 @@ func TestPersistentValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("persistent connections with WRR/GMS accepted")
 	}
-	cfg = DefaultConfig(LARD, 2)
+	cfg = DefaultConfig("lard", 2)
 	cfg.Cost.HandoffCost = -time.Microsecond
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative HandoffCost accepted")
 	}
-	cfg = DefaultConfig(LARD, 2)
+	cfg = DefaultConfig("lard", 2)
 	cfg.ReqsPerConn = 4
 	cfg.ConnPolicy = "sticky-ish"
 	if err := cfg.Validate(); err == nil {
@@ -48,7 +48,7 @@ func TestPersistentValidation(t *testing.T) {
 	// policy — pinned included — now composes with scripted churn (PR 3
 	// had to reject pin + churn).
 	for _, policy := range []string{lard.ConnPin, lard.ConnPerRequest, lard.ConnCostAware} {
-		cfg = DefaultConfig(LARD, 2)
+		cfg = DefaultConfig("lard", 2)
 		cfg.ReqsPerConn = 4
 		cfg.ConnPolicy = policy
 		cfg.Churn = []ChurnEvent{FailAt(1, time.Second)}
@@ -59,7 +59,7 @@ func TestPersistentValidation(t *testing.T) {
 }
 
 func TestConnPolicyNameResolution(t *testing.T) {
-	cfg := DefaultConfig(LARD, 2)
+	cfg := DefaultConfig("lard", 2)
 	if got := cfg.connPolicyName(); got != lard.ConnPin {
 		t.Fatalf("default policy = %q, want pin", got)
 	}
@@ -101,7 +101,7 @@ func TestNewConnLenDistributions(t *testing.T) {
 func TestPersistentServesWholeTrace(t *testing.T) {
 	tr := zipfTrace(40, 8<<10, 2000, 0.8, 7)
 	for _, policy := range []string{lard.ConnPin, lard.ConnPerRequest, lard.ConnCostAware} {
-		res, err := Simulate(phttpConfig(LARD, 4, 8, policy), tr)
+		res, err := Simulate(phttpConfig("lard", 4, 8, policy), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,15 +136,15 @@ func TestPersistentAffinityCostsLARDLocality(t *testing.T) {
 	// and re-handoff must recover (most of) the HTTP/1.0 miss ratio.
 	tr := zipfTrace(120, 8<<10, 4000, 0.7, 11)
 
-	baseline, err := Simulate(phttpConfig(LARD, 4, 0, ""), tr) // HTTP/1.0 model
+	baseline, err := Simulate(phttpConfig("lard", 4, 0, ""), tr) // HTTP/1.0 model
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := Simulate(phttpConfig(LARD, 4, 16, lard.ConnPin), tr)
+	pinned, err := Simulate(phttpConfig("lard", 4, 16, lard.ConnPin), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rehandoff, err := Simulate(phttpConfig(LARD, 4, 16, lard.ConnPerRequest), tr)
+	rehandoff, err := Simulate(phttpConfig("lard", 4, 16, lard.ConnPerRequest), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,15 +169,15 @@ func TestCostAwareHoldsLocalityWithFewerMoves(t *testing.T) {
 	// per-request, better miss ratio than pinning.
 	tr := zipfTrace(600, 8<<10, 4000, 0.7, 11)
 
-	pinned, err := Simulate(phttpConfig(LARD, 4, 8, lard.ConnPin), tr)
+	pinned, err := Simulate(phttpConfig("lard", 4, 8, lard.ConnPin), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perreq, err := Simulate(phttpConfig(LARD, 4, 8, lard.ConnPerRequest), tr)
+	perreq, err := Simulate(phttpConfig("lard", 4, 8, lard.ConnPerRequest), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	costaware, err := Simulate(phttpConfig(LARD, 4, 8, lard.ConnCostAware), tr)
+	costaware, err := Simulate(phttpConfig("lard", 4, 8, lard.ConnCostAware), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPinnedSessionMovesOnChurn(t *testing.T) {
 	// nodes fails mid-run and recovers later; the whole trace must still
 	// be served, with the forced moves visible as re-handoffs.
 	tr := zipfTrace(40, 8<<10, 2000, 0.8, 7)
-	cfg := phttpConfig(LARD, 2, 16, lard.ConnPin)
+	cfg := phttpConfig("lard", 2, 16, lard.ConnPin)
 	cfg.Churn = []ChurnEvent{FailAt(0, 200*time.Millisecond), RecoverAt(0, 2*time.Second)}
 	res, err := Simulate(cfg, tr)
 	if err != nil {
@@ -217,7 +217,7 @@ func TestPinnedSessionMovesOnChurn(t *testing.T) {
 
 func TestPersistentGeometricRuns(t *testing.T) {
 	tr := zipfTrace(40, 8<<10, 1500, 0.8, 3)
-	cfg := phttpConfig(LARDR, 4, 6, lard.ConnPerRequest)
+	cfg := phttpConfig("lard/r", 4, 6, lard.ConnPerRequest)
 	cfg.ConnDist = "geometric"
 	cfg.ConnSeed = 5
 	res, err := Simulate(cfg, tr)
@@ -242,7 +242,7 @@ func TestPersistentAdmissionBoundHolds(t *testing.T) {
 	// slots for many requests (pinned) or re-dispatch mid-stream.
 	tr := zipfTrace(30, 8<<10, 1200, 0.9, 13)
 	for _, policy := range []string{lard.ConnPin, lard.ConnPerRequest, lard.ConnCostAware} {
-		cfg := phttpConfig(LARD, 2, 8, policy)
+		cfg := phttpConfig("lard", 2, 8, policy)
 		s := cfg.Params.MaxOutstanding(2)
 		res, err := Simulate(cfg, tr)
 		if err != nil {

@@ -23,12 +23,12 @@ func WRRTenfoldCache(opt Options) ([]*Table, error) {
 	}
 	configs := []struct {
 		label string
-		kind  cluster.StrategyKind
+		kind  string
 		cache int64
 	}{
-		{"WRR 32MB", cluster.WRR, cluster.DefaultCacheBytes},
-		{"WRR 320MB", cluster.WRR, 10 * cluster.DefaultCacheBytes},
-		{"LARD/R 32MB", cluster.LARDR, cluster.DefaultCacheBytes},
+		{"WRR 32MB", "wrr", cluster.DefaultCacheBytes},
+		{"WRR 320MB", "wrr", 10 * cluster.DefaultCacheBytes},
+		{"LARD/R 32MB", "lard/r", cluster.DefaultCacheBytes},
 	}
 	for _, c := range configs {
 		var xs, ys []float64
@@ -62,7 +62,7 @@ func LRUAblation(opt Options) ([]*Table, error) {
 		YLabel: "requests/sec",
 	}
 	for _, policy := range []cluster.CachePolicy{cluster.GDS, cluster.LRU} {
-		for _, kind := range []cluster.StrategyKind{cluster.WRR, cluster.LARDR} {
+		for _, kind := range []string{"wrr", "lard/r"} {
 			var xs, ys []float64
 			for _, n := range opt.Nodes {
 				cfg := cluster.DefaultConfig(kind, n)
@@ -75,7 +75,7 @@ func LRUAblation(opt Options) ([]*Table, error) {
 				ys = append(ys, res.Throughput)
 			}
 			table.Series = append(table.Series, Series{
-				Label: kind.String() + "/" + policy.String(),
+				Label: cluster.Label(kind) + "/" + policy.String(),
 				X:     xs,
 				Y:     ys,
 			})

@@ -27,7 +27,7 @@ func Churn(opt Options) ([]*Table, error) {
 	// Calibrate the schedule against an undisturbed run of the same
 	// trace, so the failure window covers the middle third regardless of
 	// scale.
-	baseline, err := simulate(opt, cluster.DefaultConfig(cluster.LARD, nodes), tr)
+	baseline, err := simulate(opt, cluster.DefaultConfig("lard", nodes), tr)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func Churn(opt Options) ([]*Table, error) {
 		YLabel: "alive nodes",
 	}
 
-	for _, k := range []cluster.StrategyKind{cluster.LARD, cluster.LARDR} {
+	for _, k := range []string{"lard", "lard/r"} {
 		cfg := cluster.DefaultConfig(k, nodes)
 		cfg.SampleEvery = baseline.SimTime / 36
 		cfg.Churn = []cluster.ChurnEvent{
@@ -72,9 +72,9 @@ func Churn(opt Options) ([]*Table, error) {
 			my = append(my, s.MissRatio)
 			ay = append(ay, float64(s.AliveNodes))
 		}
-		tput.Series = append(tput.Series, Series{Label: k.String(), X: xs, Y: ty})
-		miss.Series = append(miss.Series, Series{Label: k.String(), X: xs, Y: my})
-		alive.Series = append(alive.Series, Series{Label: k.String(), X: xs, Y: ay})
+		tput.Series = append(tput.Series, Series{Label: cluster.Label(k), X: xs, Y: ty})
+		miss.Series = append(miss.Series, Series{Label: cluster.Label(k), X: xs, Y: my})
+		alive.Series = append(alive.Series, Series{Label: cluster.Label(k), X: xs, Y: ay})
 	}
 	return []*Table{tput, miss, alive}, nil
 }

@@ -92,7 +92,7 @@ func strategySweep(opt Options, tr *trace.Trace, idPrefix, caption string) (tput
 	miss = mk(idPrefix+"-missratio", "Cache miss ratio", "% requests missed")
 	idle = mk(idPrefix+"-idletime", "Node underutilization", "% time underutilized")
 
-	for _, k := range cluster.AllStrategies() {
+	for _, k := range cluster.PaperStrategies() {
 		var xs, ty, my, iy []float64
 		for _, n := range opt.Nodes {
 			res, err := simulate(opt, cluster.DefaultConfig(k, n), tr)
@@ -104,9 +104,9 @@ func strategySweep(opt Options, tr *trace.Trace, idPrefix, caption string) (tput
 			my = append(my, res.MissRatio*100)
 			iy = append(iy, res.IdleFraction*100)
 		}
-		tput.Series = append(tput.Series, Series{Label: k.String(), X: xs, Y: ty})
-		miss.Series = append(miss.Series, Series{Label: k.String(), X: xs, Y: my})
-		idle.Series = append(idle.Series, Series{Label: k.String(), X: xs, Y: iy})
+		tput.Series = append(tput.Series, Series{Label: cluster.Label(k), X: xs, Y: ty})
+		miss.Series = append(miss.Series, Series{Label: cluster.Label(k), X: xs, Y: my})
+		idle.Series = append(idle.Series, Series{Label: cluster.Label(k), X: xs, Y: iy})
 	}
 	return tput, miss, idle, nil
 }
@@ -189,12 +189,12 @@ var cpuSpeedSettings = []struct {
 }
 
 // cpuSweep regenerates Figure 11/12 for one strategy.
-func cpuSweep(opt Options, kind cluster.StrategyKind, id string) ([]*Table, error) {
+func cpuSweep(opt Options, kind, id string) ([]*Table, error) {
 	opt = opt.withDefaults()
 	tr := generate(trace.RiceProfile(), opt)
 	table := &Table{
 		ID:     id,
-		Title:  fmt.Sprintf("%s throughput vs CPU speed, Rice trace", kind),
+		Title:  fmt.Sprintf("%s throughput vs CPU speed, Rice trace", cluster.Label(kind)),
 		XLabel: "nodes",
 		YLabel: "requests/sec",
 	}
@@ -218,21 +218,21 @@ func cpuSweep(opt Options, kind cluster.StrategyKind, id string) ([]*Table, erro
 
 // Figure11 regenerates WRR throughput under CPU scaling.
 func Figure11(opt Options) ([]*Table, error) {
-	return cpuSweep(opt, cluster.WRR, "figure11")
+	return cpuSweep(opt, "wrr", "figure11")
 }
 
 // Figure12 regenerates LARD/R throughput under CPU scaling.
 func Figure12(opt Options) ([]*Table, error) {
-	return cpuSweep(opt, cluster.LARDR, "figure12")
+	return cpuSweep(opt, "lard/r", "figure12")
 }
 
 // diskSweep regenerates Figure 13/14 for one strategy.
-func diskSweep(opt Options, kind cluster.StrategyKind, id string) ([]*Table, error) {
+func diskSweep(opt Options, kind, id string) ([]*Table, error) {
 	opt = opt.withDefaults()
 	tr := generate(trace.RiceProfile(), opt)
 	table := &Table{
 		ID:     id,
-		Title:  fmt.Sprintf("%s throughput vs disks per node, Rice trace", kind),
+		Title:  fmt.Sprintf("%s throughput vs disks per node, Rice trace", cluster.Label(kind)),
 		XLabel: "nodes",
 		YLabel: "requests/sec",
 	}
@@ -259,12 +259,12 @@ func diskSweep(opt Options, kind cluster.StrategyKind, id string) ([]*Table, err
 
 // Figure13 regenerates WRR throughput with 1-4 disks per node.
 func Figure13(opt Options) ([]*Table, error) {
-	return diskSweep(opt, cluster.WRR, "figure13")
+	return diskSweep(opt, "wrr", "figure13")
 }
 
 // Figure14 regenerates LARD/R throughput with 1-4 disks per node.
 func Figure14(opt Options) ([]*Table, error) {
-	return diskSweep(opt, cluster.LARDR, "figure14")
+	return diskSweep(opt, "lard/r", "figure14")
 }
 
 // Hotspot regenerates the Section 4.2 hot-target comparison: the Rice
@@ -297,11 +297,11 @@ func Hotspot(opt Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lard, err := simulate(opt, cluster.DefaultConfig(cluster.LARD, nodes), hot)
+		lard, err := simulate(opt, cluster.DefaultConfig("lard", nodes), hot)
 		if err != nil {
 			return nil, err
 		}
-		lardr, err := simulate(opt, cluster.DefaultConfig(cluster.LARDR, nodes), hot)
+		lardr, err := simulate(opt, cluster.DefaultConfig("lard/r", nodes), hot)
 		if err != nil {
 			return nil, err
 		}
@@ -329,7 +329,7 @@ func Chess(opt Options) ([]*Table, error) {
 		XLabel: "nodes",
 		YLabel: "requests/sec",
 	}
-	for _, k := range []cluster.StrategyKind{cluster.WRR, cluster.LARD, cluster.LARDR} {
+	for _, k := range []string{"wrr", "lard", "lard/r"} {
 		var xs, ys []float64
 		for _, n := range opt.Nodes {
 			res, err := simulate(opt, cluster.DefaultConfig(k, n), tr)
@@ -339,7 +339,7 @@ func Chess(opt Options) ([]*Table, error) {
 			xs = append(xs, float64(n))
 			ys = append(ys, res.Throughput)
 		}
-		table.Series = append(table.Series, Series{Label: k.String(), X: xs, Y: ys})
+		table.Series = append(table.Series, Series{Label: cluster.Label(k), X: xs, Y: ys})
 	}
 	return []*Table{table}, nil
 }
@@ -357,7 +357,7 @@ func Delay(opt Options) ([]*Table, error) {
 			XLabel: "nodes",
 			YLabel: "ms",
 		}
-		for _, k := range []cluster.StrategyKind{cluster.WRR, cluster.LARDR} {
+		for _, k := range []string{"wrr", "lard/r"} {
 			var xs, ys []float64
 			for _, n := range opt.Nodes {
 				res, err := simulate(opt, cluster.DefaultConfig(k, n), tr)
@@ -367,7 +367,7 @@ func Delay(opt Options) ([]*Table, error) {
 				xs = append(xs, float64(n))
 				ys = append(ys, float64(res.AvgDelay)/float64(time.Millisecond))
 			}
-			table.Series = append(table.Series, Series{Label: k.String(), X: xs, Y: ys})
+			table.Series = append(table.Series, Series{Label: cluster.Label(k), X: xs, Y: ys})
 		}
 		tables = append(tables, table)
 	}
@@ -395,7 +395,7 @@ func Sensitivity(opt Options) ([]*Table, error) {
 	}
 	var xs, ty, dy []float64
 	for _, gap := range []int{15, 40, 70, 105, 175, 275} {
-		cfg := cluster.DefaultConfig(cluster.LARD, nodes)
+		cfg := cluster.DefaultConfig("lard", nodes)
 		cfg.Params.THigh = cfg.Params.TLow + gap
 		res, err := simulate(opt, cfg, tr)
 		if err != nil {
@@ -417,12 +417,12 @@ func Failover(opt Options) ([]*Table, error) {
 	tr := generate(trace.RiceProfile(), opt)
 	nodes := maxNodes(opt.Nodes, 4)
 
-	baseline, err := simulate(opt, cluster.DefaultConfig(cluster.LARD, nodes), tr)
+	baseline, err := simulate(opt, cluster.DefaultConfig("lard", nodes), tr)
 	if err != nil {
 		return nil, err
 	}
 	// Fail node 1 for the middle third of the baseline's duration.
-	cfg := cluster.DefaultConfig(cluster.LARD, nodes)
+	cfg := cluster.DefaultConfig("lard", nodes)
 	cfg.Churn = []cluster.ChurnEvent{
 		cluster.FailAt(1, baseline.SimTime/3),
 		cluster.RecoverAt(1, baseline.SimTime*2/3),
@@ -470,7 +470,7 @@ func MappingCapacity(opt Options) ([]*Table, error) {
 	}
 	var xs, ty, my []float64
 	for _, capacity := range []int{500, 2000, 8000, 20000, 0} {
-		cfg := cluster.DefaultConfig(cluster.LARDR, nodes)
+		cfg := cluster.DefaultConfig("lard/r", nodes)
 		cfg.Params.MappingCapacity = capacity
 		res, err := simulate(opt, cfg, tr)
 		if err != nil {

@@ -123,15 +123,15 @@ func Hetero(opt Options) ([]*Table, error) {
 
 	type variant struct {
 		label string
-		kind  cluster.StrategyKind
+		kind  string
 		profs []cluster.NodeProfile
 	}
 	variants := []variant{
-		{"lard-uni", cluster.LARD, uniformThresholds(fleet)},
-		{"lard-prof", cluster.LARD, fleet},
-		{"lardr-prof", cluster.LARDR, fleet},
-		{"pod", cluster.POD, fleet},
-		{"wlard", cluster.WLARD, fleet},
+		{"lard-uni", "lard", uniformThresholds(fleet)},
+		{"lard-prof", "lard", fleet},
+		{"lardr-prof", "lard/r", fleet},
+		{"pod", "pod", fleet},
+		{"wlard", "wlard", fleet},
 	}
 
 	goodput := &Table{
@@ -178,8 +178,8 @@ func Hetero(opt Options) ([]*Table, error) {
 	for _, small := range []int{2, 3, 4, 5} {
 		f := heteroFleet(small, nodes-small)
 		for _, v := range []variant{
-			{"lard-uni", cluster.LARD, uniformThresholds(f)},
-			{"lard-prof", cluster.LARD, f},
+			{"lard-uni", "lard", uniformThresholds(f)},
+			{"lard-prof", "lard", f},
 		} {
 			res, err := run(v, mixTrace)
 			if err != nil {

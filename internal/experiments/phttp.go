@@ -67,9 +67,9 @@ func PHTTP(opt Options) ([]*Table, error) {
 		YLabel: "rehandoffs/request",
 	}
 
-	for _, kind := range []cluster.StrategyKind{cluster.LARD, cluster.WRR} {
+	for _, kind := range []string{"lard", "wrr"} {
 		for _, policy := range policies {
-			label := kind.String() + " " + policy
+			label := cluster.Label(kind) + " " + policy
 			var xs, ty, my, ry []float64
 			for _, k := range reqsPerConn {
 				cfg := cluster.DefaultConfig(kind, nodes)

@@ -219,6 +219,17 @@ func TestProberHealsOneStrikeOutage(t *testing.T) {
 	if code := get(); code != 200 {
 		t.Fatalf("healthy request: status %d", code)
 	}
+	// Where the back end answers on a pass transport (a same-host node on
+	// Linux), it writes the response to the client's socket itself. The
+	// client can read it before the front end counts it, so the count is
+	// read once the request's slot is released.
+	settledDirect := func() uint64 {
+		waitFor(t, 2*time.Second, "the slot released", func() bool {
+			return fe.Stats().ActivePerNode[0] == 0
+		})
+		return fe.Stats().Direct
+	}
+	direct := settledDirect() > 0
 
 	// One refused dial marks the only node down: total outage (503s).
 	stop()
@@ -242,5 +253,20 @@ func TestProberHealsOneStrikeOutage(t *testing.T) {
 	})
 	if st := fe.Stats(); st.ProbeRecoveries == 0 || st.MarkedDown == 0 {
 		t.Fatalf("stats missing the down/up cycle: %+v", st)
+	}
+	if !direct {
+		return
+	}
+	// The transport the prober dialed and pooled is the kind a dial after
+	// a pool miss makes: every request after the recovery is answered
+	// directly again, none relayed over a TCP transport.
+	for i := 0; i < 5; i++ {
+		before := settledDirect()
+		if code := get(); code != 200 {
+			t.Fatalf("request %d after recovery: status %d", i, code)
+		}
+		if got := settledDirect(); got != before+1 {
+			t.Fatalf("request %d after recovery: Direct %d → %d, want one more", i, before, got)
+		}
 	}
 }

@@ -67,8 +67,9 @@ type Config struct {
 	// strategies such as "lb/gc" (0 = lard.DefaultCacheBytes).
 	CacheBytes int64
 
-	// Dispatcher, when non-nil, is used directly and Strategy, Params and
-	// Shards are ignored. Its NodeCount must match len(Backends).
+	// Dispatcher, when non-nil, is used directly and Strategy, Params,
+	// Profiles, Shards and CacheBytes are ignored. Its NodeCount must
+	// match len(Backends).
 	Dispatcher lard.Dispatcher
 
 	// ConnPolicy selects how each client connection's session trades
@@ -293,7 +294,7 @@ func New(cfg Config) (*Server, error) {
 			lard.WithParams(cfg.Params),
 			lard.WithShards(max(cfg.Shards, 1)),
 		}
-		if cfg.CacheBytes > 0 {
+		if cfg.CacheBytes != 0 {
 			opts = append(opts, lard.WithCacheBytes(cfg.CacheBytes))
 		}
 		if len(cfg.Profiles) > 0 {

@@ -60,12 +60,22 @@ func (s *Server) backendAddr(node int) string {
 	return s.backends[node]
 }
 
+// dial opens a transport to the back end at addr. A back end on this host
+// whose listener answers on the pass address its TCP address names
+// (pass.go) is dialed there, for a transport that can carry a client's
+// socket; any other over TCP. dialBackend and the prober both dial here,
+// so a transport the prober pools is the kind a pool miss would dial.
+func (s *Server) dial(addr string) (net.Conn, error) {
+	if conn, err := handoff.DialPass(addr); err == nil {
+		return conn, nil
+	}
+	return net.DialTimeout("tcp", addr, s.cfg.DialTimeout)
+}
+
 // dialBackend dials the chosen back end and keeps the consecutive-failure
 // accounting: the threshold crossing marks the node down for the policy
 // layer, so its targets are re-assigned "as if they had not been assigned
-// before". A back end on this host whose listener answers on the pass
-// address its TCP address names (pass.go) is dialed there, for a
-// transport that can carry a client's socket; any other over TCP.
+// before".
 func (s *Server) dialBackend(node int) (net.Conn, error) {
 	addr := s.backendAddr(node)
 	epoch := s.dialEpoch(node)
@@ -76,8 +86,8 @@ func (s *Server) dialBackend(node int) (net.Conn, error) {
 		// directly rather than AddBackend) must still fail through the
 		// mark-down accounting, or it would attract traffic forever.
 		err = fmt.Errorf("no address for backend %d", node)
-	} else if conn, err = handoff.DialPass(addr); err != nil {
-		conn, err = net.DialTimeout("tcp", addr, s.cfg.DialTimeout)
+	} else {
+		conn, err = s.dial(addr)
 	}
 	if err != nil {
 		s.breakerFailure(node)
@@ -199,7 +209,7 @@ func (s *Server) probeOnce() {
 		s.m.probes.Inc()
 		go func(node int, addr string) {
 			defer s.endProbe(node)
-			conn, err := net.DialTimeout("tcp", addr, s.cfg.DialTimeout)
+			conn, err := s.dial(addr)
 			if err != nil {
 				s.breakerFailure(node)
 				return
