@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"lard/internal/backend"
-	"lard/internal/cluster"
 	"lard/internal/handoff"
 	"lard/internal/trace"
 )
@@ -62,7 +61,6 @@ func run(listen, profile string, seed int64, cacheSize string, useLRU bool, disk
 		Store:         backend.NewDocStore(tr.Targets),
 		CacheBytes:    capacity,
 		UseLRU:        useLRU,
-		Disk:          cluster.DefaultCostModel(),
 		DiskTimeScale: diskScale,
 	})
 

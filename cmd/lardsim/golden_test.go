@@ -16,13 +16,20 @@ const goldenArch = "amd64"
 
 // goldenDigest is the sha256 of emit's output for goldenExperiments at
 // goldenOptions. A change that moves any figure in these tables changes it.
-const goldenDigest = "cb7fd104c6e60a66aefef829b3195e7b7cf19f847f86c4080f710ef831397920"
+const goldenDigest = "85d405e9156376f3b60aff3c7e1002e00c0bf49932407ccbe3a8d6dccedca420"
 
 // goldenExperiments cover every strategy the paper's figures sweep
 // (figure7), the heterogeneous-fleet strategies (hetero), persistent
-// connections (phttp), membership churn (churn, failover), and the CPU,
-// cache and disk sweeps of one strategy each (figure11, figure13).
-var goldenExperiments = []string{"figure7", "hetero", "phttp", "churn", "failover", "figure11", "figure13"}
+// connections (phttp), membership churn (churn, failover), the CPU, cache
+// and disk sweeps of one strategy each (figure11, figure13), the
+// replacement-policy, cache-size and mapping-table ablations (lru, wrr10x,
+// mapcap), the threshold sweep (sensitivity), the hot-target and chess
+// workloads (hotspot, chess) and the trace distributions (figure5,
+// figure6). Each runs in under a second at goldenOptions.
+var goldenExperiments = []string{
+	"figure7", "hetero", "phttp", "churn", "failover", "figure11", "figure13",
+	"lru", "wrr10x", "mapcap", "sensitivity", "hotspot", "chess", "figure5", "figure6",
+}
 
 var goldenOptions = experiments.Options{Seed: 42, Scale: 0.01, Nodes: []int{1, 2, 4}}
 

@@ -31,12 +31,10 @@ type Config struct {
 	// UseLRU selects the LRU policy instead of GDS-Frequency.
 	UseLRU bool
 
-	// Disk is the cost model used to emulate disk reads on cache misses
-	// (default: the paper's 28 ms + 410 µs/4 KB model).
-	Disk cluster.CostModel
-
-	// DiskTimeScale scales the emulated disk delay (1.0 = full 28 ms
-	// seeks; tests use small values to stay fast; 0 disables the delay).
+	// DiskTimeScale scales the emulated disk delay of a cache miss, the
+	// simulator's DefaultCostModel read time (the paper's 28 ms +
+	// 410 µs/4 KB model): 1.0 = full 28 ms seeks; tests use small values
+	// to stay fast; 0 disables the delay.
 	DiskTimeScale float64
 
 	// Sleep replaces time.Sleep, for tests (nil = time.Sleep).
@@ -85,9 +83,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = cluster.DefaultCacheBytes
-	}
-	if cfg.Disk == (cluster.CostModel{}) {
-		cfg.Disk = cluster.DefaultCostModel()
 	}
 	if cfg.DiskTimeScale < 0 {
 		cfg.DiskTimeScale = 0
@@ -239,7 +234,7 @@ func (s *Server) decide(method, path string) answer {
 	}
 	if !hit {
 		if s.cfg.DiskTimeScale > 0 {
-			d := time.Duration(float64(s.cfg.Disk.DiskReadTime(doc.size)) * s.cfg.DiskTimeScale)
+			d := time.Duration(float64(cluster.DefaultCostModel().DiskReadTime(doc.size)) * s.cfg.DiskTimeScale)
 			s.sleep(d)
 		}
 		s.mu.Lock()

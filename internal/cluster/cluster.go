@@ -60,10 +60,6 @@ type Cluster struct {
 	stalled    []*connState
 	rehandoffs int
 
-	// Overload protection (overload.go): simulated per-client quota and
-	// per-node circuit breakers.
-	ov overloadSim
-
 	// Delay accounting.
 	delaySum     time.Duration
 	delayMax     time.Duration
@@ -139,7 +135,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 		c.connLen = newConnLen(cfg)
 		c.connPolicy = newConnPolicy(cfg)
 	}
-	c.initOverload()
 
 	c.scheduleChurn()
 	c.scheduleSampling()
@@ -179,33 +174,6 @@ func (c *Cluster) pump() {
 			// Total outage: the request cannot be served.
 			c.dropped++
 			continue
-		}
-		if c.ov.quota != nil {
-			// Charge the quota only for requests the admission bound let
-			// in: checking before Dispatch would double-charge a client
-			// whose request gets pushed back by ErrOverloaded and retried.
-			client := c.ov.drawClient()
-			if ok, _ := c.ov.quota.Allow(client, c.eng.Now()); !ok {
-				done()
-				c.ov.sheds++
-				if client == abuserClient {
-					c.ov.abuserSheds++
-				}
-				continue
-			}
-		}
-		if c.ov.breakers != nil && c.ov.nodeFailed(node) {
-			// The node is scripted unresponsive but its breaker has not
-			// tripped yet: the dispatch fails like a refused connection,
-			// feeding the breaker until the gate takes it out of rotation.
-			done()
-			c.ov.breakers.Failure(node, c.eng.Now())
-			c.ov.breakerDrops++
-			c.dropped++
-			continue
-		}
-		if c.ov.breakers != nil {
-			c.ov.breakers.Success(node, c.eng.Now())
 		}
 		c.outstanding++
 		if c.outstanding > c.peak {
@@ -250,27 +218,12 @@ func (c *Cluster) applyChurn(ev ChurnEvent) {
 	}
 	switch ev.Op {
 	case ChurnFail:
-		if c.ov.breakers != nil {
-			// Breaker-detection mode: nobody tells the dispatcher. The
-			// node just stops answering, and it leaves rotation only once
-			// its breaker observes enough failed dispatches to trip.
-			c.ov.setFailed(ev.Node, true)
-			return
-		}
 		c.d.SetNodeDown(ev.Node, true)
 	case ChurnRecover:
 		// A recovered node restarts with a cold cache; LARD's mappings to
 		// it were invalidated at failure, so it re-warms on new
 		// assignments (the Section 2.6 story the churn figure plots).
 		c.nodes[ev.Node].cache = c.cfg.newCache()
-		if c.ov.breakers != nil {
-			c.ov.setFailed(ev.Node, false)
-			// The prober's first successful probe is the recovery
-			// evidence; Success while Open starts the half-open round.
-			c.ov.breakers.Success(ev.Node, c.eng.Now())
-			c.pump()
-			return
-		}
 		c.d.SetNodeDown(ev.Node, false)
 		c.pump()
 	case ChurnJoin:
@@ -386,16 +339,12 @@ func (c *Cluster) sampleTick() {
 func (c *Cluster) collect() Result {
 	end := c.eng.Now()
 	res := Result{
-		Strategy:     Label(c.cfg.Strategy),
-		Nodes:        len(c.nodes), // configured nodes plus any runtime joins
-		Requests:     c.tr.Len() - c.dropped - c.ov.sheds,
-		Dropped:      c.dropped,
-		Sheds:        c.ov.sheds,
-		AbuserSheds:  c.ov.abuserSheds,
-		BreakerTrips: c.ov.breakerTrips,
-		BreakerDrops: c.ov.breakerDrops,
-		SimTime:      end,
-		Timeline:     c.timeline,
+		Strategy: Label(c.cfg.Strategy),
+		Nodes:    len(c.nodes), // configured nodes plus any runtime joins
+		Requests: c.tr.Len() - c.dropped,
+		Dropped:  c.dropped,
+		SimTime:  end,
+		Timeline: c.timeline,
 	}
 	if end > 0 {
 		res.Throughput = float64(res.Requests) / end.Seconds()

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"lard/internal/breaker"
 	"lard/internal/cache"
 	"lard/internal/core"
 	"lard/internal/trace"
@@ -290,36 +289,6 @@ type Config struct {
 	//
 	// Empty selects "pin".
 	ConnPolicy string
-
-	// QuotaRate, when > 0, models the front end's per-client token-bucket
-	// quota (internal/quota) in the simulation: each trace request is
-	// attributed to a client identity and over-quota requests are shed at
-	// the front door (Result.Sheds) instead of admitted. Not supported
-	// together with persistent connections (ReqsPerConn >= 1).
-	QuotaRate float64
-
-	// QuotaBurst is the per-client burst (0 = max(QuotaRate, 1)).
-	QuotaBurst float64
-
-	// QuotaClients is the number of well-behaved client identities the
-	// trace is spread over (default 16).
-	QuotaClients int
-
-	// AbuseShare is the fraction of trace requests issued by one
-	// additional abusive client identity (0 = no abuser). The quota
-	// should shed the abuser's excess while the well-behaved clients'
-	// requests pass.
-	AbuseShare float64
-
-	// Breaker, when non-nil, replaces the simulator's failure oracle with
-	// detection: a scripted ChurnFail stops the node answering instead of
-	// telling the dispatcher, connection attempts to it fail (feeding the
-	// per-node circuit breaker, internal/breaker), and the node leaves
-	// rotation only when its breaker trips and gates it — the live front
-	// end's detection path, under the simulator's virtual clock. Recovery
-	// feeds the breaker a probe success and the ramp re-admits traffic.
-	// Not supported together with persistent connections.
-	Breaker *breaker.Config
 }
 
 // profileFor returns node i's filled capacity profile; nodes beyond the
@@ -453,21 +422,6 @@ func (c Config) Validate() error {
 	}
 	if _, err := lard.ResolveConnPolicyName(c.ConnPolicy); err != nil {
 		return fmt.Errorf("cluster: %w", err)
-	}
-	if c.QuotaRate < 0 {
-		return fmt.Errorf("cluster: negative QuotaRate")
-	}
-	if c.AbuseShare < 0 || c.AbuseShare >= 1 {
-		return fmt.Errorf("cluster: AbuseShare %v outside [0,1)", c.AbuseShare)
-	}
-	if c.AbuseShare > 0 && c.QuotaRate <= 0 {
-		return fmt.Errorf("cluster: AbuseShare needs QuotaRate > 0")
-	}
-	if c.ReqsPerConn >= 1 && (c.QuotaRate > 0 || c.Breaker != nil) {
-		return fmt.Errorf("cluster: quota/breaker simulation is not supported with persistent connections")
-	}
-	if c.Breaker != nil && c.Strategy == WRRGMS {
-		return fmt.Errorf("cluster: breaker detection is not supported with WRR/GMS")
 	}
 	// Note scripted failures/churn now compose with every connection
 	// policy: the session behind each connection re-dispatches when its

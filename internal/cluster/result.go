@@ -13,23 +13,9 @@ type Result struct {
 	Nodes    int
 
 	// Requests is the number of requests served; Dropped counts requests
-	// that could not be assigned (total outages, plus requests lost to an
-	// unresponsive node before its breaker tripped); Sheds counts
-	// requests rejected by the per-client quota.
+	// that could not be assigned (total outages).
 	Requests int
 	Dropped  int
-	Sheds    int
-
-	// AbuserSheds is the share of Sheds charged to the abusive client
-	// identity (Config.AbuseShare).
-	AbuserSheds int
-
-	// BreakerTrips counts circuit-breaker transitions to Open;
-	// BreakerDrops counts requests that failed against an unresponsive
-	// node before its breaker took it out of rotation (these are also in
-	// Dropped). Both are zero unless Config.Breaker is set.
-	BreakerTrips int
-	BreakerDrops int
 
 	// SimTime is the virtual time taken to serve the whole trace.
 	SimTime time.Duration

@@ -48,12 +48,10 @@ type ConnPolicy interface {
 
 	// Accept reports whether the session should actually move from cur to
 	// want (the strategy's fresh choice, always != cur) for request r,
-	// paying a re-handoff. sinceMove counts the requests the session has
-	// served since it last moved (or since its first dispatch), for
-	// hysteresis. Returning false keeps the session on cur when cur is
-	// still eligible and has an admission slot free; otherwise the move
-	// happens anyway.
-	Accept(now time.Duration, cur, want, sinceMove int, r Request) bool
+	// paying a re-handoff. Returning false keeps the session on cur when
+	// cur is still eligible and has an admission slot free; otherwise the
+	// move happens anyway.
+	Accept(now time.Duration, cur, want int, r Request) bool
 
 	// Observe is called after every successful session dispatch with the
 	// node that will serve r, whether the session moved or stayed. It is
@@ -80,11 +78,11 @@ func Pin() ConnPolicy { return pinPolicy{} }
 
 type pinPolicy struct{}
 
-func (pinPolicy) Name() string                                        { return ConnPin }
-func (pinPolicy) HoldBetweenRequests() bool                           { return true }
-func (pinPolicy) Reconsider(time.Duration, int, Request) bool         { return false }
-func (pinPolicy) Accept(_ time.Duration, _, _, _ int, _ Request) bool { return true }
-func (pinPolicy) Observe(time.Duration, int, Request)                 {}
+func (pinPolicy) Name() string                                 { return ConnPin }
+func (pinPolicy) HoldBetweenRequests() bool                    { return true }
+func (pinPolicy) Reconsider(time.Duration, int, Request) bool  { return false }
+func (pinPolicy) Accept(time.Duration, int, int, Request) bool { return true }
+func (pinPolicy) Observe(time.Duration, int, Request)          {}
 
 // PerRequest returns the per-request re-handoff policy: every request is
 // re-dispatched and the strategy's choice always wins, so the session
@@ -95,15 +93,17 @@ func PerRequest() ConnPolicy { return perRequestPolicy{} }
 
 type perRequestPolicy struct{}
 
-func (perRequestPolicy) Name() string                                        { return ConnPerRequest }
-func (perRequestPolicy) HoldBetweenRequests() bool                           { return false }
-func (perRequestPolicy) Reconsider(time.Duration, int, Request) bool         { return true }
-func (perRequestPolicy) Accept(_ time.Duration, _, _, _ int, _ Request) bool { return true }
-func (perRequestPolicy) Observe(time.Duration, int, Request)                 {}
+func (perRequestPolicy) Name() string                                 { return ConnPerRequest }
+func (perRequestPolicy) HoldBetweenRequests() bool                    { return false }
+func (perRequestPolicy) Reconsider(time.Duration, int, Request) bool  { return true }
+func (perRequestPolicy) Accept(time.Duration, int, int, Request) bool { return true }
+func (perRequestPolicy) Observe(time.Duration, int, Request)          {}
 
 // CostAwareConfig holds the cost-model parameters of the CostAware
 // policy. The zero value selects defaults calibrated to the paper's
-// 300 MHz Pentium II cost model (see DESIGN.md for the derivation).
+// 300 MHz Pentium II cost model (see DESIGN.md for the derivation). The
+// hysteresis factor (2) and the recency-table bound (64 Ki targets) are
+// fixed, and every request is eligible to move.
 type CostAwareConfig struct {
 	// HandoffCost, EstablishCost, and TeardownCost are the CPU charges a
 	// back-end switch pays: handoff processing and connection
@@ -139,22 +139,16 @@ type CostAwareConfig struct {
 	// on paper-sized clusters); negative disables replication so every
 	// warm target moves.
 	HotReplicate int
-
-	// Hysteresis is the factor by which the modelled gain must exceed the
-	// modelled cost before the session moves (default 2). With MinDwell
-	// it keeps a connection from ping-ponging on marginal differences.
-	Hysteresis float64
-
-	// MinDwell is how many further requests a session must serve after a
-	// move before the policy will move it again (default 0: every
-	// request is eligible). A positive value rate-limits switching
-	// directly, trading misses for fewer re-handoffs.
-	MinDwell int
-
-	// MaxTracked bounds the target recency table (default 65536 targets;
-	// old entries age out first).
-	MaxTracked int
 }
+
+// hysteresis is the factor by which the modelled gain (MissPenalty) must
+// exceed the modelled switch cost before a session moves, so a
+// connection does not ping-pong on marginal differences.
+const hysteresis = 2
+
+// maxTracked bounds the target recency table: two generations of
+// maxTracked/2 targets, the oldest aging out first.
+const maxTracked = 64 << 10
 
 // withDefaults fills zero fields with the calibrated defaults.
 func (c CostAwareConfig) withDefaults() CostAwareConfig {
@@ -176,12 +170,6 @@ func (c CostAwareConfig) withDefaults() CostAwareConfig {
 	if c.HotReplicate == 0 {
 		c.HotReplicate = 12
 	}
-	if c.Hysteresis == 0 {
-		c.Hysteresis = 2
-	}
-	if c.MaxTracked == 0 {
-		c.MaxTracked = 64 << 10
-	}
 	return c
 }
 
@@ -196,8 +184,8 @@ func (c CostAwareConfig) withDefaults() CostAwareConfig {
 // node's later free stays — LARD/R's "a hot target earns servers" at
 // session granularity). Everything else, never-seen targets included,
 // takes the strategy's placement whenever an avoided miss (MissPenalty)
-// outweighs the switch cost (handoff + establishment + teardown) by the
-// Hysteresis factor: following the strategy keeps the cached copy and
+// outweighs the switch cost (handoff + establishment + teardown) by a
+// hysteresis factor of 2: following the strategy keeps the cached copy and
 // the assignment on the same node, where serving a cold target in place
 // would split them and pay an extra miss when the target recurs.
 // Warm-here stays plus hot replication are how CostAware holds
@@ -205,7 +193,7 @@ func (c CostAwareConfig) withDefaults() CostAwareConfig {
 // derives the thresholds and records the measurements.
 func CostAware(cfg CostAwareConfig) ConnPolicy {
 	c := cfg.withDefaults()
-	switchCost := time.Duration(float64(c.HandoffCost+c.EstablishCost+c.TeardownCost) * c.Hysteresis)
+	switchCost := hysteresis * (c.HandoffCost + c.EstablishCost + c.TeardownCost)
 	return &costAwarePolicy{
 		cfg: c,
 		// Both sides of the economics are config-time constants, so the
@@ -215,7 +203,7 @@ func CostAware(cfg CostAwareConfig) ConnPolicy {
 		// (MissPenalty ≤ switchCost) degrades the policy to
 		// stay-unless-forced, i.e. Pin with membership safety.
 		moveWorthIt: c.MissPenalty > switchCost,
-		cur:         make(map[string]seenEntry, c.MaxTracked/2),
+		cur:         make(map[string]seenEntry, maxTracked/2),
 	}
 }
 
@@ -236,7 +224,7 @@ type costAwarePolicy struct {
 	moveWorthIt bool // MissPenalty > (handoff + establish + teardown) × hysteresis
 
 	// The recency table is two generations of target→last-dispatch maps;
-	// when the young generation fills to MaxTracked/2 it replaces the old
+	// when the young generation fills to maxTracked/2 it replaces the old
 	// one, so the table is bounded without per-entry LRU links.
 	mu  sync.Mutex
 	cur map[string]seenEntry
@@ -247,7 +235,7 @@ func (p *costAwarePolicy) Name() string                                { return 
 func (p *costAwarePolicy) HoldBetweenRequests() bool                   { return false }
 func (p *costAwarePolicy) Reconsider(time.Duration, int, Request) bool { return true }
 
-func (p *costAwarePolicy) Accept(now time.Duration, cur, want, sinceMove int, r Request) bool {
+func (p *costAwarePolicy) Accept(now time.Duration, cur, want int, r Request) bool {
 	p.mu.Lock()
 	e, ok := p.cur[r.Target]
 	if !ok {
@@ -265,8 +253,6 @@ func (p *costAwarePolicy) Accept(now time.Duration, cur, want, sinceMove int, r 
 		// replication miss per node, after which this node is warm for
 		// the target's future stays — the LARD/R insight at session
 		// granularity.
-		return false
-	case sinceMove < p.cfg.MinDwell:
 		return false
 	}
 	// Everything else moves when a miss costs more than a switch: a warm
@@ -299,9 +285,9 @@ func (p *costAwarePolicy) Observe(now time.Duration, node int, r Request) {
 	}
 	e.warmAt |= nodeBit(node)
 	p.cur[r.Target] = e
-	if len(p.cur) >= p.cfg.MaxTracked/2 {
+	if len(p.cur) >= maxTracked/2 {
 		p.old = p.cur
-		p.cur = make(map[string]seenEntry, p.cfg.MaxTracked/2)
+		p.cur = make(map[string]seenEntry, maxTracked/2)
 	}
 	p.mu.Unlock()
 }

@@ -142,7 +142,7 @@ type stickyPerReq struct{}
 func (stickyPerReq) Name() string                                { return "test-sticky" }
 func (stickyPerReq) HoldBetweenRequests() bool                   { return false }
 func (stickyPerReq) Reconsider(time.Duration, int, Request) bool { return false }
-func (stickyPerReq) Accept(time.Duration, int, int, int, Request) bool {
+func (stickyPerReq) Accept(time.Duration, int, int, Request) bool {
 	return true
 }
 func (stickyPerReq) Observe(time.Duration, int, Request) {}

@@ -29,12 +29,11 @@ type Session struct {
 	policy ConnPolicy
 	hold   bool // policy.HoldBetweenRequests, resolved once
 
-	mu        sync.Mutex
-	cur       int    // node currently serving the connection, -1 before the first dispatch
-	claim     func() // idempotent release of the outstanding slot, nil when none
-	sinceMove int
-	moves     int
-	closed    bool
+	mu     sync.Mutex
+	cur    int    // node currently serving the connection, -1 before the first dispatch
+	claim  func() // idempotent release of the outstanding slot, nil when none
+	moves  int
+	closed bool
 }
 
 // newSession builds a Session over the dispatcher. A nil policy defaults
@@ -113,7 +112,6 @@ func (s *Session) Dispatch(now time.Duration, r Request) (node int, moved bool, 
 			}
 		}
 		if s.claim != nil {
-			s.sinceMove++
 			s.policy.Observe(now, s.cur, r)
 			return s.cur, false, s.requestDoneLocked(), nil
 		}
@@ -131,7 +129,7 @@ func (s *Session) Dispatch(now time.Duration, r Request) (node int, moved bool, 
 		return -1, false, nil, err
 	}
 	if !first && n != s.cur &&
-		!s.policy.Accept(now, s.cur, n, s.sinceMove, r) && s.d.mem.eligibleNode(s.cur) {
+		!s.policy.Accept(now, s.cur, n, r) && s.d.mem.eligibleNode(s.cur) {
 		// The policy declines the move: swap the freshly claimed slot for
 		// one on the current node, on this request's shard. The candidate's
 		// slot is released first — at a saturated admission budget (the
@@ -151,9 +149,6 @@ func (s *Session) Dispatch(now time.Duration, r Request) (node int, moved bool, 
 	if !first && n != s.cur {
 		moved = true
 		s.moves++
-		s.sinceMove = 0
-	} else {
-		s.sinceMove++
 	}
 	s.cur = n
 	s.claim = c
@@ -188,9 +183,6 @@ func (s *Session) Redispatch(now time.Duration, r Request, exclude []int) (node 
 	}
 	if s.cur >= 0 && n != s.cur {
 		s.moves++
-		s.sinceMove = 0
-	} else {
-		s.sinceMove++
 	}
 	s.cur = n
 	s.claim = c

@@ -250,24 +250,56 @@ func TestCostAwareDecisions(t *testing.T) {
 	// A warm target mapped elsewhere justifies the move: the avoided
 	// miss dwarfs the switch cost.
 	p.Observe(0, 1, Request{Target: "/warm"})
-	if !p.Accept(time.Second, 0, 1, 5, Request{Target: "/warm"}) {
+	if !p.Accept(time.Second, 0, 1, Request{Target: "/warm"}) {
 		t.Fatal("cost-aware refused to move for a target warm at the strategy's node")
 	}
 	// A target recently served at the session's *current* node is a free
 	// stay — the move would be pure cost.
-	if p.Accept(time.Second, 1, 0, 5, Request{Target: "/warm"}) {
+	if p.Accept(time.Second, 1, 0, Request{Target: "/warm"}) {
 		t.Fatal("cost-aware moved away from a node that just served the target")
 	}
 	// Cold targets move too: the strategy's placement keeps the cached
 	// copy and the assignment together (serving in place would split
 	// them and pay an echo miss on the next occurrence).
-	if !p.Accept(0, 0, 1, 5, Request{Target: "/cold"}) {
+	if !p.Accept(0, 0, 1, Request{Target: "/cold"}) {
 		t.Fatal("cost-aware refused to move for a never-seen target")
 	}
 	// Outside the warm window the serving history is presumed evicted:
 	// the stale warm-here record must not hold the session back.
-	if !p.Accept(time.Hour, 1, 0, 5, Request{Target: "/warm"}) {
+	if !p.Accept(time.Hour, 1, 0, Request{Target: "/warm"}) {
 		t.Fatal("cost-aware trusted a warm-here record outside the window")
+	}
+	// Hysteresis 2: a cold target moves only when its avoided miss beats
+	// twice the default switch cost, (300 + 145 + 145) µs × 2 = 1,180 µs.
+	for _, c := range []struct {
+		miss time.Duration
+		move bool
+	}{{1180 * time.Microsecond, false}, {1181 * time.Microsecond, true}} {
+		ph := CostAware(CostAwareConfig{MissPenalty: c.miss})
+		if got := ph.Accept(0, 0, 1, Request{Target: "/cold"}); got != c.move {
+			t.Errorf("MissPenalty %v: moved = %v, want %v", c.miss, got, c.move)
+		}
+	}
+	// The recency table is two generations of 32,768 targets (64 Ki
+	// tracked): a target outlives the roll of its own generation and is
+	// forgotten at the next one.
+	pr := CostAware(CostAwareConfig{})
+	pr.Observe(0, 1, Request{Target: "/kept"})
+	others := 0
+	observe := func(n int) {
+		for ; n > 0; n-- {
+			pr.Observe(0, 2, Request{Target: fmt.Sprintf("/other%d", others)})
+			others++
+		}
+	}
+	for _, step := range []struct {
+		more   int
+		forgot bool
+	}{{32767, false}, {32767, false}, {1, true}} {
+		observe(step.more)
+		if got := pr.Accept(time.Second, 1, 0, Request{Target: "/kept"}); got != step.forgot {
+			t.Fatalf("after %d other targets: moved = %v, want %v", others, got, step.forgot)
+		}
 	}
 }
 
@@ -277,7 +309,7 @@ func TestCostAwareHotReplication(t *testing.T) {
 		p.Observe(time.Duration(i)*time.Second, 1, Request{Target: "/hot"})
 	}
 	// Hot enough: serve in place anywhere, replicating the entry.
-	if p.Accept(3*time.Second, 0, 1, 5, Request{Target: "/hot"}) {
+	if p.Accept(3*time.Second, 0, 1, Request{Target: "/hot"}) {
 		t.Fatal("cost-aware moved for a hot target instead of replicating")
 	}
 	// One observation per window is below the rate threshold.
@@ -285,17 +317,8 @@ func TestCostAwareHotReplication(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p2.Observe(time.Duration(2*i)*time.Second, 1, Request{Target: "/tepid"})
 	}
-	if !p2.Accept(8*time.Second+time.Millisecond, 0, 1, 5, Request{Target: "/tepid"}) {
+	if !p2.Accept(8*time.Second+time.Millisecond, 0, 1, Request{Target: "/tepid"}) {
 		t.Fatal("cost-aware replicated a target below the per-window rate threshold")
-	}
-	// Hysteresis dwell: a session that just moved stays put.
-	pd := CostAware(CostAwareConfig{MinDwell: 3})
-	pd.Observe(0, 1, Request{Target: "/warm"})
-	if pd.Accept(time.Second, 0, 1, 2, Request{Target: "/warm"}) {
-		t.Fatal("cost-aware moved before MinDwell")
-	}
-	if !pd.Accept(time.Second, 0, 1, 3, Request{Target: "/warm"}) {
-		t.Fatal("cost-aware refused to move after MinDwell")
 	}
 }
 
