@@ -206,19 +206,14 @@ func liveBackend(b *testing.B, handler http.Handler) string {
 }
 
 // liveFrontend starts a front end over the given back ends, dispatching
-// with the named registry strategy. Admission control is disabled: these
-// benchmarks measure handoff and forwarding rates, and on many-core
-// machines RunParallel's client count can exceed the paper's bound S for
-// a small cluster, which would turn throughput into 503 rejections.
+// with the named registry strategy. Admission control is on, as in any
+// deployment: the paper's bound S is T_low + 1 = 26 outstanding requests
+// over one back end, so BenchmarkHandoffThroughput's RunParallel clients
+// (one per GOMAXPROCS) stay under it up to 26 cores and would see 503s
+// beyond.
 func liveFrontend(b *testing.B, strategy string, backends ...string) string {
 	b.Helper()
-	d, err := publard.New(strategy,
-		publard.WithNodes(len(backends)),
-		publard.WithMaxOutstanding(-1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	fe, err := frontend.New(frontend.Config{Backends: backends, Dispatcher: d})
+	fe, err := frontend.New(frontend.Config{Backends: backends, Strategy: strategy})
 	if err != nil {
 		b.Fatal(err)
 	}

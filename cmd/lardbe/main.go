@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -29,19 +30,18 @@ func main() {
 		profile   = flag.String("profile", "rice", "document catalog: rice, ibm, or chess")
 		seed      = flag.Int64("seed", 42, "catalog generation seed (must match the other back ends)")
 		cacheSize = flag.String("cache", "32m", "cache capacity (e.g. 8m, 64m)")
-		useLRU    = flag.Bool("lru", false, "use LRU replacement instead of GDS-Frequency")
 		diskScale = flag.Float64("diskscale", 0.01, "emulated disk delay scale (1.0 = full 28ms seeks, 0 = none)")
 		statsEach = flag.Duration("stats", 0, "print handoff/cache stats at this interval (0 = never)")
 	)
 	flag.Parse()
 
-	if err := run(*listen, *profile, *seed, *cacheSize, *useLRU, *diskScale, *statsEach); err != nil {
+	if err := run(*listen, *profile, *seed, *cacheSize, *diskScale, *statsEach); err != nil {
 		fmt.Fprintln(os.Stderr, "lardbe:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, profile string, seed int64, cacheSize string, useLRU bool, diskScale float64, statsEach time.Duration) error {
+func run(listen, profile string, seed int64, cacheSize string, diskScale float64, statsEach time.Duration) error {
 	capacity, err := parseBytes(cacheSize)
 	if err != nil {
 		return err
@@ -60,7 +60,6 @@ func run(listen, profile string, seed int64, cacheSize string, useLRU bool, disk
 	be := backend.New(backend.Config{
 		Store:         backend.NewDocStore(tr.Targets),
 		CacheBytes:    capacity,
-		UseLRU:        useLRU,
 		DiskTimeScale: diskScale,
 	})
 
@@ -86,8 +85,8 @@ func run(listen, profile string, seed int64, cacheSize string, useLRU bool, disk
 			}
 		}()
 	}
-	fmt.Printf("lardbe: serving %d documents on %s (cache %s, policy %s, disk scale %g)\n",
-		tr.TargetCount(), ln.Addr(), cacheSize, policyName(useLRU), diskScale)
+	fmt.Printf("lardbe: serving %d documents on %s (cache %s, policy GDSF, disk scale %g)\n",
+		tr.TargetCount(), ln.Addr(), cacheSize, diskScale)
 	return be.HTTPServer().Serve(ln)
 }
 
@@ -104,14 +103,8 @@ func profileByName(name string) (trace.SyntheticConfig, error) {
 	}
 }
 
-func policyName(lru bool) string {
-	if lru {
-		return "LRU"
-	}
-	return "GDSF"
-}
-
-// parseBytes understands "32m", "512k", "1g", or plain byte counts.
+// parseBytes understands "32m", "512k", "1g", or plain byte counts. A size
+// whose byte count does not fit an int64 is refused, not wrapped.
 func parseBytes(s string) (int64, error) {
 	s = strings.ToLower(strings.TrimSpace(s))
 	mult := int64(1)
@@ -124,7 +117,7 @@ func parseBytes(s string) (int64, error) {
 		mult, s = 1<<10, s[:len(s)-1]
 	}
 	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v < 0 {
+	if err != nil || v < 0 || v > math.MaxInt64/mult {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return v * mult, nil

@@ -16,7 +16,8 @@ func TestParseBytes(t *testing.T) {
 			t.Fatalf("parseBytes(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "x", "-1", "12q"} {
+	// 17179869185g is 2^64 + 2^30 bytes: it used to wrap to 1 GiB.
+	for _, bad := range []string{"", "x", "-1", "12q", "17179869185g", "9223372036854775807k"} {
 		if _, err := parseBytes(bad); err == nil {
 			t.Fatalf("parseBytes(%q) accepted", bad)
 		}
@@ -31,11 +32,5 @@ func TestProfileByName(t *testing.T) {
 	}
 	if _, err := profileByName("unknown"); err == nil {
 		t.Fatal("unknown profile accepted")
-	}
-}
-
-func TestPolicyName(t *testing.T) {
-	if policyName(true) != "LRU" || policyName(false) != "GDSF" {
-		t.Fatal("policy names wrong")
 	}
 }

@@ -7,27 +7,28 @@
 //	lardfe -listen 127.0.0.1:8080 \
 //	       -backends 127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003 \
 //	       -strategy lard/r -connpolicy costaware -shards 4 \
-//	       -probe 1s -admin 127.0.0.1:8081
+//	       -admin 127.0.0.1:8081
 //
 // -connpolicy selects how persistent client connections trade affinity
 // against locality (pin | perreq | costaware, see pkg/lard.ConnPolicy).
 //
-// -poolsize and -poolidle size the per-back-end pool of idle handoff
-// connections (the session-sequenced handoff protocol): a handoff to a
-// node with an idle pooled connection reuses it instead of dialing, so
-// the per-handoff cost is protocol processing, not TCP establishment.
-// Every handoff rides the pool; -poolsize must be at least 1.
+// Every handoff rides a per-back-end pool of idle handoff connections
+// (the session-sequenced handoff protocol): a handoff to a node with an
+// idle pooled connection reuses it instead of dialing, so the
+// per-handoff cost is protocol processing, not TCP establishment. A node
+// is marked down after three consecutive failed dials and probed back
+// every second; DESIGN.md's "Knob ledger" has these values and why they
+// are not flags.
 //
 // Overload protection (see DESIGN.md "Overload protection"):
 //
-//   - -quota RATE (requests/second per client IP, 0 = off), -quotaburst,
-//     and -quotaclients bound each client's request rate with a token
-//     bucket; over-quota clients get closing 429s with Retry-After.
+//   - -quota RATE (requests/second per client IP, 0 = off) bounds each
+//     client's request rate with a token bucket of max(RATE, 1) tokens;
+//     over-quota clients get closing 429s with Retry-After.
 //   - -breaker layers per-back-end circuit breakers under the mark-down
 //     prober: a node that keeps failing dials is gated out with
 //     exponential backoff between probe rounds and a graduated admission
-//     ramp on recovery. -breakerfails and -breakeropen tune the trip
-//     threshold and base open interval.
+//     ramp on recovery.
 //
 // The optional admin server exposes cluster membership and counters:
 //
@@ -69,6 +70,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -93,22 +95,11 @@ type options struct {
 	params     core.Params
 	cacheBytes int64
 	connpolicy string
-	headerTime time.Duration
-	maxHeader  int
 	weights    string
 	statsEach  time.Duration
-	probe      time.Duration
-	dialFails  int
-	poolSize   int
-	poolIdle   time.Duration
 	admin      string
-
-	quotaRate    float64
-	quotaBurst   float64
-	quotaClients int
-	breakerOn    bool
-	breakerFails int
-	breakerOpen  time.Duration
+	quotaRate  float64
+	breakerOn  bool
 }
 
 func main() {
@@ -126,20 +117,10 @@ func main() {
 		"comma-separated per-back-end capacity weights aligned with -backends (e.g. 0.5,1,2); empty = uniform")
 	flag.StringVar(&o.connpolicy, "connpolicy", "",
 		"persistent-connection dispatch policy: pin, perreq, or costaware (default pin)")
-	flag.DurationVar(&o.headerTime, "headertimeout", 30*time.Second, "time limit for a client to deliver a request head")
-	flag.IntVar(&o.maxHeader, "maxheader", 64<<10, "request/response head size limit in bytes for the relay parser")
 	flag.DurationVar(&o.statsEach, "stats", 0, "print stats at this interval (0 = never)")
-	flag.DurationVar(&o.probe, "probe", frontend.DefaultProbeInterval, "health-probe interval for down back ends (negative = off)")
-	flag.IntVar(&o.dialFails, "dialfails", frontend.DefaultDialFailuresBeforeDown, "consecutive dial failures before a back end is marked down")
-	flag.IntVar(&o.poolSize, "poolsize", frontend.DefaultPoolSize, "idle back-end connections pooled per node for handoff reuse (at least 1)")
-	flag.DurationVar(&o.poolIdle, "poolidle", frontend.DefaultPoolIdle, "idle TTL for pooled back-end connections")
 	flag.StringVar(&o.admin, "admin", "", "admin listen address for /admin/nodes and /admin/drain (empty = off)")
 	flag.Float64Var(&o.quotaRate, "quota", 0, "per-client request quota in requests/second (0 = no quota)")
-	flag.Float64Var(&o.quotaBurst, "quotaburst", 0, "per-client quota burst (0 = max(rate, 1))")
-	flag.IntVar(&o.quotaClients, "quotaclients", 0, "LRU bound on tracked quota clients (0 = default)")
 	flag.BoolVar(&o.breakerOn, "breaker", false, "enable per-back-end circuit breakers")
-	flag.IntVar(&o.breakerFails, "breakerfails", 0, "breaker consecutive-failure trip threshold (0 = default)")
-	flag.DurationVar(&o.breakerOpen, "breakeropen", 0, "breaker base open interval before the first probe round (0 = default)")
 	flag.Parse()
 
 	o.params = core.Params{TLow: *tlow, THigh: *thigh, K: *k, MappingCapacity: *mapCap}
@@ -178,9 +159,8 @@ func run(o options) error {
 		fmt.Printf("lardfe: admin endpoints on %s\n", o.admin)
 	}
 	d := fe.Dispatcher()
-	fmt.Printf("lardfe: %s over %d back ends on %s (shards=%d connpolicy=%s probe=%v pool=%d/%v)\n",
-		d.Name(), d.NodeCount(), o.listen, d.Shards(), fe.ConnPolicy().Name(), o.probe,
-		o.poolSize, o.poolIdle)
+	fmt.Printf("lardfe: %s over %d back ends on %s (shards=%d connpolicy=%s)\n",
+		d.Name(), d.NodeCount(), o.listen, d.Shards(), fe.ConnPolicy().Name())
 	return fe.ListenAndServe(o.listen)
 }
 
@@ -198,35 +178,21 @@ func newFrontEnd(o options) (*frontend.Server, error) {
 	if o.shards < 1 {
 		return nil, fmt.Errorf("-shards must be at least 1")
 	}
-	if o.poolSize < 1 {
-		return nil, fmt.Errorf("-poolsize must be at least 1: every handoff rides the pool")
-	}
 	var bcfg *breaker.Config
 	if o.breakerOn {
-		bcfg = &breaker.Config{
-			FailureThreshold: o.breakerFails,
-			OpenBase:         o.breakerOpen,
-		}
+		bcfg = &breaker.Config{}
 	}
 	return frontend.New(frontend.Config{
-		Backends:               addrs,
-		Strategy:               o.strategy,
-		Shards:                 o.shards,
-		Params:                 o.params,
-		CacheBytes:             o.cacheBytes,
-		Profiles:               profiles,
-		ConnPolicy:             o.connpolicy,
-		HeaderTimeout:          o.headerTime,
-		MaxHeaderBytes:         o.maxHeader,
-		ProbeInterval:          o.probe,
-		DialFailuresBeforeDown: o.dialFails,
-		PoolSize:               o.poolSize,
-		PoolIdle:               o.poolIdle,
-		QuotaRate:              o.quotaRate,
-		QuotaBurst:             o.quotaBurst,
-		QuotaMaxClients:        o.quotaClients,
-		Breaker:                bcfg,
-		ErrorLog:               log.New(os.Stderr, "", log.LstdFlags),
+		Backends:   addrs,
+		Strategy:   o.strategy,
+		Shards:     o.shards,
+		Params:     o.params,
+		CacheBytes: o.cacheBytes,
+		Profiles:   profiles,
+		ConnPolicy: o.connpolicy,
+		QuotaRate:  o.quotaRate,
+		Breaker:    bcfg,
+		ErrorLog:   log.New(os.Stderr, "", log.LstdFlags),
 	})
 }
 
@@ -367,7 +333,7 @@ func parseWeights(weights string, backends int) ([]core.Profile, error) {
 	profiles := make([]core.Profile, len(parts))
 	for i, part := range parts {
 		w, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || w <= 0 {
+		if err != nil || !(w > 0) || math.IsInf(w, 1) {
 			return nil, fmt.Errorf("-weights entry %d (%q) must be a positive number", i, part)
 		}
 		profiles[i] = core.Profile{Weight: w}

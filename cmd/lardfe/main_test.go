@@ -24,8 +24,6 @@ func frontEndOptions(strategy string, shards int) options {
 		shards:     shards,
 		params:     core.DefaultParams(),
 		cacheBytes: lard.DefaultCacheBytes,
-		probe:      -1,
-		poolSize:   frontend.DefaultPoolSize,
 	}
 }
 
@@ -79,7 +77,7 @@ func TestParseWeights(t *testing.T) {
 	if got, _ := parseWeights("", 3); got != nil {
 		t.Fatal("empty -weights should yield no profiles")
 	}
-	for _, bad := range []string{"1,2", "1,2,3,4", "1,x,3", "1,-2,3", "1,0,3"} {
+	for _, bad := range []string{"1,2", "1,2,3,4", "1,x,3", "1,-2,3", "1,0,3", "NaN,1,3", "1,Inf,3", "1,2,+Inf"} {
 		if _, err := parseWeights(bad, 3); err == nil {
 			t.Fatalf("parseWeights(%q) accepted", bad)
 		}
@@ -100,9 +98,8 @@ func TestParseWeights(t *testing.T) {
 
 func TestAdminMux(t *testing.T) {
 	fe, err := frontend.New(frontend.Config{
-		Backends:      []string{"127.0.0.1:1", "127.0.0.1:2"},
-		Strategy:      "lard",
-		ProbeInterval: -1,
+		Backends: []string{"127.0.0.1:1", "127.0.0.1:2"},
+		Strategy: "lard",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +191,10 @@ func TestAdminMux(t *testing.T) {
 	if code := post("/admin/profile?node=0"); code != http.StatusBadRequest {
 		t.Fatalf("profile retune without fields: %d", code)
 	}
-	if code := post("/admin/profile?node=0&weight=x"); code != http.StatusBadRequest {
-		t.Fatalf("profile retune bad weight: %d", code)
+	for _, w := range []string{"x", "NaN", "Inf", "-Inf"} {
+		if code := post("/admin/profile?node=0&weight=" + w); code != http.StatusBadRequest {
+			t.Fatalf("profile retune weight=%s: %d", w, code)
+		}
 	}
 	resp, err = http.Get(srv.URL + "/admin/nodes")
 	if err != nil {
@@ -234,9 +233,8 @@ func TestAdminMux(t *testing.T) {
 // of holding a goroutine for ever.
 func TestAdminHalfHeadIsTimedOut(t *testing.T) {
 	fe, err := frontend.New(frontend.Config{
-		Backends:      []string{"127.0.0.1:1"},
-		Strategy:      "lard",
-		ProbeInterval: -1,
+		Backends: []string{"127.0.0.1:1"},
+		Strategy: "lard",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,9 +269,8 @@ func TestAdminHalfHeadIsTimedOut(t *testing.T) {
 // http.DefaultServeMux, which it never serves.
 func TestAdminServesHeapProfile(t *testing.T) {
 	fe, err := frontend.New(frontend.Config{
-		Backends:      []string{"127.0.0.1:1"},
-		Strategy:      "lard",
-		ProbeInterval: -1,
+		Backends: []string{"127.0.0.1:1"},
+		Strategy: "lard",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,16 +304,6 @@ func TestAdminTurnsOnMutexProfile(t *testing.T) {
 	adminServer("127.0.0.1:0", fe)
 	if got := runtime.SetMutexProfileFraction(-1); got != mutexProfileRate || got <= 0 {
 		t.Fatalf("mutex profile fraction %d, want %d", got, mutexProfileRate)
-	}
-}
-
-// TestRunRejectsPoolSizeZero: -poolsize 0 used to switch pooling (and the
-// session-framed protocol) off; that mode is gone, so the flag value must
-// fail loudly instead of silently meaning something else.
-func TestRunRejectsPoolSizeZero(t *testing.T) {
-	err := run(options{backends: "127.0.0.1:1", strategy: "lard", shards: 1, poolSize: 0})
-	if err == nil || !strings.Contains(err.Error(), "-poolsize") {
-		t.Fatalf("run with -poolsize 0: err = %v, want a -poolsize error", err)
 	}
 }
 

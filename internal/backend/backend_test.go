@@ -118,7 +118,7 @@ func TestDiskDelayOnMissOnly(t *testing.T) {
 	var mu sync.Mutex
 	cfg := Config{
 		DiskTimeScale: 1.0,
-		Sleep: func(d time.Duration) {
+		sleep: func(d time.Duration) {
 			mu.Lock()
 			slept = append(slept, d)
 			mu.Unlock()
@@ -178,57 +178,42 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestLRUPolicyOption(t *testing.T) {
-	srv, ts := newTestServer(t, Config{UseLRU: true, CacheBytes: 1 << 20})
-	get(t, ts.URL+"/a.html")
-	get(t, ts.URL+"/a.html")
-	if srv.Stats().Hits != 1 {
-		t.Fatalf("stats %+v", srv.Stats())
-	}
-}
-
-// TestDefaultPolicyCountsHits: the default cache is GDS-Frequency — a
-// document with several hits survives a run of same-sized documents asked
-// for once each, which flushes an LRU — UseLRU still selects LRU, and
-// X-Cache and Stats report the same hits and misses either way.
+// TestDefaultPolicyCountsHits: the cache is GDS-Frequency — a document
+// with several hits survives a run of same-sized documents asked for once
+// each, which would flush an LRU — and X-Cache and Stats report the same
+// hits and misses.
 func TestDefaultPolicyCountsHits(t *testing.T) {
 	targets := []trace.Target{{Name: "/hot", Size: 1000}}
 	for i := 0; i < 10; i++ {
 		targets = append(targets, trace.Target{Name: fmt.Sprintf("/once%d", i), Size: 1000})
 	}
-	for _, tc := range []struct {
-		name   string
-		useLRU bool
-		last   string // X-Cache of /hot after the scan
-	}{{"default", false, "HIT"}, {"lru", true, "MISS"}} {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, ts := newTestServer(t, Config{Store: NewDocStore(targets), CacheBytes: 3000, UseLRU: tc.useLRU})
-			var hits, misses uint64
-			fetch := func(name string) string {
-				resp, _ := get(t, ts.URL+name)
-				x := resp.Header.Get("X-Cache")
-				if x == "HIT" {
-					hits++
-				} else {
-					misses++
-				}
-				return x
+	t.Run("default", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{Store: NewDocStore(targets), CacheBytes: 3000})
+		var hits, misses uint64
+		fetch := func(name string) string {
+			resp, _ := get(t, ts.URL+name)
+			x := resp.Header.Get("X-Cache")
+			if x == "HIT" {
+				hits++
+			} else {
+				misses++
 			}
-			for i := 0; i < 5; i++ {
-				fetch("/hot")
-			}
-			for _, tg := range targets[1:] {
-				fetch(tg.Name)
-			}
-			if got := fetch("/hot"); got != tc.last {
-				t.Fatalf("/hot after the scan: X-Cache %s, want %s", got, tc.last)
-			}
-			st := srv.Stats()
-			if st.Hits != hits || st.Misses != misses || st.Requests != hits+misses || st.CacheUsed > 3000 {
-				t.Fatalf("stats %+v; X-Cache said %d hits, %d misses", st, hits, misses)
-			}
-		})
-	}
+			return x
+		}
+		for i := 0; i < 5; i++ {
+			fetch("/hot")
+		}
+		for _, tg := range targets[1:] {
+			fetch(tg.Name)
+		}
+		if got := fetch("/hot"); got != "HIT" {
+			t.Fatalf("/hot after the scan: X-Cache %s, want HIT", got)
+		}
+		st := srv.Stats()
+		if st.Hits != hits || st.Misses != misses || st.Requests != hits+misses || st.CacheUsed > 3000 {
+			t.Fatalf("stats %+v; X-Cache said %d hits, %d misses", st, hits, misses)
+		}
+	})
 }
 
 func TestDocStoreBasics(t *testing.T) {

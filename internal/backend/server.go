@@ -28,17 +28,14 @@ type Config struct {
 	// "file cache sizes between 42 and 46 MB" under FreeBSD).
 	CacheBytes int64
 
-	// UseLRU selects the LRU policy instead of GDS-Frequency.
-	UseLRU bool
-
 	// DiskTimeScale scales the emulated disk delay of a cache miss, the
 	// simulator's DefaultCostModel read time (the paper's 28 ms +
 	// 410 µs/4 KB model): 1.0 = full 28 ms seeks; tests use small values
 	// to stay fast; 0 disables the delay.
 	DiskTimeScale float64
 
-	// Sleep replaces time.Sleep, for tests (nil = time.Sleep).
-	Sleep func(time.Duration)
+	// sleep replaces time.Sleep: a test hook (nil = time.Sleep).
+	sleep func(time.Duration)
 }
 
 // Stats reports a back end's activity, exposed on /_lard/stats.
@@ -87,15 +84,10 @@ func New(cfg Config) *Server {
 	if cfg.DiskTimeScale < 0 {
 		cfg.DiskTimeScale = 0
 	}
-	var c cache.Cache
-	if cfg.UseLRU {
-		c = cache.NewLRUWithCutoff(cfg.CacheBytes, cluster.DefaultLRUCutoff)
-	} else {
-		// The paper's GDS, counting hits: with documents of similar size
-		// plain GDS(1) is LRU and forgets how often each was asked for.
-		c = cache.NewGDSF(cfg.CacheBytes)
-	}
-	sleep := cfg.Sleep
+	// The paper's GDS, counting hits: with documents of similar size
+	// plain GDS(1) is LRU and forgets how often each was asked for.
+	c := cache.NewGDSF(cfg.CacheBytes)
+	sleep := cfg.sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}

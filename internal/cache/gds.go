@@ -6,17 +6,16 @@ import "container/heap"
 // policy the LARD paper uses for all reported simulations.
 //
 // Each cached object p carries a credit value H(p). When an object is
-// inserted or hit, H(p) is set to L + cost(p)/size(p), where L is a global
+// inserted or hit, H(p) is set to L + 1/size(p), where L is a global
 // inflation value. On eviction the object with the minimum H is removed and
 // L is raised to that minimum. The inflation makes recently-touched objects
 // more valuable without requiring per-access aging of every entry.
 //
-// With the default uniform cost function cost(p) = 1 the policy maximizes
-// object hit ratio (the paper's figure of merit); a size-proportional cost
-// function turns it into a byte-hit-ratio policy.
+// Every object costs 1 to fetch, which is GDS(1): the policy maximizes
+// object hit ratio, the paper's figure of merit.
 //
 // NewGDSF builds the policy's successor, GDS-Frequency (Cherkasova,
-// HPL-98-69): the credit becomes L + f(p)·cost(p)/size(p), f(p) the
+// HPL-98-69): the credit becomes L + f(p)/size(p), f(p) the
 // requests p has answered since it was admitted. With documents of one size GDS(1) is
 // LRU; the count is what keeps a popular document through a run of
 // documents asked for once.
@@ -24,23 +23,12 @@ type GDS struct {
 	capacity int64
 	used     int64
 	inflate  float64 // L
-	cost     CostFunc
-	byFreq   bool // GDS-Frequency: Lookup counts hits
+	byFreq   bool    // GDS-Frequency: Lookup counts hits
 	pq       gdsHeap
 	entries  map[string]*gdsEntry
 	stats    Stats
 	onEvict  func(string, int64)
 }
-
-// CostFunc computes the retrieval cost of an object for GDS priorities.
-type CostFunc func(key string, size int64) float64
-
-// UniformCost assigns every object cost 1, optimizing object hit ratio.
-// This is GDS(1), the variant the paper's simulations use.
-func UniformCost(string, int64) float64 { return 1 }
-
-// SizeCost assigns cost proportional to size, optimizing byte hit ratio.
-func SizeCost(_ string, size int64) float64 { return float64(size) }
 
 type gdsEntry struct {
 	key   string
@@ -51,46 +39,32 @@ type gdsEntry struct {
 	index int
 }
 
-// NewGDS returns a Greedy-Dual-Size cache with uniform (hit-ratio) costs.
-// It panics if capacity is negative.
+// NewGDS returns a Greedy-Dual-Size cache. It panics if capacity is
+// negative.
 func NewGDS(capacity int64) *GDS {
-	return NewGDSWithCost(capacity, UniformCost)
+	if capacity < 0 {
+		panic("cache: negative GDS capacity")
+	}
+	return &GDS{capacity: capacity, entries: make(map[string]*gdsEntry)}
 }
 
-// NewGDSF returns a GDS-Frequency cache with uniform costs: GDS whose
-// credit is scaled by the entry's hit count. The count starts at 1 on
-// admission, survives a re-Insert and is lost on eviction. It panics if
-// capacity is negative.
+// NewGDSF returns a GDS-Frequency cache: GDS whose credit is scaled by
+// the entry's hit count. The count starts at 1 on admission, survives a
+// re-Insert and is lost on eviction. It panics if capacity is negative.
 func NewGDSF(capacity int64) *GDS {
 	c := NewGDS(capacity)
 	c.byFreq = true
 	return c
 }
 
-// NewGDSWithCost returns a GDS cache with a custom cost function. A nil
-// cost function means UniformCost. It panics if capacity is negative.
-func NewGDSWithCost(capacity int64, cost CostFunc) *GDS {
-	if capacity < 0 {
-		panic("cache: negative GDS capacity")
-	}
-	if cost == nil {
-		cost = UniformCost
-	}
-	return &GDS{
-		capacity: capacity,
-		cost:     cost,
-		entries:  make(map[string]*gdsEntry),
-	}
-}
-
 // priority computes a fresh H value for ent at its current size and
-// count. The count is 1 for plain GDS, which leaves cost/size as it is.
+// count. The count is 1 for plain GDS, which leaves 1/size as it is.
 func (c *GDS) priority(ent *gdsEntry) float64 {
 	size := ent.size
 	if size <= 0 {
 		size = 1
 	}
-	return c.inflate + float64(ent.freq)*c.cost(ent.key, size)/float64(size)
+	return c.inflate + float64(ent.freq)/float64(size)
 }
 
 // Lookup implements Cache.

@@ -14,7 +14,6 @@ func implementations(capacity int64) map[string]Cache {
 		"LRU":        NewLRU(capacity),
 		"LRU/cutoff": NewLRUWithCutoff(capacity, capacity/2+1),
 		"GDS":        NewGDS(capacity),
-		"GDS/size":   NewGDSWithCost(capacity, SizeCost),
 		"GDSF":       NewGDSF(capacity),
 	}
 }

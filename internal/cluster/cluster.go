@@ -8,12 +8,11 @@
 // to have no overhead and all networks have infinite capacity in the
 // simulations." The front end dispatches through the public
 // lard.Dispatcher, which owns the active-connection accounting and
-// enforces the admission bound S = (n−1)·T_high + T_low + 1 per
-// dispatcher shard — cluster-wide with the default single shard; up to
-// S×Shards outstanding when Config.Shards > 1 models a sharded front
-// end. The request arrival rate is matched to the aggregate throughput
-// of the server (closed loop): a new request enters whenever the
-// dispatcher has a slot free.
+// enforces the admission bound S = (n−1)·T_high + T_low + 1 cluster-wide:
+// the simulated front end is the paper's single dispatch point. The
+// request arrival rate is matched to the aggregate throughput of the
+// server (closed loop): a new request enters whenever the dispatcher has
+// a slot free.
 package cluster
 
 import (
@@ -115,7 +114,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 		lard.WithNodes(cfg.Nodes),
 		lard.WithParams(cfg.Params),
 		lard.WithCacheBytes(cfg.CacheBytes),
-		lard.WithShards(max(cfg.Shards, 1)),
 	}
 	if ps := cfg.coreProfiles(); len(ps) > 0 {
 		opts = append(opts, lard.WithProfiles(ps...))

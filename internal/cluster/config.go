@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -237,13 +238,6 @@ type Config struct {
 	// goodput collapses on the queued-up small nodes.
 	DelaySLO time.Duration
 
-	// Shards partitions the front end's target space over this many
-	// independent strategy instances (0 or 1 = the paper's single
-	// dispatch point). Values above 1 model a sharded front end: each
-	// shard balances on its own 1/S view of the load and enforces its own
-	// admission budget, so results deliberately diverge from the paper's.
-	Shards int
-
 	// Churn optionally scripts runtime membership changes: failures,
 	// recoveries, joins, drains, and leaves, applied at their virtual
 	// times. Joins extend the cluster beyond Nodes.
@@ -351,8 +345,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: Disks = %d, need >= 1", c.Disks)
 	case strings.HasSuffix(strings.ToLower(c.Strategy), "/gms") && c.Strategy != WRRGMS:
 		return fmt.Errorf("cluster: unknown strategy %q (the one GMS configuration is %q)", c.Strategy, WRRGMS)
-	case c.Shards < 0:
-		return fmt.Errorf("cluster: Shards = %d, need >= 0", c.Shards)
 	}
 	if err := c.Cost.Validate(); err != nil {
 		return err
@@ -434,10 +426,10 @@ func (c Config) Validate() error {
 // negative knobs, or thresholds that cross once both are explicit.
 func validateNodeProfile(p NodeProfile) error {
 	switch {
-	case p.Weight < 0:
-		return fmt.Errorf("negative Weight %v", p.Weight)
-	case p.Speed < 0:
-		return fmt.Errorf("negative Speed %v", p.Speed)
+	case !(p.Weight >= 0) || math.IsInf(p.Weight, 1):
+		return fmt.Errorf("bad Weight %v, need a finite value >= 0", p.Weight)
+	case !(p.Speed >= 0) || math.IsInf(p.Speed, 1):
+		return fmt.Errorf("bad Speed %v, need a finite value >= 0", p.Speed)
 	case p.TLow < 0 || p.THigh < 0:
 		return fmt.Errorf("negative thresholds (TLow %d, THigh %d)", p.TLow, p.THigh)
 	case p.TLow > 0 && p.THigh > 0 && p.THigh <= p.TLow:

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -120,6 +121,9 @@ func TestHeteroConfigValidation(t *testing.T) {
 		func(c *Config) { c.Profiles = make([]NodeProfile, c.Nodes+1) },
 		func(c *Config) { c.Profiles = []NodeProfile{{Profile: core.Profile{Weight: -1}}} },
 		func(c *Config) { c.Profiles = []NodeProfile{{Speed: -2}} },
+		func(c *Config) { c.Profiles = []NodeProfile{{Profile: core.Profile{Weight: math.NaN()}}} },
+		func(c *Config) { c.Profiles = []NodeProfile{{Speed: math.NaN()}} },
+		func(c *Config) { c.Profiles = []NodeProfile{{Speed: math.Inf(1)}} },
 		func(c *Config) { c.Profiles = []NodeProfile{{Profile: core.Profile{TLow: 50, THigh: 40}}} },
 		func(c *Config) { c.DelaySLO = -time.Second },
 		func(c *Config) {

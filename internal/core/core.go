@@ -35,6 +35,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -205,8 +206,9 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("core: profile TLow = %d, need >= 1", p.TLow)
 	case p.THigh <= p.TLow:
 		return fmt.Errorf("core: profile THigh = %d must exceed TLow = %d", p.THigh, p.TLow)
-	case p.Weight <= 0:
-		return fmt.Errorf("core: profile Weight = %v, need > 0", p.Weight)
+	case !(p.Weight > 0) || math.IsInf(p.Weight, 1):
+		// Written so that NaN, which compares false, fails too.
+		return fmt.Errorf("core: profile Weight = %v, need a finite value > 0", p.Weight)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -16,6 +17,8 @@ func TestProfileValidate(t *testing.T) {
 		{TLow: 25, THigh: 10, Weight: 1},
 		{TLow: 25, THigh: 65, Weight: 0},
 		{TLow: 25, THigh: 65, Weight: -1},
+		{TLow: 25, THigh: 65, Weight: math.NaN()},
+		{TLow: 25, THigh: 65, Weight: math.Inf(1)},
 	}
 	for i, p := range cases {
 		if p.Validate() == nil {

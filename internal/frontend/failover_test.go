@@ -78,9 +78,9 @@ func TestEndToEndFailover(t *testing.T) {
 	fe, err := New(Config{
 		Backends:               addrs,
 		Strategy:               "lard",
-		DialTimeout:            250 * time.Millisecond,
-		ProbeInterval:          25 * time.Millisecond,
-		DialFailuresBeforeDown: 2,
+		dialTimeout:            250 * time.Millisecond,
+		probeInterval:          25 * time.Millisecond,
+		dialFailuresBeforeDown: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,9 +188,9 @@ func TestProberHealsOneStrikeOutage(t *testing.T) {
 	fe, err := New(Config{
 		Backends:               []string{addr},
 		Strategy:               "wrr",
-		DialTimeout:            250 * time.Millisecond,
-		ProbeInterval:          20 * time.Millisecond,
-		DialFailuresBeforeDown: 1, // the seed's one-strike policy
+		dialTimeout:            250 * time.Millisecond,
+		probeInterval:          20 * time.Millisecond,
+		dialFailuresBeforeDown: 1, // the seed's one-strike policy
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,9 +53,7 @@ type Config struct {
 	// leaves the rest at the fleet default; zero fields fill as
 	// lard.WithProfiles documents). The admission bound generalizes to
 	// S = Σ T_high,i − max T_high,i + min T_low,i + 1, and profile-aware
-	// strategies weight their placement accordingly. Ignored when
-	// Dispatcher is set — build that dispatcher with lard.WithProfiles
-	// instead.
+	// strategies weight their placement accordingly.
 	Profiles []core.Profile
 
 	// Shards partitions the target space over this many independent
@@ -66,11 +64,6 @@ type Config struct {
 	// CacheBytes is the per-node cache size assumed by cache-modelling
 	// strategies such as "lb/gc" (0 = lard.DefaultCacheBytes).
 	CacheBytes int64
-
-	// Dispatcher, when non-nil, is used directly and Strategy, Params,
-	// Profiles, Shards and CacheBytes are ignored. Its NodeCount must
-	// match len(Backends).
-	Dispatcher lard.Dispatcher
 
 	// ConnPolicy selects how each client connection's session trades
 	// back-end affinity against locality, by lard.ConnPolicy name:
@@ -86,35 +79,6 @@ type Config struct {
 	// and a back end that goes takes its passed clients with it.
 	ConnPolicy string
 
-	// DialTimeout bounds back-end dials (default 5s).
-	DialTimeout time.Duration
-
-	// PoolSize bounds the idle back-end connections kept per node for
-	// handoff reuse (0 or negative = DefaultPoolSize). Every handoff is
-	// session-framed and rides the pool; there is no unpooled mode.
-	PoolSize int
-
-	// PoolIdle is how long an idle pooled connection may wait for its
-	// next session before being discarded (0 = DefaultPoolIdle; negative
-	// = no expiry). Keep it below the back end's
-	// handoff.DefaultSessionIdleTimeout. The session a connection went
-	// idle with is ended after half of it (of DefaultPoolIdle when
-	// negative), see backendPool.sweep.
-	PoolIdle time.Duration
-
-	// ProbeInterval is how often the health prober re-dials back ends
-	// that are marked down and restores them on a successful dial
-	// (health.go). 0 selects DefaultProbeInterval; a negative value
-	// disables probing, reverting to the permanent mark-down behavior.
-	ProbeInterval time.Duration
-
-	// DialFailuresBeforeDown is how many consecutive dials to a back end
-	// must fail before it is marked down (default
-	// DefaultDialFailuresBeforeDown; 1 = one-strike). A transient dial
-	// error below the threshold surfaces to that client as a 502 but
-	// does not take the node out of rotation.
-	DialFailuresBeforeDown int
-
 	// Breaker, when non-nil, layers a per-back-end circuit breaker under
 	// the mark-down/prober machinery (see overload.go): dial and probe
 	// outcomes feed it, an Open breaker gates its node out of dispatch
@@ -125,35 +89,61 @@ type Config struct {
 
 	// QuotaRate enables per-client token-bucket rate limiting when
 	// positive: each client IP may issue this many requests per second
-	// sustained (QuotaBurst at once), enforced at connection accept and
-	// per request; excess is shed with 429 + Retry-After. 0 disables.
+	// sustained (max(QuotaRate, 1) at once), enforced at connection
+	// accept and per request; excess is shed with 429 + Retry-After. 0
+	// disables. The bucket table keeps the 4096 most recent clients.
 	QuotaRate float64
-
-	// QuotaBurst is the per-client bucket capacity (0 = one second of
-	// QuotaRate, minimum 1).
-	QuotaBurst float64
-
-	// QuotaMaxClients bounds the quota bucket table; least recently used
-	// clients are evicted first (0 = 4096).
-	QuotaMaxClients int
-
-	// Metrics, when non-nil, is the registry the front end records into;
-	// nil gets a private registry. Either way Server.Metrics returns it
-	// (cmd/lardfe serves it as GET /admin/metrics).
-	Metrics *metrics.Registry
-
-	// HeaderTimeout bounds how long a client may take to deliver a
-	// request head (default 30s). A connection passed to its back end by
-	// descriptor (pass.go) takes it along: the back end closes it when no
-	// next request begins within HeaderTimeout.
-	HeaderTimeout time.Duration
-
-	// MaxHeaderBytes bounds the request head (default 64 KB).
-	MaxHeaderBytes int
 
 	// ErrorLog receives connection-level errors (default: discarded).
 	ErrorLog *log.Logger
+
+	// Test hooks: each zero value takes the constant a deployment runs
+	// with, and only tests in this package set them to shape a scenario.
+
+	// dialTimeout bounds back-end dials (0 = defaultDialTimeout).
+	dialTimeout time.Duration
+
+	// headerTimeout bounds how long a client may take to deliver a
+	// request head (0 = defaultHeaderTimeout). A connection passed to its
+	// back end by descriptor (pass.go) takes it along: the back end closes
+	// it when no next request begins within headerTimeout.
+	headerTimeout time.Duration
+
+	// poolIdle is how long an idle pooled connection may wait for its
+	// next session before being discarded (0 = DefaultPoolIdle; negative
+	// = no expiry). The session a connection went idle with is ended
+	// after half of it (of DefaultPoolIdle when negative), see
+	// backendPool.sweep.
+	poolIdle time.Duration
+
+	// probeInterval is how often the health prober re-dials back ends
+	// that are marked down (0 = DefaultProbeInterval; negative = no
+	// prober, so a node marked down stays down).
+	probeInterval time.Duration
+
+	// dialFailuresBeforeDown is how many consecutive dials to a back end
+	// must fail before it is marked down (0 =
+	// DefaultDialFailuresBeforeDown).
+	dialFailuresBeforeDown int
+
+	// quotaBurst is the per-client bucket capacity (0 = one second of
+	// QuotaRate, minimum 1).
+	quotaBurst float64
 }
+
+// Values a front end runs with that Config does not export; tests shorten
+// the two timeouts through their hooks.
+const (
+	// defaultDialTimeout bounds a back-end dial.
+	defaultDialTimeout = 5 * time.Second
+
+	// defaultHeaderTimeout is how long a client has to deliver a request
+	// head.
+	defaultHeaderTimeout = 30 * time.Second
+
+	// maxHeadBytes bounds a request or response head the relay parses.
+	maxHeadBytes = 64 << 10
+)
 
 // Stats is a snapshot of front-end activity.
 type Stats struct {
@@ -274,46 +264,36 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("frontend: no back ends configured")
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
+	if cfg.dialTimeout <= 0 {
+		cfg.dialTimeout = defaultDialTimeout
 	}
-	if cfg.HeaderTimeout <= 0 {
-		cfg.HeaderTimeout = 30 * time.Second
+	if cfg.headerTimeout <= 0 {
+		cfg.headerTimeout = defaultHeaderTimeout
 	}
-	if cfg.MaxHeaderBytes <= 0 {
-		cfg.MaxHeaderBytes = 64 << 10
+	name := cfg.Strategy
+	if name == "" {
+		name = "lard/r"
 	}
-	d := cfg.Dispatcher
-	if d == nil {
-		name := cfg.Strategy
-		if name == "" {
-			name = "lard/r"
-		}
-		opts := []lard.Option{
-			lard.WithNodes(len(cfg.Backends)),
-			lard.WithParams(cfg.Params),
-			lard.WithShards(max(cfg.Shards, 1)),
-		}
-		if cfg.CacheBytes != 0 {
-			opts = append(opts, lard.WithCacheBytes(cfg.CacheBytes))
-		}
-		if len(cfg.Profiles) > 0 {
-			opts = append(opts, lard.WithProfiles(cfg.Profiles...))
-		}
-		var err error
-		d, err = lard.New(name, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("frontend: %w", err)
-		}
-	} else if d.NodeCount() != len(cfg.Backends) {
-		return nil, fmt.Errorf("frontend: dispatcher has %d nodes for %d back ends",
-			d.NodeCount(), len(cfg.Backends))
+	opts := []lard.Option{
+		lard.WithNodes(len(cfg.Backends)),
+		lard.WithParams(cfg.Params),
+		lard.WithShards(max(cfg.Shards, 1)),
 	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
+	if cfg.CacheBytes != 0 {
+		opts = append(opts, lard.WithCacheBytes(cfg.CacheBytes))
 	}
-	if cfg.DialFailuresBeforeDown <= 0 {
-		cfg.DialFailuresBeforeDown = DefaultDialFailuresBeforeDown
+	if len(cfg.Profiles) > 0 {
+		opts = append(opts, lard.WithProfiles(cfg.Profiles...))
+	}
+	d, err := lard.New(name, opts...)
+	if err != nil {
+		return nil, fmt.Errorf("frontend: %w", err)
+	}
+	if cfg.probeInterval == 0 {
+		cfg.probeInterval = DefaultProbeInterval
+	}
+	if cfg.dialFailuresBeforeDown <= 0 {
+		cfg.dialFailuresBeforeDown = DefaultDialFailuresBeforeDown
 	}
 	// One shared resolution rule with the simulator: empty defaults to
 	// pin.
@@ -325,22 +305,16 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("frontend: %w", err)
 	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = DefaultPoolSize
+	if cfg.poolIdle == 0 {
+		cfg.poolIdle = DefaultPoolIdle
 	}
-	if cfg.PoolIdle == 0 {
-		cfg.PoolIdle = DefaultPoolIdle
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	srv := &Server{
 		cfg:      cfg,
 		start:    time.Now(),
 		d:        d,
 		policy:   policy,
-		pool:     newBackendPool(cfg.PoolSize, cfg.PoolIdle, reg),
+		pool:     newBackendPool(DefaultPoolSize, cfg.poolIdle, reg),
 		reg:      reg,
 		m:        newFEMetrics(reg, policyName),
 		backends: append([]string(nil), cfg.Backends...),
@@ -449,8 +423,8 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.lnMu.Unlock()
 	s.probeGo.Do(func() {
-		if s.cfg.ProbeInterval > 0 {
-			go s.probeLoop(s.cfg.ProbeInterval)
+		if s.cfg.probeInterval > 0 {
+			go s.probeLoop(s.cfg.probeInterval)
 		}
 		go s.pool.janitor(s.stop)
 	})

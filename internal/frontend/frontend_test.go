@@ -254,7 +254,7 @@ func TestBackendFailureReturns502AndMarksDown(t *testing.T) {
 	// Probing off: this test marks a perfectly healthy back end down and
 	// expects it to stay down; the prober would (correctly) restore it.
 	mc := startCluster(t, 2, "lard", tr, 1<<20,
-		func(c *Config) { c.ProbeInterval = -1 })
+		func(c *Config) { c.probeInterval = -1 })
 	// Fresh connections each time: a kept-alive connection is already
 	// handed off and correctly bypasses the dispatcher.
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
@@ -314,9 +314,9 @@ func TestDialFailureMarksNodeDown(t *testing.T) {
 	fe, err := New(Config{
 		Backends:               []string{deadAddr, ln.Addr().String()},
 		Strategy:               "wrr",
-		DialTimeout:            500 * time.Millisecond,
-		DialFailuresBeforeDown: 1, // seed one-strike behavior
-		ProbeInterval:          -1,
+		dialTimeout:            500 * time.Millisecond,
+		dialFailuresBeforeDown: 1, // seed one-strike behavior
+		probeInterval:          -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +388,7 @@ func TestPinnedSessionMovesWhenBackendDrains(t *testing.T) {
 	// (TestPassedConnectionStaysThroughDrain).
 	tr := smallTrace(t, 12, 40)
 	mc := startCluster(t, 2, "lard", tr, 1<<20, relayOnly,
-		func(c *Config) { c.ConnPolicy = lard.ConnPin; c.ProbeInterval = -1 })
+		func(c *Config) { c.ConnPolicy = lard.ConnPin; c.probeInterval = -1 })
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
 	get := func(i int) {
 		t.Helper()
@@ -436,19 +436,46 @@ func TestNewValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	d := lard.MustNew("wrr", lard.WithNodes(3))
-	if _, err := New(Config{
-		Backends:   []string{"127.0.0.1:1"},
-		Dispatcher: d,
-	}); err == nil {
-		t.Fatal("dispatcher/backend node-count mismatch accepted")
-	}
 	if _, err := New(Config{
 		Backends: []string{"127.0.0.1:1"},
 		Strategy: "lard",
 		Profiles: []core.Profile{{Weight: -1}},
 	}); err == nil {
 		t.Fatal("invalid profile accepted")
+	}
+}
+
+// TestResolvedDefaults pins what a front end built from Backends alone runs
+// with, for each value Config no longer exports: every one equals the
+// default the field it replaced had.
+func TestResolvedDefaults(t *testing.T) {
+	build := func(quotaRate float64) *Server {
+		fe, err := New(Config{Backends: []string{"127.0.0.1:1"}, QuotaRate: quotaRate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fe.Close() })
+		return fe
+	}
+	fe := build(0)
+	for _, tc := range []struct {
+		name      string
+		got, want any
+	}{
+		{"pool size", fe.pool.size, 8},
+		{"pool idle", fe.pool.ttl, 30 * time.Second},
+		{"header timeout", fe.cfg.headerTimeout, 30 * time.Second},
+		{"maximum head", maxHeadBytes, 64 << 10},
+		{"dial timeout", fe.cfg.dialTimeout, 5 * time.Second},
+		{"probe interval", fe.cfg.probeInterval, time.Second},
+		{"dial failures before down", fe.cfg.dialFailuresBeforeDown, 3},
+		{"quota burst at rate 0.5", build(0.5).ov.quota.Config().Burst, 1.0},
+		{"quota burst at rate 10", build(10).ov.quota.Config().Burst, 10.0},
+		{"quota clients", build(10).ov.quota.Config().MaxClients, 4096},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
@@ -459,7 +486,7 @@ func TestConfigProfilesAndSetProfile(t *testing.T) {
 		Backends:      []string{"127.0.0.1:1", "127.0.0.1:2"},
 		Strategy:      "wlard",
 		Profiles:      []core.Profile{{Weight: 0.5}},
-		ProbeInterval: -1,
+		probeInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -77,8 +77,7 @@ func BenchmarkHandoffDial(b *testing.B) {
 			Backends:      []string{ln.Addr().String()},
 			Strategy:      "wrr",
 			ConnPolicy:    "perreq",
-			ProbeInterval: -1,
-			PoolSize:      1,
+			probeInterval: -1,
 		})
 		if err != nil {
 			b.Fatal(err)

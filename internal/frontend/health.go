@@ -13,11 +13,12 @@ import (
 // front end marked a node down on a single failed dial and never restored
 // it, so one refused connection was a permanent outage. Now:
 //
-//   - a node is marked down only after DialFailuresBeforeDown
+//   - a node is marked down only after DefaultDialFailuresBeforeDown
 //     *consecutive* dial failures (any successful dial resets the count);
-//   - a background prober re-dials down nodes every ProbeInterval and
-//     marks them up on the first successful dial, completing the paper's
-//     Section 2.6 failure/recovery loop without operator intervention.
+//   - a background prober re-dials down nodes every DefaultProbeInterval
+//     and marks them up on the first successful dial, completing the
+//     paper's Section 2.6 failure/recovery loop without operator
+//     intervention.
 //
 // The prober's per-node state machine is
 //
@@ -27,12 +28,13 @@ import (
 // Removed and draining nodes are the dispatcher's business (membership),
 // not the prober's: it only probes member nodes whose Down flag is set.
 
-// DefaultProbeInterval is how often the prober re-dials down back ends
-// when Config.ProbeInterval is zero.
+// DefaultProbeInterval is how often the prober re-dials down back ends.
 const DefaultProbeInterval = time.Second
 
-// DefaultDialFailuresBeforeDown is the consecutive-dial-failure threshold
-// used when Config.DialFailuresBeforeDown is zero.
+// DefaultDialFailuresBeforeDown is how many consecutive dials to a back
+// end must fail before it is marked down. A transient dial error below it
+// surfaces to that client as a 502 but does not take the node out of
+// rotation.
 const DefaultDialFailuresBeforeDown = 3
 
 // NodeInfo is one back end's administrative view, as served by the
@@ -69,7 +71,7 @@ func (s *Server) dial(addr string) (net.Conn, error) {
 	if conn, err := handoff.DialPass(addr); err == nil {
 		return conn, nil
 	}
-	return net.DialTimeout("tcp", addr, s.cfg.DialTimeout)
+	return net.DialTimeout("tcp", addr, s.cfg.dialTimeout)
 }
 
 // dialBackend dials the chosen back end and keeps the consecutive-failure
@@ -98,7 +100,7 @@ func (s *Server) dialBackend(node int) (net.Conn, error) {
 			s.d.SetNodeDown(node, true)
 			s.pool.evictNode(node)
 			s.logf("frontend: backend %d (%q) marked down after %d consecutive dial failures",
-				node, addr, s.cfg.DialFailuresBeforeDown)
+				node, addr, s.cfg.dialFailuresBeforeDown)
 		}
 		return nil, err
 	}
@@ -121,7 +123,7 @@ func (s *Server) noteDialFailure(node int, epoch uint64) bool {
 		return false
 	}
 	s.dialFails[node]++
-	if s.dialFails[node] >= s.cfg.DialFailuresBeforeDown {
+	if s.dialFails[node] >= s.cfg.dialFailuresBeforeDown {
 		s.dialFails[node] = 0
 		return true
 	}
@@ -195,7 +197,7 @@ func (s *Server) probeLoop(interval time.Duration) {
 // probeOnce dials every member node currently marked down and restores
 // the ones that answer. Each node's probe runs in its own goroutine and
 // at most one probe per node is in flight, so one unresponsive address
-// (SYNs dropped, full DialTimeout burned) neither delays other nodes'
+// (SYNs dropped, full dial timeout burned) neither delays other nodes'
 // recovery nor stalls the probe ticker.
 func (s *Server) probeOnce() {
 	for node, st := range s.d.NodeStates() {

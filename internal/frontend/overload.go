@@ -88,9 +88,8 @@ func (s *Server) initOverload() {
 	s.growNodeHists(len(s.backends))
 
 	s.ov.quota = quota.New(quota.Config{
-		Rate:       s.cfg.QuotaRate,
-		Burst:      s.cfg.QuotaBurst,
-		MaxClients: s.cfg.QuotaMaxClients,
+		Rate:  s.cfg.QuotaRate,
+		Burst: s.cfg.quotaBurst,
 	})
 
 	if s.cfg.Breaker != nil {

@@ -45,7 +45,7 @@ func TestQuotaSheds429WithRetryAfter(t *testing.T) {
 	tr := smallTrace(t, 10, 10)
 	mc := startCluster(t, 2, "wrr", tr, 1<<20, func(c *Config) {
 		c.QuotaRate = 1
-		c.QuotaBurst = 2
+		c.quotaBurst = 2
 	})
 	// Fresh connections: every loopback request shares one quota bucket
 	// (keyed by client IP), and the burst of 2 runs out on the third.
@@ -89,7 +89,7 @@ func TestQuotaSheds429WithRetryAfter(t *testing.T) {
 func TestOverload503CarriesRetryAfter(t *testing.T) {
 	tr := smallTrace(t, 5, 5)
 	mc := startCluster(t, 1, "wrr", tr, 1<<20,
-		func(c *Config) { c.ProbeInterval = -1 })
+		func(c *Config) { c.probeInterval = -1 })
 	mc.fe.SetBackendDown(0, true)
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	resp, err := client.Get("http://" + mc.feAddr + tr.At(0).Target)
@@ -132,9 +132,9 @@ func TestBreakerTripsOnDeadBackend(t *testing.T) {
 	fe, err := New(Config{
 		Backends:               []string{deadAddr, ln.Addr().String()},
 		Strategy:               "wrr",
-		DialTimeout:            500 * time.Millisecond,
-		DialFailuresBeforeDown: 100, // mark-down effectively off: the breaker acts first
-		ProbeInterval:          -1,
+		dialTimeout:            500 * time.Millisecond,
+		dialFailuresBeforeDown: 100, // mark-down effectively off: the breaker acts first
+		probeInterval:          -1,
 		Breaker: &breaker.Config{
 			FailureThreshold: 2,
 			OpenBase:         time.Minute, // stays open for the whole test
@@ -253,9 +253,9 @@ func TestStatsIsRegistryView(t *testing.T) {
 	const burst = 9
 	fe, feAddr := startRelayFrontend(t, append(addrs, dead.Addr().String()), func(c *Config) {
 		c.Strategy = "lb" // spreads targets over all three nodes
-		c.DialFailuresBeforeDown = 1
+		c.dialFailuresBeforeDown = 1
 		c.QuotaRate = 0.001
-		c.QuotaBurst = burst
+		c.quotaBurst = burst
 	})
 
 	// Two keep-alive connections in turn, each ending on a request that

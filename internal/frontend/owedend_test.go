@@ -292,8 +292,8 @@ func TestIdleTransportIsEnded(t *testing.T) {
 		Backends:      []string{ln.Addr().String()},
 		Strategy:      "wrr",
 		ConnPolicy:    "perreq",
-		ProbeInterval: -1,
-		PoolIdle:      -1,
+		probeInterval: -1,
+		poolIdle:      -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestPoolHitHandoffAllocs(t *testing.T) {
 			go func() { io.Copy(io.Discard, c); c.Close() }()
 		}
 	}()
-	s, err := New(Config{Backends: []string{ln.Addr().String()}, Strategy: "wrr", ProbeInterval: -1})
+	s, err := New(Config{Backends: []string{ln.Addr().String()}, Strategy: "wrr", probeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,8 @@ import (
 //     the done record arrives, whose counts go to BackendToClient and
 //     Direct; the transport then goes back to the pool. Drain, mark-down
 //     and removal stop new passes to a node and move none it has. The pass
-//     carries HeaderTimeout, which the back end's loop bounds the idle time
-//     between requests with, as the relay loop would have.
+//     carries the head timeout (30 s), which the back end's loop bounds the
+//     idle time between requests with, as the relay loop would have.
 //
 // Anything else is relayed as before: a client that is not a TCP
 // connection, a back end on another host, or one addressed by another
@@ -117,7 +117,7 @@ func (s *Server) handoffTo(b *backendConn, cc *clientConn, head *httprelay.Reque
 		// head.Raw is the connection's own scratch and the connection is
 		// leaving: the pipelined bytes can join the head there.
 		pipelined, _ := cc.br.Peek(cc.br.Buffered())
-		if err = b.sw.Pass(cc.rc, cc.addr, append(head.Raw, pipelined...), s.cfg.HeaderTimeout); err == nil {
+		if err = b.sw.Pass(cc.rc, cc.addr, append(head.Raw, pipelined...), s.cfg.headerTimeout); err == nil {
 			b.passed = true
 			s.m.passed.Inc()
 			cc.Close() // the back end's copy is the connection now
@@ -155,7 +155,7 @@ func (s *Server) response(cw *writeTracker, b *backendConn, method string, on100
 			return d.Written, d.Open, nil
 		}
 	}
-	return httprelay.RelayResponseFrom(cw, b.br, b.c, method, s.cfg.MaxHeaderBytes, on100)
+	return httprelay.RelayResponseFrom(cw, b.br, b.c, method, maxHeadBytes, on100)
 }
 
 // reached reports whether anything of the failed response to the request

@@ -291,13 +291,13 @@ func TestPassedConnectionStaysThroughDrain(t *testing.T) {
 
 // TestPassedConnectionIdlesOut: with no front end left to time it, a
 // passed connection that goes quiet is ended by the back end's loop after
-// the front end's HeaderTimeout, which the pass carried (the listener's own
+// the front end's headerTimeout, which the pass carried (the listener's own
 // bound is minutes), and the session's slot goes with it.
 func TestPassedConnectionIdlesOut(t *testing.T) {
 	tr := smallTrace(t, 5, 5)
 	n := startPassNode(t, backend.NewDocStore(tr.Targets))
 	const bound = 300 * time.Millisecond
-	fe, feAddr := startPassFrontend(t, []string{n.addr}, func(c *Config) { c.HeaderTimeout = bound })
+	fe, feAddr := startPassFrontend(t, []string{n.addr}, func(c *Config) { c.headerTimeout = bound })
 	c := dialKept(t, feAddr)
 	c.get(t, tr.At(0))
 	c.get(t, tr.At(1)) // within the bound: served

@@ -21,14 +21,14 @@ import (
 // and the next handoff to that node reuses it: the dial is paid once per
 // pool fill, not once per handoff.
 
-// DefaultPoolSize is the per-node idle-connection bound used when
-// Config.PoolSize is zero.
+// DefaultPoolSize is the per-node idle-connection bound. Every handoff is
+// session-framed and rides the pool; there is no unpooled mode.
 const DefaultPoolSize = 8
 
 // DefaultPoolIdle is the idle TTL after which a pooled connection is
-// discarded, used when Config.PoolIdle is zero. It must stay well below
-// the back end's handoff.DefaultSessionIdleTimeout so the front end's
-// eviction, not the back end's safety net, ends an idle transport.
+// discarded. It must stay well below the back end's
+// handoff.DefaultSessionIdleTimeout so the front end's eviction, not the
+// back end's safety net, ends an idle transport.
 const DefaultPoolIdle = 30 * time.Second
 
 // backendPool is a bounded per-node idle pool with TTL expiry. The pooled

@@ -426,7 +426,7 @@ func startPooledFrontend(t *testing.T, addrs []string, mod ...func(*Config)) (*S
 		Backends:      addrs,
 		Strategy:      "wrr",
 		ConnPolicy:    "perreq",
-		ProbeInterval: -1,
+		probeInterval: -1,
 	}
 	for _, m := range mod {
 		m(&cfg)
@@ -649,8 +649,8 @@ func TestDialFailureRedispatch(t *testing.T) {
 	// The mark-down threshold is out of reach: every request that WRR
 	// sends to the dead node must be saved by re-dispatch alone.
 	fe, feAddr := startPooledFrontend(t, []string{deadAddr, ln.Addr().String()}, func(c *Config) {
-		c.DialTimeout = 250 * time.Millisecond
-		c.DialFailuresBeforeDown = 1 << 30
+		c.dialTimeout = 250 * time.Millisecond
+		c.dialFailuresBeforeDown = 1 << 30
 	})
 
 	client := &http.Client{

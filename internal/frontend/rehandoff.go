@@ -224,9 +224,9 @@ func (s *Server) handleConn(client net.Conn) {
 	}()
 
 	for {
-		client.SetReadDeadline(time.Now().Add(s.cfg.HeaderTimeout))
+		client.SetReadDeadline(time.Now().Add(s.cfg.headerTimeout))
 		var err error
-		head, err = httprelay.ReadRequestHeadInto(br, s.cfg.MaxHeaderBytes, head.Raw)
+		head, err = httprelay.ReadRequestHeadInto(br, maxHeadBytes, head.Raw)
 		if err != nil {
 			s.headReadFailed(client, err, "reading request head")
 			return

@@ -59,7 +59,7 @@ func startRelayFrontendOn(t *testing.T, ln net.Listener, addrs []string, mod ...
 		Backends:      addrs,
 		Strategy:      "wrr",
 		ConnPolicy:    lard.ConnPerRequest,
-		ProbeInterval: -1,
+		probeInterval: -1,
 	}
 	for _, m := range mod {
 		m(&cfg)
@@ -283,7 +283,7 @@ func TestPersistentKeepAliveE2E(t *testing.T) {
 }
 
 // TestIdleConnectionTimeoutClosesQuietly pins the end-of-life
-// classification: a connection that idles past HeaderTimeout without
+// classification: a connection that idles past headerTimeout without
 // sending a byte is closed silently — no 400, no error count — in both
 // dispatch modes. (A connection that dies *mid-head* is still a framing
 // error.)
@@ -292,7 +292,7 @@ func TestIdleConnectionTimeoutClosesQuietly(t *testing.T) {
 	for _, policy := range []string{lard.ConnPin, lard.ConnPerRequest} {
 		fe, feAddr := startRelayFrontend(t, []string{addr}, func(c *Config) {
 			c.ConnPolicy = policy
-			c.HeaderTimeout = 150 * time.Millisecond
+			c.headerTimeout = 150 * time.Millisecond
 		})
 		conn, err := net.Dial("tcp", feAddr)
 		if err != nil {
@@ -319,9 +319,9 @@ func TestIdleConnectionTimeoutClosesQuietly(t *testing.T) {
 func TestAddBackendProbedAfterMarkDown(t *testing.T) {
 	tr := smallTrace(t, 10, 20)
 	mc := startCluster(t, 1, "wrr", tr, 1<<20, func(c *Config) {
-		c.ProbeInterval = 50 * time.Millisecond
-		c.DialFailuresBeforeDown = 1
-		c.DialTimeout = 500 * time.Millisecond
+		c.probeInterval = 50 * time.Millisecond
+		c.dialFailuresBeforeDown = 1
+		c.dialTimeout = 500 * time.Millisecond
 	})
 
 	// Reserve an address with nothing behind it, then join it.

@@ -259,8 +259,8 @@ func TestResumeFallsBackWhenSessionGone(t *testing.T) {
 					Backends:      []string{a.ln.Addr().String(), b.ln.Addr().String()},
 					Strategy:      "lb",
 					ConnPolicy:    "perreq",
-					ProbeInterval: -1,
-					PoolIdle:      -1,
+					probeInterval: -1,
+					poolIdle:      -1,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -283,7 +283,7 @@ func parkedSplit(fe *Server, node int) bool {
 // TestSplitConnectionEndsWithTheClients: a back end holds a copy of the
 // client's socket for as long as its split session is parked, but the
 // connection still ends when the front end ends it — after a request that
-// said close, or when the client idles past HeaderTimeout — because the
+// said close, or when the client idles past headerTimeout — because the
 // front end shuts the socket down rather than only closing its copy.
 func TestSplitConnectionEndsWithTheClients(t *testing.T) {
 	tr := smallTrace(t, 6, 6)
@@ -298,8 +298,8 @@ func TestSplitConnectionEndsWithTheClients(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, addrs := startPassNodes(t, tr, 3) // wrr: one request per node
 			fe, feAddr := startRelayFrontend(t, addrs, func(c *Config) {
-				c.PoolIdle = time.Hour // no sweep ends the parked session
-				c.HeaderTimeout = tc.timeout
+				c.poolIdle = time.Hour // no sweep ends the parked session
+				c.headerTimeout = tc.timeout
 			})
 			c := dialKept(t, feAddr)
 			c.get(t, tr.At(0))

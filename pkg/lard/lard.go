@@ -120,9 +120,8 @@ type NodeGate func(node int) bool
 //
 // Dispatchers are built by New: Session's slot accounting reaches into
 // the shard internals, so the interface is not intended to be
-// implemented outside this package (consumers that inject a Dispatcher,
-// like frontend.Config.Dispatcher, construct it with New and custom
-// behavior plugs in at the Strategy layer via Register).
+// implemented outside this package (custom behavior plugs in at the
+// Strategy layer via Register).
 type Dispatcher interface {
 	// Dispatch picks the node that should serve r at the given (virtual or
 	// wall-clock) time, claims a connection slot on it, and returns a done
