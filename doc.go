@@ -4,8 +4,8 @@
 //
 // The repository contains:
 //
-//   - pkg/lard — the public API: a strategy registry (lard.Register /
-//     lard.New) and a concurrency-safe, optionally sharded Dispatcher that
+//   - pkg/lard — the public API: lard.New builds one of seven strategies
+//     by name into a concurrency-safe, optionally sharded Dispatcher that
 //     owns load accounting and admission control. Every consumer below
 //     dispatches through it.
 //   - internal/core — the paper's contribution: the WRR, LB, LB/GC, LARD

@@ -4,10 +4,11 @@
 // A breaker watches the stream of connection outcomes for one back-end
 // node and decides whether new traffic should be offered to it at all.
 // It is deliberately layered *under* the front end's mark-down/prober
-// machinery: mark-down reacts to hard dial failures with an oracle-like
-// "the node is gone" verdict, while the breaker also absorbs softer
-// evidence (stale pooled connections, failure *rates*) and — more
-// importantly — controls how traffic is re-admitted after recovery,
+// machinery. Both see the same evidence: the front end feeds the breaker
+// the outcome of every dial and probe dial, and nothing else. Mark-down
+// turns a run of dial failures into an oracle-like "the node is gone"
+// verdict; the breaker also trips on a windowed failure *rate* and, more
+// importantly, controls how traffic is re-admitted after recovery,
 // ramping the node back up instead of slamming it with its full LARD
 // target set the instant one probe succeeds.
 //
@@ -413,16 +414,6 @@ func (s *Set) State(id int, now time.Duration) State {
 	}
 	s.advance(id, n, now)
 	return n.state
-}
-
-// Reset returns node id to a fresh Closed breaker (used when a back end
-// is administratively removed and its slot may be reused).
-func (s *Set) Reset(id int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id >= 0 && id < len(s.nodes) {
-		s.nodes[id] = &node{}
-	}
 }
 
 // NodeSnapshot is one breaker's externally visible state.

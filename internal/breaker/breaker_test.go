@@ -312,7 +312,7 @@ func TestNeverStuckOpen(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndReset(t *testing.T) {
+func TestSnapshot(t *testing.T) {
 	s := New(testConfig())
 	now := trip(t, s, 1, 0)
 	snap := s.Snapshot(now)
@@ -321,10 +321,6 @@ func TestSnapshotAndReset(t *testing.T) {
 	}
 	if snap[0].State != Closed || snap[1].State != Open || snap[1].Trips != 1 {
 		t.Fatalf("snapshot = %+v", snap)
-	}
-	s.Reset(1)
-	if st := s.State(1, now); st != Closed {
-		t.Fatalf("state after Reset = %v, want Closed", st)
 	}
 }
 

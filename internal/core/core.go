@@ -60,7 +60,18 @@ type LoadReader interface {
 	Load(node int) int
 }
 
-// Strategy selects a back-end node for each request.
+// Strategy selects a back-end node for each request and keeps the node
+// set it selects from. The set of strategies is closed: this package's
+// seven New* constructors build the only implementations, and every one
+// of them embeds a nodeSet, which carries the node-set methods once.
+//
+// Node indices are stable and never reused: AddNode always extends the
+// index space, and a removed node's index stays ineligible for good.
+// Failure (Section 2.6), drain and removal only flip a flag: a strategy's
+// per-target state naming an ineligible node is left in place and ignored
+// by Select, which re-assigns on the target's next request — the paper's
+// "the front end simply re-assigns targets assigned to the failed back
+// end as if they had not been assigned before" for all three.
 type Strategy interface {
 	// Name returns the strategy's short name as used in the paper's
 	// figures (e.g. "WRR", "LARD/R").
@@ -68,45 +79,37 @@ type Strategy interface {
 
 	// Select returns the node that should serve r, given the current
 	// (virtual or wall-clock) time. It returns -1 if no back-end node is
-	// available.
+	// eligible, and never an ineligible node.
 	Select(now time.Duration, r Request) int
-}
 
-// FailureAware is implemented by strategies that support the paper's
-// back-end failure recovery (Section 2.6): on failure the front end
-// "simply re-assigns targets assigned to the failed back end as if they
-// had not been assigned before".
-type FailureAware interface {
-	// NodeDown marks a node failed; Select will no longer return it.
+	// NodeDown marks a node failed; NodeUp restores it.
 	NodeDown(node int)
-
-	// NodeUp restores a failed node.
 	NodeUp(node int)
-}
 
-// MembershipAware is implemented by strategies that support runtime
-// cluster membership changes. Node indices are stable and never reused:
-// AddNode always extends the index space, and a removed node's index
-// remains permanently ineligible.
-//
-// Removal invalidates a strategy's state for the node exactly like a
-// Section 2.6 failure: mappings and server-set entries pointing at it are
-// ignored (and lazily re-assigned) as if they had never been made.
-type MembershipAware interface {
-	// AddNode grows the node set by one and returns the new node's index.
-	// The caller must have extended its LoadReader first, so Load(new) is
-	// valid before AddNode returns.
+	// AddNode grows the node set by one eligible node carrying the
+	// default profile and returns its index. The caller must have
+	// extended its LoadReader first, so Load(new) is valid before AddNode
+	// returns.
 	AddNode() int
 
-	// RemoveNode permanently retires a node; Select will never return it
-	// again. Removing an unknown or already-removed node is a no-op.
+	// RemoveNode permanently retires a node. Removing an unknown or
+	// already-removed node is a no-op.
 	RemoveNode(node int)
 
 	// SetDraining marks a node draining (true) or restores it (false). A
-	// draining node receives no new assignments — Select treats it like a
-	// failed node — while its in-flight work finishes elsewhere in the
-	// stack.
+	// draining node receives no new assignments while its in-flight work
+	// finishes elsewhere in the stack.
 	SetDraining(node int, draining bool)
+
+	// SetProfile replaces node's capacity profile. The caller has
+	// validated the profile; setting a profile on an unknown node is a
+	// no-op. NodeProfile returns node's current profile.
+	SetProfile(node int, p Profile)
+	NodeProfile(node int) Profile
+
+	// Eligible reports whether node may receive new assignments: it
+	// exists, is not down, not draining and not removed.
+	Eligible(node int) bool
 }
 
 // Params holds the LARD tuning parameters (Section 2.4).
@@ -240,20 +243,6 @@ func MaxOutstandingOver(profiles []Profile) int {
 	return sum - maxHigh + minLow + 1
 }
 
-// ProfileAware is implemented by strategies that carry per-node capacity
-// profiles. All built-in strategies implement it (through the embedded
-// nodeSet); the dispatcher layer uses it to install initial profiles and
-// to fan out runtime profile changes.
-type ProfileAware interface {
-	// SetProfile replaces node's capacity profile. The caller has
-	// validated the profile; setting a profile on an unknown node is a
-	// no-op.
-	SetProfile(node int, p Profile)
-
-	// NodeProfile returns node's current capacity profile.
-	NodeProfile(node int) Profile
-}
-
 // nodeSet tracks which nodes are eligible for new assignments and
 // provides the load-based node picks shared by the strategies. A node is
 // eligible ("alive" below) when it has not failed (Section 2.6), is not
@@ -265,13 +254,8 @@ type ProfileAware interface {
 // DefaultProfile for strategies without thresholds) and may be retuned
 // per node through SetProfile; nodes added later inherit the default.
 //
-// Every strategy embeds a nodeSet, so FailureAware, MembershipAware and
-// ProfileAware are implemented here, once. Failure, drain and removal
-// only flip a flag: a strategy's per-target state naming an ineligible
-// node is left in place and ignored by Select, which re-assigns on the
-// target's next request — the paper's recovery story ("the front end
-// simply re-assigns targets assigned to the failed back end as if they
-// had not been assigned before") for all three.
+// Every strategy embeds a nodeSet, so Strategy's node-set methods are
+// implemented here, once.
 type nodeSet struct {
 	loads    LoadReader
 	def      Profile
@@ -308,13 +292,13 @@ func newNodeSet(loads LoadReader, def Profile) nodeSet {
 	}
 }
 
-// NodeDown implements FailureAware.
+// NodeDown implements Strategy.
 func (s *nodeSet) NodeDown(node int) { s.setFlag(s.down, node, true) }
 
-// NodeUp implements FailureAware.
+// NodeUp implements Strategy.
 func (s *nodeSet) NodeUp(node int) { s.setFlag(s.down, node, false) }
 
-// AddNode implements MembershipAware: one fresh, eligible node carrying
+// AddNode implements Strategy: one fresh, eligible node carrying
 // the default profile. Existing per-target state is untouched; the new
 // node picks up targets as first-time assignments and load-triggered
 // moves (or, for the hashed strategies, by the re-hash over the enlarged
@@ -327,13 +311,13 @@ func (s *nodeSet) AddNode() int {
 	return len(s.down) - 1
 }
 
-// RemoveNode implements MembershipAware; the index is never reused.
+// RemoveNode implements Strategy; the index is never reused.
 func (s *nodeSet) RemoveNode(node int) { s.setFlag(s.removed, node, true) }
 
-// SetDraining implements MembershipAware.
+// SetDraining implements Strategy.
 func (s *nodeSet) SetDraining(node int, draining bool) { s.setFlag(s.drain, node, draining) }
 
-// SetProfile implements ProfileAware: the node's thresholds and weight
+// SetProfile implements Strategy: the node's thresholds and weight
 // take effect on the next Select that consults them. The load-blind
 // strategies (LB, LB/GC) record the profile for reporting only.
 func (s *nodeSet) SetProfile(node int, p Profile) {
@@ -342,7 +326,7 @@ func (s *nodeSet) SetProfile(node int, p Profile) {
 	}
 }
 
-// NodeProfile implements ProfileAware (the default for unknown nodes).
+// NodeProfile implements Strategy (the default for unknown nodes).
 func (s *nodeSet) NodeProfile(node int) Profile {
 	if node < 0 || node >= len(s.profiles) {
 		return s.def
@@ -356,7 +340,8 @@ func (s *nodeSet) setFlag(flags []bool, node int, v bool) {
 	}
 }
 
-func (s *nodeSet) alive(node int) bool {
+// Eligible implements Strategy.
+func (s *nodeSet) Eligible(node int) bool {
 	return node >= 0 && node < len(s.down) &&
 		!s.down[node] && !s.drain[node] && !s.removed[node]
 }
@@ -367,7 +352,7 @@ func (s *nodeSet) alive(node int) bool {
 func (s *nodeSet) aliveCount() int {
 	n := 0
 	for i := range s.down {
-		if s.alive(i) {
+		if s.Eligible(i) {
 			n++
 		}
 	}
@@ -376,7 +361,7 @@ func (s *nodeSet) aliveCount() int {
 
 func (s *nodeSet) kthAlive(k int) int {
 	for i := range s.down {
-		if s.alive(i) {
+		if s.Eligible(i) {
 			if k == 0 {
 				return i
 			}
@@ -408,7 +393,7 @@ func (s *nodeSet) leastLoaded(relative bool) int {
 	best, bestLoad := -1, 0.0
 	for k := 0; k < n; k++ {
 		i := (s.rr + k) % n
-		if !s.alive(i) {
+		if !s.Eligible(i) {
 			continue
 		}
 		l := s.load(i, relative)
@@ -423,10 +408,6 @@ func (s *nodeSet) leastLoaded(relative bool) int {
 }
 
 var (
-	_ FailureAware    = (*nodeSet)(nil)
-	_ MembershipAware = (*nodeSet)(nil)
-	_ ProfileAware    = (*nodeSet)(nil)
-
 	_ Strategy = (*Balanced)(nil)
 	_ Strategy = (*Hashed)(nil)
 	_ Strategy = (*Mapped)(nil)

@@ -86,9 +86,8 @@ func goldenRun(build func(LoadReader, Params) Strategy, fleet goldenFleet) (uint
 	loads := &fakeLoads{loads: make([]int, 6)}
 	s := build(loads, params)
 	for i, p := range fleet.profiles {
-		s.(ProfileAware).SetProfile(i, p)
+		s.SetProfile(i, p)
 	}
-	fa, ma, pa := s.(FailureAware), s.(MembershipAware), s.(ProfileAware)
 
 	rng := rand.New(rand.NewSource(7))
 	digest := fnv.New64a()
@@ -104,34 +103,34 @@ func goldenRun(build func(LoadReader, Params) Strategy, fleet goldenFleet) (uint
 	for step := 0; step < steps; step++ {
 		switch step {
 		case 600:
-			fa.NodeDown(1)
+			s.NodeDown(1)
 		case 1100:
-			fa.NodeUp(1)
+			s.NodeUp(1)
 		case 1500:
-			ma.SetDraining(2, true)
+			s.SetDraining(2, true)
 		case 2100:
-			ma.SetDraining(2, false)
+			s.SetDraining(2, false)
 		case 2600:
 			loads.loads = append(loads.loads, 0)
-			if got := ma.AddNode(); got != len(loads.loads)-1 {
+			if got := s.AddNode(); got != len(loads.loads)-1 {
 				panic(fmt.Sprintf("AddNode = %d", got))
 			}
 		case 3300:
 			if fleet.retune {
-				pa.SetProfile(3, Profile{TLow: 50, THigh: 130, Weight: 2})
+				s.SetProfile(3, Profile{TLow: 50, THigh: 130, Weight: 2})
 			}
 		case 4000:
-			ma.RemoveNode(0)
+			s.RemoveNode(0)
 		case 4700:
 			if fleet.retune {
-				pa.SetProfile(5, Profile{TLow: 8, THigh: 20, Weight: 0.25})
+				s.SetProfile(5, Profile{TLow: 8, THigh: 20, Weight: 0.25})
 			}
 		case 5600:
-			fa.NodeDown(4)
-			ma.SetDraining(6, true)
+			s.NodeDown(4)
+			s.SetDraining(6, true)
 		case 6000:
-			fa.NodeUp(4)
-			ma.SetDraining(6, false)
+			s.NodeUp(4)
+			s.SetDraining(6, false)
 		// Scripted surges: load the strategy did not place, pushing one
 		// node past T_high and past 2·T_high while others idle.
 		case 800, 3000, 5000, 7000:

@@ -52,7 +52,7 @@ func (s *LBGC) Name() string { return "LB/GC" }
 func (s *LBGC) Select(_ time.Duration, r Request) int {
 	if el, ok := s.index[r.Target]; ok {
 		ent := el.Value.(*lbgcEntry)
-		if s.alive(ent.node) {
+		if s.Eligible(ent.node) {
 			s.global.MoveToFront(el)
 			return ent.node
 		}
@@ -88,7 +88,7 @@ func (s *LBGC) placeMiss(size int64) int {
 	best, bestFree := -1, int64(-1)
 	for i := range s.nodeUsed {
 		free := s.nodeCap - s.nodeUsed[i]
-		if s.alive(i) && free >= size && free > bestFree {
+		if s.Eligible(i) && free >= size && free > bestFree {
 			best, bestFree = i, free
 		}
 	}
@@ -98,7 +98,7 @@ func (s *LBGC) placeMiss(size int64) int {
 	// All full: route to the owner of the globally oldest entry.
 	for el := s.global.Back(); el != nil; el = el.Prev() {
 		ent := el.Value.(*lbgcEntry)
-		if s.alive(ent.node) {
+		if s.Eligible(ent.node) {
 			return ent.node
 		}
 	}
@@ -133,7 +133,7 @@ func (s *LBGC) evictElement(el *list.Element) {
 	s.nodeUsed[ent.node] -= ent.size
 }
 
-// NodeDown implements FailureAware: beyond the flag, the failed node's
+// NodeDown implements Strategy: beyond the flag, the failed node's
 // modelled cache contents are forgotten, so its targets are re-placed on
 // demand exactly "as if they had not been assigned before".
 func (s *LBGC) NodeDown(node int) {
@@ -141,14 +141,14 @@ func (s *LBGC) NodeDown(node int) {
 	s.dropEntriesOf(node)
 }
 
-// AddNode implements MembershipAware: the new node starts with an empty
+// AddNode implements Strategy: the new node starts with an empty
 // modelled cache, so placeMiss favors it until it fills.
 func (s *LBGC) AddNode() int {
 	s.nodeUsed = append(s.nodeUsed, 0)
 	return s.nodeSet.AddNode()
 }
 
-// RemoveNode implements MembershipAware: the removed node's modelled cache
+// RemoveNode implements Strategy: the removed node's modelled cache
 // contents are forgotten, like a Section 2.6 failure with no recovery.
 func (s *LBGC) RemoveNode(node int) {
 	s.nodeSet.RemoveNode(node)

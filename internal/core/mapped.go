@@ -189,7 +189,7 @@ func (s *Mapped) gauge(node int) (load, low, high float64) {
 // paper's "∃ node with load < T_low" idle test.
 func (s *Mapped) anyIdle() bool {
 	for i := range s.down {
-		if !s.alive(i) {
+		if !s.Eligible(i) {
 			continue
 		}
 		if load, low, _ := s.gauge(i); load < low {
@@ -203,7 +203,7 @@ func (s *Mapped) anyIdle() bool {
 func (s *Mapped) pruneDead(nodes []int) []int {
 	out := nodes[:0]
 	for _, n := range nodes {
-		if s.alive(n) {
+		if s.Eligible(n) {
 			out = append(out, n)
 		}
 	}

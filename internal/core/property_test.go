@@ -9,32 +9,73 @@ import (
 )
 
 // driveRandomly pushes a strategy through a randomized closed-loop-like
-// load pattern and verifies universal invariants:
+// load pattern, interleaved with failures, recoveries, drains, removals
+// and additions, and verifies universal invariants:
 //
 //   - Select returns a node in [0, n) or -1,
-//   - Select never returns a down node,
-//   - with at least one alive node, Select never returns -1.
-func driveRandomly(s Strategy, fa FailureAware, loads *fakeLoads, seed int64, steps int) error {
+//   - Select never returns a down, draining or removed node,
+//   - with at least one eligible node, Select never returns -1,
+//   - Eligible agrees with the flags driven so far.
+func driveRandomly(s Strategy, loads *fakeLoads, seed int64, steps int) error {
+	const maxNodes = 12
 	rng := rand.New(rand.NewSource(seed))
 	n := len(loads.loads)
-	down := make([]bool, n)
-	aliveCount := n
+	down, draining, removed := make([]bool, n), make([]bool, n), make([]bool, n)
+	eligible := func(node int) bool { return !down[node] && !draining[node] && !removed[node] }
+	eligibleCount := func() int {
+		c := 0
+		for j := range down {
+			if eligible(j) {
+				c++
+			}
+		}
+		return c
+	}
+	// mayRetire keeps at least one node eligible, except now and then,
+	// so the total outage is driven too.
+	mayRetire := func(node int) bool {
+		return !eligible(node) || eligibleCount() > 1 || rng.Intn(4) == 0
+	}
 	for i := 0; i < steps; i++ {
-		switch rng.Intn(10) {
-		case 0: // random load perturbation
-			loads.loads[rng.Intn(n)] = rng.Intn(200)
-		case 1: // fail or restore a node
-			if fa != nil {
-				node := rng.Intn(n)
-				if down[node] {
-					fa.NodeUp(node)
-					down[node] = false
-					aliveCount++
-				} else if aliveCount > 1 || rng.Intn(4) == 0 {
-					fa.NodeDown(node)
-					down[node] = true
-					aliveCount--
+		node := rng.Intn(n)
+		switch rng.Intn(16) {
+		case 0, 1: // random load perturbation
+			loads.loads[node] = rng.Intn(200)
+		case 2: // fail or restore a node
+			if down[node] {
+				s.NodeUp(node)
+				down[node] = false
+			} else if mayRetire(node) {
+				s.NodeDown(node)
+				down[node] = true
+			}
+		case 3: // start or end a drain
+			if draining[node] {
+				s.SetDraining(node, false)
+				draining[node] = false
+			} else if mayRetire(node) {
+				s.SetDraining(node, true)
+				draining[node] = true
+			}
+		case 4: // retire a node for good
+			if !removed[node] && mayRetire(node) {
+				s.RemoveNode(node)
+				removed[node] = true
+			}
+		case 5: // grow the cluster
+			if n < maxNodes {
+				loads.loads = append(loads.loads, 0)
+				if got := s.AddNode(); got != n {
+					return fmt.Errorf("step %d: AddNode = %d, want %d", i, got, n)
 				}
+				down, draining, removed = append(down, false), append(draining, false), append(removed, false)
+				n++
+			}
+		}
+		for j := 0; j < n; j++ {
+			if s.Eligible(j) != eligible(j) {
+				return fmt.Errorf("step %d: Eligible(%d) = %v, want %v (down %v, draining %v, removed %v)",
+					i, j, s.Eligible(j), eligible(j), down[j], draining[j], removed[j])
 			}
 		}
 		target := fmt.Sprintf("/t%d", rng.Intn(50))
@@ -42,11 +83,12 @@ func driveRandomly(s Strategy, fa FailureAware, loads *fakeLoads, seed int64, st
 		if got < -1 || got >= n {
 			return fmt.Errorf("step %d: Select returned %d with %d nodes", i, got, n)
 		}
-		if got >= 0 && down[got] {
-			return fmt.Errorf("step %d: Select returned down node %d", i, got)
+		if got >= 0 && !eligible(got) {
+			return fmt.Errorf("step %d: Select returned node %d (down %v, draining %v, removed %v)",
+				i, got, down[got], draining[got], removed[got])
 		}
-		if got == -1 && aliveCount > 0 {
-			return fmt.Errorf("step %d: Select returned -1 with %d alive nodes", i, aliveCount)
+		if c := eligibleCount(); got == -1 && c > 0 {
+			return fmt.Errorf("step %d: Select returned -1 with %d eligible nodes", i, c)
 		}
 		if got >= 0 {
 			loads.loads[got]++
@@ -60,27 +102,14 @@ func driveRandomly(s Strategy, fa FailureAware, loads *fakeLoads, seed int64, st
 }
 
 func TestPropertyStrategiesNeverMisroute(t *testing.T) {
-	build := map[string]func(*fakeLoads) (Strategy, FailureAware){
-		"WRR": func(l *fakeLoads) (Strategy, FailureAware) {
-			s := NewWRR(l)
-			return s, s
-		},
-		"LB": func(l *fakeLoads) (Strategy, FailureAware) {
-			s := NewLB(l)
-			return s, s
-		},
-		"LBGC": func(l *fakeLoads) (Strategy, FailureAware) {
-			s := NewLBGC(l, 1<<20)
-			return s, s
-		},
-		"LARD": func(l *fakeLoads) (Strategy, FailureAware) {
-			s := NewLARD(l, DefaultParams())
-			return s, s
-		},
-		"LARDR": func(l *fakeLoads) (Strategy, FailureAware) {
-			s := NewLARDR(l, DefaultParams())
-			return s, s
-		},
+	build := map[string]func(*fakeLoads) Strategy{
+		"WRR":   func(l *fakeLoads) Strategy { return NewWRR(l) },
+		"LB":    func(l *fakeLoads) Strategy { return NewLB(l) },
+		"LBGC":  func(l *fakeLoads) Strategy { return NewLBGC(l, 1<<20) },
+		"LARD":  func(l *fakeLoads) Strategy { return NewLARD(l, DefaultParams()) },
+		"LARDR": func(l *fakeLoads) Strategy { return NewLARDR(l, DefaultParams()) },
+		"POD":   func(l *fakeLoads) Strategy { return NewPOD(l, DefaultParams()) },
+		"WLARD": func(l *fakeLoads) Strategy { return NewWLARD(l, DefaultParams()) },
 	}
 	for name, mk := range build {
 		name, mk := name, mk
@@ -88,8 +117,7 @@ func TestPropertyStrategiesNeverMisroute(t *testing.T) {
 			f := func(seed int64, nodes uint8) bool {
 				n := int(nodes)%8 + 2
 				loads := &fakeLoads{loads: make([]int, n)}
-				s, fa := mk(loads)
-				if err := driveRandomly(s, fa, loads, seed, 400); err != nil {
+				if err := driveRandomly(mk(loads), loads, seed, 400); err != nil {
 					t.Log(err)
 					return false
 				}

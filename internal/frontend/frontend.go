@@ -36,9 +36,9 @@ type Config struct {
 	// Backends lists the back ends' handoff addresses ("host:port").
 	Backends []string
 
-	// Strategy is the registry name of the dispatch policy ("wrr", "lb",
-	// "lb/gc", "lard", "lard/r", or anything registered with
-	// lard.Register). Default "lard/r".
+	// Strategy is the name of the dispatch policy, one of
+	// lard.Strategies() ("wrr", "lb", "lb/gc", "lard", "lard/r", "pod",
+	// "wlard") or an alias lard.New accepts. Default "lard/r".
 	Strategy string
 
 	// Params are the LARD tuning parameters; zero fields fall back to

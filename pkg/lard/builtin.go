@@ -1,13 +1,17 @@
 package lard
 
 import (
+	"fmt"
+	"sort"
+	"strings"
+
 	"lard/internal/core"
 )
 
 // The concrete built-in strategy types, aliased so Inspect callbacks can
 // type-assert for diagnostics (move counters, server sets, spills)
-// without importing the internal policy package. Seven registry names
-// configure four types; see each name below.
+// without importing the internal policy package. Seven names configure
+// four types; see each name below.
 type (
 	// Balanced is the least-relative-load pick: wrr.
 	Balanced = core.Balanced
@@ -21,39 +25,47 @@ type (
 	LBGC = core.LBGC
 )
 
-// The paper's five strategies (wrr, lb, lb/gc, lard, lard/r) and the two
-// capacity-aware ones (pod, wlard) register themselves under the names
-// used in its figures, plus the slash-free aliases the CLIs accept.
-func init() {
-	wrr := func(l core.LoadReader, _ Options) (core.Strategy, error) {
-		return core.NewWRR(l), nil
-	}
-	lb := func(l core.LoadReader, _ Options) (core.Strategy, error) {
-		return core.NewLB(l), nil
-	}
-	lbgc := func(l core.LoadReader, o Options) (core.Strategy, error) {
-		return core.NewLBGC(l, o.CacheBytes), nil
-	}
-	lardS := func(l core.LoadReader, o Options) (core.Strategy, error) {
-		return core.NewLARD(l, o.Params), nil
-	}
-	lardr := func(l core.LoadReader, o Options) (core.Strategy, error) {
-		return core.NewLARDR(l, o.Params), nil
-	}
-	pod := func(l core.LoadReader, o Options) (core.Strategy, error) {
-		return core.NewPOD(l, o.Params), nil
-	}
-	wlard := func(l core.LoadReader, o Options) (core.Strategy, error) {
-		return core.NewWLARD(l, o.Params), nil
-	}
+// builtins is the closed set of strategies New builds, by name: the
+// paper's five (wrr, lb, lb/gc, lard, lard/r) under the names used in its
+// figures, and the two capacity-aware ones (pod, wlard). The dispatcher
+// calls a constructor once per shard; loads reports only the connections
+// that shard has claimed.
+var builtins = map[string]func(loads core.LoadReader, o options) core.Strategy{
+	"wrr":    func(l core.LoadReader, _ options) core.Strategy { return core.NewWRR(l) },
+	"lb":     func(l core.LoadReader, _ options) core.Strategy { return core.NewLB(l) },
+	"lb/gc":  func(l core.LoadReader, o options) core.Strategy { return core.NewLBGC(l, o.CacheBytes) },
+	"lard":   func(l core.LoadReader, o options) core.Strategy { return core.NewLARD(l, o.Params) },
+	"lard/r": func(l core.LoadReader, o options) core.Strategy { return core.NewLARDR(l, o.Params) },
+	"pod":    func(l core.LoadReader, o options) core.Strategy { return core.NewPOD(l, o.Params) },
+	"wlard":  func(l core.LoadReader, o options) core.Strategy { return core.NewWLARD(l, o.Params) },
+}
 
-	Register("wrr", wrr)
-	Register("lb", lb)
-	Register("lb/gc", lbgc)
-	RegisterAlias("lbgc", "lb/gc")
-	Register("lard", lardS)
-	Register("lard/r", lardr)
-	RegisterAlias("lardr", "lard/r")
-	Register("pod", pod)
-	Register("wlard", wlard)
+// aliases are the slash-free spellings the CLIs accept; a dispatcher
+// built through one reports the canonical name.
+var aliases = map[string]string{"lardr": "lard/r", "lbgc": "lb/gc"}
+
+// Strategies returns the canonical strategy names, sorted. Aliases are
+// omitted.
+func Strategies() []string {
+	out := make([]string, 0, len(builtins))
+	for name := range builtins {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// lookup resolves a (possibly aliased, any-case) name to its constructor
+// and canonical name.
+func lookup(name string) (func(core.LoadReader, options) core.Strategy, string, error) {
+	key := strings.ToLower(strings.TrimSpace(name))
+	if target, ok := aliases[key]; ok {
+		key = target
+	}
+	build, ok := builtins[key]
+	if !ok {
+		return nil, "", fmt.Errorf("lard: unknown strategy %q (known: %s)",
+			name, strings.Join(Strategies(), ", "))
+	}
+	return build, key, nil
 }

@@ -3,9 +3,6 @@ package lard
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"lard/internal/core"
 )
 
 func TestBuiltinStrategiesRegistered(t *testing.T) {
@@ -75,46 +72,3 @@ func TestNewErrors(t *testing.T) {
 		t.Fatal("negative cache bytes accepted")
 	}
 }
-
-func TestRegisterCustomStrategy(t *testing.T) {
-	Register("test/first-node", func(l core.LoadReader, _ Options) (core.Strategy, error) {
-		return firstNode{l}, nil
-	})
-	d, err := New("test/first-node", WithNodes(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, done, err := d.Dispatch(0, Request{Target: "/x"})
-	if err != nil || node != 0 {
-		t.Fatalf("custom strategy: node=%d err=%v", node, err)
-	}
-	done()
-	if d.Name() != "test/first-node" {
-		t.Fatalf("Name() = %q", d.Name())
-	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("empty name", func() { Register("", nil) })
-	mustPanic("nil factory", func() { Register("test/nil-factory", nil) })
-	mustPanic("duplicate", func() {
-		Register("wrr", func(l core.LoadReader, _ Options) (core.Strategy, error) {
-			return core.NewWRR(l), nil
-		})
-	})
-}
-
-// firstNode always picks node 0; a trivial strategy for registry tests.
-type firstNode struct{ loads core.LoadReader }
-
-func (f firstNode) Name() string                          { return "first-node" }
-func (f firstNode) Select(_ time.Duration, _ Request) int { return 0 }

@@ -2,6 +2,7 @@ package lard
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 )
@@ -292,33 +293,58 @@ func (p *costAwarePolicy) Observe(now time.Duration, node int, r Request) {
 	p.mu.Unlock()
 }
 
+// connPolicies is the one table of built-in connection policies, in the
+// order error messages list them. build is called only by NewConnPolicy:
+// ResolveConnPolicyName checks a name without building anything
+// (CostAware preallocates its recency table).
+var connPolicies = []struct {
+	name  string
+	build func() ConnPolicy
+}{
+	{ConnPin, Pin},
+	{ConnPerRequest, PerRequest},
+	{ConnCostAware, func() ConnPolicy { return CostAware(CostAwareConfig{}) }},
+}
+
 // NewConnPolicy builds a built-in connection policy by name: "pin",
 // "perreq", or "costaware" (with default CostAwareConfig). It is the
 // string-flag entry point used by cmd/lardfe and the simulator.
 func NewConnPolicy(name string) (ConnPolicy, error) {
-	switch name {
-	case ConnPin:
-		return Pin(), nil
-	case ConnPerRequest:
-		return PerRequest(), nil
-	case ConnCostAware:
-		return CostAware(CostAwareConfig{}), nil
-	default:
-		return nil, fmt.Errorf("lard: unknown connection policy %q (want %s, %s, or %s)",
-			name, ConnPin, ConnPerRequest, ConnCostAware)
+	for _, p := range connPolicies {
+		if p.name == name {
+			return p.build(), nil
+		}
 	}
+	return nil, unknownConnPolicy(name)
 }
 
 // ResolveConnPolicyName resolves an optionally empty policy name, with
 // one shared rule for every configuration surface (simulator, front end,
 // CLI): empty defaults to "pin", anything else must be a built-in name.
 func ResolveConnPolicyName(name string) (string, error) {
-	switch name {
-	case "":
+	if name == "" {
 		return ConnPin, nil
-	case ConnPin, ConnPerRequest, ConnCostAware:
-		return name, nil
 	}
-	return "", fmt.Errorf("lard: unknown connection policy %q (want %s, %s, or %s)",
-		name, ConnPin, ConnPerRequest, ConnCostAware)
+	for _, p := range connPolicies {
+		if p.name == name {
+			return name, nil
+		}
+	}
+	return "", unknownConnPolicy(name)
+}
+
+// unknownConnPolicy is the error for a name outside connPolicies, listing
+// the table: "(want pin, perreq, or costaware)".
+func unknownConnPolicy(name string) error {
+	var want strings.Builder
+	for i, p := range connPolicies {
+		switch {
+		case i == len(connPolicies)-1:
+			want.WriteString(", or ")
+		case i > 0:
+			want.WriteString(", ")
+		}
+		want.WriteString(p.name)
+	}
+	return fmt.Errorf("lard: unknown connection policy %q (want %s)", name, want.String())
 }

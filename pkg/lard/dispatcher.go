@@ -26,6 +26,41 @@ type dispatcher struct {
 	shards []*lockedShard
 }
 
+// New builds a concurrency-safe Dispatcher running the named strategy.
+// WithNodes is required; every other option has a paper-faithful default.
+// With WithShards(s > 1) the target space is hash-partitioned over s
+// independent strategy instances, each behind its own lock with its own
+// admission budget; the default single instance preserves the paper's
+// exact single-dispatch-point semantics.
+func New(name string, opts ...Option) (Dispatcher, error) {
+	o := defaultOptions()
+	for _, opt := range opts {
+		opt(&o)
+	}
+	o.applyDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	build, name, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	shards := make([]*lockedShard, o.Shards)
+	for i := range shards {
+		shards[i] = newLockedShard(build, o)
+	}
+	return &dispatcher{name: name, mem: newMembership(o), shards: shards}, nil
+}
+
+// MustNew is New, panicking on error; for examples and tests.
+func MustNew(name string, opts ...Option) Dispatcher {
+	d, err := New(name, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 // shardSeed salts the shard pick so it is decorrelated from the hashes the
 // lb and pod strategies apply to the same target names.
 var shardSeed = core.HashSeed(0x73)

@@ -7,10 +7,10 @@
 // point". This package keeps internal/core exactly that pure policy layer
 // and adds the machinery a live system needs around it:
 //
-//   - a strategy registry: Register(name, factory) / New(name, opts...),
-//     so the simulator, the prototype front end, and the tools all select
-//     policies by the names used in the paper's figures ("wrr", "lard/r",
-//     ...);
+//   - one closed set of seven strategies built by name, New(name,
+//     opts...), so the simulator, the prototype front end, and the tools
+//     all select policies by the names used in the paper's figures
+//     ("wrr", "lard/r", ...);
 //   - a Dispatcher that owns the load accounting the paper's front end
 //     keeps ("a node's load is measured as the number of active
 //     connections"): Dispatch claims a connection slot on the chosen node
@@ -61,33 +61,15 @@ type Params = core.Params
 // by the capacity-aware strategies (wrr, pod, wlard).
 type Profile = core.Profile
 
-// ProfileAware is implemented by strategies that consult per-node
-// capacity profiles; SetProfile fans out to it.
-type ProfileAware = core.ProfileAware
-
-// Strategy is the pure policy interface a Factory builds: it picks a node
-// per request and never locks — the Dispatcher serializes around it.
+// Strategy is the pure policy interface every built-in implements: it
+// picks a node per request, keeps the node set's failure, drain, removal
+// and profile flags, and never locks — the Dispatcher serializes around
+// it. Inspect hands each shard's instance to its callback.
 type Strategy = core.Strategy
 
 // LoadReader exposes a shard's active-connection table to its strategy
 // (and to Inspect callbacks).
 type LoadReader = core.LoadReader
-
-// FailureAware is implemented by strategies that support the paper's
-// Section 2.6 node failure and recovery; SetNodeDown fans out to it.
-type FailureAware = core.FailureAware
-
-// MembershipAware is implemented by strategies that support runtime
-// membership changes; AddNode, RemoveNode, Drain, and Undrain fan out to
-// it. Externally registered strategies that implement only FailureAware
-// degrade gracefully (removal and drain become NodeDown); strategies
-// implementing neither still never receive traffic for removed or
-// draining nodes, because the dispatcher re-checks eligibility after
-// Select. AddNode has no such fallback: a strategy without this
-// interface never routes to added nodes, yet the recomputed admission
-// bound S still counts them — implement MembershipAware before using
-// AddNode with a custom strategy.
-type MembershipAware = core.MembershipAware
 
 // DefaultParams returns the paper's recommended settings: T_low = 25,
 // T_high = 65 active connections, K = 20 s.
@@ -120,8 +102,7 @@ type NodeGate func(node int) bool
 //
 // Dispatchers are built by New: Session's slot accounting reaches into
 // the shard internals, so the interface is not intended to be
-// implemented outside this package (custom behavior plugs in at the
-// Strategy layer via Register).
+// implemented outside this package.
 type Dispatcher interface {
 	// Dispatch picks the node that should serve r at the given (virtual or
 	// wall-clock) time, claims a connection slot on it, and returns a done
@@ -212,7 +193,7 @@ type Dispatcher interface {
 	InFlight() int
 
 	// SetNodeDown marks a node failed (down=true) or restored, on every
-	// shard whose strategy supports the paper's Section 2.6 recovery.
+	// shard: the paper's Section 2.6 failure and recovery.
 	SetNodeDown(node int, down bool)
 
 	// SetNodeGate installs (or, with nil, removes) an external per-node

@@ -29,36 +29,24 @@ type lockedShard struct {
 	inFlight int
 	budget   int // max outstanding connections; 0 = unlimited
 
-	// blocked marks nodes that are removed or draining, down marks nodes
-	// failed. Built-in strategies already refuse both via
-	// core.MembershipAware/core.FailureAware; these guards make the
-	// no-traffic guarantee hold even for externally registered
-	// strategies that implement neither interface.
-	blocked []bool
-	down    []bool
-
-	// caps is each node's per-shard claim ceiling, 2× its profile's
-	// T_high — the load at which every strategy unconditionally abandons
-	// a node. The session claim paths (claimNode, claimFallback) enforce
-	// it so a pinned connection can never ride a small node past the
-	// point its own thresholds call panicked; the strategy dispatch path
-	// needs no check because Select already refuses such nodes. 0 means
-	// uncapped (a strategy that ignores profiles).
-	caps []int
-
 	// gate is the external eligibility veto (SetNodeGate); nil admits
-	// everything. Unlike blocked/down it is never reported to the
-	// strategy: a gated node keeps its target mapping and simply has
+	// everything. Unlike down, drain and removal it is never reported to
+	// the strategy: a gated node keeps its target mapping and simply has
 	// traffic detoured around it until the gate re-admits it.
 	gate NodeGate
 }
 
 // admissibleLocked reports whether node may take a new slot on this
-// shard. Callers hold sh.mu.
+// shard: the strategy calls it eligible, the gate admits it, and it is
+// below its claim ceiling, 2× its profile's T_high — the load at which
+// every strategy unconditionally abandons a node. The session claim paths
+// (claimNode, claimFallback) check it so a pinned connection can never
+// ride a small node past the point its own thresholds call panicked; the
+// strategy dispatch path needs no ceiling check because Select already
+// refuses such nodes. Callers hold sh.mu.
 func (sh *lockedShard) admissibleLocked(node int) bool {
-	return node >= 0 && node < len(sh.loads.active) &&
-		!sh.blocked[node] && !sh.down[node] &&
-		(sh.gate == nil || sh.gate(node))
+	return sh.strategy.Eligible(node) && (sh.gate == nil || sh.gate(node)) &&
+		sh.loads.active[node] < 2*sh.strategy.NodeProfile(node).THigh
 }
 
 func (sh *lockedShard) setGate(g NodeGate) {
@@ -67,29 +55,13 @@ func (sh *lockedShard) setGate(g NodeGate) {
 	sh.mu.Unlock()
 }
 
-func newLockedShard(f Factory, o Options) (*lockedShard, error) {
+func newLockedShard(build func(core.LoadReader, options) core.Strategy, o options) *lockedShard {
 	lt := &loadTable{active: make([]int, o.Nodes)}
-	s, err := f(lt, o)
-	if err != nil {
-		return nil, err
+	sh := &lockedShard{strategy: build(lt, o), loads: lt, budget: o.budget()}
+	for i, p := range o.resolvedProfiles() {
+		sh.strategy.SetProfile(i, p)
 	}
-	sh := &lockedShard{
-		strategy: s,
-		loads:    lt,
-		budget:   o.budget(),
-		blocked:  make([]bool, o.Nodes),
-		down:     make([]bool, o.Nodes),
-		caps:     make([]int, o.Nodes),
-	}
-	profiles := o.resolvedProfiles()
-	pa, aware := s.(core.ProfileAware)
-	for i, p := range profiles {
-		sh.caps[i] = 2 * p.THigh
-		if aware {
-			pa.SetProfile(i, p)
-		}
-	}
-	return sh, nil
+	return sh
 }
 
 // claimLocked claims one connection slot on node and returns its
@@ -118,7 +90,7 @@ func (sh *lockedShard) dispatch(now time.Duration, r Request) (int, func(), erro
 		return -1, nil, ErrOverloaded
 	}
 	node := sh.strategy.Select(now, r)
-	if node < 0 || node >= len(sh.loads.active) || sh.blocked[node] || sh.down[node] {
+	if node < 0 {
 		return -1, nil, ErrUnavailable
 	}
 	if sh.gate != nil && !sh.gate(node) {
@@ -140,19 +112,13 @@ func (sh *lockedShard) dispatch(now time.Duration, r Request) (int, func(), erro
 func (sh *lockedShard) claimNode(node int) (func(), error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if !sh.admissibleLocked(node) || sh.atCapLocked(node) {
+	if !sh.admissibleLocked(node) {
 		return nil, ErrUnavailable
 	}
 	if sh.budget > 0 && sh.inFlight >= sh.budget {
 		return nil, ErrOverloaded
 	}
 	return sh.claimLocked(node), nil
-}
-
-// atCapLocked reports whether node has reached its per-node claim ceiling
-// (2× its profile's T_high). Callers hold sh.mu.
-func (sh *lockedShard) atCapLocked(node int) bool {
-	return sh.caps[node] > 0 && sh.loads.active[node] >= sh.caps[node]
 }
 
 // claimFallback claims a connection slot on the least-loaded node that
@@ -182,7 +148,7 @@ func (sh *lockedShard) fallbackLocked(exclude []int) int {
 	best := -1
 search:
 	for i := range sh.loads.active {
-		if !sh.admissibleLocked(i) || sh.atCapLocked(i) {
+		if !sh.admissibleLocked(i) {
 			continue
 		}
 		for _, x := range exclude {
@@ -203,30 +169,15 @@ func (sh *lockedShard) snapshot() (active []int, inFlight int) {
 	return append([]int(nil), sh.loads.active...), sh.inFlight
 }
 
-// setNodeDown forwards a failure or recovery to the strategy; draining
-// reports whether the node is mid-drain, so recovery never lifts the
-// NodeDown that stands in for a drain on FailureAware-only strategies.
-// The shard's own down flag backs the dispatch guard for strategies with
-// no failure support at all.
-func (sh *lockedShard) setNodeDown(node int, down, draining bool) {
+// setNodeDown forwards a failure or recovery to the strategy. Drain is
+// its own flag, so recovering a draining node leaves it ineligible.
+func (sh *lockedShard) setNodeDown(node int, down bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if node >= 0 && node < len(sh.down) {
-		sh.down[node] = down
-	}
-	fa, ok := sh.strategy.(core.FailureAware)
-	if !ok {
-		return
-	}
-	_, membershipAware := sh.strategy.(core.MembershipAware)
-	switch {
-	case down:
-		fa.NodeDown(node)
-	case draining && !membershipAware:
-		// The node is back up but still draining, and this strategy's
-		// only no-new-assignments flag is the down bit: keep it set.
-	default:
-		fa.NodeUp(node)
+	if down {
+		sh.strategy.NodeDown(node)
+	} else {
+		sh.strategy.NodeUp(node)
 	}
 }
 
@@ -237,17 +188,8 @@ func (sh *lockedShard) addNode(budget int, p core.Profile) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.loads.active = append(sh.loads.active, 0)
-	sh.blocked = append(sh.blocked, false)
-	sh.down = append(sh.down, false)
-	sh.caps = append(sh.caps, 2*p.THigh)
 	sh.budget = budget
-	node := len(sh.loads.active) - 1
-	if ma, ok := sh.strategy.(core.MembershipAware); ok {
-		ma.AddNode()
-	}
-	if pa, ok := sh.strategy.(core.ProfileAware); ok {
-		pa.SetProfile(node, p)
-	}
+	sh.strategy.SetProfile(sh.strategy.AddNode(), p)
 }
 
 // setProfile installs a node's retuned profile and the recomputed
@@ -255,60 +197,24 @@ func (sh *lockedShard) addNode(budget int, p core.Profile) {
 func (sh *lockedShard) setProfile(node int, p core.Profile, budget int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if node < 0 || node >= len(sh.caps) {
-		return
-	}
-	sh.caps[node] = 2 * p.THigh
 	sh.budget = budget
-	if pa, ok := sh.strategy.(core.ProfileAware); ok {
-		pa.SetProfile(node, p)
-	}
+	sh.strategy.SetProfile(node, p)
 }
 
-// removeNode retires a node on this shard. A strategy without membership
-// support degrades to a permanent NodeDown, which has the same
-// no-new-assignments effect (membership never marks a removed node up).
+// removeNode retires a node on this shard.
 func (sh *lockedShard) removeNode(node, budget int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if node < 0 || node >= len(sh.blocked) {
-		return
-	}
-	sh.blocked[node] = true
 	sh.budget = budget
-	if ma, ok := sh.strategy.(core.MembershipAware); ok {
-		ma.RemoveNode(node)
-	} else if fa, ok := sh.strategy.(core.FailureAware); ok {
-		fa.NodeDown(node)
-	}
+	sh.strategy.RemoveNode(node)
 }
 
-// setDraining toggles drain on this shard. The FailureAware fallback makes
-// externally registered strategies treat a drain like a failure, which is
-// the same Select-level behavior; down reports whether the node is also
-// failed, so undraining inside one critical section never briefly marks a
-// down node selectable.
-func (sh *lockedShard) setDraining(node int, draining, down bool, budget int) {
+// setDraining toggles drain on this shard.
+func (sh *lockedShard) setDraining(node int, draining bool, budget int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if node < 0 || node >= len(sh.blocked) {
-		return
-	}
-	sh.blocked[node] = draining
 	sh.budget = budget
-	if ma, ok := sh.strategy.(core.MembershipAware); ok {
-		ma.SetDraining(node, draining)
-	} else if fa, ok := sh.strategy.(core.FailureAware); ok {
-		switch {
-		case draining:
-			fa.NodeDown(node)
-		case down:
-			// Undrained but still failed: the strategy's single down flag
-			// must stay set.
-		default:
-			fa.NodeUp(node)
-		}
-	}
+	sh.strategy.SetDraining(node, draining)
 }
 
 func (sh *lockedShard) inspect(shard int, f func(int, core.Strategy, core.LoadReader)) {

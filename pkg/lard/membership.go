@@ -43,7 +43,7 @@ func (s NodeState) Eligible() bool { return s.Member && !s.Draining && !s.Down }
 type membership struct {
 	mu    sync.RWMutex
 	state []NodeState
-	opts  Options
+	opts  options
 
 	// profiles holds every node's resolved capacity profile, indexed by
 	// node id alongside state. Removed nodes keep their last profile (it
@@ -56,7 +56,7 @@ type membership struct {
 	gate NodeGate
 }
 
-func newMembership(o Options) *membership {
+func newMembership(o options) *membership {
 	m := &membership{
 		opts:     o,
 		state:    make([]NodeState, o.Nodes),
@@ -192,7 +192,7 @@ func (m *membership) setDraining(node int, draining bool, shards []*lockedShard)
 	m.state[node].Draining = draining
 	budget := m.budgetLocked()
 	for _, sh := range shards {
-		sh.setDraining(node, draining, m.state[node].Down, budget)
+		sh.setDraining(node, draining, budget)
 	}
 }
 
@@ -207,6 +207,6 @@ func (m *membership) setNodeDown(node int, down bool, shards []*lockedShard) {
 	}
 	m.state[node].Down = down
 	for _, sh := range shards {
-		sh.setNodeDown(node, down, m.state[node].Draining)
+		sh.setNodeDown(node, down)
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"lard/internal/core"
 )
 
 // TestMembershipBasics walks one dispatcher of each variant through the
@@ -342,47 +340,4 @@ func TestMembershipConcurrentStress(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestMembershipFallbacks checks the degradation path for externally
-// registered strategies: FailureAware-only strategies see removal and
-// drain as NodeDown, and strategies implementing neither interface are
-// still never handed traffic for a removed or draining node thanks to the
-// dispatcher's post-Select eligibility guard.
-func TestMembershipFallbacks(t *testing.T) {
-	Register("test/rr-bare", func(l core.LoadReader, _ Options) (core.Strategy, error) {
-		return &bareRR{loads: l}, nil
-	})
-	d := MustNew("test/rr-bare", WithNodes(2), WithMaxOutstanding(-1))
-	d.RemoveNode(1)
-	for i := 0; i < 10; i++ {
-		node, done, err := d.Dispatch(0, Request{Target: "/x"})
-		if err != nil {
-			// bareRR still rotates onto the removed node; the guard turns
-			// those picks into ErrUnavailable rather than traffic.
-			if !errors.Is(err, ErrUnavailable) {
-				t.Fatalf("unexpected error %v", err)
-			}
-			continue
-		}
-		if node != 0 {
-			t.Fatalf("dispatched to removed node %d", node)
-		}
-		done()
-	}
-}
-
-// bareRR is a minimal strategy implementing neither FailureAware nor
-// MembershipAware: plain round-robin over the constructed node count.
-type bareRR struct {
-	loads core.LoadReader
-	next  int
-}
-
-func (s *bareRR) Name() string { return "test-rr" }
-
-func (s *bareRR) Select(_ time.Duration, _ core.Request) int {
-	n := s.next % s.loads.NodeCount()
-	s.next++
-	return n
 }

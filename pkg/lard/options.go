@@ -10,10 +10,10 @@ import (
 // cache-modelling strategies (lb/gc): the paper's 32 MB.
 const DefaultCacheBytes = 32 << 20
 
-// Options collects the knobs a dispatcher (and the strategy factories
-// beneath it) can be built with. Construct it through New's functional
-// options; factories receive the resolved value.
-type Options struct {
+// options collects the knobs a dispatcher (and the strategy constructors
+// beneath it) can be built with, set through New's functional options;
+// constructors receive the resolved value.
+type options struct {
 	// Nodes is the number of back-end nodes. Required, >= 1.
 	Nodes int
 
@@ -46,29 +46,29 @@ type Options struct {
 }
 
 // Option configures New.
-type Option func(*Options)
+type Option func(*options)
 
 // WithNodes sets the number of back-end nodes.
-func WithNodes(n int) Option { return func(o *Options) { o.Nodes = n } }
+func WithNodes(n int) Option { return func(o *options) { o.Nodes = n } }
 
 // WithShards partitions the target space over s independent strategy
 // instances, each with its own lock and admission budget. The default, 1,
 // is the paper's single dispatch point.
-func WithShards(s int) Option { return func(o *Options) { o.Shards = s } }
+func WithShards(s int) Option { return func(o *options) { o.Shards = s } }
 
 // WithParams sets the LARD tuning parameters. Zero fields fall back to
 // the paper's defaults, so setting only MappingCapacity keeps
 // T_low/T_high/K. (A literal K = 0 is therefore not expressible; the
 // smallest replication timer is 1ns.)
-func WithParams(p core.Params) Option { return func(o *Options) { o.Params = p } }
+func WithParams(p core.Params) Option { return func(o *options) { o.Params = p } }
 
 // WithCacheBytes sets the per-node cache size assumed by cache-modelling
 // strategies (lb/gc).
-func WithCacheBytes(b int64) Option { return func(o *Options) { o.CacheBytes = b } }
+func WithCacheBytes(b int64) Option { return func(o *options) { o.CacheBytes = b } }
 
 // WithMaxOutstanding overrides the per-shard admission budget: 0 derives
 // the paper's S from the params, negative disables admission control.
-func WithMaxOutstanding(n int) Option { return func(o *Options) { o.MaxOutstanding = n } }
+func WithMaxOutstanding(n int) Option { return func(o *options) { o.MaxOutstanding = n } }
 
 // WithProfiles declares a heterogeneous fleet: profiles[i] is node i's
 // capacity profile. The slice may be shorter than Nodes; unlisted nodes
@@ -79,12 +79,12 @@ func WithMaxOutstanding(n int) Option { return func(o *Options) { o.MaxOutstandi
 // S = Σᵢ T_high,i − maxᵢ T_high,i + minᵢ T_low,i + 1, recomputed on every
 // membership or profile change.
 func WithProfiles(profiles ...core.Profile) Option {
-	return func(o *Options) { o.Profiles = profiles }
+	return func(o *options) { o.Profiles = profiles }
 }
 
 // defaultOptions is the state New starts from before applying options.
-func defaultOptions() Options {
-	return Options{
+func defaultOptions() options {
+	return options{
 		Shards:     1,
 		Params:     core.DefaultParams(),
 		CacheBytes: DefaultCacheBytes,
@@ -93,7 +93,7 @@ func defaultOptions() Options {
 
 // applyDefaults fills zero Params fields with the paper's defaults, so
 // every consumer of New gets the same partial-Params behavior.
-func (o *Options) applyDefaults() {
+func (o *options) applyDefaults() {
 	def := core.DefaultParams()
 	if o.Params.TLow == 0 {
 		o.Params.TLow = def.TLow
@@ -110,7 +110,7 @@ func (o *Options) applyDefaults() {
 // Params: Weight 0 becomes 1, and zero thresholds scale the fleet defaults
 // by the weight (rounding to at least 1), so {Weight: 4} yields
 // {TLow: 100, THigh: 260, Weight: 4} under the paper's defaults.
-func (o Options) fillProfile(p core.Profile) core.Profile {
+func (o options) fillProfile(p core.Profile) core.Profile {
 	if p.Weight == 0 {
 		p.Weight = 1
 	}
@@ -129,7 +129,7 @@ func (o Options) fillProfile(p core.Profile) core.Profile {
 
 // profileFor returns node i's resolved capacity profile: the filled
 // Profiles entry when present, otherwise the uniform profile Params imply.
-func (o Options) profileFor(i int) core.Profile {
+func (o options) profileFor(i int) core.Profile {
 	if i >= 0 && i < len(o.Profiles) {
 		return o.fillProfile(o.Profiles[i])
 	}
@@ -138,7 +138,7 @@ func (o Options) profileFor(i int) core.Profile {
 
 // resolvedProfiles returns the filled per-node profile for every initial
 // node.
-func (o Options) resolvedProfiles() []core.Profile {
+func (o options) resolvedProfiles() []core.Profile {
 	out := make([]core.Profile, o.Nodes)
 	for i := range out {
 		out[i] = o.profileFor(i)
@@ -147,7 +147,7 @@ func (o Options) resolvedProfiles() []core.Profile {
 }
 
 // validate checks the resolved options.
-func (o Options) validate() error {
+func (o options) validate() error {
 	switch {
 	case o.Nodes < 1:
 		return fmt.Errorf("lard: Nodes = %d, need >= 1 (use WithNodes)", o.Nodes)
@@ -171,7 +171,7 @@ func (o Options) validate() error {
 
 // budget resolves the per-shard admission budget at construction: 0 means
 // unlimited internally.
-func (o Options) budget() int { return o.budgetOver(o.resolvedProfiles()) }
+func (o options) budget() int { return o.budgetOver(o.resolvedProfiles()) }
 
 // budgetOver resolves the per-shard admission budget for the given
 // eligible-node profiles — membership and profile changes recompute the
@@ -179,7 +179,7 @@ func (o Options) budget() int { return o.budgetOver(o.resolvedProfiles()) }
 // paper's S = (n−1)·T_high + T_low + 1. An explicit WithMaxOutstanding
 // value (positive or negative) is independent of the fleet and never
 // recomputes.
-func (o Options) budgetOver(profiles []core.Profile) int {
+func (o options) budgetOver(profiles []core.Profile) int {
 	switch {
 	case o.MaxOutstanding < 0:
 		return 0

@@ -395,8 +395,12 @@ func TestNewConnPolicy(t *testing.T) {
 			t.Fatalf("NewConnPolicy(%q) = %v, %v", name, p, err)
 		}
 	}
-	if _, err := NewConnPolicy("nope"); err == nil {
-		t.Fatal("unknown policy accepted")
+	const want = `lard: unknown connection policy "nope" (want pin, perreq, or costaware)`
+	if _, err := NewConnPolicy("nope"); err == nil || err.Error() != want {
+		t.Fatalf("unknown policy: err = %v, want %s", err, want)
+	}
+	if _, err := ResolveConnPolicyName("nope"); err == nil || err.Error() != want {
+		t.Fatalf("unknown policy name: err = %v, want %s", err, want)
 	}
 }
 
