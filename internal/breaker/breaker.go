@@ -4,10 +4,11 @@
 // A breaker watches the stream of connection outcomes for one back-end
 // node and decides whether new traffic should be offered to it at all.
 // It is deliberately layered *under* the front end's mark-down/prober
-// machinery. Both see the same evidence: the front end feeds the breaker
-// the outcome of every dial and probe dial, and nothing else. Mark-down
-// turns a run of dial failures into an oracle-like "the node is gone"
-// verdict; the breaker also trips on a windowed failure *rate* and, more
+// machinery. The front end feeds the breaker the outcome of every
+// handoff it admits (a transport with the request on it, from the pool
+// or a dial, or none) and of every probe dial, and nothing else.
+// Mark-down counts dials alone and turns a run of dial failures into an
+// oracle-like "the node is gone" verdict; the breaker also trips on a windowed failure *rate* and, more
 // importantly, controls how traffic is re-admitted after recovery,
 // ramping the node back up instead of slamming it with its full LARD
 // target set the instant one probe succeeds.

@@ -48,14 +48,10 @@ type Cluster struct {
 	dropped     int
 
 	// Persistent-connection state (phttp.go): the connection policy the
-	// sessions consult, the per-connection length generator, a
-	// drawn-but-not-yet-admitted connection length (so overload pushback
-	// never skews the seeded draw sequence), connections parked on the
-	// admission bound mid-stream, and the count of back-end switches
-	// (session moves).
+	// sessions consult (nil without persistent connections), connections
+	// parked on the admission bound mid-stream, and the count of back-end
+	// switches (session moves).
 	connPolicy lard.ConnPolicy
-	connLen    func() int
-	pendingLen int
 	stalled    []*connState
 	rehandoffs int
 
@@ -130,7 +126,6 @@ func New(cfg Config, tr *trace.Trace) (*Cluster, error) {
 		c.gms = newGMS(c.nodes)
 	}
 	if cfg.ReqsPerConn >= 1 {
-		c.connLen = newConnLen(cfg)
 		c.connPolicy = newConnPolicy(cfg)
 	}
 
@@ -156,7 +151,7 @@ func (c *Cluster) Run() Result {
 // persistent-connection workload configured, admission happens at
 // connection granularity instead (phttp.go).
 func (c *Cluster) pump() {
-	if c.connLen != nil {
+	if c.connPolicy != nil {
 		c.pumpPersistent()
 		return
 	}

@@ -9,7 +9,6 @@ import (
 
 	"lard/internal/cache"
 	"lard/internal/core"
-	"lard/internal/trace"
 	"lard/pkg/lard"
 )
 
@@ -250,21 +249,13 @@ type Config struct {
 
 	// ReqsPerConn, when >= 1, models persistent connections (P-HTTP,
 	// paper Section 5): consecutive trace requests are grouped into
-	// connections whose request count is drawn from ConnDist with this
-	// mean, each connection charging Cost.HandoffCost on arrival at a
-	// back end. 1 means single-request connections — same workload
-	// shape as HTTP/1.0 but under the P-HTTP cost model, the sweep's
-	// anchor point. 0 keeps the paper's original model (no handoff
+	// connections of this many requests (the trace's last connection
+	// takes what is left), each connection charging Cost.HandoffCost on
+	// arrival at a back end. 1 means single-request connections — same
+	// workload shape as HTTP/1.0 but under the P-HTTP cost model, the
+	// sweep's anchor point. 0 keeps the paper's original model (no handoff
 	// accounting), preserving the published figures.
 	ReqsPerConn int
-
-	// ConnDist is the requests-per-connection distribution: "fixed"
-	// (default) or "geometric".
-	ConnDist string
-
-	// ConnSeed seeds the connection-length draws (default 1), so runs
-	// are reproducible.
-	ConnSeed int64
 
 	// ConnPolicy selects the persistent-connection dispatch policy by
 	// name — how the session behind each simulated connection trades
@@ -402,12 +393,6 @@ func (c Config) Validate() error {
 	}
 	if c.ReqsPerConn < 0 {
 		return fmt.Errorf("cluster: ReqsPerConn = %d, need >= 0", c.ReqsPerConn)
-	}
-	switch c.ConnDist {
-	case "", trace.ConnDistFixed, trace.ConnDistGeometric:
-	default:
-		return fmt.Errorf("cluster: unknown ConnDist %q (want %q or %q)",
-			c.ConnDist, trace.ConnDistFixed, trace.ConnDistGeometric)
 	}
 	if c.ReqsPerConn >= 1 && c.Strategy == WRRGMS {
 		return fmt.Errorf("cluster: persistent connections are not supported with WRR/GMS")

@@ -2,12 +2,9 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"time"
 
 	"lard/internal/core"
-	"lard/internal/trace"
 	"lard/pkg/lard"
 )
 
@@ -32,22 +29,6 @@ type connState struct {
 	i    int // next request to dispatch
 	sess *lard.Session
 	prev int // node serving the previous request, -1 before the first
-}
-
-// newConnLen builds the requests-per-connection generator — the same
-// trace.ConnLenDraw the live load generator uses, so simulated and
-// driven workloads match. Config.Validate vets ConnDist, so the error
-// path is unreachable here.
-func newConnLen(cfg Config) func() int {
-	seed := cfg.ConnSeed
-	if seed == 0 {
-		seed = 1
-	}
-	draw, err := trace.ConnLenDraw(cfg.ConnDist, cfg.ReqsPerConn, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		panic(fmt.Sprintf("cluster: unvalidated ConnDist: %v", err))
-	}
-	return draw
 }
 
 // newConnPolicy builds the configured lard.ConnPolicy. CostAware's
@@ -88,18 +69,7 @@ func (c *Cluster) pumpPersistent() {
 		c.stalled = c.stalled[1:]
 	}
 	for c.next < c.tr.Len() {
-		// One length draw per connection, held across overloaded
-		// attempts (pendingLen), so the RNG sequence — and with it every
-		// later connection's length — is a pure function of ConnSeed,
-		// not of when the admission bound happened to push back.
-		k := c.pendingLen
-		if k == 0 {
-			k = c.connLen()
-			c.pendingLen = k
-		}
-		if rem := c.tr.Len() - c.next; k > rem {
-			k = rem
-		}
+		k := min(c.cfg.ReqsPerConn, c.tr.Len()-c.next)
 		reqs := make([]core.Request, k)
 		for i := range reqs {
 			r := c.tr.At(c.next + i)
@@ -107,7 +77,6 @@ func (c *Cluster) pumpPersistent() {
 		}
 		cs := &connState{reqs: reqs, prev: -1, sess: c.d.NewSession(c.connPolicy)}
 		c.next += k
-		c.pendingLen = 0
 		if !c.stepConn(cs) {
 			// Admitted as far as the closed loop is concerned: park it on
 			// the stalled queue rather than rebuilding it on every

@@ -23,11 +23,6 @@ func TestPersistentValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative ReqsPerConn accepted")
 	}
-	cfg = DefaultConfig("lard", 2)
-	cfg.ConnDist = "weibull"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("unknown ConnDist accepted")
-	}
 	cfg = DefaultConfig(WRRGMS, 2)
 	cfg.ReqsPerConn = 4
 	if err := cfg.Validate(); err == nil {
@@ -66,35 +61,6 @@ func TestConnPolicyNameResolution(t *testing.T) {
 	cfg.ConnPolicy = lard.ConnCostAware
 	if got := cfg.connPolicyName(); got != lard.ConnCostAware {
 		t.Fatalf("explicit policy = %q, want costaware", got)
-	}
-}
-
-func TestNewConnLenDistributions(t *testing.T) {
-	fixed := newConnLen(Config{ReqsPerConn: 7})
-	for i := 0; i < 5; i++ {
-		if k := fixed(); k != 7 {
-			t.Fatalf("fixed draw = %d", k)
-		}
-	}
-	geo := newConnLen(Config{ReqsPerConn: 6, ConnDist: "geometric", ConnSeed: 9})
-	sum := 0
-	for i := 0; i < 10000; i++ {
-		k := geo()
-		if k < 1 {
-			t.Fatalf("geometric draw %d < 1", k)
-		}
-		sum += k
-	}
-	if mean := float64(sum) / 10000; mean < 5 || mean > 7 {
-		t.Fatalf("geometric mean = %.2f, want ≈6", mean)
-	}
-	// Same seed, same sequence.
-	a := newConnLen(Config{ReqsPerConn: 6, ConnDist: "geometric", ConnSeed: 9})
-	b := newConnLen(Config{ReqsPerConn: 6, ConnDist: "geometric", ConnSeed: 9})
-	for i := 0; i < 100; i++ {
-		if a() != b() {
-			t.Fatal("geometric draws not reproducible")
-		}
 	}
 }
 
@@ -215,11 +181,12 @@ func TestPinnedSessionMovesOnChurn(t *testing.T) {
 	}
 }
 
-func TestPersistentGeometricRuns(t *testing.T) {
+// TestPersistentFixedLengthRuns: connections of ReqsPerConn requests, the
+// last one cut short by the end of the trace (1500 = 214·7 + 2), serve
+// every request, and an identical run gives an identical result.
+func TestPersistentFixedLengthRuns(t *testing.T) {
 	tr := zipfTrace(40, 8<<10, 1500, 0.8, 3)
-	cfg := phttpConfig("lard/r", 4, 6, lard.ConnPerRequest)
-	cfg.ConnDist = "geometric"
-	cfg.ConnSeed = 5
+	cfg := phttpConfig("lard/r", 4, 7, lard.ConnPerRequest)
 	res, err := Simulate(cfg, tr)
 	if err != nil {
 		t.Fatal(err)

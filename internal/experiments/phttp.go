@@ -74,7 +74,6 @@ func PHTTP(opt Options) ([]*Table, error) {
 			for _, k := range reqsPerConn {
 				cfg := cluster.DefaultConfig(kind, nodes)
 				cfg.ReqsPerConn = k
-				cfg.ConnSeed = opt.Seed
 				cfg.ConnPolicy = policy
 				res, err := simulate(opt, cfg, tr)
 				if err != nil {

@@ -80,11 +80,12 @@ type Config struct {
 	ConnPolicy string
 
 	// Breaker, when non-nil, layers a per-back-end circuit breaker under
-	// the mark-down/prober machinery (see overload.go): dial and probe
-	// outcomes feed it, an Open breaker gates its node out of dispatch
-	// eligibility, and recovery ramps handoffs back gradually. Zero
-	// fields in the config take internal/breaker defaults. Nil disables
-	// the breaker layer.
+	// the mark-down/prober machinery (see overload.go): every handoff,
+	// pooled or dialed, takes one admission and reports one outcome,
+	// probe dials report theirs, an Open breaker gates its node out of
+	// dispatch eligibility, and recovery ramps handoffs back gradually.
+	// Zero fields in the config take internal/breaker defaults. Nil
+	// disables the breaker layer.
 	Breaker *breaker.Config
 
 	// QuotaRate enables per-client token-bucket rate limiting when
@@ -222,21 +223,13 @@ type Server struct {
 	// see its requests (pass.go).
 	passes bool
 
-	// backends holds the per-node handoff addresses; indices line up with
-	// dispatcher node ids, including removed nodes (their slots stay).
-	// Guarded by backendsMu because AddBackend grows it at runtime.
-	backendsMu sync.RWMutex
-	backends   []string
-
-	// dialFails counts consecutive failed dials per node; reaching the
-	// configured threshold marks the node down. dialEpochs advance on
-	// every recovery so stale in-flight dial failures are discounted.
-	// probing flags nodes with a health probe currently in flight
-	// (health.go).
-	healthMu   sync.Mutex
-	dialFails  []int
-	dialEpochs []uint64
-	probing    []bool
+	// nodes is the table of back-end records (health.go), indexed by
+	// dispatcher node id; removed nodes keep theirs, and a node the
+	// dispatcher has without AddBackend having added it has none (nil).
+	// New fills it; AddBackend, the only code that grows it, stores a
+	// longer copy under nodesMu, so readers take one atomic load.
+	nodesMu sync.Mutex
+	nodes   atomic.Pointer[[]*backendNode]
 
 	// pool holds idle session-framed transports per node.
 	pool *backendPool
@@ -310,22 +303,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	reg := metrics.NewRegistry()
 	srv := &Server{
-		cfg:      cfg,
-		start:    time.Now(),
-		d:        d,
-		policy:   policy,
-		pool:     newBackendPool(DefaultPoolSize, cfg.poolIdle, reg),
-		reg:      reg,
-		m:        newFEMetrics(reg, policyName),
-		backends: append([]string(nil), cfg.Backends...),
-		// All three health slices are sized up front: relying on lazy
-		// growth inside the health lock left a node added via AddBackend
-		// unprobed until its first dial failure happened to grow them.
-		dialFails:  make([]int, len(cfg.Backends)),
-		dialEpochs: make([]uint64, len(cfg.Backends)),
-		probing:    make([]bool, len(cfg.Backends)),
-		stop:       make(chan struct{}),
+		cfg:    cfg,
+		start:  time.Now(),
+		d:      d,
+		policy: policy,
+		pool:   newBackendPool(DefaultPoolSize, cfg.poolIdle, reg),
+		reg:    reg,
+		m:      newFEMetrics(reg, policyName),
+		stop:   make(chan struct{}),
 	}
+	nodes := make([]*backendNode, len(cfg.Backends))
+	for i, addr := range cfg.Backends {
+		nodes[i] = newBackendNode(reg, i, addr)
+	}
+	srv.nodes.Store(&nodes)
 	srv.initOverload()
 	srv.passes = pins(policy) && !srv.ov.quota.Enabled()
 	return srv, nil

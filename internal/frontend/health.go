@@ -3,9 +3,12 @@ package frontend
 import (
 	"fmt"
 	"net"
+	"strconv"
+	"sync"
 	"time"
 
 	"lard/internal/handoff"
+	"lard/internal/metrics"
 	"lard/pkg/lard"
 )
 
@@ -27,6 +30,8 @@ import (
 //
 // Removed and draining nodes are the dispatcher's business (membership),
 // not the prober's: it only probes member nodes whose Down flag is set.
+// What the front end keeps per node is one backendNode record, in the
+// table New fills and AddBackend grows.
 
 // DefaultProbeInterval is how often the prober re-dials down back ends.
 const DefaultProbeInterval = time.Second
@@ -52,14 +57,41 @@ type NodeInfo struct {
 	Profile lard.Profile `json:"profile"`
 }
 
-// backendAddr returns the handoff address for node, or "" if unknown.
-func (s *Server) backendAddr(node int) string {
-	s.backendsMu.RLock()
-	defer s.backendsMu.RUnlock()
-	if node < 0 || node >= len(s.backends) {
-		return ""
+// backendNode is the front end's record of one back end: where to dial
+// it, its request-latency histogram, and the health state the mark-down
+// accounting and the prober keep. The Server's table holds one per node
+// AddBackend (or New) added; addr and hist never change.
+type backendNode struct {
+	addr string
+	hist *metrics.Histogram
+
+	// dialFails counts consecutive failed dials; reaching the configured
+	// threshold marks the node down. epoch advances on every recovery so
+	// stale in-flight dial failures are discounted. probing is set while
+	// a health probe is in flight.
+	mu        sync.Mutex
+	dialFails int
+	epoch     uint64
+	probing   bool
+}
+
+func newBackendNode(reg *metrics.Registry, node int, addr string) *backendNode {
+	return &backendNode{
+		addr: addr,
+		hist: reg.Histogram("lard_fe_node_request_seconds",
+			"request latency by serving back-end node", "node", strconv.Itoa(node)),
 	}
-	return s.backends[node]
+}
+
+// backend returns node's record, or nil when it has none: an id outside
+// the table, or a node the dispatcher gained without AddBackend.
+//
+//lard:noalloc
+func (s *Server) backend(node int) *backendNode {
+	if nodes := *s.nodes.Load(); node >= 0 && node < len(nodes) {
+		return nodes[node]
+	}
+	return nil
 }
 
 // dial opens a transport to the back end at addr. A back end on this host
@@ -77,36 +109,44 @@ func (s *Server) dial(addr string) (net.Conn, error) {
 // dialBackend dials the chosen back end and keeps the consecutive-failure
 // accounting: the threshold crossing marks the node down for the policy
 // layer, so its targets are re-assigned "as if they had not been assigned
-// before".
+// before". A node with no record has no address to dial, now or later,
+// and is marked down on its first attempt.
 func (s *Server) dialBackend(node int) (net.Conn, error) {
-	addr := s.backendAddr(node)
-	epoch := s.dialEpoch(node)
-	var conn net.Conn
-	var err error
-	if addr == "" {
-		// A node with no known address (e.g. added through the dispatcher
-		// directly rather than AddBackend) must still fail through the
-		// mark-down accounting, or it would attract traffic forever.
-		err = fmt.Errorf("no address for backend %d", node)
-	} else {
-		conn, err = s.dial(addr)
+	b := s.backend(node)
+	if b == nil {
+		// AddBackend publishes a record just after the dispatcher assigns
+		// the node its id; taking its lock waits that out.
+		s.nodesMu.Lock()
+		b = s.backend(node)
+		s.nodesMu.Unlock()
 	}
+	if b == nil {
+		s.markDown(node, "it has no address")
+		return nil, fmt.Errorf("no address for backend %d", node)
+	}
+	epoch := b.dialEpoch()
+	conn, err := s.dial(b.addr)
 	if err != nil {
-		s.breakerFailure(node)
-		if s.noteDialFailure(node, epoch) && !s.backendDown(node) {
-			// The Down check keeps in-flight dials racing the mark-down
-			// from re-counting and re-logging the same outage.
-			s.m.markdowns.Inc()
-			s.d.SetNodeDown(node, true)
-			s.pool.evictNode(node)
-			s.logf("frontend: backend %d (%q) marked down after %d consecutive dial failures",
-				node, addr, s.cfg.dialFailuresBeforeDown)
+		if b.noteDialFailure(epoch, s.cfg.dialFailuresBeforeDown) {
+			s.markDown(node, fmt.Sprintf("%q failed %d consecutive dials", b.addr, s.cfg.dialFailuresBeforeDown))
 		}
 		return nil, err
 	}
-	s.resetDialFailures(node)
-	s.breakerSuccess(node)
+	b.resetDialFailures()
 	return conn, nil
+}
+
+// markDown takes node out of rotation and discards its pooled transports.
+// The Down check keeps in-flight dials racing the mark-down from
+// re-counting and re-logging the same outage.
+func (s *Server) markDown(node int, why string) {
+	if states := s.d.NodeStates(); node < len(states) && states[node].Down {
+		return
+	}
+	s.m.markdowns.Inc()
+	s.d.SetNodeDown(node, true)
+	s.pool.evictNode(node)
+	s.logf("frontend: backend %d marked down: %s", node, why)
 }
 
 // noteDialFailure records one failed dial and reports whether the
@@ -115,69 +155,41 @@ func (s *Server) dialBackend(node int) (net.Conn, error) {
 // slow straggler timing out after a probe restore cannot re-mark the
 // healthy node down. The counter resets at every crossing, so no restore
 // path can leave it stranded above the threshold.
-func (s *Server) noteDialFailure(node int, epoch uint64) bool {
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	s.growHealthLocked(node)
-	if s.dialEpochs[node] != epoch {
+func (b *backendNode) noteDialFailure(epoch uint64, threshold int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.epoch != epoch {
 		return false
 	}
-	s.dialFails[node]++
-	if s.dialFails[node] >= s.cfg.dialFailuresBeforeDown {
-		s.dialFails[node] = 0
+	b.dialFails++
+	if b.dialFails >= threshold {
+		b.dialFails = 0
 		return true
 	}
 	return false
 }
 
-// backendDown reports whether the dispatcher currently has node marked
-// down.
-func (s *Server) backendDown(node int) bool {
-	states := s.d.NodeStates()
-	return node >= 0 && node < len(states) && states[node].Down
-}
-
 // dialEpoch returns the node's current recovery epoch, taken before a
 // dial starts so a later failure can be attributed to the right outage.
-func (s *Server) dialEpoch(node int) uint64 {
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	s.growHealthLocked(node)
-	return s.dialEpochs[node]
+func (b *backendNode) dialEpoch() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.epoch
 }
 
 // resetDialFailures clears the node's failure count and advances its
 // epoch; called on every successful dial and on probe recovery.
-func (s *Server) resetDialFailures(node int) {
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	s.growHealthLocked(node)
-	s.dialFails[node] = 0
-	s.dialEpochs[node]++
+func (b *backendNode) resetDialFailures() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.dialFails = 0
+	b.epoch++
 }
 
-// growHealthLocked sizes the per-node health slices to include node.
-// Callers hold healthMu. New and AddBackend size the slices eagerly, so
-// this only triggers for nodes added through the dispatcher directly.
-func (s *Server) growHealthLocked(node int) {
-	for node >= len(s.dialFails) {
-		s.dialFails = append(s.dialFails, 0)
-	}
-	for node >= len(s.dialEpochs) {
-		s.dialEpochs = append(s.dialEpochs, 0)
-	}
-	for node >= len(s.probing) {
-		s.probing = append(s.probing, false)
-	}
-}
-
-func (s *Server) dialFailures(node int) int {
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	if node < 0 || node >= len(s.dialFails) {
-		return 0
-	}
-	return s.dialFails[node]
+func (b *backendNode) dialFailures() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.dialFails
 }
 
 // probeLoop periodically re-dials down back ends until Close.
@@ -204,26 +216,26 @@ func (s *Server) probeOnce() {
 		if !st.Member || !st.Down {
 			continue
 		}
-		addr := s.backendAddr(node)
-		if addr == "" || !s.beginProbe(node) {
+		b := s.backend(node)
+		if b == nil || !b.beginProbe() {
 			continue
 		}
 		s.m.probes.Inc()
-		go func(node int, addr string) {
-			defer s.endProbe(node)
-			conn, err := s.dial(addr)
+		go func(node int, b *backendNode) {
+			defer b.endProbe()
+			conn, err := s.dial(b.addr)
 			if err != nil {
 				s.breakerFailure(node)
 				return
 			}
-			s.resetDialFailures(node)
+			b.resetDialFailures()
 			// A probe restore is breaker evidence too: Success while the
 			// breaker is Open starts its half-open probe round, so the
 			// graduated ramp can begin even before live traffic returns.
 			s.breakerSuccess(node)
 			s.m.probeRecoveries.Inc()
 			s.d.SetNodeDown(node, false)
-			s.logf("frontend: probe restored backend %d (%s)", node, addr)
+			s.logf("frontend: probe restored backend %d (%s)", node, b.addr)
 			// The probe dial already paid for connection establishment:
 			// seed the pool with it instead of throwing it away, so the
 			// first handoffs after recovery skip their dials (the back
@@ -236,48 +248,41 @@ func (s *Server) probeOnce() {
 			} else {
 				conn.Close()
 			}
-		}(node, addr)
+		}(node, b)
 	}
 }
 
 // beginProbe claims the node's probe slot; it returns false if a probe
 // for the node is already in flight.
-func (s *Server) beginProbe(node int) bool {
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	s.growHealthLocked(node)
-	if s.probing[node] {
+func (b *backendNode) beginProbe() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.probing {
 		return false
 	}
-	s.probing[node] = true
+	b.probing = true
 	return true
 }
 
-func (s *Server) endProbe(node int) {
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	s.probing[node] = false
+func (b *backendNode) endProbe() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
 }
 
 // AddBackend joins a new back end at the given handoff address and
 // returns its node index. The admission bound S is recomputed by the
-// dispatcher. The address is stored at the index the dispatcher actually
-// assigned, so alignment survives even if nodes were added through the
-// dispatcher directly.
+// dispatcher. The record is stored at the index the dispatcher actually
+// assigned, so alignment survives nodes added through the dispatcher
+// directly (they get no record).
 func (s *Server) AddBackend(addr string) int {
-	s.backendsMu.Lock()
+	s.nodesMu.Lock()
+	defer s.nodesMu.Unlock()
 	node := s.d.AddNode()
-	for node >= len(s.backends) {
-		s.backends = append(s.backends, "")
-	}
-	s.backends[node] = addr
-	s.backendsMu.Unlock()
-	// Size the health slices now, so the prober and the mark-down
-	// accounting see the node without relying on lazy growth.
-	s.healthMu.Lock()
-	s.growHealthLocked(node)
-	s.healthMu.Unlock()
-	s.growNodeHists(node + 1)
+	nodes := make([]*backendNode, node+1)
+	copy(nodes, *s.nodes.Load())
+	nodes[node] = newBackendNode(s.reg, node, addr)
+	s.nodes.Store(&nodes)
 	return node
 }
 
@@ -308,11 +313,9 @@ func (s *Server) Nodes() []NodeInfo {
 	profiles := s.d.Profiles()
 	out := make([]NodeInfo, len(states))
 	for i, st := range states {
-		info := NodeInfo{
-			Node:      i,
-			Addr:      s.backendAddr(i),
-			State:     st,
-			DialFails: s.dialFailures(i),
+		info := NodeInfo{Node: i, State: st}
+		if b := s.backend(i); b != nil {
+			info.Addr, info.DialFails = b.addr, b.dialFailures()
 		}
 		if i < len(loads) {
 			info.Active = loads[i]

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"lard/internal/breaker"
@@ -22,22 +19,24 @@ import (
 // The breaker (internal/breaker) layers *under* the mark-down/prober
 // machinery in health.go. Mark-down is the oracle path — N consecutive
 // dial failures take the node out of rotation, a probe dial restores
-// it. The breaker watches the same connection outcomes (dials, probes)
-// but adds what mark-down lacks: exponential backoff between probe
-// rounds, and a graduated recovery that ramps *handoffs* back onto a
-// restored node instead of slamming it with its full LARD target set.
-// Two hooks connect it to the dispatch path:
+// it. The breaker watches the outcome of every handoff it admits (a
+// transport with the request on it, pooled or dialed, or none) and of
+// every probe dial, and adds what mark-down lacks: exponential backoff
+// between probe rounds, and a graduated recovery that ramps *handoffs*
+// back onto a restored node instead of slamming it with its full LARD
+// target set. Two hooks connect it to the dispatch path:
 //
 //   - lard.Dispatcher.SetNodeGate(breakers.Healthy): an Open breaker
 //     makes its node ineligible exactly like a Down flag — sessions
 //     move off it, Redispatch avoids it, the pool refuses its idle
 //     connections at check-in — without touching the strategy's
 //     target→node mapping, so traffic snaps back on recovery;
-//   - breakerAllow (breakers.Allow) runs before every new back-end
-//     connection is established and consumes the HalfOpen probe budget
-//     or a Recovering admission slot. Requests riding an existing
-//     healthy connection are not thinned: the ramp meters new
-//     handoffs, which is where a cold recovering node gets hurt.
+//   - breakerAllow (breakers.Allow) runs before every handoff, pooled
+//     or dialed (attachBackend), and consumes the HalfOpen probe budget
+//     or a Recovering admission slot; the handoff's outcome is reported
+//     back (breakerSuccess/breakerFailure), one per admission. Requests
+//     that stay on their session's back end are not thinned: the ramp
+//     meters handoffs, which is where a cold recovering node gets hurt.
 //
 // The quota (internal/quota) is enforced twice: a non-consuming Check
 // at connection accept (an over-quota client is shed before the front
@@ -60,12 +59,6 @@ var errBreakerDenied = errors.New("frontend: back-end admission denied by circui
 type overload struct {
 	breakers *breaker.Set   // nil = breaker disabled
 	quota    *quota.Limiter // non-nil; Rate <= 0 disables
-
-	// nodeHists is a copy-on-write []*metrics.Histogram indexed by node
-	// (per-node request latency); growNodeHists appends under histMu,
-	// the relay loop reads it with one atomic load.
-	histMu    sync.Mutex
-	nodeHists atomic.Value
 }
 
 // now is the front end's clock for the breaker and quota subsystems:
@@ -84,9 +77,6 @@ func (s *Server) Breakers() *breaker.Set { return s.ov.breakers }
 // after the dispatcher exists; the breaker gate is installed onto it
 // here.
 func (s *Server) initOverload() {
-	s.ov.nodeHists.Store([]*metrics.Histogram(nil))
-	s.growNodeHists(len(s.backends))
-
 	s.ov.quota = quota.New(quota.Config{
 		Rate:  s.cfg.QuotaRate,
 		Burst: s.cfg.quotaBurst,
@@ -110,23 +100,6 @@ func (s *Server) initOverload() {
 	}
 }
 
-// growNodeHists ensures per-node latency histograms exist for nodes
-// [0, n); copy-on-write so the relay loop reads without a lock.
-func (s *Server) growNodeHists(n int) {
-	s.ov.histMu.Lock()
-	defer s.ov.histMu.Unlock()
-	cur, _ := s.ov.nodeHists.Load().([]*metrics.Histogram)
-	if len(cur) >= n {
-		return
-	}
-	grown := append([]*metrics.Histogram(nil), cur...)
-	for i := len(grown); i < n; i++ {
-		grown = append(grown, s.reg.Histogram("lard_fe_node_request_seconds",
-			"request latency by serving back-end node", "node", strconv.Itoa(i)))
-	}
-	s.ov.nodeHists.Store(grown)
-}
-
 // observeRequest records one completed request: goodput counter plus
 // the per-policy and per-node latency histograms. It runs once per
 // relayed response on the hot path.
@@ -135,9 +108,8 @@ func (s *Server) growNodeHists(n int) {
 func (s *Server) observeRequest(node int, d time.Duration) {
 	s.m.served.Inc()
 	s.m.latency.Observe(d)
-	hists, _ := s.ov.nodeHists.Load().([]*metrics.Histogram)
-	if node >= 0 && node < len(hists) {
-		hists[node].Observe(d)
+	if b := s.backend(node); b != nil {
+		b.hist.Observe(d)
 	}
 }
 
@@ -154,8 +126,9 @@ func (s *Server) breakerAllow(node int) bool {
 	return false
 }
 
-// breakerSuccess/breakerFailure feed connection outcomes (dials and
-// probe dials, health.go) into the node's breaker.
+// breakerSuccess/breakerFailure feed outcomes into the node's breaker:
+// one per admitted handoff (attachBackend) and one per probe dial
+// (health.go).
 func (s *Server) breakerSuccess(node int) {
 	if s.ov.breakers != nil {
 		s.ov.breakers.Success(node, s.now())

@@ -173,7 +173,7 @@ func TestBreakerTripsOnDeadBackend(t *testing.T) {
 	}
 	// The gate keeps further traffic off the dead node: dial failures must
 	// stop accumulating once open.
-	fails := fe.dialFailures(0)
+	fails := fe.Nodes()[0].DialFails
 	for i := 0; i < 4; i++ {
 		resp, err := client.Get("http://" + feLn.Addr().String() + tr.At(0).Target)
 		if err != nil {
@@ -182,7 +182,7 @@ func TestBreakerTripsOnDeadBackend(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	if got := fe.dialFailures(0); got != fails {
+	if got := fe.Nodes()[0].DialFails; got != fails {
 		t.Fatalf("gated node still being dialed: failures %d -> %d", fails, got)
 	}
 	var buf bytes.Buffer
@@ -191,6 +191,38 @@ func TestBreakerTripsOnDeadBackend(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `lard_fe_breaker_transitions_total{node="0",to="open"}`) {
 		t.Fatalf("metrics missing breaker transition series:\n%s", buf.String())
+	}
+}
+
+// TestPooledHandoffsCloseHalfOpenRound: every breaker admission reports
+// its outcome, pooled or dialed. A recovered node in HalfOpen whose three
+// probes are one dial and two pool hits closes its round and moves to
+// Recovering; counting dials alone left it HalfOpen with its budget spent
+// and the node unhealthy, to re-open and evict its pool after the backoff.
+func TestPooledHandoffsCloseHalfOpenRound(t *testing.T) {
+	tr := smallTrace(t, 4, 4)
+	const openFor = 200 * time.Millisecond
+	mc := startCluster(t, 1, "wrr", tr, 1<<20, func(c *Config) {
+		c.probeInterval = -1
+		c.Breaker = &breaker.Config{HalfOpenProbes: 3, OpenBase: openFor}
+	})
+	fe, b := mc.fe, mc.fe.Breakers()
+	for i := 0; i < 5; i++ {
+		b.Failure(0, fe.now())
+	}
+	if state := b.State(0, fe.now()); state != breaker.Open {
+		t.Fatalf("breaker %v after five failures, want Open", state)
+	}
+	time.Sleep(openFor + 50*time.Millisecond) // HalfOpen at the next look
+
+	for i := 0; i < 3; i++ {
+		closingExchange(t, fe, mc.feAddr, fmt.Sprintf("GET %s HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n", tr.At(i).Target))
+	}
+	if st := fe.Stats(); st.PoolMisses != 1 || st.PoolHits != 2 {
+		t.Fatalf("pool misses %d, hits %d; want one dial, then two pool hits", st.PoolMisses, st.PoolHits)
+	}
+	if state := b.State(0, fe.now()); state != breaker.Recovering || !b.Healthy(0, fe.now()) {
+		t.Fatalf("breaker %v, healthy %t after three probes that succeeded: want Recovering", state, b.Healthy(0, fe.now()))
 	}
 }
 
@@ -226,6 +258,30 @@ func TestMetricsSurfaceAfterTraffic(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)
 		}
+	}
+
+	// A node joined at runtime exports its latency series once it has
+	// served a request: with the configured nodes drained, it serves the
+	// next one.
+	_, _, addr := startBackendAt(t, "127.0.0.1:0", backend.NewDocStore(tr.Targets), 1<<20)
+	node := mc.fe.AddBackend(addr)
+	mc.fe.DrainBackend(0)
+	mc.fe.DrainBackend(1)
+	resp, err := client.Get("http://" + mc.feAddr + tr.At(5).Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("request to the joined node: status %d", resp.StatusCode)
+	}
+	waitFor(t, 5*time.Second, "the sixth response to be counted", func() bool {
+		return mc.fe.Stats().Served == 6
+	})
+	want := fmt.Sprintf(`lard_fe_node_request_seconds_count{node="%d"} 1`, node)
+	if got := scrape(t, mc.fe)[strings.TrimSuffix(want, " 1")]; got != 1 {
+		t.Fatalf("%s: got %d", want, got)
 	}
 }
 

@@ -404,7 +404,10 @@ func (s *Server) handleConn(client net.Conn) {
 // eligible node outside tried, up to dialRedispatchLimit times. Each node
 // tried costs one breaker admission, whichever way the handoff to it goes:
 // a pass that cannot be made, or a pooled transport found stale, falls
-// through to the next way under the admission already taken. The returned
+// through to the next way under the admission already taken. Each
+// admission reports one outcome to the breaker, a transport with the
+// request on it (pooled or dialed) or none, so a HalfOpen node whose
+// probes are served from the pool still closes its round. The returned
 // done func is non-nil when a redispatch happened — the alternate's claim,
 // which supersedes the one from the original Dispatch.
 func (s *Server) attachBackend(cc *clientConn, node int, old *backendConn, stale error, head *httprelay.RequestHead, pass bool) (*backendConn, func(), error) {
@@ -425,8 +428,10 @@ func (s *Server) attachBackend(cc *clientConn, node int, old *backendConn, stale
 		if !s.breakerAllow(node) {
 			err = errBreakerDenied
 		} else if b, cerr := s.connectBackend(cc, node, head, stale != nil && len(tried) == 0, pass); cerr != nil {
+			s.breakerFailure(node)
 			err = cerr
 		} else {
+			s.breakerSuccess(node)
 			if len(tried) > 0 {
 				s.m.redispatches.Inc()
 			}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -369,6 +370,98 @@ func TestAddBackendProbedAfterMarkDown(t *testing.T) {
 	states := mc.fe.Dispatcher().NodeStates()
 	if states[node].Down {
 		t.Fatalf("node %d still down after probe recovery", node)
+	}
+}
+
+// TestDispatcherAddedNodeMarkedDownAtOnce: a node the dispatcher gained
+// without AddBackend has no record, so no address to dial. Its first dial
+// marks it down, below the consecutive-failure threshold, and the request
+// is redispatched to the configured node; the admin view, the prober and
+// the latency accounting pass over the node without a record.
+func TestDispatcherAddedNodeMarkedDownAtOnce(t *testing.T) {
+	tr := smallTrace(t, 10, 20)
+	mc := startCluster(t, 1, "wrr", tr, 1<<20, func(c *Config) {
+		c.probeInterval = -1
+	})
+	fe := mc.fe
+	node := fe.Dispatcher().AddNode()
+
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for i := 0; fe.Stats().Redispatches == 0; i++ {
+		if i == 4 {
+			t.Fatalf("wrr never chose node %d in %d requests: %+v", node, i, fe.Stats())
+		}
+		resp, err := client.Get("http://" + mc.feAddr + tr.At(i).Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if st := fe.Stats(); st.MarkedDown != 1 || st.Redispatches != 1 || st.Errors != 0 {
+		t.Fatalf("marked down %d, redispatches %d, errors %d; want 1, 1, 0", st.MarkedDown, st.Redispatches, st.Errors)
+	}
+	nodes := fe.Nodes()
+	if len(nodes) != 2 || !nodes[node].State.Down || nodes[node].Addr != "" || nodes[node].DialFails != 0 {
+		t.Fatalf("nodes = %+v, want node %d down with no address", nodes, node)
+	}
+	fe.probeOnce()
+	fe.observeRequest(node, time.Millisecond)
+	if st := fe.Stats(); st.Probes != 0 || st.Served == 0 {
+		t.Fatalf("probes %d, served %d: want no probe of a node with no address", st.Probes, st.Served)
+	}
+}
+
+// TestAddBackendUnderReaders: AddBackend grows the record table while the
+// relay's latency accounting and the admin view read it from other
+// goroutines; every joined node ends with its own address and histogram.
+func TestAddBackendUnderReaders(t *testing.T) {
+	fe, err := New(Config{Backends: []string{"127.0.0.1:1"}, probeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	const joins = 16
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, n := range fe.Nodes() {
+					fe.observeRequest(n.Node, time.Millisecond)
+				}
+			}
+		}()
+	}
+	for i := 1; i <= joins; i++ {
+		if node := fe.AddBackend(fmt.Sprintf("127.0.0.1:%d", i+1)); node != i {
+			t.Fatalf("join %d got node %d", i, node)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	nodes := fe.Nodes()
+	if len(nodes) != joins+1 {
+		t.Fatalf("%d nodes, want %d", len(nodes), joins+1)
+	}
+	series := scrape(t, fe)
+	for i, n := range nodes {
+		if want := fmt.Sprintf("127.0.0.1:%d", i+1); n.Addr != want {
+			t.Fatalf("node %d addr %q, want %q", i, n.Addr, want)
+		}
+		if _, ok := series[fmt.Sprintf(`lard_fe_node_request_seconds_count{node="%d"}`, i)]; !ok {
+			t.Fatalf("node %d has no latency series", i)
+		}
 	}
 }
 

@@ -6,11 +6,10 @@ import (
 	"math/rand"
 )
 
-// Requests-per-connection distributions for persistent-connection
-// (P-HTTP) workloads. The same generator feeds the live load generator
-// (internal/loadgen) and the simulator (internal/cluster), so the
-// workload the phttp experiment simulates is the workload the prototype
-// is driven with.
+// Requests-per-connection distributions for the live load generator's
+// persistent-connection (P-HTTP) workloads (internal/loadgen, loadgen
+// -conndist). The simulator (internal/cluster) gives every connection
+// ReqsPerConn requests, the fixed distribution.
 const (
 	// ConnDistFixed gives every connection exactly the mean number of
 	// requests.
