@@ -51,7 +51,7 @@ race:
 
 # hetero runs the heterogeneous-fleet experiment at smoke scale: the
 # 4-small+2-big goodput sweep (uniform vs per-node capacity thresholds,
-# plus the pod and wlard strategies) in well under a minute. Raise
+# plus lard/r and wlard) in well under a minute. Raise
 # -scale toward 1.0 for paper-sized runs.
 hetero:
 	$(GO) run ./cmd/lardsim -experiment hetero -scale 0.05 -nodes 6

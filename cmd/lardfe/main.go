@@ -60,7 +60,7 @@
 //
 // Heterogeneous fleets: -weights 0.5,1,2 advertises per-back-end
 // capacity, scaling each node's T_low/T_high and steering
-// capacity-aware strategies (wlard, pod, wrr) proportionally. The
+// capacity-aware strategies (wlard, wrr) proportionally. The
 // admission bound generalizes to S = ΣT_high,i − maxT_high,i +
 // minT_low,i + 1.
 package main

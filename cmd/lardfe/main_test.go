@@ -56,6 +56,7 @@ func TestRunRejectsBadDispatch(t *testing.T) {
 		want string
 	}{
 		{frontEndOptions("nope", 1), `unknown strategy "nope"`},
+		{frontEndOptions("pod", 1), `unknown strategy "pod"`},
 		{frontEndOptions("lard/r", 0), "-shards"},
 		{frontEndOptions("lard/r", -1), "-shards"},
 	} {

@@ -4,13 +4,13 @@
 //
 // The repository contains:
 //
-//   - pkg/lard — the public API: lard.New builds one of seven strategies
+//   - pkg/lard — the public API: lard.New builds one of six strategies
 //     by name into a concurrency-safe, optionally sharded Dispatcher that
 //     owns load accounting and admission control. Every consumer below
 //     dispatches through it.
 //   - internal/core — the paper's contribution: the WRR, LB, LB/GC, LARD
-//     and LARD/R request-distribution strategies (plus POD and WLARD for
-//     mixed fleets) as three Select skeletons and the LB/GC model behind
+//     and LARD/R request-distribution strategies (plus WLARD for mixed
+//     fleets) as three Select skeletons and the LB/GC model behind
 //     one Strategy interface; the pure, single-threaded policy layer
 //     beneath the public Dispatcher.
 //   - internal/sim, internal/cache, internal/trace, internal/cluster —

@@ -72,6 +72,19 @@ func (s State) String() string {
 	return "invalid"
 }
 
+// The fixed tuning of every breaker: a breaker also trips when at least
+// failureRate of the outcomes in the current window failed, once the
+// window holds windowMinSamples of them (a single failed request out of
+// two must not trip a node); the window's counters reset every window;
+// and the doubling trip backoff stops at openMax (or at Config.OpenBase,
+// if that is longer).
+const (
+	failureRate      = 0.5
+	windowMinSamples = 20
+	window           = 10 * time.Second
+	openMax          = 30 * time.Second
+)
+
 // Config tunes every breaker in a Set. The zero value selects the
 // defaults documented per field.
 type Config struct {
@@ -81,26 +94,9 @@ type Config struct {
 	// then trips on the prober's continued failures).
 	FailureThreshold int
 
-	// FailureRate trips the breaker when the failure fraction within the
-	// current window reaches this value (default 0.5), provided at least
-	// WindowMinSamples outcomes were observed in the window.
-	FailureRate float64
-
-	// WindowMinSamples is the minimum number of outcomes in the window
-	// before FailureRate applies (default 20) — a single failed request
-	// out of two must not trip a node.
-	WindowMinSamples int
-
-	// Window is the length of the failure-rate accounting epoch
-	// (default 10s). Counters reset when a window expires.
-	Window time.Duration
-
 	// OpenBase is the first trip's backoff (default 1s). Each further
-	// trip without reaching Closed doubles it, capped at OpenMax.
+	// trip without reaching Closed doubles it, capped at 30s.
 	OpenBase time.Duration
-
-	// OpenMax caps the exponential backoff (default 30s).
-	OpenMax time.Duration
 
 	// HalfOpenProbes is the probe budget: exactly this many requests are
 	// admitted in HalfOpen (default 3). All must succeed to start
@@ -125,23 +121,8 @@ func (c *Config) fill() {
 	if c.FailureThreshold <= 0 {
 		c.FailureThreshold = 5
 	}
-	if c.FailureRate <= 0 || c.FailureRate > 1 {
-		c.FailureRate = 0.5
-	}
-	if c.WindowMinSamples <= 0 {
-		c.WindowMinSamples = 20
-	}
-	if c.Window <= 0 {
-		c.Window = 10 * time.Second
-	}
 	if c.OpenBase <= 0 {
 		c.OpenBase = time.Second
-	}
-	if c.OpenMax <= 0 {
-		c.OpenMax = 30 * time.Second
-	}
-	if c.OpenMax < c.OpenBase {
-		c.OpenMax = c.OpenBase
 	}
 	if c.HalfOpenProbes <= 0 {
 		c.HalfOpenProbes = 3
@@ -209,17 +190,12 @@ func (s *Set) get(id int) *node {
 }
 
 func (s *Set) backoff(trips int) time.Duration {
+	limit := max(openMax, s.cfg.OpenBase)
 	d := s.cfg.OpenBase
-	for i := 1; i < trips; i++ {
+	for i := 1; i < trips && d < limit; i++ {
 		d *= 2
-		if d >= s.cfg.OpenMax {
-			return s.cfg.OpenMax
-		}
 	}
-	if d > s.cfg.OpenMax {
-		d = s.cfg.OpenMax
-	}
-	return d
+	return min(d, limit)
 }
 
 func (s *Set) transition(id int, n *node, to State, now time.Duration) {
@@ -238,7 +214,7 @@ func (s *Set) transition(id int, n *node, to State, now time.Duration) {
 func (s *Set) advance(id int, n *node, now time.Duration) {
 	switch n.state {
 	case Closed:
-		if now-n.winStart >= s.cfg.Window {
+		if now-n.winStart >= window {
 			n.winStart, n.winFails, n.winTotal = now, 0, 0
 		}
 	case Open:
@@ -393,8 +369,8 @@ func (s *Set) Failure(id int, now time.Duration) {
 			s.open(id, n, now)
 			return
 		}
-		if n.winTotal >= s.cfg.WindowMinSamples &&
-			float64(n.winFails) >= s.cfg.FailureRate*float64(n.winTotal) {
+		if n.winTotal >= windowMinSamples &&
+			float64(n.winFails) >= failureRate*float64(n.winTotal) {
 			s.open(id, n, now)
 		}
 	case HalfOpen, Recovering:

@@ -10,11 +10,7 @@ import (
 func testConfig() Config {
 	return Config{
 		FailureThreshold: 3,
-		FailureRate:      0.5,
-		WindowMinSamples: 10,
-		Window:           time.Second,
 		OpenBase:         100 * time.Millisecond,
-		OpenMax:          800 * time.Millisecond,
 		HalfOpenProbes:   2,
 		Ramp:             []int{25, 50, 100},
 		RampStep:         50 * time.Millisecond,
@@ -61,8 +57,9 @@ func TestTripOnFailureRate(t *testing.T) {
 	cfg.FailureThreshold = 1000 // only the rate can trip
 	s := New(cfg)
 	now := time.Duration(0)
-	// Alternate success/failure: 50% rate, min samples 10.
-	for i := 0; i < 9; i++ {
+	// Alternate failure/success: just over failureRate, below
+	// windowMinSamples.
+	for i := 0; i < windowMinSamples-1; i++ {
 		if i%2 == 0 {
 			s.Failure(0, now)
 		} else {
@@ -72,7 +69,7 @@ func TestTripOnFailureRate(t *testing.T) {
 			t.Fatalf("tripped before WindowMinSamples at i=%d", i)
 		}
 	}
-	s.Failure(0, now) // 10th sample pushes fails/total to 6/10 ≥ 0.5
+	s.Failure(0, now) // the windowMinSamples-th sample: 11/20 ≥ 0.5
 	if st := s.State(0, now); st != Open {
 		t.Fatalf("state = %v, want Open on failure rate", st)
 	}
@@ -83,19 +80,20 @@ func TestWindowExpiryForgetsRate(t *testing.T) {
 	cfg.FailureThreshold = 1000
 	s := New(cfg)
 	now := time.Duration(0)
-	for i := 0; i < 4; i++ {
+	// One sample short of windowMinSamples, every one a failure: one more
+	// in the same window would trip on the rate.
+	for i := 0; i < windowMinSamples-1; i++ {
 		s.Failure(0, now)
-		s.Success(0, now)
 		now += 10 * time.Millisecond
 	}
 	// Window expires; old failures must not count toward the rate.
-	now += cfg.Window
-	for i := 0; i < 9; i++ {
+	now += window
+	s.Failure(0, now)
+	for i := 0; i < windowMinSamples-1; i++ {
 		s.Success(0, now)
 	}
-	s.Failure(0, now)
 	if st := s.State(0, now); st != Closed {
-		t.Fatalf("state = %v, want Closed after window reset (1/10 failures)", st)
+		t.Fatalf("state = %v, want Closed after window reset (1/%d failures)", st, windowMinSamples)
 	}
 }
 
@@ -171,8 +169,13 @@ func TestHalfOpenFailureReopensWithDoubledBackoff(t *testing.T) {
 func TestBackoffCapped(t *testing.T) {
 	cfg := testConfig()
 	s := New(cfg)
-	if got := s.backoff(20); got != cfg.OpenMax {
-		t.Fatalf("backoff(20) = %v, want cap %v", got, cfg.OpenMax)
+	if got := s.backoff(20); got != openMax {
+		t.Fatalf("backoff(20) = %v, want cap %v", got, openMax)
+	}
+	// A first backoff longer than the cap is not cut down to it.
+	cfg.OpenBase = time.Minute
+	if got := New(cfg).backoff(20); got != cfg.OpenBase {
+		t.Fatalf("backoff(20) with OpenBase %v = %v, want %v", cfg.OpenBase, got, cfg.OpenBase)
 	}
 }
 
@@ -296,7 +299,7 @@ func TestNeverStuckOpen(t *testing.T) {
 		// Recovery phase: the node is healthy; every admitted request
 		// succeeds. The breaker must reach Closed within a bounded
 		// number of backoff spans.
-		deadline := now + 20*cfg.OpenMax
+		deadline := now + 20*openMax
 		for now < deadline {
 			if s.Allow(0, now) {
 				s.Success(0, now)

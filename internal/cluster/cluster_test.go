@@ -455,7 +455,7 @@ func TestStrategyNames(t *testing.T) {
 	}
 	// The paper's figure sweep must not pick up the extensions.
 	for _, name := range PaperStrategies() {
-		if name == "pod" || name == "wlard" {
+		if name == "wlard" {
 			t.Fatalf("PaperStrategies includes the extension %q", name)
 		}
 	}
@@ -467,7 +467,7 @@ func TestLabel(t *testing.T) {
 		got = append(got, Label(name))
 	}
 	sort.Strings(got)
-	want := []string{"LARD", "LARD/R", "LB", "LB/GC", "POD", "WLARD", "WRR", "WRR/GMS"}
+	want := []string{"LARD", "LARD/R", "LB", "LB/GC", "WLARD", "WRR", "WRR/GMS"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("labels = %v, want %v", got, want)
 	}

@@ -19,8 +19,8 @@ const WRRGMS = "wrr/gms"
 
 // PaperStrategies returns the pkg/lard registry names of every
 // configuration the paper's figures sweep, in its presentation order. The
-// heterogeneous-fleet extensions (pod, wlard) are deliberately excluded so
-// figure reproductions stay faithful; the hetero experiment sweeps them
+// heterogeneous-fleet extension wlard is deliberately excluded so figure
+// reproductions stay faithful; the hetero experiment sweeps it
 // explicitly.
 func PaperStrategies() []string {
 	return []string{"wrr", "lb", "lb/gc", "lard", "lard/r", WRRGMS}

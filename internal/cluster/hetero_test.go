@@ -141,21 +141,19 @@ func TestHeteroConfigValidation(t *testing.T) {
 	}
 }
 
-// POD and WLARD run end-to-end through the simulator.
+// WLARD runs end-to-end through the simulator.
 func TestHeteroStrategiesSimulate(t *testing.T) {
 	tr := zipfTrace(32, 4<<10, 10000, 0.8, 9)
-	for _, k := range []string{"pod", "wlard"} {
-		cfg := DefaultConfig(k, 4)
-		cfg.CacheBytes = 64 << 10
-		res, err := Simulate(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Requests != tr.Len() {
-			t.Fatalf("%v served %d of %d", k, res.Requests, tr.Len())
-		}
-		if res.Strategy != Label(k) {
-			t.Fatalf("Strategy = %q, want %q", res.Strategy, Label(k))
-		}
+	cfg := DefaultConfig("wlard", 4)
+	cfg.CacheBytes = 64 << 10
+	res, err := Simulate(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != tr.Len() {
+		t.Fatalf("served %d of %d", res.Requests, tr.Len())
+	}
+	if res.Strategy != "WLARD" {
+		t.Fatalf("Strategy = %q, want WLARD", res.Strategy)
 	}
 }

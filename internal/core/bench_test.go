@@ -40,7 +40,6 @@ var benchStrategies = []struct {
 	{"lb/gc", func() Strategy { return NewLBGC(&benchLoads{}, 32<<20) }},
 	{"lard", func() Strategy { return NewLARD(&benchLoads{}, DefaultParams()) }},
 	{"lard/r", func() Strategy { return NewLARDR(&benchLoads{}, DefaultParams()) }},
-	{"pod", func() Strategy { return NewPOD(&benchLoads{}, DefaultParams()) }},
 	{"wlard", func() Strategy { return NewWLARD(&benchLoads{}, DefaultParams()) }},
 }
 

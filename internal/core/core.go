@@ -9,15 +9,14 @@
 //
 // The paper presents its strategies as points on one locality-versus-
 // balance line, and the code follows: three Select skeletons over one
-// shared node set, plus the idealized reference model, and seven
+// shared node set, plus the idealized reference model, and six
 // constructors that configure them.
 //
 //   - Balanced picks the least relative-loaded node and ignores the
 //     target. NewWRR: the paper's "state-of-the-art" baseline
 //     (Section 2.2).
-//   - Hashed hashes the target to d candidate nodes. NewLB: d = 1 and
-//     load-blind, the hash partitioning of Section 2.3. NewPOD: d = 2,
-//     the less relative-loaded candidate wins (power of d choices).
+//   - Hashed hashes the target to one node, load-blind. NewLB: the hash
+//     partitioning of Section 2.3.
 //   - Mapped keeps a target→server-set table and moves a target when its
 //     node fails the imbalance test of Figures 2 and 3. NewLARD: raw
 //     loads, the set is replaced (Figure 2). NewLARDR: raw loads, the
@@ -62,7 +61,7 @@ type LoadReader interface {
 
 // Strategy selects a back-end node for each request and keeps the node
 // set it selects from. The set of strategies is closed: this package's
-// seven New* constructors build the only implementations, and every one
+// six New* constructors build the only implementations, and every one
 // of them embeds a nodeSet, which carries the node-set methods once.
 //
 // Node indices are stable and never reused: AddNode always extends the
@@ -174,8 +173,8 @@ func (p Params) MaxOutstanding(n int) int {
 // TLow and THigh play the roles of Params.TLow/THigh for this node alone:
 // a small node trips the move condition at a lower load than a big one.
 // Weight is the node's relative capacity used by placement rules that
-// compare loads across nodes (WRR's weight-proportional pick, POD's
-// choice cost, WLARD's weight-scaled imbalance test); 1.0 is a standard
+// compare loads across nodes (WRR's weight-proportional pick, WLARD's
+// weight-scaled imbalance test); 1.0 is a standard
 // node, 2.0 a node with twice the capacity.
 type Profile struct {
 	// TLow is the load below which this node is likely to have idle
@@ -347,7 +346,7 @@ func (s *nodeSet) Eligible(node int) bool {
 }
 
 // aliveCount returns the number of alive nodes and kthAlive the k-th of
-// them in ascending index order: the hashed strategies' allocation-free
+// them in ascending index order: the hashed strategy's allocation-free
 // view of the alive set.
 func (s *nodeSet) aliveCount() int {
 	n := 0

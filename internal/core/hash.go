@@ -4,8 +4,8 @@ package core
 // inlined, allocation-free FNV-1a, bit-identical to hash/fnv's New64a
 // over salt followed by target. Each user salts it differently so that
 // the partitions they derive from the same target names are decorrelated:
-// LB uses no salt, POD's candidate c the eight little-endian bytes of c,
-// and the dispatcher's shard pick (pkg/lard) the single byte 0x73.
+// LB uses no salt, and the dispatcher's shard pick (pkg/lard) the single
+// byte 0x73.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

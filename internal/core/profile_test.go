@@ -135,78 +135,6 @@ func TestWLARDWeightScaling(t *testing.T) {
 	}
 }
 
-// POD's candidate set is a pure function of the target: repeated requests
-// with stable loads land on the same node, and distinct targets spread.
-func TestPODDeterministicCandidates(t *testing.T) {
-	loads := &fakeLoads{loads: make([]int, 8)}
-	s := NewPOD(loads, DefaultParams())
-	if s.Choices() != 2 {
-		t.Fatalf("Choices = %d, want 2", s.Choices())
-	}
-	first := s.Select(0, Request{Target: "steady"})
-	for i := 0; i < 50; i++ {
-		if got := s.Select(0, Request{Target: "steady"}); got != first {
-			t.Fatalf("pick drifted from %d to %d with stable loads", first, got)
-		}
-	}
-	// Many targets should hit more than d nodes overall.
-	seen := map[int]bool{}
-	for i := 0; i < 200; i++ {
-		seen[s.Select(0, Request{Target: string(rune('a'+i%26)) + string(rune('0'+i/26))})] = true
-	}
-	if len(seen) < 3 {
-		t.Fatalf("200 targets hit only %d nodes", len(seen))
-	}
-}
-
-func TestPODSkipsPanickedCandidate(t *testing.T) {
-	loads := &fakeLoads{loads: []int{0, 0}}
-	s := NewPOD(loads, DefaultParams())
-	// Find a target whose two candidates differ.
-	var target string
-	for i := 0; ; i++ {
-		target = "t" + string(rune('a'+i))
-		a := HashTarget(s.seeds[0], target) % 2
-		b := HashTarget(s.seeds[1], target) % 2
-		if a != b {
-			break
-		}
-	}
-	base := s.Select(0, Request{Target: target})
-	other := 1 - base
-	// Panic the preferred candidate: 2×T_high = 130.
-	loads.loads[base] = 130
-	if got := s.Select(0, Request{Target: target}); got != other {
-		t.Fatalf("panicked candidate still picked: got %d, want %d", got, other)
-	}
-	// Panic both: spill to least relative-loaded.
-	loads.loads[other] = 131
-	if got := s.Select(0, Request{Target: target}); got != base {
-		t.Fatalf("spill pick = %d, want %d (lower load)", got, base)
-	}
-	if s.Spills() != 1 {
-		t.Fatalf("spills = %d, want 1", s.Spills())
-	}
-}
-
-func TestPODWeightAwarePick(t *testing.T) {
-	loads := &fakeLoads{loads: []int{0, 0}}
-	s := NewPOD(loads, DefaultParams())
-	s.SetProfile(0, Profile{TLow: 100, THigh: 260, Weight: 4})
-	var target string
-	for i := 0; ; i++ {
-		target = "w" + string(rune('a'+i))
-		if HashTarget(s.seeds[0], target)%2 != HashTarget(s.seeds[1], target)%2 {
-			break
-		}
-	}
-	// Node 0 at raw 40 (relative 10) beats node 1 at raw 20 (relative 20).
-	loads.set(40, 20)
-	if got := s.Select(0, Request{Target: target}); got != 0 {
-		t.Fatalf("pick = %d, want weighted node 0", got)
-	}
-}
-
 func TestWRRWeightProportional(t *testing.T) {
 	loads := &fakeLoads{loads: []int{40, 30}}
 	s := NewWRR(loads)

@@ -108,7 +108,6 @@ func TestPropertyStrategiesNeverMisroute(t *testing.T) {
 		"LBGC":  func(l *fakeLoads) Strategy { return NewLBGC(l, 1<<20) },
 		"LARD":  func(l *fakeLoads) Strategy { return NewLARD(l, DefaultParams()) },
 		"LARDR": func(l *fakeLoads) Strategy { return NewLARDR(l, DefaultParams()) },
-		"POD":   func(l *fakeLoads) Strategy { return NewPOD(l, DefaultParams()) },
 		"WLARD": func(l *fakeLoads) Strategy { return NewWLARD(l, DefaultParams()) },
 	}
 	for name, mk := range build {

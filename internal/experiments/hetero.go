@@ -107,10 +107,9 @@ func heteroTrace(alpha float64) trace.SyntheticConfig {
 //   - "wlard" also scales the placement itself (least *relative* load,
 //     imbalance tested against weight-scaled thresholds) and recovers
 //     ~22% over uniform: the full profile-aware LARD;
-//   - "lardr-prof" and "pod" trade locality for replication/sampled
-//     placement; on a cache-warm trace that costs misses and they trail
-//     even lard-uni — capacity awareness does not rescue a policy that
-//     gives up locality.
+//   - "lardr-prof" trades locality for replication; on a cache-warm
+//     trace that costs misses and it trails even lard-uni — capacity
+//     awareness does not rescue a policy that gives up locality.
 //
 // The second table reports raw throughput for the same runs (flat
 // across variants — the collapse is purely a goodput effect), and the
@@ -130,7 +129,6 @@ func Hetero(opt Options) ([]*Table, error) {
 		{"lard-uni", "lard", uniformThresholds(fleet)},
 		{"lard-prof", "lard", fleet},
 		{"lardr-prof", "lard/r", fleet},
-		{"pod", "pod", fleet},
 		{"wlard", "wlard", fleet},
 	}
 

@@ -19,7 +19,7 @@ func TestHeteroShape(t *testing.T) {
 		t.Fatalf("table IDs = %q, %q, %q", goodput.ID, tput.ID, mix.ID)
 	}
 
-	for _, label := range []string{"lard-uni", "lard-prof", "lardr-prof", "pod", "wlard"} {
+	for _, label := range []string{"lard-uni", "lard-prof", "lardr-prof", "wlard"} {
 		s, ok := goodput.Get(label)
 		if !ok {
 			t.Fatalf("goodput table missing series %q", label)

@@ -37,7 +37,7 @@ type Config struct {
 	Backends []string
 
 	// Strategy is the name of the dispatch policy, one of
-	// lard.Strategies() ("wrr", "lb", "lb/gc", "lard", "lard/r", "pod",
+	// lard.Strategies() ("wrr", "lb", "lb/gc", "lard", "lard/r",
 	// "wlard") or an alias lard.New accepts. Default "lard/r".
 	Strategy string
 

@@ -9,14 +9,13 @@ import (
 )
 
 // The concrete built-in strategy types, aliased so Inspect callbacks can
-// type-assert for diagnostics (move counters, server sets, spills)
-// without importing the internal policy package. Seven names configure
-// four types; see each name below.
+// type-assert for diagnostics (move counters, server sets) without
+// importing the internal policy package. Six names configure four types;
+// see each name below.
 type (
 	// Balanced is the least-relative-load pick: wrr.
 	Balanced = core.Balanced
-	// Hashed is d hashed candidates per target: lb (d = 1, load-blind)
-	// and pod (d = 2, less loaded wins).
+	// Hashed is one hashed node per target, load-blind: lb.
 	Hashed = core.Hashed
 	// Mapped is the target→server-set table with the paper's imbalance
 	// test: lard, lard/r and wlard.
@@ -27,7 +26,7 @@ type (
 
 // builtins is the closed set of strategies New builds, by name: the
 // paper's five (wrr, lb, lb/gc, lard, lard/r) under the names used in its
-// figures, and the two capacity-aware ones (pod, wlard). The dispatcher
+// figures, and the capacity-aware wlard. The dispatcher
 // calls a constructor once per shard; loads reports only the connections
 // that shard has claimed.
 var builtins = map[string]func(loads core.LoadReader, o options) core.Strategy{
@@ -36,7 +35,6 @@ var builtins = map[string]func(loads core.LoadReader, o options) core.Strategy{
 	"lb/gc":  func(l core.LoadReader, o options) core.Strategy { return core.NewLBGC(l, o.CacheBytes) },
 	"lard":   func(l core.LoadReader, o options) core.Strategy { return core.NewLARD(l, o.Params) },
 	"lard/r": func(l core.LoadReader, o options) core.Strategy { return core.NewLARDR(l, o.Params) },
-	"pod":    func(l core.LoadReader, o options) core.Strategy { return core.NewPOD(l, o.Params) },
 	"wlard":  func(l core.LoadReader, o options) core.Strategy { return core.NewWLARD(l, o.Params) },
 }
 

@@ -1,22 +1,15 @@
 package lard
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestBuiltinStrategiesRegistered(t *testing.T) {
 	names := Strategies()
-	for _, want := range []string{"wrr", "lb", "lb/gc", "lard", "lard/r"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("builtin %q missing from Strategies() = %v", want, names)
-		}
+	if want := []string{"lard", "lard/r", "lb", "lb/gc", "wlard", "wrr"}; !slices.Equal(names, want) {
+		t.Fatalf("Strategies() = %v, want %v", names, want)
 	}
 	// Aliases resolve but are not listed — operators see canonical names.
 	for _, alias := range []string{"lardr", "lbgc"} {

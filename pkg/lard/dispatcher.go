@@ -61,8 +61,8 @@ func MustNew(name string, opts ...Option) Dispatcher {
 	return d
 }
 
-// shardSeed salts the shard pick so it is decorrelated from the hashes the
-// lb and pod strategies apply to the same target names.
+// shardSeed salts the shard pick so it is decorrelated from the hash the
+// lb strategy applies to the same target names.
 var shardSeed = core.HashSeed(0x73)
 
 // shardFor returns the shard that owns target: where its strategy state

@@ -1,13 +1,12 @@
 // Package lard is the public, concurrency-safe dispatch layer over the
 // paper's request-distribution strategies (internal/core).
 //
-// The paper's policies — WRR, LB, LB/GC, LARD, LARD/R — and the two
-// capacity-aware additions, POD and WLARD, are deterministic
-// single-threaded state machines; its front end is "a single dispatch
-// point". This package keeps internal/core exactly that pure policy layer
+// The paper's policies — WRR, LB, LB/GC, LARD, LARD/R — and the
+// capacity-aware addition WLARD are deterministic single-threaded state
+// machines; its front end is "a single dispatch point". This package keeps internal/core exactly that pure policy layer
 // and adds the machinery a live system needs around it:
 //
-//   - one closed set of seven strategies built by name, New(name,
+//   - one closed set of six strategies built by name, New(name,
 //     opts...), so the simulator, the prototype front end, and the tools
 //     all select policies by the names used in the paper's figures
 //     ("wrr", "lard/r", ...);
@@ -58,7 +57,7 @@ type Params = core.Params
 
 // Profile is one node's capacity profile for heterogeneous fleets: its
 // own T_low/T_high thresholds plus a relative-capacity Weight consulted
-// by the capacity-aware strategies (wrr, pod, wlard).
+// by the capacity-aware strategies (wrr, wlard).
 type Profile = core.Profile
 
 // Strategy is the pure policy interface every built-in implements: it
