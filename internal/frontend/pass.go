@@ -76,6 +76,7 @@ type clientConn struct {
 	rc   syscall.RawConn // tc's, once a handoff has needed it (socket)
 	addr string          // its address as every handoff header carries it
 	br   *bufio.Reader
+	in   clientReader // what br reads
 	sess *lard.Session
 
 	// sent is what the client has been sent, by the relay and by back ends
@@ -102,6 +103,7 @@ func (cc *clientConn) close() {
 		cc.tc.CloseWrite()
 	}
 	cc.Conn.Close()
+	cc.in.close()
 }
 
 // handoffTo sends the handoff message that opens the next session on b,

@@ -20,12 +20,14 @@ type pollFd struct {
 // all was reported, no data, no EOF and no error, is left in b.quiet. It
 // looks at any descriptor alike: a TCP socket, and the pipe a pass
 // transport's answers come on (handoff.DialPass), where a peek would fail.
+// A poll that does not wait cannot block, so it is a raw call, which keeps
+// the checkout out of the scheduler (handoff.RawIO).
 func probeFunc(b *backendConn) func(fd uintptr) bool {
 	return func(fd uintptr) bool {
 		p := pollFd{fd: int32(fd), events: pollIn}
 		var zero syscall.Timespec
 		for {
-			n, _, e := syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&p)), 1, uintptr(unsafe.Pointer(&zero)), 0, 0, 0)
+			n, _, e := syscall.RawSyscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&p)), 1, uintptr(unsafe.Pointer(&zero)), 0, 0, 0)
 			if e == syscall.EINTR {
 				continue
 			}

@@ -179,7 +179,7 @@ func (s *Server) handleConn(client net.Conn) {
 	s.m.activeSessions.Add(1)
 	defer s.m.activeSessions.Add(-1)
 
-	br := httprelay.GetReader(client)
+	br := httprelay.GetReader(cc.in.open(cc))
 	cc.br = br
 	var (
 		backend     *backendConn

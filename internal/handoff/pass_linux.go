@@ -162,11 +162,18 @@ func isPipeEnd(fd, mode int) bool {
 // closes with the transport. Its sendmsg and recvmsg calls run in
 // callbacks built once, with their arguments and results in the struct,
 // so that neither allocates.
+//
+// Both ends read and write their pipes with raw calls (RawIO), as the
+// front end's relay loop reads its clients: on the front end a pipe call
+// per request each way is most of the calls that loop makes, and in
+// paired benchmark runs the back end's end, made raw as well, lost
+// nothing (DESIGN.md, "The relay's calls stay out of the scheduler").
 type passConn struct {
 	sock          *os.File        // the socket, blocking and out of the poller (detach)
 	rc            syscall.RawConn // sock's
 	local, remote net.Addr        // the socket's addresses
 	in, out       *os.File
+	rin, rout     RawIO // in's and out's calls
 
 	// read and wrote count the stream's bytes: the offset of the next byte
 	// in and out.
@@ -196,23 +203,45 @@ type passConn struct {
 	errno     syscall.Errno
 }
 
+// newPassConn builds one end of a pass transport over its socket and its
+// pipe ends, which are nonblocking and in the poller.
 func newPassConn(sock *os.File, local, remote net.Addr, in, out *os.File) *passConn {
 	c := &passConn{sock: sock, local: local, remote: remote, in: in, out: out, rights: syscall.UnixRights(0), oob: make([]byte, syscall.CmsgSpace(2*4)), fds: make([]int, 0, 2)}
 	c.rc, _ = sock.SyscallConn()
+	inRC, _ := in.SyscallConn()
+	outRC, _ := out.SyscallConn()
+	c.rin.Reset(inRC)
+	c.rout.Reset(outRC)
 	c.attach = func(clientFD uintptr) {
 		binary.NativeEndian.PutUint32(c.rights[syscall.CmsgLen(0):], uint32(clientFD))
 		if err := c.rc.Control(c.send); err != nil {
 			c.outErr = err
 		}
 	}
+	// send tries the message raw and without waiting first: the socket is
+	// blocking (detach), and a raw call that blocked would hold its
+	// processor, maybe the process's only one. A message that would have to
+	// wait for room is sent again through the scheduler, which lets the
+	// processor go while it waits.
 	c.send = func(fd uintptr) {
 		iov := syscall.Iovec{Base: &c.tag[0]}
 		iov.SetLen(tagLen)
 		msg := syscall.Msghdr{Iov: &iov, Iovlen: 1, Control: &c.rights[0]}
 		msg.SetControllen(len(c.rights))
+		wait := false
 		for {
-			n, _, e := syscall.Syscall(syscall.SYS_SENDMSG, fd, uintptr(unsafe.Pointer(&msg)), syscall.MSG_NOSIGNAL)
-			if e == syscall.EINTR {
+			var n uintptr
+			var e syscall.Errno
+			if wait {
+				n, _, e = syscall.Syscall(syscall.SYS_SENDMSG, fd, uintptr(unsafe.Pointer(&msg)), syscall.MSG_NOSIGNAL)
+			} else {
+				n, _, e = syscall.RawSyscall(syscall.SYS_SENDMSG, fd, uintptr(unsafe.Pointer(&msg)), syscall.MSG_NOSIGNAL|syscall.MSG_DONTWAIT)
+			}
+			switch {
+			case e == syscall.EINTR:
+				continue
+			case e == syscall.EAGAIN && !wait:
+				wait = true
 				continue
 			}
 			c.outN, c.outErr = int(n), nil
@@ -247,33 +276,24 @@ func newPassConn(sock *os.File, local, remote net.Addr, in, out *os.File) *passC
 	return c
 }
 
-// Read implements net.Conn on the pipe this end reads.
+// Read implements net.Conn on the pipe this end reads. A deadline's error
+// is a net.Error, as a socket's is: the poller's own, which no os wrapping
+// hides.
 //
 //lard:noalloc
 func (c *passConn) Read(p []byte) (int, error) {
-	n, err := c.in.Read(p)
+	n, err := c.rin.Read(p)
 	c.read += int64(n)
-	return n, pipeErr(err)
+	return n, err
 }
 
 // Write implements net.Conn on the pipe this end writes.
 //
 //lard:noalloc
 func (c *passConn) Write(p []byte) (int, error) {
-	n, err := c.out.Write(p)
+	n, err := c.rout.Write(p)
 	c.wrote += int64(n)
-	return n, pipeErr(err)
-}
-
-// pipeErr is err as a net.Conn reports it: the cause without os's
-// wrapping, so that a deadline's error is a net.Error as a socket's is.
-//
-//lard:noalloc
-func pipeErr(err error) error {
-	if pe, ok := err.(*os.PathError); ok {
-		return pe.Err
-	}
-	return err
+	return n, err
 }
 
 // Close closes the pipes and the socket, and with it every descriptor
