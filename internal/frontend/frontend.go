@@ -407,12 +407,21 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// Serve accepts client connections on ln until Close. The health prober
-// starts with the first Serve call (unless probing is disabled).
+// Serve accepts client connections on ln until Close, and returns nil
+// then. On Linux a *net.TCPListener's connections are accepted with raw
+// calls on a copy of its socket (accept_linux.go), which Close closes with
+// ln: close the Server, not ln, to stop it. The health prober starts with
+// the first Serve call (unless probing is disabled).
 func (s *Server) Serve(ln net.Listener) error {
+	ln = listenRaw(ln)
 	s.lnMu.Lock()
 	s.ln = ln
 	s.lnMu.Unlock()
+	if s.closed.Load() {
+		// Close came first, and may have found no listener to close.
+		ln.Close()
+		return nil
+	}
 	s.probeGo.Do(func() {
 		if s.cfg.probeInterval > 0 {
 			go s.probeLoop(s.cfg.probeInterval)
@@ -466,9 +475,12 @@ func (s *Server) logf(format string, args ...any) {
 // an idle connection hitting the header timeout without sending a byte
 // is the connection's normal end of life (silent); anything else counts
 // as an error, and malformed — smuggling-shaped or otherwise
-// unframeable — heads are answered with 400, never forwarded.
+// unframeable — heads are answered with 400, never forwarded. A head cut
+// short by a close, a reset or the timeout (httprelay.TruncatedError) is
+// answered with nothing, as net/http answers a common network read error.
 func (s *Server) headReadFailed(client net.Conn, err error, doing string) {
-	if err == io.EOF || errors.Is(err, os.ErrDeadlineExceeded) {
+	var truncated *httprelay.TruncatedError
+	if !errors.As(err, &truncated) && (err == io.EOF || errors.Is(err, os.ErrDeadlineExceeded)) {
 		return
 	}
 	s.m.errors.Inc()

@@ -90,8 +90,8 @@ func BenchmarkHandoffDial(b *testing.B) {
 		}
 		cc := &clientConn{addr: clientAddr, sess: sess}
 		if split {
-			var client net.Conn
-			client, cc.tc = loopbackPair(b)
+			client, accepted := loopbackPair(b)
+			cc.Conn, cc.rc = accepted, tcpSocket(accepted)
 			go io.Copy(io.Discard, client)
 		}
 		b.ReportAllocs()

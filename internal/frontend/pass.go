@@ -72,8 +72,7 @@ func passable(head *httprelay.RequestHead) bool {
 // clientConn is one client connection as the relay loop serves it.
 type clientConn struct {
 	net.Conn
-	tc   *net.TCPConn    // the same connection where it is TCP: only its socket can go to a back end
-	rc   syscall.RawConn // tc's, once a handoff has needed it (socket)
+	rc   syscall.RawConn // its socket where it is TCP, nil otherwise: only a TCP socket can go to a back end
 	addr string          // its address as every handoff header carries it
 	br   *bufio.Reader
 	in   clientReader // what br reads
@@ -87,20 +86,30 @@ type clientConn struct {
 	shared bool
 }
 
-// socket returns the client's socket as a handoff header carries it, nil
-// for a client that is no TCP connection.
-func (cc *clientConn) socket() syscall.RawConn {
-	if cc.rc == nil && cc.tc != nil {
-		cc.rc, _ = cc.tc.SyscallConn()
+// newClientConn wraps a connection Serve accepted.
+func newClientConn(c net.Conn) *clientConn {
+	cc := &clientConn{Conn: c}
+	cc.rc, cc.addr = clientSocketOf(c)
+	return cc
+}
+
+// tcpSocket returns c's socket where c is a *net.TCPConn, nil otherwise.
+func tcpSocket(c net.Conn) syscall.RawConn {
+	tc, ok := c.(*net.TCPConn)
+	if !ok {
+		return nil
 	}
-	return cc.rc
+	rc, _ := tc.SyscallConn()
+	return rc
 }
 
 // close ends the client's connection: a socket a back end may still hold
 // a copy of is shut down first, which ends the connection for every copy.
+// A shared socket is a TCP one, a *net.TCPConn or a clientSocket, and both
+// shut down by CloseWrite.
 func (cc *clientConn) close() {
 	if cc.shared {
-		cc.tc.CloseWrite()
+		cc.Conn.(interface{ CloseWrite() error }).CloseWrite()
 	}
 	cc.Conn.Close()
 	cc.in.close()
@@ -112,7 +121,7 @@ func (cc *clientConn) close() {
 // and a plain handoff otherwise.
 func (s *Server) handoffTo(b *backendConn, cc *clientConn, head *httprelay.RequestHead, pass bool) error {
 	owed := b.sw.InSession()
-	sockets := b.sw.CarriesSockets() && cc.socket() != nil
+	sockets := b.sw.CarriesSockets() && cc.rc != nil
 	var err error
 	switch {
 	case pass && sockets && len(head.Raw)+cc.br.Buffered() <= handoff.MaxPassData:
@@ -171,7 +180,7 @@ func (s *Server) reached(cc *clientConn, cw *writeTracker, b *backendConn) bool 
 	if !b.split {
 		return false
 	}
-	n, ok := socketWritten(cc.tc)
+	n, ok := socketWritten(cc.rc)
 	return !ok || n != cc.sent
 }
 

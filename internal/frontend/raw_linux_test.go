@@ -35,56 +35,66 @@ func (l *lockedBuffer) String() string {
 }
 
 // acceptedPair returns both ends of a loopback TCP connection: the one
-// the front end accepts, as a clientConn, and its client.
-func acceptedPair(t *testing.T) (*clientConn, *net.TCPConn) {
+// the front end accepts, as a clientConn, and its client. With raw set it
+// is accepted as Serve accepts a TCP listener's connections (a
+// clientSocket), and by net's Accept (a *net.TCPConn) otherwise.
+func acceptedPair(t *testing.T, raw bool) (*clientConn, *net.TCPConn) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	var c net.Conn
+	var client *net.TCPConn
+	if raw {
+		c, client = acceptRaw(t, listenRawTCP(t, "tcp", "127.0.0.1:0"))
+	} else {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		if client, err = net.DialTCP("tcp", nil, ln.Addr().(*net.TCPAddr)); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client.Close() })
+		if c, err = ln.Accept(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer ln.Close()
-	client, err := net.DialTCP("tcp", nil, ln.Addr().(*net.TCPAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-	c, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := &clientConn{Conn: c, tc: c.(*net.TCPConn)}
+	cc := newClientConn(c)
 	t.Cleanup(cc.close)
 	return cc, client
 }
 
-// resetMidHead sends part of a head and then resets the connection.
-func resetMidHead(c *net.TCPConn) {
+// partHead sends part of a head, as a segment of its own.
+func partHead(c *net.TCPConn) {
 	io.WriteString(c, "GET /x HTTP/1.1\r\nHo")
-	time.Sleep(20 * time.Millisecond) // the part first, as a segment of its own
-	c.SetLinger(0)
-	c.Close()
+	time.Sleep(20 * time.Millisecond)
 }
 
 // headEnds are the ways a head read can end other than with a head, each
-// as its client brings it about.
+// as its client brings it about, and the class headEndClass gives it.
 var headEnds = []struct {
 	name   string
 	client func(c *net.TCPConn)
+	class  string
 }{
-	{"idle past the head timeout", func(*net.TCPConn) {}},
-	{"clean close", func(c *net.TCPConn) { c.CloseWrite() }},
-	{"reset mid-head", resetMidHead},
+	{"idle past the head timeout", func(*net.TCPConn) {}, "deadline"},
+	{"clean close", func(c *net.TCPConn) { c.CloseWrite() }, "eof"},
+	{"close mid-head", func(c *net.TCPConn) { partHead(c); c.CloseWrite() }, "truncated"},
+	{"reset mid-head", func(c *net.TCPConn) { partHead(c); c.SetLinger(0); c.Close() }, "truncated"},
+	{"idle mid-head past the head timeout", partHead, "truncated"},
 	{"malformed head", func(c *net.TCPConn) {
 		io.WriteString(c, "POST /x HTTP/1.1\r\nHost: t\r\nContent-Length: -5\r\n\r\n")
-	}},
+	}, "malformed"},
 }
 
 // headEndClass is how headReadFailed classifies err: "eof" and "deadline"
-// end silently, "malformed" is answered 400, and anything else is an
-// error answered nothing.
+// end silently, "truncated" counts an error answered nothing, "malformed"
+// one answered 400, and anything else is an error answered nothing.
 func headEndClass(err error) string {
 	var malformed *httprelay.MalformedError
+	var truncated *httprelay.TruncatedError
 	switch {
+	case errors.As(err, &truncated):
+		return "truncated"
 	case err == io.EOF:
 		return "eof"
 	case errors.Is(err, os.ErrDeadlineExceeded):
@@ -96,21 +106,32 @@ func headEndClass(err error) string {
 }
 
 // TestRawHeadReadsClassifyAsTheRelay: a TCP client's heads are read with
-// raw calls, and every way a head read can end is classified as it was
-// when the loop read the connection itself. Then, end to end: an idle
-// client past the head timeout and a clean close end silently; a reset
-// part way through a head counts one error, and its client, gone, reads
-// nothing; a malformed head counts one and is answered 400.
+// raw calls, and every way a head read can end is classified as it is when
+// the loop reads the connection itself: an idle client and a clean close
+// are the connection's end, a head cut short by a close, a reset or the
+// head timeout is truncated, and a malformed head is malformed; through a
+// net.TCPConn and through a clientSocket alike. Then, end to end: the
+// first two end silently; a head cut short counts one error and is
+// answered nothing (a client that closed mid-head reads no 400); a
+// malformed head counts one and is answered 400.
 func TestRawHeadReadsClassifyAsTheRelay(t *testing.T) {
+	readers := []struct {
+		name string
+		raw  bool // accepted as a clientSocket
+		own  bool // read through the connection's own Read
+	}{
+		{"net.TCPConn's Read", false, true},
+		{"raw reads of a net.TCPConn", false, false},
+		{"raw reads of a clientSocket", true, false},
+	}
 	for _, end := range headEnds {
-		var classes [2]string
-		for i, raw := range []bool{false, true} {
-			cc, client := acceptedPair(t)
+		for _, rd := range readers {
+			cc, client := acceptedPair(t, rd.raw)
 			r := io.Reader(cc.Conn)
-			if raw {
+			if !rd.own {
 				r = cc.in.open(cc)
 				if _, ok := r.(*handoff.RawIO); !ok {
-					t.Fatalf("a TCP client's heads are read through %T, want *handoff.RawIO", r)
+					t.Fatalf("%s: a TCP client's heads are read through %T, want *handoff.RawIO", rd.name, r)
 				}
 			}
 			end.client(client)
@@ -118,10 +139,9 @@ func TestRawHeadReadsClassifyAsTheRelay(t *testing.T) {
 			br := httprelay.GetReader(r)
 			_, err := httprelay.ReadRequestHead(br, maxHeadBytes)
 			httprelay.PutReader(br)
-			classes[i] = headEndClass(err)
-		}
-		if classes[0] != classes[1] {
-			t.Fatalf("%s: the raw read ends %s, the connection's own read %s", end.name, classes[1], classes[0])
+			if got := headEndClass(err); got != end.class {
+				t.Fatalf("%s, %s: the read ends %s (%v), want %s", end.name, rd.name, got, err, end.class)
+			}
 		}
 	}
 
@@ -142,7 +162,9 @@ func TestRawHeadReadsClassifyAsTheRelay(t *testing.T) {
 	}{
 		{0, "", ""},
 		{0, "", ""},
+		{1, "", "unexpected EOF"},
 		{1, "", "connection reset by peer"},
+		{1, "", "i/o timeout"},
 		{1, "HTTP/1.1 400 Bad Request", "Content-Length"},
 	} {
 		name := headEnds[i].name
@@ -175,26 +197,28 @@ func TestRawHeadReadsClassifyAsTheRelay(t *testing.T) {
 }
 
 // TestRawHeadReadAllocatesNothing: the raw reader's reads of a client's
-// socket, which fill the window a head is parsed from, allocate nothing.
-// (The parse allocates once of its own, on either reader:
-// httprelay.read_request_head_allocs.)
+// socket, a net.TCPConn's or a clientSocket's, which fill the window a head
+// is parsed from, allocate nothing. (The parse allocates once of its own,
+// on either reader: httprelay.read_request_head_allocs.)
 func TestRawHeadReadAllocatesNothing(t *testing.T) {
-	cc, client := acceptedPair(t)
-	r := cc.in.open(cc)
-	req := []byte("GET /rice/doc000001.html HTTP/1.1\r\nHost: t\r\n\r\n")
-	buf := make([]byte, 4096)
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := client.Write(req); err != nil {
-			t.Fatal(err)
-		}
-		for got := 0; got < len(req); {
-			n, err := r.Read(buf)
-			if err != nil {
+	for _, raw := range []bool{false, true} {
+		cc, client := acceptedPair(t, raw)
+		r := cc.in.open(cc)
+		req := []byte("GET /rice/doc000001.html HTTP/1.1\r\nHost: t\r\n\r\n")
+		buf := make([]byte, 4096)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, err := client.Write(req); err != nil {
 				t.Fatal(err)
 			}
-			got += n
+			for got := 0; got < len(req); {
+				n, err := r.Read(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got += n
+			}
+		}); allocs != 0 {
+			t.Fatalf("a head's raw reads of a %T allocate %v times, want 0", cc.Conn, allocs)
 		}
-	}); allocs != 0 {
-		t.Fatalf("a head's raw reads allocate %v times, want 0", allocs)
 	}
 }

@@ -158,8 +158,7 @@ func (b *backendConn) close() {
 
 // handleConn relays one client connection through its session.
 func (s *Server) handleConn(client net.Conn) {
-	cc := &clientConn{Conn: client, addr: client.RemoteAddr().String()}
-	cc.tc, _ = client.(*net.TCPConn)
+	cc := newClientConn(client)
 	defer cc.close()
 
 	// Connection-accept quota gate: a client already over its rate is

@@ -143,6 +143,16 @@ func (l *sndbufListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
+// written is what has been written to the last connection accepted
+// (socketWritten), if there is one.
+func (l *sndbufListener) written() (int64, bool) {
+	tc := l.last.Load()
+	if tc == nil {
+		return 0, false
+	}
+	return socketWritten(tcpSocket(tc))
+}
+
 // TestSplitLargeResponsesToASlowClient: responses of 1 MiB and more, to a
 // client that reads them a few KB at a time through a small receive buffer,
 // so that the back end's writes to the client's socket wait for room, reach
@@ -197,7 +207,7 @@ func TestSplitLargeResponsesToASlowClient(t *testing.T) {
 				// The socket is full once what was written to it stops growing.
 				full, still := int64(-1), 0
 				for deadline := time.Now().Add(5 * time.Second); still < 10 && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-					if at, ok := socketWritten(ln.last.Load()); ok && at > 0 && at == full {
+					if at, ok := ln.written(); ok && at > 0 && at == full {
 						still++
 					} else {
 						full, still = at, 0
@@ -587,7 +597,7 @@ func TestSocketWrittenCountsEveryByte(t *testing.T) {
 			}
 		}
 		want += int64(n)
-		if got, ok := socketWritten(tc); !ok || got != want {
+		if got, ok := socketWritten(tcpSocket(tc)); !ok || got != want {
 			t.Fatalf("after %d bytes: %d, %t", want, got, ok)
 		}
 	}

@@ -2,7 +2,6 @@ package frontend
 
 import (
 	"encoding/binary"
-	"net"
 	"syscall"
 	"unsafe"
 )
@@ -16,18 +15,14 @@ const (
 	tcpInfoLen       = 216
 )
 
-// socketWritten returns how many bytes have been written to c's socket by
-// anyone holding it: bytes sent once, and bytes queued and not yet sent.
-// One TCP_INFO read takes all three counts under the socket's lock, so the
-// sum is exact; read apart (the acked count and SIOCOUTQ), a byte acked in
-// between would be counted twice or not at all. ok is false where the
-// kernel does not report them.
-func socketWritten(c *net.TCPConn) (n int64, ok bool) {
-	if c == nil {
-		return 0, false
-	}
-	rc, err := c.SyscallConn()
-	if err != nil {
+// socketWritten returns how many bytes have been written to the TCP
+// socket rc by anyone holding it: bytes sent once, and bytes queued and not
+// yet sent. One TCP_INFO read takes all three counts under the socket's
+// lock, so the sum is exact; read apart (the acked count and SIOCOUTQ), a
+// byte acked in between would be counted twice or not at all. ok is false
+// where the kernel does not report them.
+func socketWritten(rc syscall.RawConn) (n int64, ok bool) {
+	if rc == nil {
 		return 0, false
 	}
 	var info [tcpInfoLen + 64]byte

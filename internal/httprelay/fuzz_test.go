@@ -61,17 +61,22 @@ func FuzzReadRequestHead(f *testing.F) {
 		h, err := ReadRequestHead(br, 1<<14)
 		consumed := len(data) - br.Buffered() - under.Len()
 		if err != nil {
+			// The only transport error a bytes.Reader produces is a clean
+			// EOF. The contract passes it through bare only when nothing
+			// was received; part way through a head it is truncated, as an
+			// unexpected EOF.
 			var malformed *MalformedError
-			if !errors.As(err, &malformed) {
-				// The only transport error a bytes.Reader produces is a
-				// clean EOF, and the contract passes that through only
-				// when nothing was received.
-				if err != io.EOF {
-					t.Fatalf("non-malformed, non-EOF error: %v", err)
+			var truncated *TruncatedError
+			switch {
+			case errors.As(err, &malformed):
+			case errors.As(err, &truncated):
+				if truncated.Err != io.ErrUnexpectedEOF || len(data) == 0 {
+					t.Fatalf("truncated after %d bytes of input: %v", len(data), err)
 				}
-				if len(data) != 0 {
-					t.Fatalf("bare io.EOF after %d bytes of input", len(data))
-				}
+			case err != io.EOF:
+				t.Fatalf("non-malformed, non-EOF error: %v", err)
+			case len(data) != 0:
+				t.Fatalf("bare io.EOF after %d bytes of input", len(data))
 			}
 			return
 		}

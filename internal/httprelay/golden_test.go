@@ -302,8 +302,12 @@ func (e goldenEntry) source() io.Reader {
 func goldenRow(in string, raw []byte, fields string, err error) string {
 	if err != nil {
 		var m *MalformedError
-		if errors.As(err, &m) {
+		var tr *TruncatedError
+		switch {
+		case errors.As(err, &m):
 			return "malformed"
+		case errors.As(err, &tr):
+			return "truncated io:" + tr.Err.Error()
 		}
 		return "io:" + err.Error()
 	}

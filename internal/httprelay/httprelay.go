@@ -30,6 +30,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -47,6 +48,18 @@ func (e *MalformedError) Error() string { return "httprelay: malformed message: 
 func malformedf(format string, args ...any) error {
 	return &MalformedError{Reason: fmt.Sprintf(format, args...)}
 }
+
+// TruncatedError reports a request head its connection ended, failed or
+// timed out part way through: a transport fault, not a framing one, so
+// (net/http's rule for common network read errors) it is answered with
+// nothing. Err is the read's error, io.ErrUnexpectedEOF for a clean close.
+type TruncatedError struct {
+	Err error
+}
+
+func (e *TruncatedError) Error() string { return "httprelay: truncated head: " + e.Err.Error() }
+
+func (e *TruncatedError) Unwrap() error { return e.Err }
 
 // malformed is malformedf for the //lard:noalloc parsers: a fixed reason
 // and the offending bytes, with no variadic boxing at the call site.
@@ -118,10 +131,11 @@ func (s *headScan) End(b []byte) int {
 //   - A head that outgrows the window is accumulated, window by window,
 //     in a buffer of its own and consumed; unread is 0.
 //
-// request selects the request side's two leniencies: blank lines before
-// the start line are skipped, and an I/O error before any byte arrived is
-// returned untouched — the connection's normal end of life, not a framing
-// fault. Every other failure is a MalformedError.
+// request selects the request side's leniencies: blank lines before the
+// start line are skipped, and an I/O error is no framing fault: before any
+// byte arrived it is returned untouched, the connection's normal end of
+// life, and part way through a head it is a TruncatedError. Every other
+// failure is a MalformedError.
 func readHead(br *bufio.Reader, maxBytes int, request bool) (head []byte, unread int, err error) {
 	s := headScan{started: !request}
 	var acc []byte // the consumed windows of a head that outgrew one
@@ -150,10 +164,15 @@ func readHead(br *bufio.Reader, maxBytes int, request bool) (head []byte, unread
 			br.Discard(len(w))
 		}
 		if _, err := br.Peek(br.Buffered() + 1); err != nil {
-			if request && len(b) == 0 {
-				return nil, 0, err // nothing received: not a framing fault
+			switch {
+			case !request:
+				return nil, 0, malformedf("truncated head: %v", err)
+			case len(b) == 0:
+				return nil, 0, err // nothing received
+			case err == io.EOF:
+				err = io.ErrUnexpectedEOF
 			}
-			return nil, 0, malformedf("truncated head: %v", err)
+			return nil, 0, &TruncatedError{Err: err}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package httprelay
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -138,8 +139,10 @@ func TestReadRequestHeadLimits(t *testing.T) {
 	if _, err := ReadRequestHead(reqReader("GET /x HTTP/1.1\r\n"+strings.Repeat("a", 1<<12)), 256); err == nil {
 		t.Fatal("unterminated oversized line accepted")
 	}
-	// Truncated mid-head is not a clean EOF.
-	if _, err := ReadRequestHead(reqReader("GET /x HTTP/1.1\r\nHost:"), 1<<16); err == nil || err == io.EOF {
+	// Truncated mid-head is not a clean EOF, nor a malformed head: an
+	// unexpected EOF.
+	var truncated *TruncatedError
+	if _, err := ReadRequestHead(reqReader("GET /x HTTP/1.1\r\nHost:"), 1<<16); !errors.As(err, &truncated) || truncated.Err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated head: %v", err)
 	}
 }

@@ -77,8 +77,10 @@ func (h RequestHead) Size() int64 {
 // An I/O error before any byte of the head — io.EOF on a clean close
 // between pipelined requests, a read-deadline expiry on an idle
 // keep-alive connection — is returned untouched, so callers can tell the
-// connection's normal end of life from a truncated or malformed message
-// (only the latter are MalformedErrors deserving a 400).
+// connection's normal end of life from a truncated or malformed message.
+// One part way through the head (a close, a reset, a timeout) is a
+// TruncatedError: a fault, but of the transport, answered with nothing.
+// Only a MalformedError deserves a 400.
 //
 // Raw is a copy of the head: it outlives every later read from br.
 func ReadRequestHead(br *bufio.Reader, maxBytes int) (RequestHead, error) {
