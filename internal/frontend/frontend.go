@@ -26,6 +26,7 @@ import (
 
 	"lard/internal/breaker"
 	"lard/internal/core"
+	"lard/internal/handoff"
 	"lard/internal/httprelay"
 	"lard/internal/metrics"
 	"lard/pkg/lard"
@@ -409,11 +410,14 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Serve accepts client connections on ln until Close, and returns nil
 // then. On Linux a *net.TCPListener's connections are accepted with raw
-// calls on a copy of its socket (accept_linux.go), which Close closes with
-// ln: close the Server, not ln, to stop it. The health prober starts with
-// the first Serve call (unless probing is disabled).
+// calls on a copy of its socket (handoff.ListenRaw), which Close closes
+// with ln: close the Server, not ln, to stop it. A temporary accept error,
+// such as running out of descriptors, is retried after a pause that
+// doubles from 5 ms to 1 s, as net/http's Serve does; any other ends
+// Serve. The health prober starts with the first Serve call (unless
+// probing is disabled).
 func (s *Server) Serve(ln net.Listener) error {
-	ln = listenRaw(ln)
+	ln = handoff.ListenRaw(ln)
 	s.lnMu.Lock()
 	s.ln = ln
 	s.lnMu.Unlock()
@@ -428,14 +432,25 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		go s.pool.janitor(s.stop)
 	})
+	var pause time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			if s.closed.Load() {
 				return nil
 			}
-			return err
+			if te, ok := err.(interface{ Temporary() bool }); !ok || !te.Temporary() {
+				return err
+			}
+			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+			s.logf("frontend: %v; retrying in %v", err, pause)
+			select {
+			case <-time.After(pause):
+			case <-s.stop:
+			}
+			continue
 		}
+		pause = 0
 		s.m.accepted.Inc()
 		go s.handleConn(conn)
 	}

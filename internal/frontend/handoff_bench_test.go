@@ -91,7 +91,8 @@ func BenchmarkHandoffDial(b *testing.B) {
 		cc := &clientConn{addr: clientAddr, sess: sess}
 		if split {
 			client, accepted := loopbackPair(b)
-			cc.Conn, cc.rc = accepted, tcpSocket(accepted)
+			cc.Conn = accepted
+			cc.rc, _ = clientSocket(accepted)
 			go io.Copy(io.Discard, client)
 		}
 		b.ReportAllocs()

@@ -75,7 +75,6 @@ type clientConn struct {
 	rc   syscall.RawConn // its socket where it is TCP, nil otherwise: only a TCP socket can go to a back end
 	addr string          // its address as every handoff header carries it
 	br   *bufio.Reader
-	in   clientReader // what br reads
 	sess *lard.Session
 
 	// sent is what the client has been sent, by the relay and by back ends
@@ -86,33 +85,39 @@ type clientConn struct {
 	shared bool
 }
 
-// newClientConn wraps a connection Serve accepted.
+// newClientConn wraps a connection Serve accepted. It is small enough to
+// be inlined, so that the clientConn stays on handleConn's stack.
 func newClientConn(c net.Conn) *clientConn {
 	cc := &clientConn{Conn: c}
-	cc.rc, cc.addr = clientSocketOf(c)
+	cc.rc, cc.addr = clientSocket(c)
 	return cc
 }
 
-// tcpSocket returns c's socket where c is a *net.TCPConn, nil otherwise.
-func tcpSocket(c net.Conn) syscall.RawConn {
-	tc, ok := c.(*net.TCPConn)
-	if !ok {
-		return nil
+// clientSocket returns c's socket where c is a TCP connection, a
+// *handoff.Socket or a *net.TCPConn (nil otherwise), and c's address as
+// every handoff header carries it: a Socket's spelled from its netip form,
+// one allocation, where a net.Addr's String makes several.
+func clientSocket(c net.Conn) (syscall.RawConn, string) {
+	switch c := c.(type) {
+	case *handoff.Socket:
+		rc, _ := c.SyscallConn()
+		return rc, c.Peer().String()
+	case *net.TCPConn:
+		rc, _ := c.SyscallConn()
+		return rc, c.RemoteAddr().String()
 	}
-	rc, _ := tc.SyscallConn()
-	return rc
+	return nil, c.RemoteAddr().String()
 }
 
 // close ends the client's connection: a socket a back end may still hold
 // a copy of is shut down first, which ends the connection for every copy.
-// A shared socket is a TCP one, a *net.TCPConn or a clientSocket, and both
-// shut down by CloseWrite.
+// A shared socket is a TCP one, a *handoff.Socket or a *net.TCPConn, and
+// both shut down by CloseWrite.
 func (cc *clientConn) close() {
 	if cc.shared {
 		cc.Conn.(interface{ CloseWrite() error }).CloseWrite()
 	}
 	cc.Conn.Close()
-	cc.in.close()
 }
 
 // handoffTo sends the handoff message that opens the next session on b,

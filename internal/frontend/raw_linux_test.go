@@ -37,7 +37,7 @@ func (l *lockedBuffer) String() string {
 // acceptedPair returns both ends of a loopback TCP connection: the one
 // the front end accepts, as a clientConn, and its client. With raw set it
 // is accepted as Serve accepts a TCP listener's connections (a
-// clientSocket), and by net's Accept (a *net.TCPConn) otherwise.
+// *handoff.Socket), and by net's Accept (a *net.TCPConn) otherwise.
 func acceptedPair(t *testing.T, raw bool) (*clientConn, *net.TCPConn) {
 	t.Helper()
 	var c net.Conn
@@ -105,38 +105,32 @@ func headEndClass(err error) string {
 	return "error"
 }
 
-// TestRawHeadReadsClassifyAsTheRelay: a TCP client's heads are read with
-// raw calls, and every way a head read can end is classified as it is when
-// the loop reads the connection itself: an idle client and a clean close
-// are the connection's end, a head cut short by a close, a reset or the
-// head timeout is truncated, and a malformed head is malformed; through a
-// net.TCPConn and through a clientSocket alike. Then, end to end: the
-// first two end silently; a head cut short counts one error and is
-// answered nothing (a client that closed mid-head reads no 400); a
-// malformed head counts one and is answered 400.
+// TestRawHeadReadsClassifyAsTheRelay: the relay loop reads a client's
+// heads through its connection, and every way a head read can end is
+// classified alike, through a net.TCPConn and through a handoff.Socket's
+// raw calls: an idle client and a clean close are the connection's end, a
+// head cut short by a close, a reset or the head timeout is truncated, and
+// a malformed head is malformed. Then, end to end: the first two end
+// silently; a head cut short counts one error and is answered nothing (a
+// client that closed mid-head reads no 400); a malformed head counts one
+// and is answered 400.
 func TestRawHeadReadsClassifyAsTheRelay(t *testing.T) {
 	readers := []struct {
 		name string
-		raw  bool // accepted as a clientSocket
-		own  bool // read through the connection's own Read
+		raw  bool // accepted as a handoff.Socket
 	}{
-		{"net.TCPConn's Read", false, true},
-		{"raw reads of a net.TCPConn", false, false},
-		{"raw reads of a clientSocket", true, false},
+		{"a net.TCPConn", false},
+		{"a handoff.Socket", true},
 	}
 	for _, end := range headEnds {
 		for _, rd := range readers {
 			cc, client := acceptedPair(t, rd.raw)
-			r := io.Reader(cc.Conn)
-			if !rd.own {
-				r = cc.in.open(cc)
-				if _, ok := r.(*handoff.RawIO); !ok {
-					t.Fatalf("%s: a TCP client's heads are read through %T, want *handoff.RawIO", rd.name, r)
-				}
+			if _, ok := cc.Conn.(*handoff.Socket); ok != rd.raw {
+				t.Fatalf("%s: the client's connection is a %T", rd.name, cc.Conn)
 			}
 			end.client(client)
 			cc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-			br := httprelay.GetReader(r)
+			br := httprelay.GetReader(cc.Conn)
 			_, err := httprelay.ReadRequestHead(br, maxHeadBytes)
 			httprelay.PutReader(br)
 			if got := headEndClass(err); got != end.class {
@@ -196,16 +190,17 @@ func TestRawHeadReadsClassifyAsTheRelay(t *testing.T) {
 	}
 }
 
-// TestRawHeadReadAllocatesNothing: the raw reader's reads of a client's
-// socket, a net.TCPConn's or a clientSocket's, which fill the window a head
-// is parsed from, allocate nothing. (The parse allocates once of its own,
-// on either reader: httprelay.read_request_head_allocs.)
+// TestRawHeadReadAllocatesNothing: the relay loop's reads of a client's
+// socket, a net.TCPConn's or a handoff.Socket's, which fill the window a
+// head is parsed from, allocate nothing, and neither does a
+// handoff.Socket's first read. (The parse allocates once of its own, on
+// either reader: httprelay.read_request_head_allocs.)
 func TestRawHeadReadAllocatesNothing(t *testing.T) {
+	req := []byte("GET /rice/doc000001.html HTTP/1.1\r\nHost: t\r\n\r\n")
+	buf := make([]byte, 4096)
 	for _, raw := range []bool{false, true} {
 		cc, client := acceptedPair(t, raw)
-		r := cc.in.open(cc)
-		req := []byte("GET /rice/doc000001.html HTTP/1.1\r\nHost: t\r\n\r\n")
-		buf := make([]byte, 4096)
+		r := cc.Conn
 		if allocs := testing.AllocsPerRun(200, func() {
 			if _, err := client.Write(req); err != nil {
 				t.Fatal(err)
@@ -220,5 +215,23 @@ func TestRawHeadReadAllocatesNothing(t *testing.T) {
 		}); allocs != 0 {
 			t.Fatalf("a head's raw reads of a %T allocate %v times, want 0", cc.Conn, allocs)
 		}
+	}
+
+	const runs = 20
+	ln := listenRawTCP(t, "tcp", "127.0.0.1:0")
+	fresh := make([]*handoff.Socket, runs+1) // AllocsPerRun's warm-up run reads one too
+	for i := range fresh {
+		s, client := acceptRaw(t, ln)
+		client.Write(req)
+		waitReadable(t, s)
+		fresh[i] = s
+	}
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := fresh[0].Read(buf); err != nil {
+			t.Fatal(err)
+		}
+		fresh = fresh[1:]
+	}); allocs != 0 {
+		t.Fatalf("a handoff.Socket's first read allocates %v times, want 0", allocs)
 	}
 }

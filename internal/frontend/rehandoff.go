@@ -178,7 +178,7 @@ func (s *Server) handleConn(client net.Conn) {
 	s.m.activeSessions.Add(1)
 	defer s.m.activeSessions.Add(-1)
 
-	br := httprelay.GetReader(cc.in.open(cc))
+	br := httprelay.GetReader(client)
 	cc.br = br
 	var (
 		backend     *backendConn

@@ -150,7 +150,8 @@ func (l *sndbufListener) written() (int64, bool) {
 	if tc == nil {
 		return 0, false
 	}
-	return socketWritten(tcpSocket(tc))
+	rc, _ := clientSocket(tc)
+	return socketWritten(rc)
 }
 
 // TestSplitLargeResponsesToASlowClient: responses of 1 MiB and more, to a
@@ -588,6 +589,7 @@ func TestSocketWrittenCountsEveryByte(t *testing.T) {
 	}
 	defer peer.Close()
 	tc := c.(*net.TCPConn)
+	rc, _ := clientSocket(tc)
 	var want int64
 	for _, n := range []int{0, 100, 8 << 10, 1 << 20} {
 		if n > 0 {
@@ -597,7 +599,7 @@ func TestSocketWrittenCountsEveryByte(t *testing.T) {
 			}
 		}
 		want += int64(n)
-		if got, ok := socketWritten(tcpSocket(tc)); !ok || got != want {
+		if got, ok := socketWritten(rc); !ok || got != want {
 			t.Fatalf("after %d bytes: %d, %t", want, got, ok)
 		}
 	}

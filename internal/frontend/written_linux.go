@@ -19,8 +19,9 @@ const (
 // socket rc by anyone holding it: bytes sent once, and bytes queued and not
 // yet sent. One TCP_INFO read takes all three counts under the socket's
 // lock, so the sum is exact; read apart (the acked count and SIOCOUTQ), a
-// byte acked in between would be counted twice or not at all. ok is false
-// where the kernel does not report them.
+// byte acked in between would be counted twice or not at all. The read
+// cannot wait, so it is made raw. ok is false where the kernel does not
+// report them.
 func socketWritten(rc syscall.RawConn) (n int64, ok bool) {
 	if rc == nil {
 		return 0, false
@@ -29,7 +30,7 @@ func socketWritten(rc syscall.RawConn) (n int64, ok bool) {
 	size := uint32(len(info))
 	var errno syscall.Errno
 	if err := rc.Control(func(fd uintptr) {
-		_, _, errno = syscall.Syscall6(syscall.SYS_GETSOCKOPT, fd, syscall.IPPROTO_TCP, syscall.TCP_INFO,
+		_, _, errno = syscall.RawSyscall6(syscall.SYS_GETSOCKOPT, fd, syscall.IPPROTO_TCP, syscall.TCP_INFO,
 			uintptr(unsafe.Pointer(&info[0])), uintptr(unsafe.Pointer(&size)), 0)
 	}); err != nil || errno != 0 || size < tcpInfoLen {
 		return 0, false

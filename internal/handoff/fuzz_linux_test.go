@@ -20,7 +20,7 @@ func fuzzListener(t *testing.T) *Listener {
 		acceptCh:           make(chan net.Conn),
 		done:               make(chan struct{}),
 		transports:         make(map[net.Conn]struct{}),
-		clients:            make(map[*clientSocket]struct{}),
+		clients:            make(map[*Socket]struct{}),
 	}
 	go func() {
 		for {

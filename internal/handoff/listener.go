@@ -117,7 +117,7 @@ type Listener struct {
 	// under transMu: Close closes them before the transports, so that no
 	// server can still be writing a response to one when its front end
 	// learns that the transport is gone.
-	clients map[*clientSocket]struct{}
+	clients map[*Socket]struct{}
 }
 
 // Listen announces on the local network address and returns a handoff
@@ -144,7 +144,7 @@ func NewListener(ln net.Listener) *Listener {
 		done:               make(chan struct{}),
 		errDone:            make(chan struct{}),
 		transports:         make(map[net.Conn]struct{}),
-		clients:            make(map[*clientSocket]struct{}),
+		clients:            make(map[*Socket]struct{}),
 	}
 }
 
@@ -512,8 +512,8 @@ func (l *Listener) holdClient(c *sessionConn, fd int) error {
 
 // releaseClient closes a session's copy of its client's socket, if it
 // holds one, and forgets it.
-func (l *Listener) releaseClient(c *clientSocket) {
-	c.close()
+func (l *Listener) releaseClient(c *Socket) {
+	c.Close()
 	l.transMu.Lock()
 	delete(l.clients, c)
 	l.transMu.Unlock()
@@ -541,7 +541,7 @@ func (l *Listener) Close() error {
 		}
 		l.transMu.Lock()
 		for c := range l.clients {
-			c.close()
+			c.Close()
 		}
 		for raw := range l.transports {
 			raw.Close()

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sync"
 	"syscall"
 	"time"
 	"unsafe"
@@ -195,7 +194,7 @@ type passConn struct {
 	outErr error
 
 	// recv takes the next socket message without waiting, or only peeks at
-	// its tag: its flags and results.
+	// its tag: its flags and results. A call that cannot wait is made raw.
 	recv      func(fd uintptr)
 	peek      bool
 	n, oobn   int
@@ -262,7 +261,7 @@ func newPassConn(sock *os.File, local, remote net.Addr, in, out *os.File) *passC
 			flags = syscall.MSG_DONTWAIT | syscall.MSG_CMSG_CLOEXEC
 		}
 		for {
-			n, _, e := syscall.Syscall(syscall.SYS_RECVMSG, fd, uintptr(unsafe.Pointer(&msg)), uintptr(flags))
+			n, _, e := syscall.RawSyscall(syscall.SYS_RECVMSG, fd, uintptr(unsafe.Pointer(&msg)), uintptr(flags))
 			if e == syscall.EINTR {
 				continue
 			}
@@ -453,131 +452,6 @@ func sendWithSocket(c net.Conn, b []byte, at int, client syscall.RawConn) error 
 		return errPassUnsupported
 	}
 	return pc.sendSocket(b, at, client)
-}
-
-// clientSocket is a split session's copy of its client's socket. It is
-// written with writev(2) on the bare descriptor, outside the runtime's
-// poller: registered there when its header arrives, as an os.File or a
-// net.TCPConn, the copy measured slower on both benchmark workloads that
-// open a split session per connection or per request (DESIGN.md, "Answering
-// directly, reading still"). Only a response that finds the socket full
-// hands the descriptor to the poller, as an os.File, for the rest of the
-// session, so that the rest waits there and not in a blocked thread. Close
-// may come from any goroutine (Listener.Close), so the bare descriptor is
-// used and closed only under mu, and no write can reach a descriptor number
-// the process has since reused; the os.File's Close waits for a write in
-// progress on it to return.
-type clientSocket struct {
-	mu   sync.Mutex
-	open bool     // there is a socket: the zero value has none
-	fd   int      // its descriptor
-	file *os.File // the descriptor once a write found the socket full
-	iov  []syscall.Iovec
-}
-
-// iovMax is IOV_MAX, the most iovecs one writev takes.
-const iovMax = 1024
-
-// reset makes fd the socket.
-func (s *clientSocket) reset(fd int) {
-	s.mu.Lock()
-	s.open, s.fd, s.file = true, fd, nil
-	s.mu.Unlock()
-}
-
-var errClientClosed = errors.New("handoff: the client's socket is closed")
-
-// Write writes p whole, or fails; errClientClosed once the socket is
-// closed.
-func (s *clientSocket) Write(p []byte) (int, error) {
-	v := net.Buffers{p}
-	n, err := s.WriteBuffers(&v)
-	return int(n), err
-}
-
-// WriteBuffers writes v whole, or fails, consuming it: what the bare
-// descriptor takes, then, once the socket is full, the rest through the
-// os.File, in order.
-func (s *clientSocket) WriteBuffers(v *net.Buffers) (int64, error) {
-	s.mu.Lock()
-	n, err := s.writeBare(v)
-	f := s.file
-	s.mu.Unlock()
-	for ; err == nil && len(*v) > 0; *v = (*v)[1:] {
-		m, werr := f.Write((*v)[0])
-		n, err = n+int64(m), werr
-	}
-	return n, err
-}
-
-// writeBare writes v to the bare descriptor, IOV_MAX iovecs a writev, until
-// it is written or the socket is full, when it hands the descriptor to file
-// for the rest. It is called with mu held.
-func (s *clientSocket) writeBare(v *net.Buffers) (int64, error) {
-	switch {
-	case !s.open:
-		return 0, errClientClosed
-	case s.file != nil:
-		return 0, nil
-	}
-	var written int64
-	for len(*v) > 0 {
-		iov := s.iov[:0]
-		for _, b := range *v {
-			if len(iov) == iovMax {
-				break
-			}
-			if len(b) > 0 {
-				iov = append(iov, syscall.Iovec{Base: &b[0]})
-				iov[len(iov)-1].SetLen(len(b))
-			}
-		}
-		if s.iov = iov; len(iov) == 0 {
-			*v = (*v)[len(*v):]
-			break
-		}
-		n, _, e := syscall.Syscall(syscall.SYS_WRITEV, uintptr(s.fd), uintptr(unsafe.Pointer(&iov[0])), uintptr(len(iov)))
-		clear(iov)
-		switch e {
-		case 0:
-		case syscall.EINTR:
-			continue
-		case syscall.EAGAIN:
-			s.file = os.NewFile(uintptr(s.fd), "client")
-			return written, nil
-		default:
-			return written, e
-		}
-		written += int64(n)
-		consume(v, int64(n))
-	}
-	return written, nil
-}
-
-// consume drops v's first n bytes, as net.Buffers.WriteTo does with what it
-// wrote.
-func consume(v *net.Buffers, n int64) {
-	for len(*v) > 0 && n >= int64(len((*v)[0])) {
-		n -= int64(len((*v)[0]))
-		*v = (*v)[1:]
-	}
-	if n > 0 {
-		(*v)[0] = (*v)[0][n:]
-	}
-}
-
-// close closes the socket copy, once.
-func (s *clientSocket) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case !s.open:
-	case s.file != nil:
-		s.file.Close()
-	default:
-		syscall.Close(s.fd)
-	}
-	s.open, s.file = false, nil
 }
 
 // fileTCPConn makes fd, which it takes over, a net.TCPConn.

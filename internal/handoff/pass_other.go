@@ -32,17 +32,6 @@ func sendWithSocket(net.Conn, []byte, int, syscall.RawConn) error { return errPa
 
 func closeFD(int) {}
 
-// clientSocket is never open here: no header can carry one.
-type clientSocket struct{}
-
-func (*clientSocket) reset(int) {}
-
-func (*clientSocket) Write([]byte) (int, error) { return 0, errPassUnsupported }
-
-func (*clientSocket) WriteBuffers(*net.Buffers) (int64, error) { return 0, errPassUnsupported }
-
-func (*clientSocket) close() {}
-
 func fileTCPConn(int) (*net.TCPConn, error) { return nil, errPassUnsupported }
 
 // DialPass always fails here: there is no pass address to dial.

@@ -240,7 +240,7 @@ type sessionConn struct {
 	// from then on a split session's writes go to the socket, written bytes
 	// at a time, each response reported in a done record built in rec.
 	split   bool
-	client  clientSocket
+	client  Socket
 	direct  bool
 	written int64
 	rec     [doneLen]byte
@@ -298,7 +298,7 @@ func (c *sessionConn) Read(p []byte) (int, error) {
 		size := binary.BigEndian.Uint32(c.lenBuf[:])
 		if size == 0 {
 			c.sawEnd = true
-			c.client.close()
+			c.client.Close()
 			return 0, io.EOF
 		}
 		if size > MaxFrameLen {
@@ -343,8 +343,7 @@ func (c *sessionConn) Write(p []byte) (int, error) {
 
 // WriteBuffers writes v whole, or fails, consuming it as net.Buffers.WriteTo
 // does, and goes where Write goes: to the transport in one writev, or to a
-// split session's client in one writev on the bare descriptor, which the
-// client's os.File finishes if the socket fills (clientSocket).
+// split session's client in raw writevs (Socket).
 //
 //lard:noalloc
 func (c *sessionConn) WriteBuffers(v *net.Buffers) (int64, error) {
@@ -408,7 +407,7 @@ func (c *sessionConn) Answered(open bool) error {
 // end-of-session record; the loop checks drained(). A split session's
 // socket copy is closed.
 func (c *sessionConn) Close() error {
-	c.client.close()
+	c.client.Close()
 	c.closeOnce.Do(func() { c.closed <- struct{}{} })
 	return nil
 }
