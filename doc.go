@@ -25,7 +25,8 @@
 //   - internal/experiments — regeneration code for every figure and
 //     table in the paper's evaluation.
 //   - cmd/… — lardsim, lardfe, lardbe, loadgen, tracegen binaries.
-//   - examples/… — runnable walk-throughs of the public pieces.
+//   - examples/prototype — the live WRR against LARD/R run on loopback;
+//     pkg/lard's Example functions walk through the public API.
 //
 // The benchmark harness in bench_test.go regenerates each paper artifact
 // at a reduced scale; `go run ./cmd/lardsim -experiment all -scale 1.0`

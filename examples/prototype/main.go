@@ -53,9 +53,10 @@ func main() {
 	}
 	fmt.Println("\nLARD/R partitions the working set over the back ends' caches;")
 	fmt.Println("WRR makes every cache fight over the same full working set. The")
-	fmt.Println("throughput gap understates the hit-ratio gap because loopback TCP")
-	fmt.Println("setup dominates per-request latency on a development machine; the")
-	fmt.Println("simulator (cmd/lardsim) isolates the effect the paper measures.")
+	fmt.Println("throughput gap is not the paper's mechanism: a live miss sleeps in")
+	fmt.Println("its own serving goroutine, so misses overlap and no disk saturates;")
+	fmt.Println("the gap follows from the closed loop's latency law. The simulator")
+	fmt.Println("(cmd/lardsim) models the paper's FIFO disk, which saturates under WRR.")
 }
 
 // runCluster starts backends+frontend, drives the trace through them, and

@@ -54,7 +54,7 @@ import (
 // end-of-session records, done records and relayed responses, are those of
 // a TCP transport, and a pipe wakes its writer only when it was full,
 // where a unix stream's every read wakes the writer's poller (DESIGN.md,
-// "The stream rides a pipe pair"). The socket carries descriptors only:
+// "The pass transport"). The socket carries descriptors only:
 // each header that carries a client's socket is preceded there by one
 // message of eight bytes, the header's offset in the front end's stream
 // (big-endian), with the socket attached. The Listener takes that message

@@ -166,7 +166,8 @@ func isPipeEnd(fd, mode int) bool {
 // front end's relay loop reads its clients: on the front end a pipe call
 // per request each way is most of the calls that loop makes, and in
 // paired benchmark runs the back end's end, made raw as well, lost
-// nothing (DESIGN.md, "The relay's calls stay out of the scheduler").
+// nothing (DESIGN.md, "Raw system calls: the relay stays out of the
+// scheduler").
 type passConn struct {
 	sock          *os.File        // the socket, blocking and out of the poller (detach)
 	rc            syscall.RawConn // sock's

@@ -18,8 +18,8 @@ import (
 // It is safe only because the descriptor never blocks: a call that finds
 // nothing to read or no room returns EAGAIN at once, and the callback then
 // returns false, so that the goroutine waits in the poller, under the
-// descriptor's deadlines, as a plain Read or Write does (DESIGN.md, "The
-// relay's calls stay out of the scheduler").
+// descriptor's deadlines, as a plain Read or Write does (DESIGN.md, "Raw
+// system calls: the relay stays out of the scheduler").
 //
 // Read returns what one read(2) gave, io.EOF for none; Write writes p
 // whole, or fails. Neither allocates but to report an error. A RawIO is

@@ -13,25 +13,25 @@ import (
 )
 
 // Socket is a client's TCP socket, at either end of a handoff: the
-// connection a front end accepts (ListenRaw), and a split session's copy
-// of it at the back end (Listener). It follows one rule: only a call that
-// must wait leaves the raw path. Each call is made raw on the bare,
-// nonblocking descriptor (syscall.RawSyscall), so that none enters the
-// scheduler: a call through the syscall package proper wakes the
-// runtime's sysmon thread whenever the process has been idle, and lets
-// sysmon hand the processor to another thread mid-call (DESIGN.md, "The
-// relay's calls stay out of the scheduler"). A call that would have to
-// wait, a read with nothing to read or a write with no room, hands the
-// descriptor to the poller for good, as an os.File (join), under the
-// deadlines set so far: on Linux os.NewFile's fcntl and epoll_ctl are the
-// runtime's own, so joining enters no scheduler either. From then on
-// reads and writes still run raw, in the os.File's RawConn callbacks, and
-// leave the raw path only to wait; ReadFrom, the deadlines and the close
-// go through the os.File. The socket is never made blocking: nothing
-// calls the os.File's Fd. A split copy registered in the poller as soon
-// as its header arrived, as an os.File or a net.TCPConn, measured slower
-// on both benchmark workloads that split a session per connection or per
-// request (DESIGN.md, "Answering directly, reading still").
+// connection a front end accepts (ListenRaw), and a split session's copy of
+// it at the back end (Listener). It follows one rule: only a call that must
+// wait leaves the raw path. Each call is made raw on the bare, nonblocking
+// descriptor (syscall.RawSyscall), so that none enters the scheduler: a
+// call through the syscall package proper wakes the runtime's sysmon thread
+// whenever the process has been idle, and lets sysmon hand the processor to
+// another thread mid-call (DESIGN.md, "Raw system calls: the relay stays
+// out of the scheduler"). A call that would have to wait, a read with
+// nothing to read or a write with no room, hands the descriptor to the
+// poller for good, as an os.File (join), under the deadlines set so far: on
+// Linux os.NewFile's fcntl and epoll_ctl are the runtime's own, so joining
+// enters no scheduler either. From then on reads and writes still run raw,
+// in the os.File's RawConn callbacks, and leave the raw path only to wait;
+// ReadFrom, the deadlines and the close go through the os.File. The socket
+// is never made blocking: nothing calls the os.File's Fd. A split copy
+// registered in the poller as soon as its header arrived, as an os.File or
+// a net.TCPConn, measured slower on both benchmark workloads that split a
+// session per connection or per request (DESIGN.md, "Split sessions:
+// answering directly, reading still").
 //
 // Close may come from another goroutine than the socket's calls (a back
 // end's Listener.Close), so every call on the bare descriptor, and the

@@ -102,7 +102,8 @@ func (perRequestPolicy) Observe(time.Duration, int, Request)          {}
 
 // CostAwareConfig holds the cost-model parameters of the CostAware
 // policy. The zero value selects defaults calibrated to the paper's
-// 300 MHz Pentium II cost model (see DESIGN.md for the derivation). The
+// 300 MHz Pentium II cost model (DESIGN.md, "CostAware: when is a
+// re-handoff worth it?", has the derivation). The
 // hysteresis factor (2) and the recency-table bound (64 Ki targets) are
 // fixed, and every request is eligible to move.
 type CostAwareConfig struct {
@@ -190,8 +191,9 @@ func (c CostAwareConfig) withDefaults() CostAwareConfig {
 // the assignment on the same node, where serving a cold target in place
 // would split them and pay an extra miss when the target recurs.
 // Warm-here stays plus hot replication are how CostAware holds
-// PerRequest's throughput with a fraction of its re-handoffs; DESIGN.md
-// derives the thresholds and records the measurements.
+// PerRequest's throughput with a fraction of its re-handoffs; DESIGN.md,
+// "CostAware: when is a re-handoff worth it?", derives the thresholds and
+// records the measurements.
 func CostAware(cfg CostAwareConfig) ConnPolicy {
 	c := cfg.withDefaults()
 	switchCost := hysteresis * (c.HandoffCost + c.EstablishCost + c.TeardownCost)
