@@ -425,10 +425,10 @@ func parsedPath(target string) (string, bool) {
 //
 // Between requests a session may idle for as long as its peer likes, unless
 // the conn bounds that itself (IdleTimeout, asked for by method like
-// NextSession below): a connection a front end passed by descriptor has no
-// front end left to end it, so the bound the front end sent with it does,
-// and the loop closes it when that runs out before a next request's first
-// byte.
+// NextSession below, and asked again at every session): a connection a
+// front end passed by descriptor has no front end left to end it, so the
+// bound the front end sent with it does, and the loop closes it when that
+// runs out before a next request's first byte.
 //
 // A conn that can answer its client directly (direct: handoff's split
 // sessions and passed connections) is told so before the first answer and
@@ -436,10 +436,11 @@ func parsedPath(target string) (string, bool) {
 // the client's own socket, and a done record to the front end in its place.
 //
 // EOF where a head would begin is the peer ending the session: on a
-// handed-off connection, the end-of-session record. A conn that can be its
-// transport's next session (handoff's, asked for by method so that nothing
-// here imports it) becomes that, and the loop goes on with the next client's
-// requests; it returns, and closes, when there is no next session.
+// handed-off connection, the end-of-session record, or a passed client's
+// close. A conn that can be its transport's next session (handoff's, asked
+// for by method so that nothing here imports it) becomes that, whether the
+// next is framed, split or passed, and the loop goes on with the next
+// client's requests; it returns, and closes, when there is no next session.
 //
 //lard:noalloc
 func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Duration, a answer, bodiless, last bool) {
@@ -447,10 +448,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Dura
 	s.takeovers.Add(1)
 	s.loopSessions.Add(1)
 	next, _ := conn.(interface{ NextSession() error })
-	var idle time.Duration
-	if c, ok := conn.(interface{ IdleTimeout() time.Duration }); ok {
-		idle = c.IdleTimeout()
-	}
+	idle := idleTimeout(conn)
 	d, _ := conn.(direct)
 	if d != nil {
 		d.Direct()
@@ -468,6 +466,9 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Dura
 				return
 			}
 			s.loopSessions.Add(1)
+			if idle = idleTimeout(conn); idle > 0 {
+				conn.SetReadDeadline(time.Now().Add(idle))
+			}
 		}
 		var deadline time.Time
 		if timeout > 0 {
@@ -493,6 +494,15 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, timeout time.Dura
 		raw = h.Raw[:0]
 		a, bodiless, last = s.decide(h.Method, path), h.Method == http.MethodHead, !h.KeepsOpen()
 	}
+}
+
+// idleTimeout is how long conn's session may wait for its next request,
+// where the conn bounds that (IdleTimeout): 0 for no bound.
+func idleTimeout(conn net.Conn) time.Duration {
+	if c, ok := conn.(interface{ IdleTimeout() time.Duration }); ok {
+		return c.IdleTimeout()
+	}
+	return 0
 }
 
 // direct is a conn on which the loop answers a client directly where it

@@ -797,3 +797,72 @@ func TestRequestPath(t *testing.T) {
 		}
 	}
 }
+
+// TestKeptLoopServesPasses: connections passed whole in turn over one pass
+// transport are sessions like any other. The loop that took the first over
+// from net/http keeps the transport (NextSession) and serves the next two
+// itself, with no Accept, goroutine or Hijack: one takeover, three loop
+// sessions. Each connection ends at its client's close, with one done
+// record counting every byte that client read and both its responses, the
+// first answered from the pass's initial data and the second read from the
+// socket.
+func TestKeptLoopServesPasses(t *testing.T) {
+	be := New(Config{Store: testStore()})
+	n := startNode(t, be.HTTPServer())
+	tr, err := handoff.DialPass(n.Addr().String())
+	if err != nil {
+		t.Skipf("no pass address: %v", err)
+	}
+	defer tr.Close()
+	sw, done := handoff.NewTransportWriter(tr), bufio.NewReader(tr)
+	const get = "GET /a.html HTTP/1.1\r\nHost: t\r\n\r\n"
+	for i := 1; i <= 3; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fe, err := ln.Accept() // the front end's copy of the client's socket
+		ln.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := fe.(*net.TCPConn).SyscallConn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Pass(rc, conn.LocalAddr().String(), []byte(get), time.Minute); err != nil {
+			t.Fatalf("pass %d: %v", i, err)
+		}
+		fe.Close()
+		c := &client{session: session{conn: conn}, in: &countingReader{r: conn}}
+		c.br = bufio.NewReader(c.in)
+		for j := 0; j < 2; j++ {
+			if j > 0 {
+				if _, err := io.WriteString(conn, get); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r := c.replies(t, []string{"GET"})[0]; r.status != http.StatusOK {
+				t.Fatalf("pass %d, response %d: status %d", i, j+1, r.status)
+			}
+		}
+		conn.Close()
+		tr.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if d, ok, err := handoff.ReadDone(done); err != nil || !ok || d.Written != c.in.n || d.Responses != 2 {
+			t.Fatalf("pass %d: done record %+v (%t, %v), want the %d bytes the client read in 2 responses", i, d, ok, err, c.in.n)
+		}
+	}
+	if st := be.Stats(); st.Takeovers != 1 || st.LoopSessions != 3 {
+		t.Fatalf("takeovers %d, loop sessions %d; want 1 and 3", st.Takeovers, st.LoopSessions)
+	}
+	if accepted, _ := n.conns(); accepted != 1 {
+		t.Fatalf("the server accepted %d conns, want 1", accepted)
+	}
+	if n.hl.Passed() != 3 || n.hl.Sessions() != 3 || n.hl.Direct() != 6 {
+		t.Fatalf("passed %d, sessions %d, direct %d; want 3, 3, 6", n.hl.Passed(), n.hl.Sessions(), n.hl.Direct())
+	}
+}

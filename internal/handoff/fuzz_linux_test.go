@@ -11,27 +11,15 @@ import (
 	"time"
 )
 
-// fuzzListener is the part of a Listener the transport's readers use, with
-// an Accept side that closes every passed connection at once.
+// fuzzListener is the part of a Listener the transport's readers use.
 func fuzzListener(t *testing.T) *Listener {
 	l := &Listener{
 		HandshakeTimeout:   time.Second,
 		SessionIdleTimeout: time.Second,
-		acceptCh:           make(chan net.Conn),
 		done:               make(chan struct{}),
 		transports:         make(map[net.Conn]struct{}),
 		clients:            make(map[*Socket]struct{}),
 	}
-	go func() {
-		for {
-			select {
-			case c := <-l.acceptCh:
-				c.Close()
-			case <-l.done:
-				return
-			}
-		}
-	}()
 	t.Cleanup(func() { close(l.done) })
 	return l
 }
@@ -96,7 +84,7 @@ func countFDs(t *testing.T) int {
 // and of a pipe's write end) in a socket message tagged with an arbitrary
 // offset near the write's own, or by a message with none. Whatever
 // arrives, every descriptor the Listener receives is either handed to
-// exactly one session or pass and closed with it, or closed as a
+// exactly one session and closed with it, or closed as a
 // rejection: none is left open once the transport is done with. A stream
 // costs at most one rejection, since the first ends its transport.
 //
@@ -163,25 +151,21 @@ func FuzzDescriptorStream(f *testing.F) {
 				tr.req.Write(rest)
 			}()
 
-			// The Listener's side, as serveTransport and NextSession read it.
+			// The Listener's side, as serveTransport and NextSession read
+			// it: every header opens a session, read to its end. The
+			// client has gone, so a pass ends at its initial data.
+			sock.conn.Close()
 			br := bufio.NewReader(raw)
 			h, err := l.readHead(raw, br)
 			for err == nil {
-				if h.flags&FlagPass != 0 {
-					if !l.servePass(raw, br, h) {
-						return
-					}
-				} else {
-					sc := newSessionConn(raw, br, h.client, h.initialLen, make(chan struct{}, 1))
-					sc.l = l
-					if l.holdClient(sc, h.fd) != nil {
-						return
-					}
-					io.Copy(io.Discard, sc)
-					sc.Close()
-					if !sc.drained() {
-						return
-					}
+				sc := newSessionConn(l, raw, br, make(chan struct{}, 1))
+				if sc.begin(h) != nil {
+					return
+				}
+				io.Copy(io.Discard, sc)
+				sc.Close()
+				if sc.end() != nil {
+					return
 				}
 				h, err = l.readNextHeader(raw, br)
 			}

@@ -143,6 +143,15 @@ func refDecodeFrames(stream []byte) (payload []byte, consumed int, err error) {
 	}
 }
 
+// framedSession is a framed session on a transport whose reader br stands
+// at its initialLen bytes of initial data, begun as the transport loop
+// begins one.
+func framedSession(br *bufio.Reader, client net.Addr, initialLen int) *sessionConn {
+	sc := newSessionConn(&Listener{}, &fuzzConn{}, br, make(chan struct{}, 1))
+	sc.begin(sessionHead{client: client, initialLen: initialLen, fd: -1})
+	return sc
+}
+
 // FuzzSessionFrames drives sessionConn over arbitrary wire bytes and
 // checks it against the reference decoder, then round-trips the same
 // bytes as payload through SessionWriter.
@@ -160,7 +169,7 @@ func FuzzSessionFrames(f *testing.F) {
 		// stream, as it does after the listener has parsed a header.
 		under := bytes.NewReader(want2(initial, stream))
 		br := bufio.NewReader(under)
-		sc := newSessionConn(&fuzzConn{}, br, parseClientAddr("192.0.2.9:1"), len(initial), nil)
+		sc := framedSession(br, parseClientAddr("192.0.2.9:1"), len(initial))
 		var got bytes.Buffer
 		var ferr error
 		buf := make([]byte, 3)
@@ -185,8 +194,8 @@ func FuzzSessionFrames(f *testing.F) {
 			if ferr != io.EOF {
 				t.Fatalf("reference saw clean end of session, sessionConn returned %v", ferr)
 			}
-			if !sc.drained() {
-				t.Fatal("io.EOF but drained() is false")
+			if sc.end() != nil {
+				t.Fatal("io.EOF but the transport is not at its next header")
 			}
 			// The reader must stop exactly after the end record; the next
 			// session's header follows on the shared transport.
@@ -197,15 +206,15 @@ func FuzzSessionFrames(f *testing.F) {
 			if ferr != io.ErrUnexpectedEOF {
 				t.Fatalf("truncated stream: want io.ErrUnexpectedEOF, got %v", ferr)
 			}
-			if sc.drained() {
-				t.Fatal("truncated stream but drained() is true")
+			if sc.end() == nil {
+				t.Fatal("truncated stream but the transport is at its next header")
 			}
 		default: // oversized frame
 			if ferr == io.EOF || ferr == io.ErrUnexpectedEOF {
 				t.Fatalf("oversized frame surfaced as %v", ferr)
 			}
-			if sc.drained() {
-				t.Fatal("oversized frame but drained() is true")
+			if sc.end() == nil {
+				t.Fatal("oversized frame but the transport is at its next header")
 			}
 		}
 		// The terminal condition is sticky: another read must fail the
@@ -231,7 +240,7 @@ func FuzzSessionFrames(f *testing.F) {
 		}
 		next := "LARDnext-session"
 		br2 := bufio.NewReader(io.MultiReader(bytes.NewReader(initial), bytes.NewReader(wire.Bytes()), strings.NewReader(next)))
-		sc2 := newSessionConn(&fuzzConn{}, br2, nil, len(initial), nil)
+		sc2 := framedSession(br2, nil, len(initial))
 		echoed, err := io.ReadAll(sc2)
 		if err != nil {
 			t.Fatalf("reading back framed payload: %v", err)
@@ -239,7 +248,7 @@ func FuzzSessionFrames(f *testing.F) {
 		if !bytes.Equal(echoed, want2(initial, stream)) {
 			t.Fatalf("round-trip payload mismatch:\ngot:  %q\nwant: %q", echoed, want2(initial, stream))
 		}
-		if !sc2.drained() {
+		if sc2.end() != nil {
 			t.Fatal("round-trip stream not drained after io.EOF")
 		}
 		rest, err := io.ReadAll(br2)
@@ -278,17 +287,17 @@ func FuzzSessionFrames(f *testing.F) {
 		step := 1 + len(segment)/512*7
 		for cut := 0; cut <= len(segment); cut += step {
 			br3 := bufio.NewReader(io.MultiReader(bytes.NewReader(segment[:cut]), bytes.NewReader(segment[cut:])))
-			first := newSessionConn(&fuzzConn{}, br3, nil, 0, nil)
-			if got, err := io.ReadAll(first); err != nil || !bytes.Equal(got, stream) || !first.drained() {
-				t.Fatalf("cut %d: first session read %q, %v (drained %t), want %q", cut, got, err, first.drained(), stream)
+			first := framedSession(br3, nil, 0)
+			if got, err := io.ReadAll(first); err != nil || !bytes.Equal(got, stream) || first.end() != nil {
+				t.Fatalf("cut %d: first session read %q, %v (at the next header %t), want %q", cut, got, err, first.end() == nil, stream)
 			}
 			flags, client, n, err := readHeaderFields(br3)
 			if err != nil || flags != FlagRehandoff|FlagSessionFramed || client.String() != nextClient || n != len(initial) {
 				t.Fatalf("cut %d: next header = flags %#x, client %v, %d initial bytes, %v", cut, flags, client, n, err)
 			}
-			second := newSessionConn(&fuzzConn{}, br3, client, n, nil)
-			if got, err := io.ReadAll(second); err != nil || !bytes.Equal(got, initial) || !second.drained() {
-				t.Fatalf("cut %d: second session read %q, %v (drained %t), want %q", cut, got, err, second.drained(), initial)
+			second := framedSession(br3, client, n)
+			if got, err := io.ReadAll(second); err != nil || !bytes.Equal(got, initial) || second.end() != nil {
+				t.Fatalf("cut %d: second session read %q, %v (at the next header %t), want %q", cut, got, err, second.end() == nil, initial)
 			}
 		}
 	})

@@ -60,10 +60,12 @@ const DefaultSessionIdleTimeout = 2 * time.Minute
 // carry a client's socket. A split session's conn writes to the client's
 // socket once the server asks it to (Direct) and reports each response
 // (Answered); a server that does not ask is relayed as on any transport. A
-// passed connection comes from Accept as a Conn the server answers the
-// client on directly; it is the server's until it closes it, and its
-// Close sends the front end the done record. Nothing needs asking for: a
-// server that serves conns from Accept serves passed ones.
+// passed connection is one more session: its conn reads the pass's initial
+// data and then the client's socket, and writes to that socket. It ends at
+// the client's close, as a framed session ends at its end-of-session
+// record, or when the server closes it, and the Listener then sends the
+// front end the done record. Nothing needs asking for: a server that serves
+// conns from Accept serves passed ones.
 type Listener struct {
 	ln net.Listener
 
@@ -107,16 +109,15 @@ type Listener struct {
 	errDone chan struct{}
 
 	// transports tracks live session-framed transports, TCP and pass ones,
-	// and passed connections so Close can tear them down (their lifetime is
-	// the listener's between sessions, not any accepted conn's; a passed
-	// connection is tracked so that Close ends it like the rest).
+	// so Close can tear them down (their lifetime is the listener's between
+	// sessions, not any accepted conn's).
 	transMu    sync.Mutex
 	transports map[net.Conn]struct{}
 
-	// clients are the split sessions' copies of their clients' sockets,
-	// under transMu: Close closes them before the transports, so that no
-	// server can still be writing a response to one when its front end
-	// learns that the transport is gone.
+	// clients are the sessions' copies of their clients' sockets, split and
+	// passed, under transMu: Close closes them before the transports, so
+	// that no server can still be writing a response to one when its front
+	// end learns that the transport is gone.
 	clients map[*Socket]struct{}
 }
 
@@ -218,12 +219,18 @@ func (l *Listener) acceptLoop() {
 }
 
 // sessionHead is one handoff header as the listener reads it: the session
-// it opens, and the client's socket where the header carried one.
+// it opens, the client's socket where the header carried one, and a pass's
+// message.
 type sessionHead struct {
 	flags      byte
 	client     net.Addr
-	initialLen int
+	initialLen int // the initial data left in the reader: a framed session's first frame
 	fd         int // the client's socket (FlagSplit, FlagPass), -1 for none
+
+	// A pass's initial data and idle bound, read out of the reader with
+	// its header.
+	initial []byte
+	idle    time.Duration
 }
 
 // handshake reads the first handoff header and routes the connection: a
@@ -268,9 +275,11 @@ func (l *Listener) handshake(raw net.Conn) {
 
 // readHead reads a handoff header out of br and takes the client's socket
 // its flags call for: one for FlagSplit and FlagPass, none otherwise
-// (headerSocket). A header that does not parse, that comes without
-// exactly the socket its flags call for, or a pass whose initial data
-// exceeds MaxPassData is an error, and the socket it brought is closed.
+// (headerSocket). A pass's header comes with the rest of its message, its
+// initial data and idle bound, which readHead reads too. A header that does
+// not parse, that comes without exactly the TCP socket its flags call for,
+// or a pass whose message exceeds MaxPassData, lacks a positive idle bound
+// or has bytes behind it is an error, and the socket it brought is closed.
 func (l *Listener) readHead(raw net.Conn, br *bufio.Reader) (sessionHead, error) {
 	at := headerOffset(raw, br)
 	flags, client, n, err := readHeaderFields(br)
@@ -278,14 +287,41 @@ func (l *Listener) readHead(raw net.Conn, br *bufio.Reader) (sessionHead, error)
 		return sessionHead{}, err
 	}
 	fd, err := headerSocket(raw, at, flags&(FlagSplit|FlagPass) != 0)
-	if err == nil && flags&FlagPass != 0 && n > MaxPassData {
-		closeFD(fd)
-		err = errPassTooLong
-	}
 	if err != nil {
 		return sessionHead{}, err
 	}
-	return sessionHead{flags: flags, client: client, initialLen: n, fd: fd}, nil
+	h := sessionHead{flags: flags, client: client, initialLen: n, fd: fd}
+	if flags&FlagPass != 0 {
+		err = readPass(br, &h)
+	}
+	if err != nil {
+		closeFD(fd)
+		return sessionHead{}, err
+	}
+	return h, nil
+}
+
+// readPass reads what follows a pass's header: its initial data, which
+// leaves the reader for h.initial, and its idle bound.
+func readPass(br *bufio.Reader, h *sessionHead) error {
+	if h.initialLen > MaxPassData {
+		return errPassTooLong
+	}
+	msg := make([]byte, h.initialLen+idleLen)
+	if _, err := io.ReadFull(br, msg); err != nil {
+		return err
+	}
+	h.initial, h.initialLen = msg[:h.initialLen], 0
+	h.idle = time.Duration(binary.BigEndian.Uint64(msg[len(h.initial):]))
+	switch {
+	case h.idle <= 0:
+		return errPassIdle
+	case br.Buffered() > 0:
+		// Nothing may follow a pass until its done record; what came in
+		// the same message is no next header.
+		return errPassTrailing
+	}
+	return nil
 }
 
 // reject counts a transport's failed header in Rejected, unless it is a
@@ -307,57 +343,46 @@ func (l *Listener) deliver(c net.Conn) bool {
 	}
 }
 
-// serveTransport runs one session-framed transport: serve the session h
-// opens — yield a virtual conn for it (client's address, initialLen bytes
-// of initial data next in br) and wait for the server to finish with it,
-// or serve a pass (servePass) — then read the next header, for as long as
-// each session is drained through its end-of-session record and headers
-// keep parsing. Sessions on one transport are strictly sequential,
-// mirroring the front end's pool (a pooled connection is checked out by at
-// most one client session).
+// serveTransport runs one session-framed transport: yield a virtual conn
+// for the session h opens (begin) and wait for the server to finish with
+// it, then read the next header, for as long as each session leaves the
+// transport at its next header (end) and headers keep parsing. Sessions on
+// one transport are strictly sequential, mirroring the front end's pool (a
+// pooled connection is checked out by at most one client session).
 func (l *Listener) serveTransport(raw net.Conn, br *bufio.Reader, h sessionHead) {
 	defer l.dropTransport(raw)
 	closed := make(chan struct{}, 1)
 	for {
-		if h.flags&FlagPass != 0 {
-			if !l.servePass(raw, br, h) {
-				httprelay.PutReader(br)
-				return
-			}
-		} else {
-			sc := newSessionConn(raw, br, h.client, h.initialLen, closed)
-			sc.l = l
-			if l.holdClient(sc, h.fd) != nil {
-				httprelay.PutReader(br)
-				return
-			}
-			l.sessions.Add(1)
-			if !l.deliver(sc) {
-				// Undelivered: the loop is still the reader's only user.
-				l.releaseClient(&sc.client)
-				httprelay.PutReader(br)
-				return
-			}
-			select {
-			case <-closed:
-				// The server closed the session; net/http quiesces its reads
-				// before Close returns, so from here the loop is again the
-				// reader's only user.
-				l.releaseClient(&sc.client)
-			case <-l.done:
-				// Listener shutdown with the session possibly live: the server
-				// may still be reading through br, so it must NOT be recycled.
-				return
-			}
-			if !sc.drained() {
-				// The server abandoned the session mid-stream (error response,
-				// handler close): the transport's read position is inside the
-				// dead session's frames, so it cannot be reused. Or the server
-				// kept the conn across sessions (NextSession) until a header
-				// failed it, which NextSession has counted.
-				httprelay.PutReader(br)
-				return
-			}
+		sc := newSessionConn(l, raw, br, closed)
+		if sc.begin(h) != nil {
+			httprelay.PutReader(br)
+			return
+		}
+		if !l.deliver(sc) {
+			// Undelivered: the loop is still the reader's only user.
+			l.releaseClient(&sc.client)
+			httprelay.PutReader(br)
+			return
+		}
+		select {
+		case <-closed:
+			// The server closed the session; net/http quiesces its reads
+			// before Close returns, so from here the loop is again the
+			// reader's only user.
+		case <-l.done:
+			// Listener shutdown with the session possibly live: the server
+			// may still be reading through br, so it must NOT be recycled.
+			return
+		}
+		if sc.end() != nil {
+			// The server abandoned the session mid-stream (error response,
+			// handler close): the transport's read position is inside the
+			// dead session's frames, so it cannot be reused. Or the server
+			// kept the conn across sessions (NextSession) until a header
+			// failed it, which NextSession has counted. Or a pass's done
+			// record did not go.
+			httprelay.PutReader(br)
+			return
 		}
 		var err error
 		if h, err = l.readNextHeader(raw, br); err != nil {
@@ -410,70 +435,6 @@ func (l *Listener) readNextHeader(raw net.Conn, br *bufio.Reader) (sessionHead, 
 	return h, nil
 }
 
-// servePass serves a pass header (pass.go): it reads the initial data and
-// the idle bound, yields the client's socket from Accept as a Conn, waits
-// for the server to close it, and sends the done record. It reports
-// whether the transport is good for its next header. A message it refuses
-// is counted in Rejected and its socket closed; the transport ends.
-func (l *Listener) servePass(raw net.Conn, br *bufio.Reader, h sessionHead) bool {
-	c, err := l.passedConn(raw, br, h)
-	if err != nil {
-		l.reject(err)
-		return false
-	}
-	closed := make(chan struct{}, 1)
-	c.closed = closed
-	l.sessions.Add(1)
-	l.passed.Add(1)
-	l.addTransport(c.Conn)
-	if !l.deliver(c) {
-		l.dropTransport(c.Conn)
-		return false
-	}
-	select {
-	case <-closed:
-	case <-l.done:
-		return false
-	}
-	l.dropTransport(c.Conn) // closed by the server already: this forgets it
-	var rec [doneLen]byte
-	_, err = raw.Write(appendDone(rec[:0], Done{Written: c.written.Load(), Responses: c.responses.Load()}))
-	return err == nil
-}
-
-// passedConn reads the rest of a pass message, what follows the header,
-// and makes its Conn. On an error h's socket is closed.
-func (l *Listener) passedConn(raw net.Conn, br *bufio.Reader, h sessionHead) (*Conn, error) {
-	if l.HandshakeTimeout > 0 {
-		raw.SetReadDeadline(time.Now().Add(l.HandshakeTimeout))
-	}
-	msg := make([]byte, h.initialLen+idleLen)
-	_, err := io.ReadFull(br, msg)
-	raw.SetReadDeadline(time.Time{})
-	var bound int64
-	if err == nil {
-		bound = int64(binary.BigEndian.Uint64(msg[h.initialLen:]))
-	}
-	switch {
-	case err != nil:
-	case bound <= 0:
-		err = errPassIdle
-	case br.Buffered() > 0:
-		// Nothing may follow a pass until its done record; what came in
-		// the same message is no next header.
-		err = errPassTrailing
-	}
-	if err != nil {
-		closeFD(h.fd)
-		return nil, err
-	}
-	tc, err := fileTCPConn(h.fd)
-	if err != nil {
-		return nil, err
-	}
-	return &Conn{Conn: tc, initial: msg[:h.initialLen], clientAddr: tc.RemoteAddr(), idle: time.Duration(bound), l: l}, nil
-}
-
 // addTransport puts raw among what Close ends, or ends it now if Close
 // already ran.
 func (l *Listener) addTransport(raw net.Conn) {
@@ -487,14 +448,13 @@ func (l *Listener) addTransport(raw net.Conn) {
 	}
 }
 
-// holdClient starts c's session with fd, the client's socket its header
-// carried (-1 for none): c is split, and its copy is among what Close
-// closes first. Once Close has run, fd is closed instead and the session
-// must not start: its server could otherwise answer the client after the
-// front end saw the transport end.
-func (l *Listener) holdClient(c *sessionConn, fd int) error {
-	c.split = fd >= 0
-	if !c.split {
+// holdClient makes fd, the client's socket a header carried (-1 for
+// none), the session's copy s, among what Close closes first. Once Close
+// has run, fd is closed instead and the session must not start: its server
+// could otherwise answer the client after the front end saw the transport
+// end.
+func (l *Listener) holdClient(s *Socket, fd int) error {
+	if fd < 0 {
 		return nil
 	}
 	l.transMu.Lock()
@@ -505,8 +465,8 @@ func (l *Listener) holdClient(c *sessionConn, fd int) error {
 		return net.ErrClosed
 	default:
 	}
-	c.client.reset(fd)
-	l.clients[&c.client] = struct{}{}
+	s.reset(fd)
+	l.clients[s] = struct{}{}
 	return nil
 }
 
@@ -526,10 +486,9 @@ func (l *Listener) dropTransport(raw net.Conn) {
 	raw.Close()
 }
 
-// Close closes the underlying listener, the pass address, every
-// session-framed transport, and every passed connection (virtual conns
-// handed to the server see read errors and close in turn, and with them
-// the split sessions' copies of their clients' sockets; a passed client
+// Close closes the underlying listener, the pass address, every client's
+// socket a session holds, and every session-framed transport (virtual conns
+// handed to the server see read errors and close in turn; a passed client
 // sees its connection end).
 func (l *Listener) Close() error {
 	var err error
@@ -573,31 +532,15 @@ func (l *Listener) Passed() uint64 { return l.passed.Load() }
 // response that did not cross the front end.
 func (l *Listener) Direct() uint64 { return l.direct.Load() }
 
-// Conn is a handed-off connection that is the client's whole connection:
-// a plain v1 handoff, whose TCP connection carries exactly one session, or
-// a connection a front end passed by descriptor, which is the client's own
-// socket. Reads serve the handoff message's initial data first and then
-// the connection (a v1 Conn reads both through the reader the handshake
-// parsed the header from), and RemoteAddr reports the original client's
-// address: for a passed connection, its socket's peer.
-//
-// A passed Conn also counts the bytes written to it and the responses
-// (Answered), and its Close sends both back to the front end in the
-// transport's done record. Its IdleTimeout is the bound its pass message
-// carried, the front end's own for a kept connection: nothing else is left
-// to end one that goes quiet.
+// Conn is a plain v1 handoff, whose TCP connection carries exactly one
+// session: the client's whole connection. Reads serve the handoff message's
+// initial data first and then the connection, both through the reader the
+// handshake parsed the header from, and RemoteAddr reports the original
+// client's address.
 type Conn struct {
 	net.Conn
-	br         *bufio.Reader // v1 only
-	initial    []byte        // passed only: initial data not yet read
+	br         *bufio.Reader
 	clientAddr net.Addr
-	l          *Listener // passed only: whose Direct its responses count in
-
-	written   atomic.Int64
-	responses atomic.Uint32
-	idle      time.Duration
-	closeOnce sync.Once
-	closed    chan<- struct{} // passed only: servePass's, sent once on Close
 }
 
 // newConn wraps a raw connection whose header the handshake consumed
@@ -609,70 +552,13 @@ func newConn(raw net.Conn, br *bufio.Reader, client net.Addr) *Conn {
 // Read implements net.Conn.
 //
 //lard:noalloc
-func (c *Conn) Read(p []byte) (int, error) {
-	switch {
-	case c.br != nil:
-		return c.br.Read(p)
-	case len(c.initial) > 0:
-		n := copy(p, c.initial)
-		c.initial = c.initial[n:]
-		return n, nil
-	}
-	return c.Conn.Read(p)
-}
-
-// Write implements net.Conn, counting what it wrote.
-//
-//lard:noalloc
-func (c *Conn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.written.Add(int64(n))
-	return n, err
-}
+func (c *Conn) Read(p []byte) (int, error) { return c.br.Read(p) }
 
 // WriteBuffers writes v in one writev, consuming it as net.Buffers.WriteTo
-// does, and counts what it wrote as Write does.
+// does.
 //
 //lard:noalloc
-func (c *Conn) WriteBuffers(v *net.Buffers) (int64, error) {
-	n, err := writeBuffers(c.Conn, v)
-	c.written.Add(n)
-	return n, err
-}
-
-// Direct is what a server that answers split sessions directly asks of
-// every conn (sessionConn.Direct). A Conn's writes go to the client
-// anyway.
-func (c *Conn) Direct() {}
-
-// Answered counts a response written to a passed connection, for its done
-// record and the Listener's Direct.
-//
-//lard:noalloc
-func (c *Conn) Answered(open bool) error {
-	if c.l != nil {
-		c.responses.Add(1)
-		c.l.direct.Add(1)
-	}
-	return nil
-}
-
-// Close closes the connection; a passed one's transport then sends its
-// done record.
-func (c *Conn) Close() error {
-	err := c.Conn.Close()
-	if c.closed != nil {
-		c.closeOnce.Do(func() { c.closed <- struct{}{} })
-	}
-	return err
-}
-
-// IdleTimeout is how long a server that keeps the connection open between
-// requests should wait for the next one: the bound the pass message
-// carried for a passed connection, 0 (no bound of the Listener's) for a v1
-// one.
-// internal/backend's loop asks for it.
-func (c *Conn) IdleTimeout() time.Duration { return c.idle }
+func (c *Conn) WriteBuffers(v *net.Buffers) (int64, error) { return writeBuffers(c.Conn, v) }
 
 // RemoteAddr reports the original client's address, as the paper's
 // client-transparent handoff does.

@@ -34,9 +34,12 @@ import (
 //     the front end has read from the client, and it is followed by the
 //     idle bound (int64 nanoseconds, big-endian, positive): how long the
 //     server may wait for each next request, the front end's own bound,
-//     which it can no longer enforce (Conn.IdleTimeout). No frames follow.
-//     Accept yields the socket as a Conn; once the server has closed it the
-//     Listener sends the done record, and the transport is between
+//     which it can no longer enforce (IdleTimeout). No frames follow. The
+//     pass is a session like any other: its conn reads the initial data
+//     and then the socket, and writes to the socket, counting each
+//     response (Answered). When the server closes it, or reads the
+//     client's close and keeps the transport (NextSession), the Listener
+//     sends one done record with the totals, and the transport is between
 //     sessions again. Nothing may follow a pass message on the transport
 //     until then.
 //
@@ -97,9 +100,8 @@ var (
 	errPassTooLong     = errors.New("handoff: pass message exceeds MaxPassData")
 	errPassIdle        = errors.New("handoff: pass message's idle bound is not positive")
 	errBadDone         = errors.New("handoff: malformed done record")
-	errHeaderFDs       = errors.New("handoff: header without exactly the descriptor its flags call for")
+	errHeaderFDs       = errors.New("handoff: header without exactly the TCP socket its flags call for")
 	errPassTrailing    = errors.New("handoff: bytes behind a pass message's idle bound")
-	errPassNotTCP      = errors.New("handoff: passed descriptor is no TCP socket")
 )
 
 // Done is a done record: a server wrote Written bytes in Responses

@@ -343,18 +343,26 @@ func (c *passConn) sendSocket(b []byte, at int, client syscall.RawConn) error {
 // takeSocket takes the socket message of the header at offset at, which
 // carries a client's socket: it is already on the socket when the header's
 // bytes are read, since the front end sends it first. Anything but one
-// message of tagLen bytes, tagged at, with exactly one descriptor, is an
-// error, and every descriptor it carried is closed.
+// message of tagLen bytes, tagged at, with exactly one descriptor, a TCP
+// socket, is an error, and every descriptor it carried is closed.
 func (c *passConn) takeSocket(at int64) (int, error) {
 	if err := c.rc.Control(c.recv); err != nil {
 		return -1, err
 	}
 	fds := appendRights(c.fds[:0], c.oob[:c.oobn])
-	if c.n != tagLen || c.recvFlags&syscall.MSG_CTRUNC != 0 || len(fds) != 1 || int64(binary.BigEndian.Uint64(c.tag[:])) != at {
+	if c.n != tagLen || c.recvFlags&syscall.MSG_CTRUNC != 0 || len(fds) != 1 || int64(binary.BigEndian.Uint64(c.tag[:])) != at || !isTCP(fds[0]) {
 		closeFDs(fds)
 		return -1, errHeaderFDs
 	}
 	return fds[0], nil
+}
+
+// isTCP reports whether fd is a TCP socket, in one raw getsockopt.
+func isTCP(fd int) bool {
+	var proto int32
+	n := uint32(unsafe.Sizeof(proto))
+	_, _, e := syscall.RawSyscall6(syscall.SYS_GETSOCKOPT, uintptr(fd), syscall.SOL_SOCKET, syscall.SO_PROTOCOL, uintptr(unsafe.Pointer(&proto)), uintptr(unsafe.Pointer(&n)), 0)
+	return e == 0 && proto == syscall.IPPROTO_TCP
 }
 
 // noSocketFor checks that no socket message waits for the header at
@@ -453,22 +461,6 @@ func sendWithSocket(c net.Conn, b []byte, at int, client syscall.RawConn) error 
 		return errPassUnsupported
 	}
 	return pc.sendSocket(b, at, client)
-}
-
-// fileTCPConn makes fd, which it takes over, a net.TCPConn.
-func fileTCPConn(fd int) (*net.TCPConn, error) {
-	f := os.NewFile(uintptr(fd), "passed")
-	nc, err := net.FileConn(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	tc, ok := nc.(*net.TCPConn)
-	if !ok {
-		nc.Close()
-		return nil, errPassNotTCP
-	}
-	return tc, nil
 }
 
 // peerUID returns the user of the process at the far end of a unix socket.

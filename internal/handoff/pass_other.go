@@ -32,7 +32,5 @@ func sendWithSocket(net.Conn, []byte, int, syscall.RawConn) error { return errPa
 
 func closeFD(int) {}
 
-func fileTCPConn(int) (*net.TCPConn, error) { return nil, errPassUnsupported }
-
 // DialPass always fails here: there is no pass address to dial.
 func DialPass(addr string) (net.Conn, error) { return nil, errPassUnsupported }

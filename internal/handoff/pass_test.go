@@ -211,11 +211,11 @@ func TestPassedConnEndsWithListener(t *testing.T) {
 // a pipe's read end and another's write end (setup rows). Behind a good
 // first message, a header is refused unless the socket message before its
 // bytes is exactly one, tagged with the header's offset, carrying the one
-// descriptor its flags call for, and a pass unless it is one well-formed
-// header and idle bound with a TCP socket and nothing behind it (header
-// rows). Each is counted once in Rejected, the transport is closed, and
-// every descriptor that went to the Listener is closed with it: the
-// process has as many open as before. A client whose socket went with a
+// descriptor its flags call for, a TCP socket, and a pass unless it is one
+// well-formed header and idle bound with nothing behind it (header rows).
+// Each is counted once in Rejected, the transport is closed, and every
+// descriptor that went to the Listener is closed with it: the process has
+// as many open as before. A client whose socket went with a
 // refused header sees its connection end with no byte of an answer: the
 // front end closed its copy when the message went.
 func TestPassChannelRejections(t *testing.T) {
@@ -252,6 +252,7 @@ func TestPassChannelRejections(t *testing.T) {
 		{name: "no socket", pipes: "rw", msg: good, sock: "p"},
 		{name: "a split header without a descriptor", pipes: "rw", msg: split},
 		{name: "a split header with two descriptors", pipes: "rw", msg: split, sock: "cp"},
+		{name: "a split header with a pipe", pipes: "rw", msg: split, sock: "p"},
 		{name: "a descriptor on a plain header", pipes: "rw", msg: appendHeader(nil, FlagSessionFramed, "192.0.2.1:4000", nil), sock: "c"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -386,7 +387,7 @@ func TestPassChannelRejections(t *testing.T) {
 	}
 }
 
-// TestPassedConnIdleBound: a passed Conn's IdleTimeout is the bound its
+// TestPassedConnIdleBound: a passed connection's IdleTimeout is the bound its
 // message carried, not the Listener's SessionIdleTimeout; Pass sends no
 // bound that is not positive.
 func TestPassedConnIdleBound(t *testing.T) {
@@ -409,7 +410,7 @@ func TestPassedConnIdleBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if got := conn.(*Conn).IdleTimeout(); got != 3*time.Second {
+	if got := conn.(interface{ IdleTimeout() time.Duration }).IdleTimeout(); got != 3*time.Second {
 		t.Fatalf("IdleTimeout() = %v, want the 3s the message carried", got)
 	}
 }
@@ -585,6 +586,44 @@ func TestSplitSessionRelaysAServerThatDoesNotAsk(t *testing.T) {
 	}
 }
 
+// TestSplitSessionWriteDeadline: a split session's write deadline goes
+// where its writes go. A server that answers directly sets one and writes
+// 64 MB to a client that never reads: once the client's socket is full the
+// write fails with a timeout, not blocks.
+func TestSplitSessionWriteDeadline(t *testing.T) {
+	ln, err := Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	wrote := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			wrote <- err
+			return
+		}
+		defer conn.Close()
+		conn.(interface{ Direct() }).Direct()
+		conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+		_, err = conn.Write(make([]byte, 64<<20))
+		wrote <- err
+	}()
+	tr := dialPassTransport(t, ln.Addr().String())
+	c := newPassedClient(t)
+	if err := tr.sw.Split(c.socket(t), "192.0.2.1:4000", []byte("GET /a HTTP/1.1\r\nHost: t\r\n\r\n"), FlagRehandoff); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-wrote:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("the write to a client that never reads: %v, want a timeout", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the write to a client that never reads still blocks 2s after its deadline was set")
+	}
+}
+
 // TestListenerCloseEndsClientCopiesFirst: Listener.Close closes the split
 // sessions' copies of their clients' sockets before their transports, so
 // a server still about to answer when its front end sees the transport end
@@ -664,8 +703,8 @@ func TestNextSessionAfterListenerClose(t *testing.T) {
 
 	// A loop at its session's end-of-session record, as serveSession is
 	// when it calls NextSession.
-	sc := newSessionConn(raw, bufio.NewReader(raw), nil, 0, make(chan struct{}, 1))
-	sc.l, sc.sawEnd = ln, true
+	sc := newSessionConn(ln, raw, bufio.NewReader(raw), make(chan struct{}, 1))
+	sc.sawEnd = true
 	sc.Direct()
 	ln.Close()
 	if err := sc.NextSession(); err == nil {

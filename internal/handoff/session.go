@@ -200,12 +200,19 @@ func (w *SessionWriter) End() error {
 // shared transport: a virtual net.Conn whose reads serve the handoff
 // message's initial data — the session's first frame, read where it lies
 // in the transport's reader — and then unwrap data frames, returning
-// io.EOF at the end-of-session record. Writes and deadlines go straight to
-// the transport (one session is active per transport at a time, so the
-// response stream needs no framing). Close never closes
+// io.EOF at the end-of-session record. Writes go straight to the transport
+// (one session is active per transport at a time, so the response stream
+// needs no framing), or to the client's socket (below). Close never closes
 // the transport — it hands control back to the listener's transport loop,
 // which either reads the next session's header or tears the transport down
-// if the session was abandoned mid-stream.
+// if the session was abandoned mid-stream (end).
+//
+// A header that carried the client's socket (pass.go) gives the session
+// the Listener's copy of it, client. A split session's writes go there
+// once the server has asked (Direct). A pass is the client's whole
+// connection: it reads its message's initial data and then the socket,
+// returning io.EOF at the client's close, and writes to the socket. Each
+// deadline goes where the calls it bounds go.
 //
 // A server that knows what it sits behind need not Close between sessions:
 // NextSession makes the same conn the transport's next session.
@@ -221,7 +228,9 @@ type sessionConn struct {
 	// issues one read at a time), but a read blocked on the transport may
 	// be aborted via SetReadDeadline and resumed later — net/http's
 	// background-read abort does exactly this between requests — so the
-	// partially-read length prefix must survive across calls.
+	// partially-read length prefix must survive across calls. sawEnd is
+	// the session's io.EOF: its end-of-session record, or a pass's client's
+	// close.
 	frameLeft int
 	lenBuf    [4]byte
 	lenGot    int
@@ -234,32 +243,80 @@ type sessionConn struct {
 	closeOnce sync.Once
 	closed    chan<- struct{}
 
-	// split: the session's header carried its client's socket (pass.go),
+	// split: the session's header carried its client's socket (FlagSplit),
 	// and client holds the Listener's copy until the end-of-session record.
+	// pass: the header passed the client's connection whole (FlagPass), and
+	// client is that connection; initial is what is left of its initial
+	// data, and idle the bound the pass carried. iov is the scratch of
+	// client's writevs.
+	split   bool
+	pass    bool
+	client  Socket
+	iov     iovecs
+	initial []byte
+	idle    time.Duration
+
 	// direct is set once the server answers clients itself (Direct), and
 	// from then on a split session's writes go to the socket, written bytes
-	// at a time, each response reported in a done record built in rec.
-	split   bool
-	client  Socket
-	direct  bool
-	written int64
-	rec     [doneLen]byte
+	// at a time, each response reported in a done record built in rec. A
+	// pass's responses are counted, and reported with written in the one
+	// done record at its end.
+	direct    bool
+	written   int64
+	responses uint32
+	rec       [doneLen]byte
 }
 
-// newSessionConn starts a session on the transport whose reader stands at
-// the first of the handoff message's initialLen bytes of initial data.
-// closed must have room for the token Close sends.
-func newSessionConn(raw net.Conn, br *bufio.Reader, client net.Addr, initialLen int, closed chan<- struct{}) *sessionConn {
-	return &sessionConn{Conn: raw, br: br, clientAddr: client, frameLeft: initialLen, closed: closed}
+// newSessionConn makes the conn a transport's sessions are served through;
+// begin starts each. closed must have room for the token Close sends.
+func newSessionConn(l *Listener, raw net.Conn, br *bufio.Reader, closed chan<- struct{}) *sessionConn {
+	return &sessionConn{Conn: raw, br: br, l: l, closed: closed}
+}
+
+// begin makes c the session h opens, with the client's socket if the
+// header carried one (holdClient: not once the Listener has closed), and
+// counts it. On an error c is spent: every Read returns it.
+//
+//lard:noalloc
+func (c *sessionConn) begin(h sessionHead) error {
+	// Set first: a session the Listener's Close refuses writes nothing,
+	// to its closed socket.
+	c.pass = h.flags&FlagPass != 0
+	c.split = h.fd >= 0 && !c.pass
+	if err := c.l.holdClient(&c.client, h.fd); err != nil {
+		c.sticky = err
+		return err
+	}
+	c.l.sessions.Add(1)
+	if c.pass {
+		c.l.passed.Add(1)
+	}
+	c.mu.Lock()
+	c.clientAddr = h.client
+	c.mu.Unlock()
+	c.frameLeft, c.sawEnd = h.initialLen, false
+	c.initial, c.idle = h.initial, h.idle
+	c.written, c.responses = 0, 0
+	return nil
 }
 
 // Read implements net.Conn: initial data first, then frame payloads,
-// io.EOF at the end-of-session record.
+// io.EOF at the end-of-session record; a pass's initial data, then its
+// socket, whose errors are the client's and leave the transport as it is.
 //
 //lard:noalloc
 func (c *sessionConn) Read(p []byte) (int, error) {
-	if c.sticky != nil {
+	switch {
+	case c.sticky != nil:
 		return 0, c.sticky
+	case c.pass && len(c.initial) > 0:
+		n := copy(p, c.initial)
+		c.initial = c.initial[n:]
+		return n, nil
+	case c.pass && !c.sawEnd:
+		n, err := c.client.Read(p)
+		c.sawEnd = err == io.EOF
+		return n, err
 	}
 	for {
 		if c.frameLeft > 0 {
@@ -327,13 +384,16 @@ func isTimeout(err error) bool {
 	return ok && ne.Timeout()
 }
 
-// Write implements net.Conn: to the transport, or, once the server has
-// asked for it (Direct), to a split session's client, and never to the
-// transport once that socket is closed.
+// toClient reports whether the session's writes go to the client's
+// socket: a pass's always, a split session's once the server has asked
+// (Direct), and never to the transport once that socket is closed.
+func (c *sessionConn) toClient() bool { return c.pass || c.split && c.direct }
+
+// Write implements net.Conn: to the transport, or to the client (toClient).
 //
 //lard:noalloc
 func (c *sessionConn) Write(p []byte) (int, error) {
-	if !c.direct || !c.split {
+	if !c.toClient() {
 		return c.Conn.Write(p)
 	}
 	n, err := c.client.Write(p)
@@ -342,17 +402,41 @@ func (c *sessionConn) Write(p []byte) (int, error) {
 }
 
 // WriteBuffers writes v whole, or fails, consuming it as net.Buffers.WriteTo
-// does, and goes where Write goes: to the transport in one writev, or to a
-// split session's client in raw writevs (Socket).
+// does, and goes where Write goes: to the transport in one writev, or to
+// the client in raw writevs (Socket).
 //
 //lard:noalloc
 func (c *sessionConn) WriteBuffers(v *net.Buffers) (int64, error) {
-	if !c.direct || !c.split {
+	if !c.toClient() {
 		return writeBuffers(c.Conn, v)
 	}
-	n, err := c.client.WriteBuffers(v)
+	n, err := c.client.writeBuffers(v, &c.iov)
 	c.written += n
 	return n, err
+}
+
+// SetDeadline sets both deadlines, each where its calls go.
+func (c *sessionConn) SetDeadline(t time.Time) error {
+	c.SetReadDeadline(t)
+	return c.SetWriteDeadline(t)
+}
+
+// SetReadDeadline bounds what Read reads: the transport, or a pass's
+// socket.
+func (c *sessionConn) SetReadDeadline(t time.Time) error {
+	if c.pass {
+		return c.client.SetReadDeadline(t)
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// SetWriteDeadline bounds what Write writes: the transport, or the client
+// (toClient).
+func (c *sessionConn) SetWriteDeadline(t time.Time) error {
+	if c.toClient() {
+		return c.client.SetWriteDeadline(t)
+	}
+	return c.Conn.SetWriteDeadline(t)
 }
 
 // buffersWriter is a conn that writes a net.Buffers in one writev: this
@@ -380,43 +464,70 @@ func writeBuffers(c net.Conn, v *net.Buffers) (int64, error) {
 // one response at a time, each reported with Answered: from now on, on
 // this session and every later one it keeps with NextSession, a split
 // session's writes go to the client's socket. A server that never asks is
-// relayed: its writes go to the transport, as on any session.
+// relayed: its writes go to the transport, as on any session. A pass's go
+// to the client whether asked or not.
 func (c *sessionConn) Direct() { c.direct = true }
 
 // Answered reports that the server has written a whole response, and
 // whether the connection stays open behind it. On a split session whose
 // writes go to the client (Direct) it sends the front end the done record
-// in the response's place; elsewhere it does nothing.
+// in the response's place; a pass counts it for the done record at its
+// end; elsewhere it does nothing.
 //
 //lard:noalloc
 func (c *sessionConn) Answered(open bool) error {
-	if !c.direct || !c.split {
+	switch {
+	case c.pass:
+		c.responses++
+		c.l.direct.Add(1)
+		return nil
+	case !c.toClient():
 		return nil
 	}
 	d := Done{Written: c.written, Responses: 1, Open: open}
 	c.written = 0
-	if c.l != nil {
-		c.l.direct.Add(1)
-	}
+	c.l.direct.Add(1)
 	_, err := c.Conn.Write(appendDone(c.rec[:0], d))
 	return err
 }
 
-// Close releases the session back to the transport loop. The transport
-// itself stays open if (and only if) the session was read through to its
-// end-of-session record; the loop checks drained(). A split session's
-// socket copy is closed.
+// IdleTimeout is how long a server that keeps the connection open between
+// requests should wait for the next one: for a pass, the bound its message
+// carried, the front end's own, since nothing else is left to end one that
+// goes quiet; 0 (no bound of the Listener's) for any other session.
+// internal/backend's loop asks for it at every session.
+func (c *sessionConn) IdleTimeout() time.Duration { return c.idle }
+
+// Close releases the session back to the transport loop, which ends it
+// (end). The client's socket is closed at once.
 func (c *sessionConn) Close() error {
 	c.client.Close()
 	c.closeOnce.Do(func() { c.closed <- struct{}{} })
 	return nil
 }
 
-// drained reports whether the session's framed stream was consumed
-// through the end-of-session record, leaving the transport positioned at
-// the next handoff header.
-func (c *sessionConn) drained() bool {
-	return c.sawEnd && c.frameLeft == 0 && c.sticky == nil
+// end is the one check after a session ends, once its server has closed it
+// or read it to its io.EOF (NextSession): the client's socket goes, a pass
+// sends its done record, and end reports whether the transport stands at
+// its next header (nil) or must go. A framed session leaves it there only
+// if read through its end-of-session record; a pass, which no frame
+// follows, once its done record is out.
+//
+//lard:noalloc
+func (c *sessionConn) end() error {
+	if c.split || c.pass {
+		c.l.releaseClient(&c.client)
+	}
+	switch {
+	case c.sticky != nil:
+		return c.sticky
+	case c.pass:
+		_, err := c.Conn.Write(appendDone(c.rec[:0], Done{Written: c.written, Responses: c.responses}))
+		return err
+	case !c.sawEnd:
+		return errSessionOpen
+	}
+	return nil
 }
 
 func (c *sessionConn) RemoteAddr() net.Addr {
@@ -427,54 +538,36 @@ func (c *sessionConn) RemoteAddr() net.Addr {
 
 var errSessionOpen = errors.New("handoff: NextSession before the end of the session")
 
-// NextSession keeps the transport for its next session: it waits for the
-// next handoff header as the transport loop would (readNextHeader:
-// SessionIdleTimeout until its first byte, HandshakeTimeout from it), serves
-// a pass that comes first as the loop would (servePass), counts the session,
-// and is then that session's conn, RemoteAddr the new client's, with the
-// client's socket if the header carried one (holdClient: not once the
-// Listener has closed).
-// It is valid only once Read has returned io.EOF, the end-of-session record.
-// The server keeps
-// the conn's one Close, and http.Server.Close and Shutdown reach a hijacked
-// conn no more between sessions than within one: Listener.Close, which closes
-// the transport, does. On an error the conn is spent (every Read returns it)
-// and Close has the loop tear the transport down; a bad header is counted in
+// NextSession keeps the transport for its next session: it ends this one
+// (end), waits for the next handoff header as the transport loop would
+// (readNextHeader: SessionIdleTimeout until its first byte,
+// HandshakeTimeout from it), and is then that session's conn (begin),
+// whatever the header opens: framed, split or a pass. It is valid only
+// once Read has returned io.EOF, the end-of-session record or a passed
+// client's close. The server keeps the conn's one Close, and
+// http.Server.Close and Shutdown reach a hijacked conn no more between
+// sessions than within one: Listener.Close, which closes the transport,
+// does. On an error the conn is spent (every Read returns it) and Close
+// has the loop tear the transport down; a bad header is counted in
 // Rejected here, once, and a transport that closed or idled out is not.
 //
 //lard:noalloc
 func (c *sessionConn) NextSession() error {
-	if !c.drained() {
+	if !c.sawEnd || c.sticky != nil {
 		return errSessionOpen
 	}
-	h, err := c.l.readNextHeader(c.Conn, c.br)
-	for err == nil && h.flags&FlagPass != 0 {
-		if !c.l.servePass(c.Conn, c.br, h) {
-			c.sticky = errPassServed
-			return c.sticky
-		}
-		h, err = c.l.readNextHeader(c.Conn, c.br)
+	if err := c.end(); err != nil {
+		c.sticky = err
+		return err
 	}
+	h, err := c.l.readNextHeader(c.Conn, c.br)
 	if err != nil {
 		c.sticky = err
 		c.l.reject(err)
 		return err
 	}
-	if err := c.l.holdClient(c, h.fd); err != nil {
-		c.sticky = err
-		return err
-	}
-	c.l.sessions.Add(1)
-	c.mu.Lock()
-	c.clientAddr = h.client
-	c.mu.Unlock()
-	c.frameLeft, c.sawEnd = h.initialLen, false
-	return nil
+	return c.begin(h)
 }
-
-// errPassServed ends a kept transport whose pass went wrong: servePass has
-// counted what there was to count.
-var errPassServed = errors.New("handoff: transport ended by a pass")
 
 // parseClientAddr parses the handed-off client address, falling back to
 // an opaque representation when it is not a literal "ip:port".

@@ -13,21 +13,22 @@ import (
 )
 
 // Socket is a client's TCP socket, at either end of a handoff: the
-// connection a front end accepts (ListenRaw), and a split session's copy of
-// it at the back end (Listener). It follows one rule: only a call that must
-// wait leaves the raw path. Each call is made raw on the bare, nonblocking
-// descriptor (syscall.RawSyscall), so that none enters the scheduler: a
-// call through the syscall package proper wakes the runtime's sysmon thread
-// whenever the process has been idle, and lets sysmon hand the processor to
-// another thread mid-call (DESIGN.md, "Raw system calls: the relay stays
-// out of the scheduler"). A call that would have to wait, a read with
-// nothing to read or a write with no room, hands the descriptor to the
-// poller for good, as an os.File (join), under the deadlines set so far: on
-// Linux os.NewFile's fcntl and epoll_ctl are the runtime's own, so joining
-// enters no scheduler either. From then on reads and writes still run raw,
-// in the os.File's RawConn callbacks, and leave the raw path only to wait;
-// ReadFrom, the deadlines and the close go through the os.File. The socket
-// is never made blocking: nothing calls the os.File's Fd. A split copy
+// connection a front end accepts (ListenRaw), and a back end's copy of it,
+// a split session's or a passed connection's (Listener). It follows one
+// rule: only a call that must wait leaves the raw path. Each call is made
+// raw on the bare, nonblocking descriptor (syscall.RawSyscall), so that
+// none enters the scheduler: a call through the syscall package proper
+// wakes the runtime's sysmon thread whenever the process has been idle,
+// and lets sysmon hand the processor to another thread mid-call (DESIGN.md,
+// "Raw system calls: the relay stays out of the scheduler"). A call that
+// would have to wait, a read with nothing to read or a write with no room,
+// hands the descriptor to the poller for good, as an os.File (join), under
+// the deadlines set so far: on Linux os.NewFile's fcntl and epoll_ctl are
+// the runtime's own, so joining enters no scheduler either. From then on
+// reads and writes still run raw, in the os.File's RawConn callbacks, and
+// leave the raw path only to wait; ReadFrom, the deadlines and the close go
+// through the os.File. The socket is never made blocking: nothing calls
+// the os.File's Fd. A split copy
 // registered in the poller as soon as its header arrived, as an os.File or
 // a net.TCPConn, measured slower on both benchmark workloads that split a
 // session per connection or per request (DESIGN.md, "Split sessions:
@@ -43,7 +44,7 @@ type Socket struct {
 	mu   sync.Mutex
 	open bool           // there is a socket: the zero value has none
 	fd   int            // its descriptor
-	peer netip.AddrPort // from accept4's sockaddr: a split copy has none
+	peer netip.AddrPort // from accept4's sockaddr: a back end's copy has none
 
 	// file is the descriptor in the poller, once a call had to wait, and
 	// frc its RawConn; Close leaves them set, the record that it joined.
@@ -51,11 +52,14 @@ type Socket struct {
 	file     *os.File
 	frc      syscall.RawConn
 	rdl, wdl time.Time
-
-	iov []syscall.Iovec // WriteBuffers', kept for the next call
 }
 
-// reset makes fd the socket, a split session's copy.
+// iovecs is the scratch a socket's writev builds its vector in, kept by
+// the caller for its next call: a back end's session holds one, so that a
+// Socket, one per connection the front end accepts, need not.
+type iovecs = []syscall.Iovec
+
+// reset makes fd the socket, a back end's copy.
 func (s *Socket) reset(fd int) {
 	s.mu.Lock()
 	s.open, s.fd, s.file, s.frc = true, fd, nil, nil
@@ -134,14 +138,14 @@ func (s *Socket) Write(p []byte) (int, error) {
 	return r.n + n, s.waited(err)
 }
 
-// WriteBuffers writes v whole, or fails, consuming it as
-// net.Buffers.WriteTo does: writev(2), IOV_MAX iovecs a call.
+// writeBuffers writes v whole, or fails, consuming it as
+// net.Buffers.WriteTo does: writev(2), IOV_MAX iovecs a call, built in iov.
 //
 //lard:noalloc
-func (s *Socket) WriteBuffers(v *net.Buffers) (int64, error) {
-	r := RawIO{v: v, iov: s.iov}
+func (s *Socket) writeBuffers(v *net.Buffers, iov *iovecs) (int64, error) {
+	r := RawIO{v: v, iov: *iov}
 	joined, err := s.call(r.writevFD)
-	if s.iov = r.iov; !joined {
+	if *iov = r.iov; !joined {
 		//lard:allow noalloc — a failed call ends its connection: the error is built once per connection at most
 		n, err := r.writeEnd(err, "writev")
 		return int64(n), err

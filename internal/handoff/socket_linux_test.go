@@ -4,10 +4,25 @@ import (
 	"errors"
 	"net"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestSocketFitsItsSizeClass: a front end allocates one Socket per
+// connection it accepts, so the type stays within the runtime's 128-byte
+// size class on linux/amd64. What only a back end's copy uses, such as its
+// writev scratch, is the session's (sessionConn).
+func TestSocketFitsItsSizeClass(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the size is pinned on linux/amd64")
+	}
+	if size := unsafe.Sizeof(Socket{}); size > 128 {
+		t.Fatalf("a Socket is %d bytes, more than 128", size)
+	}
+}
 
 // TestSocketCloseRacesAWrite: Close from another goroutine, as
 // Listener.Close closes a split session's copy, while a write runs on the

@@ -13,9 +13,12 @@ import (
 func ListenRaw(ln net.Listener) net.Listener { return ln }
 
 // Socket is never made here: ListenRaw accepts none, and no header can
-// carry a split session's copy. It is a net.Conn only so that code that
-// looks for one compiles.
+// carry a back end's copy. It is a net.Conn only so that code that looks
+// for one compiles.
 type Socket struct{ net.Conn }
+
+// iovecs is a writev's scratch on Linux; nothing here writes one.
+type iovecs struct{}
 
 func (*Socket) reset(int) {}
 
@@ -25,6 +28,6 @@ func (*Socket) SyscallConn() (syscall.RawConn, error) { return nil, errPassUnsup
 
 func (*Socket) Write([]byte) (int, error) { return 0, errPassUnsupported }
 
-func (*Socket) WriteBuffers(*net.Buffers) (int64, error) { return 0, errPassUnsupported }
+func (*Socket) writeBuffers(*net.Buffers, *iovecs) (int64, error) { return 0, errPassUnsupported }
 
 func (*Socket) Close() error { return net.ErrClosed }
